@@ -14,6 +14,16 @@
 //! one — enough to ride out a server restart or an idle-connection reset
 //! without surfacing an error to the store.
 //!
+//! # Split reads
+//!
+//! Every request is a *call* in two halves: sending (register the pending
+//! slot, write the frame) and finishing (wait for the response, retry
+//! once). The blocking operations run the halves back to back;
+//! [`ChunkBackend::begin_read`] returns between them, so one store thread
+//! can have a read outstanding on each of a stripe's disks and pay for the
+//! slowest round trip rather than their sum. The blocking reads are
+//! literally `begin_read(..).wait()` — there is one read path.
+//!
 //! # Reconnect backoff
 //!
 //! A dead server must not be hammered: after a failed *connect* the client
@@ -57,10 +67,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[cfg(test)]
-use pbrs_obs::trace::TraceCtx;
-use pbrs_obs::trace::{self, SpanRecord};
-use pbrs_store::{BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, StoreError};
+use pbrs_obs::trace::{self, SpanRecord, TraceCtx};
+use pbrs_store::{
+    BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, PendingRead, ReadyRead,
+    StoreError,
+};
 
 use crate::protocol::{
     decode_ping, decode_spans, decode_sweep, decode_verify, read_frame, write_frame, Request,
@@ -113,6 +124,124 @@ impl Mux {
     fn kill(&self) {
         self.dead.store(true, Ordering::SeqCst);
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// One request frame on the wire, waiting for its response. Dropping it
+/// gives the pending slot back, so a caller that stops caring (timeout,
+/// unwinding) cannot leak table entries.
+struct InFlight {
+    mux: Arc<Mux>,
+    id: u64,
+    rx: mpsc::Receiver<io::Result<Response>>,
+    /// When the caller stops waiting, fixed when the frame was sent — so
+    /// several requests begun together time out together, not in series.
+    deadline: Instant,
+    /// The patience `deadline` was computed from, for the error message.
+    wait: Duration,
+}
+
+impl InFlight {
+    /// The connection is in an unknown state: fail every other caller
+    /// parked on it and make the next attempt dial fresh.
+    fn abandon_connection(&self, error: &io::Error) {
+        self.mux.fail_all(error);
+        self.mux.kill();
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+        if let Some(table) = self.mux.pending.lock().expect("lock").as_mut() {
+            table.remove(&self.id);
+        }
+    }
+}
+
+/// How one attempt at sending a request went.
+enum Attempt {
+    /// The frame is on the wire.
+    Sent(InFlight),
+    /// The transport failed; a fresh connection may still work.
+    Failed(io::Error),
+    /// No retry can help: the op budget is spent, or the dial is backed
+    /// off.
+    GaveUp(io::Error),
+}
+
+/// A request that has been sent (or has failed to be) and not yet
+/// answered: what [`RemoteDisk::call`] returns and [`Call::finish`]
+/// consumes. Holding several of these — to different disks — is how the
+/// store overlaps the chunk reads of one stripe.
+struct Call<'a> {
+    disk: &'a RemoteDisk,
+    /// Kept for the retry, which re-encodes under the remaining budget.
+    request: Request,
+    ctx: Option<TraceCtx>,
+    start: Instant,
+    first: Attempt,
+}
+
+impl Call<'_> {
+    /// Collects the response, reconnecting and retrying once if the first
+    /// attempt died in transport.
+    fn finish(self) -> io::Result<Response> {
+        let Call {
+            disk,
+            request,
+            ctx,
+            start,
+            first,
+        } = self;
+        // The first attempt's error is superseded by the retry's outcome.
+        match first {
+            Attempt::Sent(sent) => {
+                if let Ok(response) = disk.receive(sent) {
+                    return Ok(response);
+                }
+            }
+            Attempt::Failed(_) => {}
+            Attempt::GaveUp(e) => return Err(e),
+        }
+        match disk.send(&request, ctx, start) {
+            Attempt::Sent(sent) => disk.receive(sent),
+            Attempt::Failed(e) | Attempt::GaveUp(e) => Err(e),
+        }
+    }
+}
+
+/// A chunk read begun on a [`RemoteDisk`]: the request frame is on the
+/// wire, the payload lands in `out` when the read is waited for.
+struct RemoteRead<'a> {
+    call: Call<'a>,
+    object: String,
+    out: &'a mut [u8],
+}
+
+impl PendingRead for RemoteRead<'_> {
+    fn wait(self: Box<Self>) -> ChunkRead<()> {
+        let RemoteRead { call, object, out } = *self;
+        let disk = call.disk;
+        let response = match call.finish() {
+            Ok(response) => response,
+            Err(_) => return Ok(Err(ChunkStatus::Missing)), // disk unreachable = lost
+        };
+        if let Some(status) = response.as_chunk_status() {
+            return Ok(Err(status));
+        }
+        let payload = disk.expect_ok(&object, response)?;
+        if payload.len() != out.len() {
+            return Ok(Err(ChunkStatus::Corrupt {
+                reason: format!(
+                    "server returned {} bytes for a {}-byte read",
+                    payload.len(),
+                    out.len()
+                ),
+            }));
+        }
+        out.copy_from_slice(&payload);
+        Ok(Ok(()))
     }
 }
 
@@ -404,7 +533,16 @@ impl RemoteDisk {
     /// reconnecting and retrying once on a transport error (every protocol
     /// op is idempotent, so a blind retry is safe). Many callers may be in
     /// this function concurrently; their requests share one socket.
-    fn request(&self, request: &Request) -> io::Result<Response> {
+    fn request(&self, request: Request) -> io::Result<Response> {
+        self.call(request).finish()
+    }
+
+    /// The first half of [`RemoteDisk::request`]: puts the request on the
+    /// wire and returns without waiting for the response, which
+    /// [`Call::finish`] collects. Nothing fails here — a first attempt
+    /// that could not be sent is carried in the call and dealt with (by
+    /// the one retry) when it is finished.
+    fn call(&self, request: Request) -> Call<'_> {
         let start = Instant::now();
         // The active trace, if this client propagates traces at all. An
         // untraced client (or one called outside any trace scope) never
@@ -415,6 +553,20 @@ impl RemoteDisk {
         } else {
             None
         };
+        let first = self.send(&request, ctx, start);
+        Call {
+            disk: self,
+            request,
+            ctx,
+            start,
+            first,
+        }
+    }
+
+    /// One attempt at getting `request` onto the wire: encode (under the
+    /// budget remaining since `start`), find or dial the connection,
+    /// register the pending slot and write the frame.
+    fn send(&self, request: &Request, ctx: Option<TraceCtx>, start: Instant) -> Attempt {
         let trace_wrap = |req: Request| match ctx {
             Some(ctx) => Request::Trace {
                 ctx,
@@ -422,118 +574,103 @@ impl RemoteDisk {
             },
             None => req,
         };
-        let mut last = None;
-        for _ in 0..2 {
-            // Under an op budget each lap re-encodes with the budget
-            // *remaining now*, so the server sees the client's true
-            // patience and a spent budget never reaches the wire.
-            let (body, wait) = match self.op_budget {
-                Some(budget) => {
-                    let remaining = budget.saturating_sub(start.elapsed());
-                    if remaining.is_zero() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "op budget {budget:?} exhausted before reaching {}",
-                                self.addr
-                            ),
-                        ));
-                    }
-                    let wrapped = Request::Deadline {
-                        // max(1): on the wire, zero means "already expired".
-                        budget_ms: u32::try_from(remaining.as_millis())
-                            .unwrap_or(u32::MAX)
-                            .max(1),
-                        inner: Box::new(request.clone()),
-                    };
-                    (trace_wrap(wrapped).encode(), self.timeout.min(remaining))
+        // Under an op budget each attempt re-encodes with the budget
+        // *remaining now*, so the server sees the client's true patience
+        // and a spent budget never reaches the wire.
+        let (body, wait) = match self.op_budget {
+            Some(budget) => {
+                let remaining = budget.saturating_sub(start.elapsed());
+                if remaining.is_zero() {
+                    return Attempt::GaveUp(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!(
+                            "op budget {budget:?} exhausted before reaching {}",
+                            self.addr
+                        ),
+                    ));
                 }
-                None => match ctx {
-                    Some(_) => (trace_wrap(request.clone()).encode(), self.timeout),
-                    None => (request.encode(), self.timeout),
-                },
-            };
-            let mux = match self.mux() {
-                Ok(mux) => mux,
-                Err(e) => {
-                    // Inside the backoff window there is no point retrying
-                    // the loop either — fail the request now.
-                    if e.kind() == io::ErrorKind::WouldBlock {
-                        return Err(e);
-                    }
-                    last = Some(e);
-                    continue;
-                }
-            };
-            match self.request_on(&mux, &body, wait) {
-                Ok(response) => return Ok(response),
-                Err(e) => {
-                    // The connection is in an unknown state: fail every
-                    // other caller parked on it and dial fresh next lap.
-                    mux.fail_all(&e);
-                    mux.kill();
-                    last = Some(e);
-                }
+                let wrapped = Request::Deadline {
+                    // max(1): on the wire, zero means "already expired".
+                    budget_ms: u32::try_from(remaining.as_millis())
+                        .unwrap_or(u32::MAX)
+                        .max(1),
+                    inner: Box::new(request.clone()),
+                };
+                (trace_wrap(wrapped).encode(), self.timeout.min(remaining))
             }
-        }
-        Err(last.unwrap_or_else(|| io::Error::other("request failed")))
-    }
-
-    /// Sends one tagged frame on `mux` and waits (bounded by `wait`: the
-    /// request timeout, clamped to any remaining op budget) for the
-    /// response frame carrying the same id.
-    fn request_on(&self, mux: &Mux, body: &[u8], wait: Duration) -> io::Result<Response> {
+            None => match ctx {
+                Some(_) => (trace_wrap(request.clone()).encode(), self.timeout),
+                None => (request.encode(), self.timeout),
+            },
+        };
+        let mux = match self.mux() {
+            Ok(mux) => mux,
+            // Inside the backoff window a retry would be refused the same
+            // way — fail the request now.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Attempt::GaveUp(e),
+            Err(e) => return Attempt::Failed(e),
+        };
+        // Relaxed: uniqueness comes from the RMW itself, not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        {
+        let registered = mux
+            .pending
+            .lock()
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            let mut pending = mux.pending.lock().expect("lock");
-            match pending.as_mut() {
-                Some(table) => {
-                    table.insert(id, tx);
-                }
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "connection died before the request was registered",
-                    ))
-                }
-            }
-        }
-        let sent = {
+            .expect("lock")
+            .as_mut()
+            .map(|table| table.insert(id, tx))
+            .is_some();
+        let sent = if registered {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut writer = mux.writer.lock().expect("lock");
-            write_frame(&mut *writer, id, body)
+            write_frame(&mut *writer, id, &body)
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "connection died before the request was registered",
+            ))
+        };
+        // From here the pending slot belongs to `slot`: dropping it
+        // deregisters.
+        let slot = InFlight {
+            mux,
+            id,
+            rx,
+            deadline: Instant::now() + wait,
+            wait,
         };
         match sent {
-            Ok(sent) => {
+            Ok(bytes) => {
                 // Relaxed: traffic tally, sampled only by counters().
-                self.bytes_sent.fetch_add(sent, Ordering::Relaxed);
+                self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+                Attempt::Sent(slot)
             }
             Err(e) => {
-                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                if let Some(table) = mux.pending.lock().expect("lock").as_mut() {
-                    table.remove(&id);
-                }
-                return Err(e);
+                slot.abandon_connection(&e);
+                Attempt::Failed(e)
             }
         }
-        match rx.recv_timeout(wait) {
+    }
+
+    /// Waits (until the attempt's deadline: the request timeout, clamped
+    /// to any remaining op budget, counted from when the frame was sent)
+    /// for the response frame carrying the attempt's id.
+    fn receive(&self, sent: InFlight) -> io::Result<Response> {
+        let remaining = sent.deadline.saturating_duration_since(Instant::now());
+        let result = match sent.rx.recv_timeout(remaining) {
             Ok(result) => result,
-            Err(_) => {
-                // Timed out: deregister so a late response is dropped by
-                // the demultiplexer (ids make that safe), and report the
-                // transport as broken so the caller's retry redials.
-                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                if let Some(table) = mux.pending.lock().expect("lock").as_mut() {
-                    table.remove(&id);
-                }
-                Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("no response from {} within {wait:?}", self.addr),
-                ))
-            }
+            // Timed out (a late response is dropped by the demultiplexer
+            // once the slot is gone — ids make that safe).
+            Err(_) => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no response from {} within {:?}", self.addr, sent.wait),
+            )),
+        };
+        if let Err(e) = &result {
+            sent.abandon_connection(e);
         }
+        result
     }
 
     /// A path-shaped label for error messages about this remote.
@@ -606,6 +743,34 @@ fn as_u32(what: &str, value: usize) -> Result<u32, StoreError> {
     })
 }
 
+/// The wire request for reading `len` payload bytes at `offset` of a
+/// `chunk_len`-byte chunk: `ReadChunk` for the whole payload, `ReadRange`
+/// for anything less.
+fn read_request(
+    object: &str,
+    id: ChunkId,
+    chunk_len: usize,
+    offset: usize,
+    len: usize,
+) -> Result<Request, StoreError> {
+    let object = object.to_string();
+    Ok(if offset == 0 && len == chunk_len {
+        Request::ReadChunk {
+            object,
+            id,
+            len: as_u32("chunk read", len)?,
+        }
+    } else {
+        Request::ReadRange {
+            object,
+            id,
+            chunk_len: as_u32("chunk length", chunk_len)?,
+            offset: as_u32("range offset", offset)?,
+            len: as_u32("range read", len)?,
+        }
+    })
+}
+
 impl ChunkBackend for RemoteDisk {
     fn describe(&self) -> String {
         match &self.label {
@@ -615,7 +780,7 @@ impl ChunkBackend for RemoteDisk {
     }
 
     fn is_available(&self) -> bool {
-        match self.request(&Request::Ping) {
+        match self.request(Request::Ping) {
             Ok(Response::Ok { payload }) => decode_ping(&payload).unwrap_or(false),
             _ => false,
         }
@@ -623,7 +788,7 @@ impl ChunkBackend for RemoteDisk {
 
     fn ensure_object(&self, object: &str) -> Result<(), StoreError> {
         let response = self
-            .request(&Request::EnsureObject {
+            .request(Request::EnsureObject {
                 object: object.to_string(),
             })
             .map_err(|e| self.io_error(object, e))?;
@@ -632,7 +797,7 @@ impl ChunkBackend for RemoteDisk {
 
     fn remove_object(&self, object: &str) -> Result<(), StoreError> {
         let response = self
-            .request(&Request::RemoveObject {
+            .request(Request::RemoveObject {
                 object: object.to_string(),
             })
             .map_err(|e| self.io_error(object, e))?;
@@ -642,7 +807,7 @@ impl ChunkBackend for RemoteDisk {
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
         as_u32("chunk payload", payload.len())?;
         let response = self
-            .request(&Request::WriteChunk {
+            .request(Request::WriteChunk {
                 object: object.to_string(),
                 id,
                 payload: payload.to_vec(),
@@ -652,29 +817,8 @@ impl ChunkBackend for RemoteDisk {
     }
 
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        let response = match self.request(&Request::ReadChunk {
-            object: object.to_string(),
-            id,
-            len: as_u32("chunk read", out.len())?,
-        }) {
-            Ok(response) => response,
-            Err(_) => return Ok(Err(ChunkStatus::Missing)), // disk unreachable = lost
-        };
-        if let Some(status) = response.as_chunk_status() {
-            return Ok(Err(status));
-        }
-        let payload = self.expect_ok(object, response)?;
-        if payload.len() != out.len() {
-            return Ok(Err(ChunkStatus::Corrupt {
-                reason: format!(
-                    "server returned {} bytes for a {}-byte chunk",
-                    payload.len(),
-                    out.len()
-                ),
-            }));
-        }
-        out.copy_from_slice(&payload);
-        Ok(Ok(()))
+        let chunk_len = out.len();
+        self.begin_read(object, id, chunk_len, 0, out).wait()
     }
 
     fn read_chunk_range(
@@ -685,31 +829,29 @@ impl ChunkBackend for RemoteDisk {
         offset: usize,
         out: &mut [u8],
     ) -> ChunkRead<()> {
-        let response = match self.request(&Request::ReadRange {
-            object: object.to_string(),
-            id,
-            chunk_len: as_u32("chunk length", chunk_len)?,
-            offset: as_u32("range offset", offset)?,
-            len: as_u32("range read", out.len())?,
-        }) {
-            Ok(response) => response,
-            Err(_) => return Ok(Err(ChunkStatus::Missing)), // disk unreachable = lost
-        };
-        if let Some(status) = response.as_chunk_status() {
-            return Ok(Err(status));
+        self.begin_read(object, id, chunk_len, offset, out).wait()
+    }
+
+    /// Registers the pending slot, writes the request frame and returns;
+    /// the response is collected (and a transport failure retried once,
+    /// then reported as [`ChunkStatus::Missing`]) at `wait`. A read of the
+    /// whole payload ships as `ReadChunk`, anything else as `ReadRange`.
+    fn begin_read<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+        offset: usize,
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
+        match read_request(object, id, chunk_len, offset, out.len()) {
+            Ok(request) => Box::new(RemoteRead {
+                call: self.call(request),
+                object: object.to_string(),
+                out,
+            }),
+            Err(e) => Box::new(ReadyRead(Err(e))),
         }
-        let payload = self.expect_ok(object, response)?;
-        if payload.len() != out.len() {
-            return Ok(Err(ChunkStatus::Corrupt {
-                reason: format!(
-                    "server returned {} bytes for a {}-byte range",
-                    payload.len(),
-                    out.len()
-                ),
-            }));
-        }
-        out.copy_from_slice(&payload);
-        Ok(Ok(()))
     }
 
     fn verify_chunk(
@@ -718,7 +860,7 @@ impl ChunkBackend for RemoteDisk {
         id: ChunkId,
         chunk_len: usize,
     ) -> Result<(ChunkStatus, u64), StoreError> {
-        let response = match self.request(&Request::Verify {
+        let response = match self.request(Request::Verify {
             object: object.to_string(),
             id,
             chunk_len: as_u32("chunk length", chunk_len)?,
@@ -731,7 +873,7 @@ impl ChunkBackend for RemoteDisk {
     }
 
     fn sweep_tmp(&self, min_age: Duration) -> Result<Vec<String>, StoreError> {
-        let response = match self.request(&Request::SweepTmp { min_age }) {
+        let response = match self.request(Request::SweepTmp { min_age }) {
             Ok(response) => response,
             Err(_) => return Ok(Vec::new()), // nothing sweepable on a lost disk
         };
@@ -747,7 +889,7 @@ impl ChunkBackend for RemoteDisk {
         if !self.tracing {
             return Vec::new();
         }
-        match self.request(&Request::FetchSpans) {
+        match self.request(Request::FetchSpans) {
             Ok(Response::Ok { payload }) => decode_spans(&payload).unwrap_or_default(),
             // A lost disk has no spans to ship; never fail a trace fetch.
             _ => Vec::new(),

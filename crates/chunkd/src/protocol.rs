@@ -34,7 +34,7 @@
 //! ships only the bytes the rebuild consumes. [`Verify`](Request::Verify)
 //! checks a chunk server-side and ships only the verdict.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
 use pbrs_obs::trace::{SpanId, SpanRecord, TraceCtx, TraceId};
@@ -202,20 +202,43 @@ impl Response {
 /// Bytes of framing overhead per message (length prefix + request id).
 pub const FRAME_OVERHEAD: u64 = 12;
 
-/// Writes one frame (length prefix + request id + body). Returns the
-/// total bytes put on the wire, for traffic accounting.
+/// Writes one frame (length prefix + request id + body) — the one frame
+/// writer of both chunkd peers. Header and body go out as a single
+/// vectored write (one `writev` on a socket), looping only when the
+/// writer accepts the frame in pieces. Returns the total bytes put on the
+/// wire, for traffic accounting.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects bodies above [`MAX_FRAME`].
+/// Propagates I/O failures (`WriteZero` if the writer stops accepting
+/// bytes mid-frame); rejects bodies above [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u64> {
     if body.len() > MAX_FRAME {
         return Err(invalid(format!("frame body of {} bytes", body.len())));
     }
+    let mut header = [0u8; FRAME_OVERHEAD as usize];
     // pbrs-lint: allow(wire-protocol) -- lossless: the MAX_FRAME guard above caps the length at 64 MiB
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&req_id.to_le_bytes())?;
-    w.write_all(body)?;
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&req_id.to_le_bytes());
+    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    let mut left = header.len() + body.len();
+    while left > 0 {
+        match w.write_vectored(parts) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "writer stopped accepting bytes mid-frame",
+                ))
+            }
+            Ok(n) => {
+                IoSlice::advance_slices(&mut parts, n);
+                left -= n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
     Ok(FRAME_OVERHEAD + body.len() as u64)
 }
@@ -916,5 +939,71 @@ mod tests {
         huge.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
         huge.extend_from_slice(&0u64.to_le_bytes());
         assert!(read_frame(&mut huge.as_slice()).is_err());
+    }
+    /// A writer that takes at most `step` bytes per call — across the
+    /// slices of a vectored write, like a socket with a nearly full send
+    /// buffer — and counts its calls.
+    struct Trickle {
+        step: usize,
+        wire: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.step - taken);
+                self.wire.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_vectored_writes_still_deliver_whole_frames() {
+        let body: Vec<u8> = (0..40u8).collect();
+        let frame_len = FRAME_OVERHEAD as usize + body.len();
+        // Every split: mid-header, at the header/body seam, mid-body, and
+        // the whole frame in one call.
+        for step in 1..=frame_len {
+            let mut w = Trickle {
+                step,
+                wire: Vec::new(),
+                calls: 0,
+            };
+            let sent = write_frame(&mut w, 77, &body).unwrap();
+            assert_eq!(sent as usize, frame_len, "step {step}");
+            assert_eq!(w.calls, frame_len.div_ceil(step), "step {step}");
+            let (id, got, received) = read_frame(&mut w.wire.as_slice()).unwrap();
+            assert_eq!((id, received as usize), (77, frame_len), "step {step}");
+            assert_eq!(got, body, "step {step}");
+        }
+        // An empty body is a header-only frame, not a zero-length write.
+        let mut w = Trickle {
+            step: 5,
+            wire: Vec::new(),
+            calls: 0,
+        };
+        assert_eq!(write_frame(&mut w, 1, &[]).unwrap(), FRAME_OVERHEAD);
+        assert_eq!(read_frame(&mut w.wire.as_slice()).unwrap().1, b"");
+        // A writer that stops accepting bytes is an error, not a spin.
+        let mut stuck = Trickle {
+            step: 0,
+            wire: Vec::new(),
+            calls: 0,
+        };
+        let err = write_frame(&mut stuck, 1, b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

@@ -11,6 +11,11 @@
 //! socket counters then pin down the *quantity*: each helper connection
 //! carried its declared range plus a few framing bytes — for Piggybacked-RS
 //! parity helpers, half a chunk, never a whole one.
+//!
+//! Both hold with the helper reads overlapped (all begun, then all waited
+//! for): overlap changes when the bytes move, never which bytes. The
+//! multi-loss path has the same kind of contract — an MDS code fetches
+//! exactly k whole survivors, and the other disks' sockets stay silent.
 
 use std::fs;
 use std::sync::Arc;
@@ -41,13 +46,23 @@ fn garbage_fill_outside(path: &std::path::Path, id: ChunkId, declared: &[&ShardR
     original
 }
 
-#[test]
-fn remote_repair_reads_only_the_declared_ranges() {
+/// A `piggyback-6-3` store over nine loopback chunk servers (shard `i` on
+/// server `i`) holding a [`STRIPES`]-stripe object.
+struct Rig {
+    // Field order is drop order: the store and its clients go before the
+    // servers, the servers before their directory.
+    store: BlockStore,
+    remotes: Vec<Arc<RemoteDisk>>,
+    servers: Vec<ChunkServer>,
+    _dir: TempDir,
+}
+
+fn rig(label: &str) -> Rig {
     let spec: CodeSpec = "piggyback-6-3".parse().unwrap();
     let code = registry::build(&spec).unwrap();
     let n = code.params().total_shards();
 
-    let dir = TempDir::new("chunkd-contract");
+    let dir = TempDir::new(label);
     let servers: Vec<ChunkServer> = (0..n)
         .map(|i| ChunkServer::bind(dir.path().join(format!("srv-{i:02}")), "127.0.0.1:0").unwrap())
         .collect();
@@ -71,7 +86,31 @@ fn remote_repair_reads_only_the_declared_ranges() {
         .map(|i| ((i * 31 + 7) % 253) as u8)
         .collect();
     store.put("obj", &data[..]).unwrap();
+    Rig {
+        store,
+        remotes,
+        servers,
+        _dir: dir,
+    }
+}
 
+fn chunk_path(server: &ChunkServer, stripe: u64, shard: usize) -> std::path::PathBuf {
+    server
+        .root()
+        .join("obj")
+        .join(format!("{stripe:08}-{shard:02}.chunk"))
+}
+
+#[test]
+fn remote_repair_reads_only_the_declared_ranges() {
+    let Rig {
+        store,
+        remotes,
+        servers,
+        _dir,
+    } = rig("chunkd-contract");
+    let params = store.code().params();
+    let (k, n) = (params.data_shards(), params.total_shards());
     // The declared helper ranges for losing shard TARGET.
     let mut available = vec![true; n];
     available[TARGET] = false;
@@ -81,7 +120,7 @@ fn remote_repair_reads_only_the_declared_ranges() {
         .unwrap();
     let declared_bytes = total_read_bytes(&reads);
     assert!(
-        declared_bytes < (code.params().data_shards() * CHUNK_LEN) as u64,
+        declared_bytes < (k * CHUNK_LEN) as u64,
         "piggyback data repair must beat the RS baseline"
     );
 
@@ -92,10 +131,7 @@ fn remote_repair_reads_only_the_declared_ranges() {
     for stripe in 0..STRIPES {
         for (shard, server) in servers.iter().enumerate() {
             let id = ChunkId { stripe, shard };
-            let path = server
-                .root()
-                .join("obj")
-                .join(format!("{stripe:08}-{shard:02}.chunk"));
+            let path = chunk_path(server, stripe, shard);
             if shard == TARGET {
                 lost_payloads.push(chunk::read_chunk(&path, id, CHUNK_LEN).unwrap().unwrap());
                 fs::remove_file(&path).unwrap();
@@ -124,10 +160,7 @@ fn remote_repair_reads_only_the_declared_ranges() {
             stripe,
             shard: TARGET,
         };
-        let path = servers[TARGET]
-            .root()
-            .join("obj")
-            .join(format!("{stripe:08}-{TARGET:02}.chunk"));
+        let path = chunk_path(&servers[TARGET], stripe, TARGET);
         let rebuilt = chunk::read_chunk(&path, id, CHUNK_LEN).unwrap().unwrap();
         assert_eq!(
             rebuilt, lost_payloads[stripe as usize],
@@ -157,5 +190,58 @@ fn remote_repair_reads_only_the_declared_ranges() {
                 "shard {shard}: a half-chunk helper shipped a whole chunk"
             );
         }
+    }
+}
+
+#[test]
+fn remote_multi_loss_repair_ships_exactly_k_whole_survivors() {
+    let Rig {
+        store,
+        remotes,
+        servers,
+        _dir,
+    } = rig("chunkd-contract-survivors");
+    let params = store.code().params();
+    let (k, n) = (params.data_shards(), params.total_shards());
+    const LOST: [usize; 2] = [0, 4];
+    let lost_payloads: Vec<Vec<u8>> = LOST
+        .iter()
+        .map(|&shard| {
+            let path = chunk_path(&servers[shard], 0, shard);
+            let id = ChunkId { stripe: 0, shard };
+            let payload = chunk::read_chunk(&path, id, CHUNK_LEN).unwrap().unwrap();
+            fs::remove_file(&path).unwrap();
+            payload
+        })
+        .collect();
+
+    let before: Vec<u64> = remotes
+        .iter()
+        .map(|r| r.counters().bytes_received)
+        .collect();
+    let repair = store.repair_stripe("obj", 0, &LOST).unwrap();
+    assert_eq!(repair.rebuilt, LOST);
+    assert_eq!(repair.helper_bytes, (k * CHUNK_LEN) as u64);
+    for (&shard, original) in LOST.iter().zip(&lost_payloads) {
+        let path = chunk_path(&servers[shard], 0, shard);
+        let id = ChunkId { stripe: 0, shard };
+        assert_eq!(
+            &chunk::read_chunk(&path, id, CHUNK_LEN).unwrap().unwrap(),
+            original
+        );
+    }
+
+    // With one rack per disk the survivors rank in index order: the first
+    // k of them each shipped one whole chunk in one frame, and the rest —
+    // never begun, because nothing failed — shipped nothing at all.
+    let survivors: Vec<usize> = (0..n).filter(|s| !LOST.contains(s)).collect();
+    for (rank, &shard) in survivors.iter().enumerate() {
+        let got = remotes[shard].counters().bytes_received - before[shard];
+        let expect = if rank < k {
+            CHUNK_LEN as u64 + FRAME_OVERHEAD
+        } else {
+            0
+        };
+        assert_eq!(got, expect, "survivor shard {shard} (rank {rank})");
     }
 }

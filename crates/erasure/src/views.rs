@@ -19,6 +19,7 @@
 //! range of every shard without copying — the Piggybacked-RS code decodes
 //! its two substripes by narrowing the stripe view to each half.
 
+use crate::repair::ShardRead;
 use crate::CodeError;
 
 /// Checks the `(shards, stride, shard_len, buffer length)` geometry shared
@@ -526,6 +527,52 @@ impl ShardBuffer {
         )
     }
 
+    /// One mutable window per read, in `reads` order: window `i` is bytes
+    /// `reads[i].range()` of shard `reads[i].shard`. The windows are carved
+    /// out of the buffer with `split_at_mut`, so a caller can fill all of
+    /// them at once — the shape of issuing every helper read of a repair
+    /// before waiting for any.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::InvalidShardIndex`] for a shard outside the
+    /// buffer and [`CodeError::InvalidParams`] when a range leaves its
+    /// shard or two reads overlap.
+    pub fn windows_mut(&mut self, reads: &[ShardRead]) -> Result<Vec<&mut [u8]>, CodeError> {
+        let mut order: Vec<usize> = (0..reads.len()).collect();
+        order.sort_unstable_by_key(|&i| (reads[i].shard, reads[i].offset));
+        let mut windows: Vec<Option<&mut [u8]>> = reads.iter().map(|_| None).collect();
+        let mut rest: &mut [u8] = &mut self.buf;
+        let mut consumed = 0usize;
+        for i in order {
+            let read = &reads[i];
+            if read.shard >= self.shards {
+                return Err(CodeError::InvalidShardIndex {
+                    index: read.shard,
+                    total: self.shards,
+                });
+            }
+            let start = read.shard * self.shard_len + read.offset;
+            let skip = start
+                .checked_sub(consumed)
+                .filter(|_| read.len <= self.shard_len && read.offset <= self.shard_len - read.len)
+                .ok_or_else(|| CodeError::InvalidParams {
+                    reason: format!(
+                        "read of shard {} bytes {}..{} overlaps another or leaves the shard",
+                        read.shard,
+                        read.offset,
+                        read.offset.saturating_add(read.len)
+                    ),
+                })?;
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(skip);
+            let (window, tail) = tail.split_at_mut(read.len);
+            windows[i] = Some(window);
+            rest = tail;
+            consumed = start + read.len;
+        }
+        Ok(windows.into_iter().flatten().collect())
+    }
+
     /// Copies the shards out into owned vectors (the legacy representation).
     pub fn to_shards(&self) -> Vec<Vec<u8>> {
         (0..self.shards).map(|i| self.shard(i).to_vec()).collect()
@@ -710,6 +757,60 @@ mod tests {
         assert!(matches!(
             ShardBuffer::from_shards(&[vec![1, 2], vec![3]]),
             Err(CodeError::ShardSizeMismatch { .. })
+        ));
+    }
+    #[test]
+    fn windows_mut_carves_disjoint_ranges_in_read_order() {
+        let mut stripe = ShardBuffer::zeroed(3, 8);
+        let reads = [
+            ShardRead {
+                shard: 2,
+                offset: 4,
+                len: 4,
+            },
+            ShardRead::whole(0, 8),
+            ShardRead {
+                shard: 2,
+                offset: 0,
+                len: 4,
+            },
+        ];
+        {
+            let mut windows = stripe.windows_mut(&reads).unwrap();
+            assert_eq!(windows.len(), 3);
+            windows[0].fill(1);
+            windows[1].fill(2);
+            windows[2].fill(3);
+        }
+        assert_eq!(stripe.shard(0), &[2; 8]);
+        assert_eq!(stripe.shard(1), &[0; 8]);
+        assert_eq!(stripe.shard(2), &[3, 3, 3, 3, 1, 1, 1, 1]);
+        assert!(stripe.windows_mut(&[]).unwrap().is_empty());
+
+        let overlapping = [
+            ShardRead::whole(1, 8),
+            ShardRead {
+                shard: 1,
+                offset: 4,
+                len: 2,
+            },
+        ];
+        assert!(matches!(
+            stripe.windows_mut(&overlapping),
+            Err(CodeError::InvalidParams { .. })
+        ));
+        let past_the_end = [ShardRead {
+            shard: 1,
+            offset: 6,
+            len: 4,
+        }];
+        assert!(matches!(
+            stripe.windows_mut(&past_the_end),
+            Err(CodeError::InvalidParams { .. })
+        ));
+        assert!(matches!(
+            stripe.windows_mut(&[ShardRead::whole(3, 8)]),
+            Err(CodeError::InvalidShardIndex { index: 3, total: 3 })
         ));
     }
 }

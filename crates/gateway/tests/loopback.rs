@@ -278,26 +278,43 @@ fn pipelined_requests_demux_by_id() {
     );
 
     // A request id already in flight is rejected without killing the
-    // connection or the original exchange.
-    c.send_request(7, &Request::Get { name: "a".into() })
-        .unwrap();
-    c.send_request(7, &Request::Stat { name: "a".into() })
-        .unwrap();
+    // connection or the original exchange. Both frames go out in ONE
+    // write, so the reactor reads them together and parses the STAT in the
+    // same pass that admitted the GET — before any stripe of it can have
+    // been read, let alone the whole stream finished (the object is longer
+    // than the per-connection stripe budget, so the GET needs several
+    // trips through the reactor). Two separate writes would let a fast GET
+    // complete in between, making the STAT legitimately succeed.
+    let big = pattern(4 * 512 * (GatewayConfig::default().in_flight_stripes + 2));
+    c.put("big", &big).unwrap();
+    let mut both = Vec::new();
+    let get = Request::Get { name: "big".into() };
+    let stat = Request::Stat { name: "big".into() };
+    protocol::write_frame(&mut both, 7, &get.encode()).unwrap();
+    protocol::write_frame(&mut both, 7, &stat.encode()).unwrap();
+    let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.write_all(&both).unwrap();
     let mut saw_dup_error = false;
-    let mut stream_done = false;
-    while !(saw_dup_error && stream_done) {
-        let (id, resp) = c.recv_response().unwrap();
+    let mut streamed = Vec::new();
+    loop {
+        let (id, body) = protocol::read_frame(&mut raw).unwrap();
         assert_eq!(id, 7);
-        match resp {
+        match Response::decode(&body).unwrap() {
             Response::Err { message } => {
                 assert!(message.contains("already in flight"), "{message}");
                 saw_dup_error = true;
             }
-            Response::ObjectEnd { .. } => stream_done = true,
-            Response::ObjectHeader { .. } | Response::Data { .. } => {}
+            Response::ObjectEnd { .. } => break,
+            Response::ObjectHeader { .. } => {}
+            Response::Data { data } => streamed.extend_from_slice(&data),
             other => panic!("unexpected {other:?}"),
         }
     }
+    // The error was queued while the GET was still being admitted, so it
+    // precedes the end of the stream — which itself arrives intact.
+    assert!(saw_dup_error, "the duplicate id was not rejected");
+    assert_eq!(streamed, big);
 }
 
 #[test]

@@ -84,34 +84,53 @@ impl Event {
 
 /// A bounded ring of [`Event`]s. Pushes never block longer than the
 /// (short) internal lock; when full, the oldest event is dropped and
-/// counted.
-#[derive(Debug)]
+/// counted. Events are stamped *under* that lock, so the retained ring is
+/// ordered by timestamp as well as by arrival.
 pub struct EventJournal {
     capacity: usize,
     inner: Mutex<VecDeque<Event>>,
     dropped: AtomicU64,
+    clock: Box<dyn Fn() -> SystemTime + Send + Sync>,
+}
+
+impl std::fmt::Debug for EventJournal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventJournal")
+            .field("capacity", &self.capacity)
+            .field("len", &self.len())
+            .field("dropped", &self.dropped())
+            .finish()
+    }
 }
 
 impl EventJournal {
-    /// A journal holding at most `capacity` events (minimum 1).
+    /// A journal holding at most `capacity` events (minimum 1), stamped
+    /// from the wall clock.
     pub fn new(capacity: usize) -> Self {
+        Self::with_clock(capacity, SystemTime::now)
+    }
+
+    /// [`EventJournal::new`] with the timestamp source injected — the seam
+    /// that lets a test pin down *when*, relative to its own locks, an
+    /// event is stamped and appended.
+    pub fn with_clock(
+        capacity: usize,
+        clock: impl Fn() -> SystemTime + Send + Sync + 'static,
+    ) -> Self {
         let capacity = capacity.max(1);
         Self {
             capacity,
             inner: Mutex::new(VecDeque::with_capacity(capacity)),
             dropped: AtomicU64::new(0),
+            clock: Box::new(clock),
         }
     }
 
     /// Record an event now, tagged with the scoped trace if one is
     /// active on this thread.
     pub fn push(&self, kind: EventKind, detail: impl Into<String>) {
-        let event = Event {
-            at: SystemTime::now(),
-            kind,
-            detail: detail.into(),
-            trace: trace::current_ctx().map(|ctx| ctx.trace),
-        };
+        let detail = detail.into();
+        let trace = trace::current_ctx().map(|ctx| ctx.trace);
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -122,7 +141,15 @@ impl EventJournal {
             // by the mutex above.
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        inner.push_back(event);
+        // Stamped with the ring locked: a pusher that read the clock
+        // first could be overtaken on its way to the lock and append an
+        // older time behind a newer one.
+        inner.push_back(Event {
+            at: (self.clock)(),
+            kind,
+            detail,
+            trace,
+        });
     }
 
     /// The retained events, oldest first.
@@ -247,6 +274,59 @@ mod tests {
         j.push(EventKind::Scan, "b");
         assert_eq!(j.len(), 1);
         assert_eq!(j.recent()[0].detail, "b");
+    }
+
+    #[test]
+    fn events_are_stamped_while_the_ring_is_locked() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::{mpsc, Arc, OnceLock, TryLockError};
+        use std::time::Duration;
+
+        // A ticking clock: every read is later than the one before. On its
+        // first read — thread A's, mid-push — it hands off to thread B and
+        // lets B run into its own push before A's stamp is taken. Had A
+        // read the clock before taking the ring lock, B (stamped later)
+        // could append first; with the stamp taken under the lock B can
+        // only queue up behind A.
+        let journal: Arc<OnceLock<Arc<EventJournal>>> = Arc::new(OnceLock::new());
+        let ticks = AtomicU64::new(0);
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let clock = {
+            let journal = Arc::clone(&journal);
+            let entered_rx = Mutex::new(entered_rx);
+            move || {
+                let tick = ticks.fetch_add(1, Ordering::SeqCst);
+                if tick == 0 {
+                    go_tx.send(()).unwrap();
+                    entered_rx.lock().unwrap().recv().unwrap();
+                    let ring = &journal.get().unwrap().inner;
+                    assert!(
+                        matches!(ring.try_lock(), Err(TryLockError::WouldBlock)),
+                        "the clock was read outside the ring lock"
+                    );
+                }
+                UNIX_EPOCH + Duration::from_secs(tick)
+            }
+        };
+        let j = Arc::new(EventJournal::with_clock(8, clock));
+        journal.set(Arc::clone(&j)).unwrap();
+
+        let b = {
+            let j = Arc::clone(&j);
+            std::thread::spawn(move || {
+                go_rx.recv().unwrap();
+                entered_tx.send(()).unwrap();
+                j.push(EventKind::Repair, "b");
+            })
+        };
+        j.push(EventKind::Scan, "a");
+        b.join().unwrap();
+
+        let events = j.recent();
+        let details: Vec<_> = events.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, ["a", "b"]);
+        assert!(events[0].at < events[1].at);
     }
 
     #[test]

@@ -61,6 +61,30 @@ impl BackendCounters {
     }
 }
 
+/// A chunk read that has been *begun* ([`ChunkBackend::begin_read`]) but
+/// whose outcome has not been collected yet. The destination buffer stays
+/// mutably borrowed until [`PendingRead::wait`] returns.
+pub trait PendingRead {
+    /// Blocks until the read has finished and yields its outcome, in the
+    /// same shape the blocking reads return.
+    ///
+    /// # Errors
+    ///
+    /// Hard I/O failures only; missing/corrupt chunks are the inner result.
+    fn wait(self: Box<Self>) -> ChunkRead<()>;
+}
+
+/// A [`PendingRead`] whose outcome is already known: what a backend with
+/// nothing to overlap hands back from [`ChunkBackend::begin_read`].
+#[derive(Debug)]
+pub struct ReadyRead(pub ChunkRead<()>);
+
+impl PendingRead for ReadyRead {
+    fn wait(self: Box<Self>) -> ChunkRead<()> {
+        self.0
+    }
+}
+
 /// One "disk" of a [`crate::BlockStore`]: chunk-file storage keyed by
 /// `(object, stripe, shard)`.
 ///
@@ -122,6 +146,35 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
         offset: usize,
         out: &mut [u8],
     ) -> ChunkRead<()>;
+
+    /// Starts reading `out.len()` payload bytes at `offset` of a chunk whose
+    /// payload is `chunk_len` bytes, and returns without waiting for them:
+    /// the split form of [`ChunkBackend::read_chunk_into`] (when the range is
+    /// the whole payload) and [`ChunkBackend::read_chunk_range`] (otherwise),
+    /// with the same verification and the same outcome at
+    /// [`PendingRead::wait`]. A stripe's chunks live on different disks, so
+    /// a caller that begins all its reads before waiting for any pays for
+    /// the slowest round trip instead of their sum.
+    ///
+    /// The default performs the blocking read here and now and returns a
+    /// finished handle — right for a backend with no round trip to overlap,
+    /// and for wrappers whose blocking reads carry semantics (deadlines,
+    /// injected faults) that must keep applying. A networked backend
+    /// overrides it to put the request on the wire and return.
+    fn begin_read<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+        offset: usize,
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
+        Box::new(ReadyRead(if offset == 0 && out.len() == chunk_len {
+            self.read_chunk_into(object, id, out)
+        } else {
+            self.read_chunk_range(object, id, chunk_len, offset, out)
+        }))
+    }
 
     /// Fully verifies one chunk without returning its bytes; reports the
     /// status and how many payload bytes were read doing so. For a remote

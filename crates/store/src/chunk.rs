@@ -309,7 +309,9 @@ pub fn read_chunk(path: &Path, expect: ChunkId, expect_len: usize) -> ChunkRead<
 /// covered by whole payload halves, each read in full and checked against
 /// its stored CRC, so a payload-corrupt helper is detected here and can
 /// never poison a rebuild. Every range the current codes emit is exactly a
-/// half or a whole chunk, so nothing extra is read in practice.
+/// half or a whole chunk: those are read straight into `out` and verified
+/// in place, with nothing extra read and no copy. Only an unaligned range
+/// goes through a side buffer holding the covering halves.
 ///
 /// Returns `Err(status)` in the inner result when the chunk is missing,
 /// header-damaged, or fails a half checksum.
@@ -331,28 +333,47 @@ pub fn read_chunk_range(
     };
     let (start, end) = (offset, offset + out.len());
     let half = expect_len / 2;
+    // The payload halves the range touches: each is verified in full.
     let halves = [(0usize, half, crcs.lo), (half, expect_len, crcs.hi)];
+    let covering = halves
+        .iter()
+        .filter(|&&(h_start, h_end, _)| h_start < h_end && start < h_end && h_start < end);
+    let seek = |file: &mut File, at: usize| {
+        file.seek(SeekFrom::Start((HEADER_LEN + at) as u64))
+            .map_err(|e| StoreError::io(path, e))
+    };
+    let mismatch = || ChunkStatus::Corrupt {
+        reason: "payload checksum mismatch".into(),
+    };
+    let short = "file shorter than its declared payload";
+    // Every range `repair_reads` emits is exactly one half or the whole
+    // payload, i.e. exactly its covering halves: read it straight into
+    // `out` and checksum it there.
+    let first = covering.clone().next().map(|h| h.0);
+    let last = covering.clone().next_back().map(|h| h.1);
+    if first == Some(start) && last == Some(end) {
+        seek(&mut file, start)?;
+        if let Err(status) = read_exact_or_corrupt(&mut file, path, out, short)? {
+            return Ok(Err(status));
+        }
+        for &(h_start, h_end, expect_crc) in covering {
+            if crc32(&out[h_start - start..h_end - start]) != expect_crc {
+                return Ok(Err(mismatch()));
+            }
+        }
+        return Ok(Ok(()));
+    }
+    // Unaligned range: read each covering half into a side buffer, verify
+    // it, and copy out the part that was asked for.
     let mut buf = Vec::new();
-    for (h_start, h_end, expect_crc) in halves {
-        if h_start >= h_end || end <= h_start || start >= h_end {
-            continue; // empty half or no overlap with the requested range
-        }
+    for &(h_start, h_end, expect_crc) in covering {
         buf.resize(h_end - h_start, 0);
-        if let Err(e) = file.seek(SeekFrom::Start((HEADER_LEN + h_start) as u64)) {
-            return Err(StoreError::io(path, e));
-        }
-        if let Err(status) = read_exact_or_corrupt(
-            &mut file,
-            path,
-            &mut buf,
-            "file shorter than its declared payload",
-        )? {
+        seek(&mut file, h_start)?;
+        if let Err(status) = read_exact_or_corrupt(&mut file, path, &mut buf, short)? {
             return Ok(Err(status));
         }
         if crc32(&buf) != expect_crc {
-            return Ok(Err(ChunkStatus::Corrupt {
-                reason: "payload checksum mismatch".into(),
-            }));
+            return Ok(Err(mismatch()));
         }
         let copy_start = start.max(h_start);
         let copy_end = end.min(h_end);
@@ -453,6 +474,45 @@ mod tests {
         );
     }
 
+    /// A chunk file written by the byte-at-a-time CRC this crate shipped
+    /// with: 36-byte header plus a 27-byte payload (halves of 13 and 14
+    /// bytes, so both the eight-byte blocks and the tail are exercised).
+    const GOLDEN_ID: ChunkId = ChunkId {
+        stripe: 0x0102_0304_0506_0708,
+        shard: 9,
+    };
+    #[rustfmt::skip]
+    const GOLDEN_CHUNK: [u8; 63] = [
+        0x50, 0x42, 0x52, 0x53, 0x43, 0x48, 0x4B, 0x32, 0x08, 0x07, 0x06, 0x05,
+        0x04, 0x03, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00, 0x1B, 0x00, 0x00, 0x00,
+        0xA2, 0xB3, 0xBF, 0xD5, 0x2C, 0x02, 0x8C, 0x24, 0x87, 0x88, 0x70, 0xB7,
+        0x0B, 0x30, 0x55, 0x7A, 0x9F, 0xC4, 0xE9, 0x13, 0x38, 0x5D, 0x82, 0xA7,
+        0xCC, 0xF1, 0x1B, 0x40, 0x65, 0x8A, 0xAF, 0xD4, 0xF9, 0x23, 0x48, 0x6D,
+        0x92, 0xB7, 0xDC,
+    ];
+
+    #[test]
+    fn chunks_written_before_the_crc_rewrite_still_verify() {
+        let dir = TempDir::new("chunk-golden");
+        let path = dir.path().join("g.chunk");
+        fs::write(&path, GOLDEN_CHUNK).unwrap();
+        let payload = &GOLDEN_CHUNK[HEADER_LEN..];
+        assert_eq!(read_chunk(&path, GOLDEN_ID, 27).unwrap().unwrap(), payload);
+        assert_eq!(
+            verify_chunk(&path, GOLDEN_ID, 27).unwrap(),
+            (ChunkStatus::Healthy, 27)
+        );
+        let mut hi = [0u8; 14];
+        read_chunk_range(&path, GOLDEN_ID, 27, 13, &mut hi)
+            .unwrap()
+            .unwrap();
+        assert_eq!(hi, payload[13..]);
+        // And the writer still produces the same bytes, header CRC included.
+        let rewritten = dir.path().join("w.chunk");
+        write_chunk(&rewritten, GOLDEN_ID, payload).unwrap();
+        assert_eq!(fs::read(&rewritten).unwrap(), GOLDEN_CHUNK);
+    }
+
     #[test]
     fn odd_length_payloads_round_trip() {
         let dir = TempDir::new("chunk-odd");
@@ -480,6 +540,16 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(out, &data[512..1024]);
+        // The other half and the whole payload take the same direct path.
+        read_chunk_range(&path, ID, 1024, 0, &mut out)
+            .unwrap()
+            .unwrap();
+        assert_eq!(out, &data[..512]);
+        let mut whole = vec![0u8; 1024];
+        read_chunk_range(&path, ID, 1024, 0, &mut whole)
+            .unwrap()
+            .unwrap();
+        assert_eq!(whole, data);
         // An unaligned range spanning the half boundary still reads exactly.
         let mut out = vec![0u8; 100];
         read_chunk_range(&path, ID, 1024, 462, &mut out)
@@ -511,6 +581,20 @@ mod tests {
         // …but any read touching the second half sees the corruption.
         assert!(matches!(
             read_chunk_range(&path, ID, 1024, 512, &mut out)
+                .unwrap()
+                .unwrap_err(),
+            ChunkStatus::Corrupt { .. }
+        ));
+        let mut whole = vec![0u8; 1024];
+        assert!(matches!(
+            read_chunk_range(&path, ID, 1024, 0, &mut whole)
+                .unwrap()
+                .unwrap_err(),
+            ChunkStatus::Corrupt { .. }
+        ));
+        let mut straddling = vec![0u8; 100];
+        assert!(matches!(
+            read_chunk_range(&path, ID, 1024, 462, &mut straddling)
                 .unwrap()
                 .unwrap_err(),
             ChunkStatus::Corrupt { .. }

@@ -148,17 +148,9 @@ struct Shared {
     journal: EventJournal,
 }
 
-/// A running repair daemon; see the [module docs](self) for the lifecycle.
-pub struct RepairDaemon {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    scanner: Option<JoinHandle<()>>,
-}
-
-impl RepairDaemon {
-    /// Starts the worker pool (and the periodic scanner, if configured).
-    pub fn start(store: Arc<BlockStore>, config: DaemonConfig) -> Self {
-        let shared = Arc::new(Shared {
+impl Shared {
+    fn new(store: Arc<BlockStore>, journal: EventJournal) -> Self {
+        Shared {
             store,
             queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
@@ -172,8 +164,25 @@ impl RepairDaemon {
             cross_rack_bytes: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            journal: EventJournal::new(EVENT_JOURNAL_CAPACITY),
-        });
+            journal,
+        }
+    }
+}
+
+/// A running repair daemon; see the [module docs](self) for the lifecycle.
+pub struct RepairDaemon {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    scanner: Option<JoinHandle<()>>,
+}
+
+impl RepairDaemon {
+    /// Starts the worker pool (and the periodic scanner, if configured).
+    pub fn start(store: Arc<BlockStore>, config: DaemonConfig) -> Self {
+        let shared = Arc::new(Shared::new(
+            store,
+            EventJournal::new(EVENT_JOURNAL_CAPACITY),
+        ));
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -333,15 +342,20 @@ fn scan_once(shared: &Shared) -> Result<ScanReport> {
                 enqueued += 1;
             }
         }
+        // Journal only scans that found work — a fast periodic scanner over
+        // a healthy store would otherwise evict every interesting event.
+        // The entry goes in before the queue lock is released, i.e. before
+        // any worker can see (let alone finish) one of these tasks: journal
+        // order is causal order, the scan ahead of the repairs it caused.
+        if enqueued > 0 {
+            shared.journal.push(
+                EventKind::Scan,
+                format!("scan found {damaged_chunks} damaged chunks, enqueued {enqueued} stripes"),
+            );
+        }
     }
     if enqueued > 0 {
         shared.work.notify_all();
-        // Journal only scans that found work — a fast periodic scanner over
-        // a healthy store would otherwise evict every interesting event.
-        shared.journal.push(
-            EventKind::Scan,
-            format!("scan found {damaged_chunks} damaged chunks, enqueued {enqueued} stripes"),
-        );
     }
     // Relaxed: stats tally, sampled only by stats().
     shared.scans.fetch_add(1, Ordering::Relaxed);
@@ -689,6 +703,47 @@ mod tests {
         let stats = daemon.shutdown();
         assert_eq!(stats.stripes_repaired, stripes as u64);
         assert!(store.scrub().unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_scan_is_journaled_before_its_tasks_can_be_taken() {
+        use std::sync::{OnceLock, TryLockError};
+        use std::time::SystemTime;
+
+        let dir = TempDir::new("daemon-scan-order");
+        let store = store_with_object(&dir, "rs-4-2", 4 * 512 * 2);
+        fs::remove_dir_all(store.disk_path(1)).unwrap();
+
+        // No workers at all: the only thread that can hold the queue lock
+        // is the scan itself. The journal's clock runs inside `push`, so a
+        // locked queue at that instant means the `Scan` entry lands before
+        // a worker could take — never mind finish and journal — any task
+        // this scan enqueued; a free queue means the tasks were already up
+        // for grabs with the scan not yet on record.
+        let shared: Arc<OnceLock<Arc<Shared>>> = Arc::new(OnceLock::new());
+        let clock = {
+            let shared = Arc::clone(&shared);
+            move || {
+                let queue = &shared.get().expect("set before the scan").queue;
+                assert!(
+                    matches!(queue.try_lock(), Err(TryLockError::WouldBlock)),
+                    "tasks were visible to workers before the scan was journaled"
+                );
+                SystemTime::now()
+            }
+        };
+        let daemon = Arc::new(Shared::new(
+            store,
+            EventJournal::with_clock(EVENT_JOURNAL_CAPACITY, clock),
+        ));
+        assert!(shared.set(Arc::clone(&daemon)).is_ok());
+
+        let scan = scan_once(&daemon).unwrap();
+        assert_eq!(scan.enqueued_stripes, 2);
+        let events = daemon.journal.recent();
+        assert_eq!(events.len(), 1, "the clock (and its assertion) ran once");
+        assert_eq!(events[0].kind, EventKind::Scan);
+        assert_eq!(daemon.queue.lock().unwrap().tasks.len(), 2);
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub mod store;
 pub mod stream;
 pub mod testing;
 
-pub use backend::{BackendCounters, ChunkBackend, LocalDisk};
+pub use backend::{BackendCounters, ChunkBackend, LocalDisk, PendingRead, ReadyRead};
 pub use chunk::{ChunkId, ChunkRead, ChunkStatus};
 pub use daemon::{DaemonConfig, DaemonStats, RepairDaemon, ScanReport, EVENT_JOURNAL_CAPACITY};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultyBackend};

@@ -71,11 +71,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pbrs_core::registry::{self, DynCode};
-use pbrs_erasure::{CodeError, CodeSpec, ErasureCode, ShardBuffer};
+use pbrs_erasure::{CodeError, CodeSpec, ErasureCode, ShardBuffer, ShardRead};
 use pbrs_placement::{PlacementMap, PlacementPolicy, RackMap};
 
 use crate::backend::{BackendCounters, ChunkBackend, LocalDisk};
-use crate::chunk::{self, ChunkId, ChunkStatus};
+use crate::chunk::{self, ChunkId, ChunkRead, ChunkStatus};
 use crate::error::{Result, StoreError};
 use crate::guard::GuardedDisk;
 use crate::health::{DiskHealthSnapshot, DiskState, HealthPolicy, HealthTracker, Transition};
@@ -361,6 +361,17 @@ pub(crate) struct StripeScratch {
     present: Vec<bool>,
     /// Output chunk of a single-failure planned rebuild.
     rebuilt: Vec<u8>,
+}
+
+/// What a batch of chunk reads came to, filed read by read as each is
+/// waited for: a batch is always collected in full before anyone acts on
+/// a failure in it.
+#[derive(Default)]
+struct ReadOutcome {
+    /// Shards whose read found the chunk missing or corrupt, in wait order.
+    failed: Vec<usize>,
+    /// The first hard I/O error, if any.
+    hard: Option<StoreError>,
 }
 
 /// Helper-byte accounting of one rebuild, split by rack locality relative
@@ -1441,18 +1452,32 @@ impl BlockStore {
         debug_assert_eq!(dest.len(), self.stripe_data_len());
         // Fast path: read and verify the k data chunks straight into the
         // caller's destination — the healthy case touches no scratch and
-        // pays no extra copy.
-        let mut bad: Vec<usize> = Vec::new();
-        for shard in 0..k {
-            let slot = &mut dest[shard * self.chunk_len..(shard + 1) * self.chunk_len];
-            match self.disks[row[shard]].read_chunk_into(object, ChunkId { stripe, shard }, slot)? {
-                Ok(()) => {}
-                Err(status) => {
-                    self.note_damage(&status);
-                    bad.push(shard);
-                }
-            }
+        // pays no extra copy. The chunks sit on k different disks, so all k
+        // reads are begun before any is waited for: the stripe costs the
+        // slowest round trip, not their sum.
+        let pending: Vec<_> = dest
+            .chunks_mut(self.chunk_len)
+            .enumerate()
+            .map(|(shard, slot)| {
+                self.disks[row[shard]].begin_read(
+                    object,
+                    ChunkId { stripe, shard },
+                    self.chunk_len,
+                    0,
+                    slot,
+                )
+            })
+            .collect();
+        // Every read is collected before a hard error is returned: no read
+        // is left in flight into `dest`.
+        let mut outcome = ReadOutcome::default();
+        for (shard, read) in pending.into_iter().enumerate() {
+            self.settle_read(shard, None, read.wait(), "", &mut outcome);
         }
+        if let Some(e) = outcome.hard {
+            return Err(e);
+        }
+        let bad = outcome.failed;
         times.add_duration(Stage::ChunkIo, stripe_start.elapsed());
         if bad.is_empty() {
             self.latency
@@ -1533,6 +1558,57 @@ impl BlockStore {
         StoreMetrics::add(&self.metrics.degraded_cross_rack_bytes, traffic.cross_rack);
     }
 
+    /// Opens the `chunk_io` span of one helper read, when tracing is on.
+    /// It stays open from the read's begin to its wait, so overlapping
+    /// reads show as overlapping spans.
+    fn chunk_io_span(
+        &self,
+        disk: usize,
+        shard: usize,
+        bytes: usize,
+    ) -> Option<(SpanBuilder, &Arc<Tracer>)> {
+        let mut io_span = self.trace_span("chunk_io");
+        if let Some((s, _)) = io_span.as_mut() {
+            self.tag_disk(s, disk);
+            s.tag("shard", shard.to_string());
+            s.tag("bytes", bytes.to_string());
+        }
+        io_span
+    }
+
+    /// Closes one chunk read of a batch: finishes its span, if it has one
+    /// (tagging a failure with `fail_tag`), counts the damage, and files
+    /// the result in `outcome`. Returns whether the read delivered its
+    /// bytes.
+    fn settle_read(
+        &self,
+        shard: usize,
+        io_span: Option<(SpanBuilder, &Arc<Tracer>)>,
+        result: ChunkRead<()>,
+        fail_tag: &str,
+        outcome: &mut ReadOutcome,
+    ) -> bool {
+        if let Some((mut s, tracer)) = io_span {
+            match &result {
+                Ok(Ok(())) => {}
+                Ok(Err(status)) => s.tag(fail_tag, format!("{status:?}")),
+                Err(e) => s.tag("fault", e.to_string()),
+            }
+            s.finish(tracer);
+        }
+        match result {
+            Ok(Ok(())) => return true,
+            Ok(Err(status)) => {
+                self.note_damage(&status);
+                outcome.failed.push(shard);
+            }
+            Err(e) => {
+                outcome.hard.get_or_insert(e);
+            }
+        }
+        false
+    }
+
     /// Executes the code's cheapest single-failure repair for shard
     /// `target`, materialising exactly the helper byte ranges the rebuild
     /// consumes. Helper choice is *locality-first*: survivors sharing the
@@ -1601,8 +1677,28 @@ impl BlockStore {
             }
             let mut traffic = HelperTraffic::default();
             let io_start = Instant::now();
-            let mut failed_shard = None;
-            for read in &reads {
+            // A hedged first attempt reads its helpers one at a time, each
+            // under the short hedge budget, and gives up at the first slow
+            // one (abandon-and-switch). Every other attempt begins all its
+            // helper reads — they go to different disks — and then waits
+            // for all of them.
+            let hedge = self.hedge_delay.filter(|_| attempt == 0);
+            let fail_tag = if attempt + 1 < max_attempts {
+                // A hedge that will retry abandons this read; otherwise
+                // the helper loss just fails the plan.
+                "abandoned"
+            } else {
+                "helper_failed"
+            };
+            let windows = match scratch.buf.windows_mut(&reads) {
+                Ok(windows) => windows,
+                // A plan this store cannot lay out is not worth failing the
+                // stripe over: full reconstruction needs no plan.
+                Err(_) => return Ok(None),
+            };
+            let mut outcome = ReadOutcome::default();
+            let mut pending = Vec::with_capacity(reads.len());
+            for (read, dest) in reads.iter().zip(windows) {
                 traffic.add(
                     read.len as u64,
                     racks.same_rack(row[read.shard], target_disk),
@@ -1610,69 +1706,40 @@ impl BlockStore {
                 if scratch.present[read.shard] {
                     continue; // verified payload already in place
                 }
-                let dest = &mut scratch.buf.shard_mut(read.shard)[read.range()];
                 let id = ChunkId {
                     stripe,
                     shard: read.shard,
                 };
                 let disk = row[read.shard];
-                let mut io_span = self.trace_span("chunk_io");
-                if let Some((s, _)) = io_span.as_mut() {
-                    self.tag_disk(s, disk);
-                    s.tag("shard", read.shard.to_string());
-                    s.tag("bytes", read.len.to_string());
-                }
-                let result = match (self.hedge_delay, &self.guards[disk]) {
-                    // First attempt under hedging: short per-read budget.
-                    (Some(delay), Some(guard)) if attempt == 0 => guard.read_chunk_range_deadline(
-                        object,
-                        id,
-                        self.chunk_len,
-                        read.offset,
-                        dest,
-                        delay,
-                    ),
-                    _ => self.disks[disk].read_chunk_range(
-                        object,
-                        id,
-                        self.chunk_len,
-                        read.offset,
-                        dest,
-                    ),
-                };
-                let outcome = match result {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        if let Some((mut s, tracer)) = io_span {
-                            s.tag("fault", e.to_string());
-                            s.finish(tracer);
-                        }
-                        return Err(e);
-                    }
-                };
-                match outcome {
-                    Ok(()) => {
-                        if let Some((s, tracer)) = io_span {
-                            s.finish(tracer);
+                let io_span = self.chunk_io_span(disk, read.shard, read.len);
+                match (hedge, &self.guards[disk]) {
+                    (Some(delay), Some(guard)) => {
+                        let result = guard.read_chunk_range_deadline(
+                            object,
+                            id,
+                            self.chunk_len,
+                            read.offset,
+                            dest,
+                            delay,
+                        );
+                        if !self.settle_read(read.shard, io_span, result, fail_tag, &mut outcome) {
+                            break;
                         }
                     }
-                    Err(status) => {
-                        if let Some((mut s, tracer)) = io_span {
-                            // A hedge that will retry abandons this read;
-                            // otherwise the helper loss just fails the plan.
-                            if attempt + 1 < max_attempts {
-                                s.tag("abandoned", format!("{status:?}"));
-                            } else {
-                                s.tag("helper_failed", format!("{status:?}"));
-                            }
-                            s.finish(tracer);
-                        }
-                        self.note_damage(&status);
-                        failed_shard = Some(read.shard);
-                        break;
-                    }
+                    _ => pending.push((
+                        read.shard,
+                        io_span,
+                        self.disks[disk].begin_read(object, id, self.chunk_len, read.offset, dest),
+                    )),
                 }
             }
+            for (shard, io_span, read) in pending {
+                self.settle_read(shard, io_span, read.wait(), fail_tag, &mut outcome);
+            }
+            if let Some(e) = outcome.hard {
+                return Err(e);
+            }
+            let failed_shard = outcome.failed.first().copied();
             times.add_duration(Stage::ChunkIo, io_start.elapsed());
             match failed_shard {
                 None => {
@@ -1753,39 +1820,54 @@ impl BlockStore {
         let mut survivors = scratch.present.iter().filter(|&&p| p).count();
         let mut traffic = HelperTraffic::default();
         let io_start = Instant::now();
-        for shard in order {
-            if scratch.present[shard] || damaged.contains(&shard) {
-                continue;
-            }
-            if self.code.is_mds() && survivors >= k {
+        let mut candidates = order
+            .into_iter()
+            .filter(|&shard| !scratch.present[shard] && !damaged.contains(&shard))
+            .collect::<Vec<_>>()
+            .into_iter();
+        // Each round begins exactly the reads still needed — for an MDS code
+        // the k − survivors next-ranked shards, for any other code every
+        // candidate — and waits for all of them; a round runs again only to
+        // top up for reads that failed.
+        loop {
+            let want = if self.code.is_mds() {
+                k.saturating_sub(survivors)
+            } else {
+                usize::MAX
+            };
+            let round: Vec<ShardRead> = candidates
+                .by_ref()
+                .take(want)
+                .map(|shard| ShardRead::whole(shard, self.chunk_len))
+                .collect();
+            if round.is_empty() {
                 break;
             }
-            let mut io_span = self.trace_span("chunk_io");
-            if let Some((s, _)) = io_span.as_mut() {
-                self.tag_disk(s, row[shard]);
-                s.tag("shard", shard.to_string());
-                s.tag("bytes", self.chunk_len.to_string());
-            }
-            let slot = scratch.buf.shard_mut(shard);
-            match self.disks[row[shard]].read_chunk_into(object, ChunkId { stripe, shard }, slot)? {
-                Ok(()) => {
-                    if let Some((s, tracer)) = io_span {
-                        s.finish(tracer);
-                    }
+            let pending: Vec<_> = round
+                .iter()
+                .zip(scratch.buf.windows_mut(&round)?)
+                .map(|(read, slot)| {
+                    let shard = read.shard;
+                    let io_span = self.chunk_io_span(row[shard], shard, self.chunk_len);
+                    let id = ChunkId { stripe, shard };
+                    let read =
+                        self.disks[row[shard]].begin_read(object, id, self.chunk_len, 0, slot);
+                    (shard, io_span, read)
+                })
+                .collect();
+            let mut outcome = ReadOutcome::default();
+            for (shard, io_span, read) in pending {
+                if self.settle_read(shard, io_span, read.wait(), "helper_failed", &mut outcome) {
                     scratch.present[shard] = true;
                     survivors += 1;
                     traffic.add(self.chunk_len as u64, same_rack_as_home(shard));
                 }
-                Err(status) => {
-                    if let Some((mut s, tracer)) = io_span {
-                        s.tag("helper_failed", format!("{status:?}"));
-                        s.finish(tracer);
-                    }
-                    // Damage the caller had not seen yet.
-                    self.note_damage(&status);
-                    damaged.push(shard);
-                }
             }
+            if let Some(e) = outcome.hard {
+                return Err(e);
+            }
+            // Damage the caller had not seen yet.
+            damaged.extend(outcome.failed);
         }
         times.add_duration(Stage::ChunkIo, io_start.elapsed());
         if survivors < k {

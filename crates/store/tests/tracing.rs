@@ -87,6 +87,17 @@ fn degraded_get_retains_a_tree_with_disk_labelled_chunk_io_leaves() {
             leaf.tags
         );
     }
+    // The helper reads are begun together and then collected, and each
+    // span runs from its read's begin to its wait: the siblings share an
+    // instant at which all of them are open. (Start and duration are each
+    // truncated to whole microseconds, hence the slack.)
+    assert!(leaves.len() >= 2, "{} helper reads", leaves.len());
+    let last_start = leaves.iter().map(|s| s.start_us).max().unwrap();
+    let first_end = leaves.iter().map(|s| s.start_us + s.dur_us).min().unwrap();
+    assert!(
+        last_start <= first_end + 2,
+        "chunk_io siblings do not overlap: last start {last_start}, first end {first_end}"
+    );
 }
 
 #[test]
