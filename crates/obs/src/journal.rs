@@ -161,21 +161,6 @@ impl EventJournal {
         inner.iter().cloned().collect()
     }
 
-    /// Detail text of the most recent failure event (`Error` or
-    /// `Panic`), if one is retained. Compat shim for callers of the old
-    /// single-slot `last_error`.
-    pub fn last_failure(&self) -> Option<String> {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner
-            .iter()
-            .rev()
-            .find(|e| e.kind.is_failure())
-            .map(|e| e.detail.clone())
-    }
-
     /// Number of retained events.
     pub fn len(&self) -> usize {
         match self.inner.lock() {
@@ -236,18 +221,6 @@ mod tests {
         assert_eq!(j.dropped(), 7);
         let details: Vec<_> = j.recent().into_iter().map(|e| e.detail).collect();
         assert_eq!(details, ["r7", "r8", "r9"]);
-    }
-
-    #[test]
-    fn last_failure_skips_non_failures() {
-        let j = EventJournal::new(8);
-        assert_eq!(j.last_failure(), None);
-        j.push(EventKind::Error, "first error");
-        j.push(EventKind::Repair, "fixed it");
-        j.push(EventKind::Scrub, "clean");
-        assert_eq!(j.last_failure().as_deref(), Some("first error"));
-        j.push(EventKind::Panic, "worker panic: boom");
-        assert_eq!(j.last_failure().as_deref(), Some("worker panic: boom"));
     }
 
     #[test]

@@ -1,14 +1,39 @@
 //! The background repair daemon.
 //!
 //! A [`RepairDaemon`] owns a pool of `std::thread` workers fed by a shared
-//! scan/enqueue queue. A scan pass ([`RepairDaemon::scan_now`], or a
-//! periodic scanner thread when [`DaemonConfig::scan_interval`] is set)
-//! scrubs every chunk of the store, groups the damage it finds by stripe,
-//! and enqueues one repair task per damaged stripe; workers pop tasks and
-//! call [`BlockStore::repair_stripe`], which rebuilds missing or corrupt
-//! chunks along each code's cheapest repair path. The daemon's counters
-//! (and the store's [`crate::metrics::MetricsSnapshot`]) report the helper
-//! bytes that crossed disks — the store-level reproduction of the paper's
+//! queue of per-stripe repair tasks. A scan pass
+//! ([`RepairDaemon::scan_now`], or a periodic scanner thread when
+//! [`DaemonConfig::scan_interval`] is set) fills the queue; what a pass
+//! does depends on what it learns by asking every backend
+//! [`crate::ChunkBackend::is_available`] (one ping per disk, no chunk I/O):
+//!
+//! * **Recovery pass** — some disk is unavailable that was not on this
+//!   daemon's previous pass. Repair starts from the failure: the pass lists
+//!   the chunks the manifest places on the unavailable disks
+//!   ([`BlockStore::chunks_on_disks`] — rows of metadata, no chunk read),
+//!   enqueues one task per stripe (two lost disks sharing a stripe make one
+//!   task carrying both shards) and returns. Every disk that is down is
+//!   listed, not only the new one: a stripe with a shard on each is the
+//!   stripe closest to data loss. The deep audit waits for the next pass —
+//!   its reads would compete with the helper reads for the same survivors,
+//!   and a damaged helper is caught by its checksum and rewritten by the
+//!   repair that reads it.
+//! * **Audit pass** — every other pass. [`BlockStore::scrub`] verifies
+//!   every chunk of every object, and each stripe with damage is enqueued.
+//!   This finds corruption on disks that answer, the rest of a disk that
+//!   came back half-rebuilt, and stripes whose repair failed last pass. A
+//!   disk that stays down therefore costs one recovery pass; it does not
+//!   keep the audit from running.
+//!
+//! Tasks are ordered most-at-risk first: stripes with more damaged shards,
+//! then stripes whose damage sits on sicker disks, then manifest order.
+//! Workers pop tasks and call [`BlockStore::repair_stripe`], which
+//! re-verifies each claimed chunk — so an unavailability that was a false
+//! alarm (a flaky ping, a disk the breaker sheds) costs one verify per
+//! chunk, not a rebuild — and rebuilds what is really gone along each
+//! code's cheapest repair path. The daemon's counters (and the store's
+//! [`crate::metrics::MetricsSnapshot`]) report the helper bytes that
+//! crossed disks — the store-level reproduction of the paper's
 //! repair-traffic measurements.
 //!
 //! Everything is plain `std`: queue + `Condvar` hand-off, atomic counters,
@@ -52,7 +77,7 @@ use std::time::Duration;
 use pbrs_obs::{Event, EventJournal, EventKind};
 
 use crate::error::{Result, StoreError};
-use crate::store::{panic_message, BlockStore, ScrubReport};
+use crate::store::{panic_message, BlockStore};
 
 /// How many structured events the daemon's journal retains; older events
 /// are evicted (and counted) once the ring is full.
@@ -88,9 +113,11 @@ struct RepairTask {
 /// Outcome of one scan pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScanReport {
-    /// Disk indices whose directory is missing entirely.
+    /// Disks whose backend reported them missing or unreachable.
     pub lost_disks: Vec<usize>,
-    /// Damaged chunks found by the scrub.
+    /// Chunks the pass found in need of repair: on a recovery pass every
+    /// chunk the manifest places on a lost disk (none of them was read), on
+    /// an audit pass every chunk the scrub found missing or corrupt.
     pub damaged_chunks: usize,
     /// Stripe repair tasks enqueued (stripes already queued are skipped).
     pub enqueued_stripes: usize,
@@ -125,6 +152,9 @@ struct QueueState {
     pending: HashSet<(String, u64)>,
     /// Workers currently executing a task.
     active: usize,
+    /// The disks that were unavailable on the previous scan pass. A pass
+    /// that finds a disk down which is not in here runs as a recovery pass.
+    down: Vec<usize>,
 }
 
 struct Shared {
@@ -144,7 +174,7 @@ struct Shared {
     bytes_written: AtomicU64,
     failures: AtomicU64,
     /// Bounded ring of structured events (repairs, scans, failures,
-    /// panics); replaces the old single-slot `last_error` string.
+    /// panics).
     journal: EventJournal,
 }
 
@@ -208,12 +238,16 @@ impl RepairDaemon {
         }
     }
 
-    /// Runs one scan pass now: scrub the store, enqueue a repair task for
-    /// every damaged stripe not already queued, and wake the workers.
+    /// Runs one scan pass now — a recovery pass if a disk has become
+    /// unavailable since this daemon's previous pass, an audit pass (a full
+    /// [`BlockStore::scrub`]) otherwise; see the [module docs](self) —
+    /// enqueues a repair task for every stripe it found that is not already
+    /// queued, and wakes the workers.
     ///
     /// # Errors
     ///
-    /// Propagates hard I/O failures from the scrub.
+    /// Propagates hard I/O failures from the scrub; a recovery pass reads
+    /// nothing and cannot fail.
     pub fn scan_now(&self) -> Result<ScanReport> {
         scan_once(&self.shared)
     }
@@ -262,15 +296,6 @@ impl RepairDaemon {
         self.shared.journal.dropped()
     }
 
-    /// The most recent repair failure, if any.
-    ///
-    /// Compatibility shim over the event journal: returns the detail of the
-    /// latest `Error`/`Panic` event. Prefer [`RepairDaemon::recent_events`]
-    /// for the full structured history.
-    pub fn last_error(&self) -> Option<String> {
-        self.shared.journal.last_failure()
-    }
-
     /// Stops the scanner and workers (finishing in-flight tasks, dropping
     /// queued ones) and returns the final counters.
     ///
@@ -311,31 +336,94 @@ impl std::fmt::Debug for RepairDaemon {
 }
 
 fn scan_once(shared: &Shared) -> Result<ScanReport> {
-    let scrub: ScrubReport = shared.store.scrub()?;
-    // On a hardened store, stripes whose damage sits on Suspect/Failed
-    // disks repair first: those disks are actively losing ops right now,
-    // so their stripes are the closest to dropping below k survivors.
+    let store = &shared.store;
+    let lost_disks = store.unavailable_disks();
+    // A transition, not a level: a disk that stays down gets one recovery
+    // pass, and the passes after it audit (which is also what retries the
+    // stripes whose repair failed).
+    let newly_lost = {
+        let mut queue = shared.queue.lock().expect("lock"); // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+        let newly_lost = lost_disks.iter().any(|disk| !queue.down.contains(disk));
+        queue.down.clone_from(&lost_disks);
+        newly_lost
+    };
+    let report = if newly_lost {
+        let placed = store.chunks_on_disks(&lost_disks);
+        let chunks = placed
+            .iter()
+            .map(|c| (&c.object, c.stripe, c.shard, c.disk));
+        let enqueued_stripes = enqueue(shared, chunks, |enqueued| {
+            let noun = if lost_disks.len() == 1 {
+                "disk"
+            } else {
+                "disks"
+            };
+            let disks: Vec<String> = lost_disks.iter().map(usize::to_string).collect();
+            format!(
+                "{noun} {} unavailable: {} chunks from placement, no chunk read, enqueued {enqueued} stripes",
+                disks.join(", "),
+                placed.len()
+            )
+        });
+        ScanReport {
+            lost_disks,
+            damaged_chunks: placed.len(),
+            enqueued_stripes,
+        }
+    } else {
+        let scrub = store.scrub_given(lost_disks)?;
+        let chunks = scrub
+            .damages
+            .iter()
+            .map(|d| (&d.object, d.stripe, d.shard, d.disk));
+        let enqueued_stripes = enqueue(shared, chunks, |enqueued| {
+            format!(
+                "scan found {} damaged chunks, enqueued {enqueued} stripes",
+                scrub.damages.len()
+            )
+        });
+        ScanReport {
+            lost_disks: scrub.lost_disks,
+            damaged_chunks: scrub.damages.len(),
+            enqueued_stripes,
+        }
+    };
+    // Relaxed: stats tally, sampled only by stats().
+    shared.scans.fetch_add(1, Ordering::Relaxed);
+    Ok(report)
+}
+
+/// Groups `(object, stripe, shard, disk)` chunks into one task per stripe,
+/// queues those not already pending most-at-risk first, journals the pass
+/// (`describe` gets the number of stripes enqueued) and wakes the workers;
+/// returns the number of stripes enqueued.
+fn enqueue<'a>(
+    shared: &Shared,
+    chunks: impl Iterator<Item = (&'a String, u64, usize, usize)>,
+    describe: impl FnOnce(usize) -> String,
+) -> usize {
     let health = shared.store.health_snapshot();
     let severity = |disk: usize| health.get(disk).map_or(0, |h| h.state.severity());
-    let mut by_stripe: BTreeMap<(String, u64), (Vec<usize>, u64)> = BTreeMap::new();
-    for damage in &scrub.damages {
-        let entry = by_stripe
-            .entry((damage.object.clone(), damage.stripe))
-            .or_default();
-        entry.0.push(damage.shard);
-        entry.1 += severity(damage.disk);
+    let mut by_stripe: BTreeMap<(&String, u64), (Vec<usize>, u64)> = BTreeMap::new();
+    for (object, stripe, shard, disk) in chunks {
+        let entry = by_stripe.entry((object, stripe)).or_default();
+        entry.0.push(shard);
+        entry.1 += severity(disk);
     }
-    let damaged_chunks = scrub.damages.len();
     let mut ordered: Vec<_> = by_stripe.into_iter().collect();
-    // Stable sort: manifest (object, stripe) order within equal priority.
-    ordered.sort_by_key(|entry| std::cmp::Reverse(entry.1 .1));
+    // Most at risk first. A stripe missing two shards is one failure nearer
+    // to data loss than any stripe missing one (the paper's 1.87 % against
+    // 98.08 %). Among equals, on a hardened store, damage on Suspect/Failed
+    // disks goes first: those disks are losing ops right now. The sort is
+    // stable, so what is left is manifest (object, stripe) order.
+    ordered.sort_by_key(|(_, (shards, severity))| std::cmp::Reverse((shards.len(), *severity)));
     let mut enqueued = 0usize;
     {
         let mut queue = shared.queue.lock().expect("lock"); // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        for ((object, stripe), (damaged, _priority)) in ordered {
+        for ((object, stripe), (damaged, _severity)) in ordered {
             if queue.pending.insert((object.clone(), stripe)) {
                 queue.tasks.push_back(RepairTask {
-                    object,
+                    object: object.clone(),
                     stripe,
                     damaged,
                 });
@@ -348,22 +436,13 @@ fn scan_once(shared: &Shared) -> Result<ScanReport> {
         // any worker can see (let alone finish) one of these tasks: journal
         // order is causal order, the scan ahead of the repairs it caused.
         if enqueued > 0 {
-            shared.journal.push(
-                EventKind::Scan,
-                format!("scan found {damaged_chunks} damaged chunks, enqueued {enqueued} stripes"),
-            );
+            shared.journal.push(EventKind::Scan, describe(enqueued));
         }
     }
     if enqueued > 0 {
         shared.work.notify_all();
     }
-    // Relaxed: stats tally, sampled only by stats().
-    shared.scans.fetch_add(1, Ordering::Relaxed);
-    Ok(ScanReport {
-        lost_disks: scrub.lost_disks,
-        damaged_chunks,
-        enqueued_stripes: enqueued,
-    })
+    enqueued
 }
 
 /// Undoes one task's queue bookkeeping when dropped: decrements
@@ -647,12 +726,7 @@ mod tests {
         let stats = daemon.stats();
         assert_eq!(stats.failures, 3);
         assert_eq!(stats.chunks_repaired, 0);
-        assert!(
-            daemon.last_error().unwrap().contains("panic"),
-            "last_error must name the panic: {:?}",
-            daemon.last_error()
-        );
-        // The journal carries the same failures as structured events.
+        // The journal carries the failures as structured events.
         let panics: Vec<_> = daemon
             .recent_events()
             .into_iter()
@@ -698,7 +772,6 @@ mod tests {
         for pair in events.windows(2) {
             assert!(pair[0].at <= pair[1].at);
         }
-        assert!(daemon.last_error().is_none(), "no failures occurred");
 
         let stats = daemon.shutdown();
         assert_eq!(stats.stripes_repaired, stripes as u64);
@@ -744,6 +817,151 @@ mod tests {
         assert_eq!(events.len(), 1, "the clock (and its assertion) ran once");
         assert_eq!(events[0].kind, EventKind::Scan);
         assert_eq!(daemon.queue.lock().unwrap().tasks.len(), 2);
+    }
+
+    /// A daemon with no threads: passes run on the test's own thread via
+    /// `scan_once`, and the queue keeps what they enqueued.
+    fn workerless(store: &Arc<BlockStore>) -> Shared {
+        Shared::new(Arc::clone(store), EventJournal::new(EVENT_JOURNAL_CAPACITY))
+    }
+
+    fn queued(daemon: &Shared) -> Vec<RepairTask> {
+        daemon.queue.lock().unwrap().tasks.iter().cloned().collect()
+    }
+
+    #[test]
+    fn a_lost_disk_is_enqueued_without_reading_a_chunk() {
+        let dir = TempDir::new("daemon-no-chunk-io");
+        let stripes = 5usize;
+        let store = store_with_object(&dir, "piggyback-4-2", 4 * 512 * stripes);
+        fs::remove_dir_all(store.disk_path(4)).unwrap();
+
+        let daemon = workerless(&store);
+        let before = store.metrics();
+        let scan = scan_once(&daemon).unwrap();
+        let after = store.metrics();
+        assert_eq!(after.chunks_scrubbed, before.chunks_scrubbed);
+        assert_eq!(after.scrub_bytes_read, before.scrub_bytes_read);
+
+        assert_eq!(scan.lost_disks, vec![4]);
+        assert_eq!(scan.damaged_chunks, stripes);
+        assert_eq!(scan.enqueued_stripes, stripes);
+        let expected: Vec<RepairTask> = (0..stripes as u64)
+            .map(|stripe| RepairTask {
+                object: "obj".into(),
+                stripe,
+                damaged: vec![4],
+            })
+            .collect();
+        assert_eq!(queued(&daemon), expected);
+        let events = daemon.journal.recent();
+        assert_eq!(events.len(), 1);
+        assert!(
+            events[0].detail.starts_with("disk 4 unavailable: 5 chunks"),
+            "{:?}",
+            events[0].detail
+        );
+    }
+
+    #[test]
+    fn two_lost_disks_sharing_a_stripe_make_one_task() {
+        let dir = TempDir::new("daemon-two-disks");
+        let stripes = 3u64;
+        let store = store_with_object(&dir, "rs-4-2", 4 * 512 * stripes as usize);
+        for disk in [1, 4] {
+            fs::remove_dir_all(store.disk_path(disk)).unwrap();
+        }
+
+        let probe = workerless(&store);
+        let scan = scan_once(&probe).unwrap();
+        assert_eq!(scan.lost_disks, vec![1, 4]);
+        assert_eq!(scan.damaged_chunks, 2 * stripes as usize);
+        assert_eq!(scan.enqueued_stripes, stripes as usize);
+        assert!(queued(&probe).iter().all(|t| t.damaged == [1, 4]));
+
+        // One repair per stripe rebuilds both shards from one read of the
+        // k survivors it decodes from.
+        let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
+        daemon.scan_now().unwrap();
+        daemon.wait_idle();
+        let stats = daemon.shutdown();
+        assert_eq!(stats.failures, 0);
+        assert_eq!(stats.stripes_repaired, stripes);
+        assert_eq!(stats.chunks_repaired, 2 * stripes);
+        assert_eq!(stats.helper_bytes, stripes * 4 * 512);
+        assert!(store.scrub().unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_recovery_pass_follows_a_transition_not_a_level() {
+        let dir = TempDir::new("daemon-transition");
+        let stripes = 3usize;
+        let store = store_with_object(&dir, "rs-4-2", 4 * 512 * stripes);
+        let chunks = (stripes * 6) as u64;
+        let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
+        // One pass run to completion, with the chunk payload bytes it and
+        // its repairs verified: none for a recovery pass, every chunk that
+        // is there for an audit.
+        let pass = || {
+            let before = store.metrics().scrub_bytes_read;
+            let report = daemon.scan_now().unwrap();
+            daemon.wait_idle();
+            (report, store.metrics().scrub_bytes_read - before)
+        };
+
+        // Pass 1, disk 2 newly gone: recovery. Its repairs all fail.
+        fs::remove_dir_all(store.disk_path(2)).unwrap();
+        store.inject_repair_panic(true);
+        let (scan, read) = pass();
+        assert_eq!((scan.enqueued_stripes, read), (stripes, 0));
+        assert_eq!(daemon.stats().failures, stripes as u64);
+
+        // Pass 2, disk 2 still gone: that is a level, so the pass audits —
+        // and finds the same stripes again.
+        store.inject_repair_panic(false);
+        let (scan, read) = pass();
+        assert_eq!(scan.lost_disks, vec![2]);
+        assert_eq!(scan.enqueued_stripes, stripes);
+        assert_eq!(read, (chunks - stripes as u64) * 512);
+        assert_eq!(daemon.stats().chunks_repaired, stripes as u64);
+
+        // Pass 3 sees the disk back (an audit, and clean)...
+        let (scan, read) = pass();
+        assert_eq!((scan.lost_disks, scan.damaged_chunks), (vec![], 0));
+        assert_eq!(read, chunks * 512);
+
+        // ...so losing it again is a new transition: recovery once more.
+        fs::remove_dir_all(store.disk_path(2)).unwrap();
+        let (scan, read) = pass();
+        assert_eq!((scan.enqueued_stripes, read), (stripes, 0));
+        let stats = daemon.shutdown();
+        assert_eq!(stats.chunks_repaired, 2 * stripes as u64);
+        assert_eq!(stats.failures, stripes as u64);
+        assert!(store.scrub().unwrap().is_clean());
+    }
+
+    #[test]
+    fn stripes_missing_more_shards_are_queued_first() {
+        let dir = TempDir::new("daemon-most-at-risk");
+        let store = store_with_object(&dir, "rs-4-2", 4 * 512 * 3);
+        // Manifest order is stripe 0, 1, 2; stripe 2 is the one that is a
+        // single failure away from data loss.
+        fs::remove_file(store.chunk_path("obj", 0, 3)).unwrap();
+        fs::remove_file(store.chunk_path("obj", 2, 0)).unwrap();
+        fs::remove_file(store.chunk_path("obj", 2, 5)).unwrap();
+        fs::remove_file(store.chunk_path("obj", 1, 1)).unwrap();
+
+        let daemon = workerless(&store);
+        scan_once(&daemon).unwrap();
+        let order: Vec<(u64, Vec<usize>)> = queued(&daemon)
+            .into_iter()
+            .map(|t| (t.stripe, t.damaged))
+            .collect();
+        assert_eq!(
+            order,
+            [(2, vec![0, 5]), (0, vec![3]), (1, vec![1])],
+            "two-shard stripe first, then manifest order"
+        );
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //!   reading exactly the helper byte ranges named by
 //!   [`pbrs_erasure::ErasureCode::repair_reads`] (half-chunks for
 //!   Piggybacked-RS) and counting them.
-//! * **Repair path** — a [`RepairDaemon`] worker pool scrubs the store,
-//!   detects lost disks and corrupt chunks, rebuilds them along each code's
-//!   repair plan, and exports traffic counters per code
-//!   ([`MetricsSnapshot`], [`DaemonStats`]).
+//! * **Repair path** — a [`RepairDaemon`] starts from the failure: a disk
+//!   that has become unavailable is rebuilt from the manifest's placement
+//!   rows ([`BlockStore::chunks_on_disks`], no chunk read), while passes
+//!   with no new loss scrub the store for corrupt and missing chunks; a
+//!   worker pool rebuilds what either found along each code's repair plan
+//!   and exports traffic counters per code ([`MetricsSnapshot`],
+//!   [`DaemonStats`]).
 //! * **Pluggable disks** — every chunk touch goes through a [`ChunkBackend`]
 //!   ([`backend`]): the default is the local directory-per-disk layout
 //!   ([`LocalDisk`]), and the `pbrs-chunkd` crate serves the same surface
@@ -157,7 +160,7 @@ pub use pbrs_obs::{Event, EventKind};
 // can mount rack-aware pools without a separate import.
 pub use pbrs_placement::{PlacementError, PlacementMap, PlacementPolicy, RackMap};
 pub use store::{
-    BlockStore, Damage, PartialScrubReport, ScrubReport, StoreConfig, StripeRepair,
+    BlockStore, Damage, PartialScrubReport, PlacedChunk, ScrubReport, StoreConfig, StripeRepair,
     DEFAULT_CHUNK_LEN,
 };
 pub use stream::{ObjectReader, ObjectWriter};

@@ -220,6 +220,21 @@ pub struct Damage {
     pub status: ChunkStatus,
 }
 
+/// Where the manifest says one chunk lives, as listed by
+/// [`BlockStore::chunks_on_disks`] — a statement about placement, not about
+/// the chunk's bytes (nothing was read to produce it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlacedChunk {
+    /// The owning object.
+    pub object: String,
+    /// Stripe within the object.
+    pub stripe: u64,
+    /// Shard within the stripe.
+    pub shard: usize,
+    /// The pool disk the stripe's placement row puts the shard on.
+    pub disk: usize,
+}
+
 /// Result of one scrub pass over the whole store.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScrubReport {
@@ -687,6 +702,33 @@ impl BlockStore {
         (0..stripes)
             .map(|s| Self::resolve_row(&manifest, &self.map, object, s))
             .collect()
+    }
+
+    /// Every chunk the manifest places on one of `disks`, in manifest
+    /// (object, stripe, shard) order — what a store loses when those disks
+    /// do. Resolved from manifest and placement rows alone: no chunk is
+    /// opened, no backend is asked, so the answer costs microseconds where
+    /// a [`BlockStore::scrub`] re-reads every disk to reach the same list.
+    pub fn chunks_on_disks(&self, disks: &[usize]) -> Vec<PlacedChunk> {
+        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+        let manifest = self.manifest.read().expect("lock");
+        let mut placed = Vec::new();
+        for (object, info) in &manifest.objects {
+            for stripe in 0..info.stripes {
+                let row = Self::resolve_row(&manifest, &self.map, object, stripe);
+                for (shard, disk) in row.into_iter().enumerate() {
+                    if disks.contains(&disk) {
+                        placed.push(PlacedChunk {
+                            object: object.clone(),
+                            stripe,
+                            shard,
+                            disk,
+                        });
+                    }
+                }
+            }
+        }
+        placed
     }
 
     /// Logical data bytes per stripe (`k × chunk_len`).
@@ -2121,12 +2163,26 @@ impl BlockStore {
     /// Returns hard I/O failures only; missing/corrupt chunks are reported,
     /// not errors.
     pub fn scrub(&self) -> Result<ScrubReport> {
-        let mut report = ScrubReport::default();
-        for (disk, backend) in self.disks.iter().enumerate() {
-            if !backend.is_available() {
-                report.lost_disks.push(disk);
-            }
-        }
+        self.scrub_given(self.unavailable_disks())
+    }
+
+    /// The disks whose backend reports them missing or unreachable right
+    /// now: one [`ChunkBackend::is_available`] per disk, no chunk I/O.
+    pub(crate) fn unavailable_disks(&self) -> Vec<usize> {
+        (0..self.disks.len())
+            .filter(|&disk| !self.disks[disk].is_available())
+            .collect()
+    }
+
+    /// [`BlockStore::scrub`] for a caller that has just asked every backend
+    /// whether it is there (the repair daemon does, to pick its pass). Asking
+    /// again would not be free: each ask is a round trip, and on a hardened
+    /// or fault-injected pool it spends a breaker probe or a fault-plan op.
+    pub(crate) fn scrub_given(&self, lost_disks: Vec<usize>) -> Result<ScrubReport> {
+        let mut report = ScrubReport {
+            lost_disks,
+            ..ScrubReport::default()
+        };
         report.tombstones_swept = self.sweep_tombstones()?;
         for (name, info) in self.objects() {
             for stripe in 0..info.stripes {

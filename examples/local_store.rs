@@ -60,8 +60,9 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, StoreError> {
         mib(metrics.degraded_helper_bytes),
     );
 
-    // Background repair: scrub, enqueue damaged stripes, rebuild on a
-    // worker pool, all while the store stays online.
+    // Background repair: the scan sees the disk is gone, enqueues the
+    // stripes the manifest placed on it, and a worker pool rebuilds them,
+    // all while the store stays online.
     let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
     let scan = daemon.scan_now()?;
     println!(
@@ -70,6 +71,11 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, StoreError> {
     );
     daemon.wait_idle();
     let stats = daemon.shutdown();
+    assert_eq!(
+        store.metrics().scrub_bytes_read,
+        metrics.scrub_bytes_read,
+        "a lost disk is rebuilt from manifest + placement, not from a scrub"
+    );
     assert!(
         store.scrub()?.is_clean(),
         "store must be whole after repair"

@@ -105,6 +105,7 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Er
         .map(|(_, r)| r.counters().bytes_received)
         .sum();
     let lost_before = remotes[LOST_DISK].counters().bytes_sent;
+    let scrubbed_before = store.metrics().scrub_bytes_read;
 
     let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
     let scan = daemon.scan_now()?;
@@ -115,6 +116,11 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Er
     daemon.wait_idle();
     let stats = daemon.shutdown();
     assert_eq!(stats.failures, 0, "repairs must succeed");
+    assert_eq!(
+        store.metrics().scrub_bytes_read,
+        scrubbed_before,
+        "a lost disk is rebuilt from manifest + placement, not from a scrub"
+    );
 
     // Take the traffic deltas *now*: the verification reads below are
     // ordinary reads, not part of the repair being measured.
