@@ -6,23 +6,24 @@
 //! tagged with a fresh id ([`crate::protocol`] frames carry the id on the
 //! wire), a background demultiplexer thread reads response frames off the
 //! socket and routes each to the caller waiting on that id. Any number of
-//! store workers — the degraded-read pipeline, the repair daemon's pool —
-//! can therefore have reads in flight on the *same* socket concurrently,
+//! store threads — gateway workers, the repair daemon's pool — can
+//! therefore have requests in flight on the *same* socket concurrently,
 //! instead of the old one-request-at-a-time round trip. Every operation in
 //! the protocol is idempotent, so when the transport fails mid-request the
 //! client drops the connection and transparently retries once over a fresh
 //! one — enough to ride out a server restart or an idle-connection reset
 //! without surfacing an error to the store.
 //!
-//! # Split reads
+//! # Split reads and writes
 //!
 //! Every request is a *call* in two halves: sending (register the pending
 //! slot, write the frame) and finishing (wait for the response, retry
 //! once). The blocking operations run the halves back to back;
-//! [`ChunkBackend::begin_read`] returns between them, so one store thread
-//! can have a read outstanding on each of a stripe's disks and pay for the
-//! slowest round trip rather than their sum. The blocking reads are
-//! literally `begin_read(..).wait()` — there is one read path.
+//! [`ChunkBackend::begin_read`] and [`ChunkBackend::begin_write`] return
+//! between them, so one store thread can have a chunk outstanding on each of
+//! a stripe's disks and pay for the slowest round trip rather than their
+//! sum. The blocking forms are literally `begin_read(..).wait()` and
+//! `begin_write(..).wait()` — there is one read path and one write path.
 //!
 //! # Reconnect backoff
 //!
@@ -69,8 +70,8 @@ use std::time::{Duration, Instant};
 
 use pbrs_obs::trace::{self, SpanRecord, TraceCtx};
 use pbrs_store::{
-    BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, PendingRead, ReadyRead,
-    StoreError,
+    BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, PendingRead, PendingWrite,
+    ReadyRead, ReadyWrite, StoreError,
 };
 
 use crate::protocol::{
@@ -242,6 +243,22 @@ impl PendingRead for RemoteRead<'_> {
         }
         out.copy_from_slice(&payload);
         Ok(Ok(()))
+    }
+}
+
+/// A chunk write begun on a [`RemoteDisk`]: the request frame, payload
+/// included, is on the wire.
+struct RemoteWrite<'a> {
+    call: Call<'a>,
+    object: String,
+}
+
+impl PendingWrite for RemoteWrite<'_> {
+    fn wait(self: Box<Self>) -> Result<(), StoreError> {
+        let RemoteWrite { call, object } = *self;
+        let disk = call.disk;
+        let response = call.finish().map_err(|e| disk.io_error(&object, e))?;
+        disk.expect_ok(&object, response).map(drop)
     }
 }
 
@@ -805,15 +822,29 @@ impl ChunkBackend for RemoteDisk {
     }
 
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
-        as_u32("chunk payload", payload.len())?;
-        let response = self
-            .request(Request::WriteChunk {
+        self.begin_write(object, id, payload).wait()
+    }
+
+    /// Puts the `WriteChunk` frame on the wire and returns; the response is
+    /// collected (and a transport failure retried once, then reported as a
+    /// hard error) at `wait`.
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &[u8],
+    ) -> Box<dyn PendingWrite + 'a> {
+        if let Err(e) = as_u32("chunk payload", payload.len()) {
+            return Box::new(ReadyWrite(Err(e)));
+        }
+        Box::new(RemoteWrite {
+            call: self.call(Request::WriteChunk {
                 object: object.to_string(),
                 id,
                 payload: payload.to_vec(),
-            })
-            .map_err(|e| self.io_error(object, e))?;
-        self.expect_ok(object, response).map(drop)
+            }),
+            object: object.to_string(),
+        })
     }
 
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
@@ -1167,6 +1198,36 @@ mod tests {
         std::thread::sleep(Duration::from_millis(120));
         assert!(disk.is_available(), "client must recover after backoff");
         assert!(disk.is_available());
+    }
+
+    #[test]
+    fn a_pending_write_dropped_unwaited_deregisters_its_slot() {
+        // A server that reads requests and never answers.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while protocol::read_frame(&mut stream).is_ok() {}
+        });
+        let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
+        let slots = |disk: &RemoteDisk| {
+            let conn = disk.conn.lock().unwrap();
+            let table = conn.as_ref().unwrap().pending.lock().unwrap();
+            table.as_ref().unwrap().len()
+        };
+        let id = ChunkId {
+            stripe: 0,
+            shard: 0,
+        };
+        let first = disk.begin_write("obj", id, b"payload");
+        let second = disk.begin_write("obj", id, b"payload");
+        assert_eq!(slots(&disk), 2);
+        drop(first);
+        assert_eq!(slots(&disk), 1);
+        drop(second);
+        assert_eq!(slots(&disk), 0);
+        drop(disk); // closes the socket: the server's read loop ends
+        server.join().unwrap();
     }
 
     #[test]

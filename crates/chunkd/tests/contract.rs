@@ -16,6 +16,10 @@
 //! for): overlap changes when the bytes move, never which bytes. The
 //! multi-loss path has the same kind of contract — an MDS code fetches
 //! exactly k whole survivors, and the other disks' sockets stay silent.
+//!
+//! The write side's contract is that there is one write path: a chunk begun
+//! and waited for is the chunk `write_chunk` writes — same file, same bytes
+//! on the socket, same refusals.
 
 use std::fs;
 use std::sync::Arc;
@@ -24,7 +28,9 @@ use pbrs_chunkd::{ChunkServer, RemoteDisk};
 use pbrs_core::registry;
 use pbrs_erasure::{reads_for_shard, total_read_bytes, CodeSpec, ShardRead};
 use pbrs_store::testing::TempDir;
-use pbrs_store::{chunk, BlockStore, ChunkBackend, ChunkId, PlacementPolicy, RackMap, StoreConfig};
+use pbrs_store::{
+    chunk, BlockStore, ChunkBackend, ChunkId, PlacementPolicy, RackMap, StoreConfig, StoreError,
+};
 
 const CHUNK_LEN: usize = 2048;
 const STRIPES: u64 = 2;
@@ -244,4 +250,66 @@ fn remote_multi_loss_repair_ships_exactly_k_whole_survivors() {
         };
         assert_eq!(got, expect, "survivor shard {shard} (rank {rank})");
     }
+}
+
+#[test]
+fn begin_write_then_wait_is_write_chunk() {
+    let dir = TempDir::new("chunkd-contract-write");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let disk = RemoteDisk::new(server.local_addr().to_string());
+    disk.ensure_object("obj").unwrap();
+    let payload: Vec<u8> = (0..CHUNK_LEN).map(|i| ((i * 17 + 3) % 251) as u8).collect();
+    let at = |stripe| ChunkId { stripe, shard: 2 };
+    let (blocking, split) = (at(0), at(1));
+
+    let start = disk.counters();
+    disk.write_chunk("obj", blocking, &payload).unwrap();
+    let after_blocking = disk.counters();
+    disk.begin_write("obj", split, &payload).wait().unwrap();
+    let after_split = disk.counters();
+
+    // The same bytes crossed the socket in each direction ...
+    assert_eq!(
+        after_split.bytes_sent - after_blocking.bytes_sent,
+        after_blocking.bytes_sent - start.bytes_sent
+    );
+    assert_eq!(
+        after_split.bytes_received - after_blocking.bytes_received,
+        after_blocking.bytes_received - start.bytes_received
+    );
+    // ... and the same file landed: header (its chunk id aside) and payload.
+    let file = |id: ChunkId| {
+        let name = format!("{:08}-{:02}.chunk", id.stripe, id.shard);
+        server.root().join("obj").join(name)
+    };
+    assert_eq!(
+        fs::metadata(file(blocking)).unwrap().len(),
+        fs::metadata(file(split)).unwrap().len()
+    );
+    for id in [blocking, split] {
+        assert_eq!(
+            chunk::read_chunk(&file(id), id, CHUNK_LEN)
+                .unwrap()
+                .unwrap(),
+            payload
+        );
+    }
+
+    // A payload that cannot fit a frame is refused by both, the same way,
+    // and writes nothing.
+    let oversized = vec![0u8; pbrs_chunkd::MAX_FRAME];
+    let huge = at(2);
+    let refusals = [
+        disk.write_chunk("obj", huge, &oversized).unwrap_err(),
+        disk.begin_write("obj", huge, &oversized)
+            .wait()
+            .unwrap_err(),
+    ];
+    for refusal in &refusals {
+        assert!(matches!(refusal, StoreError::Io { .. }), "{refusal}");
+    }
+    assert_eq!(refusals[0].to_string(), refusals[1].to_string());
+    assert!(!file(huge).exists());
+    // The client is still usable afterwards.
+    assert!(disk.is_available());
 }

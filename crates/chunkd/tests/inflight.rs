@@ -8,6 +8,12 @@
 //! counts them, but can hold the responses back — so the test kills the
 //! connection knowing exactly which reads are registered, written and
 //! unanswered.
+//!
+//! The same relay shows the other way a pending request ends without its
+//! answer: the caller drops it. The slot goes back at once (the table
+//! itself is checked in `client.rs`'s unit tests); here, what a peer can
+//! see — the write still lands, its late response is discarded, and the
+//! connection carries on without a redial.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
@@ -232,4 +238,33 @@ fn a_stripe_read_during_the_death_is_served_degraded() {
     relay.revive();
     assert_eq!(store.get("obj").unwrap(), data);
     assert_eq!(store.metrics().degraded_stripe_reads, 1);
+}
+
+#[test]
+fn a_write_dropped_unwaited_leaves_the_connection_in_service() {
+    let dir = TempDir::new("chunkd-inflight-drop");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let relay = Relay::in_front_of(server.local_addr());
+    let disk = RemoteDisk::with_timeout(relay.addr.to_string(), TIMEOUT);
+    disk.ensure_object("obj").unwrap();
+    let dials = disk.reconnect_stats().attempts;
+    let id = ChunkId {
+        stripe: 0,
+        shard: 0,
+    };
+
+    relay.set(|s| s.hold = true);
+    let sent_before = relay.requests();
+    let pending = disk.begin_write("obj", id, &pattern(CHUNK_LEN));
+    relay.wait_for_requests(sent_before + 1);
+    // On the wire, unanswered — and nobody will ever wait for it.
+    drop(pending);
+    relay.set(|s| s.hold = false);
+
+    // The orphaned response is thrown away by id; the next request gets its
+    // own answer, over the same connection, and finds the chunk written.
+    let mut buf = vec![0u8; CHUNK_LEN];
+    disk.read_chunk_into("obj", id, &mut buf).unwrap().unwrap();
+    assert_eq!(buf, pattern(CHUNK_LEN));
+    assert_eq!(disk.reconnect_stats().attempts, dials, "no redial");
 }

@@ -51,8 +51,7 @@ fn mixed_local_remote_store_full_lifecycle() {
     let store = Arc::new(
         BlockStore::open_with_backends(
             StoreConfig::new(dir.path().join("root"), "piggyback-4-2".parse().unwrap())
-                .chunk_len(CHUNK_LEN)
-                .pipeline_workers(3),
+                .chunk_len(CHUNK_LEN),
             disks,
             RackMap::per_disk(6),
             PlacementPolicy::Identity,
@@ -60,7 +59,7 @@ fn mixed_local_remote_store_full_lifecycle() {
         .unwrap(),
     );
 
-    // Ingest + healthy read-back through the pipeline, chunks on sockets.
+    // Ingest + healthy read-back, chunks on sockets.
     let data = pattern(4 * CHUNK_LEN * 5 + 217); // 6 stripes, last partial
     store.put("obj", &data[..]).unwrap();
     assert_eq!(store.get("obj").unwrap(), data);

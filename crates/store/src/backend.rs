@@ -85,11 +85,35 @@ impl PendingRead for ReadyRead {
     }
 }
 
+/// A chunk write that has been *begun* ([`ChunkBackend::begin_write`]) but
+/// whose outcome has not been collected yet: the mirror of [`PendingRead`].
+pub trait PendingWrite {
+    /// Blocks until the write has finished; `Ok` means the chunk is durable
+    /// on the disk, exactly as for [`ChunkBackend::write_chunk`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on filesystem/transport failure.
+    fn wait(self: Box<Self>) -> Result<()>;
+}
+
+/// A [`PendingWrite`] whose outcome is already known: what a backend with
+/// nothing to overlap hands back from [`ChunkBackend::begin_write`].
+#[derive(Debug)]
+pub struct ReadyWrite(pub Result<()>);
+
+impl PendingWrite for ReadyWrite {
+    fn wait(self: Box<Self>) -> Result<()> {
+        self.0
+    }
+}
+
 /// One "disk" of a [`crate::BlockStore`]: chunk-file storage keyed by
 /// `(object, stripe, shard)`.
 ///
-/// Implementations must be safe to share across the store's pipeline and
-/// repair-daemon threads. Methods that read chunks use the store's
+/// Implementations must be safe to share across every thread that holds
+/// the store: gateway workers, each driving its own object, and the repair
+/// daemon's pool. Methods that read chunks use the store's
 /// [`ChunkRead`] shape: the outer error is a hard I/O failure, the inner
 /// one a missing/corrupt chunk the caller will repair around.
 pub trait ChunkBackend: Send + Sync + fmt::Debug {
@@ -174,6 +198,25 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
         } else {
             self.read_chunk_range(object, id, chunk_len, offset, out)
         }))
+    }
+
+    /// Starts writing one chunk and returns without waiting for it to land:
+    /// the split form of [`ChunkBackend::write_chunk`], with the same
+    /// atomicity and the same outcome at [`PendingWrite::wait`]. The payload
+    /// is not borrowed past this call. A stripe's `n` chunks go to `n`
+    /// different disks, so a caller that begins them all before waiting for
+    /// any pays for the slowest write instead of their sum.
+    ///
+    /// The default performs the blocking write here and now and returns a
+    /// finished handle, for the same backends and the same reasons as
+    /// [`ChunkBackend::begin_read`]'s default.
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &[u8],
+    ) -> Box<dyn PendingWrite + 'a> {
+        Box::new(ReadyWrite(self.write_chunk(object, id, payload)))
     }
 
     /// Fully verifies one chunk without returning its bytes; reports the

@@ -10,7 +10,9 @@
 //!   stripes, encodes each with the zero-copy codec core
 //!   ([`pbrs_erasure::ErasureCode::encode_into`]) and spreads the `k + r`
 //!   chunks over one directory per "disk" as CRC-32-checksummed chunk files
-//!   ([`chunk`]), tracked by a durable stripe manifest ([`manifest`]).
+//!   ([`chunk`]), all of a stripe's writes in flight together
+//!   ([`ChunkBackend::begin_write`]), tracked by a durable stripe manifest
+//!   ([`manifest`]).
 //! * **Read path** — [`BlockStore::get`] serves objects chunk by chunk and,
 //!   when a chunk is missing or fails its checksum, transparently falls
 //!   back to a *degraded read*: the code's cheapest single-failure repair,
@@ -94,10 +96,9 @@
 //!   ([`ScrubReport::stale_tmp_removed`]), so debris cannot accumulate or
 //!   be mistaken for damage.
 //! * **Worker panics are contained.** A panicking repair worker is counted
-//!   as a failure (the daemon keeps running and
-//!   [`RepairDaemon::wait_idle`] still terminates), and a panicking
-//!   pipeline encode worker fails the `put` with
-//!   [`error::StoreError::WorkerPanic`] instead of deadlocking it.
+//!   as a failure ([`error::StoreError::WorkerPanic`] in the journal); the
+//!   daemon keeps running and [`RepairDaemon::wait_idle`] still terminates.
+//!   `put` and `get` have no workers: they run on the caller's thread.
 //!
 //! # Example
 //!
@@ -141,7 +142,9 @@ pub mod store;
 pub mod stream;
 pub mod testing;
 
-pub use backend::{BackendCounters, ChunkBackend, LocalDisk, PendingRead, ReadyRead};
+pub use backend::{
+    BackendCounters, ChunkBackend, LocalDisk, PendingRead, PendingWrite, ReadyRead, ReadyWrite,
+};
 pub use chunk::{ChunkId, ChunkRead, ChunkStatus};
 pub use daemon::{DaemonConfig, DaemonStats, RepairDaemon, ScanReport, EVENT_JOURNAL_CAPACITY};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultyBackend};

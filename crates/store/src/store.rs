@@ -29,17 +29,19 @@
 //! `put` streams an object into stripes of `k × chunk_len` bytes, encodes
 //! each stripe with the zero-copy [`ErasureCode::encode_into`] into a single
 //! contiguous [`ShardBuffer`], and writes all `k + r` chunks as checksummed
-//! files (see [`crate::chunk`]). Stripes are independent, so with
-//! [`StoreConfig::pipeline_workers`] `> 1` the caller's thread only streams
-//! the reader into a bounded pool of recycled stripe buffers while worker
-//! threads encode and write the chunk files — the SIMD GF kernels and the
-//! chunk-file I/O overlap instead of alternating. The manifest is committed
-//! only after every chunk of the object is durable, so a crashed `put`
-//! leaves orphan chunks, never a readable-but-wrong object.
+//! files (see [`crate::chunk`]). One thread drives an object, one stripe at
+//! a time; the concurrency is inside the stripe, across its disks: all
+//! `k + r` writes are begun ([`ChunkBackend::begin_write`]) before any is
+//! waited for, so a stripe on networked disks costs its slowest write, not
+//! their sum. The manifest is committed only after every chunk of the object
+//! is durable, so a crashed `put` leaves orphan chunks, never a
+//! readable-but-wrong object. `put` and the streaming
+//! [`crate::ObjectWriter`] are the same sequence ([`crate::stream`]).
 //!
 //! # Read path and degraded reads
 //!
-//! `get` reads the `k` data chunks of each stripe and verifies their
+//! `get` reads the `k` data chunks of each stripe — begun together, then
+//! collected together ([`ChunkBackend::begin_read`]) — and verifies their
 //! checksums. When a chunk is missing or corrupt the stripe is served
 //! *degraded*: with a single loss the store executes the code's cheapest
 //! repair — reading exactly the helper byte ranges named by
@@ -48,10 +50,9 @@
 //! [`ErasureCode::reconstruct_in_place`] over every surviving chunk. The
 //! helper bytes crossing disks are counted in [`StoreMetrics`], which is how
 //! the paper's ~30 % repair-traffic saving becomes measurable on real file
-//! I/O. Multi-stripe `get`s run through the same worker pipeline as `put`,
-//! each worker decoding its contiguous run of stripes straight into the
-//! output buffer with one reusable stripe-sized scratch — no per-stripe
-//! allocation on the hot path.
+//! I/O. `get` is [`crate::ObjectReader`] driven over every stripe: stripes
+//! decode one after another straight into the output buffer with one
+//! reusable stripe-sized scratch — no per-stripe allocation on the hot path.
 //!
 //! # Repair path
 //!
@@ -62,12 +63,10 @@
 
 use std::collections::HashSet;
 use std::fs;
-use std::io::{self, Read};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock};
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use pbrs_core::registry::{self, DynCode};
@@ -87,10 +86,6 @@ use pbrs_obs::{Event, EventJournal, EventKind, Stage, StageTimes};
 /// Default chunk payload length: 64 KiB.
 pub const DEFAULT_CHUNK_LEN: usize = 64 * 1024;
 
-/// Default width of the `put`/`get` stripe pipeline (matches the repair
-/// daemon's default worker count).
-pub const DEFAULT_PIPELINE_WORKERS: usize = 4;
-
 /// How old a `*.tmp` file must be before [`BlockStore::scrub`] deletes it
 /// as a crash leftover. Younger tmp files may belong to a live writer that
 /// is between its tmp write and its rename.
@@ -106,11 +101,6 @@ pub struct StoreConfig {
     /// Payload bytes per chunk. Must be a positive multiple of the code's
     /// granularity (Piggybacked-RS needs even lengths).
     pub chunk_len: usize,
-    /// Worker threads of the `put`/`get` stripe pipeline. `1` disables the
-    /// pipeline and runs every stripe inline on the calling thread. A
-    /// runtime knob only — not part of the on-disk geometry, so reopening
-    /// with a different width is always valid.
-    pub pipeline_workers: usize,
     /// Seed of the deterministic stripe placement (persisted in the
     /// manifest; reopening with a different seed is a config mismatch).
     /// Irrelevant for the identity policy.
@@ -138,13 +128,12 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// A configuration with the default chunk length and pipeline width.
+    /// A configuration with the default chunk length.
     pub fn new(root: impl Into<PathBuf>, spec: CodeSpec) -> Self {
         StoreConfig {
             root: root.into(),
             spec,
             chunk_len: DEFAULT_CHUNK_LEN,
-            pipeline_workers: DEFAULT_PIPELINE_WORKERS,
             placement_seed: 0,
             stale_tmp_min_age: STALE_TMP_MIN_AGE,
             op_deadline: None,
@@ -157,13 +146,6 @@ impl StoreConfig {
     #[must_use]
     pub fn chunk_len(mut self, chunk_len: usize) -> Self {
         self.chunk_len = chunk_len;
-        self
-    }
-
-    /// Overrides the stripe-pipeline worker count (clamped to at least 1).
-    #[must_use]
-    pub fn pipeline_workers(mut self, workers: usize) -> Self {
-        self.pipeline_workers = workers.max(1);
         self
     }
 
@@ -319,7 +301,6 @@ pub struct BlockStore {
     spec: CodeSpec,
     code: DynCode,
     chunk_len: usize,
-    pipeline_workers: usize,
     /// The mounted backend pool — at least as many disks as the code has
     /// shards. Chunk I/O goes through these, never straight to the
     /// filesystem, so local and remote disks mix transparently; *which*
@@ -354,21 +335,21 @@ pub struct BlockStore {
     tracer: OnceLock<Arc<Tracer>>,
 }
 
-/// Test-only failure injection flags (see [`BlockStore::inject_encode_panic`]
-/// and [`BlockStore::inject_repair_panic`]).
+/// Test-only failure injection flags (see
+/// [`BlockStore::inject_repair_panic`]).
 #[derive(Debug, Default)]
 struct FailPoints {
-    encode_panic: AtomicBool,
     repair_panic: AtomicBool,
 }
 
-/// Per-worker reusable buffers for stripe reads and repairs: one full
+/// Per-caller reusable buffers for stripe reads and repairs: one full
 /// `n × chunk_len` stripe, its validity mask, and one rebuilt-chunk slot.
 ///
-/// Reusing one scratch per worker (instead of fresh `Vec`s per stripe)
-/// keeps the degraded-read and repair hot paths allocation-free in steady
-/// state — with the SIMD GF kernels the encode itself is fast enough that
-/// per-stripe allocation churn would otherwise show up in profiles.
+/// Reusing one scratch per reader or repair worker (instead of fresh `Vec`s
+/// per stripe) keeps the degraded-read and repair hot paths allocation-free
+/// in steady state — with the SIMD GF kernels the encode itself is fast
+/// enough that per-stripe allocation churn would otherwise show up in
+/// profiles.
 pub(crate) struct StripeScratch {
     /// Chunk payloads land here, shard `i` in slot `i`.
     buf: ShardBuffer,
@@ -610,7 +591,6 @@ impl BlockStore {
             spec: config.spec,
             code,
             chunk_len: config.chunk_len,
-            pipeline_workers: config.pipeline_workers.max(1),
             disks,
             guards,
             health,
@@ -792,14 +772,6 @@ impl BlockStore {
             .collect()
     }
 
-    /// Test-only failure injection: while enabled, every stripe encode
-    /// (the write path's `encode_and_write_stripe` step) panics. Exists so
-    /// crash-safety tests can prove the put pipeline fails fast instead of
-    /// deadlocking when a worker dies; never enable it outside tests.
-    pub fn inject_encode_panic(&self, enabled: bool) {
-        self.fail.encode_panic.store(enabled, Ordering::SeqCst);
-    }
-
     /// Test-only failure injection: while enabled,
     /// [`BlockStore::repair_stripe`] panics on entry. Exists so
     /// crash-safety tests can prove the repair daemon survives a panicking
@@ -950,28 +922,6 @@ impl BlockStore {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Stores `reader`'s bytes as object `name`, streaming stripe by stripe.
-    ///
-    /// Objects are immutable: storing an existing name fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::ObjectExists`], [`StoreError::InvalidObjectName`],
-    /// or I/O / codec failures. On failure the manifest is left without the
-    /// object; already written chunks are removed best-effort.
-    pub fn put(&self, name: &str, reader: impl Read) -> Result<ObjectInfo> {
-        self.reserve_name(name)?;
-        let result = self.put_reserved(name, reader);
-        if result.is_err() {
-            // Clean up *before* releasing the reservation, so a retrying
-            // writer cannot recreate the name and then lose its chunks to
-            // this removal.
-            self.remove_object_chunks(name);
-        }
-        self.release_name(name);
-        result
-    }
-
     /// Reserves `name` against concurrent writers and existing objects:
     /// the shared admission step of [`BlockStore::put`] and the streaming
     /// [`crate::ObjectWriter`]. A successful reservation must be paired
@@ -1024,16 +974,6 @@ impl BlockStore {
         Ok(())
     }
 
-    fn put_reserved(&self, name: &str, mut reader: impl Read) -> Result<ObjectInfo> {
-        self.prepare_object_dirs(name)?;
-        let (total, stripe) = if self.pipeline_workers > 1 {
-            self.ingest_pipelined(name, &mut reader)?
-        } else {
-            self.ingest_sequential(name, &mut reader)?
-        };
-        self.commit_object(name, total, stripe)
-    }
-
     /// The durable commit of a fully ingested object (every chunk of every
     /// stripe written): pins the metadata and placement rows in the
     /// manifest, clears any tombstone, and rolls all of it back if the
@@ -1045,7 +985,7 @@ impl BlockStore {
             len: total,
             stripes,
         };
-        // Re-derive the rows the ingest workers used (placement is a pure
+        // Re-derive the rows the stripe writes used (placement is a pure
         // function of name + stripe) and pin them in the manifest.
         let rows: Option<Vec<Vec<usize>>> =
             (self.map.policy() != PlacementPolicy::Identity).then(|| {
@@ -1057,7 +997,7 @@ impl BlockStore {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut manifest = self.manifest.write().expect("lock");
             manifest.objects.insert(name.to_string(), info);
-            if let Some(rows) = rows.clone() {
+            if let Some(rows) = rows {
                 manifest.placements.insert(name.to_string(), rows);
             }
             let had_tombstone = manifest.tombstones.remove(name);
@@ -1076,28 +1016,6 @@ impl BlockStore {
         }
         StoreMetrics::add(&self.metrics.bytes_ingested, total);
         Ok(info)
-    }
-
-    /// Fills the data shards of `buf` from `reader`, zeroing everything
-    /// past the stream's end so stale bytes from a previous stripe never
-    /// leak into parity. Returns the payload bytes consumed.
-    fn fill_stripe_data(&self, reader: &mut impl Read, buf: &mut ShardBuffer) -> Result<usize> {
-        let k = self.code.params().data_shards();
-        let mut stripe_bytes = 0usize;
-        for i in 0..k {
-            let shard = buf.shard_mut(i);
-            let got = read_full(reader, shard)
-                .map_err(|e| StoreError::io(self.root.join("<input>"), e))?;
-            stripe_bytes += got;
-            if got < shard.len() {
-                shard[got..].fill(0);
-                for j in i + 1..k {
-                    buf.shard_mut(j).fill(0);
-                }
-                break;
-            }
-        }
-        Ok(stripe_bytes)
     }
 
     /// Encodes the (already filled) data shards of `buf` and writes all
@@ -1131,11 +1049,6 @@ impl BlockStore {
         buf: &mut ShardBuffer,
         times: &mut StageTimes,
     ) -> Result<()> {
-        // SeqCst: crash-test failpoint, flipped rarely and read cold.
-        if self.fail.encode_panic.load(Ordering::SeqCst) {
-            // pbrs-lint: allow(panic-hygiene) -- injected failure hook; panicking here is the tested behaviour
-            panic!("injected encode panic (stripe {stripe})");
-        }
         let (k, n) = {
             let params = self.code.params();
             (params.data_shards(), params.total_shards())
@@ -1146,12 +1059,30 @@ impl BlockStore {
             self.code.encode_into(&data, &mut parity)?;
             times.add_duration(Stage::Erasure, erasure_start.elapsed());
         }
-        // Pure function of (seed, name, stripe): pipeline workers derive the
-        // same row the commit later persists, with no coordination.
+        // Pure function of (seed, name, stripe): the commit re-derives and
+        // persists the same row.
         let row = self.map.disks_for_object_stripe(name, stripe);
         let io_start = Instant::now();
-        for (shard, &disk) in row.iter().enumerate() {
-            self.disks[disk].write_chunk(name, ChunkId { stripe, shard }, buf.shard(shard))?;
+        // The n chunks go to n different disks, so all n writes are begun
+        // before any is waited for: the stripe costs the slowest write, not
+        // their sum.
+        let pending: Vec<_> = row
+            .iter()
+            .enumerate()
+            .map(|(shard, &disk)| {
+                self.disks[disk].begin_write(name, ChunkId { stripe, shard }, buf.shard(shard))
+            })
+            .collect();
+        // Every write is collected before the first error is returned: none
+        // is still in flight when the caller removes the object's chunks.
+        let mut first_error = None;
+        for write in pending {
+            if let Err(e) = write.wait() {
+                first_error.get_or_insert(e);
+            }
+        }
+        if let Some(e) = first_error {
+            return Err(e);
         }
         times.add_duration(Stage::ChunkIo, io_start.elapsed());
         StoreMetrics::add(&self.metrics.chunks_written, n as u64);
@@ -1160,158 +1091,6 @@ impl BlockStore {
             (n * self.chunk_len) as u64,
         );
         Ok(())
-    }
-
-    /// The single-threaded ingest loop: fill, encode, write, repeat.
-    fn ingest_sequential(&self, name: &str, reader: &mut impl Read) -> Result<(u64, u64)> {
-        let n = self.code.params().total_shards();
-        let mut buf = ShardBuffer::zeroed(n, self.chunk_len);
-        let mut total = 0u64;
-        let mut stripe = 0u64;
-        loop {
-            let stripe_bytes = self.fill_stripe_data(reader, &mut buf)?;
-            if stripe_bytes == 0 {
-                break;
-            }
-            total += stripe_bytes as u64;
-            self.encode_and_write_stripe(name, stripe, &mut buf, &mut StageTimes::new())?;
-            stripe += 1;
-            if stripe_bytes < self.stripe_data_len() {
-                break;
-            }
-        }
-        Ok((total, stripe))
-    }
-
-    /// The pipelined ingest loop: the calling thread streams the reader
-    /// into a small pool of recycled stripe buffers while the workers
-    /// encode and write the chunk files, so GF arithmetic and chunk-file
-    /// I/O overlap instead of alternating.
-    ///
-    /// The pool is bounded (`workers + 1` buffers), which back-pressures
-    /// the reader; a worker *always* returns its buffer — even when the
-    /// encode step panics, via [`ReturnBuffer`] — so the reader can never
-    /// deadlock waiting for one. Panics are caught at the worker boundary
-    /// and surfaced as [`StoreError::WorkerPanic`]; the first error wins,
-    /// later stripes are skipped, and `put` removes any chunks already
-    /// written.
-    fn ingest_pipelined(&self, name: &str, reader: &mut impl Read) -> Result<(u64, u64)> {
-        let n = self.code.params().total_shards();
-        let workers = self.pipeline_workers;
-        let (work_tx, work_rx) = mpsc::channel::<(u64, ShardBuffer)>();
-        let (free_tx, free_rx) = mpsc::channel::<ShardBuffer>();
-        for _ in 0..workers + 1 {
-            free_tx
-                .send(ShardBuffer::zeroed(n, self.chunk_len))
-                // pbrs-lint: allow(panic-hygiene) -- the receiver end is owned by this function and not yet dropped
-                .expect("receiver lives on this thread");
-        }
-        let work_rx = Mutex::new(work_rx);
-        let failure: Mutex<Option<StoreError>> = Mutex::new(None);
-
-        let mut total = 0u64;
-        let mut stripe = 0u64;
-        let mut read_error: Option<StoreError> = None;
-        // The ambient trace context is thread-local; carry it across the
-        // worker boundary so stripe spans parent under the caller's op.
-        let trace_ctx = trace::current_ctx();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let work_rx = &work_rx;
-                let failure = &failure;
-                let free_tx = free_tx.clone();
-                scope.spawn(move || {
-                    let _trace = ScopedCtx::enter(trace_ctx);
-                    loop {
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        let received = work_rx.lock().expect("lock").recv();
-                        let Ok((stripe, buf)) = received else {
-                            return; // ingest finished: work channel closed
-                        };
-                        // The buffer rides in a drop guard: if anything
-                        // below unwinds, the buffer still goes back to the
-                        // pool — a lost buffer is exactly how the reader
-                        // deadlocks.
-                        let mut guard = ReturnBuffer {
-                            buf: Some(buf),
-                            free_tx: &free_tx,
-                        };
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        let result = if failure.lock().expect("lock").is_some() {
-                            Ok(()) // an earlier stripe already failed; drain only
-                        } else {
-                            // pbrs-lint: allow(panic-hygiene) -- the guard's buffer is only taken on drop, after this closure
-                            let buf = guard.buf.as_mut().expect("held until drop");
-                            catch_unwind(AssertUnwindSafe(|| {
-                                self.encode_and_write_stripe(
-                                    name,
-                                    stripe,
-                                    buf,
-                                    &mut StageTimes::new(),
-                                )
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(StoreError::WorkerPanic {
-                                    context: format!(
-                                        "pipelined encode/write of stripe {stripe}: {}",
-                                        panic_message(payload.as_ref())
-                                    ),
-                                })
-                            })
-                        };
-                        // Return the buffer before reporting, so the
-                        // reader thread can always make progress.
-                        drop(guard);
-                        if let Err(e) = result {
-                            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                            let mut slot = failure.lock().expect("lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                        }
-                    }
-                });
-            }
-
-            loop {
-                // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                if failure.lock().expect("lock").is_some() {
-                    break;
-                }
-                // pbrs-lint: allow(panic-hygiene) -- worker threads return every buffer before the channel closes
-                let mut buf = free_rx.recv().expect("workers always return buffers");
-                let stripe_bytes = match self.fill_stripe_data(reader, &mut buf) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        read_error = Some(e);
-                        break;
-                    }
-                };
-                if stripe_bytes == 0 {
-                    break;
-                }
-                total += stripe_bytes as u64;
-                work_tx
-                    .send((stripe, buf))
-                    // pbrs-lint: allow(panic-hygiene) -- worker threads outlive the work channel by scope construction
-                    .expect("workers outlive the work channel");
-                stripe += 1;
-                if stripe_bytes < self.stripe_data_len() {
-                    break;
-                }
-            }
-            // Closing the work channel drains the workers.
-            drop(work_tx);
-        });
-
-        if let Some(e) = read_error {
-            return Err(e);
-        }
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        if let Some(e) = failure.into_inner().expect("lock") {
-            return Err(e);
-        }
-        Ok((total, stripe))
     }
 
     /// Best-effort removal of every chunk of `name` on every disk (cleanup
@@ -1336,115 +1115,8 @@ impl BlockStore {
         }
     }
 
-    /// Reads object `name` back, transparently falling back to degraded
-    /// reads for stripes with missing or corrupt chunks.
-    ///
-    /// Stripes are independent, so multi-stripe objects are served through
-    /// the store's worker pipeline (see [`StoreConfig::pipeline_workers`]):
-    /// each worker owns one reusable stripe-sized scratch and decodes its
-    /// share of stripes straight into the output buffer, overlapping
-    /// chunk-file I/O with GF decoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::ObjectNotFound`],
-    /// [`StoreError::ObjectDeleted`] for a tombstoned name, or
-    /// [`StoreError::StripeUnrecoverable`] when more chunks are lost than
-    /// the code tolerates.
-    pub fn get(&self, name: &str) -> Result<Vec<u8>> {
-        let info = self.lookup(name)?;
-        // pbrs-lint: allow(panic-hygiene) -- an object larger than usize::MAX could not have been written
-        let stripes = usize::try_from(info.stripes).expect("object fits in memory");
-        let stripe_len = self.stripe_data_len();
-        let padded = stripes
-            .checked_mul(stripe_len)
-            // pbrs-lint: allow(panic-hygiene) -- an object larger than usize::MAX could not have been written
-            .expect("object fits in memory");
-        let mut out = vec![0u8; padded];
-        // Resolve every stripe's placement once, outside the hot loop.
-        let rows = self.object_rows(name, info.stripes);
-        let workers = self.pipeline_workers.min(stripes.max(1));
-        if workers <= 1 {
-            let mut scratch = self.new_scratch();
-            let mut times = StageTimes::new();
-            for (stripe, dest) in out.chunks_mut(stripe_len).enumerate() {
-                self.read_stripe_into(
-                    name,
-                    stripe as u64,
-                    &rows[stripe],
-                    dest,
-                    &mut scratch,
-                    &mut times,
-                )?;
-            }
-        } else {
-            self.read_stripes_parallel(name, &rows, &mut out, workers)?;
-        }
-        // pbrs-lint: allow(panic-hygiene) -- an object larger than usize::MAX could not have been written
-        out.truncate(usize::try_from(info.len).expect("object fits in memory"));
-        StoreMetrics::add(&self.metrics.objects_read, 1);
-        StoreMetrics::add(&self.metrics.bytes_served, info.len);
-        Ok(out)
-    }
-
-    /// Decodes the object's stripes into `out` with a static partition:
-    /// worker `w` owns a contiguous run of stripes (and the matching slice
-    /// of `out`), plus one private scratch reused across its run.
-    fn read_stripes_parallel(
-        &self,
-        name: &str,
-        rows: &[Vec<usize>],
-        out: &mut [u8],
-        workers: usize,
-    ) -> Result<()> {
-        let stripe_len = self.stripe_data_len();
-        let stripes = out.len() / stripe_len;
-        let per_worker = stripes.div_ceil(workers);
-        let failure: Mutex<Option<StoreError>> = Mutex::new(None);
-        // The ambient trace context is thread-local; carry it across the
-        // worker boundary so stripe spans parent under the caller's op.
-        let trace_ctx = trace::current_ctx();
-        thread::scope(|scope| {
-            for (w, region) in out.chunks_mut(per_worker * stripe_len).enumerate() {
-                let failure = &failure;
-                scope.spawn(move || {
-                    let _trace = ScopedCtx::enter(trace_ctx);
-                    let mut scratch = self.new_scratch();
-                    let mut times = StageTimes::new();
-                    let first = w * per_worker;
-                    for (i, dest) in region.chunks_mut(stripe_len).enumerate() {
-                        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                        if failure.lock().expect("lock").is_some() {
-                            return; // another stripe already failed
-                        }
-                        if let Err(e) = self.read_stripe_into(
-                            name,
-                            (first + i) as u64,
-                            &rows[first + i],
-                            dest,
-                            &mut scratch,
-                            &mut times,
-                        ) {
-                            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                            let mut slot = failure.lock().expect("lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        match failure.into_inner().expect("lock") {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Serves the `k × chunk_len` data bytes of one stripe into `dest`,
-    /// reusing the worker's scratch buffers throughout. `row` is the
+    /// reusing the caller's scratch buffers throughout. `row` is the
     /// stripe's placement: shard `i` lives on pool disk `row[i]`. Returns
     /// whether the stripe was served degraded (one or more chunks rebuilt
     /// from survivors instead of read directly) — callers like the gateway
@@ -2464,22 +2136,6 @@ impl BlockStore {
     }
 }
 
-/// Returns a pipeline stripe buffer to the free pool when dropped — even
-/// mid-panic-unwind, so a dying encode worker can never starve the reader
-/// thread of buffers (the deadlock this guard exists to prevent).
-struct ReturnBuffer<'a> {
-    buf: Option<ShardBuffer>,
-    free_tx: &'a mpsc::Sender<ShardBuffer>,
-}
-
-impl Drop for ReturnBuffer<'_> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            let _ = self.free_tx.send(buf);
-        }
-    }
-}
-
 /// Best-effort text of a caught panic payload (`panic!` with a string
 /// literal or a formatted message covers practically all of them).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -2488,20 +2144,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("<non-string panic payload>")
-}
-
-/// Reads until `buf` is full or the stream ends; returns the bytes read.
-fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
 }
 
 #[cfg(test)]
@@ -2542,50 +2184,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_sequential_stores_agree_bit_for_bit() {
-        // The same object through a 1-worker (inline) store and a wide
-        // pipeline must produce identical chunk files and reads.
-        let dir = TempDir::new("store-pipeline-parity");
-        let spec: CodeSpec = "piggyback-4-2".parse().unwrap();
-        let data = pattern(4 * 512 * 7 + 311); // 8 stripes, last partial
-        let inline = BlockStore::open(
-            StoreConfig::new(dir.path().join("inline"), spec)
-                .chunk_len(512)
-                .pipeline_workers(1),
-        )
-        .unwrap();
-        let piped = BlockStore::open(
-            StoreConfig::new(dir.path().join("piped"), spec)
-                .chunk_len(512)
-                .pipeline_workers(3),
-        )
-        .unwrap();
-        inline.put("obj", &data[..]).unwrap();
-        piped.put("obj", &data[..]).unwrap();
-        for stripe in 0..8 {
-            for shard in 0..6 {
-                assert_eq!(
-                    fs::read(inline.chunk_path("obj", stripe, shard)).unwrap(),
-                    fs::read(piped.chunk_path("obj", stripe, shard)).unwrap(),
-                    "stripe {stripe} shard {shard}"
-                );
-            }
-        }
-        assert_eq!(inline.get("obj").unwrap(), data);
-        assert_eq!(piped.get("obj").unwrap(), data);
-    }
-
-    #[test]
-    fn parallel_degraded_get_heals_across_workers() {
-        // Many stripes served by several workers, all degraded.
-        let dir = TempDir::new("store-parallel-degraded");
-        let spec: CodeSpec = "piggyback-4-2".parse().unwrap();
-        let store = BlockStore::open(
-            StoreConfig::new(dir.path().join("store"), spec)
-                .chunk_len(512)
-                .pipeline_workers(3),
-        )
-        .unwrap();
+    fn degraded_get_heals_every_stripe() {
+        // Many stripes, all degraded.
+        let dir = TempDir::new("store-degraded-get");
+        let store = small_store(&dir, "piggyback-4-2");
         let data = pattern(4 * 512 * 9 + 45); // 10 stripes
         store.put("obj", &data[..]).unwrap();
         fs::remove_dir_all(store.disk_path(2)).unwrap();
@@ -2596,14 +2198,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_get_surfaces_unrecoverable_stripes() {
-        let dir = TempDir::new("store-parallel-unrecoverable");
-        let store = BlockStore::open(
-            StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap())
-                .chunk_len(512)
-                .pipeline_workers(4),
-        )
-        .unwrap();
+    fn get_surfaces_unrecoverable_stripes() {
+        let dir = TempDir::new("store-get-unrecoverable");
+        let store = small_store(&dir, "rs-4-2");
         let data = pattern(4 * 512 * 6);
         store.put("obj", &data[..]).unwrap();
         for disk in [0, 1, 2] {
@@ -2793,31 +2390,6 @@ mod tests {
         assert!(repair.rebuilt.is_empty());
         assert_eq!(repair.already_healthy, vec![1, 4]);
         assert_eq!(repair.helper_bytes, 0);
-    }
-
-    #[test]
-    fn panicking_pipeline_worker_fails_put_instead_of_hanging() {
-        let dir = TempDir::new("store-pipeline-panic");
-        let store = BlockStore::open(
-            StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap())
-                .chunk_len(512)
-                .pipeline_workers(2),
-        )
-        .unwrap();
-        store.inject_encode_panic(true);
-        // 8 stripes: enough work that losing stripe buffers to dead
-        // workers used to starve the reader and hang put() forever.
-        let data = pattern(4 * 512 * 8);
-        let result = store.put("obj", &data[..]);
-        assert!(
-            matches!(result, Err(StoreError::WorkerPanic { .. })),
-            "put must surface the worker panic: {result:?}"
-        );
-        // The failed put cleaned up after itself and the store still works.
-        store.inject_encode_panic(false);
-        assert!(store.objects().is_empty());
-        store.put("obj", &data[..]).unwrap();
-        assert_eq!(store.get("obj").unwrap(), data);
     }
 
     #[test]

@@ -159,12 +159,11 @@ fn repeated_runs_under_the_same_seed_are_deterministic() {
     let run = |seed: u64| -> (u64, u64, Option<DiskState>) {
         let dir = TempDir::new("chaos-seed");
         let plan = Arc::new(FaultPlan::parse("disk=2 op=read p=0.5 error", seed).unwrap());
-        // A single pipeline worker keeps the read-op order (and therefore
-        // the per-rule fault sequence) identical across runs.
+        // One thread drives the object, so the read-op order (and therefore
+        // the per-rule fault sequence) is identical across runs.
         let store = BlockStore::open_with_backends(
             StoreConfig::new(dir.path().join("root"), "rs-4-2".parse().unwrap())
                 .chunk_len(CHUNK_LEN)
-                .pipeline_workers(1)
                 .op_deadline(Duration::from_millis(500))
                 .health_policy(policy()),
             faulty_pool(&dir, 6, &plan),

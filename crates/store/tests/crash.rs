@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use pbrs_store::testing::TempDir;
-use pbrs_store::{BlockStore, ChunkStatus, DaemonConfig, RepairDaemon, StoreConfig, StoreError};
+use pbrs_store::{BlockStore, ChunkStatus, DaemonConfig, RepairDaemon, StoreConfig};
 
 fn pattern(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 13 + 5) % 251) as u8).collect()
@@ -96,30 +96,19 @@ fn stale_manifest_tmp_is_swept() {
     assert_eq!(reopened.get("obj").unwrap(), pattern(100));
 }
 
-/// The panic-injection pair from the crate's unit tests, exercised through
-/// the public API: neither a panicking repair worker nor a panicking
-/// pipeline encode worker may hang its caller.
+/// Panic injection through the public API: a panicking repair worker may
+/// not hang its caller.
 #[test]
 fn injected_panics_terminate_instead_of_hanging() {
     let dir = TempDir::new("crash-panics");
     let store = Arc::new(
         BlockStore::open(
-            StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap())
-                .chunk_len(512)
-                .pipeline_workers(2),
+            StoreConfig::new(dir.path().join("store"), "rs-4-2".parse().unwrap()).chunk_len(512),
         )
         .unwrap(),
     );
     let data = pattern(4 * 512 * 4);
     store.put("obj", &data[..]).unwrap();
-
-    // Pipelined put under injected encode panics: errors, never hangs.
-    store.inject_encode_panic(true);
-    assert!(matches!(
-        store.put("obj2", &data[..]),
-        Err(StoreError::WorkerPanic { .. })
-    ));
-    store.inject_encode_panic(false);
 
     // Daemon under injected repair panics: wait_idle returns, failure
     // counted, and the damage is still repairable afterwards.

@@ -2,12 +2,14 @@
 //! read of a batch before it *waits* for any, and the batches are exactly
 //! the reads the serial loops used to issue — k data chunks for a healthy
 //! stripe, the `repair_reads` ranges for a planned rebuild, the first k
-//! survivors (plus a top-up per failure) for a full reconstruction.
+//! survivors (plus a top-up per failure) for a full reconstruction. The
+//! write side has one batch: the n chunks of a stripe, for `put` and for
+//! `ObjectWriter` alike, all collected even when one of them fails.
 //!
-//! The double below records every `begin_read` and every `wait` in one
-//! shared log. A blocking read is recorded as a begin immediately followed
-//! by its wait, so a read site that fell back to one-at-a-time I/O would
-//! show up as an alternating log.
+//! The double below records every `begin_read` / `begin_write` and every
+//! `wait` in one shared log. A blocking call is recorded as a begin
+//! immediately followed by its wait, so a site that fell back to
+//! one-at-a-time I/O would show up as an alternating log.
 
 use std::fs;
 use std::sync::{Arc, Mutex};
@@ -16,8 +18,8 @@ use std::time::Duration;
 use pbrs_erasure::ShardRead;
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
-    BlockStore, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, LocalDisk, PendingRead,
-    PlacementPolicy, RackMap, StoreConfig, StoreError,
+    BlockStore, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, FaultPlan, FaultyBackend, LocalDisk,
+    PendingRead, PendingWrite, PlacementPolicy, RackMap, StoreConfig, StoreError,
 };
 
 const CHUNK_LEN: usize = 256;
@@ -26,14 +28,16 @@ const CHUNK_LEN: usize = 256;
 enum Event {
     Begin(ShardRead),
     Wait(usize),
+    BeginWrite(usize),
+    WaitWrite(usize),
 }
 
 type Log = Arc<Mutex<Vec<Event>>>;
 
-/// A [`LocalDisk`] that logs when each read is begun and waited for.
+/// A disk that logs when each read and write is begun and waited for.
 #[derive(Debug)]
 struct Recording {
-    inner: LocalDisk,
+    inner: Arc<dyn ChunkBackend>,
     log: Log,
 }
 
@@ -46,6 +50,19 @@ struct RecordedRead<'a> {
 impl PendingRead for RecordedRead<'_> {
     fn wait(self: Box<Self>) -> ChunkRead<()> {
         self.log.lock().unwrap().push(Event::Wait(self.shard));
+        self.inner.wait()
+    }
+}
+
+struct RecordedWrite<'a> {
+    inner: Box<dyn PendingWrite + 'a>,
+    shard: usize,
+    log: &'a Log,
+}
+
+impl PendingWrite for RecordedWrite<'_> {
+    fn wait(self: Box<Self>) -> Result<(), StoreError> {
+        self.log.lock().unwrap().push(Event::WaitWrite(self.shard));
         self.inner.wait()
     }
 }
@@ -64,7 +81,20 @@ impl ChunkBackend for Recording {
         self.inner.remove_object(object)
     }
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
-        self.inner.write_chunk(object, id, payload)
+        self.begin_write(object, id, payload).wait()
+    }
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &[u8],
+    ) -> Box<dyn PendingWrite + 'a> {
+        self.log.lock().unwrap().push(Event::BeginWrite(id.shard));
+        Box::new(RecordedWrite {
+            inner: self.inner.begin_write(object, id, payload),
+            shard: id.shard,
+            log: &self.log,
+        })
     }
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
         let chunk_len = out.len();
@@ -112,33 +142,50 @@ impl ChunkBackend for Recording {
     }
 }
 
-/// A `piggyback-6-3` store (shard `i` on disk `i`, one rack per disk) over
-/// recording disks, holding a two-stripe object.
-fn recorded_store(dir: &TempDir) -> (BlockStore, Log, Vec<u8>) {
-    let spec: pbrs_erasure::CodeSpec = "piggyback-6-3".parse().unwrap();
-    let n = spec.total_shards();
+const N: usize = 9;
+
+/// How a test stacks its doubles on pool disk `i`.
+type Mount<'a> = &'a dyn Fn(usize, LocalDisk, &Log) -> Arc<dyn ChunkBackend>;
+
+fn recording(inner: impl ChunkBackend + 'static, log: &Log) -> Arc<dyn ChunkBackend> {
+    Arc::new(Recording {
+        inner: Arc::new(inner),
+        log: Arc::clone(log),
+    })
+}
+
+/// An empty `piggyback-6-3` store (shard `i` on disk `i`, one rack per
+/// disk) over whatever `mount` builds on each local directory.
+fn store_over(dir: &TempDir, mount: Mount) -> (BlockStore, Log) {
     let log = Log::default();
-    let disks: Vec<Arc<dyn ChunkBackend>> = (0..n)
+    let disks = (0..N)
         .map(|i| {
-            Arc::new(Recording {
-                inner: LocalDisk::new(dir.path().join(format!("disk-{i:02}"))),
-                log: Arc::clone(&log),
-            }) as Arc<dyn ChunkBackend>
+            let local = LocalDisk::new(dir.path().join(format!("disk-{i:02}")));
+            mount(i, local, &log)
         })
         .collect();
     let store = BlockStore::open_with_backends(
-        StoreConfig::new(dir.path().join("root"), spec)
-            .chunk_len(CHUNK_LEN)
-            // One worker, so the log is one stripe after another.
-            .pipeline_workers(1),
+        StoreConfig::new(dir.path().join("root"), "piggyback-6-3".parse().unwrap())
+            .chunk_len(CHUNK_LEN),
         disks,
-        RackMap::per_disk(n),
+        RackMap::per_disk(N),
         PlacementPolicy::Identity,
     )
     .unwrap();
-    let data: Vec<u8> = (0..6 * CHUNK_LEN * 2)
+    (store, log)
+}
+
+/// Two stripes of payload.
+fn two_stripes() -> Vec<u8> {
+    (0..6 * CHUNK_LEN * 2)
         .map(|i| ((i * 29 + 3) % 251) as u8)
-        .collect();
+        .collect()
+}
+
+/// A store over recording disks, holding a two-stripe object.
+fn recorded_store(dir: &TempDir) -> (BlockStore, Log, Vec<u8>) {
+    let (store, log) = store_over(dir, &|_, local, log| recording(local, log));
+    let data = two_stripes();
     store.put("obj", &data[..]).unwrap();
     (store, log, data)
 }
@@ -150,8 +197,29 @@ fn chunk_file(dir: &TempDir, stripe: u64, shard: usize) -> std::path::PathBuf {
         .join(format!("{stripe:08}-{shard:02}.chunk"))
 }
 
+/// Drains the log, keeping its read events or its write events.
+fn drain(log: &Log, writes: bool) -> Vec<Event> {
+    let mut events = std::mem::take(&mut *log.lock().unwrap());
+    events.retain(|e| writes == matches!(e, Event::BeginWrite(_) | Event::WaitWrite(_)));
+    events
+}
+
 fn take(log: &Log) -> Vec<Event> {
-    std::mem::take(&mut *log.lock().unwrap())
+    drain(log, false)
+}
+
+fn take_writes(log: &Log) -> Vec<Event> {
+    drain(log, true)
+}
+
+/// The write log of `stripes` stripes: per stripe, all n writes begun in
+/// shard order, then all n waited for in the same order.
+fn write_batches(stripes: usize) -> Vec<Event> {
+    let one: Vec<Event> = (0..N)
+        .map(Event::BeginWrite)
+        .chain((0..N).map(Event::WaitWrite))
+        .collect();
+    one.repeat(stripes)
 }
 
 /// The log of one batch: every read begun, in order, then every read
@@ -248,4 +316,78 @@ fn survivor_reads_stop_at_k_and_top_up_only_for_failures() {
     assert_eq!(repair.helper_bytes, 6 * CHUNK_LEN as u64);
     assert_eq!(store.get("obj").unwrap(), data);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn a_stripe_begins_all_n_writes_before_the_first_wait_for_put_and_writer() {
+    let dir = TempDir::new("overlap-writes");
+    let (store, log) = store_over(&dir, &|_, local, log| recording(local, log));
+    let data = two_stripes();
+    store.put("put", &data[..]).unwrap();
+    assert_eq!(take_writes(&log), write_batches(2));
+
+    let store = Arc::new(store);
+    let mut writer = store.writer("streamed").unwrap();
+    for piece in data.chunks(333) {
+        writer.write(piece).unwrap();
+    }
+    writer.finish().unwrap();
+    assert_eq!(take_writes(&log), write_batches(2));
+    assert_eq!(store.get("put").unwrap(), data);
+    assert_eq!(store.get("streamed").unwrap(), data);
+}
+
+#[test]
+fn the_default_begin_write_is_the_blocking_write_performed_eagerly() {
+    // A wrapper that does not override `begin_write` sits above the
+    // recorder, so every write reaches it as a blocking `write_chunk`.
+    let dir = TempDir::new("overlap-eager");
+    let plan = Arc::new(FaultPlan::parse("disk=0 op=verify error", 1).unwrap());
+    let (store, log) = store_over(&dir, &|i, local, log| {
+        Arc::new(FaultyBackend::new(
+            recording(local, log),
+            Arc::clone(&plan),
+            i,
+        ))
+    });
+    store.put("obj", &two_stripes()[..]).unwrap();
+    let pairs: Vec<Event> = (0..N)
+        .flat_map(|shard| [Event::BeginWrite(shard), Event::WaitWrite(shard)])
+        .collect();
+    assert_eq!(take_writes(&log), pairs.repeat(2));
+}
+
+#[test]
+fn a_failed_write_is_reported_only_after_all_n_are_collected() {
+    let dir = TempDir::new("overlap-failed-write");
+    // Two disks refuse writes; the recorder sits above the fault, so it
+    // sees the store's begins and waits, failed or not.
+    let plan =
+        Arc::new(FaultPlan::parse("disk=2 op=write error; disk=5 op=write error", 1).unwrap());
+    let (store, log) = store_over(&dir, &|i, local, log| {
+        recording(
+            FaultyBackend::new(Arc::new(local), Arc::clone(&plan), i),
+            log,
+        )
+    });
+    let err = store.put("obj", &two_stripes()[..]).unwrap_err();
+    // The first stripe: every write begun, every write waited for — also
+    // the six behind the first failure — and no second stripe.
+    assert_eq!(take_writes(&log), write_batches(1));
+    assert!(
+        err.to_string().contains("disk-2"),
+        "the first error is the one returned: {err}"
+    );
+    assert_eq!(plan.fired(), 2);
+    // put's cleanup ran after the last wait: nothing of the object is left.
+    for disk in 0..N {
+        assert!(
+            !dir.path()
+                .join(format!("disk-{disk:02}"))
+                .join("obj")
+                .exists(),
+            "disk {disk} still holds chunks of the failed put"
+        );
+    }
+    assert!(store.objects().is_empty());
 }
