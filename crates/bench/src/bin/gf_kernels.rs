@@ -10,7 +10,12 @@
 //!   (each parity reads all ten data shards: the pre-blocking code path);
 //! * `encode-multi` — the same encode through the cache-blocked
 //!   multi-output [`slice_ops::matrix_mul_into`], which reads each data
-//!   shard once for all four parities.
+//!   shard once for all four parities;
+//!
+//! and, for each CRC-32 kernel the CPU supports (`portable` slicing-by-8,
+//! and the x86-64 `clmul` fold where available):
+//!
+//! * `crc32` — the chunk checksum over one shard-sized buffer.
 //!
 //! Results are printed as a markdown table and written to
 //! `BENCH_gf_kernels.json` (MB/s per backend × shard size) so the numbers
@@ -23,12 +28,13 @@
 
 use std::env;
 use std::fs;
+use std::hint::black_box;
 use std::time::Instant;
 
 use pbrs_bench::{f1, section};
 use pbrs_erasure::ReedSolomon;
 use pbrs_gf::backend::{self, Backend};
-use pbrs_gf::slice_ops;
+use pbrs_gf::{crc32, slice_ops};
 use pbrs_trace::report::to_markdown_table;
 
 /// Shard sizes to sweep: small enough to sit in L2, and the 1 MiB shard
@@ -40,7 +46,8 @@ const R: usize = 4;
 
 struct Sample {
     kernel: &'static str,
-    backend: Backend,
+    /// A GF backend name, or the CRC-32 kernel's (`portable` / `clmul`).
+    backend: &'static str,
     shard_bytes: usize,
     mb_per_s: f64,
 }
@@ -104,11 +111,35 @@ fn measure_backend(backend: Backend, shard_bytes: usize, budget_secs: f64) -> Ve
     .into_iter()
     .map(|(kernel, mb_per_s)| Sample {
         kernel,
-        backend,
+        backend: backend.name(),
         shard_bytes,
         mb_per_s,
     })
     .collect()
+}
+
+/// CRC-32 over one shard, once per kernel: the portable one (forced via
+/// the `swar` backend) and whatever the best backend selects.
+fn measure_crc32(shard_bytes: usize, budget_secs: f64) -> Vec<Sample> {
+    let data = filled(shard_bytes, 5);
+    let mut samples: Vec<Sample> = Vec::new();
+    for backend in [Backend::Swar, backend::detect_best()] {
+        assert!(backend::force(backend), "backend was reported supported");
+        let kernel = crc32::kernel_name();
+        if samples.iter().any(|s| s.backend == kernel) {
+            continue;
+        }
+        let mb_per_s = throughput(shard_bytes, budget_secs, || {
+            black_box(crc32::crc32(black_box(&data)));
+        });
+        samples.push(Sample {
+            kernel: "crc32",
+            backend: kernel,
+            shard_bytes,
+            mb_per_s,
+        });
+    }
+    samples
 }
 
 fn shard_label(bytes: usize) -> String {
@@ -119,7 +150,7 @@ fn shard_label(bytes: usize) -> String {
     }
 }
 
-fn write_json(path: &str, samples: &[Sample], speedup: f64) {
+fn write_json(path: &str, samples: &[Sample], speedup: f64, crc_speedup: f64) {
     let mut rows = String::new();
     for (i, s) in samples.iter().enumerate() {
         if i > 0 {
@@ -134,9 +165,11 @@ fn write_json(path: &str, samples: &[Sample], speedup: f64) {
     let json = format!(
         "{{\n  \"bench\": \"gf_kernels\",\n  \"code\": \"rs-{K}-{R}\",\n  \
          \"best_backend\": \"{}\",\n  \
-         \"encode_speedup_swar_vs_scalar_1mib\": {:.2},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"encode_speedup_swar_vs_scalar_1mib\": {:.2},\n  \
+         \"crc32_speedup_clmul_vs_portable_64kib\": {:.2},\n  \"results\": [\n{}\n  ]\n}}\n",
         backend::detect_best(),
         speedup,
+        crc_speedup,
         rows
     );
     fs::write(path, json).expect("write benchmark JSON");
@@ -166,6 +199,8 @@ fn main() {
             );
             samples.extend(measure_backend(backend, shard_bytes, budget_secs));
         }
+        eprintln!("[pbrs-bench] crc32: @ {}", shard_label(shard_bytes));
+        samples.extend(measure_crc32(shard_bytes, budget_secs));
     }
     // Leave the process on the auto-detected backend.
     backend::force(backend::detect_best());
@@ -184,21 +219,23 @@ fn main() {
         .collect();
     print!("{}", to_markdown_table(&header, &rows));
 
-    let encode_at = |backend: Backend, shard: usize| {
+    let rate = |kernel: &str, backend: &str, shard: usize| {
         samples
             .iter()
-            .find(|s| s.kernel == "encode-multi" && s.backend == backend && s.shard_bytes == shard)
+            .find(|s| s.kernel == kernel && s.backend == backend && s.shard_bytes == shard)
             .map(|s| s.mb_per_s)
             .unwrap_or(f64::NAN)
     };
     let one_mib = 1024 * 1024;
-    let speedup = encode_at(Backend::Swar, one_mib) / encode_at(Backend::Scalar, one_mib);
+    let speedup = rate("encode-multi", "swar", one_mib) / rate("encode-multi", "scalar", one_mib);
+    let crc_speedup = rate("crc32", "clmul", 64 * 1024) / rate("crc32", "portable", 64 * 1024);
     println!(
         "\nrs-{K}-{R} encode on 1 MiB shards: SWAR is {speedup:.2}x the scalar oracle; \
-         best backend is {}.",
+         best backend is {}.\nCRC-32 on 64 KiB: the clmul fold is {crc_speedup:.2}x \
+         slicing-by-8 (NaN: no clmul on this CPU).",
         backend::detect_best()
     );
 
-    write_json("BENCH_gf_kernels.json", &samples, speedup);
+    write_json("BENCH_gf_kernels.json", &samples, speedup, crc_speedup);
     println!("Wrote BENCH_gf_kernels.json ({} samples).", samples.len());
 }

@@ -180,7 +180,9 @@ fn choose() -> Backend {
     }
 }
 
-/// The backend every dispatching kernel in [`crate::slice_ops`] uses.
+/// The backend every dispatching kernel in [`crate::slice_ops`] uses; it
+/// also decides whether [`crate::crc32`] may use its carry-less-multiply
+/// fold (only under a SIMD backend).
 ///
 /// Resolved once per process from `PBRS_GF_BACKEND` (falling back to
 /// [`detect_best`]) and cached; [`force`] replaces the cached choice.

@@ -19,6 +19,9 @@
 //!   Gauss–Jordan inversion, rank, Vandermonde and Cauchy constructors.
 //! * [`poly`] — polynomials over GF(2^8) (evaluation, Lagrange
 //!   interpolation) used to cross-check the Reed–Solomon construction.
+//! * [`crc32`] — the CRC-32 every chunk file is checksummed with:
+//!   polynomial arithmetic over GF(2), by slicing-by-8 tables or an x86-64
+//!   carry-less-multiply fold.
 //!
 //! # Kernel backends
 //!
@@ -39,6 +42,11 @@
 //! oracle the others are property-tested against. See [`backend`] for the
 //! full policy and [`backend::force`] for programmatic switching in
 //! benchmarks.
+//!
+//! [`crc32`] follows the same choice rather than adding a knob of its own:
+//! under `scalar` or `swar` it runs portable slicing-by-8; under `ssse3` or
+//! `avx2` it folds with `pclmulqdq` when the CPU also reports PCLMULQDQ and
+//! SSE4.1. Both give the same checksum.
 //!
 //! # Example
 //!
@@ -61,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod crc32;
 pub mod gf256;
 pub mod matrix;
 pub mod poly;

@@ -38,7 +38,8 @@ use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::crc32::{crc32, Crc32};
+use pbrs_gf::crc32::{crc32, Crc32};
+
 use crate::error::{Result, StoreError};
 
 /// Magic bytes opening every chunk file.
@@ -511,6 +512,68 @@ mod tests {
         let rewritten = dir.path().join("w.chunk");
         write_chunk(&rewritten, GOLDEN_ID, payload).unwrap();
         assert_eq!(fs::read(&rewritten).unwrap(), GOLDEN_CHUNK);
+    }
+
+    /// A 65,536-byte payload, byte i = `(i·2654435761 mod 2³²) >> 13`: its
+    /// 32 KiB halves are long enough for the carry-less-multiply fold,
+    /// which the 27-byte fixture above never reaches.
+    fn golden_fold_payload() -> Vec<u8> {
+        (0..65_536u64)
+            .map(|i| (((i * 2_654_435_761) % (1 << 32)) >> 13) as u8)
+            .collect()
+    }
+
+    /// The header of [`golden_fold_payload`] as stripe `GOLDEN_ID`: half
+    /// CRCs `0x2CD836FF` / `0xDB86C86A`, every checksum from Python's
+    /// `zlib.crc32`, an oracle independent of this crate.
+    #[rustfmt::skip]
+    const GOLDEN_FOLD_HEADER: [u8; HEADER_LEN] = [
+        0x50, 0x42, 0x52, 0x53, 0x43, 0x48, 0x4B, 0x32, 0x08, 0x07, 0x06, 0x05,
+        0x04, 0x03, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0xFF, 0x36, 0xD8, 0x2C, 0x6A, 0xC8, 0x86, 0xDB, 0xB7, 0x97, 0x4A, 0x94,
+    ];
+
+    #[test]
+    fn a_chunk_long_enough_for_the_crc_fold_matches_zlib() {
+        const LEN: usize = 65_536;
+        const HALF: usize = LEN / 2;
+        let payload = golden_fold_payload();
+        assert_eq!(crc32(&payload), 0x186E_16A2);
+        let dir = TempDir::new("chunk-golden-fold");
+        let path = dir.path().join("f.chunk");
+        write_chunk(&path, GOLDEN_ID, &payload).unwrap();
+        let written = fs::read(&path).unwrap();
+        assert_eq!(written[..HEADER_LEN], GOLDEN_FOLD_HEADER);
+        assert_eq!(written[HEADER_LEN..], payload[..]);
+
+        let read_half = |offset: usize| {
+            let mut half = vec![0u8; HALF];
+            read_chunk_range(&path, GOLDEN_ID, LEN, offset, &mut half)
+                .unwrap()
+                .map(|()| half)
+        };
+        assert_eq!(read_chunk(&path, GOLDEN_ID, LEN).unwrap().unwrap(), payload);
+        assert_eq!(read_half(0).unwrap(), payload[..HALF]);
+        assert_eq!(read_half(HALF).unwrap(), payload[HALF..]);
+        assert_eq!(
+            verify_chunk(&path, GOLDEN_ID, LEN).unwrap(),
+            (ChunkStatus::Healthy, LEN as u64)
+        );
+
+        // One flipped payload byte per half: every reader covering that
+        // half reports it, and the other half still reads.
+        for (at, damaged, clean) in [(HALF - 1, 0, HALF), (HALF + 12_345, HALF, 0)] {
+            let mut bytes = written.clone();
+            bytes[HEADER_LEN + at] ^= 0x10;
+            fs::write(&path, &bytes).unwrap();
+            let corrupt = |status: ChunkStatus| matches!(status, ChunkStatus::Corrupt { .. });
+            assert!(corrupt(
+                read_chunk(&path, GOLDEN_ID, LEN).unwrap().unwrap_err()
+            ));
+            assert!(corrupt(read_half(damaged).unwrap_err()), "byte {at}");
+            assert!(corrupt(verify_chunk(&path, GOLDEN_ID, LEN).unwrap().0));
+            assert_eq!(read_half(clean).unwrap(), payload[clean..clean + HALF]);
+        }
     }
 
     #[test]

@@ -130,7 +130,6 @@
 
 pub mod backend;
 pub mod chunk;
-pub mod crc32;
 pub mod daemon;
 pub mod error;
 pub mod fault;

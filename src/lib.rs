@@ -82,7 +82,9 @@
 //! the cache-blocked multi-output [`gf::slice_ops::matrix_mul_into`],
 //! which reads each data shard once for *all* parity outputs. All
 //! backends are bit-identical (property-tested against the scalar
-//! oracle); only throughput differs.
+//! oracle); only throughput differs. The chunk checksum, [`gf::crc32`],
+//! follows the same choice: slicing-by-8 under `scalar`/`swar`, a
+//! `pclmulqdq` fold under `ssse3`/`avx2` where the CPU has it.
 //!
 //! Set the `PBRS_GF_BACKEND` environment variable to `scalar`, `swar`,
 //! `ssse3`, `avx2` or `auto` to pin the choice — overrides naming a
@@ -100,8 +102,9 @@
 //! ```
 //!
 //! `cargo run --release -p pbrs-bench --bin gf_kernels` measures every
-//! supported backend (and multi-output vs row-at-a-time encode) and
-//! writes the machine-readable `BENCH_gf_kernels.json`.
+//! supported backend (and multi-output vs row-at-a-time encode), plus
+//! both CRC-32 kernels, and writes the machine-readable
+//! `BENCH_gf_kernels.json`.
 //!
 //! # Storing real bytes
 //!
