@@ -4,25 +4,43 @@
 //! A [`RemoteDisk`] holds (at most) one lazily-established connection to a
 //! chunk server and multiplexes every caller over it: each request is
 //! tagged with a fresh id ([`crate::protocol`] frames carry the id on the
-//! wire), a background demultiplexer thread reads response frames off the
-//! socket and routes each to the caller waiting on that id. Any number of
-//! store threads — gateway workers, the repair daemon's pool — can
-//! therefore have requests in flight on the *same* socket concurrently,
-//! instead of the old one-request-at-a-time round trip. Every operation in
-//! the protocol is idempotent, so when the transport fails mid-request the
-//! client drops the connection and transparently retries once over a fresh
-//! one — enough to ride out a server restart or an idle-connection reset
-//! without surfacing an error to the store.
+//! wire), so any number of store threads — gateway workers, the repair
+//! daemon's pool — can have requests in flight on the *same* socket
+//! concurrently. Every operation in the protocol is idempotent, so when
+//! the transport fails mid-request the client drops the connection and
+//! transparently retries once over a fresh one — enough to ride out a
+//! server restart or an idle-connection reset without surfacing an error
+//! to the store.
+//!
+//! # The waiter reads
+//!
+//! No thread of the client's own reads the socket: the callers waiting
+//! for responses take turns at it. A waiter whose response has not
+//! arrived, finding nobody reading, takes the turn and reads one frame.
+//! If the frame is its own it reads the body itself, and a read's payload
+//! goes from the kernel straight into the caller's stripe buffer —
+//! nothing allocated, nothing copied. A frame for another waiter is
+//! parked under that waiter's id (or dropped, if nobody waits for it any
+//! more), and the turn passes on. A waiter that finds the turn taken
+//! sleeps until its response is parked, the turn is free, or its deadline
+//! passes.
+//!
+//! A connection nobody waits on is therefore read by nobody: a server
+//! that closes an idle connection is found out by the next waiter, which
+//! meets end-of-file where its response should be and spends the
+//! request's one retry on a fresh dial.
 //!
 //! # Split reads and writes
 //!
 //! Every request is a *call* in two halves: sending (register the pending
-//! slot, write the frame) and finishing (wait for the response, retry
-//! once). The blocking operations run the halves back to back;
-//! [`ChunkBackend::begin_read`] and [`ChunkBackend::begin_write`] return
-//! between them, so one store thread can have a chunk outstanding on each of
-//! a stripe's disks and pay for the slowest round trip rather than their
-//! sum. The blocking forms are literally `begin_read(..).wait()` and
+//! slot, write the frame) and finishing (wait for the response — reading
+//! the socket in turn — and retry once). The blocking operations run the
+//! halves back to back; [`ChunkBackend::begin_read`] and
+//! [`ChunkBackend::begin_write`] return between them, so one store thread
+//! can have a chunk outstanding on each of a stripe's disks and pay for
+//! the slowest round trip rather than their sum. A begun read carries its
+//! output buffer, which is where its payload lands when it is waited for.
+//! The blocking forms are literally `begin_read(..).wait()` and
 //! `begin_write(..).wait()` — there is one read path and one write path.
 //!
 //! # Reconnect backoff
@@ -61,11 +79,11 @@
 //! all.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, IoSliceMut, Read};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pbrs_obs::trace::{self, SpanRecord, TraceCtx};
@@ -75,8 +93,8 @@ use pbrs_store::{
 };
 
 use crate::protocol::{
-    decode_ping, decode_spans, decode_sweep, decode_verify, read_frame, write_frame, Request,
-    Response,
+    decode_ping, decode_spans, decode_sweep, decode_verify, parse_header, write_frame, Request,
+    Response, FRAME_OVERHEAD, STATUS_OK,
 };
 
 /// Default connect / per-request I/O timeout.
@@ -88,53 +106,161 @@ pub const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Upper bound on the reconnect-backoff window.
 pub const BACKOFF_CAP: Duration = Duration::from_secs(5);
 
-/// One live multiplexed connection: a writer half shared by callers and a
-/// pending-request table the demultiplexer thread completes from the
-/// reader half. Dropped (and replaced) wholesale on any transport error.
+/// One live multiplexed connection: a writer half shared by callers, and
+/// the reader half its waiters take turns at. Dropped (and replaced)
+/// wholesale on any transport error.
 struct Mux {
     /// The caller-side write half (a `try_clone` of the socket). One frame
     /// is written per lock hold, so concurrent requests interleave at
     /// frame granularity, never mid-frame.
     writer: Mutex<TcpStream>,
-    /// The socket itself, kept for [`Mux::kill`].
-    stream: TcpStream,
-    /// In-flight requests: id → the channel its caller waits on. The
-    /// demultiplexer thread removes entries as responses arrive; a `None`
-    /// table means the connection died and no new request may register.
-    pending: Mutex<Option<HashMap<u64, mpsc::Sender<io::Result<Response>>>>>,
-    /// Set once the demultiplexer saw the connection die.
-    dead: AtomicBool,
+    /// The reader half: only the waiter holding the reading turn reads it.
+    reader: TcpStream,
+    inbox: Mutex<Inbox>,
+    /// Signalled when a reading turn ends — a frame may have been parked,
+    /// and the turn is free — and when the connection dies.
+    turn_over: Condvar,
+}
+
+/// What the waiters of one connection share.
+#[derive(Default)]
+struct Inbox {
+    /// Requests in flight: id → the response body, once another waiter
+    /// has read it off the socket for them.
+    pending: HashMap<u64, Option<Vec<u8>>>,
+    /// Some waiter holds the reading turn.
+    reading: bool,
+    /// Why the connection died. Once set, no request may register and
+    /// every waiter without a parked response fails with it.
+    error: Option<(io::ErrorKind, String)>,
 }
 
 impl Mux {
-    /// Marks the connection dead and fails every pending caller with a
-    /// clone-ish of `error` (the demultiplexer calls this exactly once).
-    fn fail_all(&self, error: &io::Error) {
-        self.dead.store(true, Ordering::SeqCst);
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
         // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let mut pending = self.pending.lock().expect("lock");
-        if let Some(table) = pending.take() {
-            for (_, tx) in table {
-                let _ = tx.send(Err(io::Error::new(error.kind(), error.to_string())));
-            }
-        }
+        self.inbox.lock().expect("lock")
     }
 
-    /// Forces the demultiplexer thread off its blocking read so it can
-    /// exit (used when the disk is dropped or the connection replaced).
-    fn kill(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        let _ = self.stream.shutdown(Shutdown::Both);
+    fn is_dead(&self) -> bool {
+        self.inbox().error.is_some()
+    }
+
+    /// The connection is in an unknown state: fail every waiter on it with
+    /// `error` (the first cause is kept), and shut the socket so a turn
+    /// holder blocked on it returns and the next attempt dials fresh.
+    fn abandon(&self, error: &io::Error) {
+        self.inbox()
+            .error
+            .get_or_insert_with(|| (error.kind(), error.to_string()));
+        self.turn_over.notify_all();
+        let _ = self.reader.shutdown(Shutdown::Both);
+    }
+}
+
+/// The reading turn of one connection. Dropping it — however its holder
+/// leaves: answered, failed or unwinding — frees the turn and wakes the
+/// other waiters, so none is stranded behind a holder that is gone.
+struct Turn<'a>(&'a Mux);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.0.inbox().reading = false;
+        self.0.turn_over.notify_all();
+    }
+}
+
+/// The reader half as the turn holder reads it: every read waits at most
+/// until the holder's deadline.
+struct Timed<'a> {
+    socket: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Timed<'_> {
+    /// Points the socket's receive timeout at the deadline.
+    fn arm(&self) -> io::Result<()> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        // A spent deadline is a timeout (and `set_read_timeout` refuses a
+        // zero duration anyway).
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.socket.set_read_timeout(Some(left))
+    }
+
+    /// `read_exact` into several buffers, one `readv` per pass.
+    fn read_exact_parts(&mut self, mut parts: &mut [IoSliceMut<'_>]) -> io::Result<()> {
+        let mut left: usize = parts.iter().map(|part| part.len()).sum();
+        while left > 0 {
+            match self.read_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    IoSliceMut::advance_slices(&mut parts, n);
+                    left -= n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Read for Timed<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.arm()?;
+        let mut socket = self.socket;
+        socket.read(buf)
+    }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        self.arm()?;
+        let mut socket = self.socket;
+        socket.read_vectored(bufs)
+    }
+}
+
+/// How a call was answered.
+enum Reply {
+    /// `Ok` with exactly the caller's buffer's worth of payload, which is
+    /// now in the buffer.
+    Landed,
+    /// Any other response.
+    Response(Response),
+}
+
+impl Reply {
+    /// The reply to a call made with an empty buffer, as a response: what
+    /// landed there is an empty `Ok` payload.
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Landed => Response::Ok {
+                payload: Vec::new(),
+            },
+            Reply::Response(response) => response,
+        }
+    }
+}
+
+/// A response body read whole — parked by another waiter, or of a shape
+/// that cannot land — answering a call whose buffer is `out`.
+fn settle(body: &[u8], out: &mut [u8]) -> io::Result<Reply> {
+    match body.split_first() {
+        Some((&STATUS_OK, payload)) if payload.len() == out.len() => {
+            out.copy_from_slice(payload);
+            Ok(Reply::Landed)
+        }
+        _ => Response::decode(body).map(Reply::Response),
     }
 }
 
 /// One request frame on the wire, waiting for its response. Dropping it
-/// gives the pending slot back, so a caller that stops caring (timeout,
+/// gives the pending slot back — a response that arrives afterwards is
+/// dropped by whoever reads it — so a caller that stops caring (timeout,
 /// unwinding) cannot leak table entries.
 struct InFlight {
     mux: Arc<Mux>,
     id: u64,
-    rx: mpsc::Receiver<io::Result<Response>>,
     /// When the caller stops waiting, fixed when the frame was sent — so
     /// several requests begun together time out together, not in series.
     deadline: Instant,
@@ -142,21 +268,9 @@ struct InFlight {
     wait: Duration,
 }
 
-impl InFlight {
-    /// The connection is in an unknown state: fail every other caller
-    /// parked on it and make the next attempt dial fresh.
-    fn abandon_connection(&self, error: &io::Error) {
-        self.mux.fail_all(error);
-        self.mux.kill();
-    }
-}
-
 impl Drop for InFlight {
     fn drop(&mut self) {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        if let Some(table) = self.mux.pending.lock().expect("lock").as_mut() {
-            table.remove(&self.id);
-        }
+        self.mux.inbox().pending.remove(&self.id);
     }
 }
 
@@ -186,8 +300,9 @@ struct Call<'a> {
 
 impl Call<'_> {
     /// Collects the response, reconnecting and retrying once if the first
-    /// attempt died in transport.
-    fn finish(self) -> io::Result<Response> {
+    /// attempt died in transport. A read's payload lands in `out`; every
+    /// other call passes an empty one.
+    fn finish(self, out: &mut [u8]) -> io::Result<Reply> {
         let Call {
             disk,
             request,
@@ -198,15 +313,15 @@ impl Call<'_> {
         // The first attempt's error is superseded by the retry's outcome.
         match first {
             Attempt::Sent(sent) => {
-                if let Ok(response) = disk.receive(sent) {
-                    return Ok(response);
+                if let Ok(reply) = disk.receive(&sent, out) {
+                    return Ok(reply);
                 }
             }
             Attempt::Failed(_) => {}
             Attempt::GaveUp(e) => return Err(e),
         }
         match disk.send(&request, ctx, start) {
-            Attempt::Sent(sent) => disk.receive(sent),
+            Attempt::Sent(sent) => disk.receive(&sent, out),
             Attempt::Failed(e) | Attempt::GaveUp(e) => Err(e),
         }
     }
@@ -224,25 +339,23 @@ impl PendingRead for RemoteRead<'_> {
     fn wait(self: Box<Self>) -> ChunkRead<()> {
         let RemoteRead { call, object, out } = *self;
         let disk = call.disk;
-        let response = match call.finish() {
-            Ok(response) => response,
+        let response = match call.finish(out) {
+            Ok(Reply::Landed) => return Ok(Ok(())),
+            Ok(Reply::Response(response)) => response,
             Err(_) => return Ok(Err(ChunkStatus::Missing)), // disk unreachable = lost
         };
         if let Some(status) = response.as_chunk_status() {
             return Ok(Err(status));
         }
+        // An `Ok` that did not land is the wrong size.
         let payload = disk.expect_ok(&object, response)?;
-        if payload.len() != out.len() {
-            return Ok(Err(ChunkStatus::Corrupt {
-                reason: format!(
-                    "server returned {} bytes for a {}-byte read",
-                    payload.len(),
-                    out.len()
-                ),
-            }));
-        }
-        out.copy_from_slice(&payload);
-        Ok(Ok(()))
+        Ok(Err(ChunkStatus::Corrupt {
+            reason: format!(
+                "server returned {} bytes for a {}-byte read",
+                payload.len(),
+                out.len()
+            ),
+        }))
     }
 }
 
@@ -257,8 +370,10 @@ impl PendingWrite for RemoteWrite<'_> {
     fn wait(self: Box<Self>) -> Result<(), StoreError> {
         let RemoteWrite { call, object } = *self;
         let disk = call.disk;
-        let response = call.finish().map_err(|e| disk.io_error(&object, e))?;
-        disk.expect_ok(&object, response).map(drop)
+        let reply = call
+            .finish(&mut [])
+            .map_err(|e| disk.io_error(&object, e))?;
+        disk.expect_ok(&object, reply.into_response()).map(drop)
     }
 }
 
@@ -287,8 +402,8 @@ pub struct RemoteDisk {
     connect_attempts: AtomicU64,
     connect_successes: AtomicU64,
     backoff_rejections: AtomicU64,
-    bytes_sent: Arc<AtomicU64>,
-    bytes_received: Arc<AtomicU64>,
+    bytes_sent: AtomicU64,
+    bytes_received: AtomicU64,
 }
 
 /// Counters of the reconnect path, for dashboards and flap diagnosis:
@@ -381,8 +496,8 @@ impl RemoteDisk {
             connect_attempts: AtomicU64::new(0),
             connect_successes: AtomicU64::new(0),
             backoff_rejections: AtomicU64::new(0),
-            bytes_sent: Arc::new(AtomicU64::new(0)),
-            bytes_received: Arc::new(AtomicU64::new(0)),
+            bytes_sent: AtomicU64::new(0),
+            bytes_received: AtomicU64::new(0),
         }
     }
 
@@ -513,35 +628,23 @@ impl RemoteDisk {
         Err(last)
     }
 
-    /// Returns the live multiplexed connection, establishing one (and
-    /// spawning its demultiplexer thread) if needed.
+    /// Returns the live multiplexed connection, establishing one if there
+    /// is none or the last one died.
     fn mux(&self) -> io::Result<Arc<Mux>> {
         // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
         let mut conn = self.conn.lock().expect("lock");
         if let Some(mux) = conn.as_ref() {
-            // SeqCst: once-per-connection death flag set by the demux
-            // thread; strongest order, cost is a dial-path non-issue.
-            if !mux.dead.load(Ordering::SeqCst) {
+            if !mux.is_dead() {
                 return Ok(Arc::clone(mux));
             }
-            mux.kill();
-            *conn = None;
         }
-        let stream = self.connect()?;
-        let writer = stream.try_clone()?;
-        let reader = stream.try_clone()?;
+        let reader = self.connect()?;
         let mux = Arc::new(Mux {
-            writer: Mutex::new(writer),
-            stream,
-            pending: Mutex::new(Some(HashMap::new())),
-            dead: AtomicBool::new(false),
+            writer: Mutex::new(reader.try_clone()?),
+            reader,
+            inbox: Mutex::default(),
+            turn_over: Condvar::new(),
         });
-        let thread_mux = Arc::clone(&mux);
-        let bytes_received = Arc::clone(&self.bytes_received);
-        std::thread::Builder::new()
-            .name(format!("chunkd-demux-{}", self.addr))
-            .spawn(move || demux_loop(reader, &thread_mux, &bytes_received))
-            .map_err(|e| io::Error::other(format!("spawn demux thread: {e}")))?;
         *conn = Some(Arc::clone(&mux));
         Ok(mux)
     }
@@ -551,7 +654,7 @@ impl RemoteDisk {
     /// op is idempotent, so a blind retry is safe). Many callers may be in
     /// this function concurrently; their requests share one socket.
     fn request(&self, request: Request) -> io::Result<Response> {
-        self.call(request).finish()
+        self.call(request).finish(&mut []).map(Reply::into_response)
     }
 
     /// The first half of [`RemoteDisk::request`]: puts the request on the
@@ -629,15 +732,14 @@ impl RemoteDisk {
         };
         // Relaxed: uniqueness comes from the RMW itself, not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let registered = mux
-            .pending
-            .lock()
-            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            .expect("lock")
-            .as_mut()
-            .map(|table| table.insert(id, tx))
-            .is_some();
+        let registered = {
+            let mut inbox = mux.inbox();
+            let alive = inbox.error.is_none();
+            if alive {
+                inbox.pending.insert(id, None);
+            }
+            alive
+        };
         let sent = if registered {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut writer = mux.writer.lock().expect("lock");
@@ -653,7 +755,6 @@ impl RemoteDisk {
         let slot = InFlight {
             mux,
             id,
-            rx,
             deadline: Instant::now() + wait,
             wait,
         };
@@ -664,7 +765,7 @@ impl RemoteDisk {
                 Attempt::Sent(slot)
             }
             Err(e) => {
-                slot.abandon_connection(&e);
+                slot.mux.abandon(&e);
                 Attempt::Failed(e)
             }
         }
@@ -672,22 +773,113 @@ impl RemoteDisk {
 
     /// Waits (until the attempt's deadline: the request timeout, clamped
     /// to any remaining op budget, counted from when the frame was sent)
-    /// for the response frame carrying the attempt's id.
-    fn receive(&self, sent: InFlight) -> io::Result<Response> {
-        let remaining = sent.deadline.saturating_duration_since(Instant::now());
-        let result = match sent.rx.recv_timeout(remaining) {
-            Ok(result) => result,
-            // Timed out (a late response is dropped by the demultiplexer
-            // once the slot is gone — ids make that safe).
-            Err(_) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("no response from {} within {:?}", self.addr, sent.wait),
-            )),
-        };
+    /// for the response frame carrying the attempt's id, reading the
+    /// socket whenever the turn is free. Any failure — a timeout, a
+    /// transport error, an undecodable frame — abandons the connection,
+    /// failing every other waiter on it too.
+    fn receive(&self, sent: &InFlight, out: &mut [u8]) -> io::Result<Reply> {
+        let result = self.wait_for(sent, out);
         if let Err(e) = &result {
-            sent.abandon_connection(e);
+            sent.mux.abandon(e);
         }
         result
+    }
+
+    fn timed_out(&self, sent: &InFlight) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("no response from {} within {:?}", self.addr, sent.wait),
+        )
+    }
+
+    fn wait_for(&self, sent: &InFlight, out: &mut [u8]) -> io::Result<Reply> {
+        let mux = &*sent.mux;
+        let mut inbox = mux.inbox();
+        loop {
+            // A parked response wins over everything, even a death that
+            // came after it.
+            if let Some(body) = inbox.pending.get_mut(&sent.id).and_then(Option::take) {
+                return settle(&body, out);
+            }
+            if let Some((kind, message)) = &inbox.error {
+                return Err(io::Error::new(*kind, message.clone()));
+            }
+            let left = sent.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(self.timed_out(sent));
+            }
+            if inbox.reading {
+                inbox = mux
+                    .turn_over
+                    .wait_timeout(inbox, left)
+                    // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+                    .expect("lock")
+                    .0;
+                continue;
+            }
+            inbox.reading = true;
+            drop(inbox);
+            let turn = Turn(mux);
+            match self.read_turn(sent, out) {
+                Ok(Some(reply)) => return Ok(reply),
+                Ok(None) => drop(turn),
+                Err(e) => {
+                    // SO_RCVTIMEO expiring reads as `WouldBlock` on Unix.
+                    let e = match e.kind() {
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => self.timed_out(sent),
+                        _ => e,
+                    };
+                    // Before the turn is let go: the stream may be cut
+                    // mid-frame, and no other waiter may read it again.
+                    mux.abandon(&e);
+                    return Err(e);
+                }
+            }
+            inbox = mux.inbox();
+        }
+    }
+
+    /// One reading turn: reads a frame off the socket. The waiter's own
+    /// frame answers it — a read's payload straight into `out` when the
+    /// frame is an `Ok` of exactly that size. Another waiter's frame is
+    /// parked under its id, or dropped if nobody waits for it any more,
+    /// and the turn yields `None`.
+    fn read_turn(&self, sent: &InFlight, out: &mut [u8]) -> io::Result<Option<Reply>> {
+        let mut socket = Timed {
+            socket: &sent.mux.reader,
+            deadline: sent.deadline,
+        };
+        let mut header = [0u8; FRAME_OVERHEAD as usize];
+        socket.read_exact(&mut header)?;
+        let (id, len) = parse_header(&header)?;
+        let mut status = [0u8];
+        // `None`: the body went to `status` and `out`.
+        let body = if id == sent.id && len == 1 + out.len() {
+            socket.read_exact_parts(&mut [IoSliceMut::new(&mut status), IoSliceMut::new(out)])?;
+            None
+        } else {
+            let mut body = vec![0u8; len];
+            socket.read_exact(&mut body)?;
+            Some(body)
+        };
+        // Relaxed: traffic tally, sampled only by counters().
+        self.bytes_received
+            .fetch_add(FRAME_OVERHEAD + len as u64, Ordering::Relaxed);
+        match body {
+            None if status[0] == STATUS_OK => Ok(Some(Reply::Landed)),
+            // The right size, another shape: a status whose text filled `out`.
+            None => {
+                let body: Vec<u8> = status.iter().chain(out.iter()).copied().collect();
+                Response::decode(&body).map(|response| Some(Reply::Response(response)))
+            }
+            Some(body) if id == sent.id => settle(&body, out).map(Some),
+            Some(body) => {
+                if let Some(slot) = sent.mux.inbox().pending.get_mut(&id) {
+                    *slot = Some(body);
+                }
+                Ok(None)
+            }
+        }
     }
 
     /// A path-shaped label for error messages about this remote.
@@ -710,45 +902,6 @@ impl RemoteDisk {
             )),
             Response::Corrupt { reason } | Response::Err { message: reason } => {
                 Err(self.io_error(object, io::Error::other(reason)))
-            }
-        }
-    }
-}
-
-impl Drop for RemoteDisk {
-    fn drop(&mut self) {
-        // Shut the socket so the demultiplexer thread unblocks and exits.
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        if let Some(mux) = self.conn.lock().expect("lock").take() {
-            mux.kill();
-        }
-    }
-}
-
-/// The demultiplexer: reads response frames off the socket until it dies,
-/// routing each to the caller registered under its id. Responses for ids
-/// nobody waits on any more (timed-out callers) are dropped — the id
-/// tagging is exactly what makes that safe.
-fn demux_loop(mut reader: TcpStream, mux: &Mux, bytes_received: &AtomicU64) {
-    loop {
-        match read_frame(&mut reader) {
-            Ok((id, body, received)) => {
-                // Relaxed: traffic tally, sampled only by counters().
-                bytes_received.fetch_add(received, Ordering::Relaxed);
-                let tx = mux
-                    .pending
-                    .lock()
-                    // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-                    .expect("lock")
-                    .as_mut()
-                    .and_then(|table| table.remove(&id));
-                if let Some(tx) = tx {
-                    let _ = tx.send(Response::decode(&body));
-                }
-            }
-            Err(e) => {
-                mux.fail_all(&e);
-                return;
             }
         }
     }
@@ -1210,11 +1363,7 @@ mod tests {
             while protocol::read_frame(&mut stream).is_ok() {}
         });
         let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
-        let slots = |disk: &RemoteDisk| {
-            let conn = disk.conn.lock().unwrap();
-            let table = conn.as_ref().unwrap().pending.lock().unwrap();
-            table.as_ref().unwrap().len()
-        };
+        let slots = |disk: &RemoteDisk| pending(disk).len();
         let id = ChunkId {
             stripe: 0,
             shard: 0,
@@ -1228,6 +1377,71 @@ mod tests {
         assert_eq!(slots(&disk), 0);
         drop(disk); // closes the socket: the server's read loop ends
         server.join().unwrap();
+    }
+
+    /// The ids registered on the disk's connection.
+    fn pending(disk: &RemoteDisk) -> Vec<u64> {
+        let conn = disk.conn.lock().unwrap();
+        let inbox = conn.as_ref().unwrap().inbox();
+        inbox.pending.keys().copied().collect()
+    }
+
+    #[test]
+    fn waits_out_of_order_on_one_connection_land_every_byte() {
+        const THREADS: usize = 8;
+        const READS: usize = 4;
+        const LEN: usize = 4096;
+        let dir = pbrs_store::testing::TempDir::new("chunkd-client-order");
+        let server = crate::ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+        let local = pbrs_store::LocalDisk::new(server.root());
+        local.ensure_object("obj").unwrap();
+        let chunk = |stripe: usize, shard: usize| -> Vec<u8> {
+            (0..LEN)
+                .map(|i| (i * 31 + stripe * 7 + shard * 13) as u8)
+                .collect()
+        };
+        let id = |stripe: usize, shard: usize| ChunkId {
+            stripe: stripe as u64,
+            shard,
+        };
+        for stripe in 0..THREADS {
+            for shard in 0..READS {
+                local
+                    .write_chunk("obj", id(stripe, shard), &chunk(stripe, shard))
+                    .unwrap();
+            }
+        }
+        let disk =
+            RemoteDisk::with_timeout(server.local_addr().to_string(), Duration::from_secs(10));
+        std::thread::scope(|scope| {
+            for stripe in 0..THREADS {
+                let disk = &disk;
+                scope.spawn(move || {
+                    // Odd shards read their second half as a range.
+                    let offset = |shard: usize| if shard % 2 == 1 { LEN / 2 } else { 0 };
+                    let mut bufs: Vec<Vec<u8>> = (0..READS)
+                        .map(|shard| vec![0u8; LEN - offset(shard)])
+                        .collect();
+                    let pending: Vec<_> = bufs
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(shard, buf)| {
+                            disk.begin_read("obj", id(stripe, shard), LEN, offset(shard), buf)
+                        })
+                        .collect();
+                    // Last begun, first waited: every waiter's frame is
+                    // behind someone else's on the socket.
+                    for read in pending.into_iter().rev() {
+                        read.wait().unwrap().unwrap();
+                    }
+                    for (shard, buf) in bufs.iter().enumerate() {
+                        assert_eq!(buf[..], chunk(stripe, shard)[offset(shard)..]);
+                    }
+                });
+            }
+        });
+        assert_eq!(disk.reconnect_stats().attempts, 1, "one connection");
+        assert_eq!(pending(&disk), Vec::<u64>::new(), "every slot given back");
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!   the helper byte ranges `ErasureCode::repair_reads` names, so a
 //!   Piggybacked-RS helper ships half a chunk, never a whole one.
 //! * [`RemoteDisk`] — the client side, implementing
-//!   [`pbrs_store::ChunkBackend`] with lazy connect, one transparent
-//!   reconnect-and-retry (every op is idempotent), and per-connection
-//!   read/write byte counters.
+//!   [`pbrs_store::ChunkBackend`] over one multiplexed connection with
+//!   lazy connect, one transparent reconnect-and-retry (every op is
+//!   idempotent), and per-connection read/write byte counters. The waiter
+//!   reads: there is no reader thread, the callers waiting on a
+//!   connection take turns reading it, and a read's payload goes from the
+//!   socket straight into the buffer the read was begun with.
 //!
 //! # Example
 //!

@@ -19,11 +19,11 @@
 //! The request id is what turns one connection into a *multiplexed* pipe:
 //! a client may have any number of requests in flight on one socket (each
 //! under a distinct id), the server answers each frame with the same id,
-//! and the client's demultiplexer routes every response to its waiting
-//! caller. Responses arrive in request order today (the server handles a
-//! connection's frames sequentially), but the contract is only "same id
-//! back" — a client must match by id, never by arrival order, so the
-//! server is free to reorder. This is what lets every worker of a repair
+//! and whichever waiting caller reads a response off the socket hands it
+//! to the caller registered under its id. Responses arrive in request
+//! order today (the server handles a connection's frames sequentially),
+//! but the contract is only "same id back" — a client must match by id,
+//! never by arrival order, so the server is free to reorder. This is what lets every worker of a repair
 //! or degraded read share one socket per remote disk with many overlapping
 //! reads instead of one lock-step round trip at a time.
 //!
@@ -57,7 +57,10 @@ const OP_DEADLINE: u8 = 8;
 const OP_TRACE: u8 = 9;
 const OP_FETCH_SPANS: u8 = 10;
 
-const STATUS_OK: u8 = 0;
+/// The status byte of [`Response::Ok`]: the server writes it ahead of a
+/// read payload it sends without encoding, and the client recognises a
+/// payload it can read straight into the caller's buffer by it.
+pub(crate) const STATUS_OK: u8 = 0;
 const STATUS_MISSING: u8 = 1;
 const STATUS_CORRUPT: u8 = 2;
 const STATUS_ERR: u8 = 3;
@@ -203,26 +206,42 @@ impl Response {
 pub const FRAME_OVERHEAD: u64 = 12;
 
 /// Writes one frame (length prefix + request id + body) — the one frame
-/// writer of both chunkd peers. Header and body go out as a single
-/// vectored write (one `writev` on a socket), looping only when the
-/// writer accepts the frame in pieces. Returns the total bytes put on the
-/// wire, for traffic accounting.
+/// writer of both chunkd peers; [`write_frame_parts`] with a one-part
+/// body.
+///
+/// # Errors
+///
+/// As [`write_frame_parts`].
+pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u64> {
+    write_frame_parts(w, req_id, &[body])
+}
+
+/// Writes one frame whose body is the concatenation of `body` — how the
+/// server answers a read with the status byte and the payload straight
+/// from its read buffer, no assembled copy. Header and parts go out as a
+/// single vectored write (one `writev` on a socket), looping only when
+/// the writer accepts the frame in pieces. Returns the total bytes put on
+/// the wire, for traffic accounting.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures (`WriteZero` if the writer stops accepting
 /// bytes mid-frame); rejects bodies above [`MAX_FRAME`].
-pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u64> {
-    if body.len() > MAX_FRAME {
-        return Err(invalid(format!("frame body of {} bytes", body.len())));
+pub fn write_frame_parts(w: &mut impl Write, req_id: u64, body: &[&[u8]]) -> io::Result<u64> {
+    let len: usize = body.iter().map(|part| part.len()).sum();
+    if len > MAX_FRAME {
+        return Err(invalid(format!("frame body of {len} bytes")));
     }
     let mut header = [0u8; FRAME_OVERHEAD as usize];
     // pbrs-lint: allow(wire-protocol) -- lossless: the MAX_FRAME guard above caps the length at 64 MiB
-    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
     header[4..].copy_from_slice(&req_id.to_le_bytes());
-    let mut parts = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut parts: Vec<IoSlice<'_>> = std::iter::once(&header[..])
+        .chain(body.iter().copied())
+        .map(IoSlice::new)
+        .collect();
     let mut parts = &mut parts[..];
-    let mut left = header.len() + body.len();
+    let mut left = header.len() + len;
     while left > 0 {
         match w.write_vectored(parts) {
             Ok(0) => {
@@ -240,7 +259,17 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u
         }
     }
     w.flush()?;
-    Ok(FRAME_OVERHEAD + body.len() as u64)
+    Ok(FRAME_OVERHEAD + len as u64)
+}
+
+/// Splits a frame header into `(request id, body length)`, rejecting
+/// length prefixes above [`MAX_FRAME`] before anything is sized by them.
+pub(crate) fn parse_header(header: &[u8; FRAME_OVERHEAD as usize]) -> io::Result<(u64, usize)> {
+    let len = le_u32(&header[0..4]) as usize;
+    if len > MAX_FRAME {
+        return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
+    }
+    Ok((le_u64(&header[4..12]), len))
 }
 
 /// Reads one frame. Returns the request id, the body, and the total bytes
@@ -251,13 +280,9 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u
 /// Propagates I/O failures (including `UnexpectedEof` mid-frame); rejects
 /// length prefixes above [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>, u64)> {
-    let mut header = [0u8; 12];
+    let mut header = [0u8; FRAME_OVERHEAD as usize];
     r.read_exact(&mut header)?;
-    let len = le_u32(&header[0..4]) as usize;
-    let req_id = le_u64(&header[4..12]);
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
-    }
+    let (req_id, len) = parse_header(&header)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     Ok((req_id, body, FRAME_OVERHEAD + len as u64))
@@ -269,13 +294,13 @@ fn invalid(message: String) -> io::Error {
 
 /// Little-endian u32 from the first 4 bytes of `b`. Callers pass slices
 /// whose length was already checked (fixed-size headers, [`Cursor::bytes`]).
-pub(crate) fn le_u32(b: &[u8]) -> u32 {
+fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Little-endian u64 from the first 8 bytes of `b`; same contract as
 /// [`le_u32`].
-pub(crate) fn le_u64(b: &[u8]) -> u64 {
+fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 

@@ -25,8 +25,8 @@ use pbrs_store::{
 };
 
 use crate::protocol::{
-    encode_ping, encode_spans, encode_sweep, encode_verify, write_frame, Request, Response,
-    FRAME_OVERHEAD,
+    encode_ping, encode_spans, encode_sweep, encode_verify, parse_header, write_frame,
+    write_frame_parts, Request, Response, FRAME_OVERHEAD, STATUS_OK,
 };
 
 /// How long a serving thread waits for the next request before checking
@@ -383,6 +383,22 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
+/// What a request is answered with.
+enum Answer {
+    /// A response to encode.
+    Response(Response),
+    /// A successful read: the first `len` bytes of the connection's read
+    /// buffer are the payload, sent after `STATUS_OK` without an encoded
+    /// copy.
+    Payload(usize),
+}
+
+impl From<Response> for Answer {
+    fn from(response: Response) -> Self {
+        Answer::Response(response)
+    }
+}
+
 /// Serves one connection until the client disconnects, goes idle past the
 /// configured timeout, an I/O error occurs, or shutdown begins. The
 /// request id of each frame is echoed on its response so a multiplexing
@@ -392,6 +408,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
+    // Every read on this connection lands here and is sent from here:
+    // sized by the largest read so far, never allocated per request.
+    let mut buf = Vec::new();
     loop {
         let (req_id, body) = match read_frame_polling(&mut stream, shared) {
             Ok(Some(frame)) => frame,
@@ -404,7 +423,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             .bytes_in
             // Relaxed: traffic tally, sampled only by counters().
             .fetch_add(FRAME_OVERHEAD + body.len() as u64, Ordering::Relaxed);
-        let response = match Request::decode(&body) {
+        let answer = match Request::decode(&body) {
             Ok(request) => {
                 // The trace envelope is strictly outermost (enforced at
                 // decode); peel it first so every path below sees the
@@ -422,14 +441,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     // mid-op and the work simply runs.)
                     Request::Deadline { budget_ms: 0, .. } => Response::Err {
                         message: "deadline exceeded before execution".into(),
-                    },
+                    }
+                    .into(),
                     // Ship-back drain: everything recorded since the last
                     // fetch, in one frame.
                     Request::FetchSpans => {
                         let start = Instant::now();
                         let payload = encode_spans(&shared.tracer.drain_export());
                         shared.ops.fetch_spans.record_duration(start.elapsed());
-                        Response::Ok { payload }
+                        Response::Ok { payload }.into()
                     }
                     request => {
                         let request = match request {
@@ -451,16 +471,16 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                             _ => None,
                         };
                         let start = Instant::now();
-                        match handle(shared.backend.as_ref(), request) {
-                            Ok(response) => {
+                        match handle(shared.backend.as_ref(), request, &mut buf) {
+                            Ok(answer) => {
                                 hist.record_duration(start.elapsed());
                                 if let Some(mut span) = span {
-                                    if let Response::Err { message } = &response {
+                                    if let Answer::Response(Response::Err { message }) = &answer {
                                         span.tag("fault", message.clone());
                                     }
                                     span.finish(&shared.tracer);
                                 }
-                                response
+                                answer
                             }
                             // An injected connection drop: die without
                             // answering, exactly as a genuinely aborted
@@ -482,9 +502,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 Response::Err {
                     message: format!("bad request: {e}"),
                 }
+                .into()
             }
         };
-        let sent = write_frame(&mut stream, req_id, &response.encode())?;
+        let sent = match answer {
+            Answer::Payload(len) => {
+                write_frame_parts(&mut stream, req_id, &[&[STATUS_OK], &buf[..len]])?
+            }
+            Answer::Response(response) => write_frame(&mut stream, req_id, &response.encode())?,
+        };
         // Relaxed: traffic tally, sampled only by counters().
         shared.traffic.bytes_out.fetch_add(sent, Ordering::Relaxed);
     }
@@ -503,7 +529,7 @@ fn read_frame_polling(
     shared: &Shared,
 ) -> io::Result<Option<(u64, Vec<u8>)>> {
     let idle_since = Instant::now();
-    let mut header = [0u8; 12];
+    let mut header = [0u8; FRAME_OVERHEAD as usize];
     let mut filled = 0usize;
     while filled < header.len() {
         match stream.read(&mut header[filled..]) {
@@ -545,14 +571,7 @@ fn read_frame_polling(
             Err(e) => return Err(e),
         }
     }
-    let len = crate::protocol::le_u32(&header[0..4]) as usize;
-    let req_id = crate::protocol::le_u64(&header[4..12]);
-    if len > crate::protocol::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
+    let (req_id, len) = parse_header(&header)?;
     let mut body = vec![0u8; len];
     let mut filled = 0usize;
     while filled < body.len() {
@@ -584,10 +603,52 @@ fn read_frame_polling(
     Ok(Some((req_id, body)))
 }
 
-/// Executes one request against the disk. `Err` means "kill the
-/// connection without answering" — only an injected connection-drop fault
-/// produces it.
-fn handle(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
+/// Executes one request against the disk; a read lands in `buf`, the
+/// connection's read buffer. `Err` means "kill the connection without
+/// answering" — only an injected connection-drop fault produces it.
+fn handle(disk: &dyn ChunkBackend, request: Request, buf: &mut Vec<u8>) -> io::Result<Answer> {
+    match request {
+        Request::ReadChunk { object, id, len } => with_object(&object, || {
+            let out = read_window(buf, len)?;
+            Ok(match disk.read_chunk_into(&object, id, out)? {
+                Ok(()) => Answer::Payload(out.len()),
+                Err(status) => status_response(status).into(),
+            })
+        }),
+        Request::ReadRange {
+            object,
+            id,
+            chunk_len,
+            offset,
+            len,
+        } => with_object(&object, || {
+            if (offset as u64) + (len as u64) > chunk_len as u64 {
+                return Ok(Response::Err {
+                    message: format!("range {offset}+{len} exceeds chunk length {chunk_len}"),
+                }
+                .into());
+            }
+            let out = read_window(buf, len)?;
+            Ok(
+                match disk.read_chunk_range(
+                    &object,
+                    id,
+                    chunk_len as usize,
+                    offset as usize,
+                    out,
+                )? {
+                    Ok(()) => Answer::Payload(out.len()),
+                    Err(status) => status_response(status).into(),
+                },
+            )
+        }),
+        request => respond(disk, request).map(Answer::Response),
+    }
+}
+
+/// Executes every request but the reads, whose payloads [`handle`] keeps
+/// out of the encoded response.
+fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
     match request {
         Request::Ping => Ok(Response::Ok {
             payload: encode_ping(disk.is_available()),
@@ -607,39 +668,6 @@ fn handle(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
         } => with_object(&object, || {
             disk.write_chunk(&object, id, &payload)?;
             Ok(Response::Ok { payload: vec![] })
-        }),
-        Request::ReadChunk { object, id, len } => with_object(&object, || {
-            check_len(len)?;
-            let mut out = vec![0u8; len as usize];
-            match disk.read_chunk_into(&object, id, &mut out)? {
-                Ok(()) => Ok(Response::Ok { payload: out }),
-                Err(status) => Ok(status_response(status)),
-            }
-        }),
-        Request::ReadRange {
-            object,
-            id,
-            chunk_len,
-            offset,
-            len,
-        } => with_object(&object, || {
-            check_len(len)?;
-            if (offset as u64) + (len as u64) > chunk_len as u64 {
-                return Ok(Response::Err {
-                    message: format!("range {offset}+{len} exceeds chunk length {chunk_len}"),
-                });
-            }
-            let mut out = vec![0u8; len as usize];
-            match disk.read_chunk_range(
-                &object,
-                id,
-                chunk_len as usize,
-                offset as usize,
-                &mut out,
-            )? {
-                Ok(()) => Ok(Response::Ok { payload: out }),
-                Err(status) => Ok(status_response(status)),
-            }
         }),
         Request::Verify {
             object,
@@ -662,6 +690,9 @@ fn handle(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
                 }),
             },
         },
+        Request::ReadChunk { .. } | Request::ReadRange { .. } => Ok(Response::Err {
+            message: "reads are answered by handle".into(),
+        }),
         // Unwrapped by the caller; a nested one is rejected at decode.
         Request::Deadline { .. } => Ok(Response::Err {
             message: "unexpected deadline wrapper".into(),
@@ -688,37 +719,44 @@ fn connection_drop(e: &StoreError) -> Option<io::Error> {
     }
 }
 
+/// The first `len` bytes of the connection's read buffer, grown to fit.
 /// Rejects read lengths a response frame could not carry — the request's
 /// length field must never size an allocation unchecked.
-fn check_len(len: u32) -> Result<(), StoreError> {
-    if len as usize > crate::protocol::MAX_FRAME - 16 {
+fn read_window(buf: &mut Vec<u8>, len: u32) -> Result<&mut [u8], StoreError> {
+    let len = len as usize;
+    if len > crate::protocol::MAX_FRAME - 16 {
         return Err(StoreError::InvalidConfig {
             reason: format!("read of {len} bytes exceeds the frame cap"),
         });
     }
-    Ok(())
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    Ok(&mut buf[..len])
 }
 
 /// Validates the object name (the server must never trust a path
 /// component off the wire), then runs the op, folding errors into an
 /// error response — except an injected connection drop, which becomes a
 /// hard `Err` so the caller kills the connection.
-fn with_object(
+fn with_object<T: From<Response>>(
     object: &str,
-    op: impl FnOnce() -> Result<Response, StoreError>,
-) -> io::Result<Response> {
+    op: impl FnOnce() -> Result<T, StoreError>,
+) -> io::Result<T> {
     if let Err(e) = validate_object_name(object) {
         return Ok(Response::Err {
             message: e.to_string(),
-        });
+        }
+        .into());
     }
     match op() {
-        Ok(response) => Ok(response),
+        Ok(answer) => Ok(answer),
         Err(e) => match connection_drop(&e) {
             Some(drop) => Err(drop),
             None => Ok(Response::Err {
                 message: e.to_string(),
-            }),
+            }
+            .into()),
         },
     }
 }

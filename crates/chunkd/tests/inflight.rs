@@ -12,11 +12,16 @@
 //! The same relay shows the other way a pending request ends without its
 //! answer: the caller drops it. The slot goes back at once (the table
 //! itself is checked in `client.rs`'s unit tests); here, what a peer can
-//! see — the write still lands, its late response is discarded, and the
-//! connection carries on without a redial.
+//! see — the write still lands, its late response is discarded by the
+//! next waiter to read the socket, and the connection carries on without
+//! a redial.
+//!
+//! And it shows the waiters' reading turn failing cleanly: a response
+//! withheld from the waiter reading the socket also fails the waiter
+//! parked behind it, each within its own deadline.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pbrs_chunkd::protocol::{read_frame, write_frame};
@@ -267,4 +272,133 @@ fn a_write_dropped_unwaited_leaves_the_connection_in_service() {
     disk.read_chunk_into("obj", id, &mut buf).unwrap().unwrap();
     assert_eq!(buf, pattern(CHUNK_LEN));
     assert_eq!(disk.reconnect_stats().attempts, dials, "no redial");
+}
+
+/// A disk served through a relay, with chunks 0 and 1 of stripe 0 written
+/// (chunk 1 is chunk 0 with every byte flipped).
+fn relayed_disk(dir: &TempDir, timeout: Duration) -> (ChunkServer, Relay, RemoteDisk) {
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let local = LocalDisk::new(server.root());
+    local.ensure_object("obj").unwrap();
+    for shard in 0..2 {
+        local
+            .write_chunk("obj", ChunkId { stripe: 0, shard }, &chunk(shard))
+            .unwrap();
+    }
+    let relay = Relay::in_front_of(server.local_addr());
+    let disk = RemoteDisk::with_timeout(relay.addr.to_string(), timeout);
+    (server, relay, disk)
+}
+
+fn chunk(shard: usize) -> Vec<u8> {
+    let flip = if shard == 0 { 0 } else { 0xFF };
+    pattern(CHUNK_LEN).iter().map(|b| b ^ flip).collect()
+}
+
+#[test]
+fn a_read_dropped_unwaited_is_discarded_by_the_next_reader() {
+    let dir = TempDir::new("chunkd-inflight-drop-read");
+    let (_server, relay, disk) = relayed_disk(&dir, TIMEOUT);
+    assert!(disk.is_available());
+    let dials = disk.reconnect_stats().attempts;
+
+    relay.set(|s| s.hold = true);
+    let sent_before = relay.requests();
+    let mut stale = vec![0u8; CHUNK_LEN];
+    let pending = disk.begin_read(
+        "obj",
+        ChunkId {
+            stripe: 0,
+            shard: 0,
+        },
+        CHUNK_LEN,
+        0,
+        &mut stale,
+    );
+    relay.wait_for_requests(sent_before + 1);
+    // On the wire, unanswered — and nobody will ever wait for it.
+    drop(pending);
+    relay.set(|s| s.hold = false);
+
+    // The stale response reaches the socket first; the next read's waiter
+    // reads it, finds nobody registered under its id, drops it, and then
+    // reads its own.
+    let mut buf = vec![0u8; CHUNK_LEN];
+    disk.read_chunk_into(
+        "obj",
+        ChunkId {
+            stripe: 0,
+            shard: 1,
+        },
+        &mut buf,
+    )
+    .unwrap()
+    .unwrap();
+    assert_eq!(buf, chunk(1));
+    assert!(stale.iter().all(|&b| b == 0), "a dropped read never lands");
+    assert_eq!(disk.reconnect_stats().attempts, dials, "no redial");
+}
+
+#[test]
+fn a_withheld_response_fails_the_reading_waiter_and_the_one_parked_behind_it() {
+    // Short patience: each waiter spends it twice, first try and retry.
+    let patience = Duration::from_millis(500);
+    let dir = TempDir::new("chunkd-inflight-withheld");
+    let (_server, relay, disk) = relayed_disk(&dir, patience);
+    assert!(disk.is_available());
+    let dials = disk.reconnect_stats().attempts;
+
+    relay.set(|s| s.hold = true);
+    // Two waiters start waiting together on one connection: whichever
+    // takes the reading turn blocks on the socket, and the other parks
+    // behind it.
+    let start = Barrier::new(2);
+    let began = Instant::now();
+    std::thread::scope(|scope| {
+        let waiters: Vec<_> = (0..2)
+            .map(|shard| {
+                let (disk, start) = (&disk, &start);
+                scope.spawn(move || {
+                    let mut buf = vec![0u8; CHUNK_LEN];
+                    let read = disk.begin_read(
+                        "obj",
+                        ChunkId { stripe: 0, shard },
+                        CHUNK_LEN,
+                        0,
+                        &mut buf,
+                    );
+                    start.wait();
+                    read.wait().unwrap()
+                })
+            })
+            .collect();
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Err(ChunkStatus::Missing));
+        }
+    });
+    let waited = began.elapsed();
+    assert!(waited >= patience, "nothing answered: {waited:?}");
+    assert!(
+        waited < TIMEOUT,
+        "both give up at their own deadlines, the parked one too: {waited:?}"
+    );
+
+    // The responses flow again: the next read redials and is answered.
+    relay.set(|s| s.hold = false);
+    let mut buf = vec![0u8; CHUNK_LEN];
+    disk.read_chunk_into(
+        "obj",
+        ChunkId {
+            stripe: 0,
+            shard: 1,
+        },
+        &mut buf,
+    )
+    .unwrap()
+    .unwrap();
+    assert_eq!(buf, chunk(1));
+    assert!(
+        disk.reconnect_stats().attempts > dials,
+        "a fresh connection"
+    );
 }

@@ -44,11 +44,6 @@ impl EventKind {
             EventKind::DiskHealth => "disk_health",
         }
     }
-
-    /// Does this kind describe a failure?
-    pub fn is_failure(self) -> bool {
-        matches!(self, EventKind::Error | EventKind::Panic)
-    }
 }
 
 impl std::fmt::Display for EventKind {

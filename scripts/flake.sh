@@ -11,8 +11,14 @@
 # non-zero if there is any. A test that only passes on a quiet box is a
 # bug in the test or in the product: fix the ordering it depends on, do
 # not lengthen its timeout.
+#
+# A run still going after $hang_limit seconds is hung — a deadlock, or a
+# waiter stranded behind a reading turn nobody holds — and is killed and
+# counted as "(timed out)". Every binary finishes in seconds even on the
+# loaded box, so the limit only ever catches hangs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+hang_limit=600
 
 runs=50
 if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
@@ -58,14 +64,19 @@ for entry in "${binaries[@]}"; do
     exe=${entry#*|}
     name=$(basename "$exe" | sed -E 's/-[0-9a-f]{16}$//')
     for _ in $(seq "$runs"); do
-        if ! out=$(cd "$dir" && "$exe" 2>&1); then
-            failed=$(sed -nE 's/^test (.+) \.\.\. FAILED$/\1/p' <<<"$out")
-            # No FAILED line: the binary died (abort, hang kill) mid-run.
-            [ -n "$failed" ] || failed="(binary exited abnormally)"
-            while IFS= read -r test; do
-                echo "$name::$test" >>"$failures"
-            done <<<"$failed"
+        status=0
+        out=$(cd "$dir" && timeout --kill-after=10 "$hang_limit" "$exe" 2>&1) || status=$?
+        [ "$status" -ne 0 ] || continue
+        failed=$(sed -nE 's/^test (.+) \.\.\. FAILED$/\1/p' <<<"$out")
+        # 124: the hang guard killed the binary.
+        if [ "$status" -eq 124 ]; then
+            failed=$(printf '%s\n(timed out)' "$failed" | sed '/^$/d')
         fi
+        # No FAILED line: the binary died (abort, signal) mid-run.
+        [ -n "$failed" ] || failed="(binary exited abnormally)"
+        while IFS= read -r test; do
+            echo "$name::$test" >>"$failures"
+        done <<<"$failed"
     done
     echo "  ran $name"
 done
