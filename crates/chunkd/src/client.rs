@@ -40,6 +40,9 @@
 //! can have a chunk outstanding on each of a stripe's disks and pay for
 //! the slowest round trip rather than their sum. A begun read carries its
 //! output buffer, which is where its payload lands when it is waited for.
+//! A begun write borrows its payload the same way: the frame goes out as
+//! one vectored write of header, encoded fields and the caller's bytes —
+//! nothing copied — and the retry sends it again from the same slice.
 //! The blocking forms are literally `begin_read(..).wait()` and
 //! `begin_write(..).wait()` — there is one read path and one write path.
 //!
@@ -93,8 +96,8 @@ use pbrs_store::{
 };
 
 use crate::protocol::{
-    decode_ping, decode_spans, decode_sweep, decode_verify, parse_header, write_frame, Request,
-    Response, FRAME_OVERHEAD, STATUS_OK,
+    decode_ping, decode_spans, decode_sweep, decode_verify, parse_header, write_frame_parts,
+    Request, Response, FRAME_OVERHEAD, STATUS_OK,
 };
 
 /// Default connect / per-request I/O timeout.
@@ -291,8 +294,12 @@ enum Attempt {
 /// store overlaps the chunk reads of one stripe.
 struct Call<'a> {
     disk: &'a RemoteDisk,
-    /// Kept for the retry, which re-encodes under the remaining budget.
+    /// Kept for the retry, which re-encodes under the remaining budget. A
+    /// write's payload is not in it but in `tail`.
     request: Request,
+    /// The bytes that end the frame after the encoded request: a
+    /// `WriteChunk`'s payload, borrowed from the caller (empty otherwise).
+    tail: &'a [u8],
     ctx: Option<TraceCtx>,
     start: Instant,
     first: Attempt,
@@ -306,6 +313,7 @@ impl Call<'_> {
         let Call {
             disk,
             request,
+            tail,
             ctx,
             start,
             first,
@@ -320,7 +328,7 @@ impl Call<'_> {
             Attempt::Failed(_) => {}
             Attempt::GaveUp(e) => return Err(e),
         }
-        match disk.send(&request, ctx, start) {
+        match disk.send(&request, tail, ctx, start) {
             Attempt::Sent(sent) => disk.receive(&sent, out),
             Attempt::Failed(e) | Attempt::GaveUp(e) => Err(e),
         }
@@ -360,7 +368,7 @@ impl PendingRead for RemoteRead<'_> {
 }
 
 /// A chunk write begun on a [`RemoteDisk`]: the request frame, payload
-/// included, is on the wire.
+/// included, is on the wire, and the payload stays borrowed for the retry.
 struct RemoteWrite<'a> {
     call: Call<'a>,
     object: String,
@@ -654,15 +662,19 @@ impl RemoteDisk {
     /// op is idempotent, so a blind retry is safe). Many callers may be in
     /// this function concurrently; their requests share one socket.
     fn request(&self, request: Request) -> io::Result<Response> {
-        self.call(request).finish(&mut []).map(Reply::into_response)
+        self.call(request, &[])
+            .finish(&mut [])
+            .map(Reply::into_response)
     }
 
     /// The first half of [`RemoteDisk::request`]: puts the request on the
     /// wire and returns without waiting for the response, which
     /// [`Call::finish`] collects. Nothing fails here — a first attempt
     /// that could not be sent is carried in the call and dealt with (by
-    /// the one retry) when it is finished.
-    fn call(&self, request: Request) -> Call<'_> {
+    /// the one retry) when it is finished. `tail` is sent after the
+    /// encoded request: the payload of a `WriteChunk` whose own `payload`
+    /// is empty.
+    fn call<'a>(&'a self, request: Request, tail: &'a [u8]) -> Call<'a> {
         let start = Instant::now();
         // The active trace, if this client propagates traces at all. An
         // untraced client (or one called outside any trace scope) never
@@ -673,10 +685,11 @@ impl RemoteDisk {
         } else {
             None
         };
-        let first = self.send(&request, ctx, start);
+        let first = self.send(&request, tail, ctx, start);
         Call {
             disk: self,
             request,
+            tail,
             ctx,
             start,
             first,
@@ -685,8 +698,17 @@ impl RemoteDisk {
 
     /// One attempt at getting `request` onto the wire: encode (under the
     /// budget remaining since `start`), find or dial the connection,
-    /// register the pending slot and write the frame.
-    fn send(&self, request: &Request, ctx: Option<TraceCtx>, start: Instant) -> Attempt {
+    /// register the pending slot and write the frame — the encoded request
+    /// then `tail`, in one vectored write. The wrappers are prefixes and a
+    /// `WriteChunk` payload is the last field of the innermost request,
+    /// so these are the bytes of the request with `tail` as its payload.
+    fn send(
+        &self,
+        request: &Request,
+        tail: &[u8],
+        ctx: Option<TraceCtx>,
+        start: Instant,
+    ) -> Attempt {
         let trace_wrap = |req: Request| match ctx {
             Some(ctx) => Request::Trace {
                 ctx,
@@ -743,7 +765,7 @@ impl RemoteDisk {
         let sent = if registered {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut writer = mux.writer.lock().expect("lock");
-            write_frame(&mut *writer, id, &body)
+            write_frame_parts(&mut *writer, id, &[&body, tail])
         } else {
             Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
@@ -985,17 +1007,18 @@ impl ChunkBackend for RemoteDisk {
         &'a self,
         object: &str,
         id: ChunkId,
-        payload: &[u8],
+        payload: &'a [u8],
     ) -> Box<dyn PendingWrite + 'a> {
         if let Err(e) = as_u32("chunk payload", payload.len()) {
             return Box::new(ReadyWrite(Err(e)));
         }
+        let request = Request::WriteChunk {
+            object: object.to_string(),
+            id,
+            payload: Vec::new(),
+        };
         Box::new(RemoteWrite {
-            call: self.call(Request::WriteChunk {
-                object: object.to_string(),
-                id,
-                payload: payload.to_vec(),
-            }),
+            call: self.call(request, payload),
             object: object.to_string(),
         })
     }
@@ -1030,7 +1053,7 @@ impl ChunkBackend for RemoteDisk {
     ) -> Box<dyn PendingRead + 'a> {
         match read_request(object, id, chunk_len, offset, out.len()) {
             Ok(request) => Box::new(RemoteRead {
-                call: self.call(request),
+                call: self.call(request, &[]),
                 object: object.to_string(),
                 out,
             }),
@@ -1321,6 +1344,90 @@ mod tests {
         }
         assert!(disk.is_available());
         server.join().unwrap();
+    }
+
+    /// A listener that takes one frame off its first connection, raw —
+    /// header and body exactly as they crossed the socket — and answers
+    /// it with an empty `Ok`.
+    fn capture_one_frame() -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut header = [0u8; FRAME_OVERHEAD as usize];
+            stream.read_exact(&mut header).unwrap();
+            let (id, len) = parse_header(&header).unwrap();
+            let mut wire = header.to_vec();
+            wire.resize(header.len() + len, 0);
+            stream.read_exact(&mut wire[header.len()..]).unwrap();
+            let ok = Response::Ok { payload: vec![] };
+            protocol::write_frame(&mut stream, id, &ok.encode()).unwrap();
+            wire
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_begun_write_puts_the_whole_request_encoding_on_the_wire() {
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let id = ChunkId {
+            stripe: 5,
+            shard: 3,
+        };
+        let write = Request::WriteChunk {
+            object: "obj".into(),
+            id,
+            payload: payload.clone(),
+        };
+        let ctx = TraceCtx::from_raw(0x77, 0x88).unwrap();
+        // (propagates traces, op budget): every wrapper combination.
+        for (traced, budget) in [
+            (false, None),
+            (true, None),
+            (false, Some(Duration::from_secs(2))),
+            (true, Some(Duration::from_secs(2))),
+        ] {
+            let (addr, server) = capture_one_frame();
+            let mut disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
+            if traced {
+                disk = disk.traced();
+            }
+            if let Some(budget) = budget {
+                disk = disk.deadline(budget);
+            }
+            {
+                let _scope = trace::ScopedCtx::enter(Some(ctx));
+                disk.begin_write("obj", id, &payload).wait().unwrap();
+            }
+            let wire = server.join().unwrap();
+            let (req_id, _) =
+                parse_header(wire[..FRAME_OVERHEAD as usize].try_into().unwrap()).unwrap();
+            let sent = Request::decode(&wire[FRAME_OVERHEAD as usize..]).unwrap();
+            let under_trace = match &sent {
+                Request::Trace { inner, .. } => &**inner,
+                other => other,
+            };
+            let mut expected = write.clone();
+            if budget.is_some() {
+                // The budget is whatever remained when the frame was sent.
+                let Request::Deadline { budget_ms, .. } = under_trace else {
+                    panic!("expected a deadline wrapper, got {sent:?}");
+                };
+                expected = Request::Deadline {
+                    budget_ms: *budget_ms,
+                    inner: Box::new(expected),
+                };
+            }
+            if traced {
+                expected = Request::Trace {
+                    ctx,
+                    inner: Box::new(expected),
+                };
+            }
+            let mut whole = Vec::new();
+            protocol::write_frame(&mut whole, req_id, &expected.encode()).unwrap();
+            assert_eq!(wire, whole, "traced {traced}, budget {budget:?}");
+        }
     }
 
     #[test]

@@ -218,10 +218,12 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u
 
 /// Writes one frame whose body is the concatenation of `body` — how the
 /// server answers a read with the status byte and the payload straight
-/// from its read buffer, no assembled copy. Header and parts go out as a
-/// single vectored write (one `writev` on a socket), looping only when
-/// the writer accepts the frame in pieces. Returns the total bytes put on
-/// the wire, for traffic accounting.
+/// from its read buffer, and the client sends a chunk write's encoded
+/// fields and the payload straight from the stripe buffer: no assembled
+/// copy. Header and parts go out as a single vectored write (one `writev`
+/// on a socket), looping only when the writer accepts the frame in
+/// pieces. Returns the total bytes put on the wire, for traffic
+/// accounting.
 ///
 /// # Errors
 ///
@@ -367,8 +369,8 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    fn rest(&mut self) -> Vec<u8> {
-        let out = self.buf[self.pos..].to_vec();
+    fn rest(&mut self) -> &'a [u8] {
+        let out = &self.buf[self.pos..];
         self.pos = self.buf.len();
         out
     }
@@ -383,7 +385,11 @@ impl<'a> Cursor<'a> {
 }
 
 impl Request {
-    /// Serialises the request into a frame body.
+    /// Serialises the request into a frame body. A `WriteChunk` payload
+    /// is the last field of the innermost request — the wrappers are pure
+    /// prefixes — so the encoding of a request whose payload is empty,
+    /// followed by the payload, is the encoding of the whole request: how
+    /// the client sends a chunk without copying it into the frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -459,23 +465,48 @@ impl Request {
         out
     }
 
-    /// Parses a request from a frame body.
+    /// Parses a request from a frame body: [`Request::decode_lending`]
+    /// with a `WriteChunk`'s payload copied into the request.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for unknown opcodes, truncation, or trailing
-    /// bytes.
+    /// As [`Request::decode_lending`].
     pub fn decode(body: &[u8]) -> io::Result<Request> {
+        let (mut request, tail) = Request::decode_lending(body)?;
+        if let Request::WriteChunk { payload, .. } = request.innermost_mut() {
+            *payload = tail.to_vec();
+        }
+        Ok(request)
+    }
+
+    /// Parses a request from a frame body, lending rather than copying a
+    /// `WriteChunk`'s payload: the request comes back with an empty
+    /// `payload`, and the payload is returned as the tail of `body` — how
+    /// the server hands a chunk from its frame buffer to the disk. The
+    /// tail is empty for every other request. Wrapped requests are
+    /// handled the same way: the tail is the innermost `WriteChunk`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` for unknown opcodes, truncation, trailing
+    /// bytes, a wrapper nested in its own kind, or a `Trace` that is not
+    /// outermost.
+    pub fn decode_lending(body: &[u8]) -> io::Result<(Request, &[u8])> {
         let mut c = Cursor::new(body);
+        let mut tail: &[u8] = &[];
         let req = match c.u8()? {
             OP_PING => Request::Ping,
             OP_ENSURE_OBJECT => Request::EnsureObject { object: c.str()? },
             OP_REMOVE_OBJECT => Request::RemoveObject { object: c.str()? },
-            OP_WRITE_CHUNK => Request::WriteChunk {
-                object: c.str()?,
-                id: c.id()?,
-                payload: c.rest(),
-            },
+            OP_WRITE_CHUNK => {
+                let (object, id) = (c.str()?, c.id()?);
+                tail = c.rest();
+                Request::WriteChunk {
+                    object,
+                    id,
+                    payload: Vec::new(),
+                }
+            }
             OP_READ_CHUNK => Request::ReadChunk {
                 object: c.str()?,
                 id: c.id()?,
@@ -498,13 +529,18 @@ impl Request {
             },
             OP_DEADLINE => {
                 let budget_ms = c.u32()?;
-                let inner = Request::decode(&c.rest())?;
-                if matches!(inner, Request::Deadline { .. }) {
-                    return Err(invalid("nested deadline wrapper".into()));
+                let rest = c.rest();
+                // Refused before recursing, so nesting depth — and stack
+                // use — stays bounded whatever the body holds.
+                match rest.first() {
+                    Some(&OP_DEADLINE) => return Err(invalid("nested deadline wrapper".into())),
+                    Some(&OP_TRACE) => {
+                        return Err(invalid("trace wrapper must be outermost".into()))
+                    }
+                    _ => {}
                 }
-                if matches!(inner, Request::Trace { .. }) {
-                    return Err(invalid("trace wrapper must be outermost".into()));
-                }
+                let (inner, inner_tail) = Request::decode_lending(rest)?;
+                tail = inner_tail;
                 Request::Deadline {
                     budget_ms,
                     inner: Box::new(inner),
@@ -515,10 +551,12 @@ impl Request {
                 let span = c.u64()?;
                 let ctx = TraceCtx::from_raw(trace, span)
                     .ok_or_else(|| invalid("zero trace/span id in trace wrapper".into()))?;
-                let inner = Request::decode(&c.rest())?;
-                if matches!(inner, Request::Trace { .. }) {
+                let rest = c.rest();
+                if rest.first() == Some(&OP_TRACE) {
                     return Err(invalid("nested trace wrapper".into()));
                 }
+                let (inner, inner_tail) = Request::decode_lending(rest)?;
+                tail = inner_tail;
                 Request::Trace {
                     ctx,
                     inner: Box::new(inner),
@@ -528,7 +566,15 @@ impl Request {
             other => return Err(invalid(format!("unknown opcode {other}"))),
         };
         c.finish()?;
-        Ok(req)
+        Ok((req, tail))
+    }
+
+    /// The operation under any `Trace` / `Deadline` wrappers.
+    fn innermost_mut(&mut self) -> &mut Request {
+        match self {
+            Request::Deadline { inner, .. } | Request::Trace { inner, .. } => inner.innermost_mut(),
+            op => op,
+        }
     }
 }
 
@@ -562,7 +608,9 @@ impl Response {
     pub fn decode(body: &[u8]) -> io::Result<Response> {
         let mut c = Cursor::new(body);
         let resp = match c.u8()? {
-            STATUS_OK => Response::Ok { payload: c.rest() },
+            STATUS_OK => Response::Ok {
+                payload: c.rest().to_vec(),
+            },
             STATUS_MISSING => Response::Missing,
             STATUS_CORRUPT => Response::Corrupt { reason: c.str()? },
             STATUS_ERR => Response::Err { message: c.str()? },
@@ -801,6 +849,134 @@ mod tests {
         for req in cases {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req, "{req:?}");
         }
+    }
+
+    /// One request of every operation opcode (the wrappers aside).
+    fn every_op() -> Vec<Request> {
+        let object = || "obj".to_string();
+        vec![
+            Request::Ping,
+            Request::EnsureObject { object: object() },
+            Request::RemoveObject { object: object() },
+            Request::WriteChunk {
+                object: object(),
+                id: ID,
+                payload: (0..24u8).collect(),
+            },
+            Request::ReadChunk {
+                object: object(),
+                id: ID,
+                len: 4096,
+            },
+            Request::ReadRange {
+                object: object(),
+                id: ID,
+                chunk_len: 4096,
+                offset: 2048,
+                len: 2048,
+            },
+            Request::Verify {
+                object: object(),
+                id: ID,
+                chunk_len: 4096,
+            },
+            Request::SweepTmp {
+                min_age: Duration::from_millis(1500),
+            },
+            Request::FetchSpans,
+        ]
+    }
+
+    /// Each of [`every_op`], bare and inside `Trace(Deadline(..))`.
+    fn every_request() -> Vec<Request> {
+        every_op()
+            .into_iter()
+            .flat_map(|op| {
+                let wrapped = Request::Trace {
+                    ctx: TraceCtx::from_raw(0x1234, 0x5678).unwrap(),
+                    inner: Box::new(Request::Deadline {
+                        budget_ms: 250,
+                        inner: Box::new(op.clone()),
+                    }),
+                };
+                [op, wrapped]
+            })
+            .collect()
+    }
+
+    /// Checks `decode` and `decode_lending` against each other on `body`:
+    /// both accept it or both refuse it, and what they accept is the same
+    /// request — the lent tail is the write's payload, re-encoding the
+    /// payload-less request and appending the tail gives `body` back
+    /// byte for byte. Returns what `decode` made of it.
+    fn decoders_agree(body: &[u8]) -> Option<Request> {
+        let (decoded, lent) = (Request::decode(body), Request::decode_lending(body));
+        assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
+        let (decoded, (mut head, tail)) = (decoded.ok()?, lent.unwrap());
+        let mut wire = head.encode();
+        wire.extend_from_slice(tail);
+        assert_eq!(wire, body, "lent request + tail re-encodes to the body");
+        match head.innermost_mut() {
+            Request::WriteChunk { payload, .. } => {
+                assert!(payload.is_empty(), "a lent payload stays in the body");
+                *payload = tail.to_vec();
+            }
+            _ => assert!(tail.is_empty(), "only a write lends a tail: {head:?}"),
+        }
+        assert_eq!(head, decoded);
+        Some(decoded)
+    }
+
+    #[test]
+    fn both_decoders_agree_on_every_opcode_bare_and_wrapped() {
+        for request in every_request() {
+            let decoded = decoders_agree(&request.encode());
+            assert_eq!(decoded, Some(request));
+        }
+    }
+
+    #[test]
+    fn both_decoders_are_total_under_byte_mutation() {
+        let mut accepted = 0usize;
+        for request in every_request() {
+            let body = request.encode();
+            // Every truncation, and one byte too many.
+            for len in 0..body.len() {
+                decoders_agree(&body[..len]);
+            }
+            let mut longer = body.clone();
+            longer.push(0);
+            decoders_agree(&longer);
+            // Every value at every position.
+            for at in 0..body.len() {
+                for value in 0..=u8::MAX {
+                    let mut mutated = body.clone();
+                    mutated[at] = value;
+                    accepted += usize::from(decoders_agree(&mutated).is_some());
+                }
+            }
+        }
+        // Payload and name bytes are free, so many mutants still parse.
+        assert!(accepted > 0);
+    }
+
+    #[test]
+    fn deeply_nested_wrappers_are_refused_without_recursing() {
+        // 1 MiB of deadline openers: one recursion per wrapper would
+        // overflow the stack long before the end of the body.
+        let mut deep = Vec::new();
+        while deep.len() < 1 << 20 {
+            deep.push(OP_DEADLINE);
+            deep.extend_from_slice(&1u32.to_le_bytes());
+        }
+        assert!(Request::decode(&deep).is_err());
+        let mut traced = Vec::new();
+        while traced.len() < 1 << 20 {
+            traced.push(OP_TRACE);
+            traced.extend_from_slice(&1u64.to_le_bytes());
+            traced.extend_from_slice(&1u64.to_le_bytes());
+        }
+        assert!(Request::decode(&traced).is_err());
     }
 
     #[test]

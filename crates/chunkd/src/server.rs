@@ -408,12 +408,15 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    // Every read on this connection lands here and is sent from here:
-    // sized by the largest read so far, never allocated per request.
+    // Every request body on this connection lands in `frame`, and a chunk
+    // write goes to the disk straight from there; every read lands in
+    // `buf` and is sent from there. Both are sized by the largest so far,
+    // never allocated per request.
+    let mut frame = Vec::new();
     let mut buf = Vec::new();
     loop {
-        let (req_id, body) = match read_frame_polling(&mut stream, shared) {
-            Ok(Some(frame)) => frame,
+        let (req_id, len) = match read_frame_polling(&mut stream, shared, &mut frame) {
+            Ok(Some(header)) => header,
             // Clean EOF between frames, shutdown, or idle timeout.
             Ok(None) => return Ok(()),
             Err(e) => return Err(e),
@@ -422,9 +425,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             .traffic
             .bytes_in
             // Relaxed: traffic tally, sampled only by counters().
-            .fetch_add(FRAME_OVERHEAD + body.len() as u64, Ordering::Relaxed);
-        let answer = match Request::decode(&body) {
-            Ok(request) => {
+            .fetch_add(FRAME_OVERHEAD + len as u64, Ordering::Relaxed);
+        let answer = match Request::decode_lending(&frame[..len]) {
+            Ok((request, tail)) => {
                 // The trace envelope is strictly outermost (enforced at
                 // decode); peel it first so every path below sees the
                 // caller's context.
@@ -471,7 +474,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                             _ => None,
                         };
                         let start = Instant::now();
-                        match handle(shared.backend.as_ref(), request, &mut buf) {
+                        match handle(shared.backend.as_ref(), request, tail, &mut buf) {
                             Ok(answer) => {
                                 hist.record_duration(start.elapsed());
                                 if let Some(mut span) = span {
@@ -516,18 +519,20 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-/// Reads one `(req_id, body)` frame, tolerating read timeouts so the
-/// shutdown flag and the idle clock are polled: a slow-but-alive client
-/// keeps the connection, but once shutdown begins even a client stalled
-/// mid-frame is dropped (otherwise joining the workers could hang
-/// forever), and a connection idle *between* frames past
-/// `shared.idle_timeout` is closed so an abandoned socket cannot pin a
-/// pool worker. Returns `None` on clean EOF at a frame boundary, on
+/// Reads one frame, its body into the first `len` bytes of `frame` (grown
+/// to fit, never shrunk), and returns `(req_id, len)`. Tolerates read
+/// timeouts so the shutdown flag and the idle clock are polled: a
+/// slow-but-alive client keeps the connection, but once shutdown begins
+/// even a client stalled mid-frame is dropped (otherwise joining the
+/// workers could hang forever), and a connection idle *between* frames
+/// past `shared.idle_timeout` is closed so an abandoned socket cannot pin
+/// a pool worker. Returns `None` on clean EOF at a frame boundary, on
 /// shutdown before a frame starts, or on idle timeout.
 fn read_frame_polling(
     stream: &mut TcpStream,
     shared: &Shared,
-) -> io::Result<Option<(u64, Vec<u8>)>> {
+    frame: &mut Vec<u8>,
+) -> io::Result<Option<(u64, usize)>> {
     let idle_since = Instant::now();
     let mut header = [0u8; FRAME_OVERHEAD as usize];
     let mut filled = 0usize;
@@ -572,7 +577,10 @@ fn read_frame_polling(
         }
     }
     let (req_id, len) = parse_header(&header)?;
-    let mut body = vec![0u8; len];
+    if frame.len() < len {
+        frame.resize(len, 0);
+    }
+    let body = &mut frame[..len];
     let mut filled = 0usize;
     while filled < body.len() {
         match stream.read(&mut body[filled..]) {
@@ -600,13 +608,20 @@ fn read_frame_polling(
             Err(e) => return Err(e),
         }
     }
-    Ok(Some((req_id, body)))
+    Ok(Some((req_id, len)))
 }
 
 /// Executes one request against the disk; a read lands in `buf`, the
-/// connection's read buffer. `Err` means "kill the connection without
-/// answering" — only an injected connection-drop fault produces it.
-fn handle(disk: &dyn ChunkBackend, request: Request, buf: &mut Vec<u8>) -> io::Result<Answer> {
+/// connection's read buffer, and a write's payload is `tail`, lent from
+/// the frame buffer ([`Request::decode_lending`]). `Err` means "kill the
+/// connection without answering" — only an injected connection-drop fault
+/// produces it.
+fn handle(
+    disk: &dyn ChunkBackend,
+    request: Request,
+    tail: &[u8],
+    buf: &mut Vec<u8>,
+) -> io::Result<Answer> {
     match request {
         Request::ReadChunk { object, id, len } => with_object(&object, || {
             let out = read_window(buf, len)?;
@@ -642,12 +657,16 @@ fn handle(disk: &dyn ChunkBackend, request: Request, buf: &mut Vec<u8>) -> io::R
                 },
             )
         }),
+        Request::WriteChunk { object, id, .. } => with_object(&object, || {
+            disk.write_chunk(&object, id, tail)?;
+            Ok(Response::Ok { payload: vec![] }.into())
+        }),
         request => respond(disk, request).map(Answer::Response),
     }
 }
 
 /// Executes every request but the reads, whose payloads [`handle`] keeps
-/// out of the encoded response.
+/// out of the encoded response, and the writes, whose payloads it lends.
 fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
     match request {
         Request::Ping => Ok(Response::Ok {
@@ -659,14 +678,6 @@ fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
         }),
         Request::RemoveObject { object } => with_object(&object, || {
             disk.remove_object(&object)?;
-            Ok(Response::Ok { payload: vec![] })
-        }),
-        Request::WriteChunk {
-            object,
-            id,
-            payload,
-        } => with_object(&object, || {
-            disk.write_chunk(&object, id, &payload)?;
             Ok(Response::Ok { payload: vec![] })
         }),
         Request::Verify {
@@ -690,9 +701,11 @@ fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
                 }),
             },
         },
-        Request::ReadChunk { .. } | Request::ReadRange { .. } => Ok(Response::Err {
-            message: "reads are answered by handle".into(),
-        }),
+        Request::ReadChunk { .. } | Request::ReadRange { .. } | Request::WriteChunk { .. } => {
+            Ok(Response::Err {
+                message: "chunk reads and writes are answered by handle".into(),
+            })
+        }
         // Unwrapped by the caller; a nested one is rejected at decode.
         Request::Deadline { .. } => Ok(Response::Err {
             message: "unexpected deadline wrapper".into(),

@@ -19,6 +19,10 @@
 //! And it shows the waiters' reading turn failing cleanly: a response
 //! withheld from the waiter reading the socket also fails the waiter
 //! parked behind it, each within its own deadline.
+//!
+//! Last, a write whose connection is cut before its frame is forwarded:
+//! the one retry sends the frame again from the caller's own payload —
+//! the client keeps no copy — over a fresh dial, and the chunk lands.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
@@ -41,6 +45,8 @@ struct RelayState {
     hold: bool,
     /// Every connection is cut, and new ones are closed as accepted.
     dead: bool,
+    /// The next request frame is swallowed and its connection cut.
+    cut_next: bool,
     /// Request frames handed to the server so far.
     requests: usize,
     sockets: Vec<TcpStream>,
@@ -73,6 +79,11 @@ impl Relay {
                 let requests = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     while let Ok((id, body, _)) = read_frame(&mut from_client) {
+                        if std::mem::take(&mut requests.0.lock().unwrap().cut_next) {
+                            let _ = from_client.shutdown(Shutdown::Both);
+                            let _ = to_server.shutdown(Shutdown::Both);
+                            return;
+                        }
                         if write_frame(&mut to_server, id, &body).is_err() {
                             return;
                         }
@@ -260,7 +271,8 @@ fn a_write_dropped_unwaited_leaves_the_connection_in_service() {
 
     relay.set(|s| s.hold = true);
     let sent_before = relay.requests();
-    let pending = disk.begin_write("obj", id, &pattern(CHUNK_LEN));
+    let payload = pattern(CHUNK_LEN);
+    let pending = disk.begin_write("obj", id, &payload);
     relay.wait_for_requests(sent_before + 1);
     // On the wire, unanswered — and nobody will ever wait for it.
     drop(pending);
@@ -272,6 +284,31 @@ fn a_write_dropped_unwaited_leaves_the_connection_in_service() {
     disk.read_chunk_into("obj", id, &mut buf).unwrap().unwrap();
     assert_eq!(buf, pattern(CHUNK_LEN));
     assert_eq!(disk.reconnect_stats().attempts, dials, "no redial");
+}
+
+#[test]
+fn a_write_cut_off_in_flight_is_resent_from_the_borrowed_payload() {
+    let dir = TempDir::new("chunkd-inflight-cut");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let relay = Relay::in_front_of(server.local_addr());
+    let disk = RemoteDisk::with_timeout(relay.addr.to_string(), TIMEOUT);
+    let id = ChunkId {
+        stripe: 0,
+        shard: 0,
+    };
+    let payload = pattern(CHUNK_LEN);
+
+    // The first frame never reaches the server: only the retry, sent again
+    // from `payload`, can land the chunk.
+    relay.set(|s| s.cut_next = true);
+    disk.begin_write("obj", id, &payload).wait().unwrap();
+    assert_eq!(disk.reconnect_stats().attempts, 2, "one redial");
+    assert_eq!(relay.requests(), 1, "only the retry was forwarded");
+    let local = LocalDisk::new(server.root());
+    assert_eq!(
+        local.verify_chunk("obj", id, CHUNK_LEN).unwrap(),
+        (ChunkStatus::Healthy, CHUNK_LEN as u64)
+    );
 }
 
 /// A disk served through a relay, with chunks 0 and 1 of stripe 0 written

@@ -238,12 +238,23 @@ fn pipelined_requests_demux_by_id() {
 
     // Fire three requests back-to-back without reading anything, under
     // distinctive ids, then collect every frame of all three exchanges.
-    c.send_request(1001, &Request::Get { name: "a".into() })
+    // All three go out in ONE write, so the reactor sees the STAT with the
+    // GETs; written one by one, a client descheduled before its last write
+    // would let both small GETs finish first, and the STAT would
+    // legitimately be answered last.
+    let mut three = Vec::new();
+    for (id, request) in [
+        (1001, Request::Get { name: "a".into() }),
+        (1002, Request::Get { name: "b".into() }),
+        (1003, Request::Stat { name: "a".into() }),
+    ] {
+        protocol::write_frame(&mut three, id, &request.encode()).unwrap();
+    }
+    let mut pipelined = TcpStream::connect(gw.local_addr()).unwrap();
+    pipelined
+        .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    c.send_request(1002, &Request::Get { name: "b".into() })
-        .unwrap();
-    c.send_request(1003, &Request::Stat { name: "a".into() })
-        .unwrap();
+    pipelined.write_all(&three).unwrap();
 
     let mut got_a = Vec::new();
     let mut got_b = Vec::new();
@@ -251,9 +262,9 @@ fn pipelined_requests_demux_by_id() {
     let mut open = 3; // exchanges still expecting frames
     let mut ids_seen = Vec::new();
     while open > 0 {
-        let (id, resp) = c.recv_response().unwrap();
+        let (id, body) = protocol::read_frame(&mut pipelined).unwrap();
         ids_seen.push(id);
-        match (id, resp) {
+        match (id, Response::decode(&body).unwrap()) {
             (1001, Response::Data { data }) => got_a.extend_from_slice(&data),
             (1002, Response::Data { data }) => got_b.extend_from_slice(&data),
             (1001 | 1002, Response::ObjectHeader { .. }) => {}

@@ -25,7 +25,8 @@
 //! step a power loss can forget the rename itself and resurrect the old
 //! file (or no file) even though the data blocks hit the platter. Object
 //! directories are fsynced into their disk root on creation for the same
-//! reason. Stale `*.tmp` files left by a crash are swept by
+//! reason; the first chunk write of an object creates its directory
+//! that way. Stale `*.tmp` files left by a crash are swept by
 //! [`ChunkBackend::sweep_tmp`] (driven from [`crate::BlockStore::scrub`]).
 
 use std::fmt;
@@ -124,8 +125,10 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// is what [`crate::ScrubReport::lost_disks`] reports.
     fn is_available(&self) -> bool;
 
-    /// Creates (durably) the object's directory, so chunk writes for it can
-    /// land. Idempotent.
+    /// Creates (durably) the object's directory. Idempotent. A chunk write
+    /// creates the directory it needs on its own
+    /// ([`ChunkBackend::write_chunk`]), so neither `put` nor repair calls
+    /// this; it remains as an explicit pre-create.
     ///
     /// # Errors
     ///
@@ -140,7 +143,9 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// Returns [`StoreError::Io`] on transport failure.
     fn remove_object(&self, object: &str) -> Result<()>;
 
-    /// Writes one chunk atomically (tmp + fsync + rename + dir fsync).
+    /// Writes one chunk atomically (tmp + fsync + rename + dir fsync),
+    /// creating the object's directory — durably, as
+    /// [`ChunkBackend::ensure_object`] does — if it does not exist yet.
     ///
     /// # Errors
     ///
@@ -203,7 +208,9 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// Starts writing one chunk and returns without waiting for it to land:
     /// the split form of [`ChunkBackend::write_chunk`], with the same
     /// atomicity and the same outcome at [`PendingWrite::wait`]. The payload
-    /// is not borrowed past this call. A stripe's `n` chunks go to `n`
+    /// stays borrowed until the handle is waited for or dropped, so a
+    /// networked backend can send it straight from the caller's buffer —
+    /// and must not be changed meanwhile. A stripe's `n` chunks go to `n`
     /// different disks, so a caller that begins them all before waiting for
     /// any pays for the slowest write instead of their sum.
     ///
@@ -214,7 +221,7 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
         &'a self,
         object: &str,
         id: ChunkId,
-        payload: &[u8],
+        payload: &'a [u8],
     ) -> Box<dyn PendingWrite + 'a> {
         Box::new(ReadyWrite(self.write_chunk(object, id, payload)))
     }
@@ -318,7 +325,16 @@ impl ChunkBackend for LocalDisk {
     }
 
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
-        chunk::write_chunk(&self.chunk_path(object, id), id, payload)
+        let path = self.chunk_path(object, id);
+        match chunk::write_chunk(&path, id, payload) {
+            // The first write of an object to this disk: create the
+            // directory (durably) and write again.
+            Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
+                self.ensure_object(object)?;
+                chunk::write_chunk(&path, id, payload)
+            }
+            written => written,
+        }
     }
 
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
@@ -457,6 +473,28 @@ mod tests {
             ChunkStatus::Missing
         ));
         disk.remove_object("obj").unwrap(); // idempotent
+    }
+
+    #[test]
+    fn the_first_write_creates_the_object_directory_and_the_disk_root() {
+        let dir = TempDir::new("backend-on-demand");
+        let payload: Vec<u8> = (0..512u32).map(|i| (i % 251) as u8).collect();
+        // No disk root yet, let alone an object directory.
+        let disk = LocalDisk::new(dir.path().join("disk-00"));
+        disk.write_chunk("obj", ID, &payload).unwrap();
+        // The root exists, the object directory does not.
+        let fresh = LocalDisk::new(dir.path().join("disk-01"));
+        fs::create_dir(fresh.root()).unwrap();
+        fresh.write_chunk("obj", ID, &payload).unwrap();
+        for disk in [&disk, &fresh] {
+            assert!(disk.is_available());
+            let (status, bytes) = disk.verify_chunk("obj", ID, 512).unwrap();
+            assert!(status.is_healthy(), "{status:?}");
+            assert_eq!(bytes, 512);
+            // A second object on a disk that is already there.
+            disk.write_chunk("other", ID, &payload).unwrap();
+            assert!(disk.verify_chunk("other", ID, 512).unwrap().0.is_healthy());
+        }
     }
 
     #[test]

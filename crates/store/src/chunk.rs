@@ -35,7 +35,7 @@
 //! chunk's own bytes were synced.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use pbrs_gf::crc32::{crc32, Crc32};
@@ -187,8 +187,10 @@ pub fn write_chunk(path: &Path, id: ChunkId, payload: &[u8]) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let write = |tmp: &Path| -> io::Result<()> {
         let mut file = File::create(tmp)?;
-        file.write_all(&header)?;
-        file.write_all(payload)?;
+        write_all_parts(
+            &mut file,
+            &mut [IoSlice::new(&header), IoSlice::new(payload)],
+        )?;
         file.sync_data()?;
         Ok(())
     };
@@ -196,6 +198,25 @@ pub fn write_chunk(path: &Path, id: ChunkId, payload: &[u8]) -> Result<()> {
     fs::rename(&tmp, path).map_err(|e| StoreError::io(path, e))?;
     if let Some(parent) = path.parent() {
         fsync_dir(parent).map_err(|e| StoreError::io(parent, e))?;
+    }
+    Ok(())
+}
+
+/// `write_all` of several buffers, one `writev` per pass: a chunk file's
+/// header and payload go to the kernel in one call unless it takes them
+/// in pieces.
+fn write_all_parts(w: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    let mut left: usize = parts.iter().map(|part| part.len()).sum();
+    while left > 0 {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                IoSlice::advance_slices(&mut parts, n);
+                left -= n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     Ok(())
 }
@@ -455,6 +476,58 @@ mod tests {
         stripe: 7,
         shard: 3,
     };
+
+    /// A writer that takes at most `step` bytes per call, across the
+    /// buffers of a vectored write, and counts its calls.
+    struct Trickle {
+        step: usize,
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.step - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn header_and_payload_go_out_in_one_call_and_short_writes_loop() {
+        let (header, body) = ([1u8; HEADER_LEN], payload());
+        let whole = [&header[..], &body[..]].concat();
+        for step in [1, 7, HEADER_LEN, HEADER_LEN + 1, whole.len()] {
+            let mut w = Trickle {
+                step,
+                bytes: Vec::new(),
+                calls: 0,
+            };
+            write_all_parts(&mut w, &mut [IoSlice::new(&header), IoSlice::new(&body)]).unwrap();
+            assert_eq!(w.bytes, whole, "step {step}");
+            assert_eq!(w.calls, whole.len().div_ceil(step), "step {step}");
+        }
+        let mut stuck = Trickle {
+            step: 0,
+            bytes: Vec::new(),
+            calls: 0,
+        };
+        let err = write_all_parts(&mut stuck, &mut [IoSlice::new(&header)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
 
     fn payload() -> Vec<u8> {
         (0..1024u32).map(|i| (i % 251) as u8).collect()

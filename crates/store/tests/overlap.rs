@@ -87,7 +87,7 @@ impl ChunkBackend for Recording {
         &'a self,
         object: &str,
         id: ChunkId,
-        payload: &[u8],
+        payload: &'a [u8],
     ) -> Box<dyn PendingWrite + 'a> {
         self.log.lock().unwrap().push(Event::BeginWrite(id.shard));
         Box::new(RecordedWrite {

@@ -87,6 +87,36 @@ fn placed_store_round_trip_persists_placement_across_reopen() {
 }
 
 #[test]
+fn a_put_creates_the_object_directory_only_where_its_chunks_land() {
+    let dir = TempDir::new("placement-on-demand-dirs");
+    let store = BlockStore::open_with_backends(
+        StoreConfig::new(dir.path().join("root"), "rs-4-2".parse().unwrap())
+            .chunk_len(CHUNK_LEN)
+            .placement_seed(7),
+        pool_disks(&dir, 16),
+        RackMap::uniform(8, 2),
+        PlacementPolicy::RackDisjoint,
+    )
+    .unwrap();
+    let data = pattern(4 * CHUNK_LEN * 2); // 2 stripes
+    store.put("obj", &data[..]).unwrap();
+    let mut used: Vec<usize> = (0..2u64)
+        .flat_map(|stripe| store.stripe_disks("obj", stripe))
+        .collect();
+    used.sort_unstable();
+    used.dedup();
+    assert!(used.len() < 16, "the test needs a disk outside every row");
+    for disk in 0..16 {
+        assert_eq!(
+            pool_path(&dir, disk).join("obj").is_dir(),
+            used.contains(&disk),
+            "disk {disk}, rows on {used:?}"
+        );
+    }
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
 fn degraded_reads_succeed_for_every_lost_pool_disk() {
     let dir = TempDir::new("placement-every-disk");
     let store = Arc::new(disjoint_store(&dir));
