@@ -12,6 +12,12 @@
 //! [`GatewayClient::recv_response`] pair exposes the frame layer
 //! directly; the loopback tests use it to prove id-based demultiplexing
 //! under reordering.
+//!
+//! Neither direction copies a stripe in user space. A `PUT` sends each
+//! [`PUT_CHUNK`] piece straight from the caller's slice, behind its
+//! frame header and opcode. A `GET` stream reads every frame into one
+//! buffer (`protocol::read_frame_into`) and hands each stripe to the sink
+//! as a slice of it ([`Response::decode_lending`]).
 
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -20,7 +26,9 @@ use std::time::Duration;
 
 use pbrs_obs::trace::TraceCtx;
 
-use crate::protocol::{read_frame, write_frame, Request, Response, MAX_FRAME};
+use crate::protocol::{
+    put_data_head, read_frame, read_frame_into, write_frame, Request, Response, MAX_FRAME,
+};
 
 /// How much payload one `PUT_DATA` frame carries (well under
 /// [`MAX_FRAME`]; several frames keep the gateway's workers busy while
@@ -172,15 +180,9 @@ impl GatewayClient {
             id,
             &Request::PutStart { name: name.into() }.encode(),
         )?;
-        for piece in data.chunks(PUT_CHUNK.min(MAX_FRAME)) {
-            write_frame(
-                &mut w,
-                id,
-                &Request::PutData {
-                    data: piece.to_vec(),
-                }
-                .encode(),
-            )?;
+        for piece in data.chunks(PUT_CHUNK.min(MAX_FRAME - 1)) {
+            w.write_all(&put_data_head(id, piece.len()))?;
+            w.write_all(piece)?;
         }
         write_frame(&mut w, id, &Request::PutEnd.encode())?;
         w.flush()?;
@@ -329,22 +331,32 @@ impl GatewayClient {
 /// Receives one GET's response stream (header, stripes, end marker) for
 /// request `id`, feeding each stripe payload to `sink`. Returns the
 /// degraded-stripe count.
+///
+/// Every frame of the stream lands in one buffer, grown to the largest
+/// frame and never zeroed per frame; `sink` borrows each stripe from it.
+/// A stripe that would carry the stream past the header's length is a
+/// [`GatewayError::Protocol`] before `sink` sees any of it.
 fn recv_get_stream(stream: &TcpStream, id: u64, mut sink: impl FnMut(&[u8])) -> Result<u64> {
     let mut reader = BufReader::new(stream);
-    let header = recv_for(&mut reader, id)?;
-    let (mut remaining, _stripes) = match header {
-        Response::ObjectHeader { len, stripes } => (len, stripes),
-        Response::NotFound => return Err(GatewayError::NotFound),
-        Response::Deleted => return Err(GatewayError::Deleted),
-        Response::Busy => return Err(GatewayError::Busy),
-        Response::Err { message } => return Err(GatewayError::Remote(message)),
+    let mut remaining = match recv_for(&mut reader, id)? {
+        Response::ObjectHeader { len, .. } => len,
         other => return Err(unexpected(other)),
     };
+    let mut body = Vec::new();
     loop {
-        match recv_for(&mut reader, id)? {
-            Response::Data { data } => {
-                remaining = remaining.saturating_sub(data.len() as u64);
-                sink(&data);
+        let (got, len) = read_frame_into(&mut reader, &mut body)?;
+        check_id(got, id)?;
+        let (response, payload) = Response::decode_lending(&body[..len])?;
+        match typed(response)? {
+            Response::Data { .. } => {
+                let stripe = &body[payload];
+                remaining = remaining.checked_sub(stripe.len() as u64).ok_or_else(|| {
+                    GatewayError::Protocol(format!(
+                        "a {}-byte stripe overruns the stream, {remaining} bytes were left",
+                        stripe.len()
+                    ))
+                })?;
+                sink(stripe);
             }
             Response::ObjectEnd { degraded_stripes } => {
                 if remaining != 0 {
@@ -354,7 +366,6 @@ fn recv_get_stream(stream: &TcpStream, id: u64, mut sink: impl FnMut(&[u8])) -> 
                 }
                 return Ok(degraded_stripes);
             }
-            Response::Err { message } => return Err(GatewayError::Remote(message)),
             other => return Err(unexpected(other)),
         }
     }
@@ -365,12 +376,23 @@ fn recv_get_stream(stream: &TcpStream, id: u64, mut sink: impl FnMut(&[u8])) -> 
 /// failure statuses to typed errors.
 fn recv_for(reader: &mut impl Read, id: u64) -> Result<Response> {
     let (got, body) = read_frame(reader)?;
-    if got != id {
-        return Err(GatewayError::Protocol(format!(
+    check_id(got, id)?;
+    typed(Response::decode(&body)?)
+}
+
+fn check_id(got: u64, id: u64) -> Result<()> {
+    if got == id {
+        Ok(())
+    } else {
+        Err(GatewayError::Protocol(format!(
             "response for request {got} while waiting on {id}"
-        )));
+        )))
     }
-    match Response::decode(&body)? {
+}
+
+/// Maps the statuses any exchange can end with to typed errors.
+fn typed(resp: Response) -> Result<Response> {
+    match resp {
         Response::NotFound => Err(GatewayError::NotFound),
         Response::Deleted => Err(GatewayError::Deleted),
         Response::Busy => Err(GatewayError::Busy),

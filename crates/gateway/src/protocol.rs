@@ -38,8 +38,26 @@
 //! frames fall out) because the reactor reads whatever the socket has;
 //! the blocking [`read_frame`]/[`write_frame`] helpers serve the client
 //! side and tests.
+//!
+//! # Payloads are lent, not copied
+//!
+//! A stripe crosses each side of the gateway wire once, by the kernel:
+//!
+//! * [`Request::decode_lending`] and [`Response::decode_lending`] parse a
+//!   body and return a `PUT_DATA` / `Data` payload as a range of it, so
+//!   the reactor hands a `PUT_DATA` frame's payload to the store, and the
+//!   client hands a stripe to its sink, as a slice of the frame buffer.
+//!   `decode` is lend-then-fill: one parser per direction.
+//! * `read_frame_into` reads a frame into a caller-owned buffer that only
+//!   grows and is never zeroed per frame; [`read_frame`] is a thin
+//!   wrapper over it.
+//! * `data_head` and `put_data_head` are a payload frame's header plus
+//!   its tag byte, so the payload can follow straight from the stripe or
+//!   the caller's slice. The bytes on the wire are exactly those of
+//!   `write_frame(id, &msg.encode())`.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use pbrs_obs::trace::TraceCtx;
 
@@ -165,63 +183,96 @@ impl Request {
         }
     }
 
-    /// Parses one request body.
+    /// Parses one request body: [`Request::decode_lending`] with a
+    /// `PUT_DATA` payload copied into the request.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::decode_lending`].
+    pub fn decode(body: &[u8]) -> io::Result<Request> {
+        let (mut request, payload) = Request::decode_lending(body)?;
+        if let Request::PutData { data } = request.innermost_mut() {
+            *data = body[payload].to_vec();
+        }
+        Ok(request)
+    }
+
+    /// Parses one request body, lending rather than copying a `PUT_DATA`
+    /// payload: the request comes back with empty `data`, and the payload
+    /// is returned as a range of `body` — how the reactor hands an ingest
+    /// piece from its frame to the store. The range always ends at
+    /// `body.len()`, and is empty for every other request. A `Traced`
+    /// wrapper lends its inner request's payload the same way.
     ///
     /// # Errors
     ///
     /// `InvalidData` for an empty body, unknown opcode, or malformed
     /// fields — the gateway answers those with [`Response::Err`] rather
     /// than dropping the connection.
-    pub fn decode(body: &[u8]) -> io::Result<Request> {
+    pub fn decode_lending(body: &[u8]) -> io::Result<(Request, Range<usize>)> {
         let (&op, rest) = body.split_first().ok_or_else(|| invalid("empty request"))?;
-        match op {
-            OP_PUT_START => Ok(Request::PutStart {
+        let end = body.len();
+        let request = match op {
+            OP_PUT_START => Request::PutStart {
                 name: decode_name(rest)?,
-            }),
-            OP_PUT_DATA => Ok(Request::PutData {
-                data: rest.to_vec(),
-            }),
+            },
+            OP_PUT_DATA => return Ok((Request::PutData { data: Vec::new() }, 1..end)),
             OP_PUT_END => {
                 expect_empty(rest)?;
-                Ok(Request::PutEnd)
+                Request::PutEnd
             }
-            OP_GET => Ok(Request::Get {
+            OP_GET => Request::Get {
                 name: decode_name(rest)?,
-            }),
-            OP_DELETE => Ok(Request::Delete {
+            },
+            OP_DELETE => Request::Delete {
                 name: decode_name(rest)?,
-            }),
-            OP_STAT => Ok(Request::Stat {
+            },
+            OP_STAT => Request::Stat {
                 name: decode_name(rest)?,
-            }),
+            },
             OP_METRICS => {
                 expect_empty(rest)?;
-                Ok(Request::Metrics)
+                Request::Metrics
             }
             OP_PROMETHEUS => {
                 expect_empty(rest)?;
-                Ok(Request::Prometheus)
+                Request::Prometheus
             }
             OP_TRACES => {
                 expect_empty(rest)?;
-                Ok(Request::Traces)
+                Request::Traces
             }
             OP_TRACED => {
-                if rest.len() < 16 {
+                const INNER: usize = 17;
+                if body.len() < INNER {
                     return Err(invalid("truncated trace context"));
                 }
                 let ctx = TraceCtx::from_raw(le_u64(&rest[0..8]), le_u64(&rest[8..16]))
                     .ok_or_else(|| invalid("zero trace or span id"))?;
-                let inner = Request::decode(&rest[16..])?;
-                if matches!(inner, Request::Traced { .. }) {
+                // Refused before recursing, so a body of nested wrappers
+                // cannot run the reactor out of stack.
+                if body.get(INNER) == Some(&OP_TRACED) {
                     return Err(invalid("trace wrapper must be outermost"));
                 }
-                Ok(Request::Traced {
-                    ctx,
-                    inner: Box::new(inner),
-                })
+                let (inner, payload) = Request::decode_lending(&body[INNER..])?;
+                return Ok((
+                    Request::Traced {
+                        ctx,
+                        inner: Box::new(inner),
+                    },
+                    payload.start + INNER..payload.end + INNER,
+                ));
             }
-            other => Err(invalid(format!("unknown request opcode {other:#04x}"))),
+            other => return Err(invalid(format!("unknown request opcode {other:#04x}"))),
+        };
+        Ok((request, end..end))
+    }
+
+    /// The request under any `Traced` wrapper.
+    fn innermost_mut(&mut self) -> &mut Request {
+        match self {
+            Request::Traced { inner, .. } => inner.innermost_mut(),
+            request => request,
         }
     }
 }
@@ -351,36 +402,55 @@ impl Response {
         }
     }
 
-    /// Parses one response body.
+    /// Parses one response body: [`Response::decode_lending`] with a
+    /// `Data` payload copied into the response.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::decode_lending`].
+    pub fn decode(body: &[u8]) -> io::Result<Response> {
+        let (mut response, payload) = Response::decode_lending(body)?;
+        if let Response::Data { data } = &mut response {
+            *data = body[payload].to_vec();
+        }
+        Ok(response)
+    }
+
+    /// Parses one response body, lending rather than copying a `Data`
+    /// payload: the response comes back with empty `data`, and the stripe
+    /// is returned as a range of `body` — how the client hands a stripe
+    /// from its frame buffer to the sink. The range always ends at
+    /// `body.len()`, and is empty for every other response.
     ///
     /// # Errors
     ///
     /// `InvalidData` for an empty body, unknown status, or malformed
     /// fields.
-    pub fn decode(body: &[u8]) -> io::Result<Response> {
+    pub fn decode_lending(body: &[u8]) -> io::Result<(Response, Range<usize>)> {
         let (&st, rest) = body
             .split_first()
             .ok_or_else(|| invalid("empty response"))?;
-        match st {
-            ST_CREATED => decode_two(rest).map(|(len, stripes)| Response::Created { len, stripes }),
-            ST_OBJ_HEADER => {
-                decode_two(rest).map(|(len, stripes)| Response::ObjectHeader { len, stripes })
+        let end = body.len();
+        let response = match st {
+            ST_CREATED => {
+                decode_two(rest).map(|(len, stripes)| Response::Created { len, stripes })?
             }
-            ST_DATA => Ok(Response::Data {
-                data: rest.to_vec(),
-            }),
-            ST_OBJ_END => Ok(Response::ObjectEnd {
+            ST_OBJ_HEADER => {
+                decode_two(rest).map(|(len, stripes)| Response::ObjectHeader { len, stripes })?
+            }
+            ST_DATA => return Ok((Response::Data { data: Vec::new() }, 1..end)),
+            ST_OBJ_END => Response::ObjectEnd {
                 degraded_stripes: decode_u64(rest)?,
-            }),
-            ST_STAT => decode_two(rest).map(|(len, stripes)| Response::Stat { len, stripes }),
-            ST_METRICS => Ok(Response::Metrics {
+            },
+            ST_STAT => decode_two(rest).map(|(len, stripes)| Response::Stat { len, stripes })?,
+            ST_METRICS => Response::Metrics {
                 json: String::from_utf8(rest.to_vec())
                     .map_err(|_| invalid("metrics payload is not UTF-8"))?,
-            }),
-            ST_PROMETHEUS => Ok(Response::Prometheus {
+            },
+            ST_PROMETHEUS => Response::Prometheus {
                 text: String::from_utf8(rest.to_vec())
                     .map_err(|_| invalid("prometheus payload is not UTF-8"))?,
-            }),
+            },
             ST_TRACES => {
                 if rest.len() < 4 {
                     return Err(invalid("truncated traces payload"));
@@ -394,28 +464,29 @@ impl Response {
                     .map_err(|_| invalid("traces json is not UTF-8"))?;
                 let chrome = String::from_utf8(rest[json_len..].to_vec())
                     .map_err(|_| invalid("traces chrome payload is not UTF-8"))?;
-                Ok(Response::Traces { json, chrome })
+                Response::Traces { json, chrome }
             }
-            ST_DELETED_OK => Ok(Response::DeletedOk {
+            ST_DELETED_OK => Response::DeletedOk {
                 len: decode_u64(rest)?,
-            }),
+            },
             ST_NOT_FOUND => {
                 expect_empty(rest)?;
-                Ok(Response::NotFound)
+                Response::NotFound
             }
             ST_DELETED => {
                 expect_empty(rest)?;
-                Ok(Response::Deleted)
+                Response::Deleted
             }
             ST_BUSY => {
                 expect_empty(rest)?;
-                Ok(Response::Busy)
+                Response::Busy
             }
-            ST_ERR => Ok(Response::Err {
+            ST_ERR => Response::Err {
                 message: String::from_utf8_lossy(rest).into_owned(),
-            }),
-            other => Err(invalid(format!("unknown response status {other:#04x}"))),
-        }
+            },
+            other => return Err(invalid(format!("unknown response status {other:#04x}"))),
+        };
+        Ok((response, end..end))
     }
 }
 
@@ -536,6 +607,30 @@ pub fn frame_header(req_id: u64, len: usize) -> [u8; FRAME_OVERHEAD] {
     header
 }
 
+/// Bytes of a payload frame ahead of its payload: the framing header
+/// plus the `Data` status or `PUT_DATA` opcode.
+pub(crate) const PAYLOAD_HEAD: usize = FRAME_OVERHEAD + 1;
+
+fn payload_head(req_id: u64, tag: u8, payload_len: usize) -> [u8; PAYLOAD_HEAD] {
+    let mut head = [0u8; PAYLOAD_HEAD];
+    head[..FRAME_OVERHEAD].copy_from_slice(&frame_header(req_id, 1 + payload_len));
+    head[FRAME_OVERHEAD] = tag;
+    head
+}
+
+/// What precedes a `payload_len`-byte stripe in a [`Response::Data`]
+/// frame; `data_head` followed by the stripe is byte for byte
+/// `write_frame(req_id, &Response::Data { .. }.encode())`.
+pub(crate) fn data_head(req_id: u64, payload_len: usize) -> [u8; PAYLOAD_HEAD] {
+    payload_head(req_id, ST_DATA, payload_len)
+}
+
+/// What precedes a `payload_len`-byte piece in a [`Request::PutData`]
+/// frame; the request-side twin of [`data_head`].
+pub(crate) fn put_data_head(req_id: u64, payload_len: usize) -> [u8; PAYLOAD_HEAD] {
+    payload_head(req_id, OP_PUT_DATA, payload_len)
+}
+
 /// Blocking frame write (client side and tests): header + body, flushed.
 ///
 /// # Errors
@@ -558,6 +653,21 @@ pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<(
 /// `InvalidData` for an over-cap length prefix; `UnexpectedEof` and other
 /// transport errors pass through.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
+    let mut body = Vec::new();
+    let (req_id, len) = read_frame_into(r, &mut body)?;
+    body.truncate(len);
+    Ok((req_id, body))
+}
+
+/// Blocking frame read into a caller-owned buffer: the body lands in the
+/// first `len` bytes of `body`, which is grown to fit and never shrunk
+/// or zeroed per frame. Returns `(req_id, len)`.
+///
+/// # Errors
+///
+/// `InvalidData` for an over-cap length prefix; `UnexpectedEof` and other
+/// transport errors pass through.
+pub(crate) fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<(u64, usize)> {
     let mut header = [0u8; FRAME_OVERHEAD];
     r.read_exact(&mut header)?;
     let len = le_u32(&header[0..4]) as usize;
@@ -565,9 +675,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
     if len > MAX_FRAME {
         return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok((req_id, body))
+    if body.len() < len {
+        body.resize(len, 0);
+    }
+    r.read_exact(&mut body[..len])?;
+    Ok((req_id, len))
 }
 
 #[cfg(test)]
@@ -621,6 +733,38 @@ mod tests {
 
         // Truncated context header.
         assert!(Request::decode(&[OP_TRACED, 1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_wrappers_are_refused_without_recursing() {
+        // 1 MiB of trace wrappers: one recursion per wrapper would
+        // overflow the stack long before the end of the body.
+        let mut deep = Vec::new();
+        while deep.len() < 1 << 20 {
+            deep.push(OP_TRACED);
+            deep.extend_from_slice(&1u64.to_le_bytes());
+            deep.extend_from_slice(&1u64.to_le_bytes());
+        }
+        deep.push(OP_METRICS);
+        assert!(Request::decode(&deep).is_err());
+    }
+
+    #[test]
+    fn read_frame_into_reuses_the_buffer_without_stale_tails() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, &[7u8; 100]).unwrap();
+        write_frame(&mut wire, 2, &[8u8; 10]).unwrap();
+        let mut r = wire.as_slice();
+        let mut body = Vec::new();
+        assert_eq!(read_frame_into(&mut r, &mut body).unwrap(), (1, 100));
+        let grown = body.as_ptr();
+        assert_eq!(read_frame_into(&mut r, &mut body).unwrap(), (2, 10));
+        assert_eq!(&body[..10], &[8u8; 10]);
+        assert_eq!(
+            (body.len(), body.as_ptr()),
+            (100, grown),
+            "kept, not reallocated"
+        );
     }
 
     #[test]

@@ -29,11 +29,15 @@
 //!   the next stripe-read job is scheduled only while the connection's
 //!   output queue is shorter than the budget. A slow reader therefore
 //!   stalls its own GET at O(`in_flight_stripes` × stripe) buffered bytes
-//!   — never the whole object, never other connections.
+//!   — never the whole object, never other connections. A stripe buffer
+//!   is the `Data` frame's body as it is, and once written it is kept
+//!   for the connection's next stripe read: an idle connection holds up
+//!   to `in_flight_stripes` of them until it closes.
 //! * **Per-connection PUT budget** (same knob): when a connection has
 //!   more buffered `PUT_DATA` frames than the budget, the reactor stops
 //!   polling it for readability; TCP flow control pushes back on the
-//!   client until the workers catch up.
+//!   client until the workers catch up. A buffered frame is handed to its
+//!   worker whole, and the store reads the payload out of it.
 //!
 //! [`GatewayConfig::max_connections`] bounds the connection table;
 //! connections beyond it are accepted and immediately closed (counted as
@@ -42,6 +46,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +60,9 @@ use pbrs_store::{BlockStore, ObjectReader, ObjectWriter, StoreError};
 
 use crate::metrics::{GatewayMetrics, OpClass};
 use crate::poll::{poll_fds, PollFd, POLLERR, POLLIN, POLLNVAL, POLLOUT};
-use crate::protocol::{frame_header, FrameDecoder, Request, Response, FRAME_OVERHEAD};
+use crate::protocol::{
+    data_head, frame_header, FrameDecoder, Request, Response, FRAME_OVERHEAD, PAYLOAD_HEAD,
+};
 
 /// Tuning knobs of one gateway; see the [module docs](self) for how each
 /// participates in backpressure.
@@ -279,11 +286,14 @@ enum Job {
         name: String,
         ctx: Option<TraceCtx>,
     },
+    /// One `PUT_DATA` frame: the payload is `body[payload]`, lent from
+    /// the frame ([`Request::decode_lending`]).
     WriteData {
         conn: u64,
         req: u64,
         writer: ObjectWriter,
-        data: Vec<u8>,
+        body: Vec<u8>,
+        payload: Range<usize>,
         ctx: Option<TraceCtx>,
     },
     FinishWriter {
@@ -403,10 +413,11 @@ fn worker_loop(
                 conn,
                 req,
                 mut writer,
-                data,
+                body,
+                payload,
                 ..
             } => {
-                let result = match writer.write(&data) {
+                let result = match writer.write(&body[payload]) {
                     Ok(()) => Ok(writer),
                     Err(e) => {
                         let resp = store_error_response(&e);
@@ -522,9 +533,13 @@ struct FinRecord {
     flags: RootFlags,
 }
 
-/// One frame queued for writing; `off` progresses across header + body.
+/// One frame queued for writing; `off` progresses across head + body.
 struct OutFrame {
-    header: [u8; FRAME_OVERHEAD],
+    /// The first `head_len` bytes go out before `body`: the frame header,
+    /// plus the status byte of a `Data` frame, whose body is the stripe
+    /// buffer itself.
+    head: [u8; PAYLOAD_HEAD],
+    head_len: usize,
     body: Vec<u8>,
     off: usize,
     /// Request id, for attributing socket-write time to a GET's
@@ -536,10 +551,49 @@ struct OutFrame {
     fin: Option<FinRecord>,
 }
 
+impl OutFrame {
+    /// A frame whose body is an encoded response.
+    fn encoded(req: u64, resp: &Response, track_flush: bool, fin: Option<FinRecord>) -> Self {
+        let body = resp.encode();
+        let mut head = [0u8; PAYLOAD_HEAD];
+        head[..FRAME_OVERHEAD].copy_from_slice(&frame_header(req, body.len()));
+        OutFrame {
+            head,
+            head_len: FRAME_OVERHEAD,
+            body,
+            off: 0,
+            req,
+            track_flush,
+            fin,
+        }
+    }
+
+    /// A `Data` frame sent straight from the stripe buffer `stripe`.
+    fn stripe(req: u64, stripe: Vec<u8>) -> Self {
+        OutFrame {
+            head: data_head(req, stripe.len()),
+            head_len: PAYLOAD_HEAD,
+            body: stripe,
+            off: 0,
+            req,
+            track_flush: true,
+            fin: None,
+        }
+    }
+
+    fn is_stripe(&self) -> bool {
+        self.head_len == PAYLOAD_HEAD
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     out: VecDeque<OutFrame>,
+    /// Stripe buffers whose `Data` frame has been written, for the next
+    /// stripe read to reuse; at most `in_flight_stripes` of them, dropped
+    /// with the connection.
+    spare: Vec<Vec<u8>>,
     requests: HashMap<u64, ReqState>,
     /// Nanoseconds spent writing each tracked request's frames to the
     /// socket, folded into [`Stage::Flush`] when the final frame lands.
@@ -568,8 +622,9 @@ struct PutState {
     writer: Option<ObjectWriter>,
     /// A job for this request is at the pool.
     busy: bool,
-    /// `PUT_DATA` payloads not yet shipped to a worker.
-    queue: VecDeque<Vec<u8>>,
+    /// `PUT_DATA` frames not yet shipped to a worker, each with where its
+    /// payload sits in it.
+    queue: VecDeque<(Vec<u8>, Range<usize>)>,
     ended: bool,
     /// First failure; the (single) response is deferred to `PUT_END` so
     /// the exchange stays one-response-per-request.
@@ -703,6 +758,7 @@ impl Reactor {
                             stream,
                             decoder: FrameDecoder::new(),
                             out: VecDeque::new(),
+                            spare: Vec::new(),
                             requests: HashMap::new(),
                             flush_ns: HashMap::new(),
                             dead: false,
@@ -779,7 +835,7 @@ impl Reactor {
     }
 
     fn handle_frame(&mut self, conn_id: u64, req_id: u64, body: Vec<u8>) {
-        let request = match Request::decode(&body) {
+        let (request, payload) = match Request::decode_lending(&body) {
             Ok(r) => r,
             Err(e) => {
                 GatewayMetrics::add(&self.metrics.request_errors, 1);
@@ -923,7 +979,7 @@ impl Reactor {
                     ctx,
                 });
             }
-            Request::PutData { data } => {
+            Request::PutData { .. } => {
                 // Data for an id we are not ingesting (shed with BUSY, or
                 // already failed and responded) is silently discarded: the
                 // single response for that id has been or will be sent.
@@ -931,7 +987,7 @@ impl Reactor {
                     return;
                 };
                 if let Some(ReqState::Put(p)) = conn.requests.get_mut(&req_id) {
-                    p.queue.push_back(data);
+                    p.queue.push_back((body, payload));
                     self.pump_put(conn_id, req_id);
                 }
             }
@@ -1093,7 +1149,7 @@ impl Reactor {
             return;
         }
         let ctx = p.root.as_ref().map(SpanBuilder::ctx);
-        if let Some(data) = p.queue.pop_front() {
+        if let Some((body, payload)) = p.queue.pop_front() {
             // pbrs-lint: allow(panic-hygiene) -- state machine invariant: writer is parked whenever not busy/failed
             let writer = p.writer.take().expect("writer idle when not busy/failed");
             p.busy = true;
@@ -1101,7 +1157,8 @@ impl Reactor {
                 conn: conn_id,
                 req: req_id,
                 writer,
-                data,
+                body,
+                payload,
                 ctx,
             });
         } else if p.ended {
@@ -1160,7 +1217,10 @@ impl Reactor {
         }
         // pbrs-lint: allow(panic-hygiene) -- reader presence was checked by the guard above
         let reader = g.reader.take().expect("checked");
-        let buf = vec![0u8; reader.stripe_len()];
+        // A recycled buffer was cut to its stripe's payload, so this
+        // zeroes at most a short last stripe's tail.
+        let mut buf = conn.spare.pop().unwrap_or_default();
+        buf.resize(reader.stripe_len(), 0);
         let stripe = g.next_stripe;
         let ctx = g.root.as_ref().map(SpanBuilder::ctx);
         let _ = self.job_tx.send(Job::ReadStripe {
@@ -1298,7 +1358,7 @@ impl Reactor {
                             g.degraded += 1;
                         }
                         g.stages.merge(&times);
-                        self.push_tracked(conn, req, &Response::Data { data }, None);
+                        c.out.push_back(OutFrame::stripe(req, data));
                         self.pump_get(conn, req);
                     }
                     Err((resp, expired)) => {
@@ -1395,15 +1455,8 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
-        let body = resp.encode();
-        conn.out.push_back(OutFrame {
-            header: frame_header(req_id, body.len()),
-            body,
-            off: 0,
-            req: req_id,
-            track_flush,
-            fin,
-        });
+        conn.out
+            .push_back(OutFrame::encoded(req_id, resp, track_flush, fin));
     }
 
     /// Writes every connection's pending output as far as the sockets
@@ -1418,7 +1471,12 @@ impl Reactor {
                 if conn.dead {
                     continue;
                 }
-                flush_conn(conn, &self.metrics, &self.tracer);
+                flush_conn(
+                    conn,
+                    &self.metrics,
+                    &self.tracer,
+                    self.config.in_flight_stripes,
+                );
                 !conn.dead && conn.out.len() < self.config.in_flight_stripes
             };
             if below_budget {
@@ -1448,7 +1506,12 @@ impl Reactor {
             .collect();
         for id in ids {
             if let Some(conn) = self.conns.get_mut(&id) {
-                flush_conn(conn, &self.metrics, &self.tracer);
+                flush_conn(
+                    conn,
+                    &self.metrics,
+                    &self.tracer,
+                    self.config.in_flight_stripes,
+                );
             }
         }
     }
@@ -1494,7 +1557,6 @@ impl Reactor {
     }
 }
 
-/// Writes the front of `conn.out` as far as the socket allows, vectoring
 /// Rounds an op's accumulated flush nanoseconds to the microseconds the
 /// stage histograms record. Rounding (rather than truncating) here means
 /// at most half a microsecond of error per *op*; truncating each write
@@ -1504,22 +1566,25 @@ fn flush_micros(ns: u64) -> u64 {
     (ns + 500) / 1_000
 }
 
-/// header+body into one syscall while the header is unsent. Tracked
-/// frames accumulate their write time into the request's flush budget;
-/// when a frame carrying a [`FinRecord`] finishes, the op's latency (and
-/// GET stage breakdown) is recorded — i.e. at last-byte-written.
-fn flush_conn(conn: &mut Conn, metrics: &GatewayMetrics, tracer: &Tracer) {
+/// Writes the front of `conn.out` as far as the socket allows, vectoring
+/// head+body into one syscall while the head is unsent. A written `Data`
+/// frame's stripe buffer joins `conn.spare` while it holds fewer than
+/// `spare_cap`. Tracked frames accumulate their write time into the
+/// request's flush budget; when a frame carrying a [`FinRecord`]
+/// finishes, the op's latency (and GET stage breakdown) is recorded —
+/// i.e. at last-byte-written.
+fn flush_conn(conn: &mut Conn, metrics: &GatewayMetrics, tracer: &Tracer, spare_cap: usize) {
     while let Some(front) = conn.out.front_mut() {
-        let header_len = front.header.len();
+        let head_len = front.head_len;
         let write_start = front.track_flush.then(Instant::now);
-        let attempt = if front.off < header_len {
+        let attempt = if front.off < head_len {
             let slices = [
-                IoSlice::new(&front.header[front.off..]),
+                IoSlice::new(&front.head[front.off..head_len]),
                 IoSlice::new(&front.body),
             ];
             conn.stream.write_vectored(&slices)
         } else {
-            conn.stream.write(&front.body[front.off - header_len..])
+            conn.stream.write(&front.body[front.off - head_len..])
         };
         if let Some(t0) = write_start {
             *conn.flush_ns.entry(front.req).or_insert(0) += t0.elapsed().as_nanos() as u64;
@@ -1532,9 +1597,12 @@ fn flush_conn(conn: &mut Conn, metrics: &GatewayMetrics, tracer: &Tracer) {
             Ok(n) => {
                 GatewayMetrics::add(&metrics.bytes_out, n as u64);
                 front.off += n;
-                if front.off == header_len + front.body.len() {
+                if front.off == head_len + front.body.len() {
                     // pbrs-lint: allow(panic-hygiene) -- out was just peeked non-empty by the enclosing loop
                     let done = conn.out.pop_front().expect("front exists");
+                    if done.is_stripe() && conn.spare.len() < spare_cap {
+                        conn.spare.push(done.body);
+                    }
                     if let Some(fin) = done.fin {
                         let flush = conn.flush_ns.remove(&done.req).unwrap_or(0);
                         metrics

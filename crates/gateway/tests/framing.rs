@@ -103,6 +103,180 @@ fn random_response(rng: &mut StdRng) -> Response {
     }
 }
 
+/// One of every request shape, bare and under a trace wrapper.
+fn every_request() -> Vec<Request> {
+    let plain = [
+        Request::PutStart { name: "obj".into() },
+        Request::PutData {
+            data: vec![1, 2, 3, 4],
+        },
+        Request::PutData { data: Vec::new() },
+        Request::PutEnd,
+        Request::Get { name: "g".into() },
+        Request::Delete { name: "d".into() },
+        Request::Stat { name: "st".into() },
+        Request::Metrics,
+        Request::Prometheus,
+        Request::Traces,
+    ];
+    let ctx = TraceCtx::from_raw(0x1234, 0x5678).unwrap();
+    let traced = plain.clone().map(|inner| Request::Traced {
+        ctx,
+        inner: Box::new(inner),
+    });
+    plain.into_iter().chain(traced).collect()
+}
+
+/// One of every response shape.
+fn every_response() -> Vec<Response> {
+    vec![
+        Response::Created { len: 5, stripes: 1 },
+        Response::ObjectHeader { len: 9, stripes: 2 },
+        Response::Data {
+            data: vec![7, 6, 5, 4],
+        },
+        Response::Data { data: Vec::new() },
+        Response::ObjectEnd {
+            degraded_stripes: 2,
+        },
+        Response::Stat { len: 3, stripes: 1 },
+        Response::Metrics { json: "{}".into() },
+        Response::Prometheus {
+            text: "x 1\n".into(),
+        },
+        Response::Traces {
+            json: "[]".into(),
+            chrome: "{}".into(),
+        },
+        Response::DeletedOk { len: 3 },
+        Response::NotFound,
+        Response::Deleted,
+        Response::Busy,
+        Response::Err {
+            message: "no".into(),
+        },
+    ]
+}
+
+/// Every truncation of `bytes`, `bytes` with one byte too many, and
+/// `bytes` with each position set to each value.
+fn mutants(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|len| bytes[..len].to_vec()).collect();
+    out.push([bytes, &[0]].concat());
+    for at in 0..bytes.len() {
+        for value in 0..=u8::MAX {
+            let mut mutated = bytes.to_vec();
+            mutated[at] = value;
+            out.push(mutated);
+        }
+    }
+    out
+}
+
+/// Feeds `wire` to a fresh [`FrameDecoder`] and hands every frame that
+/// falls out to `check`; stops at "need more" or a poisoned stream.
+fn through_frame_decoder(wire: &[u8], mut check: impl FnMut(&[u8])) {
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(wire);
+    while let Ok(Some((_, body))) = decoder.next_frame() {
+        check(&body);
+    }
+}
+
+/// Checks `Request::decode` against lend-then-fill on `body`: both accept
+/// it or both refuse it, the lent payload is the body's tail, filling it
+/// in gives `decode`'s request, and that request re-encodes to `body`.
+fn requests_agree(body: &[u8]) -> Option<Request> {
+    let (decoded, lent) = (Request::decode(body), Request::decode_lending(body));
+    assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
+    let (decoded, (mut filled, payload)) = (decoded.ok()?, lent.unwrap());
+    assert_eq!(payload.end, body.len(), "the payload is the body's tail");
+    let op = match &mut filled {
+        Request::Traced { inner, .. } => &mut **inner,
+        op => op,
+    };
+    match op {
+        Request::PutData { data } => {
+            assert!(data.is_empty(), "a lent payload stays in the body");
+            *data = body[payload].to_vec();
+        }
+        _ => assert!(payload.is_empty(), "only PUT_DATA lends: {op:?}"),
+    }
+    assert_eq!(filled, decoded);
+    assert_eq!(
+        decoded.encode(),
+        body,
+        "an accepted body re-encodes exactly"
+    );
+    Some(decoded)
+}
+
+/// [`requests_agree`] for responses. An `Err` message is decoded lossily,
+/// so only the other statuses must re-encode exactly.
+fn responses_agree(body: &[u8]) -> Option<Response> {
+    let (decoded, lent) = (Response::decode(body), Response::decode_lending(body));
+    assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
+    let (decoded, (mut filled, payload)) = (decoded.ok()?, lent.unwrap());
+    assert_eq!(payload.end, body.len(), "the payload is the body's tail");
+    match &mut filled {
+        Response::Data { data } => {
+            assert!(data.is_empty(), "a lent payload stays in the body");
+            *data = body[payload].to_vec();
+        }
+        other => assert!(payload.is_empty(), "only Data lends: {other:?}"),
+    }
+    assert_eq!(filled, decoded);
+    if !matches!(decoded, Response::Err { .. }) {
+        assert_eq!(
+            decoded.encode(),
+            body,
+            "an accepted body re-encodes exactly"
+        );
+    }
+    Some(decoded)
+}
+
+#[test]
+fn request_decoders_are_total_and_agree_under_mutation() {
+    let mut accepted = 0usize;
+    for request in every_request() {
+        let body = request.encode();
+        assert_eq!(requests_agree(&body), Some(request));
+        for mutated in mutants(&body) {
+            accepted += usize::from(requests_agree(&mutated).is_some());
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 9, &body).unwrap();
+        for mutated in mutants(&wire) {
+            through_frame_decoder(&mutated, |body| {
+                requests_agree(body);
+            });
+        }
+    }
+    // Name and payload bytes are free, so many mutants still parse.
+    assert!(accepted > 0);
+}
+
+#[test]
+fn response_decoders_are_total_and_agree_under_mutation() {
+    let mut accepted = 0usize;
+    for response in every_response() {
+        let body = response.encode();
+        assert_eq!(responses_agree(&body), Some(response));
+        for mutated in mutants(&body) {
+            accepted += usize::from(responses_agree(&mutated).is_some());
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 9, &body).unwrap();
+        for mutated in mutants(&wire) {
+            through_frame_decoder(&mutated, |body| {
+                responses_agree(body);
+            });
+        }
+    }
+    assert!(accepted > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

@@ -3,13 +3,13 @@
 //! by request id, explicit BUSY shedding, and hostile-frame hygiene.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pbrs_chunkd::{ChunkServer, RemoteDisk, ServerConfig};
-use pbrs_gateway::client::{GatewayClient, GatewayError};
+use pbrs_gateway::client::{GatewayClient, GatewayError, PUT_CHUNK};
 use pbrs_gateway::protocol::{self, Request, Response};
 use pbrs_gateway::server::{Gateway, GatewayConfig};
 use pbrs_store::store::{BlockStore, StoreConfig};
@@ -436,6 +436,191 @@ fn slow_reader_is_flow_controlled_not_buffered() {
         .unwrap();
     assert_eq!(assembled, data);
     assert_eq!(degraded, 0);
+}
+
+/// The frames of one whole GET stream as `write_frame` + `encode` lay
+/// them out: header, one `Data` frame per `stripe_len` piece, end.
+fn encoded_get_stream(id: u64, data: &[u8], stripe_len: usize) -> Vec<u8> {
+    let pieces: Vec<&[u8]> = data.chunks(stripe_len).collect();
+    let mut wire = Vec::new();
+    let header = Response::ObjectHeader {
+        len: data.len() as u64,
+        stripes: pieces.len() as u64,
+    };
+    protocol::write_frame(&mut wire, id, &header.encode()).unwrap();
+    for piece in pieces {
+        let frame = Response::Data {
+            data: piece.to_vec(),
+        };
+        protocol::write_frame(&mut wire, id, &frame.encode()).unwrap();
+    }
+    let end = Response::ObjectEnd {
+        degraded_stripes: 0,
+    };
+    protocol::write_frame(&mut wire, id, &end.encode()).unwrap();
+    wire
+}
+
+/// `Data` frames leave the gateway from the stripe buffer, yet the bytes
+/// on the wire are exactly those of the encoded responses — on a first
+/// GET and on a second one served from recycled buffers.
+#[test]
+fn served_data_frames_are_byte_identical_to_encoded_responses() {
+    let dir = TempDir::new("gw-wire-get");
+    let store = local_store(&dir, "rs-4-2", 512);
+    let gw = gateway(&store, GatewayConfig::default());
+    let data = pattern(4 * 512 * 2 + 700); // short last stripe
+    client(&gw).put("obj", &data).unwrap();
+
+    let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    for id in [5, 6] {
+        let get = Request::Get { name: "obj".into() };
+        protocol::write_frame(&mut raw, id, &get.encode()).unwrap();
+        let expected = encoded_get_stream(id, &data, 4 * 512);
+        let mut got = vec![0u8; expected.len()];
+        raw.read_exact(&mut got).unwrap();
+        assert!(
+            got == expected,
+            "GET {id}: served frames differ from encode()"
+        );
+    }
+}
+
+/// Runs `script` as a one-connection stand-in gateway on loopback and
+/// returns its address and its thread.
+fn fake_gateway<T: Send + 'static>(
+    script: impl FnOnce(TcpStream) -> T + Send + 'static,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<T>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        script(stream)
+    });
+    (addr, handle)
+}
+
+/// A client `put` sends its pieces straight from the caller's slice, yet
+/// the bytes on the wire are exactly those of the encoded requests.
+#[test]
+fn put_data_frames_are_byte_identical_to_encoded_requests() {
+    let data = pattern(PUT_CHUNK + 1000); // one full piece and a short one
+    let mut expected = Vec::new();
+    let start = Request::PutStart { name: "obj".into() };
+    protocol::write_frame(&mut expected, 1, &start.encode()).unwrap();
+    for piece in data.chunks(PUT_CHUNK) {
+        let frame = Request::PutData {
+            data: piece.to_vec(),
+        };
+        protocol::write_frame(&mut expected, 1, &frame.encode()).unwrap();
+    }
+    protocol::write_frame(&mut expected, 1, &Request::PutEnd.encode()).unwrap();
+
+    let wire_len = expected.len();
+    let (addr, server) = fake_gateway(move |mut stream| {
+        let mut got = vec![0u8; wire_len];
+        stream.read_exact(&mut got).unwrap();
+        let created = Response::Created {
+            len: (PUT_CHUNK + 1000) as u64,
+            stripes: 1,
+        };
+        protocol::write_frame(&mut stream, 1, &created.encode()).unwrap();
+        got
+    });
+    let mut c = GatewayClient::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    assert_eq!(c.put("obj", &data).unwrap(), (data.len() as u64, 1));
+    let got = server.join().unwrap();
+    assert!(got == expected, "put frames differ from encode()");
+}
+
+/// A `PUT_DATA` frame under a `TRACED` wrapper lends its inner payload:
+/// the object stores the payload bytes, not the wrapper's.
+#[test]
+fn traced_put_data_stores_the_inner_payload() {
+    let dir = TempDir::new("gw-traced-put");
+    let store = local_store(&dir, "rs-4-2", 512);
+    let gw = gateway(&store, GatewayConfig::default());
+    let mut c = client(&gw);
+    let ctx = pbrs_obs::trace::TraceCtx::from_raw(0xabc, 0xdef).unwrap();
+    let traced = |inner| Request::Traced {
+        ctx,
+        inner: Box::new(inner),
+    };
+    let data = pattern(4 * 512 + 300);
+    c.send_request(1, &traced(Request::PutStart { name: "obj".into() }))
+        .unwrap();
+    for piece in data.chunks(1000) {
+        let put = Request::PutData {
+            data: piece.to_vec(),
+        };
+        c.send_request(1, &traced(put)).unwrap();
+    }
+    c.send_request(1, &traced(Request::PutEnd)).unwrap();
+    match c.recv_response().unwrap() {
+        (1, Response::Created { len, .. }) => assert_eq!(len, data.len() as u64),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(c.get("obj").unwrap().data, data);
+}
+
+/// One connection GETs an object with a short last stripe, then a larger
+/// object, then the first again: every byte is exact, so neither a
+/// recycled server buffer nor the client's reused frame buffer leaks a
+/// stale tail into a stripe.
+#[test]
+fn reused_stripe_buffers_never_leak_a_stale_tail() {
+    let dir = TempDir::new("gw-reuse");
+    let store = local_store(&dir, "rs-4-2", 512);
+    let gw = gateway(&store, GatewayConfig::default());
+    let mut c = client(&gw);
+    let short = pattern(4 * 512 * 2 + 700);
+    let large: Vec<u8> = pattern(4 * 512 * 6).iter().map(|x| x ^ 0xFF).collect();
+    c.put("short", &short).unwrap();
+    c.put("large", &large).unwrap();
+    for (name, data) in [("short", &short), ("large", &large), ("short", &short)] {
+        let mut pieces = Vec::new();
+        c.get_streamed(name, |stripe| pieces.push(stripe.to_vec()))
+            .unwrap();
+        let expected: Vec<&[u8]> = data.chunks(4 * 512).collect();
+        assert_eq!(pieces, expected, "GET {name}");
+    }
+}
+
+/// A gateway that streams more bytes than its `ObjectHeader` announced is
+/// refused with a protocol error before the sink sees the overrun.
+#[test]
+fn get_stream_overrunning_its_header_is_a_protocol_error() {
+    let (addr, server) = fake_gateway(|mut stream| {
+        let (id, _) = protocol::read_frame(&mut stream).unwrap();
+        let frames = [
+            Response::ObjectHeader {
+                len: 10,
+                stripes: 1,
+            },
+            Response::Data { data: vec![1; 20] },
+            Response::ObjectEnd {
+                degraded_stripes: 0,
+            },
+        ];
+        for frame in frames {
+            protocol::write_frame(&mut stream, id, &frame.encode()).unwrap();
+        }
+    });
+    let mut c = GatewayClient::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut delivered = 0usize;
+    let result = c.get_streamed("obj", |stripe| delivered += stripe.len());
+    assert!(
+        matches!(result, Err(GatewayError::Protocol(_))),
+        "{result:?}"
+    );
+    assert_eq!(delivered, 0, "the sink saw an overrunning stripe");
+    server.join().unwrap();
 }
 
 #[test]
