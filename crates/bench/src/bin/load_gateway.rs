@@ -92,7 +92,7 @@ const WOUNDED_DISK: usize = 1;
 const ZIPF_S: f64 = 1.0;
 /// Per-disk-op deadline in chaos mode; a stalled chunk read is abandoned
 /// (and served degraded) after this long.
-const OP_DEADLINE: Duration = Duration::from_millis(500);
+const STORE_OP_DEADLINE: Duration = Duration::from_millis(500);
 /// Smallest per-class sample count for which the client-vs-server
 /// percentile agreement is asserted rather than just reported.
 const AGREEMENT_MIN_SAMPLES: u64 = 50;
@@ -393,7 +393,7 @@ fn main() {
         // the health state machine with its circuit breaker.
         Some(plan) => {
             println!(
-                "fault plan {:?} (seed {fault_seed}): hardened store, op deadline {OP_DEADLINE:?}",
+                "fault plan {:?} (seed {fault_seed}): hardened store, op deadline {STORE_OP_DEADLINE:?}",
                 fault_text.as_deref().unwrap_or_default(),
             );
             let disks: Vec<Arc<dyn ChunkBackend>> = (0..DISKS)
@@ -406,7 +406,7 @@ fn main() {
                 .collect();
             BlockStore::open_with_backends(
                 base_config()
-                    .op_deadline(OP_DEADLINE)
+                    .op_deadline(STORE_OP_DEADLINE)
                     .hedge_delay(Duration::from_millis(100))
                     .health_policy(HealthPolicy {
                         // Demote fast, probe rarely: each probe of a
@@ -646,7 +646,7 @@ fn main() {
             assert_eq!(errors, 0, "chaos run surfaced client errors");
             assert!(plan.fired() > 0, "the fault plan never fired");
             if d.count > 0 {
-                let bound_us = 4 * OP_DEADLINE.as_micros() as u64;
+                let bound_us = 4 * STORE_OP_DEADLINE.as_micros() as u64;
                 assert!(
                     d.p99_us <= bound_us,
                     "degraded p99 {}us exceeds the {bound_us}us deadline bound",

@@ -95,9 +95,10 @@ use pbrs_store::{
     ReadyRead, ReadyWrite, StoreError,
 };
 
+use pbrs_wire::{parse_header, write_frame_parts, Envelope, FRAME_OVERHEAD};
+
 use crate::protocol::{
-    decode_ping, decode_spans, decode_sweep, decode_verify, parse_header, write_frame_parts,
-    Request, Response, FRAME_OVERHEAD, STATUS_OK,
+    decode_ping, decode_spans, decode_sweep, decode_verify, Request, Response, STATUS_OK,
 };
 
 /// Default connect / per-request I/O timeout.
@@ -300,7 +301,7 @@ struct Call<'a> {
     /// The bytes that end the frame after the encoded request: a
     /// `WriteChunk`'s payload, borrowed from the caller (empty otherwise).
     tail: &'a [u8],
-    ctx: Option<TraceCtx>,
+    trace: Option<TraceCtx>,
     start: Instant,
     first: Attempt,
 }
@@ -314,7 +315,7 @@ impl Call<'_> {
             disk,
             request,
             tail,
-            ctx,
+            trace,
             start,
             first,
         } = self;
@@ -328,7 +329,7 @@ impl Call<'_> {
             Attempt::Failed(_) => {}
             Attempt::GaveUp(e) => return Err(e),
         }
-        match disk.send(&request, tail, ctx, start) {
+        match disk.send(&request, tail, trace, start) {
             Attempt::Sent(sent) => disk.receive(&sent, out),
             Attempt::Failed(e) | Attempt::GaveUp(e) => Err(e),
         }
@@ -390,19 +391,18 @@ impl PendingWrite for RemoteWrite<'_> {
 pub struct RemoteDisk {
     addr: String,
     timeout: Duration,
-    /// Optional per-op deadline budget: when set, every request ships
-    /// wrapped in [`Request::Deadline`] carrying the *remaining* budget,
-    /// and an exhausted budget fails locally without touching the network.
+    /// Optional per-op deadline budget: when set, every request's envelope
+    /// carries the *remaining* budget, and an exhausted budget fails
+    /// locally without touching the network.
     op_budget: Option<Duration>,
     /// Optional operator label — typically the rack this disk belongs to —
     /// surfaced in [`ChunkBackend::describe`] so per-socket byte counters
     /// can be attributed to racks when many disks are mounted.
     label: Option<String>,
     /// When true, requests issued under a scoped trace context
-    /// ([`trace::current_ctx`]) ship wrapped in [`Request::Trace`] so the
-    /// server's spans join the caller's tree. Off by default: an untraced
-    /// client is byte-identical to a legacy one on the wire, which is
-    /// what lets it talk to un-upgraded servers.
+    /// ([`trace::current_ctx`]) carry it in their envelope so the server's
+    /// spans join the caller's tree. Off by default: an untraced request
+    /// without a budget has no envelope at all.
     tracing: bool,
     conn: Mutex<Option<Arc<Mux>>>,
     next_id: AtomicU64,
@@ -513,8 +513,8 @@ impl RemoteDisk {
     /// the budget *remaining* when the frame is sent (so a retry after a
     /// slow first attempt ships a smaller number), the response wait is
     /// clamped to it, and once it is exhausted the request fails locally —
-    /// no dial, no frame. The server refuses wrapped requests whose budget
-    /// is already spent instead of doing unwanted work.
+    /// no dial, no frame. The server refuses requests whose budget is
+    /// already spent instead of doing unwanted work.
     #[must_use]
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.op_budget = Some(budget);
@@ -522,12 +522,9 @@ impl RemoteDisk {
     }
 
     /// Enables trace propagation: requests issued while a trace context
-    /// is scoped on the calling thread ship wrapped in the trace
-    /// envelope (outermost, around any deadline wrapper), and
+    /// is scoped on the calling thread carry it in their envelope, and
     /// [`ChunkBackend::drain_spans`] actually fetches the server's
-    /// recorded spans. Only enable against servers that understand the
-    /// envelope — a traced request to a legacy server is refused as an
-    /// unknown opcode.
+    /// recorded spans.
     #[must_use]
     pub fn traced(mut self) -> Self {
         self.tracing = true;
@@ -676,75 +673,68 @@ impl RemoteDisk {
     /// is empty.
     fn call<'a>(&'a self, request: Request, tail: &'a [u8]) -> Call<'a> {
         let start = Instant::now();
-        // The active trace, if this client propagates traces at all. An
-        // untraced client (or one called outside any trace scope) never
-        // touches the envelope, staying byte-compatible with legacy
-        // servers.
-        let ctx = if self.tracing {
+        // The active trace, if this client propagates traces at all.
+        let trace = if self.tracing {
             trace::current_ctx()
         } else {
             None
         };
-        let first = self.send(&request, tail, ctx, start);
+        let first = self.send(&request, tail, trace, start);
         Call {
             disk: self,
             request,
             tail,
-            ctx,
+            trace,
             start,
             first,
         }
     }
 
-    /// One attempt at getting `request` onto the wire: encode (under the
-    /// budget remaining since `start`), find or dial the connection,
-    /// register the pending slot and write the frame — the encoded request
-    /// then `tail`, in one vectored write. The wrappers are prefixes and a
-    /// `WriteChunk` payload is the last field of the innermost request,
-    /// so these are the bytes of the request with `tail` as its payload.
+    /// One attempt at getting `request` onto the wire: encode the
+    /// envelope (the trace, and the budget remaining since `start`), find
+    /// or dial the connection, register the pending slot and write the
+    /// frame — envelope, encoded request, then `tail`, in one vectored
+    /// write. A `WriteChunk` payload is the request's last field, so these
+    /// are the bytes of the request with `tail` as its payload.
     fn send(
         &self,
         request: &Request,
         tail: &[u8],
-        ctx: Option<TraceCtx>,
+        trace: Option<TraceCtx>,
         start: Instant,
     ) -> Attempt {
-        let trace_wrap = |req: Request| match ctx {
-            Some(ctx) => Request::Trace {
-                ctx,
-                inner: Box::new(req),
-            },
-            None => req,
+        let mut envelope = Envelope {
+            trace,
+            deadline_ms: None,
         };
-        // Under an op budget each attempt re-encodes with the budget
-        // *remaining now*, so the server sees the client's true patience
-        // and a spent budget never reaches the wire.
-        let (body, wait) = match self.op_budget {
-            Some(budget) => {
-                let remaining = budget.saturating_sub(start.elapsed());
-                if remaining.is_zero() {
-                    return Attempt::GaveUp(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!(
-                            "op budget {budget:?} exhausted before reaching {}",
-                            self.addr
-                        ),
-                    ));
-                }
-                let wrapped = Request::Deadline {
-                    // max(1): on the wire, zero means "already expired".
-                    budget_ms: u32::try_from(remaining.as_millis())
-                        .unwrap_or(u32::MAX)
-                        .max(1),
-                    inner: Box::new(request.clone()),
-                };
-                (trace_wrap(wrapped).encode(), self.timeout.min(remaining))
+        let mut wait = self.timeout;
+        // Under an op budget each attempt ships the budget *remaining
+        // now*, so the server sees the client's true patience and a spent
+        // budget never reaches the wire.
+        if let Some(budget) = self.op_budget {
+            let remaining = budget.saturating_sub(start.elapsed());
+            if remaining.is_zero() {
+                return Attempt::GaveUp(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "op budget {budget:?} exhausted before reaching {}",
+                        self.addr
+                    ),
+                ));
             }
-            None => match ctx {
-                Some(_) => (trace_wrap(request.clone()).encode(), self.timeout),
-                None => (request.encode(), self.timeout),
-            },
-        };
+            // max(1): on the wire, zero means "already expired".
+            envelope.deadline_ms = Some(
+                u32::try_from(remaining.as_millis())
+                    .unwrap_or(u32::MAX)
+                    .max(1),
+            );
+            wait = wait.min(remaining);
+        }
+        // Empty, and so no allocation, for an untraced request without a
+        // budget.
+        let mut head = Vec::new();
+        envelope.encode_into(&mut head);
+        let body = request.encode();
         let mux = match self.mux() {
             Ok(mux) => mux,
             // Inside the backoff window a retry would be refused the same
@@ -765,7 +755,7 @@ impl RemoteDisk {
         let sent = if registered {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut writer = mux.writer.lock().expect("lock");
-            write_frame_parts(&mut *writer, id, &[&body, tail])
+            write_frame_parts(&mut *writer, id, &[&head, &body, tail])
         } else {
             Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
@@ -871,7 +861,7 @@ impl RemoteDisk {
             socket: &sent.mux.reader,
             deadline: sent.deadline,
         };
-        let mut header = [0u8; FRAME_OVERHEAD as usize];
+        let mut header = [0u8; FRAME_OVERHEAD];
         socket.read_exact(&mut header)?;
         let (id, len) = parse_header(&header)?;
         let mut status = [0u8];
@@ -886,7 +876,7 @@ impl RemoteDisk {
         };
         // Relaxed: traffic tally, sampled only by counters().
         self.bytes_received
-            .fetch_add(FRAME_OVERHEAD + len as u64, Ordering::Relaxed);
+            .fetch_add((FRAME_OVERHEAD + len) as u64, Ordering::Relaxed);
         match body {
             None if status[0] == STATUS_OK => Ok(Some(Reply::Landed)),
             // The right size, another shape: a status whose text filled `out`.
@@ -1108,6 +1098,7 @@ impl ChunkBackend for RemoteDisk {
 mod tests {
     use super::*;
     use crate::protocol;
+    use pbrs_wire::{read_frame, write_frame};
     use std::io::Write;
     use std::net::TcpListener;
 
@@ -1120,13 +1111,13 @@ mod tests {
             // Serve exactly three connections, one request each.
             for _ in 0..3 {
                 let (mut stream, _) = listener.accept().unwrap();
-                let (id, body, _) = protocol::read_frame(&mut stream).unwrap();
+                let (id, body) = read_frame(&mut stream).unwrap();
                 let request = Request::decode(&body).unwrap();
                 assert_eq!(request, Request::Ping);
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };
-                protocol::write_frame(&mut stream, id, &response.encode()).unwrap();
+                write_frame(&mut stream, id, &response.encode()).unwrap();
                 stream.flush().unwrap();
                 // Dropping the stream closes the connection.
             }
@@ -1254,21 +1245,18 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let (id, body, _) = protocol::read_frame(&mut stream).unwrap();
-            // The frame must arrive wrapped, carrying a sane remaining
-            // budget (positive, no larger than what the client was given).
-            let budget = match Request::decode(&body).unwrap() {
-                Request::Deadline { budget_ms, inner } => {
-                    assert_eq!(*inner, Request::Ping);
-                    budget_ms
-                }
-                other => panic!("expected a deadline wrapper, got {other:?}"),
-            };
+            let (id, body) = read_frame(&mut stream).unwrap();
+            // The frame's envelope must carry a sane remaining budget
+            // (positive, no larger than what the client was given).
+            let (envelope, bare) = Envelope::split(&body).unwrap();
+            assert_eq!(Request::decode(bare).unwrap(), Request::Ping);
+            assert_eq!(envelope.trace, None);
+            let budget = envelope.deadline_ms.expect("a deadline in the envelope");
             assert!((1..=2000).contains(&budget), "budget {budget}ms");
             let response = Response::Ok {
                 payload: protocol::encode_ping(true),
             };
-            protocol::write_frame(&mut stream, id, &response.encode()).unwrap();
+            write_frame(&mut stream, id, &response.encode()).unwrap();
         });
         let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5))
             .deadline(Duration::from_secs(2));
@@ -1292,13 +1280,13 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let (id, body, _) = protocol::read_frame(&mut stream).unwrap();
-            // The exact legacy encoding: a bare Ping opcode, no envelope.
+            let (id, body) = read_frame(&mut stream).unwrap();
+            // The bare encoding: a Ping opcode, no envelope.
             assert_eq!(body, Request::Ping.encode());
             let response = Response::Ok {
                 payload: protocol::encode_ping(true),
             };
-            protocol::write_frame(&mut stream, id, &response.encode()).unwrap();
+            write_frame(&mut stream, id, &response.encode()).unwrap();
         });
         let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
         let ctx = TraceCtx::from_raw(11, 22).unwrap();
@@ -1314,26 +1302,21 @@ mod tests {
         let ctx = TraceCtx::from_raw(0x1111, 0x2222).unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            let mut traces = Vec::new();
             for _ in 0..2 {
-                let (id, body, _) = protocol::read_frame(&mut stream).unwrap();
-                match Request::decode(&body).unwrap() {
-                    // Trace outermost, deadline inside, op innermost.
-                    Request::Trace { ctx: got, inner } => {
-                        assert_eq!(got, ctx);
-                        match *inner {
-                            Request::Deadline { inner, .. } => assert_eq!(*inner, Request::Ping),
-                            other => panic!("expected deadline inside trace, got {other:?}"),
-                        }
-                    }
-                    // Outside a trace scope the wire is legacy-shaped.
-                    Request::Deadline { inner, .. } => assert_eq!(*inner, Request::Ping),
-                    other => panic!("unexpected request {other:?}"),
-                }
+                let (id, body) = read_frame(&mut stream).unwrap();
+                // Inside the trace scope the envelope carries the trace;
+                // outside it, only the budget.
+                let (envelope, bare) = Envelope::split(&body).unwrap();
+                assert_eq!(Request::decode(bare).unwrap(), Request::Ping);
+                assert!(envelope.deadline_ms.is_some());
+                traces.push(envelope.trace);
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };
-                protocol::write_frame(&mut stream, id, &response.encode()).unwrap();
+                write_frame(&mut stream, id, &response.encode()).unwrap();
             }
+            traces
         });
         let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5))
             .deadline(Duration::from_secs(2))
@@ -1343,7 +1326,7 @@ mod tests {
             assert!(disk.is_available());
         }
         assert!(disk.is_available());
-        server.join().unwrap();
+        assert_eq!(server.join().unwrap(), [Some(ctx), None]);
     }
 
     /// A listener that takes one frame off its first connection, raw —
@@ -1354,14 +1337,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let mut header = [0u8; FRAME_OVERHEAD as usize];
+            let mut header = [0u8; FRAME_OVERHEAD];
             stream.read_exact(&mut header).unwrap();
             let (id, len) = parse_header(&header).unwrap();
             let mut wire = header.to_vec();
             wire.resize(header.len() + len, 0);
             stream.read_exact(&mut wire[header.len()..]).unwrap();
             let ok = Response::Ok { payload: vec![] };
-            protocol::write_frame(&mut stream, id, &ok.encode()).unwrap();
+            write_frame(&mut stream, id, &ok.encode()).unwrap();
             wire
         });
         (addr, server)
@@ -1380,7 +1363,7 @@ mod tests {
             payload: payload.clone(),
         };
         let ctx = TraceCtx::from_raw(0x77, 0x88).unwrap();
-        // (propagates traces, op budget): every wrapper combination.
+        // (propagates traces, op budget): every envelope combination.
         for (traced, budget) in [
             (false, None),
             (true, None),
@@ -1400,32 +1383,19 @@ mod tests {
                 disk.begin_write("obj", id, &payload).wait().unwrap();
             }
             let wire = server.join().unwrap();
-            let (req_id, _) =
-                parse_header(wire[..FRAME_OVERHEAD as usize].try_into().unwrap()).unwrap();
-            let sent = Request::decode(&wire[FRAME_OVERHEAD as usize..]).unwrap();
-            let under_trace = match &sent {
-                Request::Trace { inner, .. } => &**inner,
-                other => other,
+            let (req_id, _) = parse_header(wire[..FRAME_OVERHEAD].try_into().unwrap()).unwrap();
+            let (sent, _) = Envelope::split(&wire[FRAME_OVERHEAD..]).unwrap();
+            // The budget is whatever remained when the frame was sent.
+            assert_eq!(sent.deadline_ms.is_some(), budget.is_some());
+            let expected = Envelope {
+                trace: traced.then_some(ctx),
+                ..sent
             };
-            let mut expected = write.clone();
-            if budget.is_some() {
-                // The budget is whatever remained when the frame was sent.
-                let Request::Deadline { budget_ms, .. } = under_trace else {
-                    panic!("expected a deadline wrapper, got {sent:?}");
-                };
-                expected = Request::Deadline {
-                    budget_ms: *budget_ms,
-                    inner: Box::new(expected),
-                };
-            }
-            if traced {
-                expected = Request::Trace {
-                    ctx,
-                    inner: Box::new(expected),
-                };
-            }
+            let mut body = Vec::new();
+            expected.encode_into(&mut body);
+            body.extend_from_slice(&write.encode());
             let mut whole = Vec::new();
-            protocol::write_frame(&mut whole, req_id, &expected.encode()).unwrap();
+            write_frame(&mut whole, req_id, &body).unwrap();
             assert_eq!(wire, whole, "traced {traced}, budget {budget:?}");
         }
     }
@@ -1442,13 +1412,13 @@ mod tests {
         let listener = TcpListener::bind(addr).unwrap();
         std::thread::spawn(move || {
             while let Ok((mut stream, _)) = listener.accept() {
-                while let Ok((id, body, _)) = protocol::read_frame(&mut stream) {
+                while let Ok((id, body)) = read_frame(&mut stream) {
                     let request = Request::decode(&body).unwrap();
                     assert_eq!(request, Request::Ping);
                     let response = Response::Ok {
                         payload: protocol::encode_ping(true),
                     };
-                    if protocol::write_frame(&mut stream, id, &response.encode()).is_err() {
+                    if write_frame(&mut stream, id, &response.encode()).is_err() {
                         break;
                     }
                 }
@@ -1467,7 +1437,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            while protocol::read_frame(&mut stream).is_ok() {}
+            while read_frame(&mut stream).is_ok() {}
         });
         let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
         let slots = |disk: &RemoteDisk| pending(disk).len();
@@ -1560,13 +1530,13 @@ mod tests {
             // test must arrive here.
             let (mut stream, _) = listener.accept().unwrap();
             let mut served = 0u32;
-            while let Ok((id, body, _)) = protocol::read_frame(&mut stream) {
+            while let Ok((id, body)) = read_frame(&mut stream) {
                 let request = Request::decode(&body).unwrap();
                 assert_eq!(request, Request::Ping);
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };
-                protocol::write_frame(&mut stream, id, &response.encode()).unwrap();
+                write_frame(&mut stream, id, &response.encode()).unwrap();
                 served += 1;
                 if served == 32 {
                     break;

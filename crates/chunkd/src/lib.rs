@@ -8,7 +8,7 @@
 //!
 //! * [`ChunkServer`] — a blocking TCP server (small `std::thread` accept
 //!   pool, no async runtime) exposing one local disk directory over the
-//!   length-prefixed [`protocol`]. The operation set mirrors
+//!   [`protocol`], framed by `pbrs-wire`. The operation set mirrors
 //!   [`pbrs_store::ChunkBackend`] one-to-one; `ReadRange` serves exactly
 //!   the helper byte ranges `ErasureCode::repair_reads` names, so a
 //!   Piggybacked-RS helper ships half a chunk, never a whole one.
@@ -64,5 +64,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{ReconnectStats, RemoteDisk, BACKOFF_BASE, BACKOFF_CAP, DEFAULT_TIMEOUT};
-pub use protocol::{Request, Response, FRAME_OVERHEAD, MAX_FRAME};
+pub use protocol::{Request, Response};
 pub use server::{ChunkServer, ServerConfig};

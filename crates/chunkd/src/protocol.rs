@@ -1,14 +1,10 @@
-//! The chunkd wire protocol: length-prefixed, request-tagged binary
-//! frames over TCP.
+//! The chunkd wire protocol: request-tagged binary frames over TCP.
 //!
-//! Every message — request or response — is one *frame*:
-//!
-//! ```text
-//! offset  size  field
-//!      0     4  body length                      (u32 LE, ≤ MAX_FRAME)
-//!      4     8  request id                       (u64 LE)
-//!     12     …  body
-//! ```
+//! Framing is [`pbrs_wire`]'s: every message — request or response — is
+//! one frame of a length prefix, a request id and a body, and a request
+//! body may open with a [`pbrs_wire::Envelope`] carrying the caller's
+//! trace context and remaining budget. This module holds what is chunkd's
+//! own: the opcode table and the messages.
 //!
 //! A request body opens with a one-byte opcode followed by its fields; a
 //! response body opens with a one-byte status ([`Response::Ok`] /
@@ -34,16 +30,12 @@
 //! ships only the bytes the rebuild consumes. [`Verify`](Request::Verify)
 //! checks a chunk server-side and ships only the verdict.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io;
 use std::time::Duration;
 
-use pbrs_obs::trace::{SpanId, SpanRecord, TraceCtx, TraceId};
+use pbrs_obs::trace::{SpanId, SpanRecord, TraceId};
 use pbrs_store::{ChunkId, ChunkStatus};
-
-/// Hard upper bound on a frame body, protecting both ends from a corrupt
-/// or hostile length prefix. Far above any real chunk (the store caps
-/// chunk payloads at `u32::MAX`, but practical chunks are ≤ a few MiB).
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+use pbrs_wire::{invalid, Cursor};
 
 const OP_PING: u8 = 0;
 const OP_ENSURE_OBJECT: u8 = 1;
@@ -53,8 +45,6 @@ const OP_READ_CHUNK: u8 = 4;
 const OP_READ_RANGE: u8 = 5;
 const OP_VERIFY: u8 = 6;
 const OP_SWEEP_TMP: u8 = 7;
-const OP_DEADLINE: u8 = 8;
-const OP_TRACE: u8 = 9;
 const OP_FETCH_SPANS: u8 = 10;
 
 /// The status byte of [`Response::Ok`]: the server writes it ahead of a
@@ -128,33 +118,6 @@ pub enum Request {
         /// Minimum age before a tmp file counts as stale.
         min_age: Duration,
     },
-    /// Wraps any other request with a deadline budget: the client's
-    /// remaining patience, shipped so the server can refuse work it
-    /// cannot finish in time (answering [`Response::Err`] with
-    /// `"deadline exceeded"`) instead of burning disk on an answer nobody
-    /// is waiting for. A new opcode rather than a trailing field so
-    /// budget-less clients and servers interoperate unchanged.
-    Deadline {
-        /// Remaining budget in milliseconds.
-        budget_ms: u32,
-        /// The operation under the budget. Never itself a `Deadline`
-        /// (nesting is rejected at decode).
-        inner: Box<Request>,
-    },
-    /// Wraps any other request with the caller's trace context, so the
-    /// server's span for this op joins the caller's tree. Mirrors
-    /// [`Request::Deadline`]: a new opcode rather than a trailing field,
-    /// so traceless legacy clients and un-upgraded servers interoperate
-    /// unchanged. Always the **outermost** wrapper — it may wrap a
-    /// `Deadline`, never another `Trace` (and a `Deadline` may not wrap
-    /// a `Trace`); both are rejected at decode.
-    Trace {
-        /// The caller's context: trace id plus the span the server-side
-        /// span should parent on.
-        ctx: TraceCtx,
-        /// The operation being traced.
-        inner: Box<Request>,
-    },
     /// Drains the server's finished-span export queue — the ship-back
     /// half of cross-process trace assembly. The gateway calls this when
     /// its `TRACES` verb runs, then merges the returned spans into its
@@ -199,114 +162,6 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------
-
-/// Bytes of framing overhead per message (length prefix + request id).
-pub const FRAME_OVERHEAD: u64 = 12;
-
-/// Writes one frame (length prefix + request id + body) — the one frame
-/// writer of both chunkd peers; [`write_frame_parts`] with a one-part
-/// body.
-///
-/// # Errors
-///
-/// As [`write_frame_parts`].
-pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<u64> {
-    write_frame_parts(w, req_id, &[body])
-}
-
-/// Writes one frame whose body is the concatenation of `body` — how the
-/// server answers a read with the status byte and the payload straight
-/// from its read buffer, and the client sends a chunk write's encoded
-/// fields and the payload straight from the stripe buffer: no assembled
-/// copy. Header and parts go out as a single vectored write (one `writev`
-/// on a socket), looping only when the writer accepts the frame in
-/// pieces. Returns the total bytes put on the wire, for traffic
-/// accounting.
-///
-/// # Errors
-///
-/// Propagates I/O failures (`WriteZero` if the writer stops accepting
-/// bytes mid-frame); rejects bodies above [`MAX_FRAME`].
-pub fn write_frame_parts(w: &mut impl Write, req_id: u64, body: &[&[u8]]) -> io::Result<u64> {
-    let len: usize = body.iter().map(|part| part.len()).sum();
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame body of {len} bytes")));
-    }
-    let mut header = [0u8; FRAME_OVERHEAD as usize];
-    // pbrs-lint: allow(wire-protocol) -- lossless: the MAX_FRAME guard above caps the length at 64 MiB
-    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    header[4..].copy_from_slice(&req_id.to_le_bytes());
-    let mut parts: Vec<IoSlice<'_>> = std::iter::once(&header[..])
-        .chain(body.iter().copied())
-        .map(IoSlice::new)
-        .collect();
-    let mut parts = &mut parts[..];
-    let mut left = header.len() + len;
-    while left > 0 {
-        match w.write_vectored(parts) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "writer stopped accepting bytes mid-frame",
-                ))
-            }
-            Ok(n) => {
-                IoSlice::advance_slices(&mut parts, n);
-                left -= n;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    w.flush()?;
-    Ok(FRAME_OVERHEAD + len as u64)
-}
-
-/// Splits a frame header into `(request id, body length)`, rejecting
-/// length prefixes above [`MAX_FRAME`] before anything is sized by them.
-pub(crate) fn parse_header(header: &[u8; FRAME_OVERHEAD as usize]) -> io::Result<(u64, usize)> {
-    let len = le_u32(&header[0..4]) as usize;
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
-    }
-    Ok((le_u64(&header[4..12]), len))
-}
-
-/// Reads one frame. Returns the request id, the body, and the total bytes
-/// taken off the wire.
-///
-/// # Errors
-///
-/// Propagates I/O failures (including `UnexpectedEof` mid-frame); rejects
-/// length prefixes above [`MAX_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>, u64)> {
-    let mut header = [0u8; FRAME_OVERHEAD as usize];
-    r.read_exact(&mut header)?;
-    let (req_id, len) = parse_header(&header)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok((req_id, body, FRAME_OVERHEAD + len as u64))
-}
-
-fn invalid(message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// Little-endian u32 from the first 4 bytes of `b`. Callers pass slices
-/// whose length was already checked (fixed-size headers, [`Cursor::bytes`]).
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// Little-endian u64 from the first 8 bytes of `b`; same contract as
-/// [`le_u32`].
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-// ---------------------------------------------------------------------
 // Body encoding
 // ---------------------------------------------------------------------
 
@@ -322,74 +177,20 @@ fn put_id(out: &mut Vec<u8>, id: ChunkId) {
     out.extend_from_slice(&(id.shard as u32).to_le_bytes());
 }
 
-/// A checked little-endian cursor over one frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, len: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| invalid("truncated message body".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(le_u32(self.bytes(4)?))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(le_u64(self.bytes(8)?))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| invalid("non-UTF-8 string".into()))
-    }
-
-    fn id(&mut self) -> io::Result<ChunkId> {
-        Ok(ChunkId {
-            stripe: self.u64()?,
-            shard: self.u32()? as usize,
-        })
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        out
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(invalid("trailing bytes in message body".into()))
-        }
-    }
+/// A [`ChunkId`]: stripe `u64`, then shard `u32`.
+fn read_id(c: &mut Cursor<'_>) -> io::Result<ChunkId> {
+    Ok(ChunkId {
+        stripe: c.u64()?,
+        shard: c.u32()? as usize,
+    })
 }
 
 impl Request {
     /// Serialises the request into a frame body. A `WriteChunk` payload
-    /// is the last field of the innermost request — the wrappers are pure
-    /// prefixes — so the encoding of a request whose payload is empty,
-    /// followed by the payload, is the encoding of the whole request: how
-    /// the client sends a chunk without copying it into the frame.
+    /// is its last field, so the encoding of a request whose payload is
+    /// empty, followed by the payload, is the encoding of the whole
+    /// request: how the client sends a chunk without copying it into the
+    /// frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -449,17 +250,6 @@ impl Request {
                 let millis = u64::try_from(min_age.as_millis()).unwrap_or(u64::MAX);
                 out.extend_from_slice(&millis.to_le_bytes());
             }
-            Request::Deadline { budget_ms, inner } => {
-                out.push(OP_DEADLINE);
-                out.extend_from_slice(&budget_ms.to_le_bytes());
-                out.extend_from_slice(&inner.encode());
-            }
-            Request::Trace { ctx, inner } => {
-                out.push(OP_TRACE);
-                out.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
-                out.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
-                out.extend_from_slice(&inner.encode());
-            }
             Request::FetchSpans => out.push(OP_FETCH_SPANS),
         }
         out
@@ -473,7 +263,7 @@ impl Request {
     /// As [`Request::decode_lending`].
     pub fn decode(body: &[u8]) -> io::Result<Request> {
         let (mut request, tail) = Request::decode_lending(body)?;
-        if let Request::WriteChunk { payload, .. } = request.innermost_mut() {
+        if let Request::WriteChunk { payload, .. } = &mut request {
             *payload = tail.to_vec();
         }
         Ok(request)
@@ -483,14 +273,13 @@ impl Request {
     /// `WriteChunk`'s payload: the request comes back with an empty
     /// `payload`, and the payload is returned as the tail of `body` — how
     /// the server hands a chunk from its frame buffer to the disk. The
-    /// tail is empty for every other request. Wrapped requests are
-    /// handled the same way: the tail is the innermost `WriteChunk`'s.
+    /// tail is empty for every other request. `body` is the bare request,
+    /// what [`pbrs_wire::Envelope::split`] leaves.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for unknown opcodes, truncation, trailing
-    /// bytes, a wrapper nested in its own kind, or a `Trace` that is not
-    /// outermost.
+    /// Returns `InvalidData` for unknown opcodes (an envelope tag among
+    /// them), truncation or trailing bytes.
     pub fn decode_lending(body: &[u8]) -> io::Result<(Request, &[u8])> {
         let mut c = Cursor::new(body);
         let mut tail: &[u8] = &[];
@@ -499,7 +288,7 @@ impl Request {
             OP_ENSURE_OBJECT => Request::EnsureObject { object: c.str()? },
             OP_REMOVE_OBJECT => Request::RemoveObject { object: c.str()? },
             OP_WRITE_CHUNK => {
-                let (object, id) = (c.str()?, c.id()?);
+                let (object, id) = (c.str()?, read_id(&mut c)?);
                 tail = c.rest();
                 Request::WriteChunk {
                     object,
@@ -509,72 +298,29 @@ impl Request {
             }
             OP_READ_CHUNK => Request::ReadChunk {
                 object: c.str()?,
-                id: c.id()?,
+                id: read_id(&mut c)?,
                 len: c.u32()?,
             },
             OP_READ_RANGE => Request::ReadRange {
                 object: c.str()?,
-                id: c.id()?,
+                id: read_id(&mut c)?,
                 chunk_len: c.u32()?,
                 offset: c.u32()?,
                 len: c.u32()?,
             },
             OP_VERIFY => Request::Verify {
                 object: c.str()?,
-                id: c.id()?,
+                id: read_id(&mut c)?,
                 chunk_len: c.u32()?,
             },
             OP_SWEEP_TMP => Request::SweepTmp {
                 min_age: Duration::from_millis(c.u64()?),
             },
-            OP_DEADLINE => {
-                let budget_ms = c.u32()?;
-                let rest = c.rest();
-                // Refused before recursing, so nesting depth — and stack
-                // use — stays bounded whatever the body holds.
-                match rest.first() {
-                    Some(&OP_DEADLINE) => return Err(invalid("nested deadline wrapper".into())),
-                    Some(&OP_TRACE) => {
-                        return Err(invalid("trace wrapper must be outermost".into()))
-                    }
-                    _ => {}
-                }
-                let (inner, inner_tail) = Request::decode_lending(rest)?;
-                tail = inner_tail;
-                Request::Deadline {
-                    budget_ms,
-                    inner: Box::new(inner),
-                }
-            }
-            OP_TRACE => {
-                let trace = c.u64()?;
-                let span = c.u64()?;
-                let ctx = TraceCtx::from_raw(trace, span)
-                    .ok_or_else(|| invalid("zero trace/span id in trace wrapper".into()))?;
-                let rest = c.rest();
-                if rest.first() == Some(&OP_TRACE) {
-                    return Err(invalid("nested trace wrapper".into()));
-                }
-                let (inner, inner_tail) = Request::decode_lending(rest)?;
-                tail = inner_tail;
-                Request::Trace {
-                    ctx,
-                    inner: Box::new(inner),
-                }
-            }
             OP_FETCH_SPANS => Request::FetchSpans,
-            other => return Err(invalid(format!("unknown opcode {other}"))),
+            other => return Err(invalid(format!("unknown opcode {other:#04x}"))),
         };
         c.finish()?;
         Ok((req, tail))
-    }
-
-    /// The operation under any `Trace` / `Deadline` wrappers.
-    fn innermost_mut(&mut self) -> &mut Request {
-        match self {
-            Request::Deadline { inner, .. } | Request::Trace { inner, .. } => inner.innermost_mut(),
-            op => op,
-        }
     }
 }
 
@@ -614,7 +360,7 @@ impl Response {
             STATUS_MISSING => Response::Missing,
             STATUS_CORRUPT => Response::Corrupt { reason: c.str()? },
             STATUS_ERR => Response::Err { message: c.str()? },
-            other => return Err(invalid(format!("unknown status byte {other}"))),
+            other => return Err(invalid(format!("unknown status byte {other:#04x}"))),
         };
         c.finish()?;
         Ok(resp)
@@ -637,7 +383,11 @@ pub fn encode_ping(disk_present: bool) -> Vec<u8> {
 /// Returns `InvalidData` on a malformed payload.
 pub fn decode_ping(payload: &[u8]) -> io::Result<bool> {
     let mut c = Cursor::new(payload);
-    let present = c.u8()? != 0;
+    let present = match c.u8()? {
+        0 => false,
+        1 => true,
+        other => return Err(invalid(format!("disk presence byte {other}"))),
+    };
     c.finish()?;
     Ok(present)
 }
@@ -740,9 +490,8 @@ pub fn decode_spans(payload: &[u8]) -> io::Result<Vec<SpanRecord>> {
     let mut spans = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let trace =
-            TraceId::new(c.u64()?).ok_or_else(|| invalid("zero trace id in span record".into()))?;
-        let id =
-            SpanId::new(c.u64()?).ok_or_else(|| invalid("zero span id in span record".into()))?;
+            TraceId::new(c.u64()?).ok_or_else(|| invalid("zero trace id in span record"))?;
+        let id = SpanId::new(c.u64()?).ok_or_else(|| invalid("zero span id in span record"))?;
         let parent = SpanId::new(c.u64()?);
         let name = c.str()?;
         let process = c.str()?;
@@ -773,6 +522,8 @@ pub fn decode_spans(payload: &[u8]) -> io::Result<Vec<SpanRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbrs_obs::trace::TraceCtx;
+    use pbrs_wire::{write_frame, write_frame_parts, Envelope, OP_ENV_DEADLINE, OP_ENV_TRACE};
 
     const ID: ChunkId = ChunkId {
         stripe: 42,
@@ -818,32 +569,6 @@ mod tests {
             Request::SweepTmp {
                 min_age: Duration::from_millis(1500),
             },
-            Request::Deadline {
-                budget_ms: 250,
-                inner: Box::new(Request::ReadRange {
-                    object: "obj".into(),
-                    id: ID,
-                    chunk_len: 4096,
-                    offset: 2048,
-                    len: 2048,
-                }),
-            },
-            Request::Trace {
-                ctx: TraceCtx::from_raw(0x1234, 0x5678).unwrap(),
-                inner: Box::new(Request::ReadChunk {
-                    object: "obj".into(),
-                    id: ID,
-                    len: 4096,
-                }),
-            },
-            // The canonical full stack: trace outermost, deadline inside.
-            Request::Trace {
-                ctx: TraceCtx::from_raw(0x1234, 0x5678).unwrap(),
-                inner: Box::new(Request::Deadline {
-                    budget_ms: 250,
-                    inner: Box::new(Request::Ping),
-                }),
-            },
             Request::FetchSpans,
         ];
         for req in cases {
@@ -851,7 +576,7 @@ mod tests {
         }
     }
 
-    /// One request of every operation opcode (the wrappers aside).
+    /// One request of every operation opcode.
     fn every_op() -> Vec<Request> {
         let object = || "obj".to_string();
         vec![
@@ -887,36 +612,44 @@ mod tests {
         ]
     }
 
-    /// Each of [`every_op`], bare and inside `Trace(Deadline(..))`.
-    fn every_request() -> Vec<Request> {
+    /// Each of [`every_op`] as a frame body: bare, and behind an envelope
+    /// carrying both a trace and a deadline.
+    fn every_request() -> Vec<(Request, Vec<u8>)> {
+        let envelope = Envelope {
+            trace: TraceCtx::from_raw(0x1234, 0x5678),
+            deadline_ms: Some(250),
+        };
         every_op()
             .into_iter()
             .flat_map(|op| {
-                let wrapped = Request::Trace {
-                    ctx: TraceCtx::from_raw(0x1234, 0x5678).unwrap(),
-                    inner: Box::new(Request::Deadline {
-                        budget_ms: 250,
-                        inner: Box::new(op.clone()),
-                    }),
-                };
-                [op, wrapped]
+                let mut wrapped = Vec::new();
+                envelope.encode_into(&mut wrapped);
+                wrapped.extend_from_slice(&op.encode());
+                [(op.clone(), op.encode()), (op, wrapped)]
             })
             .collect()
     }
 
-    /// Checks `decode` and `decode_lending` against each other on `body`:
-    /// both accept it or both refuse it, and what they accept is the same
-    /// request — the lent tail is the write's payload, re-encoding the
-    /// payload-less request and appending the tail gives `body` back
-    /// byte for byte. Returns what `decode` made of it.
+    /// Splits the envelope off `body` as the server does, then checks
+    /// `decode` and `decode_lending` against each other on the rest: both
+    /// accept it or both refuse it, and what they accept is the same
+    /// request — the lent tail is the write's payload, and the envelope,
+    /// the payload-less request and the tail re-encode to `body` byte for
+    /// byte. Returns what `decode` made of it.
     fn decoders_agree(body: &[u8]) -> Option<Request> {
-        let (decoded, lent) = (Request::decode(body), Request::decode_lending(body));
+        let (envelope, bare) = Envelope::split(body).ok()?;
+        let (decoded, lent) = (Request::decode(bare), Request::decode_lending(bare));
         assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
         let (decoded, (mut head, tail)) = (decoded.ok()?, lent.unwrap());
-        let mut wire = head.encode();
+        let mut wire = Vec::new();
+        envelope.encode_into(&mut wire);
+        wire.extend_from_slice(&head.encode());
         wire.extend_from_slice(tail);
-        assert_eq!(wire, body, "lent request + tail re-encodes to the body");
-        match head.innermost_mut() {
+        assert_eq!(
+            wire, body,
+            "envelope + lent request + tail re-encode to the body"
+        );
+        match &mut head {
             Request::WriteChunk { payload, .. } => {
                 assert!(payload.is_empty(), "a lent payload stays in the body");
                 *payload = tail.to_vec();
@@ -929,63 +662,68 @@ mod tests {
 
     #[test]
     fn both_decoders_agree_on_every_opcode_bare_and_wrapped() {
-        for request in every_request() {
-            let decoded = decoders_agree(&request.encode());
-            assert_eq!(decoded, Some(request));
+        for (request, body) in every_request() {
+            assert_eq!(decoders_agree(&body), Some(request));
         }
+    }
+
+    /// Every truncation of `bytes`, `bytes` with one byte too many, and
+    /// `bytes` with each position set to each value.
+    fn mutants(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let truncations = (0..bytes.len()).map(|len| bytes[..len].to_vec());
+        let longer = std::iter::once([bytes, &[0]].concat());
+        let rewrites = (0..bytes.len()).flat_map(move |at| {
+            (0..=u8::MAX).map(move |value| {
+                let mut mutated = bytes.to_vec();
+                mutated[at] = value;
+                mutated
+            })
+        });
+        truncations.chain(longer).chain(rewrites)
     }
 
     #[test]
     fn both_decoders_are_total_under_byte_mutation() {
         let mut accepted = 0usize;
-        for request in every_request() {
-            let body = request.encode();
-            // Every truncation, and one byte too many.
-            for len in 0..body.len() {
-                decoders_agree(&body[..len]);
-            }
-            let mut longer = body.clone();
-            longer.push(0);
-            decoders_agree(&longer);
-            // Every value at every position.
-            for at in 0..body.len() {
-                for value in 0..=u8::MAX {
-                    let mut mutated = body.clone();
-                    mutated[at] = value;
-                    accepted += usize::from(decoders_agree(&mutated).is_some());
-                }
+        for (_, body) in every_request() {
+            for mutated in mutants(&body) {
+                accepted += usize::from(decoders_agree(&mutated).is_some());
             }
         }
         // Payload and name bytes are free, so many mutants still parse.
         assert!(accepted > 0);
     }
 
-    #[test]
-    fn deeply_nested_wrappers_are_refused_without_recursing() {
-        // 1 MiB of deadline openers: one recursion per wrapper would
-        // overflow the stack long before the end of the body.
-        let mut deep = Vec::new();
-        while deep.len() < 1 << 20 {
-            deep.push(OP_DEADLINE);
-            deep.extend_from_slice(&1u32.to_le_bytes());
-        }
-        assert!(Request::decode(&deep).is_err());
-        let mut traced = Vec::new();
-        while traced.len() < 1 << 20 {
-            traced.push(OP_TRACE);
-            traced.extend_from_slice(&1u64.to_le_bytes());
-            traced.extend_from_slice(&1u64.to_le_bytes());
-        }
-        assert!(Request::decode(&traced).is_err());
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let cases = [
-            Response::Ok {
-                payload: vec![1, 2, 3],
-            },
-            Response::Ok { payload: vec![] },
+    /// One response of every status, and one `Ok` payload of every shape
+    /// the op-specific helpers encode.
+    fn every_response() -> Vec<Response> {
+        let spans = vec![SpanRecord {
+            trace: TraceId::new(0xaaaa).unwrap(),
+            id: SpanId::new(0xbbbb).unwrap(),
+            parent: SpanId::new(0xcccc),
+            name: "read_range".into(),
+            process: "chunkd".into(),
+            start_us: 17,
+            dur_us: 5,
+            tags: vec![("object".into(), "obj".into())],
+        }];
+        let corrupt = ChunkStatus::Corrupt {
+            reason: "bad".into(),
+        };
+        [
+            vec![1, 2, 3],
+            Vec::new(),
+            encode_ping(true),
+            encode_ping(false),
+            encode_verify(&ChunkStatus::Healthy, 9),
+            encode_verify(&ChunkStatus::Missing, 0),
+            encode_verify(&corrupt, 4096),
+            encode_sweep(&["obj/a.tmp".into(), "b.tmp".into()]),
+            encode_spans(&spans),
+        ]
+        .into_iter()
+        .map(|payload| Response::Ok { payload })
+        .chain([
             Response::Missing,
             Response::Corrupt {
                 reason: "payload checksum mismatch".into(),
@@ -993,8 +731,57 @@ mod tests {
             Response::Err {
                 message: "disk on fire".into(),
             },
-        ];
-        for resp in cases {
+        ])
+        .collect()
+    }
+
+    /// Runs the response decoder and every `Ok`-payload decoder on `body`:
+    /// none panics, and whatever one accepts re-encodes to exactly the
+    /// bytes it was given.
+    fn response_decoders_reencode(body: &[u8]) -> usize {
+        let mut accepted = 0;
+        if let Ok(response) = Response::decode(body) {
+            assert_eq!(response.encode(), body, "{response:?}");
+            accepted += 1;
+        }
+        let Some(payload) = body.strip_prefix(&[STATUS_OK]) else {
+            return accepted;
+        };
+        if let Ok(present) = decode_ping(payload) {
+            assert_eq!(encode_ping(present), payload);
+            accepted += 1;
+        }
+        if let Ok((status, bytes_read)) = decode_verify(payload) {
+            assert_eq!(encode_verify(&status, bytes_read), payload);
+            accepted += 1;
+        }
+        if let Ok(removed) = decode_sweep(payload) {
+            assert_eq!(encode_sweep(&removed), payload);
+            accepted += 1;
+        }
+        if let Ok(spans) = decode_spans(payload) {
+            assert_eq!(encode_spans(&spans), payload);
+            accepted += 1;
+        }
+        accepted
+    }
+
+    #[test]
+    fn response_decoders_are_total_and_reencode_exactly() {
+        let mut accepted = 0usize;
+        for response in every_response() {
+            let body = response.encode();
+            assert!(response_decoders_reencode(&body) > 0, "{response:?}");
+            for mutated in mutants(&body) {
+                accepted += response_decoders_reencode(&mutated);
+            }
+        }
+        assert!(accepted > 0);
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in every_response() {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp, "{resp:?}");
         }
     }
@@ -1033,60 +820,17 @@ mod tests {
         let mut body = Request::Ping.encode();
         body.push(0);
         assert!(Request::decode(&body).is_err());
-        // A deadline may wrap any op exactly once, never itself.
-        let nested = Request::Deadline {
-            budget_ms: 10,
-            inner: Box::new(Request::Ping),
-        };
-        let mut doubled = vec![OP_DEADLINE];
-        doubled.extend_from_slice(&20u32.to_le_bytes());
-        doubled.extend_from_slice(&nested.encode());
-        assert!(Request::decode(&doubled).is_err(), "nested deadline");
-        // Trailing garbage inside the wrapped body is still rejected.
-        let mut padded = nested.encode();
-        padded.push(0);
-        assert!(Request::decode(&padded).is_err());
-    }
-
-    #[test]
-    fn trace_wrapper_is_strictly_outermost() {
-        let ctx = TraceCtx::from_raw(7, 9).unwrap();
-        // Trace in trace: rejected.
-        let mut doubled = vec![OP_TRACE];
-        doubled.extend_from_slice(&1u64.to_le_bytes());
-        doubled.extend_from_slice(&2u64.to_le_bytes());
-        doubled.extend_from_slice(
-            &Request::Trace {
-                ctx,
-                inner: Box::new(Request::Ping),
-            }
-            .encode(),
-        );
-        assert!(Request::decode(&doubled).is_err(), "nested trace");
-        // Deadline around trace: rejected (trace must be outermost).
-        let mut inverted = vec![OP_DEADLINE];
-        inverted.extend_from_slice(&10u32.to_le_bytes());
-        inverted.extend_from_slice(
-            &Request::Trace {
-                ctx,
-                inner: Box::new(Request::Ping),
-            }
-            .encode(),
-        );
-        assert!(Request::decode(&inverted).is_err(), "deadline around trace");
-        // Zero ids are the "absent" encoding, never valid in an envelope.
-        let mut zeroed = vec![OP_TRACE];
-        zeroed.extend_from_slice(&0u64.to_le_bytes());
-        zeroed.extend_from_slice(&2u64.to_le_bytes());
-        zeroed.extend_from_slice(&Request::Ping.encode());
-        assert!(Request::decode(&zeroed).is_err(), "zero trace id");
-        // Truncated envelope header.
-        assert!(Request::decode(&[OP_TRACE, 1, 2, 3]).is_err());
+        // An envelope tag is no opcode: a repeated or misplaced one is
+        // refused by the request decoder, not read as a second envelope.
+        for tag in [OP_ENV_TRACE, OP_ENV_DEADLINE] {
+            let mut body = vec![tag, 1, 0, 0, 0];
+            body.extend_from_slice(&Request::Ping.encode());
+            assert!(Request::decode(&body).is_err(), "tag {tag:#04x}");
+        }
     }
 
     #[test]
     fn span_payloads_round_trip() {
-        use pbrs_obs::trace::{SpanId, SpanRecord, TraceId};
         let spans = vec![
             SpanRecord {
                 trace: TraceId::new(0xaaaa).unwrap(),
@@ -1126,85 +870,42 @@ mod tests {
         assert!(decode_spans(&zeroed).is_err());
     }
 
+    /// Bare frames as the peers send them, byte for byte as recorded
+    /// before the framing moved to `pbrs-wire`: a `ReadChunk`, a
+    /// `WriteChunk` sent from a borrowed payload, and a read's `Ok`.
     #[test]
-    fn frames_round_trip_and_enforce_the_cap() {
-        let mut wire = Vec::new();
-        let sent = write_frame(&mut wire, 0xDEAD_BEEF, b"hello").unwrap();
-        assert_eq!(sent, FRAME_OVERHEAD + 5);
-        let (id, body, received) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(id, 0xDEAD_BEEF);
-        assert_eq!(body, b"hello");
-        assert_eq!(received, FRAME_OVERHEAD + 5);
-        // A hostile length prefix is rejected before allocation.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        huge.extend_from_slice(&0u64.to_le_bytes());
-        assert!(read_frame(&mut huge.as_slice()).is_err());
-    }
-    /// A writer that takes at most `step` bytes per call — across the
-    /// slices of a vectored write, like a socket with a nearly full send
-    /// buffer — and counts its calls.
-    struct Trickle {
-        step: usize,
-        wire: Vec<u8>,
-        calls: usize,
-    }
-
-    impl Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[IoSlice::new(buf)])
-        }
-
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-            self.calls += 1;
-            let mut taken = 0;
-            for buf in bufs {
-                let n = buf.len().min(self.step - taken);
-                self.wire.extend_from_slice(&buf[..n]);
-                taken += n;
-            }
-            Ok(taken)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn partial_vectored_writes_still_deliver_whole_frames() {
-        let body: Vec<u8> = (0..40u8).collect();
-        let frame_len = FRAME_OVERHEAD as usize + body.len();
-        // Every split: mid-header, at the header/body seam, mid-body, and
-        // the whole frame in one call.
-        for step in 1..=frame_len {
-            let mut w = Trickle {
-                step,
-                wire: Vec::new(),
-                calls: 0,
-            };
-            let sent = write_frame(&mut w, 77, &body).unwrap();
-            assert_eq!(sent as usize, frame_len, "step {step}");
-            assert_eq!(w.calls, frame_len.div_ceil(step), "step {step}");
-            let (id, got, received) = read_frame(&mut w.wire.as_slice()).unwrap();
-            assert_eq!((id, received as usize), (77, frame_len), "step {step}");
-            assert_eq!(got, body, "step {step}");
-        }
-        // An empty body is a header-only frame, not a zero-length write.
-        let mut w = Trickle {
-            step: 5,
-            wire: Vec::new(),
-            calls: 0,
+    fn bare_frames_keep_their_recorded_bytes() {
+        let mut read = Vec::new();
+        let request = Request::ReadChunk {
+            object: "obj".into(),
+            id: ID,
+            len: 4096,
         };
-        assert_eq!(write_frame(&mut w, 1, &[]).unwrap(), FRAME_OVERHEAD);
-        assert_eq!(read_frame(&mut w.wire.as_slice()).unwrap().1, b"");
-        // A writer that stops accepting bytes is an error, not a spin.
-        let mut stuck = Trickle {
-            step: 0,
-            wire: Vec::new(),
-            calls: 0,
-        };
-        let err = write_frame(&mut stuck, 1, b"x").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        write_frame(&mut read, 7, &request.encode()).unwrap();
+        assert_eq!(
+            read,
+            [
+                24, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 0, 111, 98, 106, 42, 0, 0, 0, 0,
+                0, 0, 0, 7, 0, 0, 0, 0, 16, 0, 0
+            ]
+        );
+        let mut write = Vec::new();
+        let fields = Request::WriteChunk {
+            object: "obj".into(),
+            id: ID,
+            payload: Vec::new(),
+        }
+        .encode();
+        write_frame_parts(&mut write, 8, &[&fields, &[1, 2, 3, 4, 5]]).unwrap();
+        assert_eq!(
+            write,
+            [
+                25, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 111, 98, 106, 42, 0, 0, 0, 0,
+                0, 0, 0, 7, 0, 0, 0, 1, 2, 3, 4, 5
+            ]
+        );
+        let mut ok = Vec::new();
+        write_frame_parts(&mut ok, 9, &[&[STATUS_OK], &[9, 8, 7]]).unwrap();
+        assert_eq!(ok, [4, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9, 8, 7]);
     }
 }

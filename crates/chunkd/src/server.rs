@@ -24,9 +24,12 @@ use pbrs_store::{
     BackendCounters, ChunkBackend, ChunkStatus, FaultPlan, FaultyBackend, LocalDisk, StoreError,
 };
 
+use pbrs_wire::{
+    parse_header, write_frame, write_frame_parts, Envelope, FRAME_OVERHEAD, MAX_FRAME,
+};
+
 use crate::protocol::{
-    encode_ping, encode_spans, encode_sweep, encode_verify, parse_header, write_frame,
-    write_frame_parts, Request, Response, FRAME_OVERHEAD, STATUS_OK,
+    encode_ping, encode_spans, encode_sweep, encode_verify, Request, Response, STATUS_OK,
 };
 
 /// How long a serving thread waits for the next request before checking
@@ -56,8 +59,8 @@ pub struct ServerConfig {
     /// The pool-disk index this server plays in `fault_plan`'s schedule
     /// (a plan's `disk=N` clauses match against it).
     pub fault_disk: usize,
-    /// Whether to record server-side spans for trace-wrapped requests
-    /// (shipped back via `FetchSpans`). Costs two clock reads and one
+    /// Whether to record server-side spans for requests whose envelope
+    /// carries a trace (shipped back via `FetchSpans`). Costs two clock reads and one
     /// ring push per traced request; untraced requests are unaffected
     /// either way.
     pub tracing: bool,
@@ -122,15 +125,11 @@ impl OpHists {
             Request::Verify { .. } => &self.verify,
             Request::SweepTmp { .. } => &self.sweep_tmp,
             Request::FetchSpans => &self.fetch_spans,
-            // Wrappers time the op they wrap, not their own bookkeeping.
-            Request::Deadline { inner, .. } => self.for_request(inner),
-            Request::Trace { inner, .. } => self.for_request(inner),
         }
     }
 }
 
-/// Stable span/metric name of the operation a request performs (wrappers
-/// resolve to what they wrap).
+/// Stable span/metric name of the operation a request performs.
 fn op_name(request: &Request) -> &'static str {
     match request {
         Request::Ping => "ping",
@@ -142,8 +141,6 @@ fn op_name(request: &Request) -> &'static str {
         Request::Verify { .. } => "verify",
         Request::SweepTmp { .. } => "sweep_tmp",
         Request::FetchSpans => "fetch_spans",
-        Request::Deadline { inner, .. } => op_name(inner),
-        Request::Trace { inner, .. } => op_name(inner),
     }
 }
 
@@ -156,7 +153,6 @@ fn request_object(request: &Request) -> Option<&str> {
         | Request::ReadChunk { object, .. }
         | Request::ReadRange { object, .. }
         | Request::Verify { object, .. } => Some(object),
-        Request::Deadline { inner, .. } | Request::Trace { inner, .. } => request_object(inner),
         _ => None,
     }
 }
@@ -425,76 +421,68 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             .traffic
             .bytes_in
             // Relaxed: traffic tally, sampled only by counters().
-            .fetch_add(FRAME_OVERHEAD + len as u64, Ordering::Relaxed);
-        let answer = match Request::decode_lending(&frame[..len]) {
-            Ok((request, tail)) => {
-                // The trace envelope is strictly outermost (enforced at
-                // decode); peel it first so every path below sees the
-                // caller's context.
-                let (ctx, request) = match request {
-                    Request::Trace { ctx, inner } => (Some(ctx), *inner),
-                    other => (None, other),
-                };
-                match request {
-                    // The client's budget was gone before the frame
-                    // arrived: refuse rather than burn disk on an answer
-                    // nobody waits for. (The client ships its *remaining*
-                    // budget at send time, so a zero here means "already
-                    // expired"; a positive budget cannot be enforced
-                    // mid-op and the work simply runs.)
-                    Request::Deadline { budget_ms: 0, .. } => Response::Err {
-                        message: "deadline exceeded before execution".into(),
-                    }
-                    .into(),
-                    // Ship-back drain: everything recorded since the last
-                    // fetch, in one frame.
-                    Request::FetchSpans => {
-                        let start = Instant::now();
-                        let payload = encode_spans(&shared.tracer.drain_export());
-                        shared.ops.fetch_spans.record_duration(start.elapsed());
-                        Response::Ok { payload }.into()
-                    }
-                    request => {
-                        let request = match request {
-                            Request::Deadline { inner, .. } => *inner,
-                            other => other,
-                        };
-                        let hist = shared.ops.for_request(&request);
-                        // Journal pushes during the op get tagged with
-                        // the caller's trace.
-                        let _scope = ScopedCtx::enter(ctx);
-                        let span = match (ctx, shared.tracer.is_enabled()) {
-                            (Some(ctx), true) => {
-                                let mut span = shared.tracer.span(op_name(&request), ctx);
-                                if let Some(object) = request_object(&request) {
-                                    span.tag("object", object);
-                                }
-                                Some(span)
-                            }
-                            _ => None,
-                        };
-                        let start = Instant::now();
-                        match handle(shared.backend.as_ref(), request, tail, &mut buf) {
-                            Ok(answer) => {
-                                hist.record_duration(start.elapsed());
-                                if let Some(mut span) = span {
-                                    if let Answer::Response(Response::Err { message }) = &answer {
-                                        span.tag("fault", message.clone());
-                                    }
-                                    span.finish(&shared.tracer);
-                                }
-                                answer
-                            }
-                            // An injected connection drop: die without
-                            // answering, exactly as a genuinely aborted
-                            // connection would.
-                            Err(e) => {
-                                shared
-                                    .journal
-                                    .push(EventKind::Error, format!("connection drop: {e}"));
-                                return Err(e);
-                            }
+            .fetch_add((FRAME_OVERHEAD + len) as u64, Ordering::Relaxed);
+        let decoded = Envelope::split(&frame[..len])
+            .and_then(|(envelope, body)| Ok((envelope, Request::decode_lending(body)?)));
+        let answer = match decoded {
+            // The client's budget was gone before the frame arrived:
+            // refuse rather than burn disk on an answer nobody waits for.
+            // (The client ships its *remaining* budget at send time, so a
+            // zero here means "already expired"; a positive budget cannot
+            // be enforced mid-op and the work simply runs.)
+            Ok((
+                Envelope {
+                    deadline_ms: Some(0),
+                    ..
+                },
+                _,
+            )) => Response::Err {
+                message: "deadline exceeded before execution".into(),
+            }
+            .into(),
+            // Ship-back drain: everything recorded since the last fetch,
+            // in one frame, whatever the envelope says.
+            Ok((_, (Request::FetchSpans, _))) => {
+                let start = Instant::now();
+                let payload = encode_spans(&shared.tracer.drain_export());
+                shared.ops.fetch_spans.record_duration(start.elapsed());
+                Response::Ok { payload }.into()
+            }
+            Ok((envelope, (request, tail))) => {
+                let ctx = envelope.trace;
+                let hist = shared.ops.for_request(&request);
+                // Journal pushes during the op get tagged with the
+                // caller's trace.
+                let _scope = ScopedCtx::enter(ctx);
+                let span = match (ctx, shared.tracer.is_enabled()) {
+                    (Some(ctx), true) => {
+                        let mut span = shared.tracer.span(op_name(&request), ctx);
+                        if let Some(object) = request_object(&request) {
+                            span.tag("object", object);
                         }
+                        Some(span)
+                    }
+                    _ => None,
+                };
+                let start = Instant::now();
+                match handle(shared.backend.as_ref(), request, tail, &mut buf) {
+                    Ok(answer) => {
+                        hist.record_duration(start.elapsed());
+                        if let Some(mut span) = span {
+                            if let Answer::Response(Response::Err { message }) = &answer {
+                                span.tag("fault", message.clone());
+                            }
+                            span.finish(&shared.tracer);
+                        }
+                        answer
+                    }
+                    // An injected connection drop: die without answering,
+                    // exactly as a genuinely aborted connection would.
+                    Err(e) => {
+                        shared
+                            .journal
+                            .push(EventKind::Error, format!("connection drop: {e}"));
+                        return Err(e);
                     }
                 }
             }
@@ -534,7 +522,7 @@ fn read_frame_polling(
     frame: &mut Vec<u8>,
 ) -> io::Result<Option<(u64, usize)>> {
     let idle_since = Instant::now();
-    let mut header = [0u8; FRAME_OVERHEAD as usize];
+    let mut header = [0u8; FRAME_OVERHEAD];
     let mut filled = 0usize;
     while filled < header.len() {
         match stream.read(&mut header[filled..]) {
@@ -706,14 +694,6 @@ fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
                 message: "chunk reads and writes are answered by handle".into(),
             })
         }
-        // Unwrapped by the caller; a nested one is rejected at decode.
-        Request::Deadline { .. } => Ok(Response::Err {
-            message: "unexpected deadline wrapper".into(),
-        }),
-        // Peeled / answered by the caller before dispatch.
-        Request::Trace { .. } => Ok(Response::Err {
-            message: "unexpected trace wrapper".into(),
-        }),
         Request::FetchSpans => Ok(Response::Err {
             message: "fetch_spans handled before dispatch".into(),
         }),
@@ -737,7 +717,7 @@ fn connection_drop(e: &StoreError) -> Option<io::Error> {
 /// length field must never size an allocation unchecked.
 fn read_window(buf: &mut Vec<u8>, len: u32) -> Result<&mut [u8], StoreError> {
     let len = len as usize;
-    if len > crate::protocol::MAX_FRAME - 16 {
+    if len > MAX_FRAME - 16 {
         return Err(StoreError::InvalidConfig {
             reason: format!("read of {len} bytes exceeds the frame cap"),
         });

@@ -38,7 +38,7 @@ const TARGET: usize = 1; // a data shard: piggyback uses half-chunk helpers
 
 /// Per-response wire overhead: 4-byte length prefix + 8-byte request id
 /// + 1 status byte.
-const FRAME_OVERHEAD: u64 = pbrs_chunkd::protocol::FRAME_OVERHEAD + 1;
+const FRAME_OVERHEAD: u64 = pbrs_wire::FRAME_OVERHEAD as u64 + 1;
 
 fn garbage_fill_outside(path: &std::path::Path, id: ChunkId, declared: &[&ShardRead]) -> Vec<u8> {
     let original = chunk::read_chunk(path, id, CHUNK_LEN).unwrap().unwrap();
@@ -297,7 +297,7 @@ fn begin_write_then_wait_is_write_chunk() {
 
     // A payload that cannot fit a frame is refused by both, the same way,
     // and writes nothing.
-    let oversized = vec![0u8; pbrs_chunkd::MAX_FRAME];
+    let oversized = vec![0u8; pbrs_wire::MAX_FRAME];
     let huge = at(2);
     let refusals = [
         disk.write_chunk("obj", huge, &oversized).unwrap_err(),

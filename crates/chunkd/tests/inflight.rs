@@ -28,13 +28,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pbrs_chunkd::protocol::{read_frame, write_frame};
 use pbrs_chunkd::{ChunkServer, RemoteDisk};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkId, ChunkStatus, LocalDisk, PlacementPolicy, RackMap,
     StoreConfig,
 };
+use pbrs_wire::{read_frame, write_frame};
 
 const CHUNK_LEN: usize = 512;
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -78,7 +78,7 @@ impl Relay {
                     (client.try_clone().unwrap(), server.try_clone().unwrap());
                 let requests = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    while let Ok((id, body, _)) = read_frame(&mut from_client) {
+                    while let Ok((id, body)) = read_frame(&mut from_client) {
                         if std::mem::take(&mut requests.0.lock().unwrap().cut_next) {
                             let _ = from_client.shutdown(Shutdown::Both);
                             let _ = to_server.shutdown(Shutdown::Both);
@@ -94,7 +94,7 @@ impl Relay {
                 let (mut from_server, mut to_client) = (server, client);
                 let responses = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    while let Ok((id, body, _)) = read_frame(&mut from_server) {
+                    while let Ok((id, body)) = read_frame(&mut from_server) {
                         let mut guard = responses.0.lock().unwrap();
                         while guard.hold && !guard.dead {
                             guard = responses.1.wait(guard).unwrap();

@@ -7,13 +7,14 @@ use std::fs::{self, File};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use pbrs_chunkd::protocol::{read_frame, write_frame};
 use pbrs_chunkd::{ChunkServer, RemoteDisk, Request, Response, ServerConfig};
+use pbrs_obs::trace::{ScopedCtx, TraceCtx};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkStatus, DaemonConfig, FaultPlan, LocalDisk, PlacementPolicy,
     RackMap, RepairDaemon, StoreConfig,
 };
+use pbrs_wire::{read_frame, write_frame, Envelope};
 
 const CHUNK_LEN: usize = 512;
 
@@ -271,12 +272,15 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
 
     // A wire frame whose budget is already spent gets the typed refusal.
     let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    let expired = Request::Deadline {
-        budget_ms: 0,
-        inner: Box::new(Request::Ping),
+    let mut expired = Vec::new();
+    let spent = Envelope {
+        trace: None,
+        deadline_ms: Some(0),
     };
-    write_frame(&mut stream, 1, &expired.encode()).unwrap();
-    let (req_id, body, _) = read_frame(&mut stream).unwrap();
+    spent.encode_into(&mut expired);
+    expired.extend_from_slice(&Request::Ping.encode());
+    write_frame(&mut stream, 1, &expired).unwrap();
+    let (req_id, body) = read_frame(&mut stream).unwrap();
     assert_eq!(req_id, 1);
     match Response::decode(&body).unwrap() {
         Response::Err { message } => assert!(message.contains("deadline"), "{message}"),
@@ -284,5 +288,29 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     }
 
     plan.release(); // unstall the parked server worker before teardown
+    server.shutdown();
+}
+
+/// A disk with both a budget and tracing gets its server's spans back: the
+/// span fetch carries a deadline in its envelope like every request of
+/// that disk, and the server answers it whatever the envelope holds.
+#[test]
+fn budgeted_traced_disk_drains_its_spans() {
+    let dir = TempDir::new("chunkd-budget-spans");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let disk = RemoteDisk::new(server.local_addr().to_string())
+        .deadline(Duration::from_secs(2))
+        .traced();
+    let ctx = TraceCtx::from_raw(0x51, 0x52).unwrap();
+    {
+        let _scope = ScopedCtx::enter(Some(ctx));
+        disk.ensure_object("obj").unwrap();
+    }
+    let spans = disk.drain_spans();
+    assert!(!spans.is_empty(), "no spans came back");
+    assert!(
+        spans.iter().all(|span| span.trace == ctx.trace),
+        "{spans:?}"
+    );
     server.shutdown();
 }

@@ -16,7 +16,7 @@
 //! Neither direction copies a stripe in user space. A `PUT` sends each
 //! [`PUT_CHUNK`] piece straight from the caller's slice, behind its
 //! frame header and opcode. A `GET` stream reads every frame into one
-//! buffer (`protocol::read_frame_into`) and hands each stripe to the sink
+//! buffer (`pbrs_wire::read_frame_into`) and hands each stripe to the sink
 //! as a slice of it ([`Response::decode_lending`]).
 
 use std::fmt;
@@ -25,10 +25,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pbrs_obs::trace::TraceCtx;
+use pbrs_wire::{read_frame, read_frame_into, write_frame, write_frame_parts, Envelope, MAX_FRAME};
 
-use crate::protocol::{
-    put_data_head, read_frame, read_frame_into, write_frame, Request, Response, MAX_FRAME,
-};
+use crate::protocol::{put_data_head, Request, Response};
 
 /// How much payload one `PUT_DATA` frame carries (well under
 /// [`MAX_FRAME`]; several frames keep the gateway's workers busy while
@@ -200,12 +199,7 @@ impl GatewayClient {
     /// [`GatewayError::NotFound`] / [`GatewayError::Deleted`] for the
     /// typed misses, [`GatewayError::Busy`], remote and transport errors.
     pub fn get(&mut self, name: &str) -> Result<GetObject> {
-        let mut data = Vec::new();
-        let degraded_stripes = self.get_streamed(name, |stripe| data.extend_from_slice(stripe))?;
-        Ok(GetObject {
-            data,
-            degraded_stripes,
-        })
+        self.get_whole(name, Envelope::default())
     }
 
     /// Fetches `name`, handing each stripe's payload to `sink` as it
@@ -216,9 +210,7 @@ impl GatewayClient {
     ///
     /// As [`GatewayClient::get`].
     pub fn get_streamed(&mut self, name: &str, sink: impl FnMut(&[u8])) -> Result<u64> {
-        let id = self.fresh_id();
-        self.send_request(id, &Request::Get { name: name.into() })?;
-        recv_get_stream(&self.stream, id, sink)
+        self.get_under(name, Envelope::default(), sink)
     }
 
     /// Tombstones `name`; returns how many payload bytes it held.
@@ -302,22 +294,38 @@ impl GatewayClient {
     ///
     /// As [`GatewayClient::get`].
     pub fn get_traced(&mut self, name: &str, ctx: TraceCtx) -> Result<GetObject> {
-        let id = self.fresh_id();
-        self.send_request(
-            id,
-            &Request::Traced {
-                ctx,
-                inner: Box::new(Request::Get { name: name.into() }),
-            },
-        )?;
+        let envelope = Envelope {
+            trace: Some(ctx),
+            deadline_ms: None,
+        };
+        self.get_whole(name, envelope)
+    }
+
+    /// [`GatewayClient::get_under`], collecting the stripes.
+    fn get_whole(&mut self, name: &str, envelope: Envelope) -> Result<GetObject> {
         let mut data = Vec::new();
-        let degraded_stripes = recv_get_stream(&self.stream, id, |stripe| {
-            data.extend_from_slice(stripe);
-        })?;
+        let degraded_stripes =
+            self.get_under(name, envelope, |stripe| data.extend_from_slice(stripe))?;
         Ok(GetObject {
             data,
             degraded_stripes,
         })
+    }
+
+    /// Sends a `GET` behind `envelope` (nothing at all for an empty one)
+    /// and streams the response to `sink`.
+    fn get_under(
+        &mut self,
+        name: &str,
+        envelope: Envelope,
+        sink: impl FnMut(&[u8]),
+    ) -> Result<u64> {
+        let id = self.fresh_id();
+        let mut head = Vec::new();
+        envelope.encode_into(&mut head);
+        let get = Request::Get { name: name.into() }.encode();
+        write_frame_parts(&mut self.stream, id, &[&head, &get])?;
+        recv_get_stream(&self.stream, id, sink)
     }
 
     /// Receives the response for `id`, folding the shared status frames
@@ -346,10 +354,9 @@ fn recv_get_stream(stream: &TcpStream, id: u64, mut sink: impl FnMut(&[u8])) -> 
     loop {
         let (got, len) = read_frame_into(&mut reader, &mut body)?;
         check_id(got, id)?;
-        let (response, payload) = Response::decode_lending(&body[..len])?;
+        let (response, stripe) = Response::decode_lending(&body[..len])?;
         match typed(response)? {
             Response::Data { .. } => {
-                let stripe = &body[payload];
                 remaining = remaining.checked_sub(stripe.len() as u64).ok_or_else(|| {
                     GatewayError::Protocol(format!(
                         "a {}-byte stripe overruns the stream, {remaining} bytes were left",

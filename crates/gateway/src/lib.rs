@@ -20,8 +20,8 @@
 //!
 //! Module map:
 //!
-//! * [`protocol`] — frame format, request/response vocabulary, and the
-//!   incremental [`protocol::FrameDecoder`].
+//! * [`protocol`] — the request/response vocabulary and the incremental
+//!   [`protocol::FrameDecoder`]; the frame format is `pbrs-wire`'s.
 //! * [`poll`] — the `poll(2)` FFI shim (the crate's only `unsafe`).
 //! * [`server`] — the reactor, worker pool, and backpressure machinery.
 //! * [`client`] — a small blocking client, with pipelining-capable raw
@@ -40,5 +40,5 @@ pub mod server;
 
 pub use client::{GatewayClient, GatewayError, GetObject};
 pub use metrics::{GatewayLatencySnapshot, GatewayMetrics, OpClass};
-pub use protocol::{Request, Response, FRAME_OVERHEAD, MAX_FRAME};
+pub use protocol::{Request, Response};
 pub use server::{Gateway, GatewayConfig};

@@ -1,17 +1,19 @@
-//! The gateway wire protocol: length-prefixed, request-id-tagged frames
-//! carrying a small streaming RPC vocabulary.
+//! The gateway wire protocol: request-id-tagged frames carrying a small
+//! streaming RPC vocabulary.
 //!
 //! # Framing
 //!
-//! ```text
-//! | len: u32 LE | req_id: u64 LE | body: len bytes |
-//! ```
+//! Framing is [`pbrs_wire`]'s: a frame is a length prefix, a request id
+//! and a body, and a request body may open with a
+//! [`pbrs_wire::Envelope`]. The gateway reads the envelope's trace context
+//! (its root span adopts the caller's trace) and refuses a deadline, which
+//! it has no client budget to apply to. This module holds what is the
+//! gateway's own: the opcode table and the messages.
 //!
 //! `req_id` is chosen by the client, must be unique among its in-flight
 //! requests, and tags **every** frame of a request and of its response(s).
 //! Requests on one connection may be pipelined and their response frames
-//! interleaved — a client matches by id, never by arrival order. `len`
-//! counts only the body and is capped at [`MAX_FRAME`].
+//! interleaved — a client matches by id, never by arrival order.
 //!
 //! # Requests (first body byte = opcode)
 //!
@@ -36,45 +38,28 @@
 //!
 //! The [`FrameDecoder`] is incremental (feed arbitrary byte arrivals,
 //! frames fall out) because the reactor reads whatever the socket has;
-//! the blocking [`read_frame`]/[`write_frame`] helpers serve the client
-//! side and tests.
+//! the client reads and writes with `pbrs_wire`'s blocking helpers.
 //!
 //! # Payloads are lent, not copied
 //!
 //! A stripe crosses each side of the gateway wire once, by the kernel:
 //!
 //! * [`Request::decode_lending`] and [`Response::decode_lending`] parse a
-//!   body and return a `PUT_DATA` / `Data` payload as a range of it, so
+//!   body and return a `PUT_DATA` / `Data` payload as the tail of it, so
 //!   the reactor hands a `PUT_DATA` frame's payload to the store, and the
 //!   client hands a stripe to its sink, as a slice of the frame buffer.
 //!   `decode` is lend-then-fill: one parser per direction.
-//! * `read_frame_into` reads a frame into a caller-owned buffer that only
-//!   grows and is never zeroed per frame; [`read_frame`] is a thin
-//!   wrapper over it.
 //! * `data_head` and `put_data_head` are a payload frame's header plus
 //!   its tag byte, so the payload can follow straight from the stripe or
 //!   the caller's slice. The bytes on the wire are exactly those of
 //!   `write_frame(id, &msg.encode())`.
 
-use std::io::{self, Read, Write};
-use std::ops::Range;
+use std::io;
 
-use pbrs_obs::trace::TraceCtx;
-
-/// Upper bound on one frame's body. Large enough for any stripe the store
-/// ships (chunk sizes are ≤ a few MiB), small enough that a hostile
-/// length prefix cannot size a huge allocation.
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
-
-/// Bytes of framing overhead per message (length prefix + request id).
-pub const FRAME_OVERHEAD: usize = 12;
+use pbrs_wire::{frame_header, invalid, parse_header, Cursor, FRAME_OVERHEAD};
 
 /// Longest accepted object name on the wire.
 pub const MAX_NAME: usize = 4096;
-
-fn invalid(what: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.into())
-}
 
 // Request opcodes.
 const OP_PUT_START: u8 = 0x01;
@@ -86,7 +71,6 @@ const OP_STAT: u8 = 0x06;
 const OP_METRICS: u8 = 0x07;
 const OP_PROMETHEUS: u8 = 0x08;
 const OP_TRACES: u8 = 0x09;
-const OP_TRACED: u8 = 0x0A;
 
 // Response status bytes.
 const ST_CREATED: u8 = 0x81;
@@ -140,17 +124,6 @@ pub enum Request {
     /// The flight recorder's retained trace trees, as JSON and Chrome
     /// trace_event text.
     Traces,
-    /// An op under a client-supplied trace context: the gateway adopts
-    /// `ctx` as the root's parent instead of minting a fresh trace id,
-    /// so gateway spans join the caller's distributed trace. Strictly
-    /// outermost and optional — a frame without it is the legacy wire,
-    /// and an un-upgraded peer never sees this opcode.
-    Traced {
-        /// The caller's trace id and the span to parent the op under.
-        ctx: TraceCtx,
-        /// The wrapped request (never another `Traced`).
-        inner: Box<Request>,
-    },
 }
 
 impl Request {
@@ -171,15 +144,6 @@ impl Request {
             Request::Metrics => vec![OP_METRICS],
             Request::Prometheus => vec![OP_PROMETHEUS],
             Request::Traces => vec![OP_TRACES],
-            Request::Traced { ctx, inner } => {
-                let payload = inner.encode();
-                let mut body = Vec::with_capacity(17 + payload.len());
-                body.push(OP_TRACED);
-                body.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
-                body.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
-                body.extend_from_slice(&payload);
-                body
-            }
         }
     }
 
@@ -191,89 +155,48 @@ impl Request {
     /// As [`Request::decode_lending`].
     pub fn decode(body: &[u8]) -> io::Result<Request> {
         let (mut request, payload) = Request::decode_lending(body)?;
-        if let Request::PutData { data } = request.innermost_mut() {
-            *data = body[payload].to_vec();
+        if let Request::PutData { data } = &mut request {
+            *data = payload.to_vec();
         }
         Ok(request)
     }
 
     /// Parses one request body, lending rather than copying a `PUT_DATA`
     /// payload: the request comes back with empty `data`, and the payload
-    /// is returned as a range of `body` — how the reactor hands an ingest
-    /// piece from its frame to the store. The range always ends at
-    /// `body.len()`, and is empty for every other request. A `Traced`
-    /// wrapper lends its inner request's payload the same way.
+    /// is returned as the tail of `body` — how the reactor hands an ingest
+    /// piece from its frame to the store. The tail is empty for every
+    /// other request. `body` is the bare request, what
+    /// [`pbrs_wire::Envelope::split`] leaves.
     ///
     /// # Errors
     ///
-    /// `InvalidData` for an empty body, unknown opcode, or malformed
-    /// fields — the gateway answers those with [`Response::Err`] rather
-    /// than dropping the connection.
-    pub fn decode_lending(body: &[u8]) -> io::Result<(Request, Range<usize>)> {
-        let (&op, rest) = body.split_first().ok_or_else(|| invalid("empty request"))?;
-        let end = body.len();
-        let request = match op {
+    /// `InvalidData` for an empty body, unknown opcode (an envelope tag
+    /// among them), or malformed fields — the gateway answers those with
+    /// [`Response::Err`] rather than dropping the connection.
+    pub fn decode_lending(body: &[u8]) -> io::Result<(Request, &[u8])> {
+        let mut c = Cursor::new(body);
+        let request = match c.u8()? {
             OP_PUT_START => Request::PutStart {
-                name: decode_name(rest)?,
+                name: decode_name(c.rest())?,
             },
-            OP_PUT_DATA => return Ok((Request::PutData { data: Vec::new() }, 1..end)),
-            OP_PUT_END => {
-                expect_empty(rest)?;
-                Request::PutEnd
-            }
+            OP_PUT_DATA => return Ok((Request::PutData { data: Vec::new() }, c.rest())),
+            OP_PUT_END => Request::PutEnd,
             OP_GET => Request::Get {
-                name: decode_name(rest)?,
+                name: decode_name(c.rest())?,
             },
             OP_DELETE => Request::Delete {
-                name: decode_name(rest)?,
+                name: decode_name(c.rest())?,
             },
             OP_STAT => Request::Stat {
-                name: decode_name(rest)?,
+                name: decode_name(c.rest())?,
             },
-            OP_METRICS => {
-                expect_empty(rest)?;
-                Request::Metrics
-            }
-            OP_PROMETHEUS => {
-                expect_empty(rest)?;
-                Request::Prometheus
-            }
-            OP_TRACES => {
-                expect_empty(rest)?;
-                Request::Traces
-            }
-            OP_TRACED => {
-                const INNER: usize = 17;
-                if body.len() < INNER {
-                    return Err(invalid("truncated trace context"));
-                }
-                let ctx = TraceCtx::from_raw(le_u64(&rest[0..8]), le_u64(&rest[8..16]))
-                    .ok_or_else(|| invalid("zero trace or span id"))?;
-                // Refused before recursing, so a body of nested wrappers
-                // cannot run the reactor out of stack.
-                if body.get(INNER) == Some(&OP_TRACED) {
-                    return Err(invalid("trace wrapper must be outermost"));
-                }
-                let (inner, payload) = Request::decode_lending(&body[INNER..])?;
-                return Ok((
-                    Request::Traced {
-                        ctx,
-                        inner: Box::new(inner),
-                    },
-                    payload.start + INNER..payload.end + INNER,
-                ));
-            }
+            OP_METRICS => Request::Metrics,
+            OP_PROMETHEUS => Request::Prometheus,
+            OP_TRACES => Request::Traces,
             other => return Err(invalid(format!("unknown request opcode {other:#04x}"))),
         };
-        Ok((request, end..end))
-    }
-
-    /// The request under any `Traced` wrapper.
-    fn innermost_mut(&mut self) -> &mut Request {
-        match self {
-            Request::Traced { inner, .. } => inner.innermost_mut(),
-            request => request,
-        }
+        c.finish()?;
+        Ok((request, c.rest()))
     }
 }
 
@@ -411,82 +334,61 @@ impl Response {
     pub fn decode(body: &[u8]) -> io::Result<Response> {
         let (mut response, payload) = Response::decode_lending(body)?;
         if let Response::Data { data } = &mut response {
-            *data = body[payload].to_vec();
+            *data = payload.to_vec();
         }
         Ok(response)
     }
 
     /// Parses one response body, lending rather than copying a `Data`
     /// payload: the response comes back with empty `data`, and the stripe
-    /// is returned as a range of `body` — how the client hands a stripe
-    /// from its frame buffer to the sink. The range always ends at
-    /// `body.len()`, and is empty for every other response.
+    /// is returned as the tail of `body` — how the client hands a stripe
+    /// from its frame buffer to the sink. The tail is empty for every
+    /// other response.
     ///
     /// # Errors
     ///
     /// `InvalidData` for an empty body, unknown status, or malformed
     /// fields.
-    pub fn decode_lending(body: &[u8]) -> io::Result<(Response, Range<usize>)> {
-        let (&st, rest) = body
-            .split_first()
-            .ok_or_else(|| invalid("empty response"))?;
-        let end = body.len();
-        let response = match st {
-            ST_CREATED => {
-                decode_two(rest).map(|(len, stripes)| Response::Created { len, stripes })?
-            }
-            ST_OBJ_HEADER => {
-                decode_two(rest).map(|(len, stripes)| Response::ObjectHeader { len, stripes })?
-            }
-            ST_DATA => return Ok((Response::Data { data: Vec::new() }, 1..end)),
-            ST_OBJ_END => Response::ObjectEnd {
-                degraded_stripes: decode_u64(rest)?,
+    pub fn decode_lending(body: &[u8]) -> io::Result<(Response, &[u8])> {
+        let mut c = Cursor::new(body);
+        let response = match c.u8()? {
+            ST_CREATED => Response::Created {
+                len: c.u64()?,
+                stripes: c.u64()?,
             },
-            ST_STAT => decode_two(rest).map(|(len, stripes)| Response::Stat { len, stripes })?,
+            ST_OBJ_HEADER => Response::ObjectHeader {
+                len: c.u64()?,
+                stripes: c.u64()?,
+            },
+            ST_DATA => return Ok((Response::Data { data: Vec::new() }, c.rest())),
+            ST_OBJ_END => Response::ObjectEnd {
+                degraded_stripes: c.u64()?,
+            },
+            ST_STAT => Response::Stat {
+                len: c.u64()?,
+                stripes: c.u64()?,
+            },
             ST_METRICS => Response::Metrics {
-                json: String::from_utf8(rest.to_vec())
-                    .map_err(|_| invalid("metrics payload is not UTF-8"))?,
+                json: utf8(c.rest(), "metrics payload")?,
             },
             ST_PROMETHEUS => Response::Prometheus {
-                text: String::from_utf8(rest.to_vec())
-                    .map_err(|_| invalid("prometheus payload is not UTF-8"))?,
+                text: utf8(c.rest(), "prometheus payload")?,
             },
-            ST_TRACES => {
-                if rest.len() < 4 {
-                    return Err(invalid("truncated traces payload"));
-                }
-                let json_len = le_u32(&rest[0..4]) as usize;
-                let rest = &rest[4..];
-                if rest.len() < json_len {
-                    return Err(invalid("traces json length exceeds payload"));
-                }
-                let json = String::from_utf8(rest[..json_len].to_vec())
-                    .map_err(|_| invalid("traces json is not UTF-8"))?;
-                let chrome = String::from_utf8(rest[json_len..].to_vec())
-                    .map_err(|_| invalid("traces chrome payload is not UTF-8"))?;
-                Response::Traces { json, chrome }
-            }
-            ST_DELETED_OK => Response::DeletedOk {
-                len: decode_u64(rest)?,
+            ST_TRACES => Response::Traces {
+                json: c.str()?,
+                chrome: utf8(c.rest(), "traces chrome payload")?,
             },
-            ST_NOT_FOUND => {
-                expect_empty(rest)?;
-                Response::NotFound
-            }
-            ST_DELETED => {
-                expect_empty(rest)?;
-                Response::Deleted
-            }
-            ST_BUSY => {
-                expect_empty(rest)?;
-                Response::Busy
-            }
+            ST_DELETED_OK => Response::DeletedOk { len: c.u64()? },
+            ST_NOT_FOUND => Response::NotFound,
+            ST_DELETED => Response::Deleted,
+            ST_BUSY => Response::Busy,
             ST_ERR => Response::Err {
-                message: String::from_utf8_lossy(rest).into_owned(),
+                message: String::from_utf8_lossy(c.rest()).into_owned(),
             },
             other => return Err(invalid(format!("unknown response status {other:#04x}"))),
         };
-        Ok((response, end..end))
+        c.finish()?;
+        Ok((response, c.rest()))
     }
 }
 
@@ -504,7 +406,11 @@ fn decode_name(rest: &[u8]) -> io::Result<String> {
     if rest.len() > MAX_NAME {
         return Err(invalid(format!("object name of {} bytes", rest.len())));
     }
-    String::from_utf8(rest.to_vec()).map_err(|_| invalid("object name is not UTF-8"))
+    utf8(rest, "object name")
+}
+
+fn utf8(bytes: &[u8], what: &str) -> io::Result<String> {
+    String::from_utf8(bytes.to_vec()).map_err(|_| invalid(format!("{what} is not UTF-8")))
 }
 
 fn encode_two(st: u8, a: u64, b: u64) -> Vec<u8> {
@@ -513,40 +419,6 @@ fn encode_two(st: u8, a: u64, b: u64) -> Vec<u8> {
     body.extend_from_slice(&a.to_le_bytes());
     body.extend_from_slice(&b.to_le_bytes());
     body
-}
-
-fn decode_two(rest: &[u8]) -> io::Result<(u64, u64)> {
-    if rest.len() != 16 {
-        return Err(invalid(format!("expected 16 bytes, got {}", rest.len())));
-    }
-    Ok((le_u64(&rest[0..8]), le_u64(&rest[8..16])))
-}
-
-fn decode_u64(rest: &[u8]) -> io::Result<u64> {
-    if rest.len() != 8 {
-        return Err(invalid(format!("expected 8 bytes, got {}", rest.len())));
-    }
-    Ok(le_u64(rest))
-}
-
-/// Little-endian u32 from the first 4 bytes of `b`. Callers pass slices
-/// whose length was already checked (fixed-size frame headers).
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// Little-endian u64 from the first 8 bytes of `b`; same contract as
-/// [`le_u32`].
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-fn expect_empty(rest: &[u8]) -> io::Result<()> {
-    if rest.is_empty() {
-        Ok(())
-    } else {
-        Err(invalid(format!("{} trailing bytes", rest.len())))
-    }
 }
 
 /// Incremental frame parser: feed whatever the socket delivered, complete
@@ -577,34 +449,21 @@ impl FrameDecoder {
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the buffered length prefix exceeds [`MAX_FRAME`]
-    /// — the connection is poisoned and must be closed (resynchronising
-    /// inside a byte stream is not possible).
+    /// `InvalidData` when the buffered length prefix exceeds
+    /// [`pbrs_wire::MAX_FRAME`] — the connection is poisoned and must be
+    /// closed (resynchronising inside a byte stream is not possible).
     pub fn next_frame(&mut self) -> io::Result<Option<(u64, Vec<u8>)>> {
-        if self.buf.len() < FRAME_OVERHEAD {
+        let Some(header) = self.buf.first_chunk::<FRAME_OVERHEAD>() else {
             return Ok(None);
-        }
-        let len = le_u32(&self.buf[0..4]) as usize;
-        if len > MAX_FRAME {
-            return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
-        }
-        if self.buf.len() < FRAME_OVERHEAD + len {
+        };
+        let (req_id, len) = parse_header(header)?;
+        let Some(body) = self.buf.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
             return Ok(None);
-        }
-        let req_id = le_u64(&self.buf[4..12]);
-        let body = self.buf[FRAME_OVERHEAD..FRAME_OVERHEAD + len].to_vec();
+        };
+        let body = body.to_vec();
         self.buf.drain(..FRAME_OVERHEAD + len);
         Ok(Some((req_id, body)))
     }
-}
-
-/// Serializes the framing header for a body of `len` bytes.
-pub fn frame_header(req_id: u64, len: usize) -> [u8; FRAME_OVERHEAD] {
-    let mut header = [0u8; FRAME_OVERHEAD];
-    // pbrs-lint: allow(wire-protocol) -- lossless: write_frame rejects bodies over MAX_FRAME, and reactor responses are one bounded stream segment or small text
-    header[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-    header[4..12].copy_from_slice(&req_id.to_le_bytes());
-    header
 }
 
 /// Bytes of a payload frame ahead of its payload: the framing header
@@ -631,60 +490,10 @@ pub(crate) fn put_data_head(req_id: u64, payload_len: usize) -> [u8; PAYLOAD_HEA
     payload_head(req_id, OP_PUT_DATA, payload_len)
 }
 
-/// Blocking frame write (client side and tests): header + body, flushed.
-///
-/// # Errors
-///
-/// `InvalidData` when `body` exceeds [`MAX_FRAME`]; otherwise transport
-/// errors.
-pub fn write_frame(w: &mut impl Write, req_id: u64, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(invalid(format!("frame body of {} bytes", body.len())));
-    }
-    w.write_all(&frame_header(req_id, body.len()))?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Blocking frame read (client side and tests).
-///
-/// # Errors
-///
-/// `InvalidData` for an over-cap length prefix; `UnexpectedEof` and other
-/// transport errors pass through.
-pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
-    let mut body = Vec::new();
-    let (req_id, len) = read_frame_into(r, &mut body)?;
-    body.truncate(len);
-    Ok((req_id, body))
-}
-
-/// Blocking frame read into a caller-owned buffer: the body lands in the
-/// first `len` bytes of `body`, which is grown to fit and never shrunk
-/// or zeroed per frame. Returns `(req_id, len)`.
-///
-/// # Errors
-///
-/// `InvalidData` for an over-cap length prefix; `UnexpectedEof` and other
-/// transport errors pass through.
-pub(crate) fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<(u64, usize)> {
-    let mut header = [0u8; FRAME_OVERHEAD];
-    r.read_exact(&mut header)?;
-    let len = le_u32(&header[0..4]) as usize;
-    let req_id = le_u64(&header[4..12]);
-    if len > MAX_FRAME {
-        return Err(invalid(format!("frame length {len} exceeds MAX_FRAME")));
-    }
-    if body.len() < len {
-        body.resize(len, 0);
-    }
-    r.read_exact(&mut body[..len])?;
-    Ok((req_id, len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbrs_wire::{read_frame_into, write_frame, MAX_FRAME, OP_ENV_DEADLINE, OP_ENV_TRACE};
 
     #[test]
     fn requests_round_trip() {
@@ -702,51 +511,10 @@ mod tests {
             Request::Metrics,
             Request::Prometheus,
             Request::Traces,
-            Request::Traced {
-                ctx: TraceCtx::from_raw(0xDEAD, 0xBEEF).unwrap(),
-                inner: Box::new(Request::Get { name: "x".into() }),
-            },
         ];
         for case in cases {
             assert_eq!(Request::decode(&case.encode()).unwrap(), case, "{case:?}");
         }
-    }
-
-    #[test]
-    fn traced_wrapper_is_strictly_outermost_and_validated() {
-        let ctx = TraceCtx::from_raw(1, 2).unwrap();
-        let nested = Request::Traced {
-            ctx,
-            inner: Box::new(Request::Traced {
-                ctx,
-                inner: Box::new(Request::Metrics),
-            }),
-        };
-        assert!(Request::decode(&nested.encode()).is_err());
-
-        // Zero ids are the wire's "absent" and never valid inside OP_TRACED.
-        let mut zero = vec![OP_TRACED];
-        zero.extend_from_slice(&0u64.to_le_bytes());
-        zero.extend_from_slice(&2u64.to_le_bytes());
-        zero.push(OP_METRICS);
-        assert!(Request::decode(&zero).is_err());
-
-        // Truncated context header.
-        assert!(Request::decode(&[OP_TRACED, 1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn deeply_nested_wrappers_are_refused_without_recursing() {
-        // 1 MiB of trace wrappers: one recursion per wrapper would
-        // overflow the stack long before the end of the body.
-        let mut deep = Vec::new();
-        while deep.len() < 1 << 20 {
-            deep.push(OP_TRACED);
-            deep.extend_from_slice(&1u64.to_le_bytes());
-            deep.extend_from_slice(&1u64.to_le_bytes());
-        }
-        deep.push(OP_METRICS);
-        assert!(Request::decode(&deep).is_err());
     }
 
     #[test]
@@ -855,5 +623,24 @@ mod tests {
         // Truncated u64 fields.
         assert!(Response::decode(&[ST_CREATED, 1, 2, 3]).is_err());
         assert!(Response::decode(&[ST_OBJ_END, 1]).is_err());
+        // An envelope tag is no opcode: a repeated or misplaced one is
+        // refused by the request decoder, not read as a second envelope.
+        for tag in [OP_ENV_TRACE, OP_ENV_DEADLINE] {
+            assert!(Request::decode(&[tag, 1, 0, 0, 0, OP_METRICS]).is_err());
+        }
+    }
+
+    /// Bare frames as the peers send them, byte for byte as recorded
+    /// before the framing moved to `pbrs-wire`: a `GET`, a `PUT_DATA` sent
+    /// from the caller's slice, and a `Data` sent from the stripe buffer.
+    #[test]
+    fn bare_frames_keep_their_recorded_bytes() {
+        let mut get = Vec::new();
+        write_frame(&mut get, 5, &Request::Get { name: "obj".into() }.encode()).unwrap();
+        assert_eq!(get, [4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 4, 111, 98, 106]);
+        let put_data = [&put_data_head(6, 3)[..], &[1, 2, 3]].concat();
+        assert_eq!(put_data, [4, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 2, 1, 2, 3]);
+        let data = [&data_head(7, 3)[..], &[4, 5, 6]].concat();
+        assert_eq!(data, [4, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 131, 4, 5, 6]);
     }
 }

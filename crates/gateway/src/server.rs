@@ -46,7 +46,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,12 +56,11 @@ use std::time::{Duration, Instant};
 use pbrs_obs::trace::{self, RootFlags, ScopedCtx, SpanBuilder, TraceCtx, Tracer, TracerConfig};
 use pbrs_obs::{prom, EventJournal, EventKind, Stage, StageTimes};
 use pbrs_store::{BlockStore, ObjectReader, ObjectWriter, StoreError};
+use pbrs_wire::{frame_header, invalid, Envelope, FRAME_OVERHEAD};
 
 use crate::metrics::{GatewayMetrics, OpClass};
 use crate::poll::{poll_fds, PollFd, POLLERR, POLLIN, POLLNVAL, POLLOUT};
-use crate::protocol::{
-    data_head, frame_header, FrameDecoder, Request, Response, FRAME_OVERHEAD, PAYLOAD_HEAD,
-};
+use crate::protocol::{data_head, FrameDecoder, Request, Response, PAYLOAD_HEAD};
 
 /// Tuning knobs of one gateway; see the [module docs](self) for how each
 /// participates in backpressure.
@@ -286,14 +284,14 @@ enum Job {
         name: String,
         ctx: Option<TraceCtx>,
     },
-    /// One `PUT_DATA` frame: the payload is `body[payload]`, lent from
+    /// One `PUT_DATA` frame: the payload is `body[payload..]`, lent from
     /// the frame ([`Request::decode_lending`]).
     WriteData {
         conn: u64,
         req: u64,
         writer: ObjectWriter,
         body: Vec<u8>,
-        payload: Range<usize>,
+        payload: usize,
         ctx: Option<TraceCtx>,
     },
     FinishWriter {
@@ -417,7 +415,7 @@ fn worker_loop(
                 payload,
                 ..
             } => {
-                let result = match writer.write(&body[payload]) {
+                let result = match writer.write(&body[payload..]) {
                     Ok(()) => Ok(writer),
                     Err(e) => {
                         let resp = store_error_response(&e);
@@ -623,8 +621,8 @@ struct PutState {
     /// A job for this request is at the pool.
     busy: bool,
     /// `PUT_DATA` frames not yet shipped to a worker, each with where its
-    /// payload sits in it.
-    queue: VecDeque<(Vec<u8>, Range<usize>)>,
+    /// payload starts in it.
+    queue: VecDeque<(Vec<u8>, usize)>,
     ended: bool,
     /// First failure; the (single) response is deferred to `PUT_END` so
     /// the exchange stays one-response-per-request.
@@ -823,8 +821,8 @@ impl Reactor {
     }
 
     /// Mints the root span for an admitted op when tracing is on,
-    /// adopting a client-supplied context when one rode in on a
-    /// `TRACED` wrapper.
+    /// adopting a client-supplied context when one rode in on the
+    /// request's envelope.
     fn mint_root(&self, op: &str, object: &str, supplied: Option<TraceCtx>) -> Option<SpanBuilder> {
         if !self.tracer.is_enabled() {
             return None;
@@ -835,8 +833,17 @@ impl Reactor {
     }
 
     fn handle_frame(&mut self, conn_id: u64, req_id: u64, body: Vec<u8>) {
-        let (request, payload) = match Request::decode_lending(&body) {
-            Ok(r) => r,
+        // The request proceeds exactly as if sent bare; its root adopts
+        // the envelope's trace. A `PUT_DATA` payload is the frame's tail.
+        let decoded = Envelope::split(&body).and_then(|(envelope, bare)| {
+            if envelope.deadline_ms.is_some() {
+                return Err(invalid("the gateway takes no deadline envelope"));
+            }
+            let (request, payload) = Request::decode_lending(bare)?;
+            Ok((envelope.trace, request, body.len() - payload.len()))
+        });
+        let (supplied, request, payload) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 GatewayMetrics::add(&self.metrics.request_errors, 1);
                 self.journal.push(
@@ -853,24 +860,7 @@ impl Reactor {
                 return;
             }
         };
-        // Peel the optional trace wrapper: the inner request proceeds
-        // exactly as if sent bare, but its root adopts the client's ids.
-        let (supplied, request) = match request {
-            Request::Traced { ctx, inner } => (Some(ctx), *inner),
-            other => (None, other),
-        };
         match request {
-            Request::Traced { .. } => {
-                // Decode rejects nesting, so the peel above is exhaustive.
-                GatewayMetrics::add(&self.metrics.request_errors, 1);
-                self.push_response(
-                    conn_id,
-                    req_id,
-                    &Response::Err {
-                        message: "trace wrapper must be outermost".into(),
-                    },
-                );
-            }
             Request::Metrics => {
                 if self.duplicate_id(conn_id, req_id) {
                     return;

@@ -11,10 +11,9 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use pbrs_gateway::protocol::{
-    write_frame, FrameDecoder, Request, Response, FRAME_OVERHEAD, MAX_FRAME,
-};
+use pbrs_gateway::protocol::{FrameDecoder, Request, Response};
 use pbrs_obs::trace::TraceCtx;
+use pbrs_wire::{write_frame, Envelope, FRAME_OVERHEAD, MAX_FRAME};
 
 fn random_name(rng: &mut StdRng) -> String {
     let len = rng.random_range(1..64usize);
@@ -28,7 +27,7 @@ fn random_bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
     (0..len).map(|_| rng.random()).collect()
 }
 
-/// Any wrapper-free request shape (what a legacy client can send).
+/// Any request shape.
 fn random_plain_request(rng: &mut StdRng) -> Request {
     match rng.random_range(0..9u8) {
         0 => Request::PutStart {
@@ -55,19 +54,6 @@ fn random_plain_request(rng: &mut StdRng) -> Request {
 
 fn random_ctx(rng: &mut StdRng) -> TraceCtx {
     TraceCtx::from_raw(rng.random_range(1..u64::MAX), rng.random_range(1..u64::MAX)).unwrap()
-}
-
-/// Any request shape, sometimes under a trace wrapper.
-fn random_request(rng: &mut StdRng) -> Request {
-    let plain = random_plain_request(rng);
-    if rng.random_bool(0.3) {
-        Request::Traced {
-            ctx: random_ctx(rng),
-            inner: Box::new(plain),
-        }
-    } else {
-        plain
-    }
 }
 
 fn random_response(rng: &mut StdRng) -> Response {
@@ -103,8 +89,21 @@ fn random_response(rng: &mut StdRng) -> Response {
     }
 }
 
-/// One of every request shape, bare and under a trace wrapper.
-fn every_request() -> Vec<Request> {
+/// The frame body of `request` behind an envelope carrying `ctx`.
+fn traced(ctx: TraceCtx, request: &Request) -> Vec<u8> {
+    let mut body = Vec::new();
+    let envelope = Envelope {
+        trace: Some(ctx),
+        deadline_ms: None,
+    };
+    envelope.encode_into(&mut body);
+    body.extend_from_slice(&request.encode());
+    body
+}
+
+/// One of every request shape with its frame body, bare and behind a
+/// trace envelope.
+fn every_request() -> Vec<(Request, Vec<u8>)> {
     let plain = [
         Request::PutStart { name: "obj".into() },
         Request::PutData {
@@ -120,11 +119,13 @@ fn every_request() -> Vec<Request> {
         Request::Traces,
     ];
     let ctx = TraceCtx::from_raw(0x1234, 0x5678).unwrap();
-    let traced = plain.clone().map(|inner| Request::Traced {
-        ctx,
-        inner: Box::new(inner),
-    });
-    plain.into_iter().chain(traced).collect()
+    plain
+        .into_iter()
+        .flat_map(|request| {
+            let body = traced(ctx, &request);
+            [(request.clone(), request.encode()), (request, body)]
+        })
+        .collect()
 }
 
 /// One of every response shape.
@@ -183,31 +184,34 @@ fn through_frame_decoder(wire: &[u8], mut check: impl FnMut(&[u8])) {
     }
 }
 
-/// Checks `Request::decode` against lend-then-fill on `body`: both accept
-/// it or both refuse it, the lent payload is the body's tail, filling it
-/// in gives `decode`'s request, and that request re-encodes to `body`.
+/// Whether `tail` is the tail of `body`, not just equal to one.
+fn is_tail_of(tail: &[u8], body: &[u8]) -> bool {
+    tail.as_ptr_range().end == body.as_ptr_range().end
+}
+
+/// Splits the envelope off `body` as the reactor does, then checks
+/// `Request::decode` against lend-then-fill on the rest: both accept it or
+/// both refuse it, the lent payload is the body's tail, filling it in
+/// gives `decode`'s request, and the envelope and that request re-encode
+/// to `body`.
 fn requests_agree(body: &[u8]) -> Option<Request> {
-    let (decoded, lent) = (Request::decode(body), Request::decode_lending(body));
+    let (envelope, bare) = Envelope::split(body).ok()?;
+    let (decoded, lent) = (Request::decode(bare), Request::decode_lending(bare));
     assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
     let (decoded, (mut filled, payload)) = (decoded.ok()?, lent.unwrap());
-    assert_eq!(payload.end, body.len(), "the payload is the body's tail");
-    let op = match &mut filled {
-        Request::Traced { inner, .. } => &mut **inner,
-        op => op,
-    };
-    match op {
+    assert!(is_tail_of(payload, body), "the payload is the body's tail");
+    match &mut filled {
         Request::PutData { data } => {
             assert!(data.is_empty(), "a lent payload stays in the body");
-            *data = body[payload].to_vec();
+            *data = payload.to_vec();
         }
-        _ => assert!(payload.is_empty(), "only PUT_DATA lends: {op:?}"),
+        op => assert!(payload.is_empty(), "only PUT_DATA lends: {op:?}"),
     }
     assert_eq!(filled, decoded);
-    assert_eq!(
-        decoded.encode(),
-        body,
-        "an accepted body re-encodes exactly"
-    );
+    let mut wire = Vec::new();
+    envelope.encode_into(&mut wire);
+    wire.extend_from_slice(&decoded.encode());
+    assert_eq!(wire, body, "an accepted body re-encodes exactly");
     Some(decoded)
 }
 
@@ -217,11 +221,11 @@ fn responses_agree(body: &[u8]) -> Option<Response> {
     let (decoded, lent) = (Response::decode(body), Response::decode_lending(body));
     assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
     let (decoded, (mut filled, payload)) = (decoded.ok()?, lent.unwrap());
-    assert_eq!(payload.end, body.len(), "the payload is the body's tail");
+    assert!(is_tail_of(payload, body), "the payload is the body's tail");
     match &mut filled {
         Response::Data { data } => {
             assert!(data.is_empty(), "a lent payload stays in the body");
-            *data = body[payload].to_vec();
+            *data = payload.to_vec();
         }
         other => assert!(payload.is_empty(), "only Data lends: {other:?}"),
     }
@@ -239,8 +243,7 @@ fn responses_agree(body: &[u8]) -> Option<Response> {
 #[test]
 fn request_decoders_are_total_and_agree_under_mutation() {
     let mut accepted = 0usize;
-    for request in every_request() {
-        let body = request.encode();
+    for (request, body) in every_request() {
         assert_eq!(requests_agree(&body), Some(request));
         for mutated in mutants(&body) {
             accepted += usize::from(requests_agree(&mutated).is_some());
@@ -285,7 +288,7 @@ proptest! {
     fn requests_round_trip(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
-            let req = random_request(&mut rng);
+            let req = random_plain_request(&mut rng);
             prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
     }
@@ -403,87 +406,32 @@ proptest! {
         prop_assert!(decoder.next_frame().is_err());
     }
 
-    /// The trace wrapper round-trips around every inner request shape.
+    /// A trace envelope round-trips around every request shape: split
+    /// gives back the context and the bare request, which decodes as if
+    /// it had been sent bare.
     #[test]
     fn traced_requests_round_trip(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
-            let req = Request::Traced {
-                ctx: random_ctx(&mut rng),
-                inner: Box::new(random_plain_request(&mut rng)),
-            };
-            prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+            let (ctx, req) = (random_ctx(&mut rng), random_plain_request(&mut rng));
+            let body = traced(ctx, &req);
+            let (envelope, bare) = Envelope::split(&body).unwrap();
+            prop_assert_eq!(envelope.trace, Some(ctx));
+            prop_assert_eq!(Request::decode(bare).unwrap(), req);
         }
     }
 
-    /// An unwrapped request's bytes are exactly the legacy encoding:
-    /// the trace field adds bytes only when present, so a traceless
-    /// legacy client and an un-upgraded gateway interoperate silently.
+    /// An untraced request's bytes are exactly its bare encoding: the
+    /// envelope adds bytes only when used.
     #[test]
     fn traceless_encoding_is_byte_identical_to_legacy(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
             let req = random_plain_request(&mut rng);
             let bytes = req.encode();
+            let (envelope, bare) = Envelope::split(&bytes).unwrap();
+            prop_assert_eq!((envelope, bare), (Envelope::default(), &bytes[..]));
             prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
-    }
-
-    /// Truncating a traced frame anywhere — mid-context or mid-inner —
-    /// yields a typed error, never a panic or a misparse into a
-    /// different request.
-    #[test]
-    fn truncated_traced_bodies_are_typed_errors(
-        seed in any::<u64>(),
-        keep_fraction in 0usize..100,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Name and data payloads are "rest of body", so truncating them
-        // still decodes (to a shorter name/put); use the empty-bodied
-        // shapes, where any cut lands in the context or the opcode.
-        let inner = match rng.random_range(0..4u8) {
-            0 => Request::PutEnd,
-            1 => Request::Metrics,
-            2 => Request::Prometheus,
-            _ => Request::Traces,
-        };
-        let req = Request::Traced {
-            ctx: random_ctx(&mut rng),
-            inner: Box::new(inner),
-        };
-        let bytes = req.encode();
-        let keep = 1 + (bytes.len() - 2) * keep_fraction / 100; // always short
-        match Request::decode(&bytes[..keep]) {
-            Ok(got) => prop_assert_eq!(got, req), // only if nothing was cut
-            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
-        }
-    }
-
-    /// Hostile traced bodies are rejected: garbage after the opcode
-    /// never panics, zero ids and nested wrappers are typed errors.
-    #[test]
-    fn hostile_traced_bodies_are_rejected(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..16 {
-            let mut body = vec![0x0Au8]; // OP_TRACED
-            body.extend(random_bytes(&mut rng, 64));
-            let _ = Request::decode(&body);
-        }
-        // Zero ids are reserved for "absent" and rejected.
-        let mut zero_trace = vec![0x0Au8];
-        zero_trace.extend_from_slice(&0u64.to_le_bytes());
-        zero_trace.extend_from_slice(&1u64.to_le_bytes());
-        zero_trace.extend_from_slice(&Request::PutEnd.encode());
-        prop_assert!(Request::decode(&zero_trace).is_err());
-        // A wrapper inside a wrapper is rejected at decode.
-        let nested = Request::Traced {
-            ctx: random_ctx(&mut rng),
-            inner: Box::new(Request::PutEnd),
-        };
-        let mut double = vec![0x0Au8];
-        double.extend_from_slice(&1u64.to_le_bytes());
-        double.extend_from_slice(&2u64.to_le_bytes());
-        double.extend_from_slice(&nested.encode());
-        prop_assert!(Request::decode(&double).is_err());
     }
 }

@@ -10,11 +10,12 @@ use std::time::Duration;
 
 use pbrs_chunkd::{ChunkServer, RemoteDisk, ServerConfig};
 use pbrs_gateway::client::{GatewayClient, GatewayError, PUT_CHUNK};
-use pbrs_gateway::protocol::{self, Request, Response};
+use pbrs_gateway::protocol::{Request, Response};
 use pbrs_gateway::server::{Gateway, GatewayConfig};
 use pbrs_store::store::{BlockStore, StoreConfig};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{ChunkBackend, PlacementPolicy, RackMap};
+use pbrs_wire::{read_frame, write_frame, Envelope, MAX_FRAME};
 
 fn pattern(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 131 + 17) % 251) as u8).collect()
@@ -248,7 +249,7 @@ fn pipelined_requests_demux_by_id() {
         (1002, Request::Get { name: "b".into() }),
         (1003, Request::Stat { name: "a".into() }),
     ] {
-        protocol::write_frame(&mut three, id, &request.encode()).unwrap();
+        write_frame(&mut three, id, &request.encode()).unwrap();
     }
     let mut pipelined = TcpStream::connect(gw.local_addr()).unwrap();
     pipelined
@@ -262,7 +263,7 @@ fn pipelined_requests_demux_by_id() {
     let mut open = 3; // exchanges still expecting frames
     let mut ids_seen = Vec::new();
     while open > 0 {
-        let (id, body) = protocol::read_frame(&mut pipelined).unwrap();
+        let (id, body) = read_frame(&mut pipelined).unwrap();
         ids_seen.push(id);
         match (id, Response::decode(&body).unwrap()) {
             (1001, Response::Data { data }) => got_a.extend_from_slice(&data),
@@ -301,15 +302,15 @@ fn pipelined_requests_demux_by_id() {
     let mut both = Vec::new();
     let get = Request::Get { name: "big".into() };
     let stat = Request::Stat { name: "big".into() };
-    protocol::write_frame(&mut both, 7, &get.encode()).unwrap();
-    protocol::write_frame(&mut both, 7, &stat.encode()).unwrap();
+    write_frame(&mut both, 7, &get.encode()).unwrap();
+    write_frame(&mut both, 7, &stat.encode()).unwrap();
     let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     raw.write_all(&both).unwrap();
     let mut saw_dup_error = false;
     let mut streamed = Vec::new();
     loop {
-        let (id, body) = protocol::read_frame(&mut raw).unwrap();
+        let (id, body) = read_frame(&mut raw).unwrap();
         assert_eq!(id, 7);
         match Response::decode(&body).unwrap() {
             Response::Err { message } => {
@@ -447,17 +448,17 @@ fn encoded_get_stream(id: u64, data: &[u8], stripe_len: usize) -> Vec<u8> {
         len: data.len() as u64,
         stripes: pieces.len() as u64,
     };
-    protocol::write_frame(&mut wire, id, &header.encode()).unwrap();
+    write_frame(&mut wire, id, &header.encode()).unwrap();
     for piece in pieces {
         let frame = Response::Data {
             data: piece.to_vec(),
         };
-        protocol::write_frame(&mut wire, id, &frame.encode()).unwrap();
+        write_frame(&mut wire, id, &frame.encode()).unwrap();
     }
     let end = Response::ObjectEnd {
         degraded_stripes: 0,
     };
-    protocol::write_frame(&mut wire, id, &end.encode()).unwrap();
+    write_frame(&mut wire, id, &end.encode()).unwrap();
     wire
 }
 
@@ -476,7 +477,7 @@ fn served_data_frames_are_byte_identical_to_encoded_responses() {
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     for id in [5, 6] {
         let get = Request::Get { name: "obj".into() };
-        protocol::write_frame(&mut raw, id, &get.encode()).unwrap();
+        write_frame(&mut raw, id, &get.encode()).unwrap();
         let expected = encoded_get_stream(id, &data, 4 * 512);
         let mut got = vec![0u8; expected.len()];
         raw.read_exact(&mut got).unwrap();
@@ -511,14 +512,14 @@ fn put_data_frames_are_byte_identical_to_encoded_requests() {
     let data = pattern(PUT_CHUNK + 1000); // one full piece and a short one
     let mut expected = Vec::new();
     let start = Request::PutStart { name: "obj".into() };
-    protocol::write_frame(&mut expected, 1, &start.encode()).unwrap();
+    write_frame(&mut expected, 1, &start.encode()).unwrap();
     for piece in data.chunks(PUT_CHUNK) {
         let frame = Request::PutData {
             data: piece.to_vec(),
         };
-        protocol::write_frame(&mut expected, 1, &frame.encode()).unwrap();
+        write_frame(&mut expected, 1, &frame.encode()).unwrap();
     }
-    protocol::write_frame(&mut expected, 1, &Request::PutEnd.encode()).unwrap();
+    write_frame(&mut expected, 1, &Request::PutEnd.encode()).unwrap();
 
     let wire_len = expected.len();
     let (addr, server) = fake_gateway(move |mut stream| {
@@ -528,7 +529,7 @@ fn put_data_frames_are_byte_identical_to_encoded_requests() {
             len: (PUT_CHUNK + 1000) as u64,
             stripes: 1,
         };
-        protocol::write_frame(&mut stream, 1, &created.encode()).unwrap();
+        write_frame(&mut stream, 1, &created.encode()).unwrap();
         got
     });
     let mut c = GatewayClient::connect(addr).unwrap();
@@ -538,34 +539,78 @@ fn put_data_frames_are_byte_identical_to_encoded_requests() {
     assert!(got == expected, "put frames differ from encode()");
 }
 
-/// A `PUT_DATA` frame under a `TRACED` wrapper lends its inner payload:
-/// the object stores the payload bytes, not the wrapper's.
+/// A `PUT_DATA` frame behind a trace envelope lends the bare request's
+/// payload: the object stores the payload bytes, not the envelope's.
 #[test]
 fn traced_put_data_stores_the_inner_payload() {
     let dir = TempDir::new("gw-traced-put");
     let store = local_store(&dir, "rs-4-2", 512);
     let gw = gateway(&store, GatewayConfig::default());
-    let mut c = client(&gw);
-    let ctx = pbrs_obs::trace::TraceCtx::from_raw(0xabc, 0xdef).unwrap();
-    let traced = |inner| Request::Traced {
-        ctx,
-        inner: Box::new(inner),
+    let envelope = Envelope {
+        trace: pbrs_obs::trace::TraceCtx::from_raw(0xabc, 0xdef),
+        deadline_ms: None,
+    };
+    let traced = |request: Request| {
+        let mut body = Vec::new();
+        envelope.encode_into(&mut body);
+        body.extend_from_slice(&request.encode());
+        body
     };
     let data = pattern(4 * 512 + 300);
-    c.send_request(1, &traced(Request::PutStart { name: "obj".into() }))
-        .unwrap();
+    let mut wire = Vec::new();
+    write_frame(
+        &mut wire,
+        1,
+        &traced(Request::PutStart { name: "obj".into() }),
+    )
+    .unwrap();
     for piece in data.chunks(1000) {
         let put = Request::PutData {
             data: piece.to_vec(),
         };
-        c.send_request(1, &traced(put)).unwrap();
+        write_frame(&mut wire, 1, &traced(put)).unwrap();
     }
-    c.send_request(1, &traced(Request::PutEnd)).unwrap();
-    match c.recv_response().unwrap() {
+    write_frame(&mut wire, 1, &traced(Request::PutEnd)).unwrap();
+    let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.write_all(&wire).unwrap();
+    let (id, body) = read_frame(&mut raw).unwrap();
+    match (id, Response::decode(&body).unwrap()) {
         (1, Response::Created { len, .. }) => assert_eq!(len, data.len() as u64),
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(c.get("obj").unwrap().data, data);
+    assert_eq!(client(&gw).get("obj").unwrap().data, data);
+}
+
+/// The gateway applies no client budget: a deadline envelope is refused
+/// with a typed error, and the connection stays usable.
+#[test]
+fn deadline_envelopes_are_refused() {
+    let dir = TempDir::new("gw-deadline-env");
+    let store = local_store(&dir, "rs-4-2", 512);
+    let gw = gateway(&store, GatewayConfig::default());
+    let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut body = Vec::new();
+    let budget = Envelope {
+        trace: None,
+        deadline_ms: Some(100),
+    };
+    budget.encode_into(&mut body);
+    body.extend_from_slice(&Request::Metrics.encode());
+    write_frame(&mut raw, 3, &body).unwrap();
+    let (id, reply) = read_frame(&mut raw).unwrap();
+    match (id, Response::decode(&reply).unwrap()) {
+        (3, Response::Err { message }) => assert!(message.contains("deadline"), "{message}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    write_frame(&mut raw, 4, &Request::Metrics.encode()).unwrap();
+    let (id, reply) = read_frame(&mut raw).unwrap();
+    assert_eq!(id, 4);
+    assert!(matches!(
+        Response::decode(&reply).unwrap(),
+        Response::Metrics { .. }
+    ));
 }
 
 /// One connection GETs an object with a short last stripe, then a larger
@@ -596,7 +641,7 @@ fn reused_stripe_buffers_never_leak_a_stale_tail() {
 #[test]
 fn get_stream_overrunning_its_header_is_a_protocol_error() {
     let (addr, server) = fake_gateway(|mut stream| {
-        let (id, _) = protocol::read_frame(&mut stream).unwrap();
+        let (id, _) = read_frame(&mut stream).unwrap();
         let frames = [
             Response::ObjectHeader {
                 len: 10,
@@ -608,7 +653,7 @@ fn get_stream_overrunning_its_header_is_a_protocol_error() {
             },
         ];
         for frame in frames {
-            protocol::write_frame(&mut stream, id, &frame.encode()).unwrap();
+            write_frame(&mut stream, id, &frame.encode()).unwrap();
         }
     });
     let mut c = GatewayClient::connect(addr).unwrap();
@@ -633,7 +678,7 @@ fn hostile_frames_poison_only_their_connection() {
     let mut evil = TcpStream::connect(gw.local_addr()).unwrap();
     evil.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut hostile = ((protocol::MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+    let mut hostile = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
     hostile.extend_from_slice(&1u64.to_le_bytes());
     evil.write_all(&hostile).unwrap();
     let mut sink = Vec::new();
@@ -653,21 +698,21 @@ fn hostile_frames_poison_only_their_connection() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    protocol::write_frame(&mut stream, 9, &[0xEE, 1, 2, 3]).unwrap();
-    let (id, body) = protocol::read_frame(&mut stream).unwrap();
+    write_frame(&mut stream, 9, &[0xEE, 1, 2, 3]).unwrap();
+    let (id, body) = read_frame(&mut stream).unwrap();
     assert_eq!(id, 9);
     assert!(matches!(
         Response::decode(&body).unwrap(),
         Response::Err { .. }
     ));
     // Same socket still serves real requests.
-    protocol::write_frame(
+    write_frame(
         &mut stream,
         10,
         &Request::Stat { name: "obj".into() }.encode(),
     )
     .unwrap();
-    let (id, body) = protocol::read_frame(&mut stream).unwrap();
+    let (id, body) = read_frame(&mut stream).unwrap();
     assert_eq!(id, 10);
     assert!(matches!(
         Response::decode(&body).unwrap(),
