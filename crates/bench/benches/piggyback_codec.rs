@@ -1,43 +1,39 @@
-//! Criterion benchmarks of the Piggybacked-RS codec: encode throughput and
-//! full reconstruction, side by side with the RS baseline at the production
-//! (10, 4) parameters, plus paired legacy-vs-zero-copy cases so the
-//! allocation win of the view API is visible in the output.
+//! Criterion benchmarks of the Piggybacked-RS codec: encode throughput,
+//! single-shard repair and full reconstruction, side by side with the RS
+//! baseline at the production (10, 4) parameters, all through the view API
+//! over pre-allocated stripe buffers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pbrs_core::PiggybackedRs;
 use pbrs_erasure::{ErasureCode, ReedSolomon, ShardBuffer};
 use std::hint::black_box;
 
-fn data_shards(k: usize, len: usize) -> Vec<Vec<u8>> {
-    (0..k)
-        .map(|i| {
-            (0..len)
-                .map(|j| ((i * 37 + j * 11 + 1) % 256) as u8)
-                .collect()
-        })
-        .collect()
+/// A stripe buffer for `code` whose data shards hold a fixed pattern,
+/// encoded when `encode` is set.
+fn stripe(code: &dyn ErasureCode, len: usize, encode: bool) -> ShardBuffer {
+    let k = code.params().data_shards();
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), len);
+    for i in 0..k {
+        for (j, byte) in stripe.shard_mut(i).iter_mut().enumerate() {
+            *byte = ((i * 37 + j * 11 + 1) % 256) as u8;
+        }
+    }
+    if encode {
+        let (data, mut parity) = stripe.split_mut(k);
+        code.encode_into(&data, &mut parity).unwrap();
+    }
+    stripe
 }
 
 fn bench_encode_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_10_4");
     let shard_len = 256 * 1024;
-    let data = data_shards(10, shard_len);
     group.throughput(Throughput::Bytes((shard_len * 10) as u64));
 
+    // Parity written straight into a pre-allocated stripe buffer.
     let rs = ReedSolomon::new(10, 4).unwrap();
-    group.bench_function("rs", |b| b.iter(|| rs.encode(black_box(&data)).unwrap()));
-
     let pb = PiggybackedRs::new(10, 4).unwrap();
-    group.bench_function("piggybacked_rs", |b| {
-        b.iter(|| pb.encode(black_box(&data)).unwrap())
-    });
-
-    // The same encodes through the zero-copy API: no per-shard allocation,
-    // parity written straight into a pre-allocated stripe buffer.
-    let mut stripe = ShardBuffer::zeroed(14, shard_len);
-    for (i, shard) in data.iter().enumerate() {
-        stripe.shard_mut(i).copy_from_slice(shard);
-    }
+    let mut stripe = stripe(&rs, shard_len, false);
     group.bench_function("rs_encode_into", |b| {
         b.iter(|| {
             let (data_view, mut parity_view) = stripe.split_mut(10);
@@ -56,27 +52,15 @@ fn bench_encode_comparison(c: &mut Criterion) {
 }
 
 fn bench_repair_comparison(c: &mut Criterion) {
-    // The operation the paper is about: rebuilding one lost data block. The
-    // legacy path allocates owned shards along the way; repair_into reads
-    // borrowed views and writes one caller-provided buffer.
+    // The operation the paper is about: rebuilding one lost data block.
+    // repair_into reads borrowed views and writes one caller-provided
+    // buffer.
     let mut group = c.benchmark_group("single_repair_10_4");
     let shard_len = 256 * 1024;
-    let data = data_shards(10, shard_len);
     group.throughput(Throughput::Bytes(shard_len as u64));
 
     let pb = PiggybackedRs::new(10, 4).unwrap();
-    let pb_full: Vec<Vec<u8>> = data
-        .iter()
-        .cloned()
-        .chain(pb.encode(&data).unwrap())
-        .collect();
-    let mut degraded: Vec<Option<Vec<u8>>> = pb_full.iter().cloned().map(Some).collect();
-    degraded[5] = None;
-    group.bench_function("legacy", |b| {
-        b.iter(|| pb.repair(5, black_box(&degraded)).unwrap())
-    });
-
-    let stripe = ShardBuffer::from_shards(&pb_full).unwrap();
+    let stripe = stripe(&pb, shard_len, true);
     let mut out = vec![0u8; shard_len];
     group.bench_function("repair_into", |b| {
         b.iter(|| {
@@ -90,39 +74,23 @@ fn bench_repair_comparison(c: &mut Criterion) {
 fn bench_reconstruct_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconstruct_two_failures_10_4");
     let shard_len = 256 * 1024;
-    let data = data_shards(10, shard_len);
+    let mut present = vec![true; 14];
+    present[0] = false;
+    present[11] = false;
 
     let rs = ReedSolomon::new(10, 4).unwrap();
-    let rs_full: Vec<Vec<u8>> = data
-        .iter()
-        .cloned()
-        .chain(rs.encode(&data).unwrap())
-        .collect();
-    group.bench_function("rs", |b| {
-        b.iter(|| {
-            let mut shards: Vec<Option<Vec<u8>>> = rs_full.iter().cloned().map(Some).collect();
-            shards[0] = None;
-            shards[11] = None;
-            rs.reconstruct(black_box(&mut shards)).unwrap();
-            shards
-        })
-    });
-
     let pb = PiggybackedRs::new(10, 4).unwrap();
-    let pb_full: Vec<Vec<u8>> = data
-        .iter()
-        .cloned()
-        .chain(pb.encode(&data).unwrap())
-        .collect();
-    group.bench_function("piggybacked_rs", |b| {
-        b.iter(|| {
-            let mut shards: Vec<Option<Vec<u8>>> = pb_full.iter().cloned().map(Some).collect();
-            shards[0] = None;
-            shards[11] = None;
-            pb.reconstruct(black_box(&mut shards)).unwrap();
-            shards
-        })
-    });
+    let codes: [(&str, &dyn ErasureCode); 2] =
+        [("rs_in_place", &rs), ("piggybacked_rs_in_place", &pb)];
+    for (name, code) in codes {
+        let mut stripe = stripe(code, shard_len, true);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                code.reconstruct_in_place(black_box(&mut stripe.as_set_mut()), black_box(&present))
+                    .unwrap();
+            })
+        });
+    }
     group.finish();
 }
 
@@ -131,12 +99,18 @@ fn bench_encode_parameter_sweep(c: &mut Criterion) {
     let shard_len = 64 * 1024;
     for (k, r) in [(6usize, 3usize), (10, 4), (12, 6)] {
         let code = PiggybackedRs::new(k, r).unwrap();
-        let data = data_shards(k, shard_len);
+        let mut stripe = stripe(&code, shard_len, false);
         group.throughput(Throughput::Bytes((shard_len * k) as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{k}_r{r}")),
             &(k, r),
-            |b, _| b.iter(|| code.encode(black_box(&data)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    let (data_view, mut parity_view) = stripe.split_mut(k);
+                    code.encode_into(black_box(&data_view), &mut parity_view)
+                        .unwrap();
+                })
+            },
         );
     }
     group.finish();

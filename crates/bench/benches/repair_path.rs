@@ -1,73 +1,50 @@
 //! Criterion benchmarks of the single-block repair path — the operation the
 //! paper's measurement study is about. Compares RS, Piggybacked-RS and LRC
-//! at the production stripe geometry, reporting both wall time and the
-//! helper bytes each scheme moves.
+//! at the production stripe geometry, each rebuilding one lost block with
+//! `repair_into` from a pre-encoded stripe buffer.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pbrs_core::PiggybackedRs;
-use pbrs_erasure::{ErasureCode, Lrc, LrcParams, ReedSolomon};
+use pbrs_erasure::{ErasureCode, Lrc, LrcParams, ReedSolomon, ShardBuffer};
 use std::hint::black_box;
 
-fn data_shards(k: usize, len: usize) -> Vec<Vec<u8>> {
-    (0..k)
-        .map(|i| {
-            (0..len)
-                .map(|j| ((i * 53 + j * 17 + 9) % 256) as u8)
-                .collect()
-        })
-        .collect()
+/// A full stripe of `code` over patterned data shards of `len` bytes.
+fn encoded_stripe(code: &dyn ErasureCode, len: usize) -> ShardBuffer {
+    let k = code.params().data_shards();
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), len);
+    for i in 0..k {
+        for (j, byte) in stripe.shard_mut(i).iter_mut().enumerate() {
+            *byte = ((i * 53 + j * 17 + 9) % 256) as u8;
+        }
+    }
+    let (data, mut parity) = stripe.split_mut(k);
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
 }
 
 fn bench_single_block_repair(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_block_repair");
     let shard_len = 256 * 1024;
-    let data = data_shards(10, shard_len);
     group.throughput(Throughput::Bytes(shard_len as u64));
 
     let rs = ReedSolomon::new(10, 4).unwrap();
-    let rs_shards: Vec<Option<Vec<u8>>> = {
-        let mut s: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .chain(rs.encode(&data).unwrap())
-            .map(Some)
-            .collect();
-        s[5] = None;
-        s
-    };
-    group.bench_function("rs_10_4", |b| {
-        b.iter(|| rs.repair(5, black_box(&rs_shards)).unwrap())
-    });
-
     let pb = PiggybackedRs::new(10, 4).unwrap();
-    let pb_shards: Vec<Option<Vec<u8>>> = {
-        let mut s: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .chain(pb.encode(&data).unwrap())
-            .map(Some)
-            .collect();
-        s[5] = None;
-        s
-    };
-    group.bench_function("piggybacked_rs_10_4", |b| {
-        b.iter(|| pb.repair(5, black_box(&pb_shards)).unwrap())
-    });
-
     let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
-    let lrc_shards: Vec<Option<Vec<u8>>> = {
-        let mut s: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .chain(lrc.encode(&data).unwrap())
-            .map(Some)
-            .collect();
-        s[5] = None;
-        s
-    };
-    group.bench_function("lrc_10_2_4", |b| {
-        b.iter(|| lrc.repair(5, black_box(&lrc_shards)).unwrap())
-    });
+    let codes: [(&str, &dyn ErasureCode); 3] = [
+        ("rs_10_4", &rs),
+        ("piggybacked_rs_10_4", &pb),
+        ("lrc_10_2_4", &lrc),
+    ];
+    for (name, code) in codes {
+        let stripe = encoded_stripe(code, shard_len);
+        let mut out = vec![0u8; shard_len];
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                code.repair_into(5, black_box(&stripe.as_set()), black_box(&mut out))
+                    .unwrap();
+            })
+        });
+    }
     group.finish();
 }
 

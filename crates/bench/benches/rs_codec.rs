@@ -1,37 +1,35 @@
 //! Criterion benchmarks of the Reed–Solomon codec used as the production
-//! baseline: encode throughput and full reconstruction of up to r erasures,
-//! with the legacy owned-`Vec` API and the zero-copy view API side by side
-//! so the allocation win is visible in the output.
+//! baseline: encode throughput, full reconstruction of up to r erasures and
+//! single-shard repair, all through the view API over one pre-allocated
+//! stripe buffer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pbrs_erasure::{ErasureCode, ReedSolomon, ShardBuffer};
 use std::hint::black_box;
 
-fn data_shards(k: usize, len: usize) -> Vec<Vec<u8>> {
-    (0..k)
-        .map(|i| {
-            (0..len)
-                .map(|j| ((i * 31 + j * 7 + 3) % 256) as u8)
-                .collect()
-        })
-        .collect()
+/// A (10, 4) stripe buffer whose data shards hold a fixed pattern, encoded
+/// when `encode` is set.
+fn stripe(rs: &ReedSolomon, len: usize, encode: bool) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(14, len);
+    for i in 0..10 {
+        for (j, byte) in stripe.shard_mut(i).iter_mut().enumerate() {
+            *byte = ((i * 31 + j * 7 + 3) % 256) as u8;
+        }
+    }
+    if encode {
+        let (data, mut parity) = stripe.split_mut(10);
+        rs.encode_into(&data, &mut parity).unwrap();
+    }
+    stripe
 }
 
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("rs_encode_10_4");
+    let rs = ReedSolomon::new(10, 4).unwrap();
     for shard_len in [16 * 1024usize, 256 * 1024, 1024 * 1024] {
-        let rs = ReedSolomon::new(10, 4).unwrap();
-        let data = data_shards(10, shard_len);
         group.throughput(Throughput::Bytes((shard_len * 10) as u64));
-        // Legacy path: allocates 4 owned parity shards per call.
-        group.bench_with_input(BenchmarkId::new("legacy", shard_len), &shard_len, |b, _| {
-            b.iter(|| rs.encode(black_box(&data)).unwrap());
-        });
-        // Zero-copy path: parity written into a pre-allocated stripe buffer.
-        let mut stripe = ShardBuffer::zeroed(14, shard_len);
-        for (i, shard) in data.iter().enumerate() {
-            stripe.shard_mut(i).copy_from_slice(shard);
-        }
+        // Parity written into the stripe buffer right behind the data.
+        let mut stripe = stripe(&rs, shard_len, false);
         group.bench_with_input(
             BenchmarkId::new("encode_into", shard_len),
             &shard_len,
@@ -51,27 +49,10 @@ fn bench_reconstruct(c: &mut Criterion) {
     let mut group = c.benchmark_group("rs_reconstruct_10_4");
     let shard_len = 256 * 1024;
     let rs = ReedSolomon::new(10, 4).unwrap();
-    let data = data_shards(10, shard_len);
-    let parity = rs.encode(&data).unwrap();
-    let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
     for missing in [1usize, 2, 4] {
         group.throughput(Throughput::Bytes((shard_len * missing) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("legacy", missing),
-            &missing,
-            |b, &missing| {
-                b.iter(|| {
-                    let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-                    for i in 0..missing {
-                        shards[i * 3] = None;
-                    }
-                    rs.reconstruct(black_box(&mut shards)).unwrap();
-                    shards
-                });
-            },
-        );
-        // Zero-copy path: rebuild directly inside the stripe buffer.
-        let mut stripe = ShardBuffer::from_shards(&full).unwrap();
+        // Rebuild directly inside the stripe buffer.
+        let mut stripe = stripe(&rs, shard_len, true);
         let mut present = vec![true; 14];
         for i in 0..missing {
             present[i * 3] = false;
@@ -90,18 +71,9 @@ fn bench_single_repair(c: &mut Criterion) {
     let mut group = c.benchmark_group("rs_single_repair_10_4");
     let shard_len = 256 * 1024;
     let rs = ReedSolomon::new(10, 4).unwrap();
-    let data = data_shards(10, shard_len);
-    let parity = rs.encode(&data).unwrap();
-    let full: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
     group.throughput(Throughput::Bytes(shard_len as u64));
 
-    let mut degraded: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-    degraded[5] = None;
-    group.bench_function("legacy", |b| {
-        b.iter(|| rs.repair(5, black_box(&degraded)).unwrap())
-    });
-
-    let stripe = ShardBuffer::from_shards(&full).unwrap();
+    let stripe = stripe(&rs, shard_len, true);
     let mut out = vec![0u8; shard_len];
     group.bench_function("repair_into", |b| {
         b.iter(|| {

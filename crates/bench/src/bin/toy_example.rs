@@ -7,7 +7,37 @@
 
 use pbrs_bench::{print_comparison, row, section};
 use pbrs_core::toy_example;
-use pbrs_erasure::{ErasureCode, ReedSolomon};
+use pbrs_erasure::{total_read_bytes, ErasureCode, ReedSolomon, ShardBuffer};
+
+/// Encodes the two data shards `data` into a full four-shard stripe.
+fn encode(code: &dyn ErasureCode, data: [[u8; 2]; 2]) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(4, 2);
+    stripe.shard_mut(0).copy_from_slice(&data[0]);
+    stripe.shard_mut(1).copy_from_slice(&data[1]);
+    let (data, mut parity) = stripe.split_mut(2);
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
+}
+
+/// Rebuilds node `target` from only the bytes its repair reads name,
+/// returning the rebuilt shard, the bytes downloaded and the nodes contacted.
+fn repair(code: &dyn ErasureCode, stripe: &ShardBuffer, target: usize) -> (Vec<u8>, u64, usize) {
+    let mut available = [true; 4];
+    available[target] = false;
+    let reads = code.repair_reads(target, &available, 2).unwrap();
+    let mut helpers = ShardBuffer::zeroed(4, 2);
+    for i in 0..4 {
+        helpers.shard_mut(i).fill(0xEE);
+    }
+    for read in &reads {
+        helpers.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    let mut out = vec![0u8; 2];
+    code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+        .unwrap();
+    (out, total_read_bytes(&reads), reads.len())
+}
 
 fn main() {
     let code = toy_example();
@@ -15,8 +45,9 @@ fn main() {
 
     // One byte per substripe symbol, as drawn in the paper's figure.
     let (a1, a2, b1, b2) = (0x11u8, 0x22u8, 0x33u8, 0x44u8);
-    let data = vec![vec![a1, b1], vec![a2, b2]];
-    let parity = code.encode(&data).unwrap();
+    let data = [[a1, b1], [a2, b2]];
+    let stripe = encode(&code, data);
+    let parity = [stripe.shard(2), stripe.shard(3)];
 
     section("Fig. 4 — the piggybacked (2, 2) stripe");
     println!("node 1 stores (a1, b1)                 = ({a1:#04x}, {b1:#04x})");
@@ -31,50 +62,27 @@ fn main() {
     );
 
     // Repair node 1 under both codes.
-    let mut shards: Vec<Option<Vec<u8>>> = data
-        .iter()
-        .chain(parity.iter())
-        .cloned()
-        .map(Some)
-        .collect();
-    shards[0] = None;
-    let pb_outcome = code.repair(0, &shards).unwrap();
-
-    let rs_data = vec![vec![a1, b1], vec![a2, b2]];
-    let rs_parity = rs.encode(&rs_data).unwrap();
-    let mut rs_shards: Vec<Option<Vec<u8>>> = rs_data
-        .iter()
-        .chain(rs_parity.iter())
-        .cloned()
-        .map(Some)
-        .collect();
-    rs_shards[0] = None;
-    let rs_outcome = rs.repair(0, &rs_shards).unwrap();
+    let (pb_shard, pb_bytes, pb_nodes) = repair(&code, &stripe, 0);
+    let (rs_shard, rs_bytes, rs_nodes) = repair(&rs, &encode(&rs, data), 0);
 
     section("Recovering node 1");
     println!(
-        "piggybacked code downloads: b2, f1(b), f2(b)+a1  ->  {} bytes from {} nodes",
-        pb_outcome.metrics.bytes_transferred, pb_outcome.metrics.helpers
+        "piggybacked code downloads: b2, f1(b), f2(b)+a1  ->  {pb_bytes} bytes from {pb_nodes} nodes"
     );
     println!(
-        "plain RS code downloads   : both symbols of any 2 nodes -> {} bytes from {} nodes",
-        rs_outcome.metrics.bytes_transferred, rs_outcome.metrics.helpers
+        "plain RS code downloads   : both symbols of any 2 nodes -> {rs_bytes} bytes from {rs_nodes} nodes"
     );
-    assert_eq!(pb_outcome.shard, data[0]);
-    assert_eq!(rs_outcome.shard, data[0]);
+    assert_eq!(pb_shard, data[0]);
+    assert_eq!(rs_shard, data[0]);
 
     section("Paper vs. measured");
     print_comparison(&[
         row(
             "bytes downloaded to recover node 1 (piggybacked)",
             3,
-            pb_outcome.metrics.bytes_transferred,
+            pb_bytes,
         ),
-        row(
-            "bytes downloaded to recover node 1 (RS)",
-            4,
-            rs_outcome.metrics.bytes_transferred,
-        ),
+        row("bytes downloaded to recover node 1 (RS)", 4, rs_bytes),
         row(
             "fault tolerance (any failures of 4 nodes)",
             2,

@@ -36,20 +36,27 @@ use crate::design::PiggybackDesign;
 ///
 /// ```
 /// use pbrs_core::PiggybackedRs;
-/// use pbrs_erasure::{ErasureCode, Stripe};
+/// use pbrs_erasure::{total_read_bytes, ErasureCode, ShardBuffer};
 ///
 /// # fn main() -> Result<(), pbrs_erasure::CodeError> {
 /// let code = PiggybackedRs::new(10, 4)?;
-/// let data: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8; 32]).collect();
-/// let mut stripe = Stripe::from_encoding(&code, &data)?;
+/// let mut stripe = ShardBuffer::zeroed(14, 32);
+/// for i in 0..10 {
+///     stripe.shard_mut(i).fill(i as u8);
+/// }
+/// let (data, mut parity) = stripe.split_mut(10);
+/// code.encode_into(&data, &mut parity)?;
 ///
 /// // Lose a data shard and repair it with ~30% less download than RS:
 /// // shard 5 belongs to a piggyback group of 3, so the repair reads
 /// // (10 + 3) / 2 = 6.5 shard-equivalents instead of 10.
-/// stripe.erase(5);
-/// let outcome = code.repair(5, stripe.as_slice())?;
-/// assert_eq!(outcome.shard, data[5]);
-/// assert_eq!(outcome.metrics.bytes_transferred, (6.5 * 32.0) as u64);
+/// let mut available = vec![true; 14];
+/// available[5] = false;
+/// let reads = code.repair_reads(5, &available, 32)?;
+/// assert_eq!(total_read_bytes(&reads), (6.5 * 32.0) as u64);
+/// let mut rebuilt = vec![0u8; 32];
+/// code.repair_from_reads(5, &reads, &stripe.as_set(), &mut rebuilt)?;
+/// assert_eq!(rebuilt, [5u8; 32]);
 /// # Ok(())
 /// # }
 /// ```
@@ -441,7 +448,7 @@ impl ErasureCode for PiggybackedRs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_erasure::Stripe;
+    use pbrs_erasure::{total_read_bytes, ShardBuffer};
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -453,9 +460,40 @@ mod tests {
             .collect()
     }
 
-    fn full_stripe(code: &PiggybackedRs, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let parity = code.encode(data).unwrap();
-        data.iter().chain(parity.iter()).cloned().collect()
+    /// Encodes `data` into a full stripe buffer, data shards first.
+    fn full_stripe<C: ErasureCode>(code: &C, data: &[Vec<u8>]) -> ShardBuffer {
+        let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), data[0].len());
+        for (i, shard) in data.iter().enumerate() {
+            stripe.shard_mut(i).copy_from_slice(shard);
+        }
+        let (data, mut parity) = stripe.split_mut(data.len());
+        code.encode_into(&data, &mut parity).unwrap();
+        stripe
+    }
+
+    /// Fills the `lost` slots with garbage and rebuilds them in place.
+    fn erase_and_reconstruct(
+        code: &PiggybackedRs,
+        stripe: &mut ShardBuffer,
+        lost: &[usize],
+    ) -> Result<(), CodeError> {
+        let mut present = vec![true; stripe.shard_count()];
+        for &i in lost {
+            present[i] = false;
+            stripe.shard_mut(i).fill(0xEE);
+        }
+        code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+    }
+
+    /// Rebuilds `target` with `repair_into` from a copy of `all` whose target
+    /// slot holds garbage.
+    fn repair_target(code: &PiggybackedRs, all: &ShardBuffer, target: usize) -> Vec<u8> {
+        let mut stripe = all.clone();
+        stripe.shard_mut(target).fill(0xEE);
+        let mut out = vec![0u8; all.shard_len()];
+        code.repair_into(target, &stripe.as_set(), &mut out)
+            .unwrap();
+        out
     }
 
     #[test]
@@ -475,26 +513,28 @@ mod tests {
     fn parity_zero_matches_plain_rs_and_others_differ() {
         let code = PiggybackedRs::new(4, 3).unwrap();
         let data = sample_data(4, 16);
-        let parity = code.encode(&data).unwrap();
+        let stripe = full_stripe(&code, &data);
+        let parity: Vec<&[u8]> = (4..7).map(|i| stripe.shard(i)).collect();
 
         // Build the plain RS parities over the two substripes for comparison.
         let rs = ReedSolomon::new(4, 3).unwrap();
         let a: Vec<Vec<u8>> = data.iter().map(|d| d[..8].to_vec()).collect();
         let b: Vec<Vec<u8>> = data.iter().map(|d| d[8..].to_vec()).collect();
-        let pa = rs.encode(&a).unwrap();
-        let pb = rs.encode(&b).unwrap();
+        let (rs_a, rs_b) = (full_stripe(&rs, &a), full_stripe(&rs, &b));
+        let pa: Vec<&[u8]> = (4..7).map(|i| rs_a.shard(i)).collect();
+        let pb: Vec<&[u8]> = (4..7).map(|i| rs_b.shard(i)).collect();
 
         // Parity 0 is exactly the RS parity of both substripes.
-        assert_eq!(&parity[0][..8], &pa[0][..]);
-        assert_eq!(&parity[0][8..], &pb[0][..]);
+        assert_eq!(&parity[0][..8], pa[0]);
+        assert_eq!(&parity[0][8..], pb[0]);
         // Piggybacked parities share the a-half but differ in the b-half.
         for j in 1..3 {
-            assert_eq!(&parity[j][..8], &pa[j][..]);
-            assert_ne!(&parity[j][8..], &pb[j][..]);
+            assert_eq!(&parity[j][..8], pa[j]);
+            assert_ne!(&parity[j][8..], pb[j]);
         }
         // And the difference is exactly the group XOR.
         let group0 = &code.design().groups()[0]; // rides on parity 1
-        let mut expect = pb[1].clone();
+        let mut expect = pb[1].to_vec();
         for &i in group0 {
             for (e, s) in expect.iter_mut().zip(a[i].iter()) {
                 *e ^= s;
@@ -506,9 +546,10 @@ mod tests {
     #[test]
     fn unaligned_shards_rejected() {
         let code = PiggybackedRs::new(4, 2).unwrap();
-        let data = sample_data(4, 15);
+        let mut stripe = ShardBuffer::zeroed(6, 15);
+        let (data, mut parity) = stripe.split_mut(4);
         assert!(matches!(
-            code.encode(&data),
+            code.encode_into(&data, &mut parity),
             Err(CodeError::UnalignedShard {
                 len: 15,
                 granularity: 2
@@ -521,9 +562,15 @@ mod tests {
         let code = PiggybackedRs::facebook();
         let data = sample_data(10, 64);
         let mut all = full_stripe(&code, &data);
-        assert!(code.verify(&all).unwrap());
-        all[11][40] ^= 1;
-        assert!(!code.verify(&all).unwrap());
+        let reencodes = |stripe: &ShardBuffer| {
+            let mut fresh = stripe.clone();
+            let (data, mut parity) = fresh.split_mut(10);
+            code.encode_into(&data, &mut parity).unwrap();
+            fresh == *stripe
+        };
+        assert!(reencodes(&all));
+        all.shard_mut(11)[40] ^= 1;
+        assert!(!reencodes(&all));
     }
 
     #[test]
@@ -535,13 +582,9 @@ mod tests {
         let n = 6;
         for i in 0..n {
             for j in i..n {
-                let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-                shards[i] = None;
-                shards[j] = None;
-                code.reconstruct(&mut shards).unwrap();
-                for (idx, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[idx], "failures ({i},{j})");
-                }
+                let mut stripe = all.clone();
+                erase_and_reconstruct(&code, &mut stripe, &[i, j]).unwrap();
+                assert_eq!(stripe, all, "failures ({i},{j})");
             }
         }
     }
@@ -561,14 +604,9 @@ mod tests {
             vec![6, 10],
         ];
         for pattern in patterns {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            code.reconstruct(&mut shards).unwrap();
-            for (idx, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &all[idx], "pattern {pattern:?}");
-            }
+            let mut stripe = all.clone();
+            erase_and_reconstruct(&code, &mut stripe, &pattern).unwrap();
+            assert_eq!(stripe, all, "pattern {pattern:?}");
         }
     }
 
@@ -576,13 +614,9 @@ mod tests {
     fn too_many_failures_rejected() {
         let code = PiggybackedRs::new(4, 2).unwrap();
         let data = sample_data(4, 8);
-        let all = full_stripe(&code, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[2] = None;
+        let mut stripe = full_stripe(&code, &data);
         assert!(matches!(
-            code.reconstruct(&mut shards),
+            erase_and_reconstruct(&code, &mut stripe, &[0, 1, 2]),
             Err(CodeError::NotEnoughShards { .. })
         ));
     }
@@ -620,20 +654,34 @@ mod tests {
         let data = sample_data(10, 64);
         let all = full_stripe(&code, &data);
         for target in 0..14 {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            shards[target] = None;
-            let outcome = code.repair(target, &shards).unwrap();
-            assert_eq!(outcome.shard, all[target], "target {target}");
+            // Execute the repair from only the bytes its reads name.
+            let mut available = vec![true; 14];
+            available[target] = false;
+            let reads = code.repair_reads(target, &available, 64).unwrap();
+            let mut helpers = ShardBuffer::zeroed(14, 64);
+            for i in 0..14 {
+                helpers.shard_mut(i).fill(0xEE);
+            }
+            for read in &reads {
+                helpers.shard_mut(read.shard)[read.range()]
+                    .copy_from_slice(&all.shard(read.shard)[read.range()]);
+            }
+            let mut out = vec![0u8; 64];
+            code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+                .unwrap();
+            assert_eq!(out, all.shard(target), "target {target}");
+            assert_eq!(repair_target(&code, &all, target), all.shard(target));
+            let helper_count = code.repair_plan(target, &available).unwrap().helper_count();
             if target < 10 {
                 let group_len =
                     code.design().groups()[code.design().group_of(target).unwrap()].len();
                 let expect_bytes =
                     ((10 - group_len) as u64 * 32) + (group_len as u64 - 1) * 64 + 32 + 32;
-                assert_eq!(outcome.metrics.bytes_transferred, expect_bytes);
-                assert_eq!(outcome.metrics.helpers, 11);
+                assert_eq!(total_read_bytes(&reads), expect_bytes);
+                assert_eq!(helper_count, 11);
             } else {
-                assert_eq!(outcome.metrics.bytes_transferred, 10 * 64);
-                assert_eq!(outcome.metrics.helpers, 10);
+                assert_eq!(total_read_bytes(&reads), 10 * 64);
+                assert_eq!(helper_count, 10);
             }
         }
     }
@@ -671,13 +719,24 @@ mod tests {
         let data = sample_data(10, 32);
         let all = full_stripe(&code, &data);
         // Two failures: the target and its carrier parity.
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[11] = None;
-        let outcome = code.repair(0, &shards).unwrap();
-        assert_eq!(outcome.shard, all[0]);
+        let mut available = vec![true; 14];
+        available[0] = false;
+        available[11] = false;
+        let plan = code.repair_plan(0, &available).unwrap();
         // Fallback cost: k whole shards.
-        assert_eq!(outcome.metrics.bytes_transferred, 10 * 32);
+        assert_eq!(plan.metrics(32).bytes_transferred, 10 * 32);
+        // Decoding from exactly those k shards rebuilds the target.
+        let mut present = vec![false; 14];
+        for shard in plan.helper_indices() {
+            present[shard] = true;
+        }
+        let mut stripe = all.clone();
+        for i in (0..14).filter(|&i| !present[i]) {
+            stripe.shard_mut(i).fill(0xEE);
+        }
+        code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+            .unwrap();
+        assert_eq!(stripe.shard(0), all.shard(0));
     }
 
     #[test]
@@ -685,13 +744,13 @@ mod tests {
         let code = PiggybackedRs::new(4, 2).unwrap();
         let data = sample_data(4, 8);
         let all = full_stripe(&code, &data);
-        let shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
         assert!(matches!(
-            code.repair(0, &shards),
+            code.repair_plan(0, &[true; 6]),
             Err(CodeError::TargetNotMissing { index: 0 })
         ));
+        let mut out = vec![0u8; 8];
         assert!(matches!(
-            code.repair(99, &shards),
+            code.repair_into(99, &all.as_set(), &mut out),
             Err(CodeError::InvalidShardIndex { .. })
         ));
         let mut available = vec![true; 6];
@@ -721,15 +780,12 @@ mod tests {
     fn works_with_stripe_helper_and_arbitrary_parameters() {
         for (k, r) in [(2usize, 2usize), (5, 3), (6, 4), (12, 4), (10, 2)] {
             let code = PiggybackedRs::new(k, r).unwrap();
-            let data = sample_data(k, 20);
-            let mut stripe = Stripe::from_encoding(&code, &data).unwrap();
-            let original = stripe.clone().into_shards().unwrap();
+            let original = full_stripe(&code, &sample_data(k, 20));
             // Erase r shards (the last r, mixing data and parity).
-            for i in 0..r {
-                stripe.erase(k + r - 1 - i);
-            }
-            stripe.reconstruct(&code).unwrap();
-            assert_eq!(stripe.into_shards().unwrap(), original, "({k},{r})");
+            let lost: Vec<usize> = (k..k + r).collect();
+            let mut stripe = original.clone();
+            erase_and_reconstruct(&code, &mut stripe, &lost).unwrap();
+            assert_eq!(stripe, original, "({k},{r})");
         }
     }
 
@@ -738,11 +794,11 @@ mod tests {
         let code = PiggybackedRs::new(6, 1).unwrap();
         let data = sample_data(6, 10);
         let all = full_stripe(&code, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        shards[2] = None;
-        let outcome = code.repair(2, &shards).unwrap();
-        assert_eq!(outcome.shard, all[2]);
-        assert_eq!(outcome.metrics.bytes_transferred, 6 * 10);
+        assert_eq!(repair_target(&code, &all, 2), all.shard(2));
+        let mut available = vec![true; 7];
+        available[2] = false;
+        let plan = code.repair_plan(2, &available).unwrap();
+        assert_eq!(plan.metrics(10).bytes_transferred, 6 * 10);
         assert!((code.average_repair_fraction() - 1.0).abs() < 1e-12);
     }
 }

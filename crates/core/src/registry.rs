@@ -82,7 +82,7 @@ pub fn build_str(spec: &str) -> Result<DynCode, CodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_erasure::Stripe;
+    use pbrs_erasure::ShardBuffer;
 
     #[test]
     fn builds_every_family() {
@@ -103,15 +103,22 @@ mod tests {
     fn built_codes_round_trip_data() {
         for spec in ["rs-4-2", "piggyback-4-2", "lrc-4-2-2", "rep-3"] {
             let code = build_str(spec).unwrap();
-            let k = code.params().data_shards();
-            let data: Vec<Vec<u8>> = (0..k)
-                .map(|i| (0..16).map(|j| ((i * 7 + j * 3 + 1) % 256) as u8).collect())
-                .collect();
-            let mut stripe = Stripe::from_encoding(code.as_ref(), &data).unwrap();
-            let original = stripe.clone().into_shards().unwrap();
-            stripe.erase(0);
-            stripe.reconstruct(code.as_ref()).unwrap();
-            assert_eq!(stripe.into_shards().unwrap(), original, "{spec}");
+            let (k, n) = (code.params().data_shards(), code.params().total_shards());
+            let mut original = ShardBuffer::zeroed(n, 16);
+            for i in 0..k {
+                for (j, byte) in original.shard_mut(i).iter_mut().enumerate() {
+                    *byte = ((i * 7 + j * 3 + 1) % 256) as u8;
+                }
+            }
+            let (data, mut parity) = original.split_mut(k);
+            code.encode_into(&data, &mut parity).unwrap();
+            let mut stripe = original.clone();
+            stripe.shard_mut(0).fill(0xEE);
+            let mut present = vec![true; n];
+            present[0] = false;
+            code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+                .unwrap();
+            assert_eq!(stripe, original, "{spec}");
         }
     }
 

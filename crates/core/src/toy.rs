@@ -37,7 +37,37 @@ pub fn try_toy_example() -> Result<PiggybackedRs, CodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_erasure::{ErasureCode, Fraction};
+    use pbrs_erasure::{ErasureCode, Fraction, ShardBuffer};
+
+    /// Encodes the two data shards of a toy stripe into all four shards.
+    fn encode(code: &PiggybackedRs, data: [[u8; 2]; 2]) -> ShardBuffer {
+        let mut stripe = ShardBuffer::zeroed(4, 2);
+        stripe.shard_mut(0).copy_from_slice(&data[0]);
+        stripe.shard_mut(1).copy_from_slice(&data[1]);
+        let (data, mut parity) = stripe.split_mut(2);
+        code.encode_into(&data, &mut parity).unwrap();
+        stripe
+    }
+
+    /// Rebuilds `target` from only the bytes its `repair_reads` name and
+    /// returns the shard and the bytes read.
+    fn repair(code: &PiggybackedRs, all: &ShardBuffer, target: usize) -> (Vec<u8>, u64) {
+        let mut available = [true; 4];
+        available[target] = false;
+        let reads = code.repair_reads(target, &available, 2).unwrap();
+        let mut helpers = ShardBuffer::zeroed(4, 2);
+        for i in 0..4 {
+            helpers.shard_mut(i).fill(0xEE);
+        }
+        for read in &reads {
+            helpers.shard_mut(read.shard)[read.range()]
+                .copy_from_slice(&all.shard(read.shard)[read.range()]);
+        }
+        let mut out = vec![0u8; 2];
+        code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+            .unwrap();
+        (out, pbrs_erasure::total_read_bytes(&reads))
+    }
 
     /// Encode exactly the stripe drawn in Fig. 4 of the paper, with one byte
     /// per substripe symbol, and check the stored symbols and the 3-byte
@@ -48,9 +78,9 @@ mod tests {
         // One byte per substripe symbol -> each shard is [a_i, b_i].
         let a = [17u8, 203u8];
         let b = [99u8, 45u8];
-        let data = vec![vec![a[0], b[0]], vec![a[1], b[1]]];
-        let parity = code.encode(&data).unwrap();
-        assert_eq!(parity.len(), 2);
+        let data = [[a[0], b[0]], [a[1], b[1]]];
+        let all = encode(&code, data);
+        let parity = [all.shard(2), all.shard(3)];
 
         // The inner RS code is systematic with some parity coefficients
         // f_1, f_2; what matters for the example is the structure:
@@ -61,40 +91,22 @@ mod tests {
         };
         let p1 = rs.parity_row(0).to_vec();
         let p2 = rs.parity_row(1).to_vec();
-        assert_eq!(parity[0], vec![f(&p1, &a), f(&p1, &b)]);
-        assert_eq!(parity[1], vec![f(&p2, &a), f(&p2, &b) ^ a[0]]);
+        assert_eq!(parity[0], [f(&p1, &a), f(&p1, &b)]);
+        assert_eq!(parity[1], [f(&p2, &a), f(&p2, &b) ^ a[0]]);
 
         // Recover node 1 (shard 0): the repair plan downloads 3 bytes —
         // b2 from node 2, the clean parity's b-half, and the piggybacked
         // parity's b-half.
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .chain(parity.iter())
-            .cloned()
-            .map(Some)
-            .collect();
-        shards[0] = None;
         let plan = code.repair_plan(0, &[false, true, true, true]).unwrap();
         assert_eq!(plan.helper_count(), 3);
         assert!(plan.fetches.iter().all(|f| f.fraction == Fraction::HALF));
         assert_eq!(plan.bytes_read(2), 3, "3 bytes instead of 4");
 
-        let outcome = code.repair(0, &shards).unwrap();
-        assert_eq!(outcome.shard, data[0]);
-        assert_eq!(outcome.metrics.bytes_transferred, 3);
+        assert_eq!(repair(&code, &all, 0), (data[0].to_vec(), 3));
 
         // The second data node is not piggybacked, so its recovery costs the
         // full 4 bytes, exactly as under RS.
-        let mut shards2: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .chain(parity.iter())
-            .cloned()
-            .map(Some)
-            .collect();
-        shards2[1] = None;
-        let outcome2 = code.repair(1, &shards2).unwrap();
-        assert_eq!(outcome2.shard, data[1]);
-        assert_eq!(outcome2.metrics.bytes_transferred, 4);
+        assert_eq!(repair(&code, &all, 1), (data[1].to_vec(), 4));
     }
 
     /// "One can easily verify that this code can tolerate the failure of any
@@ -102,18 +114,18 @@ mod tests {
     #[test]
     fn tolerates_any_two_of_four_failures() {
         let code = toy_example();
-        let data = vec![vec![1u8, 2], vec![3u8, 4]];
-        let parity = code.encode(&data).unwrap();
-        let all: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+        let all = encode(&code, [[1, 2], [3, 4]]);
         for i in 0..4 {
             for j in 0..4 {
-                let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-                shards[i] = None;
-                shards[j] = None;
-                code.reconstruct(&mut shards).unwrap();
-                for (idx, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[idx], "failures ({i},{j})");
+                let mut stripe = all.clone();
+                let mut present = [true; 4];
+                for lost in [i, j] {
+                    present[lost] = false;
+                    stripe.shard_mut(lost).fill(0xEE);
                 }
+                code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+                    .unwrap();
+                assert_eq!(stripe, all, "failures ({i},{j})");
             }
         }
     }
@@ -123,11 +135,10 @@ mod tests {
         let code = toy_example();
         let rs = pbrs_erasure::ReedSolomon::new(2, 2).unwrap();
         assert_eq!(code.storage_overhead(), rs.storage_overhead());
-        let data = vec![vec![5u8, 6], vec![7u8, 8]];
-        let pb_parity = code.encode(&data).unwrap();
-        // Same number of parity shards, same shard sizes.
-        assert_eq!(pb_parity.len(), 2);
-        assert!(pb_parity.iter().all(|p| p.len() == 2));
+        // Same number of parity shards, same shard sizes: two data shards
+        // of 2 bytes encode into a 4 x 2-byte stripe.
+        let stripe = encode(&code, [[5, 6], [7, 8]]);
+        assert_eq!((stripe.shard_count(), stripe.shard_len()), (4, 2));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! equivalence of efficient repair and full decode, and the cost model.
 
 use pbrs_core::{PiggybackDesign, PiggybackedRs, SavingsReport};
-use pbrs_erasure::{CodeParams, ErasureCode, ReedSolomon, Stripe};
+use pbrs_erasure::{
+    total_read_bytes, CodeError, CodeParams, ErasureCode, ReedSolomon, ShardBuffer,
+};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -11,6 +13,57 @@ fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
     (0..k)
         .map(|_| (0..len).map(|_| rng.random()).collect())
         .collect()
+}
+
+/// Encodes `data` into a full stripe buffer, data shards first.
+fn encode_stripe<C: ErasureCode>(code: &C, data: &[Vec<u8>]) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), data[0].len());
+    for (i, shard) in data.iter().enumerate() {
+        stripe.shard_mut(i).copy_from_slice(shard);
+    }
+    let (data, mut parity) = stripe.split_mut(data.len());
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
+}
+
+/// Fills the `lost` slots with garbage and rebuilds them in place.
+fn erase_and_reconstruct(
+    code: &PiggybackedRs,
+    stripe: &mut ShardBuffer,
+    lost: &[usize],
+) -> Result<(), CodeError> {
+    let mut present = vec![true; stripe.shard_count()];
+    for &i in lost {
+        present[i] = false;
+        stripe.shard_mut(i).fill(0xEE);
+    }
+    code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+}
+
+/// Rebuilds `target` from only the bytes its `repair_reads` name: every
+/// other byte of the helper buffer is garbage. Returns the rebuilt shard and
+/// the bytes read.
+fn repair_from_reads_only(
+    code: &PiggybackedRs,
+    stripe: &ShardBuffer,
+    target: usize,
+) -> (Vec<u8>, u64) {
+    let (n, len) = (stripe.shard_count(), stripe.shard_len());
+    let mut available = vec![true; n];
+    available[target] = false;
+    let reads = code.repair_reads(target, &available, len).unwrap();
+    let mut helpers = ShardBuffer::zeroed(n, len);
+    for i in 0..n {
+        helpers.shard_mut(i).fill(0xEE);
+    }
+    for read in &reads {
+        helpers.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    let mut out = vec![0u8; len];
+    code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+        .unwrap();
+    (out, total_read_bytes(&reads))
 }
 
 proptest! {
@@ -27,16 +80,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len * 2);
-        let mut stripe = Stripe::from_encoding(&code, &data).unwrap();
-        let original = stripe.clone().into_shards().unwrap();
+        let original = encode_stripe(&code, &data);
         let erase = rng.random_range(0..=r);
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        for &i in indices.iter().take(erase) {
-            stripe.erase(i);
-        }
-        stripe.reconstruct(&code).unwrap();
-        prop_assert_eq!(stripe.into_shards().unwrap(), original);
+        indices.truncate(erase);
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&code, &mut stripe, &indices).unwrap();
+        prop_assert_eq!(stripe, original);
     }
 
     /// More than r erasures must be rejected.
@@ -49,13 +100,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
         let data = random_data(&mut rng, k, 8);
-        let mut stripe = Stripe::from_encoding(&code, &data).unwrap();
+        let mut stripe = encode_stripe(&code, &data);
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        for &i in indices.iter().take(r + 1) {
-            stripe.erase(i);
-        }
-        prop_assert!(stripe.reconstruct(&code).is_err());
+        indices.truncate(r + 1);
+        prop_assert!(erase_and_reconstruct(&code, &mut stripe, &indices).is_err());
     }
 
     /// Single-shard repair (efficient or fallback) always reproduces the
@@ -70,18 +119,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len * 2);
-        let stripe = Stripe::from_encoding(&code, &data).unwrap();
-        let all = stripe.clone().into_shards().unwrap();
+        let all = encode_stripe(&code, &data);
         let target = rng.random_range(0..k + r);
-        let mut degraded = stripe;
-        degraded.erase(target);
-        let outcome = code.repair(target, degraded.as_slice()).unwrap();
-        prop_assert_eq!(&outcome.shard, &all[target]);
-        prop_assert!(outcome.metrics.bytes_transferred <= (k * len * 2) as u64);
-        // And the plan's accounting matches the executed metrics.
-        let plan = code.repair_plan(target, &degraded.availability()).unwrap();
-        prop_assert_eq!(outcome.metrics.bytes_transferred, plan.bytes_read(len * 2));
-        prop_assert_eq!(outcome.metrics.helpers, plan.helper_count());
+        let (rebuilt, bytes_read) = repair_from_reads_only(&code, &all, target);
+        prop_assert_eq!(&rebuilt[..], all.shard(target));
+        prop_assert!(bytes_read <= (k * len * 2) as u64);
+        // And the plan's accounting matches the bytes actually read.
+        let mut available = vec![true; k + r];
+        available[target] = false;
+        let plan = code.repair_plan(target, &available).unwrap();
+        prop_assert_eq!(bytes_read, plan.bytes_read(len * 2));
     }
 
     /// The efficient repair path and a full-stripe decode agree on the
@@ -96,16 +143,16 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len * 2);
-        let stripe = Stripe::from_encoding(&code, &data).unwrap();
+        let stripe = encode_stripe(&code, &data);
         let target = rng.random_range(0..k);
-        let mut degraded = stripe.clone();
-        degraded.erase(target);
-        prop_assume!(code.efficient_repair_available(target, &degraded.availability()));
-        let outcome = code.repair(target, degraded.as_slice()).unwrap();
+        let mut available = vec![true; k + r];
+        available[target] = false;
+        prop_assume!(code.efficient_repair_available(target, &available));
+        let (efficient, _) = repair_from_reads_only(&code, &stripe, target);
 
-        let mut full = degraded.clone();
-        full.reconstruct(&code).unwrap();
-        prop_assert_eq!(full.shard(target).unwrap(), &outcome.shard[..]);
+        let mut full = stripe.clone();
+        erase_and_reconstruct(&code, &mut full, &[target]).unwrap();
+        prop_assert_eq!(full.shard(target), &efficient[..]);
     }
 
     /// Parity shard 0 of the piggybacked code always equals the plain RS
@@ -121,17 +168,16 @@ proptest! {
         let code = PiggybackedRs::new(k, r).unwrap();
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len * 2);
-        let pb_parity = code.encode(&data).unwrap();
+        let pb_stripe = encode_stripe(&code, &data);
         let a: Vec<Vec<u8>> = data.iter().map(|d| d[..len].to_vec()).collect();
         let b: Vec<Vec<u8>> = data.iter().map(|d| d[len..].to_vec()).collect();
-        let pa = rs.encode(&a).unwrap();
-        let pb = rs.encode(&b).unwrap();
-        prop_assert_eq!(&pb_parity[0][..len], &pa[0][..]);
-        prop_assert_eq!(&pb_parity[0][len..], &pb[0][..]);
+        let (pa, pb) = (encode_stripe(&rs, &a), encode_stripe(&rs, &b));
+        prop_assert_eq!(&pb_stripe.shard(k)[..len], pa.shard(k));
+        prop_assert_eq!(&pb_stripe.shard(k)[len..], pb.shard(k));
         // Every parity's a-half is the plain RS parity (piggybacks only touch
         // the b-half).
-        for j in 0..r {
-            prop_assert_eq!(&pb_parity[j][..len], &pa[j][..]);
+        for j in k..k + r {
+            prop_assert_eq!(&pb_stripe.shard(j)[..len], pa.shard(j));
         }
     }
 
@@ -148,13 +194,12 @@ proptest! {
         let report = SavingsReport::for_params(k, r).unwrap();
         let len = 16usize;
         let data = random_data(&mut rng, k, len);
-        let stripe = Stripe::from_encoding(&code, &data).unwrap();
+        let stripe = encode_stripe(&code, &data);
         for target in 0..k + r {
-            let mut degraded = stripe.clone();
-            degraded.erase(target);
-            let outcome = code.repair(target, degraded.as_slice()).unwrap();
+            let (rebuilt, bytes_read) = repair_from_reads_only(&code, &stripe, target);
+            prop_assert_eq!(&rebuilt[..], stripe.shard(target));
             let expected_bytes = (report.per_shard[target].shards_downloaded * len as f64).round() as u64;
-            prop_assert_eq!(outcome.metrics.bytes_transferred, expected_bytes);
+            prop_assert_eq!(bytes_read, expected_bytes);
         }
         // Savings are monotone in the sense that no shard does worse than RS.
         for c in &report.per_shard {
@@ -182,16 +227,14 @@ proptest! {
         let code = PiggybackedRs::with_design(design).unwrap();
 
         let data = random_data(&mut rng, k, 12);
-        let mut stripe = Stripe::from_encoding(&code, &data).unwrap();
-        let original = stripe.clone().into_shards().unwrap();
+        let original = encode_stripe(&code, &data);
         // MDS check on a random r-erasure pattern.
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        for &i in indices.iter().take(r) {
-            stripe.erase(i);
-        }
-        stripe.reconstruct(&code).unwrap();
-        prop_assert_eq!(stripe.into_shards().unwrap(), original);
+        indices.truncate(r);
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&code, &mut stripe, &indices).unwrap();
+        prop_assert_eq!(stripe, original);
 
         // Cost structure.
         for target in 0..k {

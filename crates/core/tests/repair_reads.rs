@@ -17,7 +17,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use pbrs_core::registry;
-use pbrs_erasure::{total_read_bytes, ErasureCode, ShardBuffer};
+use pbrs_erasure::{decode, total_read_bytes, CodeSpec, ErasureCode, Lrc, LrcParams, ShardBuffer};
+use pbrs_gf::slice_ops;
 
 fn encoded_stripe(code: &dyn ErasureCode, shard_len: usize, rng: &mut StdRng) -> ShardBuffer {
     let params = code.params();
@@ -252,4 +253,96 @@ fn piggyback_reads_are_half_shards_for_data_targets() {
         assert_eq!(total_read_bytes(&reads), 10 * shard_len as u64);
         assert!(reads.iter().all(|r| r.offset == 0 && r.len == shard_len));
     }
+}
+
+/// Plans for a target with a *second* shard also lost — the ones the
+/// cluster simulator prices for multi-failure stripes — name a helper set
+/// that really rebuilds the target. For every registry code, every target
+/// and every second loss the plan accepts, the target is rebuilt
+/// byte-exactly from only the plan's fetched shards, every other slot
+/// holding garbage: MDS codes decode in place from exactly those slots, LRC
+/// combines them with the coefficients its generator gives for that helper
+/// set.
+#[test]
+fn degraded_plans_execute_from_their_fetches_alone() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0002);
+    let mut executed = 0;
+    for spec in registry::known_specs() {
+        let code = registry::build(&spec).unwrap();
+        let lrc = match spec {
+            CodeSpec::Lrc {
+                k,
+                local_groups,
+                global_parities,
+            } => Some(
+                Lrc::new(LrcParams {
+                    k,
+                    local_groups,
+                    global_parities,
+                })
+                .unwrap(),
+            ),
+            _ => None,
+        };
+        assert!(code.is_mds() != lrc.is_some(), "{spec}: one route per code");
+        let n = code.params().total_shards();
+        let shard_len = 16 * code.granularity();
+        let stripe = encoded_stripe(code.as_ref(), shard_len, &mut rng);
+
+        for target in 0..n {
+            for second in (0..n).filter(|&s| s != target) {
+                let mut available = vec![true; n];
+                available[target] = false;
+                available[second] = false;
+                let Ok(plan) = code.repair_plan(target, &available) else {
+                    continue;
+                };
+                let helpers = plan.helper_indices();
+                assert!(
+                    helpers.iter().all(|&h| available[h]),
+                    "{spec}: plan for {target} reads a lost shard"
+                );
+                let mut scratch = ShardBuffer::zeroed(n, shard_len);
+                for i in 0..n {
+                    if helpers.contains(&i) {
+                        scratch.shard_mut(i).copy_from_slice(stripe.shard(i));
+                    } else {
+                        scratch
+                            .shard_mut(i)
+                            .iter_mut()
+                            .for_each(|b| *b = rng.random());
+                    }
+                }
+                let rebuilt = match &lrc {
+                    Some(lrc) => {
+                        let coeffs =
+                            decode::combination_coefficients(lrc.generator(), target, &helpers)
+                                .unwrap();
+                        let mut out = vec![0u8; shard_len];
+                        slice_ops::linear_combination_into(
+                            &coeffs,
+                            helpers.iter().map(|&h| scratch.shard(h)),
+                            &mut out,
+                        );
+                        out
+                    }
+                    None => {
+                        let present: Vec<bool> = (0..n).map(|i| helpers.contains(&i)).collect();
+                        code.reconstruct_in_place(&mut scratch.as_set_mut(), &present)
+                            .unwrap();
+                        scratch.shard(target).to_vec()
+                    }
+                };
+                assert_eq!(
+                    rebuilt,
+                    stripe.shard(target),
+                    "{spec}: target {target} with {second} also lost"
+                );
+                executed += 1;
+            }
+        }
+    }
+    // 14 x 13 pairs for each of RS and Piggybacked-RS, 16 x 15 for LRC and
+    // 3 x 2 for replication: every pair has a plan.
+    assert_eq!(executed, 182 + 182 + 240 + 6);
 }

@@ -1,63 +1,58 @@
-//! Equivalence of the Piggybacked-RS zero-copy API and the legacy
-//! owned-`Vec` API, byte-for-byte, across a `(k, r)` grid and odd
-//! (even-aligned) shard lengths — including the substripe-narrowing decode
-//! and the download-efficient repair path.
+//! Ground-truth checks of the Piggybacked-RS view API across a `(k, r)`
+//! grid and odd (even-aligned) shard lengths — including the
+//! substripe-narrowing decode and the download-efficient repair path.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use pbrs_core::{registry, PiggybackedRs};
-use pbrs_erasure::{ErasureCode, ShardBuffer, ShardSetMut};
+use pbrs_erasure::{CodeError, ErasureCode, ShardBuffer, ShardSetMut};
 
-fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
-    (0..k)
-        .map(|_| (0..len).map(|_| rng.random()).collect())
-        .collect()
+/// Random data shards followed by `r` parity slots holding `fill`.
+fn random_stripe(rng: &mut StdRng, k: usize, r: usize, len: usize, fill: u8) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(k + r, len);
+    for i in 0..k {
+        stripe
+            .shard_mut(i)
+            .iter_mut()
+            .for_each(|b| *b = rng.random());
+    }
+    for i in k..k + r {
+        stripe.shard_mut(i).fill(fill);
+    }
+    stripe
 }
 
-fn full_stripe(code: &PiggybackedRs, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let parity = code.encode(data).unwrap();
-    data.iter().cloned().chain(parity).collect()
+/// Encodes the data shards of `stripe` into its parity slots.
+fn encode(code: &PiggybackedRs, mut stripe: ShardBuffer) -> ShardBuffer {
+    let (data, mut parity) = stripe.split_mut(code.params().data_shards());
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// encode_into writes exactly the bytes encode returns, over stale
-    /// parity buffers.
+    /// encode_into overwrites every parity byte: stale 0xEE parity slots
+    /// encode to exactly the bytes zeroed ones do.
     #[test]
-    fn encode_into_agrees_with_legacy(
+    fn encode_into_overwrites_stale_parity(
         k in 2usize..12,
         r in 1usize..6,
         half in 1usize..24,
         seed in any::<u64>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
-        let data = random_data(&mut rng, k, half * 2);
-        let legacy = code.encode(&data).unwrap();
-
-        let packed = ShardBuffer::from_shards(&data).unwrap();
-        let shard_len = half * 2;
-        let mut parity_buf = vec![0xEEu8; r * shard_len];
-        let mut parity = ShardSetMut::new(&mut parity_buf, r, shard_len).unwrap();
-        code.encode_into(&packed.as_set(), &mut parity).unwrap();
-        for (j, expect) in legacy.iter().enumerate() {
-            prop_assert_eq!(
-                &parity_buf[j * shard_len..(j + 1) * shard_len],
-                &expect[..],
-                "parity {}",
-                j
-            );
-        }
+        let zeroed = random_stripe(&mut StdRng::seed_from_u64(seed), k, r, half * 2, 0);
+        let stale = random_stripe(&mut StdRng::seed_from_u64(seed), k, r, half * 2, 0xEE);
+        prop_assert_eq!(encode(&code, stale), encode(&code, zeroed));
     }
 
-    /// reconstruct_in_place agrees with reconstruct for any erasure pattern
-    /// up to r, with garbage in the missing slots, and never touches
-    /// surviving shards.
+    /// reconstruct_in_place turns garbage in up to r missing slots back into
+    /// the original bytes and leaves every surviving shard as it was.
     #[test]
-    fn reconstruct_in_place_agrees_with_legacy(
+    fn reconstruct_in_place_restores_garbage_slots(
         k in 2usize..12,
         r in 1usize..6,
         half in 1usize..16,
@@ -66,33 +61,26 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
-        let data = random_data(&mut rng, k, half * 2);
-        let full = full_stripe(&code, &data);
+        let full = encode(&code, random_stripe(&mut rng, k, r, half * 2, 0));
         let n = k + r;
 
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
         let missing: Vec<usize> = indices.into_iter().take(erasures.min(r)).collect();
 
-        let mut legacy: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        for &i in &missing {
-            legacy[i] = None;
-        }
-        code.reconstruct(&mut legacy).unwrap();
-
-        let mut packed = ShardBuffer::from_shards(&full).unwrap();
+        let mut stripe = full.clone();
         let mut present = vec![true; n];
         for &i in &missing {
             present[i] = false;
-            packed.shard_mut(i).fill(0xDD);
+            stripe.shard_mut(i).fill(0xDD);
         }
-        code.reconstruct_in_place(&mut packed.as_set_mut(), &present).unwrap();
-        for (i, expect) in full.iter().enumerate() {
-            prop_assert_eq!(packed.shard(i), &expect[..], "shard {}", i);
+        code.reconstruct_in_place(&mut stripe.as_set_mut(), &present).unwrap();
+        for i in 0..n {
+            prop_assert_eq!(stripe.shard(i), full.shard(i), "shard {}", i);
         }
     }
 
-    /// Over-erased stripes fail in place exactly like the legacy path, and
+    /// Over-erased stripes fail in place with `NotEnoughShards`, and
     /// surviving shards (including piggybacked parities, which the decode
     /// temporarily toggles) are left bit-identical.
     #[test]
@@ -103,33 +91,33 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
-        let data = random_data(&mut rng, k, 8);
-        let full = full_stripe(&code, &data);
+        let full = encode(&code, random_stripe(&mut rng, k, r, 8, 0));
         let n = k + r;
 
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
         let missing: Vec<usize> = indices.into_iter().take(r + 1).collect();
-        let mut packed = ShardBuffer::from_shards(&full).unwrap();
+        let mut stripe = full.clone();
         let mut present = vec![true; n];
         for &i in &missing {
             present[i] = false;
         }
-        prop_assert!(code
-            .reconstruct_in_place(&mut packed.as_set_mut(), &present)
-            .is_err());
-        for i in 0..n {
-            if present[i] {
-                prop_assert_eq!(packed.shard(i), &full[i][..], "survivor {}", i);
-            }
+        let result = code.reconstruct_in_place(&mut stripe.as_set_mut(), &present);
+        prop_assert!(
+            matches!(result, Err(CodeError::NotEnoughShards { .. })),
+            "{:?}",
+            result
+        );
+        for i in (0..n).filter(|&i| present[i]) {
+            prop_assert_eq!(stripe.shard(i), full.shard(i), "survivor {}", i);
         }
     }
 
-    /// repair_into agrees with repair for every shard position — covered
-    /// data shards (the efficient path), uncovered data shards, and
+    /// repair_into rebuilds every shard position from a stale target slot —
+    /// covered data shards (the efficient path), uncovered data shards, and
     /// parities.
     #[test]
-    fn repair_into_agrees_with_legacy(
+    fn repair_into_rebuilds_every_shard(
         k in 2usize..12,
         r in 1usize..6,
         half in 1usize..16,
@@ -137,18 +125,13 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let code = PiggybackedRs::new(k, r).unwrap();
-        let data = random_data(&mut rng, k, half * 2);
-        let full = full_stripe(&code, &data);
-        let packed = ShardBuffer::from_shards(&full).unwrap();
+        let full = encode(&code, random_stripe(&mut rng, k, r, half * 2, 0));
         for target in 0..k + r {
-            let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-            shards[target] = None;
-            let legacy = code.repair(target, &shards).unwrap();
-
-            let mut out = vec![0xAAu8; half * 2];
-            code.repair_into(target, &packed.as_set(), &mut out).unwrap();
-            prop_assert_eq!(&out, &legacy.shard, "target {}", target);
-            prop_assert_eq!(&out, &full[target], "target {}", target);
+            let mut stripe = full.clone();
+            stripe.shard_mut(target).fill(0xAA);
+            let mut out = vec![0x55u8; half * 2];
+            code.repair_into(target, &stripe.as_set(), &mut out).unwrap();
+            prop_assert_eq!(&out[..], full.shard(target), "target {}", target);
         }
     }
 }
@@ -186,8 +169,8 @@ fn boxed_code_runs_zero_copy_round_trip() {
     assert_eq!(stripe, original);
 }
 
-/// The unaligned-length rejection applies to the view API exactly as it
-/// does to the legacy API (granularity 2 for the piggybacked code).
+/// The view API rejects shard lengths that are not a multiple of the
+/// code's granularity (2 for the piggybacked code).
 #[test]
 fn view_api_rejects_unaligned_lengths() {
     let code = PiggybackedRs::new(4, 2).unwrap();

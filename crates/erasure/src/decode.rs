@@ -57,86 +57,6 @@ pub fn select_independent_rows(generator: &Matrix, candidates: &[usize]) -> Opti
     }
 }
 
-/// Reconstructs all missing shards of a stripe described by `generator`.
-///
-/// `shards[i]`, when present, must equal `generator.row(i) · data` applied
-/// column-wise over the shard bytes. Present shards are left untouched;
-/// missing shards are filled in.
-///
-/// # Errors
-///
-/// * [`CodeError::NotEnoughShards`] if fewer than `k` shards survive.
-/// * [`CodeError::ReconstructionFailed`] if the surviving rows do not span
-///   the data space (only possible for non-MDS generators).
-/// * [`CodeError::Matrix`] if inversion fails unexpectedly.
-pub fn reconstruct_linear(
-    generator: &Matrix,
-    shards: &mut [Option<Vec<u8>>],
-    shard_len: usize,
-) -> Result<(), CodeError> {
-    let n = generator.rows();
-    let k = generator.cols();
-    debug_assert_eq!(shards.len(), n, "caller validates shard count");
-
-    let present: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
-    if present.len() == n {
-        return Ok(());
-    }
-    if present.len() < k {
-        return Err(CodeError::NotEnoughShards {
-            needed: k,
-            available: present.len(),
-        });
-    }
-
-    // Fast path: if all k data shards survive, missing shards are parities and
-    // can be recomputed directly without a matrix inversion.
-    let all_data_present = (0..k).all(|i| shards[i].is_some());
-
-    let data_shards: Vec<Vec<u8>> = if all_data_present {
-        (0..k)
-            // pbrs-lint: allow(panic-hygiene) -- all_data_present was checked on the line above
-            .map(|i| shards[i].as_ref().expect("checked present").clone())
-            .collect()
-    } else {
-        let rows = select_independent_rows(generator, &present).ok_or(
-            CodeError::ReconstructionFailed {
-                context: "surviving shards do not span the data",
-            },
-        )?;
-        let sub = generator.submatrix_rows(&rows)?;
-        let inv = sub.inverted()?;
-        // data[j] = Σ_i inv[j][i] * shards[rows[i]]
-        let selected: Vec<&[u8]> = rows
-            .iter()
-            // pbrs-lint: allow(panic-hygiene) -- rows were selected from present shards above
-            .map(|&i| shards[i].as_deref().expect("selected rows are present"))
-            .collect();
-        (0..k)
-            .map(|j| {
-                let mut out = vec![0u8; shard_len];
-                slice_ops::linear_combination(inv.row(j), &selected, &mut out);
-                out
-            })
-            .collect()
-    };
-
-    // Re-encode every missing shard from the recovered data in one
-    // multi-output pass over it.
-    let data_refs: Vec<&[u8]> = data_shards.iter().map(|s| s.as_slice()).collect();
-    let missing: Vec<usize> = (0..n).filter(|&i| shards[i].is_none()).collect();
-    let rows: Vec<&[u8]> = missing.iter().map(|&i| generator.row(i)).collect();
-    let mut rebuilt: Vec<Vec<u8>> = missing.iter().map(|_| vec![0u8; shard_len]).collect();
-    {
-        let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|s| s.as_mut_slice()).collect();
-        slice_ops::matrix_mul_into(&rows, &data_refs, &mut outs);
-    }
-    for (i, shard) in missing.into_iter().zip(rebuilt) {
-        shards[i] = Some(shard);
-    }
-    Ok(())
-}
-
 /// Reconstructs every missing shard of a linear code *in place*, inside a
 /// borrowed shard view, without allocating any shard-sized buffer.
 ///
@@ -342,62 +262,10 @@ pub fn solve_combination(rows: &[&[u8]], target_row: &[u8]) -> Option<Vec<u8>> {
     Some(coeffs)
 }
 
-/// Rebuilds a single target shard as a linear combination of helper shards,
-/// given the code's generator matrix and the helper indices.
-///
-/// # Errors
-///
-/// Returns [`CodeError::ReconstructionFailed`] if the helpers do not span the
-/// target shard's row.
-pub fn repair_by_combination(
-    generator: &Matrix,
-    target: usize,
-    helpers: &[usize],
-    shards: &[Option<Vec<u8>>],
-    shard_len: usize,
-) -> Result<Vec<u8>, CodeError> {
-    let rows: Vec<&[u8]> = helpers.iter().map(|&i| generator.row(i)).collect();
-    let coeffs =
-        solve_combination(&rows, generator.row(target)).ok_or(CodeError::ReconstructionFailed {
-            context: "helper shards do not span the target shard",
-        })?;
-    let helper_shards: Vec<&[u8]> = helpers
-        .iter()
-        .map(|&i| {
-            shards[i].as_deref().ok_or(CodeError::ReconstructionFailed {
-                context: "a helper shard named by the plan is missing",
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let mut out = vec![0u8; shard_len];
-    slice_ops::linear_combination(&coeffs, &helper_shards, &mut out);
-    Ok(out)
-}
-
-/// Recovers only the `k` data shards (without re-encoding parity) and returns
-/// them, leaving `shards` untouched.
-///
-/// # Errors
-///
-/// Same failure modes as [`reconstruct_linear`].
-pub fn decode_data_linear(
-    generator: &Matrix,
-    shards: &[Option<Vec<u8>>],
-    shard_len: usize,
-) -> Result<Vec<Vec<u8>>, CodeError> {
-    let mut working: Vec<Option<Vec<u8>>> = shards.to_vec();
-    reconstruct_linear(generator, &mut working, shard_len)?;
-    Ok(working
-        .into_iter()
-        .take(generator.cols())
-        // pbrs-lint: allow(panic-hygiene) -- reconstruct fills every shard slot before collecting
-        .map(|s| s.expect("reconstruct fills all shards"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardBuffer;
     use pbrs_gf::Matrix;
 
     /// Builds the systematic generator used by the RS code for testing the
@@ -451,30 +319,25 @@ mod tests {
     fn reconstruct_round_trip_all_patterns() {
         let k = 4;
         let r = 3;
-        let g = systematic_generator(k, r);
-        let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 17 + 1) as u8; 32]).collect();
-        let all = encode_with(&g, &data);
-
-        // Erase every possible subset of up to r shards (exhaustive for n=7).
         let n = k + r;
+        let g = systematic_generator(k, r);
+        let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 29 + 5) as u8; 24]).collect();
+        let all = encode_with(&g, &data);
+        let original = ShardBuffer::from_shards(&all).unwrap();
+
+        // Erase every possible subset of up to r shards (exhaustive for n=7);
+        // erased slots hold stale garbage, and every slot must come back.
         for mask in 0u32..(1 << n) {
             if mask.count_ones() as usize > r {
                 continue;
             }
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            for (i, slot) in shards.iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    *slot = None;
-                }
+            let mut stripe = original.clone();
+            let present: Vec<bool> = (0..n).map(|i| mask & (1 << i) == 0).collect();
+            for i in (0..n).filter(|&i| !present[i]) {
+                stripe.shard_mut(i).fill(0xDD);
             }
-            reconstruct_linear(&g, &mut shards, 32).unwrap();
-            for i in 0..n {
-                assert_eq!(
-                    shards[i].as_ref().unwrap(),
-                    &all[i],
-                    "mask {mask:#b}, shard {i}"
-                );
-            }
+            reconstruct_linear_in_place(&g, &mut stripe.as_set_mut(), &present).unwrap();
+            assert_eq!(stripe, original, "mask {mask:#b}");
         }
     }
 
@@ -482,48 +345,15 @@ mod tests {
     fn reconstruct_too_many_missing() {
         let g = systematic_generator(4, 2);
         let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 8]).collect();
-        let all = encode_with(&g, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.into_iter().map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[2] = None;
+        let mut stripe = ShardBuffer::from_shards(&encode_with(&g, &data)).unwrap();
+        let present = [false, false, false, true, true, true];
         assert!(matches!(
-            reconstruct_linear(&g, &mut shards, 8),
+            reconstruct_linear_in_place(&g, &mut stripe.as_set_mut(), &present),
             Err(CodeError::NotEnoughShards {
                 needed: 4,
                 available: 3
             })
         ));
-    }
-
-    #[test]
-    fn in_place_reconstruct_matches_owned_reconstruct() {
-        let k = 4;
-        let r = 3;
-        let n = k + r;
-        let g = systematic_generator(k, r);
-        let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 29 + 5) as u8; 24]).collect();
-        let all = encode_with(&g, &data);
-        for mask in 0u32..(1 << n) {
-            if mask.count_ones() as usize > r || mask == 0 {
-                continue;
-            }
-            let mut buf = vec![0u8; n * 24];
-            let mut present = vec![true; n];
-            for i in 0..n {
-                if mask & (1 << i) != 0 {
-                    present[i] = false;
-                    buf[i * 24..(i + 1) * 24].fill(0xDD); // stale garbage
-                } else {
-                    buf[i * 24..(i + 1) * 24].copy_from_slice(&all[i]);
-                }
-            }
-            let mut view = ShardSetMut::new(&mut buf, n, 24).unwrap();
-            reconstruct_linear_in_place(&g, &mut view, &present).unwrap();
-            for i in 0..n {
-                assert_eq!(&buf[i * 24..(i + 1) * 24], &all[i][..], "mask {mask:#b}");
-            }
-        }
     }
 
     #[test]
@@ -554,11 +384,43 @@ mod tests {
             }
             assert_eq!(acc, g.row(0)[col]);
         }
-        // An insufficient helper set is rejected.
+    }
+
+    #[test]
+    fn repair_by_combination_rejects_missing_helper() {
+        // Without enough independent helpers the target row is out of reach:
+        // too few helpers, or k helpers whose rows miss the target's.
+        let g = systematic_generator(3, 2);
+        for helpers in [&[1, 2][..], &[1, 3]] {
+            assert!(
+                matches!(
+                    combination_coefficients(&g, 0, helpers),
+                    Err(CodeError::ReconstructionFailed { .. })
+                ),
+                "helpers {helpers:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_data_does_not_mutate_input() {
+        // A generator whose two parity rows coincide: shards 2, 3, 4 then
+        // carry only two independent rows, so the decode must fail — and a
+        // failed decode must leave every surviving shard as it found it.
+        let mut g = systematic_generator(3, 2);
+        let dup = g.row(3).to_vec();
+        for (c, v) in dup.iter().enumerate() {
+            g.set(4, c, *v);
+        }
+        let data: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8 + 9; 16]).collect();
+        let mut stripe = ShardBuffer::from_shards(&encode_with(&g, &data)).unwrap();
+        let before = stripe.clone();
+        let present = [false, false, true, true, true];
         assert!(matches!(
-            combination_coefficients(&g, 0, &[1, 2]),
+            reconstruct_linear_in_place(&g, &mut stripe.as_set_mut(), &present),
             Err(CodeError::ReconstructionFailed { .. })
         ));
+        assert_eq!(stripe, before);
     }
 
     #[test]
@@ -590,38 +452,15 @@ mod tests {
         let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 11 + 3) as u8; 24]).collect();
         let all = encode_with(&g, &data);
         for target in 0..k + r {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            shards[target] = None;
             let helpers: Vec<usize> = (0..k + r).filter(|&i| i != target).take(k).collect();
-            let rebuilt = repair_by_combination(&g, target, &helpers, &shards, 24).unwrap();
-            assert_eq!(rebuilt, all[target]);
+            let coeffs = combination_coefficients(&g, target, &helpers).unwrap();
+            let mut rebuilt = vec![0xAAu8; 24];
+            slice_ops::linear_combination_into(
+                &coeffs,
+                helpers.iter().map(|&i| all[i].as_slice()),
+                &mut rebuilt,
+            );
+            assert_eq!(rebuilt, all[target], "target {target}");
         }
-    }
-
-    #[test]
-    fn repair_by_combination_rejects_missing_helper() {
-        let g = systematic_generator(3, 2);
-        let data: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 8]).collect();
-        let all = encode_with(&g, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        assert!(matches!(
-            repair_by_combination(&g, 0, &[1, 2, 3], &shards, 8),
-            Err(CodeError::ReconstructionFailed { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_data_does_not_mutate_input() {
-        let g = systematic_generator(3, 2);
-        let data: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8 + 9; 16]).collect();
-        let all = encode_with(&g, &data);
-        let mut shards: Vec<Option<Vec<u8>>> = all.into_iter().map(Some).collect();
-        shards[1] = None;
-        let before = shards.clone();
-        let decoded = decode_data_linear(&g, &shards, 16).unwrap();
-        assert_eq!(decoded, data);
-        assert_eq!(shards, before);
     }
 }

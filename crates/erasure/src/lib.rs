@@ -13,29 +13,31 @@
 //! The Piggybacked-RS code itself lives in the `pbrs-core` crate and is
 //! implemented on top of the [`ReedSolomon`] encoder defined here.
 //!
-//! # The zero-copy core
+//! # One API: borrowed views over contiguous buffers
 //!
 //! The paper's argument is entirely about *bytes moved per repair*, so the
-//! hot paths must not copy shards before the GF(2^8) kernels run. Every code
-//! therefore implements three allocation-free core methods that operate on
-//! borrowed views over contiguous buffers ([`ShardSet`] / [`ShardSetMut`]):
+//! codec never copies shards before the GF(2^8) kernels run. Every method
+//! operates on borrowed views over contiguous buffers ([`ShardSet`] /
+//! [`ShardSetMut`]); a missing shard is a `false` in an availability mask
+//! over whatever bytes its slot holds, never a separate allocation:
 //!
 //! * [`ErasureCode::encode_into`] — write `r` parity shards into a caller
 //!   provided buffer;
 //! * [`ErasureCode::reconstruct_in_place`] — rebuild missing shard slots
 //!   inside the stripe buffer itself, guided by an availability mask;
 //! * [`ErasureCode::repair_into`] — rebuild one shard into a caller
-//!   provided slice, along the code's cheapest single-failure path.
+//!   provided slice, along the code's cheapest single-failure path;
+//! * [`ErasureCode::repair_reads`] / [`ErasureCode::repair_from_reads`] —
+//!   name the exact helper byte ranges a repair consumes, then rebuild from
+//!   only those bytes (the pair the store executes against real disks).
 //!
 //! None of these allocate shard-sized memory in steady state; the only
 //! bookkeeping allocations are `O(n)` index vectors and one `O(k²)` matrix
-//! inversion where decoding requires it. The classic owned-`Vec` methods
-//! ([`ErasureCode::encode`], [`ErasureCode::reconstruct`],
-//! [`ErasureCode::repair`]) are retained as thin wrappers that pack into a
-//! contiguous buffer, call the zero-copy core, and unpack — so existing
-//! callers and tests keep working unchanged while new callers avoid the
-//! copies entirely (see [`ShardBuffer`] for an owned stripe container that
-//! plugs straight into the views).
+//! inversion where decoding requires it. [`ShardBuffer`] is an owned stripe
+//! buffer for callers that do not already manage their own memory: its data
+//! shards sit back to back, so splitting a byte block into `k` shards is a
+//! copy into [`ShardBuffer::shard_mut`] and joining them is a prefix of the
+//! buffer.
 //!
 //! # Choosing a code by name
 //!
@@ -95,7 +97,6 @@ pub mod reed_solomon;
 pub mod repair;
 pub mod replication;
 pub mod spec;
-pub mod stripe;
 pub mod views;
 
 pub use error::CodeError;
@@ -103,12 +104,10 @@ pub use lrc::{Lrc, LrcParams};
 pub use params::CodeParams;
 pub use reed_solomon::ReedSolomon;
 pub use repair::{
-    reads_for_shard, total_read_bytes, FetchRequest, Fraction, RepairMetrics, RepairOutcome,
-    RepairPlan, ShardRead,
+    reads_for_shard, total_read_bytes, FetchRequest, Fraction, RepairMetrics, RepairPlan, ShardRead,
 };
 pub use replication::Replication;
 pub use spec::CodeSpec;
-pub use stripe::{join_shards, split_into_shards, Stripe};
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
 
 /// A `(k, r)` erasure code over byte shards.
@@ -118,9 +117,8 @@ pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
 /// of the survivors. All shards of a stripe have the same length, which must
 /// be a multiple of [`ErasureCode::granularity`].
 ///
-/// The three `*_into` / `*_in_place` methods are the zero-copy core every
-/// code implements natively; the owned-`Vec` methods are provided wrappers
-/// over them.
+/// The three `*_into` / `*_in_place` methods are the core every code
+/// implements natively; none of them allocates shard-sized memory.
 pub trait ErasureCode {
     /// The `(k, r)` parameters of the code.
     fn params(&self) -> CodeParams;
@@ -192,79 +190,6 @@ pub trait ErasureCode {
         helpers: &ShardSet<'_>,
         out: &mut [u8],
     ) -> Result<(), CodeError>;
-
-    /// Encodes `k` data shards into `r` freshly allocated parity shards.
-    ///
-    /// This is the classic owned-`Vec` API, provided as a wrapper that packs
-    /// the shards into a contiguous buffer and calls
-    /// [`ErasureCode::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of data shards is not `k`, if the
-    /// shards have differing lengths, or if the length is not a multiple of
-    /// [`ErasureCode::granularity`].
-    fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let params = self.params();
-        let shard_len =
-            params::validate_data_shards(data, params.data_shards(), self.granularity())?;
-        let mut packed = Vec::with_capacity(params.data_shards() * shard_len);
-        for shard in data {
-            packed.extend_from_slice(shard);
-        }
-        let data_view = ShardSet::new(&packed, params.data_shards(), shard_len)?;
-        let mut parity_buf = vec![0u8; params.parity_shards() * shard_len];
-        {
-            let mut parity_view =
-                ShardSetMut::new(&mut parity_buf, params.parity_shards(), shard_len)?;
-            self.encode_into(&data_view, &mut parity_view)?;
-        }
-        Ok(parity_buf
-            .chunks_exact(shard_len)
-            .map(|c| c.to_vec())
-            .collect())
-    }
-
-    /// Rebuilds every missing shard in `shards` in place.
-    ///
-    /// `shards` must have exactly `k + r` entries ordered data-first. Present
-    /// shards are never modified.
-    ///
-    /// This is the classic owned-`Vec` API, provided as a wrapper that packs
-    /// the stripe into a contiguous buffer, calls
-    /// [`ErasureCode::reconstruct_in_place`], and copies the rebuilt shards
-    /// back out.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if too many shards are missing for this code, or if
-    /// present shards have inconsistent lengths.
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
-        let params = self.params();
-        let n = params.total_shards();
-        let shard_len = params::validate_present_shards(shards, n, self.granularity())?;
-        if shards.iter().all(|s| s.is_some()) {
-            return Ok(());
-        }
-        let mut buf = vec![0u8; n * shard_len];
-        let mut present = vec![false; n];
-        for (i, shard) in shards.iter().enumerate() {
-            if let Some(shard) = shard {
-                buf[i * shard_len..(i + 1) * shard_len].copy_from_slice(shard);
-                present[i] = true;
-            }
-        }
-        {
-            let mut view = ShardSetMut::new(&mut buf, n, shard_len)?;
-            self.reconstruct_in_place(&mut view, &present)?;
-        }
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if shard.is_none() {
-                *shard = Some(buf[i * shard_len..(i + 1) * shard_len].to_vec());
-            }
-        }
-        Ok(())
-    }
 
     /// Computes the cheapest supported plan for rebuilding shard `target`
     /// given the availability mask `available` (length `k + r`).
@@ -394,83 +319,6 @@ pub trait ErasureCode {
         self.repair_into(target, helpers, out)
     }
 
-    /// Rebuilds a single shard, returning the rebuilt bytes together with the
-    /// read/transfer accounting of the plan that was executed.
-    ///
-    /// For the common case — exactly one shard missing — this wrapper packs
-    /// the survivors into a contiguous buffer and executes
-    /// [`ErasureCode::repair_into`], so the bytes are produced along the
-    /// code's cheapest path. With additional failures it falls back to
-    /// reconstructing from exactly the shards the plan reads, so the default
-    /// path costs what the plan claims.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ErasureCode::reconstruct`] plus an invalid
-    /// `target` index.
-    fn repair(
-        &self,
-        target: usize,
-        shards: &[Option<Vec<u8>>],
-    ) -> Result<RepairOutcome, CodeError> {
-        let params = self.params();
-        let n = params.total_shards();
-        if target >= n {
-            return Err(CodeError::InvalidShardIndex {
-                index: target,
-                total: n,
-            });
-        }
-        let shard_len = params::validate_present_shards(shards, n, self.granularity())?;
-        if shards[target].is_some() {
-            return Err(CodeError::TargetNotMissing { index: target });
-        }
-        let available: Vec<bool> = shards.iter().map(|s| s.is_some()).collect();
-        let plan = self.repair_plan(target, &available)?;
-        if available.iter().enumerate().all(|(i, &a)| a || i == target) {
-            return repair_with_views(self, target, shards, shard_len, plan);
-        }
-        // Degraded fallback: reconstruct from exactly what the plan reads,
-        // so the default path costs exactly what the plan claims.
-        let mut working: Vec<Option<Vec<u8>>> = vec![None; shards.len()];
-        for fetch in &plan.fetches {
-            working[fetch.shard] = shards[fetch.shard].clone();
-        }
-        self.reconstruct(&mut working)?;
-        let shard = working[target]
-            .take()
-            .ok_or(CodeError::ReconstructionFailed {
-                context: "target shard missing after reconstruction",
-            })?;
-        let metrics = plan.metrics(shard_len);
-        Ok(RepairOutcome {
-            target,
-            shard,
-            metrics,
-        })
-    }
-
-    /// Checks that the parity shards are consistent with the data shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the number of shards or their lengths are invalid.
-    fn verify(&self, shards: &[Vec<u8>]) -> Result<bool, CodeError> {
-        let params = self.params();
-        if shards.len() != params.total_shards() {
-            return Err(CodeError::ShardCountMismatch {
-                expected: params.total_shards(),
-                actual: shards.len(),
-            });
-        }
-        let data: Vec<Vec<u8>> = shards[..params.data_shards()].to_vec();
-        let parity = self.encode(&data)?;
-        Ok(parity
-            .iter()
-            .zip(&shards[params.data_shards()..])
-            .all(|(a, b)| a == b))
-    }
-
     /// Storage overhead of the code: total shards divided by data shards
     /// (1.4 for the warehouse cluster's (10, 4) RS code, 3.0 for 3-way
     /// replication).
@@ -509,41 +357,6 @@ pub trait ErasureCode {
         // Normalise by k so the figure is "stripe logical size" units.
         total / (n as f64 * params.data_shards() as f64)
     }
-}
-
-/// Executes a single-failure repair through the zero-copy path: packs the
-/// survivors into one contiguous buffer, calls
-/// [`ErasureCode::repair_into`], and prices the result with `plan`.
-///
-/// Exposed so codes that override [`ErasureCode::repair`] (for degraded
-/// plans the generic fallback cannot execute) can still share the
-/// single-failure fast path.
-///
-/// # Errors
-///
-/// Propagates [`ErasureCode::repair_into`] failures.
-pub fn repair_with_views<C: ErasureCode + ?Sized>(
-    code: &C,
-    target: usize,
-    shards: &[Option<Vec<u8>>],
-    shard_len: usize,
-    plan: RepairPlan,
-) -> Result<RepairOutcome, CodeError> {
-    let n = code.params().total_shards();
-    let mut buf = vec![0u8; n * shard_len];
-    for (i, shard) in shards.iter().enumerate() {
-        if let Some(shard) = shard {
-            buf[i * shard_len..(i + 1) * shard_len].copy_from_slice(shard);
-        }
-    }
-    let view = ShardSet::new(&buf, n, shard_len)?;
-    let mut out = vec![0u8; shard_len];
-    code.repair_into(target, &view, &mut out)?;
-    Ok(RepairOutcome {
-        target,
-        shard: out,
-        metrics: plan.metrics(shard_len),
-    })
 }
 
 /// Rejects availability masks with any shard other than `target` missing —

@@ -23,12 +23,10 @@ use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
 use crate::decode;
-use crate::params::{
-    validate_encode_views, validate_present_shards, validate_repair_views, validate_stripe_view,
-};
+use crate::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
 use crate::repair::{FetchRequest, Fraction, RepairPlan};
 use crate::views::{ShardSet, ShardSetMut};
-use crate::{repair_with_views, CodeError, CodeParams, ErasureCode, ReedSolomon};
+use crate::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
 /// Parameters of a local reconstruction code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,10 +194,6 @@ impl Lrc {
     /// The full `n × k` generator matrix.
     pub fn generator(&self) -> &Matrix {
         &self.generator
-    }
-
-    fn shard_len_of(&self, shards: &[Option<Vec<u8>>]) -> Result<usize, CodeError> {
-        validate_present_shards(shards, self.params.total_shards(), self.granularity())
     }
 
     /// Attempts purely local recoveries (within a single group) in place,
@@ -375,30 +369,6 @@ impl ErasureCode for Lrc {
         })
     }
 
-    fn repair(
-        &self,
-        target: usize,
-        shards: &[Option<Vec<u8>>],
-    ) -> Result<crate::RepairOutcome, CodeError> {
-        let shard_len = self.shard_len_of(shards)?;
-        let available: Vec<bool> = shards.iter().map(|s| s.is_some()).collect();
-        let plan = self.repair_plan(target, &available)?;
-        if available.iter().enumerate().all(|(i, &a)| a || i == target) {
-            return repair_with_views(self, target, shards, shard_len, plan);
-        }
-        // Degraded repairs may use a plan with fewer than k helpers (a local
-        // group), which the generic mask-and-reconstruct fallback cannot
-        // execute — combine directly over the plan's helpers instead.
-        let helpers = plan.helper_indices();
-        let shard =
-            decode::repair_by_combination(&self.generator, target, &helpers, shards, shard_len)?;
-        Ok(crate::RepairOutcome {
-            target,
-            shard,
-            metrics: plan.metrics(shard_len),
-        })
-    }
-
     fn is_mds(&self) -> bool {
         false
     }
@@ -415,6 +385,7 @@ impl ErasureCode for Lrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardBuffer;
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -426,9 +397,29 @@ mod tests {
             .collect()
     }
 
-    fn full_stripe(lrc: &Lrc, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let parity = lrc.encode(data).unwrap();
-        data.iter().chain(parity.iter()).cloned().collect()
+    /// Encodes `data` into a full stripe buffer, data shards first.
+    fn full_stripe(lrc: &Lrc, data: &[Vec<u8>]) -> ShardBuffer {
+        let mut stripe = ShardBuffer::zeroed(lrc.params().total_shards(), data[0].len());
+        for (i, shard) in data.iter().enumerate() {
+            stripe.shard_mut(i).copy_from_slice(shard);
+        }
+        let (data, mut parity) = stripe.split_mut(data.len());
+        lrc.encode_into(&data, &mut parity).unwrap();
+        stripe
+    }
+
+    /// Fills the `lost` slots with garbage and rebuilds them in place.
+    fn erase_and_reconstruct(
+        lrc: &Lrc,
+        stripe: &mut ShardBuffer,
+        lost: &[usize],
+    ) -> Result<(), CodeError> {
+        let mut present = vec![true; stripe.shard_count()];
+        for &i in lost {
+            present[i] = false;
+            stripe.shard_mut(i).fill(0xEE);
+        }
+        lrc.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
     }
 
     #[test]
@@ -486,13 +477,21 @@ mod tests {
         let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
         let data = sample_data(10, 64);
         let all = full_stripe(&lrc, &data);
-        assert_eq!(all.len(), 16);
-        assert!(lrc.verify(&all).unwrap());
+        assert_eq!(all.shard_count(), 16);
+        // Re-encoding over stale parity reproduces the stripe.
+        let mut again = all.clone();
+        again.shard_mut(13).fill(0xEE);
+        let (d, mut p) = again.split_mut(10);
+        lrc.encode_into(&d, &mut p).unwrap();
+        assert_eq!(again, all);
         // Local parity 0 really is the XOR of group 0.
-        for i in 0..64 {
-            let expect = data[0][i] ^ data[1][i] ^ data[2][i] ^ data[3][i] ^ data[4][i];
-            assert_eq!(all[10][i], expect);
+        let mut expect = [0u8; 64];
+        for shard in &data[..5] {
+            for (e, b) in expect.iter_mut().zip(shard) {
+                *e ^= b;
+            }
         }
+        assert_eq!(all.shard(10), expect);
     }
 
     #[test]
@@ -506,12 +505,13 @@ mod tests {
             available[target] = false;
             let plan = lrc.repair_plan(target, &available).unwrap();
             assert_eq!(plan.helper_count(), 5, "target {target}");
+            assert_eq!(plan.metrics(48).helpers, 5);
             // Execute the repair and check the bytes.
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            shards[target] = None;
-            let outcome = lrc.repair(target, &shards).unwrap();
-            assert_eq!(outcome.shard, all[target]);
-            assert_eq!(outcome.metrics.helpers, 5);
+            let mut stripe = all.clone();
+            stripe.shard_mut(target).fill(0xEE);
+            let mut out = vec![0u8; 48];
+            lrc.repair_into(target, &stripe.as_set(), &mut out).unwrap();
+            assert_eq!(out, all.shard(target), "target {target}");
         }
     }
 
@@ -554,14 +554,9 @@ mod tests {
             vec![0, 1, 5, 6],
         ];
         for pattern in patterns {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            for &i in &pattern {
-                shards[i] = None;
-            }
-            lrc.reconstruct(&mut shards).unwrap();
-            for (idx, s) in shards.iter().enumerate() {
-                assert_eq!(s.as_ref().unwrap(), &all[idx], "pattern {pattern:?}");
-            }
+            let mut stripe = all.clone();
+            erase_and_reconstruct(&lrc, &mut stripe, &pattern).unwrap();
+            assert_eq!(stripe, all, "pattern {pattern:?}");
         }
     }
 
@@ -572,14 +567,9 @@ mod tests {
         let all = full_stripe(&lrc, &data);
         // 5 failures: one data in group 0 (locally repairable), plus 4 spread
         // over the globally-protected shards.
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        for &i in &[0usize, 5, 12, 13, 14] {
-            shards[i] = None;
-        }
-        lrc.reconstruct(&mut shards).unwrap();
-        for (idx, s) in shards.iter().enumerate() {
-            assert_eq!(s.as_ref().unwrap(), &all[idx]);
-        }
+        let mut stripe = all.clone();
+        erase_and_reconstruct(&lrc, &mut stripe, &[0, 5, 12, 13, 14]).unwrap();
+        assert_eq!(stripe, all);
     }
 
     #[test]
@@ -589,11 +579,8 @@ mod tests {
         let all = full_stripe(&lrc, &data);
         // 6 failures concentrated on group 0 data + its local parity cannot be
         // decoded: only 9 independent equations remain for 10 unknowns.
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        for &i in &[0usize, 1, 2, 3, 4, 10] {
-            shards[i] = None;
-        }
-        assert!(lrc.reconstruct(&mut shards).is_err());
+        let mut stripe = all.clone();
+        assert!(erase_and_reconstruct(&lrc, &mut stripe, &[0, 1, 2, 3, 4, 10]).is_err());
     }
 
     #[test]
@@ -618,13 +605,9 @@ mod tests {
         let all = full_stripe(&lrc, &data);
         for a in 0..8 {
             for b in a..8 {
-                let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-                shards[a] = None;
-                shards[b] = None;
-                lrc.reconstruct(&mut shards).unwrap();
-                for (idx, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &all[idx], "failures ({a},{b})");
-                }
+                let mut stripe = all.clone();
+                erase_and_reconstruct(&lrc, &mut stripe, &[a, b]).unwrap();
+                assert_eq!(stripe, all, "failures ({a},{b})");
             }
         }
     }

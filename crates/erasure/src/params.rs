@@ -109,77 +109,6 @@ impl fmt::Display for CodeParams {
     }
 }
 
-/// Validates a set of data shards against the expected count, length
-/// alignment and mutual consistency. Returns the common shard length.
-///
-/// # Errors
-///
-/// Returns the appropriate [`CodeError`] variant for count, size or alignment
-/// violations. Empty shards are rejected.
-pub fn validate_data_shards(
-    data: &[Vec<u8>],
-    k: usize,
-    granularity: usize,
-) -> Result<usize, CodeError> {
-    if data.len() != k {
-        return Err(CodeError::ShardCountMismatch {
-            expected: k,
-            actual: data.len(),
-        });
-    }
-    let len = validate_shard_len(data[0].len(), granularity)?;
-    for shard in data {
-        if shard.len() != len {
-            return Err(CodeError::ShardSizeMismatch {
-                expected: len,
-                actual: shard.len(),
-            });
-        }
-    }
-    Ok(len)
-}
-
-/// Validates an optional-shard stripe (as used by `reconstruct`): checks the
-/// count and that all present shards share one aligned length, returning that
-/// length. At least one shard must be present.
-///
-/// # Errors
-///
-/// Returns the appropriate [`CodeError`] variant for count, size or alignment
-/// violations, and [`CodeError::NotEnoughShards`] if no shard is present.
-pub fn validate_present_shards(
-    shards: &[Option<Vec<u8>>],
-    n: usize,
-    granularity: usize,
-) -> Result<usize, CodeError> {
-    if shards.len() != n {
-        return Err(CodeError::ShardCountMismatch {
-            expected: n,
-            actual: shards.len(),
-        });
-    }
-    let mut len: Option<usize> = None;
-    for shard in shards.iter().flatten() {
-        match len {
-            None => {
-                len = Some(validate_shard_len(shard.len(), granularity)?);
-            }
-            Some(l) => {
-                if shard.len() != l {
-                    return Err(CodeError::ShardSizeMismatch {
-                        expected: l,
-                        actual: shard.len(),
-                    });
-                }
-            }
-        }
-    }
-    len.ok_or(CodeError::NotEnoughShards {
-        needed: 1,
-        available: 0,
-    })
-}
-
 /// Checks a shard length against a code's granularity: non-zero and a
 /// multiple of `granularity`.
 ///
@@ -354,27 +283,14 @@ mod tests {
 
     #[test]
     fn data_validation() {
-        let ok = vec![vec![1u8; 4], vec![2u8; 4]];
-        assert_eq!(validate_data_shards(&ok, 2, 1).unwrap(), 4);
-        assert_eq!(validate_data_shards(&ok, 2, 2).unwrap(), 4);
-
+        assert_eq!(validate_shard_len(4, 1).unwrap(), 4);
+        assert_eq!(validate_shard_len(4, 2).unwrap(), 4);
         assert!(matches!(
-            validate_data_shards(&ok, 3, 1),
-            Err(CodeError::ShardCountMismatch { .. })
-        ));
-        let unaligned = vec![vec![1u8; 3], vec![2u8; 3]];
-        assert!(matches!(
-            validate_data_shards(&unaligned, 2, 2),
+            validate_shard_len(3, 2),
             Err(CodeError::UnalignedShard { .. })
         ));
-        let ragged = vec![vec![1u8; 4], vec![2u8; 5]];
         assert!(matches!(
-            validate_data_shards(&ragged, 2, 1),
-            Err(CodeError::ShardSizeMismatch { .. })
-        ));
-        let empty = vec![vec![], vec![]];
-        assert!(matches!(
-            validate_data_shards(&empty, 2, 1),
+            validate_shard_len(0, 1),
             Err(CodeError::InvalidParams { .. })
         ));
     }
@@ -430,22 +346,22 @@ mod tests {
 
     #[test]
     fn present_validation() {
-        let shards = vec![Some(vec![1u8; 6]), None, Some(vec![2u8; 6])];
-        assert_eq!(validate_present_shards(&shards, 3, 2).unwrap(), 6);
-
-        let none: Vec<Option<Vec<u8>>> = vec![None, None, None];
+        let p = CodeParams::new(2, 1).unwrap();
+        let mut buf = vec![0u8; 18];
+        let stripe = crate::ShardSetMut::new(&mut buf, 3, 6).unwrap();
+        let mask = [true, false, true];
+        assert_eq!(validate_stripe_view(&stripe, &mask, p, 2).unwrap(), 6);
         assert!(matches!(
-            validate_present_shards(&none, 3, 1),
-            Err(CodeError::NotEnoughShards { .. })
+            validate_stripe_view(&stripe, &mask, p, 4),
+            Err(CodeError::UnalignedShard { .. })
         ));
-        let ragged = vec![Some(vec![1u8; 6]), Some(vec![2u8; 4])];
         assert!(matches!(
-            validate_present_shards(&ragged, 2, 1),
-            Err(CodeError::ShardSizeMismatch { .. })
+            validate_stripe_view(&stripe, &[true, false], p, 1),
+            Err(CodeError::ShardCountMismatch { .. })
         ));
-        let wrong_count = vec![Some(vec![1u8; 6])];
+        let wider = CodeParams::new(3, 1).unwrap();
         assert!(matches!(
-            validate_present_shards(&wrong_count, 3, 1),
+            validate_stripe_view(&stripe, &[true; 4], wider, 1),
             Err(CodeError::ShardCountMismatch { .. })
         ));
     }

@@ -18,9 +18,7 @@ use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
 use crate::decode;
-use crate::params::{
-    validate_encode_views, validate_present_shards, validate_repair_views, validate_stripe_view,
-};
+use crate::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
 use crate::repair::ShardRead;
 use crate::views::{ShardSet, ShardSetMut};
 use crate::{validate_single_failure_mask, CodeError, CodeParams, ErasureCode};
@@ -112,18 +110,6 @@ impl ReedSolomon {
     pub fn parity_row(&self, j: usize) -> &[u8] {
         assert!(j < self.params.parity_shards(), "parity index out of range");
         self.generator.row(self.params.data_shards() + j)
-    }
-
-    /// Decodes (only) the `k` data shards from any `k` available shards,
-    /// without re-encoding missing parity.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ErasureCode::reconstruct`].
-    pub fn decode_data(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let shard_len =
-            validate_present_shards(shards, self.params.total_shards(), self.granularity())?;
-        decode::decode_data_linear(&self.generator, shards, shard_len)
     }
 }
 
@@ -268,6 +254,7 @@ impl ErasureCode for ReedSolomon {
 mod tests {
     use super::*;
     use crate::repair::Fraction;
+    use crate::ShardBuffer;
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -277,6 +264,31 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// Encodes `data` into a full stripe buffer, data shards first.
+    fn encode_stripe(rs: &ReedSolomon, data: &[Vec<u8>]) -> ShardBuffer {
+        let mut stripe = ShardBuffer::zeroed(rs.params().total_shards(), data[0].len());
+        for (i, shard) in data.iter().enumerate() {
+            stripe.shard_mut(i).copy_from_slice(shard);
+        }
+        let (data, mut parity) = stripe.split_mut(data.len());
+        rs.encode_into(&data, &mut parity).unwrap();
+        stripe
+    }
+
+    /// Fills the `lost` slots with garbage and rebuilds them in place.
+    fn erase_and_reconstruct(
+        rs: &ReedSolomon,
+        stripe: &mut ShardBuffer,
+        lost: &[usize],
+    ) -> Result<(), CodeError> {
+        let mut present = vec![true; stripe.shard_count()];
+        for &i in lost {
+            present[i] = false;
+            stripe.shard_mut(i).fill(0xEE);
+        }
+        rs.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
     }
 
     #[test]
@@ -306,15 +318,18 @@ mod tests {
     #[test]
     fn encode_then_verify() {
         let rs = ReedSolomon::new(10, 4).unwrap();
-        let data = sample_data(10, 128);
-        let parity = rs.encode(&data).unwrap();
-        assert_eq!(parity.len(), 4);
-        let mut all = data.clone();
-        all.extend(parity);
-        assert!(rs.verify(&all).unwrap());
-        // Corrupt one parity byte and verification must fail.
-        all[12][5] ^= 0x40;
-        assert!(!rs.verify(&all).unwrap());
+        let mut stripe = encode_stripe(&rs, &sample_data(10, 128));
+        // Re-encoding the data must reproduce the stored parity exactly...
+        let reencoded = |stripe: &ShardBuffer| {
+            let mut fresh = stripe.clone();
+            let (data, mut parity) = fresh.split_mut(10);
+            rs.encode_into(&data, &mut parity).unwrap();
+            fresh == *stripe
+        };
+        assert!(reencoded(&stripe));
+        // ...and a corrupt parity byte must show.
+        stripe.shard_mut(12)[5] ^= 0x40;
+        assert!(!reencoded(&stripe));
     }
 
     #[test]
@@ -325,17 +340,19 @@ mod tests {
             .into_iter()
             .map(|s| s.into_iter().map(|x| x.wrapping_add(91)).collect())
             .collect();
-        let pa = rs.encode(&a).unwrap();
-        let pb = rs.encode(&b).unwrap();
         let xor: Vec<Vec<u8>> = a
             .iter()
             .zip(&b)
             .map(|(x, y)| x.iter().zip(y).map(|(p, q)| p ^ q).collect())
             .collect();
-        let pxor = rs.encode(&xor).unwrap();
-        for j in 0..2 {
+        let (sa, sb, sxor) = (
+            encode_stripe(&rs, &a),
+            encode_stripe(&rs, &b),
+            encode_stripe(&rs, &xor),
+        );
+        for j in 4..6 {
             for i in 0..64 {
-                assert_eq!(pxor[j][i], pa[j][i] ^ pb[j][i]);
+                assert_eq!(sxor.shard(j)[i], sa.shard(j)[i] ^ sb.shard(j)[i]);
             }
         }
     }
@@ -343,19 +360,12 @@ mod tests {
     #[test]
     fn reconstruct_all_single_and_double_failures() {
         let rs = ReedSolomon::new(5, 3).unwrap();
-        let data = sample_data(5, 40);
-        let parity = rs.encode(&data).unwrap();
-        let all: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
-        let n = 8;
-        for i in 0..n {
-            for j in 0..n {
-                let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-                shards[i] = None;
-                shards[j] = None;
-                rs.reconstruct(&mut shards).unwrap();
-                for (idx, shard) in shards.iter().enumerate() {
-                    assert_eq!(shard.as_ref().unwrap(), &all[idx]);
-                }
+        let original = encode_stripe(&rs, &sample_data(5, 40));
+        for i in 0..8 {
+            for j in 0..8 {
+                let mut stripe = original.clone();
+                erase_and_reconstruct(&rs, &mut stripe, &[i, j]).unwrap();
+                assert_eq!(stripe, original, "lost {i} and {j}");
             }
         }
     }
@@ -363,36 +373,19 @@ mod tests {
     #[test]
     fn reconstruct_exactly_r_failures() {
         let rs = ReedSolomon::new(10, 4).unwrap();
-        let data = sample_data(10, 64);
-        let parity = rs.encode(&data).unwrap();
-        let all: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+        let original = encode_stripe(&rs, &sample_data(10, 64));
         // Erase 4 shards spanning data and parity.
-        let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        for i in [0, 3, 9, 11] {
-            shards[i] = None;
-        }
-        rs.reconstruct(&mut shards).unwrap();
-        for (idx, shard) in shards.iter().enumerate() {
-            assert_eq!(shard.as_ref().unwrap(), &all[idx]);
-        }
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&rs, &mut stripe, &[0, 3, 9, 11]).unwrap();
+        assert_eq!(stripe, original);
     }
 
     #[test]
     fn reconstruct_rejects_more_than_r_failures() {
         let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 16);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .chain(parity.iter())
-            .cloned()
-            .map(Some)
-            .collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[4] = None;
+        let mut stripe = encode_stripe(&rs, &sample_data(4, 16));
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            erase_and_reconstruct(&rs, &mut stripe, &[0, 1, 4]),
             Err(CodeError::NotEnoughShards { .. })
         ));
     }
@@ -401,19 +394,12 @@ mod tests {
     fn decode_data_only() {
         let rs = ReedSolomon::new(6, 3).unwrap();
         let data = sample_data(6, 48);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .chain(parity.iter())
-            .cloned()
-            .map(Some)
-            .collect();
-        // Lose three data shards; decode using parity.
-        shards[1] = None;
-        shards[2] = None;
-        shards[5] = None;
-        let decoded = rs.decode_data(&shards).unwrap();
-        assert_eq!(decoded, data);
+        let mut stripe = encode_stripe(&rs, &data);
+        // Lose three data shards; decode them from parity.
+        erase_and_reconstruct(&rs, &mut stripe, &[1, 2, 5]).unwrap();
+        for (i, shard) in data.iter().enumerate() {
+            assert_eq!(stripe.shard(i), &shard[..]);
+        }
     }
 
     #[test]
@@ -434,20 +420,18 @@ mod tests {
     fn repair_executes_plan_and_returns_shard() {
         let rs = ReedSolomon::new(10, 4).unwrap();
         let data = sample_data(10, 96);
-        let parity = rs.encode(&data).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .chain(parity.iter())
-            .cloned()
-            .map(Some)
-            .collect();
-        shards[7] = None;
-        let outcome = rs.repair(7, &shards).unwrap();
-        assert_eq!(outcome.target, 7);
-        assert_eq!(outcome.shard, data[7]);
-        assert_eq!(outcome.metrics.helpers, 10);
-        assert_eq!(outcome.metrics.bytes_read, 10 * 96);
-        assert_eq!(outcome.metrics.bytes_transferred, 10 * 96);
+        let mut stripe = encode_stripe(&rs, &data);
+        stripe.shard_mut(7).fill(0xEE);
+        let mut out = vec![0u8; 96];
+        rs.repair_into(7, &stripe.as_set(), &mut out).unwrap();
+        assert_eq!(out, data[7]);
+
+        let mut available = vec![true; 14];
+        available[7] = false;
+        let metrics = rs.repair_plan(7, &available).unwrap().metrics(96);
+        assert_eq!(metrics.helpers, 10);
+        assert_eq!(metrics.bytes_read, 10 * 96);
+        assert_eq!(metrics.bytes_transferred, 10 * 96);
     }
 
     #[test]
@@ -473,47 +457,46 @@ mod tests {
     fn mds_property_random_spot_checks_for_larger_codes() {
         // (12, 6): erase 6 random shards repeatedly and reconstruct.
         let rs = ReedSolomon::new(12, 6).unwrap();
-        let data = sample_data(12, 32);
-        let parity = rs.encode(&data).unwrap();
-        let all: Vec<Vec<u8>> = data.iter().chain(parity.iter()).cloned().collect();
+        let original = encode_stripe(&rs, &sample_data(12, 32));
         let mut state = 0x12345678u64;
         for _ in 0..50 {
-            let mut shards: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-            let mut erased = 0;
-            while erased < 6 {
+            let mut lost: Vec<usize> = Vec::new();
+            while lost.len() < 6 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let idx = (state >> 33) as usize % 18;
-                if shards[idx].is_some() {
-                    shards[idx] = None;
-                    erased += 1;
+                if !lost.contains(&idx) {
+                    lost.push(idx);
                 }
             }
-            rs.reconstruct(&mut shards).unwrap();
-            for (idx, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.as_ref().unwrap(), &all[idx]);
-            }
+            let mut stripe = original.clone();
+            erase_and_reconstruct(&rs, &mut stripe, &lost).unwrap();
+            assert_eq!(stripe, original, "lost {lost:?}");
         }
     }
 
     #[test]
     fn rejects_bad_inputs() {
         let rs = ReedSolomon::new(3, 2).unwrap();
-        // Wrong shard count.
+        let mut stripe = ShardBuffer::zeroed(5, 8);
+        // Wrong data shard count.
+        let (data, mut parity) = stripe.split_mut(2);
         assert!(matches!(
-            rs.encode(&sample_data(2, 8)),
+            rs.encode_into(&data, &mut parity),
             Err(CodeError::ShardCountMismatch { .. })
         ));
-        // Ragged shards.
-        let mut ragged = sample_data(3, 8);
-        ragged[2].push(0);
+        // Parity shards of a different length than the data shards.
+        let data_buf = vec![0u8; 3 * 8];
+        let mut parity_buf = vec![0u8; 2 * 9];
+        let data = ShardSet::new(&data_buf, 3, 8).unwrap();
+        let mut parity = ShardSetMut::new(&mut parity_buf, 2, 9).unwrap();
         assert!(matches!(
-            rs.encode(&ragged),
+            rs.encode_into(&data, &mut parity),
             Err(CodeError::ShardSizeMismatch { .. })
         ));
         // Wrong stripe width on reconstruct.
-        let mut too_few: Vec<Option<Vec<u8>>> = vec![Some(vec![0u8; 8]); 4];
+        let mut narrow = stripe.subset_mut(0..4);
         assert!(matches!(
-            rs.reconstruct(&mut too_few),
+            rs.reconstruct_in_place(&mut narrow, &[true; 4]),
             Err(CodeError::ShardCountMismatch { .. })
         ));
     }

@@ -200,17 +200,6 @@ impl RepairMetrics {
     }
 }
 
-/// A rebuilt shard together with the cost of rebuilding it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairOutcome {
-    /// Index of the rebuilt shard.
-    pub target: usize,
-    /// The rebuilt shard bytes.
-    pub shard: Vec<u8>,
-    /// Read/transfer accounting of the repair.
-    pub metrics: RepairMetrics,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

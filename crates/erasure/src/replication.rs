@@ -223,6 +223,7 @@ impl ErasureCode for Replication {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardBuffer;
 
     #[test]
     fn parameters_and_overhead() {
@@ -239,24 +240,29 @@ mod tests {
     #[test]
     fn encode_copies() {
         let rep = Replication::triple();
-        let data = vec![vec![7u8, 8, 9]];
-        let copies = rep.encode(&data).unwrap();
-        assert_eq!(copies, vec![vec![7u8, 8, 9], vec![7u8, 8, 9]]);
-        let mut all = data.clone();
-        all.extend(copies);
-        assert!(rep.verify(&all).unwrap());
+        let mut stripe = ShardBuffer::zeroed(3, 3);
+        stripe.shard_mut(0).copy_from_slice(&[7, 8, 9]);
+        let (data, mut copies) = stripe.split_mut(1);
+        rep.encode_into(&data, &mut copies).unwrap();
+        for i in 0..3 {
+            assert_eq!(stripe.shard(i), &[7u8, 8, 9]);
+        }
     }
 
     #[test]
     fn reconstruct_from_any_copy() {
         let rep = Replication::triple();
-        let mut shards = vec![None, None, Some(vec![42u8; 10])];
-        rep.reconstruct(&mut shards).unwrap();
-        for s in &shards {
-            assert_eq!(s.as_deref(), Some(&[42u8; 10][..]));
+        let mut stripe = ShardBuffer::zeroed(3, 10);
+        stripe.shard_mut(0).fill(0xEE);
+        stripe.shard_mut(2).fill(42);
+        rep.reconstruct_in_place(&mut stripe.as_set_mut(), &[false, false, true])
+            .unwrap();
+        for i in 0..3 {
+            assert_eq!(stripe.shard(i), &[42u8; 10]);
         }
-        let mut empty: Vec<Option<Vec<u8>>> = vec![None, None, None];
-        assert!(rep.reconstruct(&mut empty).is_err());
+        assert!(rep
+            .reconstruct_in_place(&mut stripe.as_set_mut(), &[false; 3])
+            .is_err());
     }
 
     #[test]
@@ -266,12 +272,16 @@ mod tests {
         assert_eq!(plan.helper_count(), 1);
         assert_eq!(plan.helper_indices(), vec![0]);
         assert_eq!(plan.bytes_read(256), 256);
+        let metrics = plan.metrics(64);
+        assert_eq!(metrics.helpers, 1);
+        assert_eq!(metrics.bytes_transferred, 64);
 
-        let shards = vec![Some(vec![5u8; 64]), None, Some(vec![5u8; 64])];
-        let outcome = rep.repair(1, &shards).unwrap();
-        assert_eq!(outcome.shard, vec![5u8; 64]);
-        assert_eq!(outcome.metrics.helpers, 1);
-        assert_eq!(outcome.metrics.bytes_transferred, 64);
+        let mut stripe = ShardBuffer::zeroed(3, 64);
+        stripe.shard_mut(0).fill(5);
+        stripe.shard_mut(2).fill(5);
+        let mut out = vec![0xAAu8; 64];
+        rep.repair_into(1, &stripe.as_set(), &mut out).unwrap();
+        assert_eq!(out, vec![5u8; 64]);
     }
 
     #[test]

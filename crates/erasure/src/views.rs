@@ -573,11 +573,6 @@ impl ShardBuffer {
         Ok(windows.into_iter().flatten().collect())
     }
 
-    /// Copies the shards out into owned vectors (the legacy representation).
-    pub fn to_shards(&self) -> Vec<Vec<u8>> {
-        (0..self.shards).map(|i| self.shard(i).to_vec()).collect()
-    }
-
     /// Consumes the buffer, returning the raw contiguous bytes.
     pub fn into_inner(self) -> Vec<u8> {
         self.buf
@@ -723,14 +718,17 @@ mod tests {
         let mut packed = ShardBuffer::from_shards(&shards).unwrap();
         assert_eq!(packed.shard_count(), 3);
         assert_eq!(packed.shard_len(), 4);
-        assert_eq!(packed.to_shards(), shards);
+        for (i, shard) in shards.iter().enumerate() {
+            assert_eq!(packed.shard(i), &shard[..]);
+        }
         packed.shard_mut(1).fill(9);
         assert_eq!(packed.shard(1), &[9; 4]);
         assert_eq!(packed.as_set().shard(2), &[3; 4]);
         assert_eq!(packed.subset(1..3).shard(0), &[9; 4]);
         packed.subset_mut(0..1).shard_mut(0).fill(5);
         assert_eq!(packed.shard(0), &[5; 4]);
-        assert_eq!(packed.into_inner().len(), 12);
+        // Shards sit back to back: the buffer is their concatenation.
+        assert_eq!(packed.into_inner(), [[5u8; 4], [9; 4], [3; 4]].concat());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! correctness, and cost-model invariants under random parameters and
 //! erasure patterns.
 
-use pbrs_erasure::{ErasureCode, Lrc, LrcParams, ReedSolomon, Replication, Stripe};
+use pbrs_erasure::{
+    total_read_bytes, CodeError, ErasureCode, Lrc, LrcParams, ReedSolomon, Replication, ShardBuffer,
+};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -11,6 +13,57 @@ fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
     (0..k)
         .map(|_| (0..len).map(|_| rng.random()).collect())
         .collect()
+}
+
+/// Encodes `data` into a full stripe buffer, data shards first.
+fn encode_stripe(code: &dyn ErasureCode, data: &[Vec<u8>]) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), data[0].len());
+    for (i, shard) in data.iter().enumerate() {
+        stripe.shard_mut(i).copy_from_slice(shard);
+    }
+    let (data, mut parity) = stripe.split_mut(data.len());
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
+}
+
+/// Fills the `lost` slots with garbage and rebuilds them in place.
+fn erase_and_reconstruct(
+    code: &dyn ErasureCode,
+    stripe: &mut ShardBuffer,
+    lost: &[usize],
+) -> Result<(), CodeError> {
+    let mut present = vec![true; stripe.shard_count()];
+    for &i in lost {
+        present[i] = false;
+        stripe.shard_mut(i).fill(0xEE);
+    }
+    code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+}
+
+/// Rebuilds `target` from only the bytes its `repair_reads` name: every
+/// other byte of the helper buffer is garbage. Returns the rebuilt shard and
+/// the bytes read.
+fn repair_from_reads_only(
+    code: &dyn ErasureCode,
+    stripe: &ShardBuffer,
+    target: usize,
+) -> (Vec<u8>, u64) {
+    let (n, len) = (stripe.shard_count(), stripe.shard_len());
+    let mut available = vec![true; n];
+    available[target] = false;
+    let reads = code.repair_reads(target, &available, len).unwrap();
+    let mut helpers = ShardBuffer::zeroed(n, len);
+    for i in 0..n {
+        helpers.shard_mut(i).fill(0xEE);
+    }
+    for read in &reads {
+        helpers.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    let mut out = vec![0u8; len];
+    code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+        .unwrap();
+    (out, total_read_bytes(&reads))
 }
 
 proptest! {
@@ -29,18 +82,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len);
-        let mut stripe = Stripe::from_encoding(&rs, &data).unwrap();
-        let original: Vec<Vec<u8>> = stripe.clone().into_shards().unwrap();
+        let original = encode_stripe(&rs, &data);
 
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        let erase_count = erasures.min(r);
-        for &i in indices.iter().take(erase_count) {
-            stripe.erase(i);
-        }
-        stripe.reconstruct(&rs).unwrap();
-        let recovered = stripe.into_shards().unwrap();
-        prop_assert_eq!(recovered, original);
+        indices.truncate(erasures.min(r));
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&rs, &mut stripe, &indices).unwrap();
+        prop_assert_eq!(stripe, original);
     }
 
     /// Erasing more than r shards must be rejected, never silently mis-decoded.
@@ -53,13 +102,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, 16);
-        let mut stripe = Stripe::from_encoding(&rs, &data).unwrap();
+        let mut stripe = encode_stripe(&rs, &data);
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        for &i in indices.iter().take(r + 1) {
-            stripe.erase(i);
-        }
-        prop_assert!(stripe.reconstruct(&rs).is_err());
+        indices.truncate(r + 1);
+        prop_assert!(erase_and_reconstruct(&rs, &mut stripe, &indices).is_err());
     }
 
     /// Single-shard repair returns exactly the lost shard, for every shard
@@ -74,18 +121,21 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len);
-        let stripe = Stripe::from_encoding(&rs, &data).unwrap();
-        let all = stripe.clone().into_shards().unwrap();
+        let all = encode_stripe(&rs, &data);
         let target = rng.random_range(0..k + r);
-        let mut degraded = stripe;
-        degraded.erase(target);
-        let outcome = rs.repair(target, degraded.as_slice()).unwrap();
-        prop_assert_eq!(&outcome.shard, &all[target]);
-        prop_assert_eq!(outcome.metrics.helpers, k);
-        prop_assert_eq!(outcome.metrics.bytes_transferred, (k * len) as u64);
+        let mut degraded = all.clone();
+        degraded.shard_mut(target).fill(0xEE);
+        let mut out = vec![0u8; len];
+        rs.repair_into(target, &degraded.as_set(), &mut out).unwrap();
+        prop_assert_eq!(&out[..], all.shard(target));
+        let mut available = vec![true; k + r];
+        available[target] = false;
+        let metrics = rs.repair_plan(target, &available).unwrap().metrics(len);
+        prop_assert_eq!(metrics.helpers, k);
+        prop_assert_eq!(metrics.bytes_transferred, (k * len) as u64);
     }
 
-    /// The verify() check accepts valid stripes and rejects any single-bit
+    /// Re-encoding the data accepts valid stripes and exposes any single-bit
     /// corruption of any shard.
     #[test]
     fn rs_verify_detects_corruption(
@@ -97,13 +147,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len);
-        let mut shards = Stripe::from_encoding(&rs, &data).unwrap().into_shards().unwrap();
-        prop_assert!(rs.verify(&shards).unwrap());
+        let mut stripe = encode_stripe(&rs, &data);
+        let consistent = |stripe: &ShardBuffer| {
+            let mut fresh = stripe.clone();
+            let (data, mut parity) = fresh.split_mut(k);
+            rs.encode_into(&data, &mut parity).unwrap();
+            fresh == *stripe
+        };
+        prop_assert!(consistent(&stripe));
         let victim = rng.random_range(0..k + r);
         let byte = rng.random_range(0..len);
         let bit = 1u8 << rng.random_range(0..8);
-        shards[victim][byte] ^= bit;
-        prop_assert!(!rs.verify(&shards).unwrap());
+        stripe.shard_mut(victim)[byte] ^= bit;
+        prop_assert!(!consistent(&stripe));
     }
 
     /// LRC recovers from any pattern of up to `global_parities` erasures.
@@ -119,17 +175,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let lrc = Lrc::new(LrcParams { k, local_groups: l, global_parities: g }).unwrap();
         let data = random_data(&mut rng, k, len);
-        let mut stripe = Stripe::from_encoding(&lrc, &data).unwrap();
-        let original = stripe.clone().into_shards().unwrap();
+        let original = encode_stripe(&lrc, &data);
         let n = lrc.params().total_shards();
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
-        let erase_count = rng.random_range(0..=g);
-        for &i in indices.iter().take(erase_count) {
-            stripe.erase(i);
-        }
-        stripe.reconstruct(&lrc).unwrap();
-        prop_assert_eq!(stripe.into_shards().unwrap(), original);
+        indices.truncate(rng.random_range(0..=g));
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&lrc, &mut stripe, &indices).unwrap();
+        prop_assert_eq!(stripe, original);
     }
 
     /// A single LRC data-shard failure is repaired strictly more cheaply than
@@ -151,12 +204,9 @@ proptest! {
         prop_assert!(plan.total_fraction() < k as f64);
         // And the repair actually yields the right bytes.
         let data = random_data(&mut rng, k, 24);
-        let stripe = Stripe::from_encoding(&lrc, &data).unwrap();
-        let all = stripe.clone().into_shards().unwrap();
-        let mut degraded = stripe;
-        degraded.erase(target);
-        let outcome = lrc.repair(target, degraded.as_slice()).unwrap();
-        prop_assert_eq!(&outcome.shard, &all[target]);
+        let all = encode_stripe(&lrc, &data);
+        let (rebuilt, _) = repair_from_reads_only(&lrc, &all, target);
+        prop_assert_eq!(&rebuilt[..], all.shard(target));
     }
 
     /// Replication round-trips and repairs from a single surviving copy.
@@ -169,21 +219,17 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rep = Replication::new(replicas).unwrap();
         let data = random_data(&mut rng, 1, len);
-        let mut stripe = Stripe::from_encoding(&rep, &data).unwrap();
-        let original = stripe.clone().into_shards().unwrap();
+        let original = encode_stripe(&rep, &data);
         // Erase all but one random copy.
         let survivor = rng.random_range(0..replicas);
-        for i in 0..replicas {
-            if i != survivor {
-                stripe.erase(i);
-            }
-        }
-        stripe.reconstruct(&rep).unwrap();
-        prop_assert_eq!(stripe.into_shards().unwrap(), original);
+        let lost: Vec<usize> = (0..replicas).filter(|&i| i != survivor).collect();
+        let mut stripe = original.clone();
+        erase_and_reconstruct(&rep, &mut stripe, &lost).unwrap();
+        prop_assert_eq!(stripe, original);
     }
 
-    /// The repair-plan byte accounting is consistent with executing the plan
-    /// on real shards, for all three baseline codes.
+    /// The repair-plan byte accounting equals the bytes a repair reads when
+    /// it is executed from only its declared ranges.
     #[test]
     fn plan_bytes_match_execution(
         len in 2usize..64,
@@ -195,14 +241,14 @@ proptest! {
         let codes: Vec<(&dyn ErasureCode, usize)> = vec![(&rs, 14), (&lrc, 16)];
         for (code, n) in codes {
             let data = random_data(&mut rng, 10, len);
-            let stripe = Stripe::from_encoding(code, &data).unwrap();
+            let stripe = encode_stripe(code, &data);
             let target = rng.random_range(0..n);
-            let mut degraded = stripe;
-            degraded.erase(target);
-            let plan = code.repair_plan(target, &degraded.availability()).unwrap();
-            let outcome = code.repair(target, degraded.as_slice()).unwrap();
-            prop_assert_eq!(outcome.metrics.bytes_transferred, plan.bytes_read(len));
-            prop_assert_eq!(outcome.metrics.helpers, plan.helper_count());
+            let mut available = vec![true; n];
+            available[target] = false;
+            let plan = code.repair_plan(target, &available).unwrap();
+            let (rebuilt, bytes_read) = repair_from_reads_only(code, &stripe, target);
+            prop_assert_eq!(&rebuilt[..], stripe.shard(target));
+            prop_assert_eq!(bytes_read, plan.bytes_read(len));
         }
     }
 }

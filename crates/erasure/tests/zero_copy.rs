@@ -1,20 +1,19 @@
-//! Equivalence of the zero-copy API and the legacy owned-`Vec` API.
+//! Ground-truth checks of the view API for every baseline code.
 //!
-//! For every baseline code, across a `(k, r)` grid and odd shard lengths,
-//! `encode_into` / `reconstruct_in_place` / `repair_into` must agree
-//! byte-for-byte with `encode` / `reconstruct` / `repair`. The legacy
-//! methods are themselves wrappers over the zero-copy core, so these tests
-//! drive the *native* in-place paths against independently constructed
-//! inputs (garbage-filled missing slots, narrowed views) where the wrappers
-//! cannot reach.
+//! Across a `(k, r)` grid and odd shard lengths: `encode_into` overwrites
+//! every parity byte (a garbage-filled parity buffer encodes to the same
+//! bytes as a zeroed one), `reconstruct_in_place` turns garbage-filled
+//! missing slots back into the original bytes without disturbing the
+//! survivors, `repair_into` rebuilds every shard position exactly, and an
+//! over-erased stripe is refused with `NotEnoughShards`.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use pbrs_erasure::{
-    CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, Replication, ShardBuffer, ShardSet,
-    ShardSetMut,
+    CodeError, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, Replication, ShardBuffer,
+    ShardSet, ShardSetMut,
 };
 
 fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -23,102 +22,83 @@ fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Encodes with both APIs and asserts identical parity bytes.
-fn assert_encode_parity<C: ErasureCode>(code: &C, data: &[Vec<u8>]) {
-    let legacy = code.encode(data).unwrap();
+/// Encodes `data` into a stripe whose parity slots start out as `fill`.
+fn encode_over<C: ErasureCode>(code: &C, data: &[Vec<u8>], fill: u8) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), data[0].len());
+    for i in 0..stripe.shard_count() {
+        match data.get(i) {
+            Some(shard) => stripe.shard_mut(i).copy_from_slice(shard),
+            None => stripe.shard_mut(i).fill(fill),
+        }
+    }
+    let (data, mut parity) = stripe.split_mut(data.len());
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
+}
 
-    let packed = ShardBuffer::from_shards(data).unwrap();
-    let r = code.params().parity_shards();
-    let shard_len = data[0].len();
-    // Poison the parity buffer to prove encode_into overwrites every byte.
-    let mut parity_buf = vec![0xEEu8; r * shard_len];
-    let mut parity = ShardSetMut::new(&mut parity_buf, r, shard_len).unwrap();
-    code.encode_into(&packed.as_set(), &mut parity).unwrap();
+/// Encodes over a zeroed and over a 0xEE-filled parity buffer, asserts the
+/// two agree, and returns the full stripe.
+fn assert_encode_overwrites<C: ErasureCode>(code: &C, data: &[Vec<u8>]) -> ShardBuffer {
+    let full = encode_over(code, data, 0);
+    assert_eq!(encode_over(code, data, 0xEE), full, "{}", code.name());
+    full
+}
 
-    for (j, expect) in legacy.iter().enumerate() {
+/// Fills `missing` with garbage, reconstructs in place and returns the
+/// result; on success the stripe must equal `full` again.
+fn reconstruct_from_garbage<C: ErasureCode>(
+    code: &C,
+    full: &ShardBuffer,
+    missing: &[usize],
+) -> Result<Result<(), CodeError>, TestCaseError> {
+    let mut stripe = full.clone();
+    let mut present = vec![true; stripe.shard_count()];
+    for &i in missing {
+        present[i] = false;
+        stripe.shard_mut(i).fill(0xDD);
+    }
+    let result = code.reconstruct_in_place(&mut stripe.as_set_mut(), &present);
+    if result.is_ok() {
+        // Missing slots hold the original bytes again; present slots were
+        // left as they were.
+        for i in 0..stripe.shard_count() {
+            prop_assert_eq!(
+                stripe.shard(i),
+                full.shard(i),
+                "shard {} of {} missing {:?}",
+                i,
+                code.name(),
+                missing
+            );
+        }
+    }
+    Ok(result)
+}
+
+/// Repairs every shard position from a stripe whose target slot is stale.
+fn assert_repair_every_shard<C: ErasureCode>(code: &C, full: &ShardBuffer) {
+    for target in 0..full.shard_count() {
+        let mut stripe = full.clone();
+        stripe.shard_mut(target).fill(0xAA);
+        let mut out = vec![0x55u8; full.shard_len()];
+        code.repair_into(target, &stripe.as_set(), &mut out)
+            .unwrap();
         assert_eq!(
-            &parity_buf[j * shard_len..(j + 1) * shard_len],
-            &expect[..],
-            "parity {j} of {}",
+            out,
+            full.shard(target),
+            "target {target} of {}",
             code.name()
         );
     }
 }
 
-/// Reconstructs a random erasure pattern with both APIs and asserts
-/// identical stripe bytes.
-fn assert_reconstruct_parity<C: ErasureCode>(
-    code: &C,
-    full: &[Vec<u8>],
-    missing: &[usize],
-) -> Result<(), TestCaseError> {
-    let n = full.len();
-
-    let mut legacy: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-    for &i in missing {
-        legacy[i] = None;
-    }
-    let legacy_result = code.reconstruct(&mut legacy);
-
-    let mut packed = ShardBuffer::from_shards(full).unwrap();
-    let mut present = vec![true; n];
-    for &i in missing {
-        present[i] = false;
-        packed.shard_mut(i).fill(0xDD); // stale garbage in missing slots
-    }
-    let in_place_result = code.reconstruct_in_place(&mut packed.as_set_mut(), &present);
-
-    prop_assert_eq!(
-        legacy_result.is_ok(),
-        in_place_result.is_ok(),
-        "outcome mismatch for {} missing {:?}",
-        code.name(),
-        missing
-    );
-    if legacy_result.is_ok() {
-        for (i, expect) in legacy.iter().enumerate() {
-            prop_assert_eq!(
-                packed.shard(i),
-                &expect.as_ref().unwrap()[..],
-                "shard {} of {}",
-                i,
-                code.name()
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Repairs every shard position with both APIs and asserts identical bytes.
-fn assert_repair_parity<C: ErasureCode>(code: &C, full: &[Vec<u8>]) {
-    let n = full.len();
-    let shard_len = full[0].len();
-    let packed = ShardBuffer::from_shards(full).unwrap();
-    for target in 0..n {
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        shards[target] = None;
-        let legacy = code.repair(target, &shards).unwrap();
-
-        let mut out = vec![0xAAu8; shard_len];
-        code.repair_into(target, &packed.as_set(), &mut out)
-            .unwrap();
-        assert_eq!(out, legacy.shard, "target {target} of {}", code.name());
-        assert_eq!(out, full[target], "target {target} of {}", code.name());
-    }
-}
-
-fn full_stripe<C: ErasureCode>(code: &C, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let parity = code.encode(data).unwrap();
-    data.iter().cloned().chain(parity).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Reed–Solomon: all three zero-copy methods agree with the legacy API
-    /// over a (k, r) grid and odd shard lengths.
+    /// Reed–Solomon: encode, repair and reconstruct recover the original
+    /// bytes over a (k, r) grid and odd shard lengths.
     #[test]
-    fn rs_zero_copy_agrees_with_legacy(
+    fn rs_view_api_round_trips(
         k in 2usize..12,
         r in 1usize..6,
         len in 1usize..48,
@@ -128,20 +108,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len);
-        assert_encode_parity(&rs, &data);
-        let full = full_stripe(&rs, &data);
-        assert_repair_parity(&rs, &full);
+        let full = assert_encode_overwrites(&rs, &data);
+        assert_repair_every_shard(&rs, &full);
 
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        let missing: Vec<usize> = indices.into_iter().take(erasures.min(r)).collect();
-        assert_reconstruct_parity(&rs, &full, &missing)?;
+        indices.truncate(erasures.min(r));
+        reconstruct_from_garbage(&rs, &full, &indices)?.unwrap();
     }
 
-    /// LRC: the zero-copy methods agree with the legacy API, including the
-    /// local-repair phase and the global fallback.
+    /// LRC: the same, including the local-repair phase and the global
+    /// fallback.
     #[test]
-    fn lrc_zero_copy_agrees_with_legacy(
+    fn lrc_view_api_round_trips(
         k in 4usize..12,
         l in 2usize..4,
         g in 1usize..4,
@@ -152,21 +131,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let lrc = Lrc::new(LrcParams { k, local_groups: l, global_parities: g }).unwrap();
         let data = random_data(&mut rng, k, len);
-        assert_encode_parity(&lrc, &data);
-        let full = full_stripe(&lrc, &data);
-        assert_repair_parity(&lrc, &full);
+        let full = assert_encode_overwrites(&lrc, &data);
+        assert_repair_every_shard(&lrc, &full);
 
         let n = lrc.params().total_shards();
         let mut indices: Vec<usize> = (0..n).collect();
         indices.shuffle(&mut rng);
-        let erase = rng.random_range(0..=g);
-        let missing: Vec<usize> = indices.into_iter().take(erase).collect();
-        assert_reconstruct_parity(&lrc, &full, &missing)?;
+        indices.truncate(rng.random_range(0..=g));
+        reconstruct_from_garbage(&lrc, &full, &indices)?.unwrap();
     }
 
-    /// Replication: the zero-copy methods agree with the legacy API.
+    /// Replication: the same, down to a single surviving copy.
     #[test]
-    fn replication_zero_copy_agrees_with_legacy(
+    fn replication_view_api_round_trips(
         replicas in 2usize..6,
         len in 1usize..64,
         seed in any::<u64>(),
@@ -174,17 +151,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rep = Replication::new(replicas).unwrap();
         let data = random_data(&mut rng, 1, len);
-        assert_encode_parity(&rep, &data);
-        let full = full_stripe(&rep, &data);
-        assert_repair_parity(&rep, &full);
+        let full = assert_encode_overwrites(&rep, &data);
+        assert_repair_every_shard(&rep, &full);
 
         // Erase all but one random survivor.
         let survivor = rng.random_range(0..replicas);
         let missing: Vec<usize> = (0..replicas).filter(|&i| i != survivor).collect();
-        assert_reconstruct_parity(&rep, &full, &missing)?;
+        reconstruct_from_garbage(&rep, &full, &missing)?.unwrap();
     }
 
-    /// Over-erased stripes fail identically through both APIs.
+    /// An over-erased stripe is refused with `NotEnoughShards` by both the
+    /// decode API (`reconstruct_in_place`) and the planning API
+    /// (`repair_plan`), never silently mis-decoded.
     #[test]
     fn excess_erasures_fail_in_both_apis(
         k in 2usize..8,
@@ -194,11 +172,26 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = ReedSolomon::new(k, r).unwrap();
         let data = random_data(&mut rng, k, 16);
-        let full = full_stripe(&rs, &data);
+        let full = encode_over(&rs, &data, 0);
         let mut indices: Vec<usize> = (0..k + r).collect();
         indices.shuffle(&mut rng);
-        let missing: Vec<usize> = indices.into_iter().take(r + 1).collect();
-        assert_reconstruct_parity(&rs, &full, &missing)?;
+        indices.truncate(r + 1);
+        let decoded = reconstruct_from_garbage(&rs, &full, &indices)?;
+        prop_assert!(
+            matches!(decoded, Err(CodeError::NotEnoughShards { .. })),
+            "{:?}",
+            decoded
+        );
+        let mut available = vec![true; k + r];
+        for &i in &indices {
+            available[i] = false;
+        }
+        let planned = rs.repair_plan(indices[0], &available);
+        prop_assert!(
+            matches!(planned, Err(CodeError::NotEnoughShards { .. })),
+            "{:?}",
+            planned
+        );
     }
 
     /// CodeSpec parse/display round-trips for every valid combination the
@@ -233,15 +226,15 @@ fn reconstruct_in_place_on_narrowed_views() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let left = random_data(&mut rng, 4, 8);
     let right = random_data(&mut rng, 4, 8);
-    let full_left = full_stripe(&rs, &left);
-    let full_right = full_stripe(&rs, &right);
+    let full_left = encode_over(&rs, &left, 0);
+    let full_right = encode_over(&rs, &right, 0);
 
     // One buffer of 6 shards x 16 bytes: first half from stripe L, second
     // half from stripe R.
     let mut buf = vec![0u8; 6 * 16];
     for i in 0..6 {
-        buf[i * 16..i * 16 + 8].copy_from_slice(&full_left[i]);
-        buf[i * 16 + 8..(i + 1) * 16].copy_from_slice(&full_right[i]);
+        buf[i * 16..i * 16 + 8].copy_from_slice(full_left.shard(i));
+        buf[i * 16 + 8..(i + 1) * 16].copy_from_slice(full_right.shard(i));
     }
     let mut present = vec![true; 6];
     present[1] = false;
@@ -256,8 +249,8 @@ fn reconstruct_in_place_on_narrowed_views() {
     rs.reconstruct_in_place(&mut right_view, &present).unwrap();
 
     for i in 0..6 {
-        assert_eq!(&buf[i * 16..i * 16 + 8], &full_left[i][..], "L{i}");
-        assert_eq!(&buf[i * 16 + 8..(i + 1) * 16], &full_right[i][..], "R{i}");
+        assert_eq!(&buf[i * 16..i * 16 + 8], full_left.shard(i), "L{i}");
+        assert_eq!(&buf[i * 16 + 8..(i + 1) * 16], full_right.shard(i), "R{i}");
     }
 }
 

@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use pbrs::erasure::{join_shards, split_into_shards};
+use pbrs::erasure::total_read_bytes;
 use pbrs::prelude::*;
 
 fn main() -> Result<(), CodeError> {
@@ -16,54 +16,87 @@ fn main() -> Result<(), CodeError> {
     // selecting the code by spec through the registry.
     let code = build_code("piggyback-10-4")?;
     let code = code.as_ref();
+    let (k, n) = (10, 14);
     let file: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
 
     // Split the file into 10 equal data blocks (the code works on two
-    // byte-level substripes, so block sizes must be even).
-    let (blocks, original_len) = split_into_shards(&file, 10, code.granularity())?;
+    // byte-level substripes, so block sizes must be even). The stripe
+    // buffer keeps its blocks back to back, so splitting is a copy into
+    // each block and the zero padding is already there.
+    let block_len = file.len().div_ceil(k).next_multiple_of(code.granularity());
+    let mut stripe = ShardBuffer::zeroed(n, block_len);
+    for (i, block) in file.chunks(block_len).enumerate() {
+        stripe.shard_mut(i)[..block.len()].copy_from_slice(block);
+    }
+    let (data, mut parity) = stripe.split_mut(k);
+    code.encode_into(&data, &mut parity)?;
+    let original = stripe.clone();
     println!(
-        "archived a {}-byte file as 10 data blocks of {} bytes + 4 parity blocks",
-        original_len,
-        blocks[0].len()
+        "archived a {}-byte file as {k} data blocks of {block_len} bytes + 4 parity blocks",
+        file.len()
     );
-    let mut stripe = Stripe::from_encoding(code, &blocks)?;
 
     // Two machines in different racks fail: one holding a data block, one
-    // holding a parity block.
-    stripe.erase(2);
-    stripe.erase(11);
+    // holding a parity block. Their slots now hold garbage.
+    let mut available = vec![true; n];
+    for lost in [2, 11] {
+        available[lost] = false;
+        stripe.shard_mut(lost).fill(0xEE);
+    }
     println!("lost block 2 (data) and block 11 (parity); stripe is degraded but readable");
 
-    // Degraded read: reconstruct just the data and hand the file back.
-    let recovered_blocks = {
-        let mut working = stripe.clone();
-        working.reconstruct(code)?;
-        working.into_shards()?
-    };
-    let recovered_file = join_shards(&recovered_blocks[..10], original_len)?;
+    // Degraded read: decode a copy of the stripe and hand the file back —
+    // joining the blocks is a prefix of the buffer.
+    let mut working = stripe.clone();
+    code.reconstruct_in_place(&mut working.as_set_mut(), &available)?;
+    let mut recovered_file = working.into_inner();
+    recovered_file.truncate(file.len());
     assert_eq!(recovered_file, file);
     println!(
         "degraded read returned the exact original file ({} bytes)",
         recovered_file.len()
     );
 
-    // Background repair of the lost data block, with the reduced download.
-    let outcome = code.repair(2, stripe.as_slice())?;
+    // Background repair, parity first: with block 2 also lost, the parity
+    // repair has no cheap path and decodes from 10 whole blocks.
+    let parity_plan = code.repair_plan(11, &available)?;
+    let mut scratch = stripe.clone();
+    code.reconstruct_in_place(&mut scratch.as_set_mut(), &available)?;
+    stripe.shard_mut(11).copy_from_slice(scratch.shard(11));
+    available[11] = true;
     println!(
-        "background repair of block 2 contacted {} helpers and moved {} bytes \
-         (a plain RS code would have moved {} bytes)",
-        outcome.metrics.helpers,
-        outcome.metrics.bytes_transferred,
-        10 * blocks[0].len()
+        "healed parity block 11 from {} helpers ({} bytes)",
+        parity_plan.helper_count(),
+        parity_plan.bytes_read(block_len)
     );
-    stripe.insert(2, outcome.shard);
 
-    // The parity block repair falls back to the classic path.
-    let parity_outcome = code.repair(11, stripe.as_slice())?;
-    stripe.insert(11, parity_outcome.shard);
-    assert!(stripe.is_complete());
-    let final_blocks = stripe.into_shards()?;
-    assert!(code.verify(&final_blocks)?);
+    // Now block 2 is the only loss, so its repair takes the piggyback path:
+    // read only the byte ranges `repair_reads` names. Every other byte of
+    // the helper buffer is garbage and is never looked at.
+    let reads = code.repair_reads(2, &available, block_len)?;
+    let mut helpers = ShardBuffer::zeroed(n, block_len);
+    for i in 0..n {
+        helpers.shard_mut(i).fill(0xEE);
+    }
+    for read in &reads {
+        helpers.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    let mut rebuilt = vec![0u8; block_len];
+    code.repair_from_reads(2, &reads, &helpers.as_set(), &mut rebuilt)?;
+    let moved = total_read_bytes(&reads);
+    let rs_moved = (k * block_len) as u64;
+    println!(
+        "background repair of block 2 read {} ranges and moved {moved} bytes \
+         (a plain RS code would have moved {rs_moved} bytes)",
+        reads.len()
+    );
+    assert!(moved < rs_moved, "piggyback repair must read less than RS");
+    stripe.shard_mut(2).copy_from_slice(&rebuilt);
+
+    // Healed: every block matches the original, so the parity is consistent
+    // with the data again.
+    assert_eq!(stripe, original);
     println!("stripe fully healed and parity-consistent");
     Ok(())
 }

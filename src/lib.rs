@@ -30,9 +30,9 @@
 //!
 //! Codes are selected by spec string through one registry — `"rs-10-4"`,
 //! `"piggyback-10-4"`, `"lrc-10-2-4"`, `"rep-3"` — and every code offers
-//! both the classic owned-`Vec` API and an allocation-free core
-//! (`encode_into` / `reconstruct_in_place` / `repair_into`) over borrowed
-//! shard views:
+//! one allocation-free API over borrowed shard views: `encode_into`,
+//! `reconstruct_in_place`, `repair_into`, and the byte-exact repair pair
+//! `repair_reads` / `repair_from_reads` that the store executes:
 //!
 //! ```
 //! use pbrs::prelude::*;
@@ -66,11 +66,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The owned-`Vec` methods ([`erasure::ErasureCode::encode`],
-//! [`erasure::ErasureCode::reconstruct`], [`erasure::ErasureCode::repair`])
-//! remain available as thin wrappers over the zero-copy core, so existing
-//! call sites keep working.
 //!
 //! # Kernel backends: how fast the bytes move
 //!
@@ -238,7 +233,7 @@ pub mod prelude {
     pub use pbrs_core::{PiggybackDesign, PiggybackedRs, SavingsReport};
     pub use pbrs_erasure::{
         CodeError, CodeParams, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, RepairMetrics,
-        RepairPlan, Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut, Stripe,
+        RepairPlan, Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut,
     };
     pub use pbrs_gateway::{Gateway, GatewayClient, GatewayConfig, GatewayError};
     pub use pbrs_gf::Gf256;

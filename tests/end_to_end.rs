@@ -6,8 +6,56 @@ use pbrs::cluster::config::{CodeChoice, SimConfig};
 use pbrs::cluster::sim::paired_rs_vs_piggybacked;
 use pbrs::cluster::Simulator;
 use pbrs::code::{toy_example, SavingsReport};
-use pbrs::erasure::{join_shards, split_into_shards};
+use pbrs::erasure::total_read_bytes;
 use pbrs::prelude::*;
+
+/// Encodes `data` into a full stripe buffer, data shards first.
+fn encode_stripe(code: &dyn ErasureCode, data: &[Vec<u8>]) -> ShardBuffer {
+    let mut stripe = ShardBuffer::zeroed(code.params().total_shards(), data[0].len());
+    for (i, shard) in data.iter().enumerate() {
+        stripe.shard_mut(i).copy_from_slice(shard);
+    }
+    let (data, mut parity) = stripe.split_mut(data.len());
+    code.encode_into(&data, &mut parity).unwrap();
+    stripe
+}
+
+/// Fills the `lost` slots with garbage and rebuilds them in place.
+fn erase_and_reconstruct(code: &dyn ErasureCode, stripe: &mut ShardBuffer, lost: &[usize]) {
+    let mut present = vec![true; stripe.shard_count()];
+    for &i in lost {
+        present[i] = false;
+        stripe.shard_mut(i).fill(0xEE);
+    }
+    code.reconstruct_in_place(&mut stripe.as_set_mut(), &present)
+        .unwrap();
+}
+
+/// Rebuilds `target` from only the bytes its `repair_reads` name: every
+/// other byte of the helper buffer is garbage. Returns the rebuilt shard and
+/// the bytes read.
+fn repair_from_reads_only(
+    code: &dyn ErasureCode,
+    stripe: &ShardBuffer,
+    target: usize,
+) -> (Vec<u8>, u64) {
+    let (n, len) = (stripe.shard_count(), stripe.shard_len());
+    let mut available = vec![true; n];
+    available[target] = false;
+    let reads = code.repair_reads(target, &available, len).unwrap();
+    let mut helpers = ShardBuffer::zeroed(n, len);
+    for i in 0..n {
+        helpers.shard_mut(i).fill(0xEE);
+    }
+    for read in &reads {
+        helpers.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    let mut out = vec![0u8; len];
+    code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+        .unwrap();
+    (out, total_read_bytes(&reads))
+}
 
 /// §3.1-3.2: the (10, 4) Piggybacked-RS code keeps RS's storage optimality
 /// and fault tolerance while cutting single-failure recovery download by
@@ -31,17 +79,17 @@ fn headline_savings_claim() {
 fn toy_example_byte_counts() {
     let code = toy_example();
     let data = vec![vec![0xAA, 0xBB], vec![0xCC, 0xDD]];
-    let stripe = Stripe::from_encoding(&code, &data).unwrap();
-    let mut degraded = stripe.clone();
-    degraded.erase(0);
-    let outcome = code.repair(0, degraded.as_slice()).unwrap();
-    assert_eq!(outcome.metrics.bytes_transferred, 3);
-    assert_eq!(outcome.shard, data[0]);
+    let stripe = encode_stripe(&code, &data);
+    let (shard, bytes_read) = repair_from_reads_only(&code, &stripe, 0);
+    assert_eq!(bytes_read, 3);
+    assert_eq!(shard, data[0]);
 }
 
 /// End-to-end archival flow across crates: split a file into shards, encode,
 /// lose r blocks, reconstruct, and get the identical file back — for every
-/// code exposed through the trait object interface.
+/// code exposed through the trait object interface. The stripe buffer holds
+/// its shards back to back, so splitting is a copy into each data shard and
+/// joining is a prefix of the buffer.
 #[test]
 fn archival_round_trip_through_trait_objects() {
     let file: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
@@ -50,17 +98,21 @@ fn archival_round_trip_through_trait_objects() {
     let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
     let codes: Vec<&dyn ErasureCode> = vec![&rs, &pb, &lrc];
     for code in codes {
-        let k = code.params().data_shards();
-        let (blocks, len) = split_into_shards(&file, k, code.granularity()).unwrap();
-        let mut stripe = Stripe::from_encoding(code, &blocks).unwrap();
-        // Erase as many blocks as the code guarantees to tolerate.
-        for i in 0..code.fault_tolerance() {
-            stripe.erase(i * 2);
+        let (k, n) = (code.params().data_shards(), code.params().total_shards());
+        let shard_len = file.len().div_ceil(k).next_multiple_of(code.granularity());
+        let mut stripe = ShardBuffer::zeroed(n, shard_len);
+        for (i, block) in file.chunks(shard_len).enumerate() {
+            stripe.shard_mut(i)[..block.len()].copy_from_slice(block);
         }
-        stripe.reconstruct(code).unwrap();
-        let shards = stripe.into_shards().unwrap();
-        assert!(code.verify(&shards).unwrap(), "{}", code.name());
-        let recovered = join_shards(&shards[..k], len).unwrap();
+        let (data, mut parity) = stripe.split_mut(k);
+        code.encode_into(&data, &mut parity).unwrap();
+        let original = stripe.clone();
+        // Erase as many blocks as the code guarantees to tolerate.
+        let lost: Vec<usize> = (0..code.fault_tolerance()).map(|i| i * 2).collect();
+        erase_and_reconstruct(code, &mut stripe, &lost);
+        assert_eq!(stripe, original, "{}", code.name());
+        let mut recovered = stripe.into_inner();
+        recovered.truncate(file.len());
         assert_eq!(recovered, file, "{}", code.name());
     }
 }
@@ -76,19 +128,16 @@ fn repair_costs_match_analysis_across_the_stripe() {
     let data: Vec<Vec<u8>> = (0..10)
         .map(|i| (0..shard_len).map(|j| ((i * 7 + j) % 256) as u8).collect())
         .collect();
-    let stripe = Stripe::from_encoding(&code, &data).unwrap();
-    let full = stripe.clone().into_shards().unwrap();
-    for (target, expect_shard) in full.iter().enumerate() {
-        let mut degraded = stripe.clone();
-        degraded.erase(target);
-        let outcome = code.repair(target, degraded.as_slice()).unwrap();
-        assert_eq!(&outcome.shard, expect_shard);
+    let stripe = encode_stripe(&code, &data);
+    for target in 0..14 {
+        let (shard, bytes_read) = repair_from_reads_only(&code, &stripe, target);
+        assert_eq!(shard, stripe.shard(target));
+        let mut full = stripe.clone();
+        erase_and_reconstruct(&code, &mut full, &[target]);
+        assert_eq!(full, stripe, "target {target}");
         let expected =
             (analysis.per_shard[target].shards_downloaded * shard_len as f64).round() as u64;
-        assert_eq!(
-            outcome.metrics.bytes_transferred, expected,
-            "target {target}"
-        );
+        assert_eq!(bytes_read, expected, "target {target}");
     }
 }
 
@@ -136,11 +185,9 @@ fn lrc_tradeoff_versus_piggybacked() {
 fn replication_baseline_through_facade() {
     let rep = Replication::triple();
     let data = vec![vec![1u8, 2, 3, 4]];
-    let mut stripe = Stripe::from_encoding(&rep, &data).unwrap();
-    stripe.erase(0);
-    stripe.erase(2);
-    stripe.reconstruct(&rep).unwrap();
-    assert_eq!(stripe.shard(0), Some(&[1u8, 2, 3, 4][..]));
+    let mut stripe = encode_stripe(&rep, &data);
+    erase_and_reconstruct(&rep, &mut stripe, &[0, 2]);
+    assert_eq!(stripe.shard(0), &[1u8, 2, 3, 4]);
     assert_eq!(rep.storage_overhead(), 3.0);
 }
 
