@@ -1,6 +1,6 @@
 //! Criterion benchmark of the warehouse-cluster simulator itself: one
 //! simulated day at two cluster scales, under RS and Piggybacked-RS. This
-//! bounds the cost of the experiment binaries (fig3b, traffic_reduction) and
+//! bounds the cost of the `paper_scorecard` binary's simulator rows and
 //! documents that a production-scale month simulates in seconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

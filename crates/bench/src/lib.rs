@@ -1,16 +1,11 @@
-//! Shared harness code for the experiment binaries.
+//! Shared output helpers for the `pbrs-bench` binaries.
 //!
-//! Each binary in `src/bin/` regenerates one figure or table of the paper
-//! (see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
-//! paper-vs-measured results). The helpers here keep the output format
-//! consistent so the binaries stay short and the results are easy to diff.
+//! `paper_scorecard` checks the paper's numbers against the closed forms,
+//! the unavailability model and the simulator; the other binaries measure
+//! kernel, store and gateway throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use pbrs_cluster::{ClusterReport, SimConfig, Simulator};
-use pbrs_trace::calibration::PaperConstants;
-use pbrs_trace::report::{comparison_table, ComparisonRow};
 
 /// Prints a titled section header.
 pub fn section(title: &str) {
@@ -19,68 +14,7 @@ pub fn section(title: &str) {
     println!();
 }
 
-/// Prints a paper-vs-measured comparison as a markdown table.
-pub fn print_comparison(rows: &[ComparisonRow]) {
-    print!("{}", comparison_table(rows));
-}
-
-/// Builds a comparison row.
-pub fn row(metric: &str, paper: impl ToString, measured: impl ToString) -> ComparisonRow {
-    ComparisonRow {
-        metric: metric.to_string(),
-        paper: paper.to_string(),
-        measured: measured.to_string(),
-    }
-}
-
-/// Runs the full warehouse-cluster simulation for a configuration, printing
-/// a one-line progress note (the Facebook-scale run takes a few seconds).
-pub fn run_simulation(label: &str, config: SimConfig) -> ClusterReport {
-    eprintln!(
-        "[pbrs-bench] simulating: {label} ({} days, {} machines, {:?})",
-        config.days,
-        config.machines(),
-        config.code
-    );
-    Simulator::new(config).run()
-}
-
-/// The published constants, re-exported for the binaries.
-pub fn paper() -> PaperConstants {
-    PaperConstants::published()
-}
-
 /// Formats a float with one decimal place.
 pub fn f1(value: f64) -> String {
     format!("{value:.1}")
-}
-
-/// Formats a float with two decimal places.
-pub fn f2(value: f64) -> String {
-    format!("{value:.2}")
-}
-
-/// Formats a percentage with two decimals.
-pub fn pct(value: f64) -> String {
-    format!("{value:.2}%")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f1(1.26), "1.3");
-        assert_eq!(f2(1.256), "1.26");
-        assert_eq!(pct(98.078), "98.08%");
-        assert_eq!(row("m", 1, 2).metric, "m");
-        assert_eq!(paper().rs_data_blocks, 10);
-    }
-
-    #[test]
-    fn small_simulation_runs_through_the_harness() {
-        let report = run_simulation("unit test", SimConfig::small_test());
-        assert_eq!(report.days.len(), SimConfig::small_test().days);
-    }
 }

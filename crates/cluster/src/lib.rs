@@ -18,8 +18,7 @@
 //!   detection, a bounded pool of recovery slots, cancellation when machines
 //!   return, and per-block repair plans taken from the configured erasure
 //!   code;
-//! * [`network`] — cross-rack traffic accounting and the bandwidth-bound
-//!   recovery-time model of §3.2;
+//! * [`network`] — the bandwidth-bound recovery-time model of §3.2;
 //! * [`event`] — the discrete-event engine;
 //! * [`metrics`] — per-day metrics and report types;
 //! * [`reliability`] — the Markov MTTDL model backing the paper's

@@ -1,7 +1,6 @@
 //! Per-day metrics and the simulation report.
 
 use pbrs_trace::calibration::bytes_to_tb;
-use pbrs_trace::recovery_trace::{DailyRecovery, RecoveryTrace};
 use pbrs_trace::stats::Summary;
 use pbrs_trace::stripe_failures::StripeDegradation;
 
@@ -97,23 +96,6 @@ impl ClusterReport {
     pub fn total_blocks_reconstructed(&self) -> u64 {
         self.days.iter().map(|d| d.blocks_reconstructed).sum()
     }
-
-    /// Converts to the shared [`RecoveryTrace`] type used by `pbrs-trace`
-    /// consumers and the report writers.
-    pub fn to_recovery_trace(&self) -> RecoveryTrace {
-        RecoveryTrace::new(
-            self.days
-                .iter()
-                .map(|d| DailyRecovery {
-                    day: d.day,
-                    machines_flagged: d.machines_flagged,
-                    blocks_reconstructed: d.blocks_reconstructed,
-                    cross_rack_bytes: d.cross_rack_bytes,
-                    disk_bytes_read: d.disk_bytes_read,
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -165,16 +147,6 @@ mod tests {
         assert_eq!(r.total_blocks_reconstructed(), 200_000);
         assert_eq!(r.total_cross_rack_bytes(), 380 * 1024u64.pow(4));
         assert!((r.days[0].cross_rack_tb() - 170.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn conversion_to_recovery_trace() {
-        let r = report();
-        let trace = r.to_recovery_trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.days[1].blocks_reconstructed, 110_000);
-        assert_eq!(trace.days[1].machines_flagged, 60);
-        assert_eq!(trace.total_cross_rack_bytes(), r.total_cross_rack_bytes());
     }
 
     #[test]

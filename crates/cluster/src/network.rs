@@ -1,75 +1,16 @@
-//! Network traffic accounting and the bandwidth-bound recovery-time model.
+//! The bandwidth-bound recovery-time model of §3.2.
 //!
-//! Two observations from the paper shape this module:
+//! "At the scale of multiple megabytes, the system is limited by the network
+//! and disk bandwidths, making the recovery time dependent only on the total
+//! amount of data read and transferred." The [`TransferModel`] encodes
+//! exactly that: recovery time is `bytes / bandwidth` plus a small
+//! per-helper connection setup cost, so contacting more helpers (as
+//! Piggybacked-RS does) barely matters while moving fewer bytes does.
 //!
-//! * §2.1/§2.2 — because every block of a stripe lives on a different rack,
-//!   every helper byte of a recovery crosses the TOR switches. The
-//!   [`TrafficAccountant`] therefore attributes all recovery reads to the
-//!   cross-rack counter of the day they complete in.
-//! * §3.2 ("Time taken for recovery") — "At the scale of multiple megabytes,
-//!   the system is limited by the network and disk bandwidths, making the
-//!   recovery time dependent only on the total amount of data read and
-//!   transferred." The [`TransferModel`] encodes exactly that: recovery time
-//!   is `bytes / bandwidth` plus a small per-helper connection setup cost,
-//!   so contacting more helpers (as Piggybacked-RS does) barely matters
-//!   while moving fewer bytes does.
-
-/// Per-day traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DayTraffic {
-    /// Bytes that crossed the TOR/aggregation switches.
-    pub cross_rack_bytes: u64,
-    /// Bytes served within a rack (zero under rack-disjoint placement, kept
-    /// for completeness and for replication experiments with rack-local
-    /// copies).
-    pub intra_rack_bytes: u64,
-    /// Bytes read from helper disks.
-    pub disk_bytes_read: u64,
-}
-
-/// Accumulates traffic per simulated day.
-#[derive(Debug, Clone, Default)]
-pub struct TrafficAccountant {
-    days: Vec<DayTraffic>,
-}
-
-impl TrafficAccountant {
-    /// Creates an accountant covering `days` days.
-    pub fn new(days: usize) -> Self {
-        TrafficAccountant {
-            days: vec![DayTraffic::default(); days],
-        }
-    }
-
-    /// Records a cross-rack transfer of `bytes` on `day` (clamped to the last
-    /// tracked day so late-finishing recoveries are not lost).
-    pub fn record_cross_rack(&mut self, day: usize, bytes: u64) {
-        let idx = day.min(self.days.len().saturating_sub(1));
-        if let Some(d) = self.days.get_mut(idx) {
-            d.cross_rack_bytes += bytes;
-            d.disk_bytes_read += bytes;
-        }
-    }
-
-    /// Records an intra-rack transfer of `bytes` on `day`.
-    pub fn record_intra_rack(&mut self, day: usize, bytes: u64) {
-        let idx = day.min(self.days.len().saturating_sub(1));
-        if let Some(d) = self.days.get_mut(idx) {
-            d.intra_rack_bytes += bytes;
-            d.disk_bytes_read += bytes;
-        }
-    }
-
-    /// The per-day counters.
-    pub fn days(&self) -> &[DayTraffic] {
-        &self.days
-    }
-
-    /// Total cross-rack bytes over the whole run.
-    pub fn total_cross_rack_bytes(&self) -> u64 {
-        self.days.iter().map(|d| d.cross_rack_bytes).sum()
-    }
-}
+//! Cross-rack traffic is not counted here. Every block of a stripe lives on
+//! a different rack (§2.1), so every helper byte crosses the TOR switches,
+//! and the simulator adds each recovery's helper bytes to the
+//! [`DayMetrics`](crate::metrics::DayMetrics) of the day it completes in.
 
 /// The bandwidth-bound transfer/recovery-time model of §3.2.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,29 +50,6 @@ impl TransferModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accountant_attributes_bytes_to_days() {
-        let mut t = TrafficAccountant::new(3);
-        t.record_cross_rack(0, 100);
-        t.record_cross_rack(1, 200);
-        t.record_intra_rack(1, 50);
-        // Day beyond the horizon is clamped to the last day.
-        t.record_cross_rack(9, 7);
-        assert_eq!(t.days()[0].cross_rack_bytes, 100);
-        assert_eq!(t.days()[1].cross_rack_bytes, 200);
-        assert_eq!(t.days()[1].intra_rack_bytes, 50);
-        assert_eq!(t.days()[1].disk_bytes_read, 250);
-        assert_eq!(t.days()[2].cross_rack_bytes, 7);
-        assert_eq!(t.total_cross_rack_bytes(), 307);
-    }
-
-    #[test]
-    fn empty_accountant_is_harmless() {
-        let mut t = TrafficAccountant::new(0);
-        t.record_cross_rack(0, 10);
-        assert_eq!(t.total_cross_rack_bytes(), 0);
-    }
 
     #[test]
     fn recovery_time_is_dominated_by_bytes_not_helpers() {

@@ -1,8 +1,8 @@
 //! Sampled stripes and the degradation census.
 //!
 //! The cluster stores tens of millions of RS-coded blocks; the simulator
-//! keeps only aggregate per-machine block counts for traffic accounting
-//! (§ DESIGN.md), but the §2.2 statistic — how many blocks of a degraded
+//! keeps only aggregate per-machine block counts for traffic accounting,
+//! but the §2.2 statistic — how many blocks of a degraded
 //! stripe are missing at once — needs explicit stripe→machine placements.
 //! A configurable sample of stripes is therefore placed explicitly and
 //! censused periodically; the sample is large enough (default 20,000) that

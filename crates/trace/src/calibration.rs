@@ -2,7 +2,7 @@
 //!
 //! Every number here is taken from the text of the paper and is used in two
 //! ways: (a) to calibrate the synthetic failure/workload models, and (b) as
-//! the "paper" column in the paper-vs-measured tables of `EXPERIMENTS.md`.
+//! the targets the `paper_scorecard` binary in `pbrs-bench` checks.
 
 /// Constants reported by the paper for Facebook's warehouse cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,11 +121,6 @@ pub fn bytes_to_tb(bytes: u64) -> f64 {
     bytes as f64 / TB as f64
 }
 
-/// Converts (binary) terabytes to bytes.
-pub fn tb_to_bytes(tb: f64) -> u64 {
-    (tb * TB as f64) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,8 +165,5 @@ mod tests {
         assert_eq!(PB, 1 << 50);
         assert!((bytes_to_tb(TB) - 1.0).abs() < 1e-12);
         assert!((bytes_to_tb(512 * GB) - 0.5).abs() < 1e-12);
-        assert_eq!(tb_to_bytes(2.0), 2 * TB);
-        let round_trip = tb_to_bytes(bytes_to_tb(123_456_789_000)) as i64;
-        assert!((round_trip - 123_456_789_000i64).abs() <= 1, "{round_trip}");
     }
 }

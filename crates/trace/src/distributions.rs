@@ -1,24 +1,12 @@
 //! Random samplers used by the failure and workload models.
 //!
 //! Only `rand`'s uniform primitives are used; the shaped distributions
-//! (Poisson, log-normal, Pareto, exponential) are implemented here so the
-//! workspace does not need `rand_distr`. The implementations are the
-//! textbook ones: inversion for the exponential and Pareto, Box–Muller for
-//! the normal behind the log-normal, and Knuth's method (with a normal
-//! approximation for large means) for the Poisson.
+//! (Poisson, normal, log-normal) are implemented here so the workspace does
+//! not need `rand_distr`. The implementations are the textbook ones:
+//! Box–Muller for the normal behind the log-normal, and Knuth's method
+//! (with a normal approximation for large means) for the Poisson.
 
 use rand::Rng;
-
-/// Samples an exponential with the given `mean` (inverse rate).
-///
-/// # Panics
-///
-/// Panics if `mean <= 0`.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
-    assert!(mean > 0.0, "exponential mean must be positive");
-    let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    -mean * u.ln()
-}
 
 /// Samples a standard normal via Box–Muller.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -48,20 +36,6 @@ pub fn log_normal_median<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) 
     assert!(median > 0.0, "log-normal median must be positive");
     assert!(sigma >= 0.0, "log-normal sigma must be non-negative");
     (median.ln() + sigma * standard_normal(rng)).exp()
-}
-
-/// Samples a Pareto (type I) with the given scale (minimum value) and shape.
-///
-/// # Panics
-///
-/// Panics if `scale <= 0` or `shape <= 0`.
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, scale: f64, shape: f64) -> f64 {
-    assert!(
-        scale > 0.0 && shape > 0.0,
-        "pareto parameters must be positive"
-    );
-    let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    scale / u.powf(1.0 / shape)
 }
 
 /// Samples a Poisson with mean `lambda`.
@@ -114,15 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let m = mean_of(200_000, |r| exponential(r, 45.0));
-        assert!((m - 45.0).abs() < 1.0, "{m}");
-        // All samples are non-negative.
-        let mut r = rng();
-        assert!((0..1000).all(|_| exponential(&mut r, 1.0) >= 0.0));
-    }
-
-    #[test]
     fn normal_moments_converge() {
         let m = mean_of(200_000, |r| normal(r, 10.0, 3.0));
         assert!((m - 10.0).abs() < 0.05, "{m}");
@@ -142,15 +107,6 @@ mod tests {
         let med = samples[samples.len() / 2];
         assert!((med - 45.0).abs() < 2.0, "{med}");
         assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn pareto_scale_is_minimum() {
-        let mut r = rng();
-        let samples: Vec<f64> = (0..10_000).map(|_| pareto(&mut r, 32.0, 1.5)).collect();
-        assert!(samples.iter().all(|&x| x >= 32.0));
-        // Heavy tail: some sample exceeds 4x the scale.
-        assert!(samples.iter().any(|&x| x > 128.0));
     }
 
     #[test]
@@ -184,12 +140,6 @@ mod tests {
         // Out-of-range probabilities are clamped rather than panicking.
         assert!(bernoulli(&mut r, 7.0));
         assert!(!bernoulli(&mut r, -2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn exponential_rejects_non_positive_mean() {
-        exponential(&mut rng(), 0.0);
     }
 
     #[test]

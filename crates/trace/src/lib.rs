@@ -9,31 +9,28 @@
 //! * [`calibration`] — the paper's reported constants (medians, percentages,
 //!   block and cluster sizes) in one place, with the sentence of the paper
 //!   each value comes from;
-//! * [`distributions`] — the samplers (Poisson, log-normal, Pareto,
-//!   exponential) used by the failure and workload models, implemented here
-//!   so the workspace needs no extra dependencies;
+//! * [`distributions`] — the samplers (Poisson, normal, log-normal) used by
+//!   the failure and workload models, implemented here so the workspace
+//!   needs no extra dependencies;
 //! * [`unavailability`] — the machine-unavailability process behind Fig. 3a;
-//! * [`recovery_trace`] — per-day recovery/traffic series types and an
-//!   analytic generator for Fig. 3b-shaped data (the discrete-event
-//!   simulator in `pbrs-cluster` produces the same types);
 //! * [`stripe_failures`] — the stripe-degradation distribution of §2.2;
-//! * [`stats`] — medians, percentiles, histograms;
-//! * [`report`] — CSV and markdown writers plus ASCII charts used by the
-//!   experiment binaries.
+//! * [`stats`] — medians and percentiles;
+//! * [`report`] — markdown tables and byte units for printed reports.
+//!
+//! The per-day Fig. 3b series come from the discrete-event simulator in
+//! `pbrs-cluster`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibration;
 pub mod distributions;
-pub mod recovery_trace;
 pub mod report;
 pub mod stats;
 pub mod stripe_failures;
 pub mod unavailability;
 
 pub use calibration::PaperConstants;
-pub use recovery_trace::{DailyRecovery, RecoveryTrace};
 pub use stats::Summary;
 pub use stripe_failures::StripeDegradation;
 pub use unavailability::{UnavailabilityEvent, UnavailabilityModel};

@@ -1,42 +1,7 @@
-//! Report writers: CSV, markdown tables and ASCII charts.
-//!
-//! The experiment binaries in `pbrs-bench` print the same rows/series the
-//! paper's figures and tables report; these helpers keep that formatting in
-//! one place and make the output easy to diff into `EXPERIMENTS.md`.
+//! Report formatting: markdown tables and binary byte units, shared by the
+//! `pbrs-bench` binaries and the examples.
 
 use std::fmt::Write as _;
-
-/// Renders a CSV document from a header and rows.
-///
-/// Fields containing commas, quotes or newlines are quoted and escaped.
-pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&csv_line(
-        header
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .as_slice(),
-    ));
-    for row in rows {
-        out.push_str(&csv_line(row));
-    }
-    out
-}
-
-fn csv_line(fields: &[String]) -> String {
-    let escaped: Vec<String> = fields
-        .iter()
-        .map(|f| {
-            if f.contains(',') || f.contains('"') || f.contains('\n') {
-                format!("\"{}\"", f.replace('"', "\"\""))
-            } else {
-                f.clone()
-            }
-        })
-        .collect();
-    format!("{}\n", escaped.join(","))
-}
 
 /// Renders a GitHub-flavoured markdown table.
 ///
@@ -58,24 +23,6 @@ pub fn to_markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders a horizontal ASCII bar chart of a per-day series, similar in
-/// spirit to the paper's Fig. 3 plots. One row per value, scaled to
-/// `max_width` characters, annotated with the numeric value.
-pub fn ascii_series(title: &str, labels: &[String], values: &[f64], max_width: usize) -> String {
-    assert_eq!(labels.len(), values.len(), "one label per value");
-    let mut out = String::new();
-    // pbrs-lint: allow(panic-hygiene) -- fmt::Write into a String is infallible
-    writeln!(out, "{title}").expect("writing to a String cannot fail");
-    let max = values.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
-    for (label, &v) in labels.iter().zip(values) {
-        let width = ((v / max) * max_width as f64).round().max(0.0) as usize;
-        writeln!(out, "{label:>8} | {:<max_width$} {v:.1}", "#".repeat(width))
-            // pbrs-lint: allow(panic-hygiene) -- fmt::Write into a String is infallible
-            .expect("writing to a String cannot fail");
-    }
-    out
-}
-
 /// Formats a byte count using binary units (KiB/MiB/GiB/TiB/PiB) with two
 /// decimals, matching the way the paper reports traffic volumes.
 pub fn human_bytes(bytes: u64) -> String {
@@ -93,61 +40,9 @@ pub fn human_bytes(bytes: u64) -> String {
     }
 }
 
-/// Formats a count with thousands separators ("95,500").
-pub fn human_count(count: u64) -> String {
-    let digits: Vec<char> = count.to_string().chars().rev().collect();
-    let mut out = String::new();
-    for (i, c) in digits.iter().enumerate() {
-        if i > 0 && i % 3 == 0 {
-            out.push(',');
-        }
-        out.push(*c);
-    }
-    out.chars().rev().collect()
-}
-
-/// A labelled paper-vs-measured comparison row used in EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    /// What is being compared (e.g. "median blocks reconstructed / day").
-    pub metric: String,
-    /// The value the paper reports.
-    pub paper: String,
-    /// The value this reproduction measured.
-    pub measured: String,
-}
-
-/// Renders paper-vs-measured rows as a markdown table.
-pub fn comparison_table(rows: &[ComparisonRow]) -> String {
-    to_markdown_table(
-        &["metric", "paper", "measured (this reproduction)"],
-        &rows
-            .iter()
-            .map(|r| vec![r.metric.clone(), r.paper.clone(), r.measured.clone()])
-            .collect::<Vec<_>>(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_escaping() {
-        let csv = to_csv(
-            &["a", "b"],
-            &[
-                vec!["1".into(), "plain".into()],
-                vec!["2".into(), "has,comma".into()],
-                vec!["3".into(), "has\"quote".into()],
-            ],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "1,plain");
-        assert_eq!(lines[2], "2,\"has,comma\"");
-        assert_eq!(lines[3], "3,\"has\"\"quote\"");
-    }
 
     #[test]
     fn markdown_table_layout() {
@@ -168,16 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn ascii_series_scales_to_max() {
-        let chart = ascii_series("traffic", &["d1".into(), "d2".into()], &[50.0, 100.0], 20);
-        assert!(chart.starts_with("traffic\n"));
-        let lines: Vec<&str> = chart.lines().collect();
-        assert!(lines[1].contains("##########"));
-        assert!(lines[2].contains("####################"));
-        assert!(lines[2].contains("100.0"));
-    }
-
-    #[test]
     fn human_bytes_units() {
         assert_eq!(human_bytes(0), "0 B");
         assert_eq!(human_bytes(512), "512 B");
@@ -186,25 +71,5 @@ mod tests {
         assert_eq!(human_bytes(1024u64.pow(4)), "1.00 TiB");
         assert_eq!(human_bytes(180 * 1024u64.pow(4)), "180.00 TiB");
         assert_eq!(human_bytes(3 * 1024u64.pow(5)), "3.00 PiB");
-    }
-
-    #[test]
-    fn human_count_grouping() {
-        assert_eq!(human_count(0), "0");
-        assert_eq!(human_count(999), "999");
-        assert_eq!(human_count(1000), "1,000");
-        assert_eq!(human_count(95_500), "95,500");
-        assert_eq!(human_count(1_234_567_890), "1,234,567,890");
-    }
-
-    #[test]
-    fn comparison_table_rendering() {
-        let table = comparison_table(&[ComparisonRow {
-            metric: "median TB/day".into(),
-            paper: ">180".into(),
-            measured: "190.2".into(),
-        }]);
-        assert!(table.contains("| median TB/day | >180 | 190.2 |"));
-        assert!(table.contains("measured (this reproduction)"));
     }
 }

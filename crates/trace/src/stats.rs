@@ -1,4 +1,4 @@
-//! Summary statistics and histograms used by the experiment reports.
+//! Summary statistics (mean, median, percentiles) of per-day series.
 
 /// Summary statistics of a numeric series (medians and percentiles are
 /// computed by linear interpolation between order statistics).
@@ -87,83 +87,6 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
 }
 
-/// A fixed-width histogram over `[min, max)` with `bins` buckets; values
-/// outside the range are clamped into the first/last bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    min: f64,
-    max: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `max <= min`.
-    pub fn new(min: f64, max: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(max > min, "histogram range must be non-empty");
-        Histogram {
-            min,
-            max,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, value: f64) {
-        let bins = self.counts.len();
-        let width = (self.max - self.min) / bins as f64;
-        let idx = if value <= self.min {
-            0
-        } else if value >= self.max {
-            bins - 1
-        } else {
-            (((value - self.min) / width) as usize).min(bins - 1)
-        };
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Adds many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `(bucket_low, bucket_high, count)` triples.
-    pub fn buckets(&self) -> Vec<(f64, f64, u64)> {
-        let bins = self.counts.len();
-        let width = (self.max - self.min) / bins as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                (
-                    self.min + i as f64 * width,
-                    self.min + (i + 1) as f64 * width,
-                    c,
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,29 +145,5 @@ mod tests {
         let s = Summary::of_counts(&[10, 20, 30]);
         assert_eq!(s.mean, 20.0);
         assert_eq!(s.median, 20.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all([0.5, 1.5, 2.5, 9.9, 15.0, -3.0]);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts(), &[3, 1, 0, 0, 2]);
-        let buckets = h.buckets();
-        assert_eq!(buckets.len(), 5);
-        assert_eq!(buckets[0], (0.0, 2.0, 3));
-        assert_eq!(buckets[4], (8.0, 10.0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "range must be non-empty")]
-    fn histogram_bad_range_panics() {
-        Histogram::new(1.0, 1.0, 4);
     }
 }

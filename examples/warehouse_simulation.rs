@@ -4,14 +4,11 @@
 //! and show the cross-rack traffic drop.
 //!
 //! Run with: `cargo run --release --example warehouse_simulation`
-//! (The full paper-scale configuration lives in the `fig3b` and
-//! `traffic_reduction` binaries of the `pbrs-bench` crate.)
 
 #![forbid(unsafe_code)]
 
-use pbrs::cluster::config::{CodeChoice, SimConfig};
+use pbrs::cluster::config::SimConfig;
 use pbrs::cluster::sim::paired_rs_vs_piggybacked;
-use pbrs::cluster::Simulator;
 use pbrs::trace::report::{human_bytes, to_markdown_table};
 
 fn main() {
@@ -25,7 +22,6 @@ fn main() {
     config.mean_rs_blocks_per_machine = 1200.0;
     config.days = 7;
     config.sampled_stripes = 3000;
-    config.code = CodeChoice::production_rs();
 
     println!(
         "simulating {} machines / {} racks for {} days under RS(10,4)...",
@@ -33,9 +29,11 @@ fn main() {
         config.racks,
         config.days
     );
-    let report = Simulator::new(config.clone()).run();
+    // The paired experiment: same seed, same failures, different code. Its
+    // RS half is the run the per-day table reports.
+    let (rs, pb) = paired_rs_vs_piggybacked(config);
 
-    let rows: Vec<Vec<String>> = report
+    let rows: Vec<Vec<String>> = rs
         .days
         .iter()
         .map(|d| {
@@ -63,15 +61,13 @@ fn main() {
     );
     println!(
         "degraded-stripe census: {:.2}% one missing / {:.2}% two / {:.2}% three+ ({} observations)",
-        report.degradation.one_missing_pct(),
-        report.degradation.two_missing_pct(),
-        report.degradation.three_plus_missing_pct(),
-        report.degradation.total(),
+        rs.degradation.one_missing_pct(),
+        rs.degradation.two_missing_pct(),
+        rs.degradation.three_plus_missing_pct(),
+        rs.degradation.total(),
     );
 
-    // The paired experiment: same seed, same failures, different code.
     println!("\nre-running the identical failure trace with Piggybacked-RS(10,4)...");
-    let (rs, pb) = paired_rs_vs_piggybacked(config);
     let rs_total = rs.total_cross_rack_bytes();
     let pb_total = pb.total_cross_rack_bytes();
     println!(

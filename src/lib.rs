@@ -11,8 +11,8 @@
 //! * [`code`] — the Piggybacked-RS code and the unified
 //!   [`code::registry`] that builds any code from a spec ([`pbrs_core`]);
 //! * [`cluster`] — the warehouse-cluster simulator ([`pbrs_cluster`]);
-//! * [`trace`] — calibrated synthetic traces, statistics and report writers
-//!   ([`pbrs_trace`]);
+//! * [`trace`] — calibrated synthetic traces, statistics and report
+//!   formatting ([`pbrs_trace`]);
 //! * [`obs`] — the observability core: lock-free latency histograms,
 //!   per-stage request timers, a named metric registry, and the bounded
 //!   structured event journal ([`pbrs_obs`]);
