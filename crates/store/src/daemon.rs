@@ -132,13 +132,17 @@ pub struct DaemonStats {
     pub stripes_repaired: u64,
     /// Chunks rebuilt and written back.
     pub chunks_repaired: u64,
-    /// Helper bytes read from surviving disks by repairs.
+    /// The price of the repairs: the helper bytes their plans consume
+    /// (see [`crate::StripeRepair::helper_bytes`]).
     pub helper_bytes: u64,
     /// Helper bytes served from within the rebuilt chunk's own rack (the
     /// locality-first scheduler's yield; zero without a grouping placement).
     pub intra_rack_bytes: u64,
     /// Helper bytes that crossed racks — the paper's headline metric.
     pub cross_rack_bytes: u64,
+    /// Helper bytes the repairs actually requested from backends (see
+    /// [`crate::StripeRepair::fetched_bytes`]).
+    pub fetched_bytes: u64,
     /// Rebuilt payload bytes written.
     pub bytes_written: u64,
     /// Repairs that failed (e.g. unrecoverable stripes).
@@ -171,6 +175,7 @@ struct Shared {
     helper_bytes: AtomicU64,
     intra_rack_bytes: AtomicU64,
     cross_rack_bytes: AtomicU64,
+    fetched_bytes: AtomicU64,
     bytes_written: AtomicU64,
     failures: AtomicU64,
     /// Bounded ring of structured events (repairs, scans, failures,
@@ -192,6 +197,7 @@ impl Shared {
             helper_bytes: AtomicU64::new(0),
             intra_rack_bytes: AtomicU64::new(0),
             cross_rack_bytes: AtomicU64::new(0),
+            fetched_bytes: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             journal,
@@ -277,6 +283,8 @@ impl RepairDaemon {
             // Relaxed: see above.
             intra_rack_bytes: s.intra_rack_bytes.load(Ordering::Relaxed),
             cross_rack_bytes: s.cross_rack_bytes.load(Ordering::Relaxed),
+            // Relaxed: see above.
+            fetched_bytes: s.fetched_bytes.load(Ordering::Relaxed),
             // Relaxed: see above.
             bytes_written: s.bytes_written.load(Ordering::Relaxed),
             failures: s.failures.load(Ordering::Relaxed),
@@ -545,6 +553,10 @@ fn worker_loop(shared: &Shared) {
                     .cross_rack_bytes
                     // Relaxed: see block comment above.
                     .fetch_add(repair.cross_rack_bytes, Ordering::Relaxed);
+                shared
+                    .fetched_bytes
+                    // Relaxed: see block comment above.
+                    .fetch_add(repair.fetched_bytes, Ordering::Relaxed);
                 shared
                     .bytes_written
                     // Relaxed: see block comment above.

@@ -29,22 +29,30 @@ pub struct StoreMetrics {
     pub bytes_served: AtomicU64,
     /// Stripes that needed a degraded read to be served.
     pub degraded_stripe_reads: AtomicU64,
-    /// Helper bytes read from other "disks" to serve degraded reads.
+    /// The price of the rebuilds that served degraded reads: the helper
+    /// bytes their plans consume (see [`crate::StripeRepair::helper_bytes`]).
     pub degraded_helper_bytes: AtomicU64,
     /// Degraded-read helper bytes sourced from the damaged chunk's own rack.
     pub degraded_intra_rack_bytes: AtomicU64,
     /// Degraded-read helper bytes that crossed racks.
     pub degraded_cross_rack_bytes: AtomicU64,
+    /// Helper bytes degraded reads actually requested from backends (see
+    /// [`crate::StripeRepair::fetched_bytes`]).
+    pub degraded_fetched_bytes: AtomicU64,
     /// Chunks found corrupt (bad checksum / header) by any path.
     pub corrupt_chunks_detected: AtomicU64,
     /// Chunks rebuilt by repair.
     pub chunks_repaired: AtomicU64,
-    /// Helper bytes read from surviving "disks" to rebuild chunks.
+    /// The price of repairs: the helper bytes their plans consume (see
+    /// [`crate::StripeRepair::helper_bytes`]).
     pub repair_helper_bytes: AtomicU64,
     /// Repair helper bytes sourced from the rebuilt chunk's own rack.
     pub repair_intra_rack_bytes: AtomicU64,
     /// Repair helper bytes that crossed racks — the paper's scarce resource.
     pub repair_cross_rack_bytes: AtomicU64,
+    /// Helper bytes repairs actually requested from backends (see
+    /// [`crate::StripeRepair::fetched_bytes`]).
+    pub repair_fetched_bytes: AtomicU64,
     /// Rebuilt chunk payload bytes written back.
     pub repair_bytes_written: AtomicU64,
     /// Chunks examined by scrub passes.
@@ -84,11 +92,13 @@ impl StoreMetrics {
             degraded_helper_bytes: get(&self.degraded_helper_bytes),
             degraded_intra_rack_bytes: get(&self.degraded_intra_rack_bytes),
             degraded_cross_rack_bytes: get(&self.degraded_cross_rack_bytes),
+            degraded_fetched_bytes: get(&self.degraded_fetched_bytes),
             corrupt_chunks_detected: get(&self.corrupt_chunks_detected),
             chunks_repaired: get(&self.chunks_repaired),
             repair_helper_bytes: get(&self.repair_helper_bytes),
             repair_intra_rack_bytes: get(&self.repair_intra_rack_bytes),
             repair_cross_rack_bytes: get(&self.repair_cross_rack_bytes),
+            repair_fetched_bytes: get(&self.repair_fetched_bytes),
             repair_bytes_written: get(&self.repair_bytes_written),
             chunks_scrubbed: get(&self.chunks_scrubbed),
             scrub_bytes_read: get(&self.scrub_bytes_read),
@@ -117,22 +127,26 @@ pub struct MetricsSnapshot {
     pub bytes_served: u64,
     /// Stripes that needed a degraded read to be served.
     pub degraded_stripe_reads: u64,
-    /// Helper bytes read from other "disks" to serve degraded reads.
+    /// The price of the rebuilds that served degraded reads.
     pub degraded_helper_bytes: u64,
     /// Degraded-read helper bytes sourced from the damaged chunk's own rack.
     pub degraded_intra_rack_bytes: u64,
     /// Degraded-read helper bytes that crossed racks.
     pub degraded_cross_rack_bytes: u64,
+    /// Helper bytes degraded reads actually requested from backends.
+    pub degraded_fetched_bytes: u64,
     /// Chunks found corrupt by any path.
     pub corrupt_chunks_detected: u64,
     /// Chunks rebuilt by repair.
     pub chunks_repaired: u64,
-    /// Helper bytes read from surviving "disks" to rebuild chunks.
+    /// The price of repairs: the helper bytes their plans consume.
     pub repair_helper_bytes: u64,
     /// Repair helper bytes sourced from the rebuilt chunk's own rack.
     pub repair_intra_rack_bytes: u64,
     /// Repair helper bytes that crossed racks.
     pub repair_cross_rack_bytes: u64,
+    /// Helper bytes repairs actually requested from backends.
+    pub repair_fetched_bytes: u64,
     /// Rebuilt chunk payload bytes written back.
     pub repair_bytes_written: u64,
     /// Chunks examined by scrub passes.
@@ -254,7 +268,7 @@ impl StoreLatencySnapshot {
 impl MetricsSnapshot {
     /// Append the counters as Prometheus `pbrs_store_*` samples.
     pub fn write_prometheus(&self, out: &mut String) {
-        let fields: [(&str, u64); 21] = [
+        let fields: [(&str, u64); 23] = [
             ("bytes_ingested", self.bytes_ingested),
             ("chunks_written", self.chunks_written),
             ("chunk_bytes_written", self.chunk_bytes_written),
@@ -264,11 +278,13 @@ impl MetricsSnapshot {
             ("degraded_helper_bytes", self.degraded_helper_bytes),
             ("degraded_intra_rack_bytes", self.degraded_intra_rack_bytes),
             ("degraded_cross_rack_bytes", self.degraded_cross_rack_bytes),
+            ("degraded_fetched_bytes", self.degraded_fetched_bytes),
             ("corrupt_chunks_detected", self.corrupt_chunks_detected),
             ("chunks_repaired", self.chunks_repaired),
             ("repair_helper_bytes", self.repair_helper_bytes),
             ("repair_intra_rack_bytes", self.repair_intra_rack_bytes),
             ("repair_cross_rack_bytes", self.repair_cross_rack_bytes),
+            ("repair_fetched_bytes", self.repair_fetched_bytes),
             ("repair_bytes_written", self.repair_bytes_written),
             ("chunks_scrubbed", self.chunks_scrubbed),
             ("scrub_bytes_read", self.scrub_bytes_read),
@@ -331,6 +347,7 @@ mod tests {
     fn counters_render_prometheus_with_code_label() {
         let metrics = StoreMetrics::default();
         StoreMetrics::add(&metrics.degraded_helper_bytes, 42);
+        StoreMetrics::add(&metrics.repair_fetched_bytes, 7);
         let mut out = String::new();
         metrics
             .snapshot("Piggybacked-RS(10, 4)")
@@ -338,5 +355,9 @@ mod tests {
         assert!(out.contains("# TYPE pbrs_store_degraded_helper_bytes_total counter"));
         assert!(out
             .contains("pbrs_store_degraded_helper_bytes_total{code=\"Piggybacked-RS(10, 4)\"} 42"));
+        assert!(
+            out.contains("pbrs_store_repair_fetched_bytes_total{code=\"Piggybacked-RS(10, 4)\"} 7")
+        );
+        assert!(out.contains("# TYPE pbrs_store_degraded_fetched_bytes_total counter"));
     }
 }

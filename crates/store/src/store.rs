@@ -60,10 +60,18 @@
 //! rename, like every chunk write) along the same cheapest path; the
 //! [`crate::daemon::RepairDaemon`] drives it from a scrub/enqueue loop
 //! across a worker pool.
+//!
+//! Degraded reads and repairs alike treat the zero padding of an object's
+//! short last stripe as resident zeros: it is never fetched, a lost
+//! padding chunk is rebuilt with no helper read, and a full
+//! reconstruction counts it as a survivor. Helper-byte counters still
+//! price the whole plan; [`StripeRepair::fetched_bytes`] counts what was
+//! read.
 
 use std::collections::HashSet;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -281,14 +289,24 @@ pub struct StripeRepair {
     pub rebuilt: Vec<usize>,
     /// Shards that turned out to be healthy after all (skipped).
     pub already_healthy: Vec<usize>,
-    /// Helper bytes read from surviving disks.
+    /// The plan's price: the helper bytes the rebuild consumes, as
+    /// [`ErasureCode::repair_reads`] declares them for a single loss (the
+    /// paper's repair download), or the survivors a full reconstruction
+    /// read. Zero padding the store never fetches is still priced; see
+    /// [`StripeRepair::fetched_bytes`] for what was read.
     pub helper_bytes: u64,
-    /// Helper bytes sourced from the rebuilt chunk's own rack — nonzero
-    /// when the placement groups shards and the locality-first scheduler
-    /// found same-rack helpers.
+    /// The part of `helper_bytes` sourced from the rebuilt chunk's own
+    /// rack — nonzero when the placement groups shards and the
+    /// locality-first scheduler found same-rack helpers.
     pub intra_rack_bytes: u64,
-    /// Helper bytes that crossed racks (the paper's scarce resource).
+    /// The part of `helper_bytes` that crosses racks (the paper's scarce
+    /// resource).
     pub cross_rack_bytes: u64,
+    /// Helper payload bytes actually requested from backends: the price
+    /// less the zero padding of a short last stripe, plus any read of an
+    /// attempt that failed and fell back. On networked disks this is what
+    /// the helper sockets carry, framing aside.
+    pub fetched_bytes: u64,
     /// Rebuilt payload bytes written.
     pub bytes_written: u64,
 }
@@ -370,13 +388,16 @@ struct ReadOutcome {
     hard: Option<StoreError>,
 }
 
-/// Helper-byte accounting of one rebuild, split by rack locality relative
-/// to the disk being rebuilt (`total == intra_rack + cross_rack`).
+/// Helper-byte accounting of one rebuild: the price, split by rack
+/// locality relative to the disk being rebuilt
+/// (`total == intra_rack + cross_rack`), and the bytes `fetched` from
+/// backends to pay it (see [`StripeRepair::fetched_bytes`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct HelperTraffic {
     total: u64,
     intra_rack: u64,
     cross_rack: u64,
+    fetched: u64,
 }
 
 impl HelperTraffic {
@@ -388,6 +409,19 @@ impl HelperTraffic {
             self.cross_rack += bytes;
         }
     }
+}
+
+/// One stripe as the read and rebuild paths address it.
+pub(crate) struct StripeRef<'a> {
+    object: &'a str,
+    stripe: u64,
+    /// The stripe's placement: shard `i` lives on pool disk `row[i]`.
+    row: &'a [usize],
+    /// The data shards that start at or past the stripe's payload: the
+    /// zero padding `Ingest` wrote into an object's short last stripe
+    /// (empty for every other stripe). The store knows these bytes, so no
+    /// rebuild fetches them. A partly filled chunk is not padding.
+    padding: Range<usize>,
 }
 
 impl std::fmt::Debug for BlockStore {
@@ -714,6 +748,32 @@ impl BlockStore {
     /// Logical data bytes per stripe (`k × chunk_len`).
     pub fn stripe_data_len(&self) -> usize {
         self.code.params().data_shards() * self.chunk_len
+    }
+
+    /// Payload bytes carried by stripe `stripe` of an object described by
+    /// `info` (the last stripe may be short).
+    pub(crate) fn stripe_payload_len(&self, info: &ObjectInfo, stripe: u64) -> usize {
+        let full = self.stripe_data_len() as u64;
+        info.len.saturating_sub(stripe * full).min(full) as usize
+    }
+
+    /// Addresses stripe `stripe` of `object` (described by `info`) placed
+    /// on `row`, with the zero padding its payload leaves.
+    pub(crate) fn stripe_ref<'a>(
+        &self,
+        object: &'a str,
+        info: &ObjectInfo,
+        stripe: u64,
+        row: &'a [usize],
+    ) -> StripeRef<'a> {
+        let k = self.code.params().data_shards();
+        let payload = self.stripe_payload_len(info, stripe);
+        StripeRef {
+            object,
+            stripe,
+            row,
+            padding: payload.div_ceil(self.chunk_len).min(k)..k,
+        }
     }
 
     /// The store's root directory.
@@ -1113,11 +1173,10 @@ impl BlockStore {
         }
     }
 
-    /// Serves the `k × chunk_len` data bytes of one stripe into `dest`,
-    /// reusing the caller's scratch buffers throughout. `row` is the
-    /// stripe's placement: shard `i` lives on pool disk `row[i]`. Returns
-    /// whether the stripe was served degraded (one or more chunks rebuilt
-    /// from survivors instead of read directly) — callers like the gateway
+    /// Serves the `k × chunk_len` data bytes of stripe `at` into `dest`,
+    /// reusing the caller's scratch buffers throughout. Returns whether
+    /// the stripe was served degraded (one or more chunks rebuilt from
+    /// survivors instead of read directly) — callers like the gateway
     /// surface that share per response.
     ///
     /// Stage attribution: chunk reads (healthy and helper) accumulate into
@@ -1126,20 +1185,18 @@ impl BlockStore {
     /// healthy/degraded latency histograms.
     pub(crate) fn read_stripe_into(
         &self,
-        object: &str,
-        stripe: u64,
-        row: &[usize],
+        at: &StripeRef<'_>,
         dest: &mut [u8],
         scratch: &mut StripeScratch,
         times: &mut StageTimes,
     ) -> Result<bool> {
         let span = self.trace_span("read_stripe");
         let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.read_stripe_into_inner(object, stripe, row, dest, scratch, times);
+        let result = self.read_stripe_into_inner(at, dest, scratch, times);
         drop(scope);
         if let Some((mut s, tracer)) = span {
-            s.tag("object", object);
-            s.tag("stripe", stripe.to_string());
+            s.tag("object", at.object);
+            s.tag("stripe", at.stripe.to_string());
             match &result {
                 Ok(true) => s.tag("degraded", "true"),
                 Ok(false) => {}
@@ -1152,9 +1209,7 @@ impl BlockStore {
 
     fn read_stripe_into_inner(
         &self,
-        object: &str,
-        stripe: u64,
-        row: &[usize],
+        at: &StripeRef<'_>,
         dest: &mut [u8],
         scratch: &mut StripeScratch,
         times: &mut StageTimes,
@@ -1171,9 +1226,12 @@ impl BlockStore {
             .chunks_mut(self.chunk_len)
             .enumerate()
             .map(|(shard, slot)| {
-                self.disks[row[shard]].begin_read(
-                    object,
-                    ChunkId { stripe, shard },
+                self.disks[at.row[shard]].begin_read(
+                    at.object,
+                    ChunkId {
+                        stripe: at.stripe,
+                        shard,
+                    },
                     self.chunk_len,
                     0,
                     slot,
@@ -1212,40 +1270,24 @@ impl BlockStore {
                 scratch.present[shard] = true;
             }
         }
-        if bad.len() == 1 {
-            if let Some(traffic) =
-                self.try_planned_rebuild(object, stripe, row, bad[0], scratch, times)?
-            {
-                self.note_degraded_traffic(traffic);
-                for shard in 0..k {
-                    let src = if shard == bad[0] {
-                        &scratch.rebuilt[..]
-                    } else {
-                        scratch.buf.shard(shard)
-                    };
-                    dest[shard * self.chunk_len..(shard + 1) * self.chunk_len].copy_from_slice(src);
-                }
-                self.latency
-                    .degraded_reconstruct
-                    .record_duration(rebuild_start.elapsed());
-                self.latency
-                    .degraded_stripe_read
-                    .record_duration(stripe_start.elapsed());
-                return Ok(true);
+        let mut traffic = HelperTraffic::default();
+        if bad.len() == 1 && self.try_planned_rebuild(at, bad[0], scratch, &mut traffic, times)? {
+            // Only the lost chunk changed: the rest of `dest` is as read.
+            dest[bad[0] * self.chunk_len..(bad[0] + 1) * self.chunk_len]
+                .copy_from_slice(&scratch.rebuilt);
+        } else {
+            // Multiple losses (or helpers unavailable): full
+            // reconstruction. The extra survivor reads are the degraded
+            // cost; the healthy data payloads were already read above and
+            // are not read twice.
+            let mut damaged = bad;
+            self.reconstruct_from_survivors(at, &mut damaged, scratch, &mut traffic, times)?;
+            for shard in 0..k {
+                dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
+                    .copy_from_slice(scratch.buf.shard(shard));
             }
         }
-
-        // Multiple losses (or helpers unavailable): full reconstruction. The
-        // extra survivor reads are the degraded cost; the healthy data
-        // payloads were already read above and are not read twice.
-        let mut damaged = bad;
-        let traffic =
-            self.reconstruct_from_survivors(object, stripe, row, &mut damaged, scratch, times)?;
         self.note_degraded_traffic(traffic);
-        for shard in 0..k {
-            dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
-                .copy_from_slice(scratch.buf.shard(shard));
-        }
         self.latency
             .degraded_reconstruct
             .record_duration(rebuild_start.elapsed());
@@ -1268,6 +1310,7 @@ impl BlockStore {
         StoreMetrics::add(&self.metrics.degraded_helper_bytes, traffic.total);
         StoreMetrics::add(&self.metrics.degraded_intra_rack_bytes, traffic.intra_rack);
         StoreMetrics::add(&self.metrics.degraded_cross_rack_bytes, traffic.cross_rack);
+        StoreMetrics::add(&self.metrics.degraded_fetched_bytes, traffic.fetched);
     }
 
     /// Opens the `chunk_io` span of one helper read, when tracing is on.
@@ -1328,34 +1371,45 @@ impl BlockStore {
     /// with helper freedom (see [`ErasureCode::repair_reads_ranked`]) read
     /// as many same-rack helpers as their mathematics allows. Ranges whose
     /// chunk is already resident in the scratch (CRC-verified, flagged in
-    /// `present`) are used as they sit; the rest are partial-read from disk
-    /// into the scratch stripe, and a helper that turns out to be missing
-    /// or corrupt makes the whole attempt return `None` so the caller falls
-    /// back to full reconstruction.
+    /// `present`) are used as they sit, ranges of zero padding are zeroed
+    /// in place, and the rest are partial-read from disk into the scratch
+    /// stripe. A padding target is rebuilt as zeros with no read at all. A
+    /// helper that turns out to be missing or corrupt makes the whole
+    /// attempt return `false` so the caller falls back to full
+    /// reconstruction.
     ///
     /// On success the rebuilt chunk is left in `scratch.rebuilt` and the
-    /// returned traffic prices the *full* plan — the bytes a rebuilding
+    /// *full* plan's price is added to `traffic` — the bytes a rebuilding
     /// node fetches across disks in the paper's model, split intra/cross
     /// rack relative to the target's disk — regardless of how many ranges
-    /// happened to be resident here. Bytes of the scratch stripe outside
-    /// the plan's ranges may be stale from earlier stripes; the
-    /// [`ErasureCode::repair_reads`] contract guarantees the rebuild never
-    /// reads them.
+    /// happened to be resident or padding here. Every range requested from
+    /// a backend is added to `traffic.fetched`, failed attempts included.
+    /// Bytes of the scratch stripe outside the plan's ranges may be stale
+    /// from earlier stripes; the [`ErasureCode::repair_reads`] contract
+    /// guarantees the rebuild never reads them.
     fn try_planned_rebuild(
         &self,
-        object: &str,
-        stripe: u64,
-        row: &[usize],
+        at: &StripeRef<'_>,
         target: usize,
         scratch: &mut StripeScratch,
+        traffic: &mut HelperTraffic,
         times: &mut StageTimes,
-    ) -> Result<Option<HelperTraffic>> {
+    ) -> Result<bool> {
         let n = self.code.params().total_shards();
         let mut available = vec![true; n];
         available[target] = false;
         let available = available;
         let racks = self.map.racks();
+        let row = at.row;
         let target_disk = row[target];
+        let price = |traffic: &mut HelperTraffic, reads: &[ShardRead]| {
+            for read in reads {
+                traffic.add(
+                    read.len as u64,
+                    racks.same_rack(row[read.shard], target_disk),
+                );
+            }
+        };
         // Hedging: with a hedge delay configured, the first-choice helper
         // set gets only that long per helper read; when one exceeds it (or
         // fails), the slow shard is *exiled* — ranked behind every other
@@ -1385,9 +1439,15 @@ impl BlockStore {
             if attempt > 0 && reads.iter().any(|r| exiled.contains(&r.shard)) {
                 // No alternate helper set exists for this code: the full
                 // reconstruction path routes around the slow shard instead.
-                return Ok(None);
+                return Ok(false);
             }
-            let mut traffic = HelperTraffic::default();
+            if at.padding.contains(&target) {
+                // The lost chunk was zero padding: priced like any rebuild,
+                // but its bytes are known, so no helper is read.
+                scratch.rebuilt.fill(0);
+                price(traffic, &reads);
+                return Ok(true);
+            }
             let io_start = Instant::now();
             // A hedged first attempt reads its helpers one at a time, each
             // under the short hedge budget, and gives up at the first slow
@@ -1406,20 +1466,21 @@ impl BlockStore {
                 Ok(windows) => windows,
                 // A plan this store cannot lay out is not worth failing the
                 // stripe over: full reconstruction needs no plan.
-                Err(_) => return Ok(None),
+                Err(_) => return Ok(false),
             };
             let mut outcome = ReadOutcome::default();
             let mut pending = Vec::with_capacity(reads.len());
             for (read, dest) in reads.iter().zip(windows) {
-                traffic.add(
-                    read.len as u64,
-                    racks.same_rack(row[read.shard], target_disk),
-                );
                 if scratch.present[read.shard] {
                     continue; // verified payload already in place
                 }
+                if at.padding.contains(&read.shard) {
+                    dest.fill(0); // zero padding, known without a read
+                    continue;
+                }
+                traffic.fetched += read.len as u64;
                 let id = ChunkId {
-                    stripe,
+                    stripe: at.stripe,
                     shard: read.shard,
                 };
                 let disk = row[read.shard];
@@ -1427,7 +1488,7 @@ impl BlockStore {
                 match (hedge, &self.guards[disk]) {
                     (Some(delay), Some(guard)) => {
                         let result = guard.read_chunk_range_deadline(
-                            object,
+                            at.object,
                             id,
                             self.chunk_len,
                             read.offset,
@@ -1441,7 +1502,13 @@ impl BlockStore {
                     _ => pending.push((
                         read.shard,
                         io_span,
-                        self.disks[disk].begin_read(object, id, self.chunk_len, read.offset, dest),
+                        self.disks[disk].begin_read(
+                            at.object,
+                            id,
+                            self.chunk_len,
+                            read.offset,
+                            dest,
+                        ),
                     )),
                 }
             }
@@ -1478,16 +1545,17 @@ impl BlockStore {
                     if let Some((s, tracer)) = rebuild_span {
                         s.finish(tracer);
                     }
-                    return Ok(Some(traffic));
+                    price(traffic, &reads);
+                    return Ok(true);
                 }
                 Some(shard) if attempt + 1 < max_attempts => {
                     exiled.push(shard);
                     StoreMetrics::add(&self.metrics.hedged_reads, 1);
                 }
-                Some(_) => return Ok(None),
+                Some(_) => return Ok(false),
             }
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Reads surviving chunks into the scratch stripe and rebuilds every
@@ -1496,41 +1564,48 @@ impl BlockStore {
     ///
     /// Shards flagged in `scratch.present` were already read and verified
     /// by the caller (the data chunks of a degraded read; none for
-    /// repairs): they are neither re-read nor re-counted. `damaged` lists
-    /// shards known lost or corrupt; any further damage discovered while
-    /// reading survivors is appended for the caller to rebuild. MDS codes
-    /// stop reading once `k` survivors are present — any `k` shards decode
-    /// the stripe, so that is all a rebuilding node would fetch, and
-    /// survivors sharing the first damaged disk's rack are read first so
-    /// that budget prefers intra-rack bytes — while non-MDS codes (LRC)
-    /// read every survivor, since `k` arbitrary shards may not span the
-    /// data.
+    /// repairs): they are neither re-read nor re-counted. The stripe's
+    /// zero padding joins them: its slots are zeroed and flagged present,
+    /// lost or not, so padding is never read and always counts as a
+    /// survivor. `damaged` lists shards known lost or corrupt; any further
+    /// damage discovered while reading survivors is appended for the
+    /// caller to rebuild. MDS codes stop reading once `k` survivors are
+    /// present — any `k` shards decode the stripe, so that is all a
+    /// rebuilding node would fetch, and survivors sharing the first
+    /// damaged disk's rack are read first so that budget prefers
+    /// intra-rack bytes — while non-MDS codes (LRC) read every survivor,
+    /// since `k` arbitrary shards may not span the data.
     ///
     /// On success the whole stripe (data and parity) is valid in
-    /// `scratch.buf`; returns the helper traffic read here, split
-    /// intra/cross rack relative to the first damaged shard's disk.
+    /// `scratch.buf`; the survivors read here are added to `traffic`,
+    /// split intra/cross rack relative to the first damaged shard's disk,
+    /// and every read begun to `traffic.fetched`.
     fn reconstruct_from_survivors(
         &self,
-        object: &str,
-        stripe: u64,
-        row: &[usize],
+        at: &StripeRef<'_>,
         damaged: &mut Vec<usize>,
         scratch: &mut StripeScratch,
+        traffic: &mut HelperTraffic,
         times: &mut StageTimes,
-    ) -> Result<HelperTraffic> {
+    ) -> Result<()> {
         let params = self.code.params();
         let (k, n) = (params.data_shards(), params.total_shards());
+        let (object, stripe, row) = (at.object, at.stripe, at.row);
         let racks = self.map.racks();
         let home_disk = damaged.first().map(|&s| row[s]);
         let same_rack_as_home =
             |shard: usize| home_disk.is_some_and(|home| racks.same_rack(row[shard], home));
+        // Whole slots: a reader's scratch still holds its previous stripe.
+        for shard in at.padding.clone() {
+            scratch.buf.shard_mut(shard).fill(0);
+            scratch.present[shard] = true;
+        }
         // Locality-first survivor order: same-rack shards before cross-rack
         // ones, index order within each class (MDS codes stop at k, so the
         // order decides which racks the helper bytes come from).
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&shard| (!same_rack_as_home(shard), shard));
         let mut survivors = scratch.present.iter().filter(|&&p| p).count();
-        let mut traffic = HelperTraffic::default();
         let io_start = Instant::now();
         let mut candidates = order
             .into_iter()
@@ -1567,6 +1642,7 @@ impl BlockStore {
                     (shard, io_span, read)
                 })
                 .collect();
+            traffic.fetched += (round.len() * self.chunk_len) as u64;
             let mut outcome = ReadOutcome::default();
             for (shard, io_span, read) in pending {
                 if self.settle_read(shard, io_span, read.wait(), "helper_failed", &mut outcome) {
@@ -1598,7 +1674,7 @@ impl BlockStore {
                 .map_err(|e| self.unrecoverable(object, stripe, survivors, e))?;
             times.add_duration(Stage::Erasure, erasure_start.elapsed());
         }
-        Ok(traffic)
+        Ok(())
     }
 
     fn unrecoverable(
@@ -1738,69 +1814,52 @@ impl BlockStore {
             return Ok(report);
         }
 
+        let at = self.stripe_ref(object, &info, stripe, &row);
         let mut scratch = self.new_scratch();
         let mut times = StageTimes::new();
-        if targets.len() == 1 {
-            if let Some(traffic) = self.try_planned_rebuild(
+        let mut traffic = HelperTraffic::default();
+        if targets.len() == 1
+            && self.try_planned_rebuild(&at, targets[0], &mut scratch, &mut traffic, &mut times)?
+        {
+            let target = targets[0];
+            self.disks[row[target]].write_chunk(
                 object,
-                stripe,
-                &row,
-                targets[0],
+                ChunkId {
+                    stripe,
+                    shard: target,
+                },
+                &scratch.rebuilt,
+            )?;
+        } else {
+            // Multi-loss (or helpers unavailable): decode from survivors,
+            // then write every damaged chunk back (including any damage
+            // discovered while reading).
+            self.reconstruct_from_survivors(
+                &at,
+                &mut targets,
                 &mut scratch,
+                &mut traffic,
                 &mut times,
-            )? {
-                let target = targets[0];
-                self.disks[row[target]].write_chunk(
+            )?;
+            targets.sort_unstable();
+            for &shard in &targets {
+                self.disks[row[shard]].write_chunk(
                     object,
-                    ChunkId {
-                        stripe,
-                        shard: target,
-                    },
-                    &scratch.rebuilt,
+                    ChunkId { stripe, shard },
+                    scratch.buf.shard(shard),
                 )?;
-                self.note_repair_traffic(traffic);
-                StoreMetrics::add(&self.metrics.chunks_repaired, 1);
-                StoreMetrics::add(&self.metrics.repair_bytes_written, self.chunk_len as u64);
-                report.rebuilt.push(target);
-                report.helper_bytes += traffic.total;
-                report.intra_rack_bytes += traffic.intra_rack;
-                report.cross_rack_bytes += traffic.cross_rack;
-                report.bytes_written += self.chunk_len as u64;
-                self.latency.repair_job.record_duration(job_start.elapsed());
-                return Ok(report);
             }
         }
-
-        // Multi-loss (or helpers unavailable): decode from survivors, then
-        // write every damaged chunk back (including any damage discovered
-        // while reading).
-        let traffic = self.reconstruct_from_survivors(
-            object,
-            stripe,
-            &row,
-            &mut targets,
-            &mut scratch,
-            &mut times,
-        )?;
-        targets.sort_unstable();
-        for &shard in &targets {
-            self.disks[row[shard]].write_chunk(
-                object,
-                ChunkId { stripe, shard },
-                scratch.buf.shard(shard),
-            )?;
-            report.rebuilt.push(shard);
-            report.bytes_written += self.chunk_len as u64;
-        }
+        let written = (targets.len() * self.chunk_len) as u64;
         self.note_repair_traffic(traffic);
         StoreMetrics::add(&self.metrics.chunks_repaired, targets.len() as u64);
-        StoreMetrics::add(
-            &self.metrics.repair_bytes_written,
-            (targets.len() * self.chunk_len) as u64,
-        );
-        report.helper_bytes += traffic.total;
-        report.intra_rack_bytes += traffic.intra_rack;
-        report.cross_rack_bytes += traffic.cross_rack;
+        StoreMetrics::add(&self.metrics.repair_bytes_written, written);
+        report.rebuilt = targets;
+        report.helper_bytes = traffic.total;
+        report.intra_rack_bytes = traffic.intra_rack;
+        report.cross_rack_bytes = traffic.cross_rack;
+        report.fetched_bytes = traffic.fetched;
+        report.bytes_written = written;
         self.latency.repair_job.record_duration(job_start.elapsed());
         Ok(report)
     }
@@ -1809,6 +1868,7 @@ impl BlockStore {
         StoreMetrics::add(&self.metrics.repair_helper_bytes, traffic.total);
         StoreMetrics::add(&self.metrics.repair_intra_rack_bytes, traffic.intra_rack);
         StoreMetrics::add(&self.metrics.repair_cross_rack_bytes, traffic.cross_rack);
+        StoreMetrics::add(&self.metrics.repair_fetched_bytes, traffic.fetched);
     }
 
     // ------------------------------------------------------------------
@@ -2298,7 +2358,9 @@ mod tests {
     fn three_losses_are_unrecoverable_for_rs_4_2() {
         let dir = TempDir::new("store-unrecoverable");
         let store = small_store(&dir, "rs-4-2");
-        store.put("obj", &pattern(100)[..]).unwrap();
+        // A full stripe: every lost chunk holds data. (The zero padding of
+        // a short stripe would count as a survivor.)
+        store.put("obj", &pattern(4 * 512)[..]).unwrap();
         for disk in [0, 1, 2] {
             fs::remove_dir_all(store.disk_path(disk)).unwrap();
         }

@@ -292,13 +292,6 @@ impl Serve {
         })
     }
 
-    /// Payload bytes carried by stripe `stripe` (the last may be short).
-    fn stripe_payload_len(&self, store: &BlockStore, stripe: u64) -> usize {
-        let full = store.stripe_data_len() as u64;
-        let start = stripe * full;
-        (self.info.len.saturating_sub(start)).min(full) as usize
-    }
-
     /// See [`ObjectReader::read_stripe`].
     fn read_stripe(
         &mut self,
@@ -326,20 +319,15 @@ impl Serve {
         // pbrs-lint: allow(panic-hygiene) -- stripe is bounded by rows.len(), which is a usize
         let row = &self.rows[usize::try_from(stripe).expect("stripe count fits usize")];
         let mut times = StageTimes::new();
-        let degraded = store.read_stripe_into(
-            &self.name,
-            stripe,
-            row,
-            &mut out[..stripe_len],
-            &mut self.scratch,
-            &mut times,
-        )?;
+        let at = store.stripe_ref(&self.name, &self.info, stripe, row);
+        let degraded =
+            store.read_stripe_into(&at, &mut out[..stripe_len], &mut self.scratch, &mut times)?;
         self.last_stage_times = times;
         self.stage_times.merge(&times);
         if degraded {
             self.degraded_stripes += 1;
         }
-        let payload = self.stripe_payload_len(store, stripe);
+        let payload = store.stripe_payload_len(&self.info, stripe);
         store.note_streamed_read(payload as u64, false);
         Ok((payload, degraded))
     }
@@ -396,7 +384,7 @@ impl ObjectReader {
     /// Payload bytes carried by stripe `stripe` (the last stripe may be
     /// short).
     pub fn stripe_payload_len(&self, stripe: u64) -> usize {
-        self.serve.stripe_payload_len(&self.store, stripe)
+        self.store.stripe_payload_len(&self.serve.info, stripe)
     }
 
     /// Stripes served degraded so far by this reader.

@@ -2,7 +2,9 @@
 //! read of a batch before it *waits* for any, and the batches are exactly
 //! the reads the serial loops used to issue — k data chunks for a healthy
 //! stripe, the `repair_reads` ranges for a planned rebuild, the first k
-//! survivors (plus a top-up per failure) for a full reconstruction. The
+//! survivors (plus a top-up per failure) for a full reconstruction. A
+//! short stripe's rebuilds leave out its zero padding: no range on it is
+//! begun, and a lost padding chunk is rebuilt with no read at all. The
 //! write side has one batch: the n chunks of a stripe, for `put` and for
 //! `ObjectWriter` alike, all collected even when one of them fails.
 //!
@@ -15,7 +17,7 @@ use std::fs;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pbrs_erasure::ShardRead;
+use pbrs_erasure::{total_read_bytes as total, ShardRead};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, FaultPlan, FaultyBackend, LocalDisk,
@@ -190,6 +192,38 @@ fn recorded_store(dir: &TempDir) -> (BlockStore, Log, Vec<u8>) {
     (store, log, data)
 }
 
+/// The data shards of [`short_store`]'s stripe that hold payload; the
+/// rest of the six are zero padding.
+const FILLED: std::ops::Range<usize> = 0..3;
+
+/// A store over recording disks, holding a one-stripe object of two and a
+/// half chunks: shards 0 and 1 full, shard 2 half filled, shards 3–5 zero
+/// padding.
+fn short_store(dir: &TempDir) -> (BlockStore, Log, Vec<u8>) {
+    let (store, log) = store_over(dir, &|_, local, log| recording(local, log));
+    let data = two_stripes()[..5 * CHUNK_LEN / 2].to_vec();
+    store.put("obj", &data[..]).unwrap();
+    (store, log, data)
+}
+
+/// The single-loss plan for `target`, as the code declares it.
+fn plan(store: &BlockStore, target: usize) -> Vec<ShardRead> {
+    let mut available = vec![true; N];
+    available[target] = false;
+    store
+        .code()
+        .repair_reads(target, &available, CHUNK_LEN)
+        .unwrap()
+}
+
+/// The reads of `plan` on shards that hold data or parity.
+fn unpadded(plan: &[ShardRead]) -> Vec<ShardRead> {
+    plan.iter()
+        .copied()
+        .filter(|r| FILLED.contains(&r.shard) || r.shard >= 6)
+        .collect()
+}
+
 fn chunk_file(dir: &TempDir, stripe: u64, shard: usize) -> std::path::PathBuf {
     dir.path()
         .join(format!("disk-{shard:02}"))
@@ -316,6 +350,73 @@ fn survivor_reads_stop_at_k_and_top_up_only_for_failures() {
     assert_eq!(repair.helper_bytes, 6 * CHUNK_LEN as u64);
     assert_eq!(store.get("obj").unwrap(), data);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn a_short_stripe_repair_begins_only_the_unpadded_plan_ranges() {
+    // A parity target's plan is whole chunks; a data target's is the
+    // piggyback half-chunk ranges. Both plans read some of the padding.
+    for (target, range_len) in [(7, CHUNK_LEN), (1, CHUNK_LEN / 2)] {
+        let dir = TempDir::new("overlap-short-repair");
+        let (store, log, data) = short_store(&dir);
+        let plan = plan(&store, target);
+        let fetched = unpadded(&plan);
+        assert!(fetched.len() < plan.len(), "target {target}");
+        assert!(
+            fetched.iter().any(|r| r.len == range_len),
+            "target {target}"
+        );
+        fs::remove_file(chunk_file(&dir, 0, target)).unwrap();
+
+        take(&log);
+        let repair = store.repair_stripe("obj", 0, &[target]).unwrap();
+        assert_eq!(repair.rebuilt, vec![target]);
+        assert_eq!(take(&log), batch(&fetched), "target {target}");
+        assert_eq!(repair.helper_bytes, total(&plan));
+        assert_eq!(repair.fetched_bytes, total(&fetched));
+        assert!(store.scrub().unwrap().is_clean());
+        assert_eq!(store.get("obj").unwrap(), data);
+    }
+}
+
+#[test]
+fn a_padding_target_is_rebuilt_without_a_read() {
+    let dir = TempDir::new("overlap-short-padding");
+    let (store, log, data) = short_store(&dir);
+    const TARGET: usize = 4;
+    fs::remove_file(chunk_file(&dir, 0, TARGET)).unwrap();
+
+    take(&log);
+    let repair = store.repair_stripe("obj", 0, &[TARGET]).unwrap();
+    assert_eq!(repair.rebuilt, vec![TARGET]);
+    assert_eq!(take(&log), []);
+    assert_eq!(repair.helper_bytes, total(&plan(&store, TARGET)));
+    assert_eq!(repair.fetched_bytes, 0);
+    let id = ChunkId {
+        stripe: 0,
+        shard: TARGET,
+    };
+    let (status, _) = store
+        .backend(TARGET)
+        .verify_chunk("obj", id, CHUNK_LEN)
+        .unwrap();
+    assert!(status.is_healthy(), "{status:?}");
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
+fn a_degraded_get_of_lost_padding_issues_only_the_k_data_reads() {
+    let dir = TempDir::new("overlap-short-get");
+    let (store, log, data) = short_store(&dir);
+    fs::remove_file(chunk_file(&dir, 0, 5)).unwrap();
+
+    take(&log);
+    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(take(&log), batch(&whole(0..6)));
+    let metrics = store.metrics();
+    assert_eq!(metrics.degraded_stripe_reads, 1);
+    assert_eq!(metrics.degraded_fetched_bytes, 0);
+    assert_eq!(metrics.degraded_helper_bytes, total(&plan(&store, 5)));
 }
 
 #[test]

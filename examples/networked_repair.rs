@@ -26,6 +26,9 @@ const FILE_LEN: usize = 16 * 1024 * 1024;
 const CHUNK_LEN: usize = 128 * 1024;
 /// The data disk whose server loses everything.
 const LOST_DISK: usize = 0;
+/// Bytes chunkd puts around every response body: the frame header
+/// (length and request id, 12 bytes) and the status byte.
+const RESPONSE_FRAMING: u64 = 13;
 
 struct RunResult {
     code: String,
@@ -36,6 +39,32 @@ struct RunResult {
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
+}
+
+/// `(responses, pings)`: the requests `server` has answered so far, of
+/// any op, and how many of them were pings.
+fn answered(server: &ChunkServer) -> (u64, u64) {
+    server
+        .op_latency()
+        .iter()
+        .fold((0, 0), |(all, pings), (op, summary)| {
+            let ping = if op.starts_with("op_ping_") {
+                summary.count
+            } else {
+                0
+            };
+            (all + summary.count, pings + ping)
+        })
+}
+
+/// [`answered`] summed over every server but the lost one.
+fn helpers_answered(servers: &[ChunkServer]) -> (u64, u64) {
+    servers
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != LOST_DISK)
+        .map(|(_, s)| answered(s))
+        .fold((0, 0), |(a, p), (da, dp)| (a + da, p + dp))
 }
 
 fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Error>> {
@@ -105,6 +134,7 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Er
         .map(|(_, r)| r.counters().bytes_received)
         .sum();
     let lost_before = remotes[LOST_DISK].counters().bytes_sent;
+    let answered_before = helpers_answered(&servers);
     let scrubbed_before = store.metrics().scrub_bytes_read;
 
     let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
@@ -133,6 +163,24 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Er
         - helpers_before;
     let rebuilt_socket_bytes = remotes[LOST_DISK].counters().bytes_sent - lost_before;
 
+    // The helper sockets carried exactly what the repairs fetched plus
+    // framing: every response's header and status byte, and each scan
+    // ping's one-byte answer. Nothing else — in particular, no zero
+    // padding of the object's short last stripe.
+    let (responses, pings) = {
+        let after = helpers_answered(&servers);
+        (after.0 - answered_before.0, after.1 - answered_before.1)
+    };
+    assert_eq!(
+        helper_socket_bytes,
+        stats.fetched_bytes + responses * RESPONSE_FRAMING + pings,
+        "helper socket bytes must be the fetched bytes plus framing only"
+    );
+    assert!(
+        stats.fetched_bytes < stats.helper_bytes,
+        "the short last stripe's padding is priced but never fetched"
+    );
+
     assert!(
         store.scrub()?.is_clean(),
         "store must be whole after repair"
@@ -149,9 +197,12 @@ fn run_code(spec: &str, file: &[u8]) -> Result<RunResult, Box<dyn std::error::Er
     gateway.shutdown();
     println!(
         "daemon rebuilt {} chunks: {:.1} MiB of helper bytes received over \
-         sockets, {:.1} MiB of rebuilt chunks sent back",
+         sockets ({:.1} MiB fetched of a {:.1} MiB plan), {:.1} MiB of \
+         rebuilt chunks sent back",
         stats.chunks_repaired,
         mib(helper_socket_bytes),
+        mib(stats.fetched_bytes),
+        mib(stats.helper_bytes),
         mib(rebuilt_socket_bytes),
     );
 

@@ -40,6 +40,9 @@ const FILE_LEN: usize = 8 * 1024 * 1024;
 const CHUNK_LEN: usize = 64 * 1024;
 /// Data shards of both codes under test (rs-10-4 / piggyback-10-4).
 const DATA_SHARDS: usize = 10;
+/// Bytes chunkd puts around every response body: the frame header
+/// (length and request id, 12 bytes) and the status byte.
+const RESPONSE_FRAMING: u64 = 13;
 
 struct RunResult {
     code: String,
@@ -49,14 +52,43 @@ struct RunResult {
     cross_rack_bytes: u64,
     /// Helper bytes received from the lost disk's rack-mates.
     intra_rack_bytes: u64,
-    /// The store's own repair accounting (payload bytes), as a cross-check.
+    /// The store's price of the repairs' plans (payload bytes), by rack.
     store_intra: u64,
     store_cross: u64,
+    /// What the repairs fetched of that price: the short last stripe's
+    /// zero padding is priced but never read.
+    store_fetched: u64,
     chunks_repaired: u64,
 }
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
+}
+
+/// `(responses, pings)`: the requests `server` has answered so far, of
+/// any op, and how many of them were pings.
+fn answered(server: &ChunkServer) -> (u64, u64) {
+    server
+        .op_latency()
+        .iter()
+        .fold((0, 0), |(all, pings), (op, summary)| {
+            let ping = if op.starts_with("op_ping_") {
+                summary.count
+            } else {
+                0
+            };
+            (all + summary.count, pings + ping)
+        })
+}
+
+/// [`answered`] summed over every server but `lost`.
+fn helpers_answered(servers: &[ChunkServer], lost: usize) -> (u64, u64) {
+    servers
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != lost)
+        .map(|(_, s)| answered(s))
+        .fold((0, 0), |(a, p), (da, dp)| (a + da, p + dp))
 }
 
 fn run(
@@ -157,6 +189,7 @@ fn run(
         .map(|r| r.counters().bytes_received)
         .collect();
     let metrics_before = store.metrics();
+    let answered_before = helpers_answered(&servers, lost_disk);
 
     let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
     let scan = daemon.scan_now()?;
@@ -183,6 +216,19 @@ fn run(
     }
     let metrics = store.metrics();
 
+    // The helper sockets carried exactly what the repairs fetched plus
+    // framing: every response's header and status byte, and each scan
+    // ping's one-byte answer.
+    let (responses, pings) = {
+        let after = helpers_answered(&servers, lost_disk);
+        (after.0 - answered_before.0, after.1 - answered_before.1)
+    };
+    assert_eq!(
+        intra + cross,
+        stats.fetched_bytes + responses * RESPONSE_FRAMING + pings,
+        "helper socket bytes must be the fetched bytes plus framing only"
+    );
+
     assert!(
         store.scrub()?.is_clean(),
         "store must be whole after repair"
@@ -207,6 +253,7 @@ fn run(
         intra_rack_bytes: intra,
         store_intra: metrics.repair_intra_rack_bytes - metrics_before.repair_intra_rack_bytes,
         store_cross: metrics.repair_cross_rack_bytes - metrics_before.repair_cross_rack_bytes,
+        store_fetched: stats.fetched_bytes,
         chunks_repaired: stats.chunks_repaired,
     })
 }
@@ -292,13 +339,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         / (rs_aware.intra_rack_bytes + rs_aware.cross_rack_bytes) as f64;
     println!(
         "rack-aware placement kept {:.1}% of rs-10-4's repair traffic inside the rack \
-         ({:.2} MiB intra vs {:.2} MiB cross; store payload counters agree: \
-         {:.2} MiB intra / {:.2} MiB cross)",
+         ({:.2} MiB intra vs {:.2} MiB cross on sockets; the store's plan priced \
+         {:.2} MiB intra / {:.2} MiB cross and fetched {:.2} MiB of it)",
         aware_share * 100.0,
         mib(rs_aware.intra_rack_bytes),
         mib(rs_aware.cross_rack_bytes),
         mib(rs_aware.store_intra),
         mib(rs_aware.store_cross),
+        mib(rs_aware.store_fetched),
     );
     Ok(())
 }
