@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use pbrs_chunkd::{ChunkServer, RemoteDisk};
 use pbrs_core::registry;
-use pbrs_erasure::{reads_for_shard, total_read_bytes, CodeSpec, ShardRead};
+use pbrs_erasure::{total_read_bytes, CodeSpec, ShardRead};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     chunk, BlockStore, ChunkBackend, ChunkId, PlacementPolicy, RackMap, StoreConfig, StoreError,
@@ -142,7 +142,7 @@ fn remote_repair_reads_only_the_declared_ranges() {
                 lost_payloads.push(chunk::read_chunk(&path, id, CHUNK_LEN).unwrap().unwrap());
                 fs::remove_file(&path).unwrap();
             } else {
-                let declared: Vec<&ShardRead> = reads_for_shard(&reads, shard).collect();
+                let declared: Vec<&ShardRead> = reads.iter().filter(|r| r.shard == shard).collect();
                 garbage_fill_outside(&path, id, &declared);
             }
         }
@@ -181,7 +181,7 @@ fn remote_repair_reads_only_the_declared_ranges() {
         if shard == TARGET {
             continue;
         }
-        let declared: Vec<&ShardRead> = reads_for_shard(&reads, shard).collect();
+        let declared: Vec<&ShardRead> = reads.iter().filter(|r| r.shard == shard).collect();
         let declared_disk: u64 = declared.iter().map(|r| r.len as u64).sum();
         let got = remote.counters().bytes_received - before[shard];
         let max = STRIPES * (declared_disk + FRAME_OVERHEAD * declared.len().max(1) as u64);

@@ -1,14 +1,13 @@
 //! The Piggybacked-RS code: encoding, MDS reconstruction and
 //! download-efficient single-shard repair.
 
-use pbrs_gf::slice_ops;
+use pbrs_gf::{slice_ops, Matrix};
 
 use pbrs_erasure::decode;
-use pbrs_erasure::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
+use pbrs_erasure::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
 use pbrs_erasure::views::{ShardSet, ShardSetMut};
 use pbrs_erasure::{
-    default_repair_plan, CodeError, CodeParams, ErasureCode, FetchRequest, Fraction, ReedSolomon,
-    RepairPlan, ShardRead,
+    lowest_ranked_reads, CodeError, CodeParams, ErasureCode, ReedSolomon, ShardRead,
 };
 
 use crate::design::PiggybackDesign;
@@ -65,6 +64,9 @@ pub struct PiggybackedRs {
     params: CodeParams,
     design: PiggybackDesign,
     rs: ReedSolomon,
+    /// `2n × 2k` symbol-level generator: data shard `i` owns `a_i` (row
+    /// `2i`) and `b_i` (row `2i + 1`).
+    generator: Matrix,
 }
 
 impl PiggybackedRs {
@@ -88,7 +90,27 @@ impl PiggybackedRs {
     pub fn with_design(design: PiggybackDesign) -> Result<Self, CodeError> {
         let params = design.params();
         let rs = ReedSolomon::from_params(params);
-        Ok(PiggybackedRs { params, design, rs })
+        let k = params.data_shards();
+        // Both substripes are the RS code; parity j's b-half also carries
+        // the a-symbols of group j − 1.
+        let mut generator = Matrix::zero(2 * params.total_shards(), 2 * k);
+        for i in 0..params.total_shards() {
+            for (c, &v) in rs.generator().row(i).iter().enumerate() {
+                generator.set(2 * i, 2 * c, v);
+                generator.set(2 * i + 1, 2 * c + 1, v);
+            }
+        }
+        for (j, group) in design.groups().iter().enumerate() {
+            for &m in group {
+                generator.set(2 * (k + j + 1) + 1, 2 * m, 1);
+            }
+        }
+        Ok(PiggybackedRs {
+            params,
+            design,
+            rs,
+            generator,
+        })
     }
 
     /// The `(10, 4)` code proposed in the paper as a drop-in replacement for
@@ -247,197 +269,51 @@ impl ErasureCode for PiggybackedRs {
         }
     }
 
-    fn repair_into(
-        &self,
-        target: usize,
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        let shard_len =
-            validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let half = shard_len / 2;
-        let k = self.params.data_shards();
-        let generator = self.rs.generator();
-
-        if target >= k {
-            // Parity repair: with all data shards at hand, re-encode the one
-            // parity directly (the classic plan's cost: k data shards read).
-            let j = target - k;
-            let row = self.rs.parity_row(j);
-            let (a_out, b_out) = out.split_at_mut(half);
-            slice_ops::linear_combination_into(
-                row,
-                (0..k).map(|i| &helpers.shard(i)[..half]),
-                a_out,
-            );
-            slice_ops::linear_combination_into(
-                row,
-                (0..k).map(|i| &helpers.shard(i)[half..]),
-                b_out,
-            );
-            if j >= 1 {
-                for &m in &self.design.groups()[j - 1] {
-                    slice_ops::xor_slice(b_out, &helpers.shard(m)[..half]);
-                }
-            }
-            return Ok(());
-        }
-
-        // Data-shard repair. Substripe b decodes from the other k-1 data
-        // shards plus the clean parity (whose b-half carries no piggyback).
-        let selected: Vec<usize> = (0..k).filter(|&i| i != target).chain([k]).collect();
-        let coeff_target = decode::combination_coefficients(generator, target, &selected)?;
-        let (a_out, b_out) = out.split_at_mut(half);
-        slice_ops::linear_combination_into(
-            &coeff_target,
-            selected.iter().map(|&i| &helpers.shard(i)[half..]),
-            b_out,
-        );
-        match self.design.carrier_parity(target) {
-            Some(carrier) => {
-                // The download-efficient path: the carrier parity stores
-                // f_c(b) + Σ_{i ∈ group} a_i, so
-                //   a_target = carrier.b ⊕ f_c(b) ⊕ Σ_{peers} a_p
-                // — only half-shards beyond what the b-decode already read.
-                let peers = self
-                    .design
-                    .group_peers(target)
-                    // pbrs-lint: allow(panic-hygiene) -- piggyback design invariant: every carrier parity has a group
-                    .expect("a carrier parity implies a piggyback group");
-                let coeff_carrier =
-                    decode::combination_coefficients(generator, carrier, &selected)?;
-                a_out.copy_from_slice(&helpers.shard(carrier)[half..]);
-                slice_ops::accumulate_combination(
-                    &coeff_carrier,
-                    selected.iter().map(|&i| &helpers.shard(i)[half..]),
-                    a_out,
-                );
-                for &p in &peers {
-                    slice_ops::xor_slice(a_out, &helpers.shard(p)[..half]);
-                }
-            }
-            None => {
-                // Uncovered data shard: plain RS decode of substripe a from
-                // the same helper set.
-                slice_ops::linear_combination_into(
-                    &coeff_target,
-                    selected.iter().map(|&i| &helpers.shard(i)[..half]),
-                    a_out,
-                );
-            }
-        }
-        Ok(())
+    fn generator(&self) -> &Matrix {
+        &self.generator
     }
 
-    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
-        let n = self.params.total_shards();
-        if available.len() != n {
-            return Err(CodeError::ShardCountMismatch {
-                expected: n,
-                actual: available.len(),
-            });
-        }
-        if target >= n {
-            return Err(CodeError::InvalidShardIndex {
-                index: target,
-                total: n,
-            });
-        }
-        if available[target] {
-            return Err(CodeError::TargetNotMissing { index: target });
-        }
-
-        if self.efficient_repair_available(target, available) {
-            let k = self.params.data_shards();
-            // pbrs-lint: allow(panic-hygiene) -- guarded by efficient_repair_available just above
-            let carrier = self.design.carrier_parity(target).expect("checked");
-            // pbrs-lint: allow(panic-hygiene) -- guarded by efficient_repair_available just above
-            let peers = self.design.group_peers(target).expect("checked");
-            let mut fetches = Vec::with_capacity(k + peers.len() + 1);
-            for i in 0..k {
-                if i == target {
-                    continue;
-                }
-                let fraction = if peers.contains(&i) {
-                    // Both the b-half (substripe decode) and the a-half
-                    // (piggyback subtraction) of group peers are needed.
-                    Fraction::ONE
-                } else {
-                    Fraction::HALF
-                };
-                fetches.push(FetchRequest { shard: i, fraction });
-            }
-            fetches.push(FetchRequest {
-                shard: k,
-                fraction: Fraction::HALF,
-            });
-            fetches.push(FetchRequest {
-                shard: carrier,
-                fraction: Fraction::HALF,
-            });
-            return Ok(RepairPlan { target, fetches });
-        }
-
-        default_repair_plan(self.params, target, available)
-    }
-
-    fn repair_reads(
+    fn repair_reads_ranked(
         &self,
         target: usize,
         available: &[bool],
         shard_len: usize,
+        _rank: &dyn Fn(usize) -> u64,
     ) -> Result<Vec<ShardRead>, CodeError> {
-        if shard_len == 0 || !shard_len.is_multiple_of(self.granularity()) {
-            return Err(CodeError::UnalignedShard {
-                len: shard_len,
-                granularity: self.granularity(),
-            });
-        }
+        validate_repair_request(self, target, available, shard_len)?;
+        let k = self.params.data_shards();
         if !self.efficient_repair_available(target, available) {
-            // Parity and uncovered-data targets follow whole-shard plans,
-            // for which the fraction-prefix default is byte-exact.
-            let plan = self.repair_plan(target, available)?;
-            pbrs_erasure::validate_single_failure_mask(target, available)?;
-            return Ok(plan
-                .fetches
-                .iter()
-                .map(|f| ShardRead::whole(f.shard, shard_len))
-                .collect());
+            // Parity targets, uncovered data targets and damaged stripes
+            // read k whole shards, like plain RS.
+            return lowest_ranked_reads(target, available, k, shard_len, &|_| 0);
         }
-        pbrs_erasure::validate_single_failure_mask(target, available)?;
         // The download-efficient path reads the b-half (second half) of the
         // non-peer data shards, the clean parity and the carrier parity, and
-        // both halves of the target's group peers — exactly the bytes
-        // `repair_into` consumes.
-        let half = shard_len / 2;
-        let k = self.params.data_shards();
-        // pbrs-lint: allow(panic-hygiene) -- caller path only reaches here when a carrier exists for the target
-        let carrier = self.design.carrier_parity(target).expect("checked");
-        let peers = self
+        // both halves of the target's group peers: the carrier stores
+        // f_c(b) + Σ_{group} a_i, so a_target = carrier.b ⊕ f_c(b) ⊕ Σ_{peers} a_p.
+        let (carrier, peers) = self
             .design
-            .group_peers(target)
-            // pbrs-lint: allow(panic-hygiene) -- piggyback design invariant: every carrier parity has a group
-            .expect("a carrier parity implies a piggyback group");
-        let mut reads = Vec::with_capacity(k + 1);
-        for i in (0..k).filter(|&i| i != target) {
-            if peers.contains(&i) {
-                reads.push(ShardRead::whole(i, shard_len));
-            } else {
-                reads.push(ShardRead {
-                    shard: i,
-                    offset: half,
-                    len: half,
-                });
-            }
-        }
-        for shard in [k, carrier] {
-            reads.push(ShardRead {
-                shard,
-                offset: half,
-                len: half,
-            });
-        }
-        Ok(reads)
+            .carrier_parity(target)
+            .zip(self.design.group_peers(target))
+            // pbrs-lint: allow(panic-hygiene) -- efficient_repair_available implies a carrier and its group
+            .expect("checked");
+        let half = shard_len / 2;
+        let b_half = |shard| ShardRead {
+            shard,
+            offset: half,
+            len: half,
+        };
+        Ok((0..k)
+            .filter(|&i| i != target)
+            .map(|i| {
+                if peers.contains(&i) {
+                    ShardRead::whole(i, shard_len)
+                } else {
+                    b_half(i)
+                }
+            })
+            .chain([b_half(k), b_half(carrier)])
+            .collect())
     }
 
     fn is_mds(&self) -> bool {
@@ -724,7 +600,7 @@ mod tests {
         available[11] = false;
         let plan = code.repair_plan(0, &available).unwrap();
         // Fallback cost: k whole shards.
-        assert_eq!(plan.metrics(32).bytes_transferred, 10 * 32);
+        assert_eq!(plan.bytes_read(32), 10 * 32);
         // Decoding from exactly those k shards rebuilds the target.
         let mut present = vec![false; 14];
         for shard in plan.helper_indices() {
@@ -798,7 +674,7 @@ mod tests {
         let mut available = vec![true; 7];
         available[2] = false;
         let plan = code.repair_plan(2, &available).unwrap();
-        assert_eq!(plan.metrics(10).bytes_transferred, 6 * 10);
+        assert_eq!(plan.bytes_read(10), 6 * 10);
         assert!((code.average_repair_fraction() - 1.0).abs() < 1e-12);
     }
 }

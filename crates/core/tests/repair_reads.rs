@@ -17,8 +17,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use pbrs_core::registry;
-use pbrs_erasure::{decode, total_read_bytes, CodeSpec, ErasureCode, Lrc, LrcParams, ShardBuffer};
-use pbrs_gf::slice_ops;
+use pbrs_erasure::{decode, total_read_bytes, CodeError, ErasureCode, ShardBuffer, ShardRead};
 
 fn encoded_stripe(code: &dyn ErasureCode, shard_len: usize, rng: &mut StdRng) -> ShardBuffer {
     let params = code.params();
@@ -169,9 +168,8 @@ fn rs_and_replication_honour_helper_preference() {
 /// the "rebuild" would copy the stale slot being repaired.
 #[test]
 fn repair_from_reads_rejects_reads_of_the_target() {
-    use pbrs_erasure::ShardRead;
-    for spec in ["rs-10-4", "rep-3"] {
-        let code = registry::build_str(spec).unwrap();
+    for spec in registry::known_specs() {
+        let code = registry::build(&spec).unwrap();
         let n = code.params().total_shards();
         let shard_len = 64 * code.granularity();
         let stripe = ShardBuffer::zeroed(n, shard_len);
@@ -211,14 +209,19 @@ fn repair_reads_rejects_bad_inputs() {
         assert!(code.repair_reads(1, &available, 64).is_err(), "{spec}");
         // Out-of-range target.
         assert!(code.repair_reads(n, &available, 64).is_err(), "{spec}");
-        // Degraded masks are rejected: the ranges describe `repair_into`'s
-        // fixed read set, which assumes every non-target shard is valid.
+        // Degraded masks are rejected: `repair_reads` is the single-failure
+        // read set of `repair_into`. The ranked form accepts them.
         let mut degraded = available.clone();
         degraded[n - 1] = false;
         assert!(
             code.repair_reads(0, &degraded, 64 * code.granularity())
                 .is_err(),
             "{spec}: a second missing shard must be rejected"
+        );
+        assert!(
+            code.repair_reads_ranked(0, &degraded, 64 * code.granularity(), &|_| 0)
+                .is_ok(),
+            "{spec}: the ranked reads route around a second missing shard"
         );
     }
 }
@@ -258,33 +261,16 @@ fn piggyback_reads_are_half_shards_for_data_targets() {
 /// Plans for a target with a *second* shard also lost — the ones the
 /// cluster simulator prices for multi-failure stripes — name a helper set
 /// that really rebuilds the target. For every registry code, every target
-/// and every second loss the plan accepts, the target is rebuilt
-/// byte-exactly from only the plan's fetched shards, every other slot
-/// holding garbage: MDS codes decode in place from exactly those slots, LRC
-/// combines them with the coefficients its generator gives for that helper
-/// set.
+/// and every second loss the code accepts, `repair_reads_ranked` over the
+/// degraded mask avoids both lost shards, prices like `repair_plan`, and
+/// `repair_from_reads` rebuilds the target byte-exactly from only those
+/// ranges, every other byte holding garbage.
 #[test]
 fn degraded_plans_execute_from_their_fetches_alone() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0002);
     let mut executed = 0;
     for spec in registry::known_specs() {
         let code = registry::build(&spec).unwrap();
-        let lrc = match spec {
-            CodeSpec::Lrc {
-                k,
-                local_groups,
-                global_parities,
-            } => Some(
-                Lrc::new(LrcParams {
-                    k,
-                    local_groups,
-                    global_parities,
-                })
-                .unwrap(),
-            ),
-            _ => None,
-        };
-        assert!(code.is_mds() != lrc.is_some(), "{spec}: one route per code");
         let n = code.params().total_shards();
         let shard_len = 16 * code.granularity();
         let stripe = encoded_stripe(code.as_ref(), shard_len, &mut rng);
@@ -294,47 +280,26 @@ fn degraded_plans_execute_from_their_fetches_alone() {
                 let mut available = vec![true; n];
                 available[target] = false;
                 available[second] = false;
-                let Ok(plan) = code.repair_plan(target, &available) else {
+                let Ok(reads) = code.repair_reads_ranked(target, &available, shard_len, &|_| 0)
+                else {
                     continue;
                 };
-                let helpers = plan.helper_indices();
                 assert!(
-                    helpers.iter().all(|&h| available[h]),
-                    "{spec}: plan for {target} reads a lost shard"
+                    reads.iter().all(|r| available[r.shard]),
+                    "{spec}: reads for {target} name a lost shard"
                 );
-                let mut scratch = ShardBuffer::zeroed(n, shard_len);
-                for i in 0..n {
-                    if helpers.contains(&i) {
-                        scratch.shard_mut(i).copy_from_slice(stripe.shard(i));
-                    } else {
-                        scratch
-                            .shard_mut(i)
-                            .iter_mut()
-                            .for_each(|b| *b = rng.random());
-                    }
-                }
-                let rebuilt = match &lrc {
-                    Some(lrc) => {
-                        let coeffs =
-                            decode::combination_coefficients(lrc.generator(), target, &helpers)
-                                .unwrap();
-                        let mut out = vec![0u8; shard_len];
-                        slice_ops::linear_combination_into(
-                            &coeffs,
-                            helpers.iter().map(|&h| scratch.shard(h)),
-                            &mut out,
-                        );
-                        out
-                    }
-                    None => {
-                        let present: Vec<bool> = (0..n).map(|i| helpers.contains(&i)).collect();
-                        code.reconstruct_in_place(&mut scratch.as_set_mut(), &present)
-                            .unwrap();
-                        scratch.shard(target).to_vec()
-                    }
-                };
+                let plan = code.repair_plan(target, &available).unwrap();
                 assert_eq!(
-                    rebuilt,
+                    total_read_bytes(&reads),
+                    plan.bytes_read(shard_len),
+                    "{spec}: reads for {target} disagree with the plan"
+                );
+                let scratch = sparse_copy(&stripe, &reads, &mut rng);
+                let mut out = vec![0u8; shard_len];
+                code.repair_from_reads(target, &reads, &scratch.as_set(), &mut out)
+                    .unwrap();
+                assert_eq!(
+                    out,
                     stripe.shard(target),
                     "{spec}: target {target} with {second} also lost"
                 );
@@ -345,4 +310,84 @@ fn degraded_plans_execute_from_their_fetches_alone() {
     // 14 x 13 pairs for each of RS and Piggybacked-RS, 16 x 15 for LRC and
     // 3 x 2 for replication: every pair has a plan.
     assert_eq!(executed, 182 + 182 + 240 + 6);
+}
+
+/// `repair_from_reads` rebuilds from whatever read set it is given, not from
+/// the code's own choice: for every registry code and every target, a
+/// spanning read set the code would not pick rebuilds the shard exactly
+/// with every other byte garbage, and a read set that cannot span the
+/// target is refused rather than answered with wrong bytes.
+#[test]
+fn repair_from_reads_honours_any_read_set() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0003);
+    for spec in registry::known_specs() {
+        let code = registry::build(&spec).unwrap();
+        let n = code.params().total_shards();
+        let k = code.params().data_shards();
+        let g = code.granularity();
+        let shard_len = 16 * g;
+        let stripe = encoded_stripe(code.as_ref(), shard_len, &mut rng);
+        let generator = code.generator();
+
+        for target in 0..n {
+            // Survivors, highest index first: the opposite of every code's
+            // own preference for low indices and local groups.
+            let survivors: Vec<usize> = (0..n).rev().filter(|&s| s != target).collect();
+            let helpers = if code.is_mds() {
+                survivors[..k].to_vec()
+            } else {
+                decode::select_independent_rows(generator, &survivors).unwrap()
+            };
+            let reads: Vec<ShardRead> = helpers
+                .iter()
+                .map(|&shard| ShardRead::whole(shard, shard_len))
+                .collect();
+            let scratch = sparse_copy(&stripe, &reads, &mut rng);
+            let mut out = vec![0u8; shard_len];
+            code.repair_from_reads(target, &reads, &scratch.as_set(), &mut out)
+                .unwrap();
+            assert_eq!(
+                out,
+                stripe.shard(target),
+                "{spec} target {target}: rebuild from {helpers:?} diverged"
+            );
+
+            // Every shard whose symbols all miss a column the target
+            // depends on: their span misses the target's rows.
+            let target_rows = target * g..(target + 1) * g;
+            let column = (0..generator.cols())
+                .find(|&c| target_rows.clone().any(|row| generator.get(row, c) != 0))
+                .unwrap();
+            let blind: Vec<ShardRead> = survivors
+                .iter()
+                .filter(|&&s| (s * g..(s + 1) * g).all(|row| generator.get(row, column) == 0))
+                .map(|&shard| ShardRead::whole(shard, shard_len))
+                .collect();
+            let scratch = sparse_copy(&stripe, &blind, &mut rng);
+            assert!(
+                matches!(
+                    code.repair_from_reads(target, &blind, &scratch.as_set(), &mut out),
+                    Err(CodeError::ReconstructionFailed { .. })
+                ),
+                "{spec} target {target}: reads {blind:?} cannot span the target"
+            );
+        }
+    }
+}
+
+/// A copy of `stripe` that holds its true bytes only inside `reads`; every
+/// other byte is garbage, as in the store's reused scratch stripe.
+fn sparse_copy(stripe: &ShardBuffer, reads: &[ShardRead], rng: &mut StdRng) -> ShardBuffer {
+    let mut sparse = stripe.clone();
+    for shard in 0..sparse.shard_count() {
+        sparse
+            .shard_mut(shard)
+            .iter_mut()
+            .for_each(|b| *b = rng.random());
+    }
+    for read in reads {
+        sparse.shard_mut(read.shard)[read.range()]
+            .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+    }
+    sparse
 }

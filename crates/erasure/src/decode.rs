@@ -156,63 +156,42 @@ pub fn reconstruct_linear_in_place(
     Ok(())
 }
 
-/// Coefficients expressing shard `target` as a combination of the given
-/// helper shards, under `generator`.
+/// Finds, for each target row `t`, coefficients `c` such that
+/// `Σ_i c[i] * rows[i] == t`, i.e. expresses each target symbol's generator
+/// row as a linear combination of the helper symbols' generator rows. All
+/// targets share one Gauss–Jordan elimination.
 ///
-/// # Errors
-///
-/// Returns [`CodeError::ReconstructionFailed`] if the helper rows do not
-/// span the target row.
-pub fn combination_coefficients(
-    generator: &Matrix,
-    target: usize,
-    helpers: &[usize],
-) -> Result<Vec<u8>, CodeError> {
-    let rows: Vec<&[u8]> = helpers.iter().map(|&i| generator.row(i)).collect();
-    solve_combination(&rows, generator.row(target)).ok_or(CodeError::ReconstructionFailed {
-        context: "helper shards do not span the target shard",
-    })
-}
-
-/// Finds coefficients `c` such that `Σ_i c[i] * rows[i] == target_row`, i.e.
-/// expresses the target shard's generator row as a linear combination of the
-/// helper shards' generator rows.
-///
-/// Returns `None` when `target_row` is not in the span of `rows`. Free
+/// Returns `None` when any target row is not in the span of `rows`. Free
 /// variables are set to zero, so helpers that are not needed receive a zero
 /// coefficient.
-pub fn solve_combination(rows: &[&[u8]], target_row: &[u8]) -> Option<Vec<u8>> {
+pub fn solve_combination(rows: &[&[u8]], targets: &[&[u8]]) -> Option<Vec<Vec<u8>>> {
     let m = rows.len();
-    let k = target_row.len();
-    if m == 0 {
-        return if target_row.iter().all(|&x| x == 0) {
-            Some(Vec::new())
-        } else {
-            None
-        };
-    }
-    debug_assert!(rows.iter().all(|r| r.len() == k));
+    let t = targets.len();
+    let Some(k) = targets.first().map(|row| row.len()) else {
+        return Some(Vec::new());
+    };
+    debug_assert!(rows.iter().chain(targets).all(|r| r.len() == k));
     // Solve A^T c = t where A^T is k×m: one equation per data symbol.
-    // Build the augmented matrix [A^T | t] and run Gauss-Jordan.
-    let mut aug = Matrix::zero(k, m + 1);
-    for (j, row) in rows.iter().enumerate() {
+    // Build the augmented matrix [A^T | t_0 .. t_{t-1}] and run Gauss-Jordan.
+    let mut aug = Matrix::zero(k, m + t);
+    for (j, row) in rows.iter().chain(targets).enumerate() {
         for (i, &v) in row.iter().enumerate() {
             aug.set(i, j, v);
         }
     }
-    for (i, &v) in target_row.iter().enumerate() {
-        aug.set(i, m, v);
-    }
     let mut pivot_col_of_row: Vec<Option<usize>> = vec![None; k];
     let mut pivot_row = 0usize;
     for col in 0..m {
+        if pivot_row == k {
+            break;
+        }
         let Some(p) = (pivot_row..k).find(|&r| aug.get(r, col) != 0) else {
             continue;
         };
         aug.swap_rows(pivot_row, p);
         // pbrs-lint: allow(panic-hygiene) -- pivot was chosen as a non-zero entry by the search above
         let inv = pbrs_gf::tables::inverse(aug.get(pivot_row, col)).expect("pivot non-zero");
-        for c in col..=m {
+        for c in col..m + t {
             aug.set(
                 pivot_row,
                 c,
@@ -222,7 +201,7 @@ pub fn solve_combination(rows: &[&[u8]], target_row: &[u8]) -> Option<Vec<u8>> {
         for r in 0..k {
             if r != pivot_row && aug.get(r, col) != 0 {
                 let factor = aug.get(r, col);
-                for c in col..=m {
+                for c in col..m + t {
                     let v = aug.get(r, c) ^ pbrs_gf::tables::mul(factor, aug.get(pivot_row, c));
                     aug.set(r, c, v);
                 }
@@ -230,36 +209,25 @@ pub fn solve_combination(rows: &[&[u8]], target_row: &[u8]) -> Option<Vec<u8>> {
         }
         pivot_col_of_row[pivot_row] = Some(col);
         pivot_row += 1;
-        if pivot_row == k {
-            break;
-        }
     }
-    // Consistency: any zero row with a non-zero rhs means no solution.
-    for r in 0..k {
-        let lhs_zero = (0..m).all(|c| aug.get(r, c) == 0);
-        if lhs_zero && aug.get(r, m) != 0 {
-            return None;
-        }
+    // Rows below the last pivot have an all-zero left side: a non-zero
+    // right side there means that target is out of reach.
+    if (pivot_row..k).any(|r| (m..m + t).any(|c| aug.get(r, c) != 0)) {
+        return None;
     }
-    let mut coeffs = vec![0u8; m];
-    for (r, pivot) in pivot_col_of_row.iter().enumerate() {
-        if let Some(col) = *pivot {
-            coeffs[col] = aug.get(r, m);
-        }
-    }
-    // With free variables fixed at zero the pivot assignment above is only a
-    // candidate; verify it (cheap) to guard against inconsistent systems that
-    // slipped through structurally.
-    for (i, &t) in target_row.iter().enumerate() {
-        let mut acc = 0u8;
-        for (j, row) in rows.iter().enumerate() {
-            acc ^= pbrs_gf::tables::mul(coeffs[j], row[i]);
-        }
-        if acc != t {
-            return None;
-        }
-    }
-    Some(coeffs)
+    Some(
+        (m..m + t)
+            .map(|rhs| {
+                let mut coeffs = vec![0u8; m];
+                for (r, pivot) in pivot_col_of_row.iter().enumerate() {
+                    if let Some(col) = *pivot {
+                        coeffs[col] = aug.get(r, rhs);
+                    }
+                }
+                coeffs
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -372,37 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn combination_coefficients_rebuild_shards() {
-        let g = systematic_generator(5, 2);
-        let helpers: Vec<usize> = (1..6).collect();
-        let coeffs = combination_coefficients(&g, 0, &helpers).unwrap();
-        // The coefficients must reproduce row 0 from the helper rows.
-        for col in 0..5 {
-            let mut acc = 0u8;
-            for (j, &h) in helpers.iter().enumerate() {
-                acc ^= pbrs_gf::tables::mul(coeffs[j], g.row(h)[col]);
-            }
-            assert_eq!(acc, g.row(0)[col]);
-        }
-    }
-
-    #[test]
-    fn repair_by_combination_rejects_missing_helper() {
-        // Without enough independent helpers the target row is out of reach:
-        // too few helpers, or k helpers whose rows miss the target's.
-        let g = systematic_generator(3, 2);
-        for helpers in [&[1, 2][..], &[1, 3]] {
-            assert!(
-                matches!(
-                    combination_coefficients(&g, 0, helpers),
-                    Err(CodeError::ReconstructionFailed { .. })
-                ),
-                "helpers {helpers:?}"
-            );
-        }
-    }
-
-    #[test]
     fn decode_data_does_not_mutate_input() {
         // A generator whose two parity rows coincide: shards 2, 3, 4 then
         // carry only two independent rows, so the decode must fail — and a
@@ -429,8 +366,8 @@ mod tests {
         // Parity row 4 is a combination of the four identity rows with its own
         // coefficients.
         let rows: Vec<&[u8]> = (0..4).map(|i| g.row(i)).collect();
-        let coeffs = solve_combination(&rows, g.row(4)).unwrap();
-        assert_eq!(coeffs, g.row(4).to_vec());
+        let coeffs = solve_combination(&rows, &[g.row(4), g.row(5)]).unwrap();
+        assert_eq!(coeffs, vec![g.row(4).to_vec(), g.row(5).to_vec()]);
     }
 
     #[test]
@@ -438,29 +375,14 @@ mod tests {
         let g = systematic_generator(4, 2);
         // Rows 0..3 cannot produce row 3 alone from rows 0..2.
         let rows: Vec<&[u8]> = (0..3).map(|i| g.row(i)).collect();
-        assert!(solve_combination(&rows, g.row(3)).is_none());
+        assert!(solve_combination(&rows, &[g.row(3)]).is_none());
+        // One unreachable target fails the whole solve.
+        assert!(solve_combination(&rows, &[g.row(0), g.row(3)]).is_none());
         // Empty helper set can only produce the zero row.
-        assert!(solve_combination(&[], g.row(0)).is_none());
-        assert_eq!(solve_combination(&[], &[0, 0, 0, 0]), Some(Vec::new()));
-    }
-
-    #[test]
-    fn repair_by_combination_rebuilds_any_single_shard() {
-        let k = 5;
-        let r = 3;
-        let g = systematic_generator(k, r);
-        let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 11 + 3) as u8; 24]).collect();
-        let all = encode_with(&g, &data);
-        for target in 0..k + r {
-            let helpers: Vec<usize> = (0..k + r).filter(|&i| i != target).take(k).collect();
-            let coeffs = combination_coefficients(&g, target, &helpers).unwrap();
-            let mut rebuilt = vec![0xAAu8; 24];
-            slice_ops::linear_combination_into(
-                &coeffs,
-                helpers.iter().map(|&i| all[i].as_slice()),
-                &mut rebuilt,
-            );
-            assert_eq!(rebuilt, all[target], "target {target}");
-        }
+        assert!(solve_combination(&[], &[g.row(0)]).is_none());
+        assert_eq!(
+            solve_combination(&[], &[&[0, 0, 0, 0]]),
+            Some(vec![Vec::new()])
+        );
     }
 }

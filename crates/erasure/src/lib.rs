@@ -25,19 +25,33 @@
 //!   provided buffer;
 //! * [`ErasureCode::reconstruct_in_place`] — rebuild missing shard slots
 //!   inside the stripe buffer itself, guided by an availability mask;
-//! * [`ErasureCode::repair_into`] — rebuild one shard into a caller
-//!   provided slice, along the code's cheapest single-failure path;
-//! * [`ErasureCode::repair_reads`] / [`ErasureCode::repair_from_reads`] —
-//!   name the exact helper byte ranges a repair consumes, then rebuild from
-//!   only those bytes (the pair the store executes against real disks).
+//! * [`ErasureCode::repair_reads_ranked`] / [`ErasureCode::repair_from_reads`]
+//!   — name the exact helper byte ranges a repair consumes, then rebuild
+//!   from only those bytes (the pair the store executes against real
+//!   disks); [`ErasureCode::repair_reads`] and [`ErasureCode::repair_into`]
+//!   are the same pair for a single failure with no helper preference.
 //!
 //! None of these allocate shard-sized memory in steady state; the only
-//! bookkeeping allocations are `O(n)` index vectors and one `O(k²)` matrix
-//! inversion where decoding requires it. [`ShardBuffer`] is an owned stripe
-//! buffer for callers that do not already manage their own memory: its data
-//! shards sit back to back, so splitting a byte block into `k` shards is a
-//! copy into [`ShardBuffer::shard_mut`] and joining them is a prefix of the
-//! buffer.
+//! bookkeeping allocations are `O(n)` index vectors and one small GF(2^8)
+//! elimination where decoding or repair requires it. [`ShardBuffer`] is an
+//! owned stripe buffer for callers that do not already manage their own
+//! memory: its data shards sit back to back, so splitting a byte block into
+//! `k` shards is a copy into [`ShardBuffer::shard_mut`] and joining them is
+//! a prefix of the buffer.
+//!
+//! # One repair path
+//!
+//! Every code here is linear, so every repair is a linear combination of
+//! the bytes it reads. A code supplies two things: its symbol-level
+//! [`ErasureCode::generator`] (Piggybacked-RS has two symbols per shard, one
+//! per substripe) and its choice of reads,
+//! [`ErasureCode::repair_reads_ranked`]. Everything else is derived once, in
+//! the trait: [`ErasureCode::repair_from_reads`] expands the reads to
+//! generator rows, solves for the target's symbols in one elimination, and
+//! combines only the bytes it was told to read, so a repair cannot read
+//! outside its declared ranges. [`ErasureCode::repair_plan`] prices the same
+//! reads as shard fractions. `repair_reads_ranked` accepts degraded masks;
+//! `repair_reads` still refuses them.
 //!
 //! # Choosing a code by name
 //!
@@ -104,11 +118,13 @@ pub use lrc::{Lrc, LrcParams};
 pub use params::CodeParams;
 pub use reed_solomon::ReedSolomon;
 pub use repair::{
-    reads_for_shard, total_read_bytes, FetchRequest, Fraction, RepairMetrics, RepairPlan, ShardRead,
+    lowest_ranked_reads, total_read_bytes, FetchRequest, Fraction, RepairPlan, ShardRead,
 };
 pub use replication::Replication;
 pub use spec::CodeSpec;
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
+
+use pbrs_gf::Matrix;
 
 /// A `(k, r)` erasure code over byte shards.
 ///
@@ -117,8 +133,10 @@ pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
 /// of the survivors. All shards of a stripe have the same length, which must
 /// be a multiple of [`ErasureCode::granularity`].
 ///
-/// The three `*_into` / `*_in_place` methods are the core every code
-/// implements natively; none of them allocates shard-sized memory.
+/// A code implements encode, reconstruction, its symbol-level
+/// [`ErasureCode::generator`] and its read choice
+/// ([`ErasureCode::repair_reads_ranked`]); every other repair method is
+/// provided and derived from those two.
 pub trait ErasureCode {
     /// The `(k, r)` parameters of the code.
     fn params(&self) -> CodeParams;
@@ -172,142 +190,95 @@ pub trait ErasureCode {
         present: &[bool],
     ) -> Result<(), CodeError>;
 
-    /// Rebuilds the single shard `target` into `out`, reading helpers along
-    /// the code's cheapest single-failure path (the one priced by
-    /// [`ErasureCode::repair_plan`]). Performs no shard-sized allocation.
+    /// The symbol-level generator matrix: `n·g × k·g`, where
+    /// `g = granularity()`.
     ///
-    /// `helpers` must hold all `k + r` shard slots; every slot other than
-    /// `target` must contain valid bytes (the `target` slot's contents are
-    /// ignored). `out` must be exactly one shard long.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed view, an out-of-range `target`, or
-    /// an `out` slice whose length is not one shard.
-    fn repair_into(
-        &self,
-        target: usize,
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError>;
+    /// A shard of a stripe is `g` equal byte ranges (symbols); symbol `s`
+    /// of shard `i` is row `i·g + s`, a combination of the `k·g` data
+    /// symbols. Every repair is a solve over these rows (see
+    /// [`ErasureCode::repair_from_reads`]).
+    fn generator(&self) -> &Matrix;
 
-    /// Computes the cheapest supported plan for rebuilding shard `target`
-    /// given the availability mask `available` (length `k + r`).
+    /// The helper byte ranges this code reads to rebuild shard `target`
+    /// under the availability mask `available` (length `k + r`), for shards
+    /// of `shard_len` bytes: the code's one piece of repair logic.
     ///
-    /// The default plan downloads `k` whole surviving shards, which is the
-    /// Reed–Solomon behaviour the paper measures in production.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `target` is out of range, if `target` is marked
-    /// available, or if too few shards survive.
-    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
-        default_repair_plan(self.params(), target, available)
-    }
-
-    /// The concrete byte ranges of the helper shards that
-    /// [`ErasureCode::repair_into`] reads when rebuilding shard `target`,
-    /// for shards of `shard_len` bytes.
-    ///
-    /// This is the byte-exact companion of [`ErasureCode::repair_plan`]: the
-    /// plan prices the repair in shard fractions, while these ranges pin the
-    /// fractions to offsets, so a caller executing the repair against real
-    /// storage can read (and account) exactly the bytes the rebuild
-    /// consumes. The contract every implementation upholds: when the helper
-    /// view holds valid bytes *within the returned ranges*,
-    /// [`ErasureCode::repair_into`] produces the correct shard — bytes
-    /// outside the ranges are never read, so callers may leave them zeroed.
-    ///
-    /// `available` must mark every shard except `target` as present — the
-    /// same single-failure precondition as [`ErasureCode::repair_into`],
-    /// whose read set these ranges describe. Degraded masks are rejected;
-    /// use [`ErasureCode::repair_plan`] to price those.
-    ///
-    /// The default derives prefix ranges from the plan's fractions, which is
-    /// exact for every code whose plans read whole shards (RS, replication,
-    /// LRC). Codes with sub-shard reads (Piggybacked-RS reads half-shards)
-    /// override this to name the actual halves.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unaligned `shard_len`, a mask with more
-    /// shards missing than `target`, plus the same failure modes as
-    /// [`ErasureCode::repair_plan`].
-    fn repair_reads(
-        &self,
-        target: usize,
-        available: &[bool],
-        shard_len: usize,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        if shard_len == 0 || !shard_len.is_multiple_of(self.granularity()) {
-            return Err(CodeError::UnalignedShard {
-                len: shard_len,
-                granularity: self.granularity(),
-            });
-        }
-        let plan = self.repair_plan(target, available)?;
-        validate_single_failure_mask(target, available)?;
-        Ok(plan
-            .fetches
-            .iter()
-            .map(|f| ShardRead {
-                shard: f.shard,
-                offset: 0,
-                // pbrs-lint: allow(panic-hygiene) -- a fraction of shard_len is at most shard_len, which is a usize
-                len: usize::try_from(f.fraction.bytes_of(shard_len)).expect("range fits a shard"),
-            })
-            .collect())
-    }
-
-    /// [`ErasureCode::repair_reads`] with a helper-preference hook: when the
-    /// code has freedom in choosing its helpers, shards with a *lower*
-    /// `rank(shard)` are preferred (ties broken by shard index).
-    ///
+    /// When the code has freedom in choosing its helpers, shards with a
+    /// *lower* `rank(shard)` are preferred (ties broken by shard index).
     /// This is how placement-aware callers (the store's locality-first
-    /// repair scheduler) steer repairs toward cheap helpers — rank same-rack
+    /// repair scheduler) steer repairs toward cheap helpers: rank same-rack
     /// survivors 0 and cross-rack survivors 1 and an MDS code will read as
-    /// many same-rack helpers as its mathematics allows. Codes whose plans
+    /// many same-rack helpers as its mathematics allows. Codes whose reads
     /// are structurally fixed (Piggybacked-RS reads specific half-shards,
-    /// LRC reads its local group) ignore the rank and return their canonical
-    /// reads — preference never changes *how many* bytes a code reads, only
-    /// *where* it reads them when equivalent choices exist.
+    /// LRC reads its local group) ignore the rank; preference never changes
+    /// *how many* bytes a code reads, only *where* it reads them.
     ///
-    /// Execute the returned reads with [`ErasureCode::repair_from_reads`],
-    /// which honours whatever helper choice was made here; plain
-    /// [`ErasureCode::repair_into`] assumes the canonical read set.
+    /// Degraded masks (more shards missing than `target`) are accepted:
+    /// the reads then avoid every missing shard. Execute the reads with
+    /// [`ErasureCode::repair_from_reads`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ErasureCode::repair_reads`].
+    /// Returns an error for an unaligned `shard_len`, a mask of the wrong
+    /// width, an out-of-range `target`, a `target` marked available, or too
+    /// few survivors to rebuild it.
     fn repair_reads_ranked(
         &self,
         target: usize,
         available: &[bool],
         shard_len: usize,
         rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        let _ = rank; // the canonical plan has no helper freedom to exercise
-        self.repair_reads(target, available, shard_len)
-    }
+    ) -> Result<Vec<ShardRead>, CodeError>;
 
-    /// Rebuilds shard `target` from exactly the helper bytes covered by
-    /// `reads` — the execution companion of
-    /// [`ErasureCode::repair_reads_ranked`].
-    ///
-    /// `reads` must be the ranges returned by a
-    /// [`ErasureCode::repair_reads`] / [`ErasureCode::repair_reads_ranked`]
-    /// call on this code for the same `target` and shard length; bytes of
-    /// `helpers` outside those ranges are never touched and may be stale.
-    /// The default delegates to [`ErasureCode::repair_into`], which is
-    /// correct for every code whose read set is canonical; codes that honour
-    /// a ranked helper choice (RS, replication) override it to rebuild from
-    /// the shards the reads actually name.
+    /// [`ErasureCode::repair_reads_ranked`] with no helper preference, for a
+    /// single failure: `available` must mark every shard except `target` as
+    /// present, and degraded masks are rejected. Bytes outside the returned
+    /// ranges are never read by [`ErasureCode::repair_from_reads`], so a
+    /// caller executing the repair against real storage reads (and
+    /// accounts) exactly these bytes.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ErasureCode::repair_into`], plus
-    /// [`CodeError::ReconstructionFailed`] when `reads` does not describe a
-    /// decodable helper set for `target`.
+    /// Same failure modes as [`ErasureCode::repair_reads_ranked`], plus
+    /// [`CodeError::NotEnoughShards`] when another shard is missing.
+    fn repair_reads(
+        &self,
+        target: usize,
+        available: &[bool],
+        shard_len: usize,
+    ) -> Result<Vec<ShardRead>, CodeError> {
+        let reads = self.repair_reads_ranked(target, available, shard_len, &|_| 0)?;
+        let missing_others = available
+            .iter()
+            .enumerate()
+            .filter(|&(i, &a)| !a && i != target)
+            .count();
+        if missing_others > 0 {
+            return Err(CodeError::NotEnoughShards {
+                needed: available.len() - 1,
+                available: available.len() - 1 - missing_others,
+            });
+        }
+        Ok(reads)
+    }
+
+    /// Rebuilds shard `target` into `out` from exactly the helper bytes
+    /// covered by `reads`, the ranges of a
+    /// [`ErasureCode::repair_reads_ranked`] call (or any other read set
+    /// that spans the target).
+    ///
+    /// The reads are expanded to their symbols' rows of
+    /// [`ErasureCode::generator`], one elimination expresses the target's
+    /// symbols in those rows, and the output is one linear combination per
+    /// symbol. Bytes of `helpers` outside `reads` are never touched and may
+    /// be stale. `out` must be exactly one shard long.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed view, an out-of-range `target` or
+    /// read, and [`CodeError::ReconstructionFailed`] when a read names the
+    /// target, does not cover whole symbols inside its shard, or the reads
+    /// do not span the target.
     fn repair_from_reads(
         &self,
         target: usize,
@@ -315,8 +286,55 @@ pub trait ErasureCode {
         helpers: &ShardSet<'_>,
         out: &mut [u8],
     ) -> Result<(), CodeError> {
-        let _ = reads; // canonical read set == repair_into's read set
-        self.repair_into(target, helpers, out)
+        repair::repair_from_reads(self, target, reads, helpers, out)
+    }
+
+    /// Rebuilds the single shard `target` into `out` along the code's
+    /// cheapest single-failure path: [`ErasureCode::repair_reads`] followed
+    /// by [`ErasureCode::repair_from_reads`]. Performs no shard-sized
+    /// allocation.
+    ///
+    /// `helpers` must hold all `k + r` shard slots; every slot other than
+    /// `target` must contain valid bytes (the `target` slot's contents are
+    /// ignored).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`ErasureCode::repair_reads`] and
+    /// [`ErasureCode::repair_from_reads`].
+    fn repair_into(
+        &self,
+        target: usize,
+        helpers: &ShardSet<'_>,
+        out: &mut [u8],
+    ) -> Result<(), CodeError> {
+        let available: Vec<bool> = (0..self.params().total_shards())
+            .map(|i| i != target)
+            .collect();
+        let reads = self.repair_reads(target, &available, out.len())?;
+        self.repair_from_reads(target, &reads, helpers, out)
+    }
+
+    /// Prices the rebuild of shard `target` under the availability mask
+    /// `available` (length `k + r`): the helpers
+    /// [`ErasureCode::repair_reads_ranked`] picks with no preference, each
+    /// with the fraction of a shard it reads. For Reed–Solomon that is `k`
+    /// whole shards, the cost the paper measures in production.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`ErasureCode::repair_reads_ranked`].
+    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
+        let g = self.granularity();
+        let reads = self.repair_reads_ranked(target, available, g, &|_| 0)?;
+        let fetches = reads
+            .iter()
+            .map(|read| FetchRequest {
+                shard: read.shard,
+                fraction: Fraction::new(read.len as u32, g as u32),
+            })
+            .collect();
+        Ok(RepairPlan { target, fetches })
     }
 
     /// Storage overhead of the code: total shards divided by data shards
@@ -357,77 +375,4 @@ pub trait ErasureCode {
         // Normalise by k so the figure is "stripe logical size" units.
         total / (n as f64 * params.data_shards() as f64)
     }
-}
-
-/// Rejects availability masks with any shard other than `target` missing —
-/// the precondition of [`ErasureCode::repair_reads`], whose ranges describe
-/// the fixed read set of [`ErasureCode::repair_into`] (which itself assumes
-/// every non-target shard is valid).
-///
-/// # Errors
-///
-/// Returns [`CodeError::NotEnoughShards`] when additional shards are
-/// missing.
-pub fn validate_single_failure_mask(target: usize, available: &[bool]) -> Result<(), CodeError> {
-    let missing_others = available
-        .iter()
-        .enumerate()
-        .filter(|&(i, &a)| !a && i != target)
-        .count();
-    if missing_others > 0 {
-        return Err(CodeError::NotEnoughShards {
-            needed: available.len() - 1,
-            available: available.len() - 1 - missing_others,
-        });
-    }
-    Ok(())
-}
-
-/// The classic Reed–Solomon repair plan: read `k` whole surviving shards.
-///
-/// Exposed so that other codes (and the simulator) can reference the baseline
-/// cost without instantiating a codec.
-///
-/// # Errors
-///
-/// Returns an error if `target` is out of range or marked available, if the
-/// availability mask has the wrong length, or if fewer than `k` helpers
-/// survive.
-pub fn default_repair_plan(
-    params: CodeParams,
-    target: usize,
-    available: &[bool],
-) -> Result<RepairPlan, CodeError> {
-    let n = params.total_shards();
-    if available.len() != n {
-        return Err(CodeError::ShardCountMismatch {
-            expected: n,
-            actual: available.len(),
-        });
-    }
-    if target >= n {
-        return Err(CodeError::InvalidShardIndex {
-            index: target,
-            total: n,
-        });
-    }
-    if available[target] {
-        return Err(CodeError::TargetNotMissing { index: target });
-    }
-    let helpers: Vec<usize> = (0..n).filter(|&i| available[i] && i != target).collect();
-    if helpers.len() < params.data_shards() {
-        return Err(CodeError::NotEnoughShards {
-            needed: params.data_shards(),
-            available: helpers.len(),
-        });
-    }
-    let fetches = helpers
-        .into_iter()
-        .take(params.data_shards())
-        .map(|shard| FetchRequest {
-            shard,
-            fraction: Fraction::ONE,
-        })
-        .collect();
-    Ok(RepairPlan { target, fetches })
 }

@@ -23,8 +23,8 @@ use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
 use crate::decode;
-use crate::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
-use crate::repair::{FetchRequest, Fraction, RepairPlan};
+use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::repair::ShardRead;
 use crate::views::{ShardSet, ShardSetMut};
 use crate::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
@@ -191,11 +191,6 @@ impl Lrc {
         self.lrc_params.k + self.lrc_params.local_groups + j
     }
 
-    /// The full `n × k` generator matrix.
-    pub fn generator(&self) -> &Matrix {
-        &self.generator
-    }
-
     /// Attempts purely local recoveries (within a single group) in place,
     /// updating `present` as shards come back, until no further progress is
     /// possible.
@@ -273,44 +268,19 @@ impl ErasureCode for Lrc {
         decode::reconstruct_linear_in_place(&self.generator, shards, &now_present)
     }
 
-    fn repair_into(
-        &self,
-        target: usize,
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let n = self.params.total_shards();
-        let mut available = vec![true; n];
-        available[target] = false;
-        let plan = self.repair_plan(target, &available)?;
-        let coeffs =
-            decode::combination_coefficients(&self.generator, target, &plan.helper_indices())?;
-        slice_ops::linear_combination_into(
-            &coeffs,
-            plan.fetches.iter().map(|f| helpers.shard(f.shard)),
-            out,
-        );
-        Ok(())
+    fn generator(&self) -> &Matrix {
+        &self.generator
     }
 
-    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
+    fn repair_reads_ranked(
+        &self,
+        target: usize,
+        available: &[bool],
+        shard_len: usize,
+        _rank: &dyn Fn(usize) -> u64,
+    ) -> Result<Vec<ShardRead>, CodeError> {
+        validate_repair_request(self, target, available, shard_len)?;
         let n = self.params.total_shards();
-        if available.len() != n {
-            return Err(CodeError::ShardCountMismatch {
-                expected: n,
-                actual: available.len(),
-            });
-        }
-        if target >= n {
-            return Err(CodeError::InvalidShardIndex {
-                index: target,
-                total: n,
-            });
-        }
-        if available[target] {
-            return Err(CodeError::TargetNotMissing { index: target });
-        }
         let k = self.lrc_params.k;
         let l = self.lrc_params.local_groups;
 
@@ -322,51 +292,40 @@ impl ErasureCode for Lrc {
         } else {
             None
         };
-        if let Some(group) = local_group {
-            let mut helpers: Vec<usize> = self.groups[group]
-                .iter()
-                .copied()
-                .chain(std::iter::once(self.local_parity_index(group)))
-                .filter(|&i| i != target)
-                .collect();
-            helpers.sort_unstable();
-            if helpers.iter().all(|&i| available[i]) {
-                return Ok(RepairPlan {
-                    target,
-                    fetches: helpers
-                        .into_iter()
-                        .map(|shard| FetchRequest {
-                            shard,
-                            fraction: Fraction::ONE,
-                        })
-                        .collect(),
-                });
+        let local: Option<Vec<usize>> = local_group
+            .map(|group| {
+                // Members ascend and the local parity follows the data.
+                self.groups[group]
+                    .iter()
+                    .copied()
+                    .chain([self.local_parity_index(group)])
+                    .filter(|&i| i != target)
+                    .collect()
+            })
+            .filter(|helpers: &Vec<usize>| helpers.iter().all(|&i| available[i]));
+        let helpers = match local {
+            Some(helpers) => helpers,
+            None => {
+                // Fallback: global decode from any k independent surviving
+                // rows.
+                let candidates: Vec<usize> = (0..n).filter(|&i| available[i]).collect();
+                if candidates.len() < k {
+                    return Err(CodeError::NotEnoughShards {
+                        needed: k,
+                        available: candidates.len(),
+                    });
+                }
+                decode::select_independent_rows(&self.generator, &candidates).ok_or(
+                    CodeError::ReconstructionFailed {
+                        context: "surviving shards do not span the data",
+                    },
+                )?
             }
-        }
-
-        // Fallback: global decode from any k independent surviving rows.
-        let candidates: Vec<usize> = (0..n).filter(|&i| available[i] && i != target).collect();
-        if candidates.len() < k {
-            return Err(CodeError::NotEnoughShards {
-                needed: k,
-                available: candidates.len(),
-            });
-        }
-        let rows = decode::select_independent_rows(&self.generator, &candidates).ok_or(
-            CodeError::ReconstructionFailed {
-                context: "surviving shards do not span the data",
-            },
-        )?;
-        Ok(RepairPlan {
-            target,
-            fetches: rows
-                .into_iter()
-                .map(|shard| FetchRequest {
-                    shard,
-                    fraction: Fraction::ONE,
-                })
-                .collect(),
-        })
+        };
+        Ok(helpers
+            .into_iter()
+            .map(|shard| ShardRead::whole(shard, shard_len))
+            .collect())
     }
 
     fn is_mds(&self) -> bool {
@@ -505,7 +464,6 @@ mod tests {
             available[target] = false;
             let plan = lrc.repair_plan(target, &available).unwrap();
             assert_eq!(plan.helper_count(), 5, "target {target}");
-            assert_eq!(plan.metrics(48).helpers, 5);
             // Execute the repair and check the bytes.
             let mut stripe = all.clone();
             stripe.shard_mut(target).fill(0xEE);

@@ -3,7 +3,7 @@
 use core::fmt;
 
 use crate::views::{ShardSet, ShardSetMut};
-use crate::CodeError;
+use crate::{CodeError, ErasureCode};
 
 /// The `(k, r)` parameters of an erasure code: `k` data shards encoded into
 /// `r` parity shards, `n = k + r` shards per stripe.
@@ -197,9 +197,49 @@ pub fn validate_stripe_view(
     validate_shard_len(shards.shard_len(), granularity)
 }
 
-/// Validates the inputs of `repair_into`: a full `n`-shard helper view, an
-/// in-range target, and an output slice of exactly one shard. Returns the
-/// shard length.
+/// Validates the inputs of `code.repair_reads_ranked`: a shard length that
+/// is a non-zero multiple of the code's granularity, an `n`-wide mask, and
+/// an in-range `target` that the mask marks missing.
+///
+/// # Errors
+///
+/// Returns [`CodeError::UnalignedShard`], [`CodeError::ShardCountMismatch`],
+/// [`CodeError::InvalidShardIndex`] or [`CodeError::TargetNotMissing`].
+pub fn validate_repair_request<C: ErasureCode + ?Sized>(
+    code: &C,
+    target: usize,
+    available: &[bool],
+    shard_len: usize,
+) -> Result<(), CodeError> {
+    let granularity = code.granularity();
+    if shard_len == 0 || !shard_len.is_multiple_of(granularity) {
+        return Err(CodeError::UnalignedShard {
+            len: shard_len,
+            granularity,
+        });
+    }
+    let n = code.params().total_shards();
+    if available.len() != n {
+        return Err(CodeError::ShardCountMismatch {
+            expected: n,
+            actual: available.len(),
+        });
+    }
+    if target >= n {
+        return Err(CodeError::InvalidShardIndex {
+            index: target,
+            total: n,
+        });
+    }
+    if available[target] {
+        return Err(CodeError::TargetNotMissing { index: target });
+    }
+    Ok(())
+}
+
+/// Validates the inputs of `repair_from_reads`: a full `n`-shard helper
+/// view, an in-range target, and an output slice of exactly one shard.
+/// Returns the shard length.
 ///
 /// # Errors
 ///

@@ -18,10 +18,10 @@ use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
 use crate::decode;
-use crate::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
-use crate::repair::ShardRead;
+use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::repair::{lowest_ranked_reads, ShardRead};
 use crate::views::{ShardSet, ShardSetMut};
-use crate::{validate_single_failure_mask, CodeError, CodeParams, ErasureCode};
+use crate::{CodeError, CodeParams, ErasureCode};
 
 /// A systematic, MDS Reed–Solomon erasure code.
 ///
@@ -86,11 +86,6 @@ impl ReedSolomon {
         Self::from_params(CodeParams::FACEBOOK)
     }
 
-    /// The full `(k + r) × k` systematic generator matrix.
-    pub fn generator(&self) -> &Matrix {
-        &self.generator
-    }
-
     /// The `r × k` parity block of the generator matrix (rows `k..k+r`).
     pub fn parity_matrix(&self) -> Matrix {
         let k = self.params.data_shards();
@@ -152,25 +147,8 @@ impl ErasureCode for ReedSolomon {
         decode::reconstruct_linear_in_place(&self.generator, shards, present)
     }
 
-    fn repair_into(
-        &self,
-        target: usize,
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let k = self.params.data_shards();
-        let n = self.params.total_shards();
-        // Any k survivors decode an MDS code; read the first k, matching the
-        // cost accounting of the default repair plan.
-        let selected: Vec<usize> = (0..n).filter(|&i| i != target).take(k).collect();
-        let coeffs = decode::combination_coefficients(&self.generator, target, &selected)?;
-        slice_ops::linear_combination_into(
-            &coeffs,
-            selected.iter().map(|&i| helpers.shard(i)),
-            out,
-        );
-        Ok(())
+    fn generator(&self) -> &Matrix {
+        &self.generator
     }
 
     fn repair_reads_ranked(
@@ -180,69 +158,16 @@ impl ErasureCode for ReedSolomon {
         shard_len: usize,
         rank: &dyn Fn(usize) -> u64,
     ) -> Result<Vec<ShardRead>, CodeError> {
-        if shard_len == 0 || !shard_len.is_multiple_of(self.granularity()) {
-            return Err(CodeError::UnalignedShard {
-                len: shard_len,
-                granularity: self.granularity(),
-            });
-        }
-        // Validate target/mask/survivor-count along the canonical path.
-        self.repair_plan(target, available)?;
-        validate_single_failure_mask(target, available)?;
+        validate_repair_request(self, target, available, shard_len)?;
         // MDS: any k survivors decode the stripe, so honour the caller's
         // preference fully — take the k lowest-ranked helpers.
-        let k = self.params.data_shards();
-        let n = self.params.total_shards();
-        let mut helpers: Vec<usize> = (0..n).filter(|&i| i != target).collect();
-        helpers.sort_by_key(|&i| (rank(i), i));
-        helpers.truncate(k);
-        helpers.sort_unstable();
-        Ok(helpers
-            .into_iter()
-            .map(|shard| ShardRead::whole(shard, shard_len))
-            .collect())
-    }
-
-    fn repair_from_reads(
-        &self,
-        target: usize,
-        reads: &[ShardRead],
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let n = self.params.total_shards();
-        let mut selected: Vec<usize> = Vec::with_capacity(reads.len());
-        for read in reads {
-            if read.offset != 0 || read.len != out.len() {
-                return Err(CodeError::ReconstructionFailed {
-                    context: "RS repairs read whole helper shards only",
-                });
-            }
-            if read.shard >= n {
-                return Err(CodeError::InvalidShardIndex {
-                    index: read.shard,
-                    total: n,
-                });
-            }
-            if read.shard == target {
-                // Without this, the target row trivially spans itself and the
-                // "rebuild" would copy the stale slot being repaired.
-                return Err(CodeError::ReconstructionFailed {
-                    context: "a repair read may not name the target shard",
-                });
-            }
-            selected.push(read.shard);
-        }
-        selected.sort_unstable();
-        selected.dedup();
-        let coeffs = decode::combination_coefficients(&self.generator, target, &selected)?;
-        slice_ops::linear_combination_into(
-            &coeffs,
-            selected.iter().map(|&i| helpers.shard(i)),
-            out,
-        );
-        Ok(())
+        lowest_ranked_reads(
+            target,
+            available,
+            self.params.data_shards(),
+            shard_len,
+            rank,
+        )
     }
 
     fn is_mds(&self) -> bool {
@@ -428,10 +353,9 @@ mod tests {
 
         let mut available = vec![true; 14];
         available[7] = false;
-        let metrics = rs.repair_plan(7, &available).unwrap().metrics(96);
-        assert_eq!(metrics.helpers, 10);
-        assert_eq!(metrics.bytes_read, 10 * 96);
-        assert_eq!(metrics.bytes_transferred, 10 * 96);
+        let plan = rs.repair_plan(7, &available).unwrap();
+        assert_eq!(plan.helper_count(), 10);
+        assert_eq!(plan.bytes_read(96), 10 * 96);
     }
 
     #[test]

@@ -6,8 +6,18 @@
 //! any code, exactly which helper shards must be contacted and which fraction
 //! of each shard must be read, so the cluster simulator can convert a plan
 //! into cross-rack traffic without touching data bytes.
+//!
+//! Every code here is linear, so every repair is too: one solver here is
+//! the body of every [`ErasureCode::repair_from_reads`], rebuilding a shard
+//! from the helper bytes a code's read choice names, whatever the code.
 
 use core::fmt;
+
+use pbrs_gf::slice_ops;
+
+use crate::params::validate_repair_views;
+use crate::views::ShardSet;
+use crate::{decode, CodeError, ErasureCode};
 
 /// An exact rational fraction of a shard, used to express partial-shard reads
 /// (the Piggybacked-RS code reads half-shards).
@@ -23,7 +33,8 @@ impl Fraction {
     /// Half of the shard (one of the two byte-level substripes).
     pub const HALF: Fraction = Fraction { num: 1, den: 2 };
 
-    /// Creates a fraction `num / den`.
+    /// Creates a fraction `num / den`, reduced to lowest terms (so `2/2` is
+    /// [`Fraction::ONE`]).
     ///
     /// # Panics
     ///
@@ -32,7 +43,14 @@ impl Fraction {
     pub fn new(num: u32, den: u32) -> Self {
         assert!(den != 0, "fraction denominator must be non-zero");
         assert!(num <= den, "cannot fetch more than a whole shard");
-        Fraction { num, den }
+        let (mut a, mut b) = (num, den);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        Fraction {
+            num: num / a,
+            den: den / a,
+        }
     }
 
     /// Numerator.
@@ -110,16 +128,6 @@ impl RepairPlan {
             .sum()
     }
 
-    /// Converts the plan into [`RepairMetrics`] for a given shard length.
-    pub fn metrics(&self, shard_len: usize) -> RepairMetrics {
-        let bytes = self.bytes_read(shard_len);
-        RepairMetrics {
-            helpers: self.helper_count(),
-            bytes_read: bytes,
-            bytes_transferred: bytes,
-        }
-    }
-
     /// Indices of the helper shards, in plan order.
     pub fn helper_indices(&self) -> Vec<usize> {
         self.fetches.iter().map(|f| f.shard).collect()
@@ -169,40 +177,122 @@ pub fn total_read_bytes(reads: &[ShardRead]) -> u64 {
     reads.iter().map(|r| r.len as u64).sum()
 }
 
-/// The reads of a plan that touch helper shard `shard`, in plan order.
+/// Whole-shard reads of the `count` available shards other than `target`
+/// with the lowest `rank` (ties broken by shard index), in shard order: the
+/// read choice of a code that any `count` survivors decode.
 ///
-/// Chunk-at-a-time executors (the `pbrs-store` crate's degraded reads, the
-/// `chunkd` wire protocol) serve one helper shard per request, so they need
-/// the per-shard slice of a plan rather than the flat list.
-pub fn reads_for_shard(reads: &[ShardRead], shard: usize) -> impl Iterator<Item = &ShardRead> {
-    reads.iter().filter(move |r| r.shard == shard)
-}
-
-/// Read/transfer accounting of an executed (or planned) repair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RepairMetrics {
-    /// Number of helper shards contacted.
-    pub helpers: usize,
-    /// Bytes read from helper disks.
-    pub bytes_read: u64,
-    /// Bytes moved over the network to the rebuilding node.
-    pub bytes_transferred: u64,
-}
-
-impl RepairMetrics {
-    /// Sums two metrics, e.g. to aggregate over many block repairs.
-    pub fn combined(self, other: RepairMetrics) -> RepairMetrics {
-        RepairMetrics {
-            helpers: self.helpers + other.helpers,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_transferred: self.bytes_transferred + other.bytes_transferred,
-        }
+/// # Errors
+///
+/// Returns [`CodeError::NotEnoughShards`] when fewer than `count` shards
+/// other than `target` are available.
+pub fn lowest_ranked_reads(
+    target: usize,
+    available: &[bool],
+    count: usize,
+    shard_len: usize,
+    rank: &dyn Fn(usize) -> u64,
+) -> Result<Vec<ShardRead>, CodeError> {
+    let mut helpers: Vec<usize> = (0..available.len())
+        .filter(|&i| available[i] && i != target)
+        .collect();
+    if helpers.len() < count {
+        return Err(CodeError::NotEnoughShards {
+            needed: count,
+            available: helpers.len(),
+        });
     }
+    helpers.sort_by_key(|&i| (rank(i), i));
+    helpers.truncate(count);
+    helpers.sort_unstable();
+    Ok(helpers
+        .into_iter()
+        .map(|shard| ShardRead::whole(shard, shard_len))
+        .collect())
+}
+
+/// Rebuilds shard `target` of `code` into `out` from exactly the helper
+/// bytes `reads` names: the body of every [`ErasureCode::repair_from_reads`].
+///
+/// A shard of `g = code.granularity()` symbols is `g` equal byte ranges, and
+/// symbol `s` of shard `i` is row `i·g + s` of [`ErasureCode::generator`].
+/// Each read must name a helper other than `target` and cover whole symbols
+/// inside its shard; it contributes the rows of the symbols it covers. One
+/// elimination expresses each of the target's `g` rows as a combination of
+/// those rows, and each output symbol is then one pass over the helper
+/// symbols with a non-zero coefficient. Helper bytes are reached only
+/// through validated reads, so a repair cannot read outside its ranges.
+///
+/// # Errors
+///
+/// The view errors of [`validate_repair_views`],
+/// [`CodeError::InvalidShardIndex`] for a read past the stripe, and
+/// [`CodeError::ReconstructionFailed`] for a read of the target, a range
+/// that is not whole symbols inside the shard, or reads that do not span
+/// the target.
+pub(crate) fn repair_from_reads<C: ErasureCode + ?Sized>(
+    code: &C,
+    target: usize,
+    reads: &[ShardRead],
+    helpers: &ShardSet<'_>,
+    out: &mut [u8],
+) -> Result<(), CodeError> {
+    let g = code.granularity();
+    let shard_len = validate_repair_views(target, helpers, out, code.params(), g)?;
+    let n = helpers.shard_count();
+    let sym = shard_len / g;
+    let mut rows: Vec<usize> = Vec::new();
+    for read in reads {
+        if read.shard >= n {
+            return Err(CodeError::InvalidShardIndex {
+                index: read.shard,
+                total: n,
+            });
+        }
+        if read.shard == target {
+            // The target's rows span themselves: the "rebuild" would copy
+            // the stale slot being repaired.
+            return Err(CodeError::ReconstructionFailed {
+                context: "a repair read may not name the target shard",
+            });
+        }
+        let inside = read
+            .offset
+            .checked_add(read.len)
+            .is_some_and(|end| end <= shard_len);
+        if !inside || !read.offset.is_multiple_of(sym) || !read.len.is_multiple_of(sym) {
+            return Err(CodeError::ReconstructionFailed {
+                context: "a repair read must cover whole symbols inside its shard",
+            });
+        }
+        let first = read.shard * g + read.offset / sym;
+        rows.extend(first..first + read.len / sym);
+    }
+    rows.sort_unstable();
+    rows.dedup();
+    let generator = code.generator();
+    let helper_rows: Vec<&[u8]> = rows.iter().map(|&row| generator.row(row)).collect();
+    let target_rows: Vec<&[u8]> = (0..g).map(|s| generator.row(target * g + s)).collect();
+    let coeffs = decode::solve_combination(&helper_rows, &target_rows).ok_or(
+        CodeError::ReconstructionFailed {
+            context: "the reads do not span the target shard",
+        },
+    )?;
+    for (coeffs, out) in coeffs.iter().zip(out.chunks_exact_mut(sym)) {
+        let (nonzero, srcs): (Vec<u8>, Vec<&[u8]>) = coeffs
+            .iter()
+            .zip(&rows)
+            .filter(|&(&c, _)| c != 0)
+            .map(|(&c, &row)| (c, &helpers.shard(row / g)[(row % g) * sym..][..sym]))
+            .unzip();
+        slice_ops::linear_combination_into(&nonzero, srcs, out);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ReedSolomon, ShardBuffer};
 
     #[test]
     fn fraction_basics() {
@@ -212,6 +302,8 @@ mod tests {
         assert_eq!(Fraction::ONE.to_string(), "1");
         assert_eq!(Fraction::HALF.to_string(), "1/2");
         assert_eq!(Fraction::new(2, 2).to_string(), "1");
+        assert_eq!(Fraction::new(2, 2), Fraction::ONE);
+        assert_eq!(Fraction::new(3, 6), Fraction::HALF);
     }
 
     #[test]
@@ -258,28 +350,105 @@ mod tests {
         assert!((plan.total_fraction() - 2.0).abs() < 1e-12);
         assert_eq!(plan.bytes_read(100), 100 + 50 + 50);
         assert_eq!(plan.helper_indices(), vec![1, 2, 13]);
-        let m = plan.metrics(100);
-        assert_eq!(m.helpers, 3);
-        assert_eq!(m.bytes_read, 200);
-        assert_eq!(m.bytes_transferred, 200);
+    }
+
+    /// An encoded `(k, r)` RS stripe of `len`-byte shards.
+    fn rs_stripe(k: usize, r: usize, len: usize) -> (ReedSolomon, ShardBuffer) {
+        let rs = ReedSolomon::new(k, r).unwrap();
+        let mut stripe = ShardBuffer::zeroed(k + r, len);
+        for i in 0..k {
+            for (j, byte) in stripe.shard_mut(i).iter_mut().enumerate() {
+                *byte = (i * 11 + j * 7 + 3) as u8;
+            }
+        }
+        let (data, mut parity) = stripe.split_mut(k);
+        rs.encode_into(&data, &mut parity).unwrap();
+        (rs, stripe)
+    }
+
+    /// Rebuilds `target` from only `reads`, every other byte garbage.
+    fn solve(
+        rs: &ReedSolomon,
+        stripe: &ShardBuffer,
+        target: usize,
+        reads: &[ShardRead],
+    ) -> Result<Vec<u8>, CodeError> {
+        let mut sparse = ShardBuffer::zeroed(stripe.shard_count(), stripe.shard_len());
+        for i in 0..stripe.shard_count() {
+            sparse.shard_mut(i).fill(0xA5);
+        }
+        let inside = |r: &&ShardRead| {
+            r.offset
+                .checked_add(r.len)
+                .is_some_and(|end| end <= stripe.shard_len())
+        };
+        for read in reads.iter().filter(inside) {
+            sparse.shard_mut(read.shard)[read.range()]
+                .copy_from_slice(&stripe.shard(read.shard)[read.range()]);
+        }
+        let mut out = vec![0u8; stripe.shard_len()];
+        repair_from_reads(rs, target, reads, &sparse.as_set(), &mut out).map(|()| out)
     }
 
     #[test]
-    fn metrics_combine() {
-        let a = RepairMetrics {
-            helpers: 10,
-            bytes_read: 100,
-            bytes_transferred: 100,
-        };
-        let b = RepairMetrics {
-            helpers: 7,
-            bytes_read: 65,
-            bytes_transferred: 65,
-        };
-        let c = a.combined(b);
-        assert_eq!(c.helpers, 17);
-        assert_eq!(c.bytes_read, 165);
-        assert_eq!(c.bytes_transferred, 165);
-        assert_eq!(RepairMetrics::default().combined(a), a);
+    fn solver_rebuilds_any_single_shard() {
+        let (rs, stripe) = rs_stripe(5, 3, 24);
+        for target in 0..8 {
+            // The k shards after the target, wrapping: never the code's own
+            // first-k choice for every target.
+            let reads: Vec<ShardRead> = (1..=5)
+                .map(|d| ShardRead::whole((target + d) % 8, 24))
+                .collect();
+            let rebuilt = solve(&rs, &stripe, target, &reads).unwrap();
+            assert_eq!(rebuilt, stripe.shard(target), "target {target}");
+        }
+    }
+
+    #[test]
+    fn solver_rebuilds_a_data_shard_through_parity() {
+        // Data shard 0 from the other four data shards and the first parity:
+        // the parity row is the only one that reaches shard 0.
+        let (rs, stripe) = rs_stripe(5, 2, 16);
+        let reads: Vec<ShardRead> = (1..6).map(|s| ShardRead::whole(s, 16)).collect();
+        assert_eq!(solve(&rs, &stripe, 0, &reads).unwrap(), stripe.shard(0));
+    }
+
+    #[test]
+    fn solver_refuses_reads_that_do_not_span_the_target() {
+        let (rs, stripe) = rs_stripe(3, 2, 8);
+        for helpers in [&[][..], &[1, 2], &[1, 3], &[3, 4]] {
+            let reads: Vec<ShardRead> = helpers.iter().map(|&s| ShardRead::whole(s, 8)).collect();
+            assert!(
+                matches!(
+                    solve(&rs, &stripe, 0, &reads),
+                    Err(CodeError::ReconstructionFailed { .. })
+                ),
+                "helpers {helpers:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn solver_refuses_partial_symbol_ranges() {
+        let (rs, stripe) = rs_stripe(4, 2, 8);
+        let whole: Vec<ShardRead> = (1..5).map(|s| ShardRead::whole(s, 8)).collect();
+        assert_eq!(solve(&rs, &stripe, 0, &whole).unwrap(), stripe.shard(0));
+        // RS has one symbol per shard: a half read, a range past the shard
+        // end and an overflowing one are all refused, never read.
+        for bad in [(0, 4), (4, 4), (8, 8), (usize::MAX, 2)] {
+            let mut reads = whole.clone();
+            reads[2] = ShardRead {
+                shard: 3,
+                offset: bad.0,
+                len: bad.1,
+            };
+            assert!(
+                matches!(
+                    solve(&rs, &stripe, 0, &reads),
+                    Err(CodeError::ReconstructionFailed { .. })
+                ),
+                "range {bad:?}"
+            );
+        }
     }
 }

@@ -8,11 +8,12 @@
 //! single-shard repair copies exactly one replica.
 
 use pbrs_gf::slice_ops;
+use pbrs_gf::Matrix;
 
-use crate::params::{validate_encode_views, validate_repair_views, validate_stripe_view};
-use crate::repair::{FetchRequest, Fraction, RepairPlan, ShardRead};
+use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::repair::{lowest_ranked_reads, ShardRead};
 use crate::views::{ShardSet, ShardSetMut};
-use crate::{validate_single_failure_mask, CodeError, CodeParams, ErasureCode};
+use crate::{CodeError, CodeParams, ErasureCode};
 
 /// N-way replication (`k = 1`, `r = replicas − 1`).
 ///
@@ -33,9 +34,11 @@ use crate::{validate_single_failure_mask, CodeError, CodeParams, ErasureCode};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Replication {
     params: CodeParams,
+    /// `n × 1` all-ones generator: every shard is the one data symbol.
+    generator: Matrix,
 }
 
 impl Replication {
@@ -53,6 +56,7 @@ impl Replication {
         }
         Ok(Replication {
             params: CodeParams::new(1, replicas - 1)?,
+            generator: Matrix::from_rows(replicas, 1, vec![1; replicas]),
         })
     }
 
@@ -118,48 +122,8 @@ impl ErasureCode for Replication {
         Ok(())
     }
 
-    fn repair_into(
-        &self,
-        target: usize,
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let source = usize::from(target == 0);
-        out.copy_from_slice(helpers.shard(source));
-        Ok(())
-    }
-
-    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
-        let n = self.params.total_shards();
-        if available.len() != n {
-            return Err(CodeError::ShardCountMismatch {
-                expected: n,
-                actual: available.len(),
-            });
-        }
-        if target >= n {
-            return Err(CodeError::InvalidShardIndex {
-                index: target,
-                total: n,
-            });
-        }
-        if available[target] {
-            return Err(CodeError::TargetNotMissing { index: target });
-        }
-        let helper = (0..n)
-            .find(|&i| available[i])
-            .ok_or(CodeError::NotEnoughShards {
-                needed: 1,
-                available: 0,
-            })?;
-        Ok(RepairPlan {
-            target,
-            fetches: vec![FetchRequest {
-                shard: helper,
-                fraction: Fraction::ONE,
-            }],
-        })
+    fn generator(&self) -> &Matrix {
+        &self.generator
     }
 
     fn repair_reads_ranked(
@@ -169,49 +133,9 @@ impl ErasureCode for Replication {
         shard_len: usize,
         rank: &dyn Fn(usize) -> u64,
     ) -> Result<Vec<ShardRead>, CodeError> {
-        if shard_len == 0 || !shard_len.is_multiple_of(self.granularity()) {
-            return Err(CodeError::UnalignedShard {
-                len: shard_len,
-                granularity: self.granularity(),
-            });
-        }
-        self.repair_plan(target, available)?;
-        validate_single_failure_mask(target, available)?;
+        validate_repair_request(self, target, available, shard_len)?;
         // Every replica is interchangeable: copy the cheapest-ranked one.
-        let n = self.params.total_shards();
-        let source = (0..n)
-            .filter(|&i| i != target)
-            .min_by_key(|&i| (rank(i), i))
-            // pbrs-lint: allow(panic-hygiene) -- n >= 2 is enforced at construction, so a source replica exists
-            .expect("replication has at least two shards");
-        Ok(vec![ShardRead::whole(source, shard_len)])
-    }
-
-    fn repair_from_reads(
-        &self,
-        target: usize,
-        reads: &[ShardRead],
-        helpers: &ShardSet<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        validate_repair_views(target, helpers, out, self.params, self.granularity())?;
-        let read = match reads {
-            [read]
-                if read.offset == 0
-                    && read.len == out.len()
-                    && read.shard != target
-                    && read.shard < self.params.total_shards() =>
-            {
-                read
-            }
-            _ => {
-                return Err(CodeError::ReconstructionFailed {
-                    context: "replication repairs copy exactly one whole replica",
-                })
-            }
-        };
-        out.copy_from_slice(helpers.shard(read.shard));
-        Ok(())
+        lowest_ranked_reads(target, available, 1, shard_len, rank)
     }
 
     fn is_mds(&self) -> bool {
@@ -272,9 +196,6 @@ mod tests {
         assert_eq!(plan.helper_count(), 1);
         assert_eq!(plan.helper_indices(), vec![0]);
         assert_eq!(plan.bytes_read(256), 256);
-        let metrics = plan.metrics(64);
-        assert_eq!(metrics.helpers, 1);
-        assert_eq!(metrics.bytes_transferred, 64);
 
         let mut stripe = ShardBuffer::zeroed(3, 64);
         stripe.shard_mut(0).fill(5);

@@ -130,9 +130,9 @@ proptest! {
         prop_assert_eq!(&out[..], all.shard(target));
         let mut available = vec![true; k + r];
         available[target] = false;
-        let metrics = rs.repair_plan(target, &available).unwrap().metrics(len);
-        prop_assert_eq!(metrics.helpers, k);
-        prop_assert_eq!(metrics.bytes_transferred, (k * len) as u64);
+        let plan = rs.repair_plan(target, &available).unwrap();
+        prop_assert_eq!(plan.helper_count(), k);
+        prop_assert_eq!(plan.bytes_read(len), (k * len) as u64);
     }
 
     /// Re-encoding the data accepts valid stripes and exposes any single-bit

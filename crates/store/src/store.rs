@@ -1385,8 +1385,8 @@ impl BlockStore {
     /// happened to be resident or padding here. Every range requested from
     /// a backend is added to `traffic.fetched`, failed attempts included.
     /// Bytes of the scratch stripe outside the plan's ranges may be stale
-    /// from earlier stripes; the [`ErasureCode::repair_reads`] contract
-    /// guarantees the rebuild never reads them.
+    /// from earlier stripes; [`ErasureCode::repair_from_reads`] reads only
+    /// the ranges it is given, so the rebuild never sees them.
     fn try_planned_rebuild(
         &self,
         at: &StripeRef<'_>,

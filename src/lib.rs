@@ -232,8 +232,8 @@ pub mod prelude {
     pub use pbrs_core::registry::{build as build_spec, build_str as build_code, DynCode};
     pub use pbrs_core::{PiggybackDesign, PiggybackedRs, SavingsReport};
     pub use pbrs_erasure::{
-        CodeError, CodeParams, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, RepairMetrics,
-        RepairPlan, Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut,
+        CodeError, CodeParams, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, RepairPlan,
+        Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut,
     };
     pub use pbrs_gateway::{Gateway, GatewayClient, GatewayConfig, GatewayError};
     pub use pbrs_gf::Gf256;
