@@ -1,8 +1,8 @@
 //! Shared output helpers for the `pbrs-bench` binaries.
 //!
 //! `paper_scorecard` checks the paper's numbers against the closed forms,
-//! the unavailability model and the simulator; the other binaries measure
-//! kernel, store and gateway throughput.
+//! the unavailability model and the simulator; `gf_kernels` measures the
+//! Galois-field and CRC kernel throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

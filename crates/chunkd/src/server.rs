@@ -50,11 +50,10 @@ pub struct ServerConfig {
     /// over a fresh connection), so a short timeout is safe.
     pub idle_timeout: Duration,
     /// Test/bench-only fault hook: when set, the served disk is wrapped in
-    /// a [`FaultyBackend`] executing this plan, so chaos suites and
-    /// `load_gateway --fault-plan` can stall, corrupt, or drop real remote
-    /// ops. A `drop` fault makes the server kill the connection instead of
-    /// answering, as a genuinely aborted connection would. Nothing in
-    /// production paths sets this.
+    /// a [`FaultyBackend`] executing this plan, so chaos suites can stall,
+    /// corrupt, or drop real remote ops. A `drop` fault makes the server
+    /// kill the connection instead of answering, as a genuinely aborted
+    /// connection would. Nothing in production paths sets this.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// The pool-disk index this server plays in `fault_plan`'s schedule
     /// (a plan's `disk=N` clauses match against it).

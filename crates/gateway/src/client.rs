@@ -4,8 +4,8 @@
 //! convenience calls (`put` / `get` / `delete` / `stat` / `metrics`)
 //! plus a streaming [`GatewayClient::get_streamed`] that hands each
 //! stripe to a sink as it arrives — the client-side half of the
-//! gateway's O(stripe) memory story, and what the load harness uses so
-//! measured latency is first-byte-honest.
+//! gateway's O(stripe) memory story, and what `benchmark/` and the
+//! contract tests use so measured latency is first-byte-honest.
 //!
 //! For pipelining (several requests in flight on one socket, responses
 //! matched by id) the raw [`GatewayClient::send_request`] /

@@ -16,7 +16,7 @@
 //! stripe budgets, TCP pushback on writes). Degraded reads — the paper's
 //! central cost — are first-class: every `GET` reports how many of its
 //! stripes were rebuilt from survivors, and [`metrics`] aggregates the
-//! degraded-read share the load harness plots.
+//! degraded-read share.
 //!
 //! Module map:
 //!

@@ -10,7 +10,7 @@
 //! queue/erasure/chunk-io/flush time. The `METRICS` RPC serialises all of
 //! it as versioned JSON (`schema_version: 2`, documented in
 //! `OPERATIONS.md`), and the `PROMETHEUS` RPC renders the text
-//! exposition, so a load harness can cross-check its client-observed
+//! exposition, so a load generator can cross-check its client-observed
 //! percentiles against the server's without scraping logs.
 
 use std::sync::atomic::{AtomicU64, Ordering};

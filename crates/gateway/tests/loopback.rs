@@ -2,24 +2,21 @@
 //! degraded streaming over real chunkd sockets, pipelined demultiplexing
 //! by request id, explicit BUSY shedding, and hostile-frame hygiene.
 
+mod common;
+
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pbrs_chunkd::{ChunkServer, RemoteDisk, ServerConfig};
+use common::{chunkd_store, client, pattern};
 use pbrs_gateway::client::{GatewayClient, GatewayError, PUT_CHUNK};
 use pbrs_gateway::protocol::{Request, Response};
 use pbrs_gateway::server::{Gateway, GatewayConfig};
 use pbrs_store::store::{BlockStore, StoreConfig};
 use pbrs_store::testing::TempDir;
-use pbrs_store::{ChunkBackend, PlacementPolicy, RackMap};
 use pbrs_wire::{read_frame, write_frame, Envelope, MAX_FRAME};
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 131 + 17) % 251) as u8).collect()
-}
 
 fn local_store(dir: &TempDir, spec: &str, chunk_len: usize) -> Arc<BlockStore> {
     let spec = spec.parse().unwrap();
@@ -31,12 +28,6 @@ fn local_store(dir: &TempDir, spec: &str, chunk_len: usize) -> Arc<BlockStore> {
 
 fn gateway(store: &Arc<BlockStore>, config: GatewayConfig) -> Gateway {
     Gateway::serve(Arc::clone(store), "127.0.0.1:0", config).unwrap()
-}
-
-fn client(gw: &Gateway) -> GatewayClient {
-    let c = GatewayClient::connect(gw.local_addr()).unwrap();
-    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    c
 }
 
 #[test]
@@ -92,34 +83,8 @@ fn put_get_stat_delete_round_trip() {
 #[test]
 fn degraded_get_over_chunkd_sockets_reports_rebuilt_stripes() {
     let dir = TempDir::new("gw-degraded");
-    let spec: pbrs_erasure::CodeSpec = "piggyback-4-2".parse().unwrap();
     // Every disk a real chunkd TCP server on loopback.
-    let servers: Vec<ChunkServer> = (0..6)
-        .map(|i| {
-            ChunkServer::bind_with(
-                dir.path().join(format!("srv-{i:02}")),
-                "127.0.0.1:0",
-                ServerConfig {
-                    threads: 2,
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    let disks: Vec<Arc<dyn ChunkBackend>> = servers
-        .iter()
-        .map(|s| Arc::new(RemoteDisk::new(s.local_addr().to_string())) as Arc<dyn ChunkBackend>)
-        .collect();
-    let store = Arc::new(
-        BlockStore::open_with_backends(
-            StoreConfig::new(dir.path().join("root"), spec).chunk_len(512),
-            disks,
-            RackMap::per_disk(6),
-            PlacementPolicy::Identity,
-        )
-        .unwrap(),
-    );
+    let (servers, store) = chunkd_store(&dir, 512);
     let gw = gateway(&store, GatewayConfig::default());
     let mut c = client(&gw);
 
@@ -362,12 +327,14 @@ fn busy_shed_above_the_admission_limit_and_recovery() {
     }
     assert_eq!(gw.metrics().snapshot().requests_admitted, 1);
 
-    // Connection B is shed with BUSY — explicitly, not queued.
+    // Connection B is shed with BUSY — explicitly, not queued. Every BUSY
+    // B receives is counted, to hold the gateway's shed count to it.
     let mut b = client(&gw);
     assert!(
         matches!(probe_admission(&mut b), Err(GatewayError::Busy)),
         "no BUSY while the admission slot was pinned"
     );
+    let mut busy = 1;
 
     // A finishes; the slot frees; B succeeds.
     a.send_request(1, &Request::PutEnd).unwrap();
@@ -383,14 +350,17 @@ fn busy_shed_above_the_admission_limit_and_recovery() {
                 ok = true;
                 break;
             }
-            Err(GatewayError::Busy) => std::thread::sleep(Duration::from_millis(10)),
+            Err(GatewayError::Busy) => {
+                busy += 1;
+                std::thread::sleep(Duration::from_millis(10));
+            }
             Err(e) => panic!("unexpected {e}"),
         }
     }
     assert!(ok, "gateway never recovered after the slot freed");
 
-    let snapshot = gw.metrics().snapshot();
-    assert!(snapshot.requests_shed >= 1);
+    // No silent drop: every shed the gateway counted reached a client.
+    assert_eq!(gw.metrics().snapshot().requests_shed, busy);
 }
 
 /// A worker-backed probe that reports BUSY distinctly (STAT is answered
@@ -862,37 +832,7 @@ fn connection_cap_refuses_loudly() {
 #[test]
 fn degraded_get_retains_one_tree_spanning_gateway_store_and_chunkd() {
     let dir = TempDir::new("gw-trace");
-    let spec: pbrs_erasure::CodeSpec = "piggyback-4-2".parse().unwrap();
-    let servers: Vec<ChunkServer> = (0..6)
-        .map(|i| {
-            ChunkServer::bind_with(
-                dir.path().join(format!("srv-{i:02}")),
-                "127.0.0.1:0",
-                ServerConfig {
-                    threads: 2,
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    // `.traced()` opts the client half in; the servers record spans for
-    // trace-wrapped requests by default.
-    let disks: Vec<Arc<dyn ChunkBackend>> = servers
-        .iter()
-        .map(|s| {
-            Arc::new(RemoteDisk::new(s.local_addr().to_string()).traced()) as Arc<dyn ChunkBackend>
-        })
-        .collect();
-    let store = Arc::new(
-        BlockStore::open_with_backends(
-            StoreConfig::new(dir.path().join("root"), spec).chunk_len(512),
-            disks,
-            RackMap::uniform(3, 2),
-            PlacementPolicy::Identity,
-        )
-        .unwrap(),
-    );
+    let (servers, store) = chunkd_store(&dir, 512);
     let gw = gateway(&store, GatewayConfig::default());
     let mut c = client(&gw);
 
@@ -911,6 +851,24 @@ fn degraded_get_retains_one_tree_spanning_gateway_store_and_chunkd() {
     assert!(
         traces.chrome.starts_with("{\"traceEvents\":["),
         "{}",
+        traces.chrome
+    );
+    // The Chrome rendering names both sides of the wire as processes and
+    // draws the chunk reads as slices.
+    let processes = chrome_processes(&traces.chrome);
+    assert!(
+        processes.iter().any(|p| p.starts_with("gateway")),
+        "{processes:?}"
+    );
+    assert!(
+        processes.iter().any(|p| p.starts_with("chunkd")),
+        "{processes:?}"
+    );
+    assert!(
+        traces
+            .chrome
+            .contains("{\"name\":\"chunk_io\",\"cat\":\"pbrs\",\"ph\":\"X\""),
+        "no chunk_io slice in {}",
         traces.chrome
     );
 
@@ -939,10 +897,9 @@ fn degraded_get_retains_one_tree_spanning_gateway_store_and_chunkd() {
     let leaves: Vec<_> = tree.spans.iter().filter(|s| s.name == "chunk_io").collect();
     assert!(!leaves.is_empty());
     assert!(
-        leaves.iter().any(
-            |s| s.tag("backend").is_some_and(|b| b.contains("chunkd://"))
-                && s.tag("rack").is_some()
-        ),
+        leaves.iter().any(|s| s.dur_us > 0
+            && s.tag("backend").is_some_and(|b| b.contains("chunkd://"))
+            && s.tag("rack").is_some()),
         "{leaves:?}"
     );
     // Spans shipped back from at least two distinct chunkd processes.
@@ -991,12 +948,41 @@ fn degraded_get_retains_one_tree_spanning_gateway_store_and_chunkd() {
     // Exemplars: the degraded-GET histogram member links its bucket to a
     // retained trace id; journal drop counters ride the same exposition.
     let text = c.prometheus().unwrap();
+    assert!(has_degraded_exemplar(&text), "{text}");
     assert!(
-        text.contains("op=\"get_degraded\"")
-            && text.contains("# {trace_id=\"")
-            && text.contains("pbrs_journal_events_dropped_total{component=\"gateway\"} 0"),
+        text.contains("pbrs_journal_events_dropped_total{component=\"gateway\"} 0"),
         "{text}"
     );
+}
+
+/// The `process_name` labels of a Chrome `trace_event` payload.
+fn chrome_processes(chrome: &str) -> Vec<&str> {
+    chrome
+        .split("{\"name\":\"process_name\",\"ph\":\"M\",")
+        .skip(1)
+        .filter_map(|meta| {
+            meta.split_once("\"args\":{\"name\":\"")?
+                .1
+                .split('"')
+                .next()
+        })
+        .collect()
+}
+
+/// Whether `exposition` links a degraded-GET latency bucket to a trace:
+/// `..._bucket{op="get_degraded",...} N # {trace_id="<16 hex>"} V`.
+fn has_degraded_exemplar(exposition: &str) -> bool {
+    exposition
+        .lines()
+        .filter(|l| l.starts_with("pbrs_gateway_op_duration_seconds_bucket{op=\"get_degraded\""))
+        .filter_map(|l| l.split_once(" # {trace_id=\""))
+        .any(|(_, rest)| {
+            rest.len() >= 18
+                && rest[..16]
+                    .bytes()
+                    .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+                && rest[16..].starts_with("\"}")
+        })
 }
 
 /// The gateway's per-op latency histograms, GET stage breakdowns, v2
@@ -1023,15 +1009,24 @@ fn latency_histograms_and_expositions_cover_all_ops() {
     // A METRICS round trip serialises through the reactor, so every op
     // recorded above is visible both in the JSON and in direct snapshots.
     let json = c.metrics().unwrap();
+    let latency = gw.metrics().latency();
     assert!(json.contains("\"schema_version\":2"), "{json}");
     assert!(json.contains("\"ops\":{\"put\":{\"count\":2"), "{json}");
     assert!(
         json.contains("\"stages\":{\"healthy_get\":{\"queue\":"),
         "{json}"
     );
+    // The wire summaries are the in-process ones, byte for byte.
+    assert!(
+        json.contains(&format!(
+            "\"ops\":{},\"stages\":{}",
+            latency.ops_json(),
+            latency.stages_json()
+        )),
+        "{json}"
+    );
     assert!(json.contains("\"store\":{"), "{json}");
 
-    let latency = gw.metrics().latency();
     assert_eq!(latency.put.count(), 2);
     assert_eq!(latency.get_healthy.count(), 1);
     assert_eq!(latency.get_degraded.count(), 1);
@@ -1055,6 +1050,20 @@ fn latency_histograms_and_expositions_cover_all_ops() {
     );
 
     let text = c.prometheus().unwrap();
+    // Every family the dashboards key on.
+    for family in [
+        "pbrs_gateway_op_duration_seconds",
+        "pbrs_gateway_get_stage_duration_seconds",
+        "pbrs_gateway_stripes_served_total",
+        "pbrs_gateway_open_connections",
+        "pbrs_store_stripe_read_duration_seconds",
+        "pbrs_journal_events_dropped_total",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} ")),
+            "{family}: {text}"
+        );
+    }
     assert!(
         text.contains("# TYPE pbrs_gateway_op_duration_seconds histogram"),
         "{text}"
@@ -1066,6 +1075,12 @@ fn latency_histograms_and_expositions_cover_all_ops() {
     assert!(
         text.contains(
             "pbrs_gateway_get_stage_duration_seconds_count{path=\"healthy\",stage=\"chunk_io\"} 1"
+        ),
+        "{text}"
+    );
+    assert!(
+        text.contains(
+            "pbrs_gateway_get_stage_duration_seconds_count{path=\"degraded\",stage=\"erasure\"} 1"
         ),
         "{text}"
     );

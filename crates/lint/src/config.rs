@@ -325,7 +325,7 @@ files = [
         assert!(glob_match("**/*.rs", "a/b/c.rs"));
         assert!(glob_match(
             "crates/bench/**",
-            "crates/bench/src/bin/load_gateway.rs"
+            "crates/bench/src/bin/gf_kernels.rs"
         ));
     }
 }

@@ -121,7 +121,7 @@ mod tests {
         assert_eq!(classify("crates/gf/src/simd.rs"), FileKind::Lib);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
         assert_eq!(
-            classify("crates/bench/src/bin/load_gateway.rs"),
+            classify("crates/bench/src/bin/gf_kernels.rs"),
             FileKind::Bin
         );
         assert_eq!(classify("examples/chaos_repair.rs"), FileKind::Example);
@@ -133,7 +133,7 @@ mod tests {
     fn crate_roots() {
         assert!(is_crate_root("crates/gf/src/lib.rs"));
         assert!(is_crate_root("src/lib.rs"));
-        assert!(is_crate_root("crates/bench/src/bin/load_gateway.rs"));
+        assert!(is_crate_root("crates/bench/src/bin/gf_kernels.rs"));
         assert!(is_crate_root("examples/chaos_repair.rs"));
         assert!(is_crate_root("crates/gf/tests/properties.rs"));
         assert!(!is_crate_root("crates/gf/src/simd.rs"));

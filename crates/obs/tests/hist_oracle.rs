@@ -1,7 +1,7 @@
 //! Property tests: the log-linear histogram against an exact-sort oracle.
 //!
-//! The claims under test are the ones the load harness relies on when it
-//! cross-checks client percentiles against the gateway's:
+//! The claims under test are the ones the gateway's contract test relies
+//! on when it cross-checks client percentiles against the gateway's:
 //!
 //! 1. every value lands in a bucket whose bounds contain it;
 //! 2. a reported quantile falls in the same bucket as the exact

@@ -257,34 +257,6 @@ impl FaultPlan {
         })
     }
 
-    /// A canned plan by name — the vocabulary `load_gateway --fault-plan`
-    /// and CI speak:
-    ///
-    /// * `stall-one-disk` — disk 2's reads stall indefinitely;
-    /// * `stall-one-disk:N` — disk N's reads stall indefinitely;
-    /// * `flaky-disk` — half of disk 1's reads fail, seeded;
-    /// * `slow-disk` — disk 1's reads take +25 ms.
-    ///
-    /// Anything else is parsed as plan DSL text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the offending clause for DSL text.
-    pub fn named(name: &str, seed: u64) -> std::result::Result<FaultPlan, String> {
-        if let Some(disk) = name.strip_prefix("stall-one-disk:") {
-            let disk: usize = disk
-                .parse()
-                .map_err(|_| format!("bad disk index in {name:?}"))?;
-            return Self::parse(&format!("disk={disk} op=read stall"), seed);
-        }
-        match name {
-            "stall-one-disk" => Self::parse("disk=2 op=read stall", seed),
-            "flaky-disk" => Self::parse("disk=1 op=read error p=0.5", seed),
-            "slow-disk" => Self::parse("disk=1 op=read delay=25ms", seed),
-            dsl => Self::parse(dsl, seed),
-        }
-    }
-
     /// Releases every stalled (and future) `stall` fault: stalled ops
     /// unblock and run for real. Call at teardown so stalled server
     /// threads unwind instead of leaking past the test.
@@ -655,15 +627,6 @@ mod tests {
             stalled_for >= Duration::from_millis(50),
             "read returned after {stalled_for:?}, before release"
         );
-    }
-
-    #[test]
-    fn named_plans_resolve() {
-        assert!(FaultPlan::named("stall-one-disk", 1).is_ok());
-        assert!(FaultPlan::named("stall-one-disk:4", 1).is_ok());
-        assert!(FaultPlan::named("flaky-disk", 1).is_ok());
-        assert!(FaultPlan::named("disk=0 op=write error", 1).is_ok());
-        assert!(FaultPlan::named("no-such-plan", 1).is_err());
     }
 
     /// Regression: the `count=` cap used to be a load-then-add, so two

@@ -75,7 +75,7 @@ fn stalled_disk_is_routed_around_within_deadline_and_demoted() {
     let dir = TempDir::new("chaos-stall");
     // Disk 2 (a data shard under identity placement) stalls every read
     // indefinitely; writes are clean so `put` lays the object down intact.
-    let plan = Arc::new(FaultPlan::named("stall-one-disk", 42).unwrap());
+    let plan = Arc::new(FaultPlan::parse("disk=2 op=read stall", 42).unwrap());
     let store = hardened(&dir, "piggyback-4-2", 6, &plan);
     let data = pattern(4 * CHUNK_LEN * 3); // 3 full stripes
     store.put("obj", &data[..]).unwrap();

@@ -184,11 +184,11 @@
 //! # }
 //! ```
 //!
-//! `cargo run --release -p pbrs-bench --bin load_gateway` drives a
-//! gateway from hundreds of concurrent connections (closed- or open-loop,
-//! zipfian object popularity, configurable degraded fraction) and writes
-//! `BENCH_gateway.json` with p50/p95/p99 latency split healthy vs
-//! degraded. `OPERATIONS.md` documents the knobs and the metrics schema.
+//! `crates/gateway/tests/contracts.rs` drives a gateway from concurrent
+//! connections, healthy and degraded GETs alternating, and checks its
+//! metrics, traces and chaos behaviour against what the clients saw;
+//! `benchmark/` measures its throughput and latency per workload.
+//! `OPERATIONS.md` documents the knobs and the metrics schema.
 //!
 //! # Placement & racks
 //!
