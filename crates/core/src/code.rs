@@ -1,11 +1,11 @@
-//! The Piggybacked-RS code: encoding, MDS reconstruction and
-//! download-efficient single-shard repair.
+//! The Piggybacked-RS code: its symbol-level generator and its
+//! download-efficient choice of repair reads. Encoding, MDS reconstruction
+//! and the repair arithmetic are the generator-derived ones every
+//! [`ErasureCode`] shares.
 
-use pbrs_gf::{slice_ops, Matrix};
+use pbrs_gf::Matrix;
 
-use pbrs_erasure::decode;
-use pbrs_erasure::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
-use pbrs_erasure::views::{ShardSet, ShardSetMut};
+use pbrs_erasure::params::validate_repair_request;
 use pbrs_erasure::{
     lowest_ranked_reads, CodeError, CodeParams, ErasureCode, ReedSolomon, ShardRead,
 };
@@ -148,31 +148,6 @@ impl PiggybackedRs {
         let data_ok = (0..self.params.data_shards()).all(|i| i == target || available[i]);
         data_ok && available[clean_parity] && available[carrier]
     }
-
-    /// XORs each piggyback group's substripe-a symbols into (or out of —
-    /// the operation is an involution) the b-half of its carrier parity, for
-    /// every carrier parity accepted by `include`.
-    ///
-    /// All data shards' a-halves must hold valid bytes when this runs.
-    fn toggle_piggybacks(
-        &self,
-        shards: &mut ShardSetMut<'_>,
-        half: usize,
-        mut include: impl FnMut(usize) -> bool,
-    ) {
-        let k = self.params.data_shards();
-        for j in 1..self.params.parity_shards() {
-            let carrier = k + j;
-            if !include(carrier) {
-                continue;
-            }
-            let (parity_shard, rest) = shards.split_one_mut(carrier);
-            let b_out = &mut parity_shard[half..];
-            for &m in &self.design.groups()[j - 1] {
-                slice_ops::xor_slice(b_out, &rest.shard(m)[..half]);
-            }
-        }
-    }
 }
 
 impl ErasureCode for PiggybackedRs {
@@ -190,83 +165,6 @@ impl ErasureCode for PiggybackedRs {
 
     fn granularity(&self) -> usize {
         2
-    }
-
-    fn encode_into(
-        &self,
-        data: &ShardSet<'_>,
-        parity: &mut ShardSetMut<'_>,
-    ) -> Result<(), CodeError> {
-        let shard_len = validate_encode_views(data, parity, self.params, self.granularity())?;
-        let half = shard_len / 2;
-        let r = self.params.parity_shards();
-        let rows: Vec<&[u8]> = (0..r).map(|j| self.rs.parity_row(j)).collect();
-        let all = vec![true; r];
-        // Each substripe is a plain RS encode of the matching half of every
-        // data shard: run both as multi-output passes (each data half is
-        // read once for all r parities), then fold the piggybacks in.
-        let a_srcs: Vec<&[u8]> = data.iter().map(|s| &s[..half]).collect();
-        {
-            let mut a_view = parity.narrow_mut(0, half);
-            let (mut a_outs, _) = a_view.split_parts_mut(&all);
-            slice_ops::matrix_mul_into(&rows, &a_srcs, &mut a_outs);
-        }
-        {
-            let b_srcs: Vec<&[u8]> = data.iter().map(|s| &s[half..]).collect();
-            let mut b_view = parity.narrow_mut(half, half);
-            let (mut b_outs, _) = b_view.split_parts_mut(&all);
-            slice_ops::matrix_mul_into(&rows, &b_srcs, &mut b_outs);
-            for (j, b_out) in b_outs.iter_mut().enumerate() {
-                if j >= 1 {
-                    for &m in &self.design.groups()[j - 1] {
-                        slice_ops::xor_slice(b_out, &data.shard(m)[..half]);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn reconstruct_in_place(
-        &self,
-        shards: &mut ShardSetMut<'_>,
-        present: &[bool],
-    ) -> Result<(), CodeError> {
-        let shard_len = validate_stripe_view(shards, present, self.params, self.granularity())?;
-        if present.iter().all(|&p| p) {
-            return Ok(());
-        }
-        let half = shard_len / 2;
-        let generator = self.rs.generator();
-
-        // Substripe a is a plain RS codeword (parity a-halves carry no
-        // piggyback): decode it first, in place.
-        {
-            let mut a_view = shards.narrow_mut(0, half);
-            decode::reconstruct_linear_in_place(generator, &mut a_view, present)?;
-        }
-        // With every a-half now valid, strip the piggybacks off the
-        // *surviving* parity shards, turning the b-halves into a plain RS
-        // codeword too. The toggle is an involution, so the same pass
-        // restores (and installs) the piggybacks afterwards.
-        self.toggle_piggybacks(shards, half, |i| present[i]);
-        let decoded_b = {
-            let mut b_view = shards.narrow_mut(half, half);
-            decode::reconstruct_linear_in_place(generator, &mut b_view, present)
-        };
-        match decoded_b {
-            Ok(()) => {
-                // Re-apply to every parity: survivors get their original
-                // bytes back, rebuilt parities receive their piggyback.
-                self.toggle_piggybacks(shards, half, |_| true);
-                Ok(())
-            }
-            Err(e) => {
-                // Leave surviving shards exactly as they were handed in.
-                self.toggle_piggybacks(shards, half, |i| present[i]);
-                Err(e)
-            }
-        }
     }
 
     fn generator(&self) -> &Matrix {

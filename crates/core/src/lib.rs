@@ -26,8 +26,10 @@
 //! ```
 //!
 //! where `S_1..S_{r−1}` partition the data shards into groups. The code is
-//! still MDS (decode substripe `a` first, strip the piggybacks, then decode
-//! substripe `b`), still works for any `(k, r)`, and repairing a lost data
+//! still MDS (any `k` shards decode substripe `a`, which strips the
+//! piggybacks and leaves substripe `b` a plain RS codeword; the library
+//! decodes both at once from one symbol-level generator), still works for
+//! any `(k, r)`, and repairing a lost data
 //! shard now downloads roughly `(k + group size)/2` shard-equivalents
 //! instead of `k` — about a 30 % reduction for the production `(10, 4)`
 //! parameters.

@@ -1,6 +1,6 @@
 //! Ground-truth checks of the Piggybacked-RS view API across a `(k, r)`
-//! grid and odd (even-aligned) shard lengths — including the
-//! substripe-narrowing decode and the download-efficient repair path.
+//! grid and odd (even-aligned) shard lengths — including the two-symbol
+//! decode and the download-efficient repair path.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -81,8 +81,8 @@ proptest! {
     }
 
     /// Over-erased stripes fail in place with `NotEnoughShards`, and
-    /// surviving shards (including piggybacked parities, which the decode
-    /// temporarily toggles) are left bit-identical.
+    /// surviving shards (including piggybacked parities) are left
+    /// bit-identical.
     #[test]
     fn in_place_failure_restores_survivors(
         k in 2usize..10,

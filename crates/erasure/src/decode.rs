@@ -1,14 +1,16 @@
 //! Generic decoding of linear codes from their generator matrix.
 //!
-//! Every code in this workspace (Reed–Solomon, LRC, and each substripe of the
-//! Piggybacked-RS code) is a linear code over GF(2^8): shard `i` equals
-//! `G[i] · d`, where `d` is the vector of data symbols and `G` is an
-//! `n × k` generator matrix whose top `k × k` block is the identity.
+//! Every code in this workspace (Reed–Solomon, LRC, replication and the
+//! Piggybacked-RS code) is a linear code over GF(2^8): a shard is `g` equal
+//! symbols, symbol `s` of shard `i` equals `G[i·g + s] · d`, where `d` is the
+//! vector of `k·g` data symbols and `G` is the code's `n·g × k·g` symbol-level
+//! generator matrix (`g = 1` for all but Piggybacked-RS, whose two symbols
+//! are its two substripes).
 //!
-//! Decoding therefore reduces to: pick `k` surviving shards whose generator
-//! rows are linearly independent, invert that submatrix, recover the data,
-//! and re-encode whatever is missing. This module implements that once so
-//! that every code shares the same, well-tested path.
+//! Decoding therefore reduces to: pick `k·g` surviving symbols whose
+//! generator rows are linearly independent, invert that submatrix, recover
+//! the data, and re-encode whatever is missing. This module implements that
+//! once so that every code shares the same, well-tested path.
 
 use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
@@ -58,18 +60,23 @@ pub fn select_independent_rows(generator: &Matrix, candidates: &[usize]) -> Opti
 }
 
 /// Reconstructs every missing shard of a linear code *in place*, inside a
-/// borrowed shard view, without allocating any shard-sized buffer.
+/// borrowed shard view, without allocating any shard-sized buffer: the body
+/// of every [`crate::ErasureCode::reconstruct_in_place`].
 ///
 /// `shards` holds all `n` shard slots of the stripe; `present[i]` says
-/// whether slot `i` currently holds valid bytes. Present slots are never
-/// modified. Each missing slot is rebuilt directly as a linear combination
-/// of `k` independent surviving shards: the coefficients come from one
-/// `k × k` inversion (`O(k²)` bookkeeping — nothing proportional to the
-/// shard length is allocated).
+/// whether slot `i` currently holds valid bytes. `generator` is the
+/// symbol-level generator, `n·g × k·g` with `g` rows per shard: each slot is
+/// split into `g` equal symbol slices, symbol `s` of shard `i` being row
+/// `i·g + s`. One `k·g × k·g` inversion over independent surviving symbol
+/// rows gives every missing symbol as a combination of those survivors
+/// (`O((k·g)²)` bookkeeping — nothing proportional to the shard length is
+/// allocated), and one multi-output pass writes them all. Present slots are
+/// never written, and nothing is written unless the decode succeeds.
 ///
 /// # Errors
 ///
-/// * [`CodeError::NotEnoughShards`] if fewer than `k` shards survive.
+/// * [`CodeError::NotEnoughShards`] if fewer than `k` shards survive,
+///   counted in shards, not symbols.
 /// * [`CodeError::ReconstructionFailed`] if the surviving rows do not span
 ///   the data space (only possible for non-MDS generators).
 /// * [`CodeError::Matrix`] if inversion fails unexpectedly.
@@ -78,80 +85,73 @@ pub fn reconstruct_linear_in_place(
     shards: &mut ShardSetMut<'_>,
     present: &[bool],
 ) -> Result<(), CodeError> {
-    let n = generator.rows();
-    let k = generator.cols();
+    let n = present.len();
+    let g = generator.rows() / n;
+    let k = generator.cols() / g;
     debug_assert_eq!(shards.shard_count(), n, "caller validates shard count");
-    debug_assert_eq!(present.len(), n, "caller validates mask width");
+    debug_assert_eq!(generator.rows(), n * g, "g generator rows per shard");
+    debug_assert!(shards.shard_len().is_multiple_of(g), "caller aligns shards");
 
-    let present_idx: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
-    if present_idx.len() == n {
+    let survivors = present.iter().filter(|&&ok| ok).count();
+    if survivors == n {
         return Ok(());
     }
-    if present_idx.len() < k {
+    if survivors < k {
         return Err(CodeError::NotEnoughShards {
             needed: k,
-            available: present_idx.len(),
+            available: survivors,
         });
     }
-
-    let missing_mask: Vec<bool> = present.iter().map(|&ok| !ok).collect();
+    let rows_of = |want: bool| -> Vec<usize> {
+        (0..n)
+            .filter(|&i| present[i] == want)
+            .flat_map(|i| i * g..(i + 1) * g)
+            .collect()
+    };
+    let (present_rows, missing_rows) = (rows_of(true), rows_of(false));
 
     // Fast path: all data shards survive, so every missing shard is a parity
-    // and can be re-encoded straight from the data rows — all of them in
-    // one multi-output pass over the data.
-    if (0..k).all(|i| present[i]) {
-        let rows: Vec<&[u8]> = (k..n)
-            .filter(|&i| !present[i])
-            .map(|i| generator.row(i))
+    // and is re-encoded straight from the data symbols, which lead the
+    // survivors. Otherwise shard_i = row_i · data and data = inv · selected,
+    // so shard_i = (row_i · inv) · selected: one coefficient row per missing
+    // symbol over the selected survivors.
+    let missing = generator.submatrix_rows(&missing_rows)?;
+    let (coeffs, selected): (Matrix, Vec<usize>) = if (0..k).all(|i| present[i]) {
+        (missing, (0..k * g).collect())
+    } else {
+        let rows = select_independent_rows(generator, &present_rows).ok_or(
+            CodeError::ReconstructionFailed {
+                context: "surviving shards do not span the data",
+            },
+        )?;
+        let inv = generator.submatrix_rows(&rows)?.inverted()?;
+        // Each selected row's position among the present rows, which are in
+        // index order like the survivor symbols below.
+        let positions = rows
+            .iter()
+            .map(|row| {
+                present_rows
+                    .binary_search(row)
+                    // pbrs-lint: allow(panic-hygiene) -- selected rows come from present_rows itself
+                    .expect("selected rows are present")
+            })
             .collect();
-        let (mut outs, survivors) = shards.split_parts_mut(&missing_mask);
-        // Survivors are listed in index order and shards 0..k are all
-        // present, so the data shards are exactly the first k entries.
-        let srcs: Vec<&[u8]> = survivors[..k].to_vec();
-        slice_ops::matrix_mul_into(&rows, &srcs, &mut outs);
-        return Ok(());
-    }
+        (missing.multiply(&inv)?, positions)
+    };
 
-    let rows = select_independent_rows(generator, &present_idx).ok_or(
-        CodeError::ReconstructionFailed {
-            context: "surviving shards do not span the data",
-        },
-    )?;
-    let sub = generator.submatrix_rows(&rows)?;
-    let inv = sub.inverted()?;
-
-    // shard_i = row_i · data and data = inv · selected, so
-    // shard_i = (row_i · inv) · selected — one coefficient row per missing
-    // slot, then a single multi-output pass over the selected survivors.
-    let mut coeff_rows: Vec<Vec<u8>> = Vec::new();
-    for (i, &ok) in present.iter().enumerate() {
-        if ok {
-            continue;
-        }
-        let mut coeffs = vec![0u8; k];
-        for (t, c) in coeffs.iter_mut().enumerate() {
-            let mut acc = 0u8;
-            for j in 0..k {
-                acc ^= pbrs_gf::tables::mul(generator.get(i, j), inv.get(j, t));
-            }
-            *c = acc;
-        }
-        coeff_rows.push(coeffs);
-    }
-    let (mut outs, survivors) = shards.split_parts_mut(&missing_mask);
-    // `survivors` lists present shards in index order; map each selected
-    // row's shard index to its position in that list.
-    let srcs: Vec<&[u8]> = rows
-        .iter()
-        .map(|&s| {
-            let pos = present_idx
-                .binary_search(&s)
-                // pbrs-lint: allow(panic-hygiene) -- selected rows come from present_idx itself
-                .expect("selected rows are present");
-            survivors[pos]
-        })
+    let sym = shards.shard_len() / g;
+    let missing_mask: Vec<bool> = present.iter().map(|&ok| !ok).collect();
+    let (outs, survivors) = shards.split_parts_mut(&missing_mask);
+    let mut outs: Vec<&mut [u8]> = outs
+        .into_iter()
+        .flat_map(|shard| shard.chunks_exact_mut(sym))
         .collect();
-    let row_refs: Vec<&[u8]> = coeff_rows.iter().map(|r| r.as_slice()).collect();
+    let symbols: Vec<&[u8]> = survivors
+        .into_iter()
+        .flat_map(|shard| shard.chunks_exact(sym))
+        .collect();
+    let srcs: Vec<&[u8]> = selected.iter().map(|&p| symbols[p]).collect();
+    let row_refs: Vec<&[u8]> = (0..coeffs.rows()).map(|i| coeffs.row(i)).collect();
     slice_ops::matrix_mul_into(&row_refs, &srcs, &mut outs);
     Ok(())
 }

@@ -39,19 +39,25 @@
 //! `k` shards is a copy into [`ShardBuffer::shard_mut`] and joining them is
 //! a prefix of the buffer.
 //!
-//! # One repair path
+//! # One linear codec
 //!
-//! Every code here is linear, so every repair is a linear combination of
-//! the bytes it reads. A code supplies two things: its symbol-level
+//! Every code here is linear, so a code is its symbol-level
 //! [`ErasureCode::generator`] (Piggybacked-RS has two symbols per shard, one
-//! per substripe) and its choice of reads,
+//! per substripe) plus its choice of reads,
 //! [`ErasureCode::repair_reads_ranked`]. Everything else is derived once, in
-//! the trait: [`ErasureCode::repair_from_reads`] expands the reads to
-//! generator rows, solves for the target's symbols in one elimination, and
-//! combines only the bytes it was told to read, so a repair cannot read
-//! outside its declared ranges. [`ErasureCode::repair_plan`] prices the same
-//! reads as shard fractions. `repair_reads_ranked` accepts degraded masks;
-//! `repair_reads` still refuses them.
+//! the trait, from those two:
+//!
+//! * [`ErasureCode::encode_into`] multiplies the generator's parity rows by
+//!   the data symbols in one multi-output pass;
+//! * [`ErasureCode::reconstruct_in_place`] inverts one `k·g × k·g` block of
+//!   surviving symbol rows and writes every missing symbol in one pass
+//!   ([`decode::reconstruct_linear_in_place`]);
+//! * [`ErasureCode::repair_from_reads`] expands the reads to generator rows,
+//!   solves for the target's symbols in one elimination, and combines only
+//!   the bytes it was told to read, so a repair cannot read outside its
+//!   declared ranges. [`ErasureCode::repair_plan`] prices the same reads as
+//!   shard fractions. `repair_reads_ranked` accepts degraded masks;
+//!   `repair_reads` still refuses them.
 //!
 //! # Choosing a code by name
 //!
@@ -124,7 +130,7 @@ pub use replication::Replication;
 pub use spec::CodeSpec;
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
 
-use pbrs_gf::Matrix;
+use pbrs_gf::{slice_ops, Matrix};
 
 /// A `(k, r)` erasure code over byte shards.
 ///
@@ -133,10 +139,10 @@ use pbrs_gf::Matrix;
 /// of the survivors. All shards of a stripe have the same length, which must
 /// be a multiple of [`ErasureCode::granularity`].
 ///
-/// A code implements encode, reconstruction, its symbol-level
-/// [`ErasureCode::generator`] and its read choice
-/// ([`ErasureCode::repair_reads_ranked`]); every other repair method is
-/// provided and derived from those two.
+/// A code is its symbol-level [`ErasureCode::generator`] plus its read
+/// choice ([`ErasureCode::repair_reads_ranked`]): beside those it names its
+/// parameters, its name and whether it is MDS, and encode, reconstruction
+/// and every repair method are provided, derived once from the generator.
 pub trait ErasureCode {
     /// The `(k, r)` parameters of the code.
     fn params(&self) -> CodeParams;
@@ -158,7 +164,10 @@ pub trait ErasureCode {
     /// allocation.
     ///
     /// `data` must hold exactly `k` shards and `parity` exactly `r` slots of
-    /// the same length; any prior contents of `parity` are overwritten.
+    /// the same length; any prior contents of `parity` are overwritten. The
+    /// parity symbols are the generator's rows `k·g..n·g` times the `k·g`
+    /// data symbols, all of them in one multi-output pass, so each data
+    /// byte crosses the memory bus once.
     ///
     /// # Errors
     ///
@@ -169,7 +178,22 @@ pub trait ErasureCode {
         &self,
         data: &ShardSet<'_>,
         parity: &mut ShardSetMut<'_>,
-    ) -> Result<(), CodeError>;
+    ) -> Result<(), CodeError> {
+        let (params, g) = (self.params(), self.granularity());
+        let sym = params::validate_encode_views(data, parity, params, g)? / g;
+        let generator = self.generator();
+        let rows: Vec<&[u8]> = (params.data_shards() * g..generator.rows())
+            .map(|row| generator.row(row))
+            .collect();
+        let srcs: Vec<&[u8]> = data.iter().flat_map(|s| s.chunks_exact(sym)).collect();
+        let (outs, _) = parity.split_parts_mut(&vec![true; params.parity_shards()]);
+        let mut outs: Vec<&mut [u8]> = outs
+            .into_iter()
+            .flat_map(|s| s.chunks_exact_mut(sym))
+            .collect();
+        slice_ops::matrix_mul_into(&rows, &srcs, &mut outs);
+        Ok(())
+    }
 
     /// Rebuilds every missing shard of a stripe in place. Performs no
     /// shard-sized allocation.
@@ -177,18 +201,26 @@ pub trait ErasureCode {
     /// `shards` holds all `k + r` shard slots (data first); `present[i]`
     /// says whether slot `i` currently holds valid bytes. Present slots are
     /// never modified; the contents of missing slots on entry are ignored
-    /// and overwritten with the reconstructed bytes.
+    /// and overwritten with the reconstructed bytes. The decode is one
+    /// inversion over surviving symbol rows of [`ErasureCode::generator`]
+    /// (see [`decode::reconstruct_linear_in_place`]); on an error no slot is
+    /// written.
     ///
     /// # Errors
     ///
     /// Returns an error if the view or mask have the wrong width, if the
-    /// shard length is unaligned, or if too many shards are missing for this
-    /// code.
+    /// shard length is unaligned, [`CodeError::NotEnoughShards`] (in shard
+    /// units) if fewer than `k` shards survive, and
+    /// [`CodeError::ReconstructionFailed`] if the survivors of a non-MDS
+    /// code do not span the data.
     fn reconstruct_in_place(
         &self,
         shards: &mut ShardSetMut<'_>,
         present: &[bool],
-    ) -> Result<(), CodeError>;
+    ) -> Result<(), CodeError> {
+        params::validate_stripe_view(shards, present, self.params(), self.granularity())?;
+        decode::reconstruct_linear_in_place(self.generator(), shards, present)
+    }
 
     /// The symbol-level generator matrix: `n·g × k·g`, where
     /// `g = granularity()`.

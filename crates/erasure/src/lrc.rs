@@ -17,15 +17,17 @@
 //!
 //! A single failed data shard is rebuilt from its local group only
 //! (`k/l` downloads instead of `k`), which is how LRC trades storage for
-//! recovery bandwidth.
+//! recovery bandwidth. That locality lives entirely in the code's read
+//! choice ([`ErasureCode::repair_reads_ranked`]): local parities are just
+//! more generator rows, so encode and full reconstruction are the shared
+//! generator-derived ones, which decode every loss pattern whose surviving
+//! rows span the data, in one pass with no local phase.
 
-use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
 use crate::decode;
-use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::params::validate_repair_request;
 use crate::repair::ShardRead;
-use crate::views::{ShardSet, ShardSetMut};
 use crate::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
 /// Parameters of a local reconstruction code.
@@ -190,35 +192,6 @@ impl Lrc {
     pub fn global_parity_index(&self, j: usize) -> usize {
         self.lrc_params.k + self.lrc_params.local_groups + j
     }
-
-    /// Attempts purely local recoveries (within a single group) in place,
-    /// updating `present` as shards come back, until no further progress is
-    /// possible.
-    fn recover_locally_in_place(&self, shards: &mut ShardSetMut<'_>, present: &mut [bool]) {
-        loop {
-            let mut progress = false;
-            for group in 0..self.lrc_params.local_groups {
-                let lp = self.local_parity_index(group);
-                let members = || self.groups[group].iter().copied().chain([lp]);
-                let mut missing = members().filter(|&i| !present[i]);
-                let (Some(target), None) = (missing.next(), missing.next()) else {
-                    continue;
-                };
-                let (out, rest) = shards.split_one_mut(target);
-                out.fill(0);
-                for i in members() {
-                    if i != target {
-                        slice_ops::xor_slice(out, rest.shard(i));
-                    }
-                }
-                present[target] = true;
-                progress = true;
-            }
-            if !progress {
-                return;
-            }
-        }
-    }
 }
 
 impl ErasureCode for Lrc {
@@ -231,41 +204,6 @@ impl ErasureCode for Lrc {
             "LRC({}, {}, {})",
             self.lrc_params.k, self.lrc_params.local_groups, self.lrc_params.global_parities
         )
-    }
-
-    fn encode_into(
-        &self,
-        data: &ShardSet<'_>,
-        parity: &mut ShardSetMut<'_>,
-    ) -> Result<(), CodeError> {
-        validate_encode_views(data, parity, self.params, self.granularity())?;
-        let l = self.lrc_params.local_groups;
-        let g = self.lrc_params.global_parities;
-        // One multi-output pass produces every parity: the local XOR rows
-        // and the global RS rows are all rows of the generator's parity
-        // block, so each data shard is read once for all l + g outputs.
-        let k = self.lrc_params.k;
-        let rows: Vec<&[u8]> = (0..l + g).map(|j| self.generator.row(k + j)).collect();
-        let srcs: Vec<&[u8]> = data.iter().collect();
-        let (mut outs, _) = parity.split_parts_mut(&vec![true; l + g]);
-        slice_ops::matrix_mul_into(&rows, &srcs, &mut outs);
-        Ok(())
-    }
-
-    fn reconstruct_in_place(
-        &self,
-        shards: &mut ShardSetMut<'_>,
-        present: &[bool],
-    ) -> Result<(), CodeError> {
-        validate_stripe_view(shards, present, self.params, self.granularity())?;
-        // Phase 1: cheap local repairs.
-        let mut now_present = present.to_vec();
-        self.recover_locally_in_place(shards, &mut now_present);
-        if now_present.iter().all(|&p| p) {
-            return Ok(());
-        }
-        // Phase 2: global decode over the full generator.
-        decode::reconstruct_linear_in_place(&self.generator, shards, &now_present)
     }
 
     fn generator(&self) -> &Matrix {

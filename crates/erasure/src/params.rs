@@ -132,10 +132,6 @@ pub fn validate_shard_len(len: usize, granularity: usize) -> Result<usize, CodeE
 /// parity slots, equal shard lengths aligned to `granularity`. Returns the
 /// common shard length.
 ///
-/// This is the one shape check shared by every code's zero-copy encode path
-/// (count == k, equal lengths, multiple of the granularity) so the four
-/// implementations cannot drift apart.
-///
 /// # Errors
 ///
 /// Returns the appropriate [`CodeError`] variant for count, size or

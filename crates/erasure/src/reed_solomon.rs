@@ -14,13 +14,10 @@
 //! rows of `G` is invertible: the code is MDS and the top `k` rows are the
 //! identity (systematic).
 
-use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
-use crate::decode;
-use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::params::validate_repair_request;
 use crate::repair::{lowest_ranked_reads, ShardRead};
-use crate::views::{ShardSet, ShardSetMut};
 use crate::{CodeError, CodeParams, ErasureCode};
 
 /// A systematic, MDS Reed–Solomon erasure code.
@@ -121,32 +118,6 @@ impl ErasureCode for ReedSolomon {
         )
     }
 
-    fn encode_into(
-        &self,
-        data: &ShardSet<'_>,
-        parity: &mut ShardSetMut<'_>,
-    ) -> Result<(), CodeError> {
-        validate_encode_views(data, parity, self.params, self.granularity())?;
-        // All r parities in one cache-blocked pass: each data shard crosses
-        // the memory bus once instead of once per parity row.
-        let rows: Vec<&[u8]> = (0..self.params.parity_shards())
-            .map(|j| self.parity_row(j))
-            .collect();
-        let srcs: Vec<&[u8]> = data.iter().collect();
-        let (mut outs, _) = parity.split_parts_mut(&vec![true; rows.len()]);
-        slice_ops::matrix_mul_into(&rows, &srcs, &mut outs);
-        Ok(())
-    }
-
-    fn reconstruct_in_place(
-        &self,
-        shards: &mut ShardSetMut<'_>,
-        present: &[bool],
-    ) -> Result<(), CodeError> {
-        validate_stripe_view(shards, present, self.params, self.granularity())?;
-        decode::reconstruct_linear_in_place(&self.generator, shards, present)
-    }
-
     fn generator(&self) -> &Matrix {
         &self.generator
     }
@@ -179,7 +150,7 @@ impl ErasureCode for ReedSolomon {
 mod tests {
     use super::*;
     use crate::repair::Fraction;
-    use crate::ShardBuffer;
+    use crate::{ShardBuffer, ShardSet, ShardSetMut};
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)

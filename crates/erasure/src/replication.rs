@@ -7,12 +7,10 @@
 //! all schemes uniformly: replication has `k = 1`, `r = replicas − 1`, and a
 //! single-shard repair copies exactly one replica.
 
-use pbrs_gf::slice_ops;
 use pbrs_gf::Matrix;
 
-use crate::params::{validate_encode_views, validate_repair_request, validate_stripe_view};
+use crate::params::validate_repair_request;
 use crate::repair::{lowest_ranked_reads, ShardRead};
-use crate::views::{ShardSet, ShardSetMut};
 use crate::{CodeError, CodeParams, ErasureCode};
 
 /// N-way replication (`k = 1`, `r = replicas − 1`).
@@ -79,47 +77,6 @@ impl ErasureCode for Replication {
 
     fn name(&self) -> String {
         format!("{}-replication", self.replicas())
-    }
-
-    fn encode_into(
-        &self,
-        data: &ShardSet<'_>,
-        parity: &mut ShardSetMut<'_>,
-    ) -> Result<(), CodeError> {
-        validate_encode_views(data, parity, self.params, self.granularity())?;
-        // Replication is the k = 1 identity-coefficient matrix product;
-        // the shared kernel routes all-unit matrices to its copy shortcut
-        // on every backend, so this costs exactly the memcpys it always
-        // did while keeping every code on the one encode path.
-        let rows: Vec<&[u8]> = (0..self.params.parity_shards())
-            .map(|_| &[1u8][..])
-            .collect();
-        let (mut outs, _) = parity.split_parts_mut(&vec![true; rows.len()]);
-        slice_ops::matrix_mul_into(&rows, &[data.shard(0)], &mut outs);
-        Ok(())
-    }
-
-    fn reconstruct_in_place(
-        &self,
-        shards: &mut ShardSetMut<'_>,
-        present: &[bool],
-    ) -> Result<(), CodeError> {
-        validate_stripe_view(shards, present, self.params, self.granularity())?;
-        let source = present
-            .iter()
-            .position(|&p| p)
-            .ok_or(CodeError::NotEnoughShards {
-                needed: 1,
-                available: 0,
-            })?;
-        for (i, &ok) in present.iter().enumerate() {
-            if ok {
-                continue;
-            }
-            let (target, rest) = shards.split_one_mut(i);
-            target.copy_from_slice(rest.shard(source));
-        }
-        Ok(())
     }
 
     fn generator(&self) -> &Matrix {

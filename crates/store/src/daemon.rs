@@ -27,7 +27,8 @@
 //!
 //! Tasks are ordered most-at-risk first: stripes with more damaged shards,
 //! then stripes whose damage sits on sicker disks, then manifest order.
-//! Workers pop tasks and call [`BlockStore::repair_stripe`], which
+//! Workers pop tasks and call [`BlockStore::repair_stripe`] (each worker on
+//! one scratch stripe it reuses across jobs), which
 //! re-verifies each claimed chunk — so an unavailability that was a false
 //! alarm (a flaky ping, a disk the breaker sheds) costs one verify per
 //! chunk, not a rebuild — and rebuilds what is really gone along each
@@ -488,6 +489,8 @@ impl Drop for TaskGuard<'_> {
 }
 
 fn worker_loop(shared: &Shared) {
+    // One scratch stripe for every job this worker runs.
+    let mut scratch = shared.store.new_scratch();
     loop {
         let task = {
             let mut queue = shared.queue.lock().expect("lock"); // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
@@ -520,7 +523,7 @@ fn worker_loop(shared: &Shared) {
         let result = catch_unwind(AssertUnwindSafe(|| {
             shared
                 .store
-                .repair_stripe(&task.object, task.stripe, &task.damaged)
+                .repair_stripe_with(&task.object, task.stripe, &task.damaged, &mut scratch)
         }))
         .unwrap_or_else(|payload| {
             Err(StoreError::WorkerPanic {

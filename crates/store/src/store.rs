@@ -363,11 +363,12 @@ struct FailPoints {
 /// Per-caller reusable buffers for stripe reads and repairs: one full
 /// `n × chunk_len` stripe, its validity mask, and one rebuilt-chunk slot.
 ///
-/// Reusing one scratch per reader or repair worker (instead of fresh `Vec`s
-/// per stripe) keeps the degraded-read and repair hot paths allocation-free
-/// in steady state — with the SIMD GF kernels the encode itself is fast
-/// enough that per-stripe allocation churn would otherwise show up in
-/// profiles.
+/// Each reader and each [`crate::RepairDaemon`] worker reuses one scratch
+/// (instead of fresh `Vec`s per stripe), which keeps the degraded-read and
+/// repair hot paths allocation-free in steady state. A scratch still holds
+/// its previous stripe, so every read or repair starts by clearing
+/// `present`: a stale flag would make a planned rebuild skip a helper read
+/// and use the previous stripe's bytes.
 pub(crate) struct StripeScratch {
     /// Chunk payloads land here, shard `i` in slot `i`.
     buf: ShardBuffer,
@@ -1729,6 +1730,18 @@ impl BlockStore {
         stripe: u64,
         damaged: &[usize],
     ) -> Result<StripeRepair> {
+        self.repair_stripe_with(object, stripe, damaged, &mut self.new_scratch())
+    }
+
+    /// [`BlockStore::repair_stripe`] on a caller's scratch, which a repair
+    /// worker reuses across its jobs.
+    pub(crate) fn repair_stripe_with(
+        &self,
+        object: &str,
+        stripe: u64,
+        damaged: &[usize],
+        scratch: &mut StripeScratch,
+    ) -> Result<StripeRepair> {
         // Repair jobs run with no caller trace (the daemon mints none), so
         // each job is its own root trace; a caller-scoped context (e.g. a
         // traced admin op) is adopted instead of replaced.
@@ -1736,7 +1749,7 @@ impl BlockStore {
             .tracer()
             .map(|t| (t.root_span("repair", trace::current_ctx()), t));
         let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.repair_stripe_inner(object, stripe, damaged);
+        let result = self.repair_stripe_inner(object, stripe, damaged, scratch);
         drop(scope);
         if let Some((mut s, tracer)) = span {
             s.tag("object", object);
@@ -1760,6 +1773,7 @@ impl BlockStore {
         object: &str,
         stripe: u64,
         damaged: &[usize],
+        scratch: &mut StripeScratch,
     ) -> Result<StripeRepair> {
         // SeqCst: crash-test failpoint, flipped rarely and read cold.
         if self.fail.repair_panic.load(Ordering::SeqCst) {
@@ -1815,11 +1829,12 @@ impl BlockStore {
         }
 
         let at = self.stripe_ref(object, &info, stripe, &row);
-        let mut scratch = self.new_scratch();
+        // Nothing of this stripe has been read into the scratch yet.
+        scratch.present.fill(false);
         let mut times = StageTimes::new();
         let mut traffic = HelperTraffic::default();
         if targets.len() == 1
-            && self.try_planned_rebuild(&at, targets[0], &mut scratch, &mut traffic, &mut times)?
+            && self.try_planned_rebuild(&at, targets[0], scratch, &mut traffic, &mut times)?
         {
             let target = targets[0];
             self.disks[row[target]].write_chunk(
@@ -1834,13 +1849,7 @@ impl BlockStore {
             // Multi-loss (or helpers unavailable): decode from survivors,
             // then write every damaged chunk back (including any damage
             // discovered while reading).
-            self.reconstruct_from_survivors(
-                &at,
-                &mut targets,
-                &mut scratch,
-                &mut traffic,
-                &mut times,
-            )?;
+            self.reconstruct_from_survivors(&at, &mut targets, scratch, &mut traffic, &mut times)?;
             targets.sort_unstable();
             for &shard in &targets {
                 self.disks[row[shard]].write_chunk(
@@ -2433,6 +2442,63 @@ mod tests {
         assert_eq!(repair.rebuilt, vec![0, 3]);
         assert!(store.scrub().unwrap().is_clean());
         assert_eq!(store.get("obj").unwrap(), data, "no poisoned bytes served");
+    }
+
+    #[test]
+    fn one_scratch_serves_a_multi_loss_then_a_single_loss_repair() {
+        let dir = TempDir::new("store-scratch");
+        let store = small_store(&dir, "rs-4-2");
+        let data = pattern(2 * 4 * 512);
+        store.put("obj", &data[..]).unwrap();
+        let mut scratch = store.new_scratch();
+        // The multi-loss repair leaves stripe 0's survivors in the scratch,
+        // flagged present...
+        for shard in [1, 2] {
+            fs::remove_file(store.chunk_path("obj", 0, shard)).unwrap();
+        }
+        let repair = store
+            .repair_stripe_with("obj", 0, &[1, 2], &mut scratch)
+            .unwrap();
+        assert_eq!(repair.rebuilt, vec![1, 2]);
+        // ...and the planned rebuild of stripe 1 must read its own helpers,
+        // not reuse stripe 0's.
+        fs::remove_file(store.chunk_path("obj", 1, 1)).unwrap();
+        let repair = store
+            .repair_stripe_with("obj", 1, &[1], &mut scratch)
+            .unwrap();
+        assert_eq!(repair.rebuilt, vec![1]);
+        assert_eq!(repair.fetched_bytes, 4 * 512, "k whole chunks read");
+        assert!(store.scrub().unwrap().is_clean());
+        assert_eq!(store.get("obj").unwrap(), data);
+    }
+
+    #[test]
+    fn too_few_survivors_are_reported_in_chunks() {
+        // Piggybacked-RS decodes two symbols per chunk; the store still
+        // counts chunks: 9 survive of the 10 needed.
+        let dir = TempDir::new("store-unrecoverable");
+        let store = small_store(&dir, "piggyback-10-4");
+        store.put("obj", &pattern(10 * 512)[..]).unwrap();
+        let lost = [0, 4, 9, 11, 13];
+        for shard in lost {
+            fs::remove_file(store.chunk_path("obj", 0, shard)).unwrap();
+        }
+        for result in [
+            store.get("obj").map(|_| ()),
+            store.repair_stripe("obj", 0, &lost).map(|_| ()),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(StoreError::StripeUnrecoverable {
+                        survivors: 9,
+                        needed: 10,
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]
