@@ -46,6 +46,16 @@
 //! The blocking forms are literally `begin_read(..).wait()` and
 //! `begin_write(..).wait()` — there is one read path and one write path.
 //!
+//! # Padding moves no payload
+//!
+//! The zero padding of a short stripe crosses the socket as a verdict or
+//! a length. [`ChunkBackend::begin_verify`] sends a `Verify` — the server
+//! checks the chunk's header and both half CRCs and answers with the
+//! verdict alone — and `verify_chunk` is the same call waited for at
+//! once. [`ChunkBackend::begin_write_zeros`] sends a `WriteZeros` carrying
+//! only the length; the server writes the chunk a `WriteChunk` of zeros
+//! would.
+//!
 //! # Reconnect backoff
 //!
 //! A dead server must not be hammered: after a failed *connect* the client
@@ -63,15 +73,15 @@
 //!
 //! An *unreachable* server is a *lost disk*, not a store-wide error: the
 //! read-side operations (`read_chunk_into`, `read_chunk_range`,
-//! `verify_chunk`) report [`ChunkStatus::Missing`] when the transport
-//! fails after the retry, so degraded reads and repairs route around the
-//! dead machine exactly as they route around a deleted directory — which
-//! is the failure model the paper measures. Write-side operations
-//! (`ensure_object`, `write_chunk`) stay hard errors: there is no safe way
-//! to pretend a write landed. [`ChunkBackend::is_available`] reports the
-//! disk itself (it is how scrub's `lost_disks` learns of the death), and
-//! `sweep_tmp` returns empty for an unreachable disk — nothing can be
-//! swept there.
+//! `verify_chunk`, `begin_verify`) report [`ChunkStatus::Missing`] when
+//! the transport fails after the retry, so degraded reads and repairs
+//! route around the dead machine exactly as they route around a deleted
+//! directory — which is the failure model the paper measures. Write-side
+//! operations (`ensure_object`, `write_chunk`, `begin_write_zeros`) stay
+//! hard errors: there is no safe way to pretend a write landed.
+//! [`ChunkBackend::is_available`] reports the disk itself (it is how
+//! scrub's `lost_disks` learns of the death), and `sweep_tmp` returns
+//! empty for an unreachable disk — nothing can be swept there.
 //!
 //! The client counts every byte it puts on and takes off the socket
 //! ([`RemoteDisk::counters`], also surfaced through
@@ -383,6 +393,34 @@ impl PendingWrite for RemoteWrite<'_> {
             .finish(&mut [])
             .map_err(|e| disk.io_error(&object, e))?;
         disk.expect_ok(&object, reply.into_response()).map(drop)
+    }
+}
+
+/// A chunk check begun on a [`RemoteDisk`]: the `Verify` frame is on the
+/// wire, and only the verdict comes back.
+struct RemoteVerify<'a> {
+    call: Call<'a>,
+    object: String,
+}
+
+impl RemoteVerify<'_> {
+    /// The server's verdict and how many payload bytes it read to reach
+    /// it. An unreachable disk is a lost one: its chunk is missing.
+    fn verdict(self) -> Result<(ChunkStatus, u64), StoreError> {
+        let RemoteVerify { call, object } = self;
+        let disk = call.disk;
+        let response = match call.finish(&mut []) {
+            Ok(reply) => reply.into_response(),
+            Err(_) => return Ok((ChunkStatus::Missing, 0)), // disk unreachable = lost
+        };
+        let payload = disk.expect_ok(&object, response)?;
+        decode_verify(&payload).map_err(|e| disk.io_error(&object, e))
+    }
+}
+
+impl PendingRead for RemoteVerify<'_> {
+    fn wait(self: Box<Self>) -> ChunkRead<()> {
+        self.verdict().map(|(status, _)| status.into_read())
     }
 }
 
@@ -903,6 +941,25 @@ impl RemoteDisk {
         StoreError::io(self.remote_path(object), e)
     }
 
+    /// Sends a `Verify` request: the one path behind `verify_chunk` and
+    /// `begin_verify`.
+    fn verification(
+        &self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+    ) -> Result<RemoteVerify<'_>, StoreError> {
+        let request = Request::Verify {
+            object: object.to_string(),
+            id,
+            chunk_len: as_u32("chunk length", chunk_len)?,
+        };
+        Ok(RemoteVerify {
+            call: self.call(request, &[]),
+            object: object.to_string(),
+        })
+    }
+
     /// Folds a response into `Ok(op payload)`, treating `Missing`/
     /// `Corrupt`/`Err` as hard errors (for ops where they are unexpected).
     fn expect_ok(&self, object: &str, response: Response) -> Result<Vec<u8>, StoreError> {
@@ -1013,6 +1070,30 @@ impl ChunkBackend for RemoteDisk {
         })
     }
 
+    /// Puts a `WriteZeros` frame — the length, no payload — on the wire and
+    /// returns; the server writes the zero chunk. The response is collected
+    /// as [`ChunkBackend::begin_write`]'s is.
+    fn begin_write_zeros<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        len: usize,
+    ) -> Box<dyn PendingWrite + 'a> {
+        let len = match as_u32("chunk payload", len) {
+            Ok(len) => len,
+            Err(e) => return Box::new(ReadyWrite(Err(e))),
+        };
+        let request = Request::WriteZeros {
+            object: object.to_string(),
+            id,
+            len,
+        };
+        Box::new(RemoteWrite {
+            call: self.call(request, &[]),
+            object: object.to_string(),
+        })
+    }
+
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
         let chunk_len = out.len();
         self.begin_read(object, id, chunk_len, 0, out).wait()
@@ -1057,16 +1138,22 @@ impl ChunkBackend for RemoteDisk {
         id: ChunkId,
         chunk_len: usize,
     ) -> Result<(ChunkStatus, u64), StoreError> {
-        let response = match self.request(Request::Verify {
-            object: object.to_string(),
-            id,
-            chunk_len: as_u32("chunk length", chunk_len)?,
-        }) {
-            Ok(response) => response,
-            Err(_) => return Ok((ChunkStatus::Missing, 0)), // disk unreachable = lost
-        };
-        let payload = self.expect_ok(object, response)?;
-        decode_verify(&payload).map_err(|e| self.io_error(object, e))
+        self.verification(object, id, chunk_len)?.verdict()
+    }
+
+    /// Puts the `Verify` frame on the wire and returns; the verdict is
+    /// collected at `wait`, where a transport failure (after the one retry)
+    /// is [`ChunkStatus::Missing`], as for [`ChunkBackend::begin_read`].
+    fn begin_verify<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+    ) -> Box<dyn PendingRead + 'a> {
+        match self.verification(object, id, chunk_len) {
+            Ok(verify) => Box::new(verify),
+            Err(e) => Box::new(ReadyRead(Err(e))),
+        }
     }
 
     fn sweep_tmp(&self, min_age: Duration) -> Result<Vec<String>, StoreError> {

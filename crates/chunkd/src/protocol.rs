@@ -28,7 +28,10 @@
 //! helper byte ranges `ErasureCode::repair_reads` names (half-chunks for
 //! Piggybacked-RS), so a degraded read or repair against a remote disk
 //! ships only the bytes the rebuild consumes. [`Verify`](Request::Verify)
-//! checks a chunk server-side and ships only the verdict.
+//! checks a chunk server-side and ships only the verdict, and
+//! [`WriteZeros`](Request::WriteZeros) writes a chunk of zeros from its
+//! length alone: a short stripe's zero padding is read as a verdict and
+//! written as a length, so none of its bytes cross the socket.
 
 use std::io;
 use std::time::Duration;
@@ -45,6 +48,7 @@ const OP_READ_CHUNK: u8 = 4;
 const OP_READ_RANGE: u8 = 5;
 const OP_VERIFY: u8 = 6;
 const OP_SWEEP_TMP: u8 = 7;
+const OP_WRITE_ZEROS: u8 = 8;
 const OP_FETCH_SPANS: u8 = 10;
 
 /// The status byte of [`Response::Ok`]: the server writes it ahead of a
@@ -80,6 +84,17 @@ pub enum Request {
         id: ChunkId,
         /// The chunk payload.
         payload: Vec<u8>,
+    },
+    /// Write one chunk of `len` zero bytes, atomically and durably: the
+    /// chunk a [`Request::WriteChunk`] of `len` zeros writes, with only the
+    /// length on the wire.
+    WriteZeros {
+        /// Object name.
+        object: String,
+        /// Chunk identity within the object.
+        id: ChunkId,
+        /// Payload length in bytes.
+        len: u32,
     },
     /// Read and fully verify one chunk.
     ReadChunk {
@@ -213,6 +228,12 @@ impl Request {
                 put_id(&mut out, *id);
                 out.extend_from_slice(payload);
             }
+            Request::WriteZeros { object, id, len } => {
+                out.push(OP_WRITE_ZEROS);
+                put_str(&mut out, object);
+                put_id(&mut out, *id);
+                out.extend_from_slice(&len.to_le_bytes());
+            }
             Request::ReadChunk { object, id, len } => {
                 out.push(OP_READ_CHUNK);
                 put_str(&mut out, object);
@@ -296,6 +317,11 @@ impl Request {
                     payload: Vec::new(),
                 }
             }
+            OP_WRITE_ZEROS => Request::WriteZeros {
+                object: c.str()?,
+                id: read_id(&mut c)?,
+                len: c.u32()?,
+            },
             OP_READ_CHUNK => Request::ReadChunk {
                 object: c.str()?,
                 id: read_id(&mut c)?,
@@ -545,6 +571,11 @@ mod tests {
                 id: ID,
                 payload: (0..=255u8).collect(),
             },
+            Request::WriteZeros {
+                object: "obj".into(),
+                id: ID,
+                len: 4096,
+            },
             Request::ReadChunk {
                 object: "obj".into(),
                 id: ID,
@@ -587,6 +618,11 @@ mod tests {
                 object: object(),
                 id: ID,
                 payload: (0..24u8).collect(),
+            },
+            Request::WriteZeros {
+                object: object(),
+                id: ID,
+                len: 4096,
             },
             Request::ReadChunk {
                 object: object(),

@@ -90,6 +90,7 @@ struct OpHists {
     ensure_object: Arc<LatencyHistogram>,
     remove_object: Arc<LatencyHistogram>,
     write_chunk: Arc<LatencyHistogram>,
+    write_zeros: Arc<LatencyHistogram>,
     read_chunk: Arc<LatencyHistogram>,
     read_range: Arc<LatencyHistogram>,
     verify: Arc<LatencyHistogram>,
@@ -105,6 +106,7 @@ impl OpHists {
             ensure_object: h("ensure_object"),
             remove_object: h("remove_object"),
             write_chunk: h("write_chunk"),
+            write_zeros: h("write_zeros"),
             read_chunk: h("read_chunk"),
             read_range: h("read_range"),
             verify: h("verify"),
@@ -119,6 +121,7 @@ impl OpHists {
             Request::EnsureObject { .. } => &self.ensure_object,
             Request::RemoveObject { .. } => &self.remove_object,
             Request::WriteChunk { .. } => &self.write_chunk,
+            Request::WriteZeros { .. } => &self.write_zeros,
             Request::ReadChunk { .. } => &self.read_chunk,
             Request::ReadRange { .. } => &self.read_range,
             Request::Verify { .. } => &self.verify,
@@ -135,6 +138,7 @@ fn op_name(request: &Request) -> &'static str {
         Request::EnsureObject { .. } => "ensure_object",
         Request::RemoveObject { .. } => "remove_object",
         Request::WriteChunk { .. } => "write_chunk",
+        Request::WriteZeros { .. } => "write_zeros",
         Request::ReadChunk { .. } => "read_chunk",
         Request::ReadRange { .. } => "read_range",
         Request::Verify { .. } => "verify",
@@ -149,6 +153,7 @@ fn request_object(request: &Request) -> Option<&str> {
         Request::EnsureObject { object }
         | Request::RemoveObject { object }
         | Request::WriteChunk { object, .. }
+        | Request::WriteZeros { object, .. }
         | Request::ReadChunk { object, .. }
         | Request::ReadRange { object, .. }
         | Request::Verify { object, .. } => Some(object),
@@ -405,10 +410,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     // Every request body on this connection lands in `frame`, and a chunk
     // write goes to the disk straight from there; every read lands in
-    // `buf` and is sent from there. Both are sized by the largest so far,
-    // never allocated per request.
+    // `buf` and is sent from there; a zero write goes to the disk from
+    // `zeros`, which nothing ever writes to. All are sized by the largest
+    // so far, never allocated per request.
     let mut frame = Vec::new();
     let mut buf = Vec::new();
+    let mut zeros = Vec::new();
     loop {
         let (req_id, len) = match read_frame_polling(&mut stream, shared, &mut frame) {
             Ok(Some(header)) => header,
@@ -464,7 +471,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     _ => None,
                 };
                 let start = Instant::now();
-                match handle(shared.backend.as_ref(), request, tail, &mut buf) {
+                match handle(shared.backend.as_ref(), request, tail, &mut buf, &mut zeros) {
                     Ok(answer) => {
                         hist.record_duration(start.elapsed());
                         if let Some(mut span) = span {
@@ -599,19 +606,21 @@ fn read_frame_polling(
 }
 
 /// Executes one request against the disk; a read lands in `buf`, the
-/// connection's read buffer, and a write's payload is `tail`, lent from
-/// the frame buffer ([`Request::decode_lending`]). `Err` means "kill the
-/// connection without answering" — only an injected connection-drop fault
-/// produces it.
+/// connection's read buffer, a write's payload is `tail`, lent from the
+/// frame buffer ([`Request::decode_lending`]), and a zero write's payload
+/// is the front of `zeros`, the connection's all-zero buffer. `Err` means
+/// "kill the connection without answering" — only an injected
+/// connection-drop fault produces it.
 fn handle(
     disk: &dyn ChunkBackend,
     request: Request,
     tail: &[u8],
     buf: &mut Vec<u8>,
+    zeros: &mut Vec<u8>,
 ) -> io::Result<Answer> {
     match request {
         Request::ReadChunk { object, id, len } => with_object(&object, || {
-            let out = read_window(buf, len)?;
+            let out = window(buf, len)?;
             Ok(match disk.read_chunk_into(&object, id, out)? {
                 Ok(()) => Answer::Payload(out.len()),
                 Err(status) => status_response(status).into(),
@@ -630,7 +639,7 @@ fn handle(
                 }
                 .into());
             }
-            let out = read_window(buf, len)?;
+            let out = window(buf, len)?;
             Ok(
                 match disk.read_chunk_range(
                     &object,
@@ -646,6 +655,12 @@ fn handle(
         }),
         Request::WriteChunk { object, id, .. } => with_object(&object, || {
             disk.write_chunk(&object, id, tail)?;
+            Ok(Response::Ok { payload: vec![] }.into())
+        }),
+        // The same write as a `WriteChunk` of zeros: same file, same
+        // checksums, same fsyncs, same `op=write` faults.
+        Request::WriteZeros { object, id, len } => with_object(&object, || {
+            disk.write_chunk(&object, id, window(zeros, len)?)?;
             Ok(Response::Ok { payload: vec![] }.into())
         }),
         request => respond(disk, request).map(Answer::Response),
@@ -688,11 +703,12 @@ fn respond(disk: &dyn ChunkBackend, request: Request) -> io::Result<Response> {
                 }),
             },
         },
-        Request::ReadChunk { .. } | Request::ReadRange { .. } | Request::WriteChunk { .. } => {
-            Ok(Response::Err {
-                message: "chunk reads and writes are answered by handle".into(),
-            })
-        }
+        Request::ReadChunk { .. }
+        | Request::ReadRange { .. }
+        | Request::WriteChunk { .. }
+        | Request::WriteZeros { .. } => Ok(Response::Err {
+            message: "chunk reads and writes are answered by handle".into(),
+        }),
         Request::FetchSpans => Ok(Response::Err {
             message: "fetch_spans handled before dispatch".into(),
         }),
@@ -711,14 +727,14 @@ fn connection_drop(e: &StoreError) -> Option<io::Error> {
     }
 }
 
-/// The first `len` bytes of the connection's read buffer, grown to fit.
-/// Rejects read lengths a response frame could not carry — the request's
+/// The first `len` bytes of one of the connection's buffers, grown to fit
+/// (with zeros). Rejects lengths a frame could not carry — the request's
 /// length field must never size an allocation unchecked.
-fn read_window(buf: &mut Vec<u8>, len: u32) -> Result<&mut [u8], StoreError> {
+fn window(buf: &mut Vec<u8>, len: u32) -> Result<&mut [u8], StoreError> {
     let len = len as usize;
     if len > MAX_FRAME - 16 {
         return Err(StoreError::InvalidConfig {
-            reason: format!("read of {len} bytes exceeds the frame cap"),
+            reason: format!("a payload of {len} bytes exceeds the frame cap"),
         });
     }
     if buf.len() < len {

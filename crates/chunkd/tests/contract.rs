@@ -20,16 +20,24 @@
 //! The write side's contract is that there is one write path: a chunk begun
 //! and waited for is the chunk `write_chunk` writes — same file, same bytes
 //! on the socket, same refusals.
+//!
+//! Zero padding crosses no socket. A short stripe's padding chunks are
+//! written as `WriteZeros` (the server writes the zero chunk a `WriteChunk`
+//! of zeros would) and read as `Verify` (only the verdict comes back), so a
+//! PUT, a GET and a padding repair move exactly their payload chunks plus
+//! per-request framing — pinned here byte for byte.
 
 use std::fs;
 use std::sync::Arc;
 
-use pbrs_chunkd::{ChunkServer, RemoteDisk};
+use pbrs_chunkd::protocol::encode_verify;
+use pbrs_chunkd::{ChunkServer, RemoteDisk, Request, ServerConfig};
 use pbrs_core::registry;
 use pbrs_erasure::{total_read_bytes, CodeSpec, ShardRead};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
-    chunk, BlockStore, ChunkBackend, ChunkId, PlacementPolicy, RackMap, StoreConfig, StoreError,
+    chunk, BackendCounters, BlockStore, ChunkBackend, ChunkId, ChunkStatus, FaultPlan, LocalDisk,
+    PlacementPolicy, RackMap, StoreConfig, StoreError,
 };
 
 const CHUNK_LEN: usize = 2048;
@@ -64,11 +72,25 @@ struct Rig {
 }
 
 fn rig(label: &str) -> Rig {
-    let spec: CodeSpec = "piggyback-6-3".parse().unwrap();
-    let code = registry::build(&spec).unwrap();
-    let n = code.params().total_shards();
-
     let dir = TempDir::new(label);
+    let (store, remotes, servers) = cluster(&dir, "piggyback-6-3");
+    let data: Vec<u8> = (0..store.stripe_data_len() * STRIPES as usize)
+        .map(|i| ((i * 31 + 7) % 253) as u8)
+        .collect();
+    store.put("obj", &data[..]).unwrap();
+    Rig {
+        store,
+        remotes,
+        servers,
+        _dir: dir,
+    }
+}
+
+/// A `spec` store over one loopback chunk server per shard (shard `i` on
+/// server `i`, one rack per disk), with its clients and servers.
+fn cluster(dir: &TempDir, spec: &str) -> (BlockStore, Vec<Arc<RemoteDisk>>, Vec<ChunkServer>) {
+    let spec: CodeSpec = spec.parse().unwrap();
+    let n = registry::build(&spec).unwrap().params().total_shards();
     let servers: Vec<ChunkServer> = (0..n)
         .map(|i| ChunkServer::bind(dir.path().join(format!("srv-{i:02}")), "127.0.0.1:0").unwrap())
         .collect();
@@ -87,17 +109,7 @@ fn rig(label: &str) -> Rig {
         PlacementPolicy::Identity,
     )
     .unwrap();
-
-    let data: Vec<u8> = (0..code.params().data_shards() * CHUNK_LEN * STRIPES as usize)
-        .map(|i| ((i * 31 + 7) % 253) as u8)
-        .collect();
-    store.put("obj", &data[..]).unwrap();
-    Rig {
-        store,
-        remotes,
-        servers,
-        _dir: dir,
-    }
+    (store, remotes, servers)
 }
 
 fn chunk_path(server: &ChunkServer, stripe: u64, shard: usize) -> std::path::PathBuf {
@@ -312,4 +324,248 @@ fn begin_write_then_wait_is_write_chunk() {
     assert!(!file(huge).exists());
     // The client is still usable afterwards.
     assert!(disk.is_available());
+}
+
+/// Bytes one request frame puts on the socket ahead of any write payload:
+/// the frame header and the encoded request.
+fn head(request: Request) -> u64 {
+    (pbrs_wire::FRAME_OVERHEAD + request.encode().len()) as u64
+}
+
+/// Socket bytes moved on each disk between two counter snapshots.
+fn moved(remotes: &[Arc<RemoteDisk>], before: &[BackendCounters]) -> Vec<(u64, u64)> {
+    remotes
+        .iter()
+        .zip(before)
+        .map(|(remote, before)| {
+            let now = remote.counters();
+            (
+                now.bytes_sent - before.bytes_sent,
+                now.bytes_received - before.bytes_received,
+            )
+        })
+        .collect()
+}
+
+fn snapshot(remotes: &[Arc<RemoteDisk>]) -> Vec<BackendCounters> {
+    remotes.iter().map(|r| r.counters()).collect()
+}
+
+#[test]
+fn padding_moves_only_framing_for_put_get_and_repair() {
+    const K: usize = 10;
+    const PADDING_TARGET: usize = 9;
+    // A one-chunk object and a three-and-a-half-chunk one: 1 and 4 data
+    // chunks hold payload, the other 9 and 6 are zero padding.
+    for (len, filled) in [(CHUNK_LEN, 1), (7 * CHUNK_LEN / 2, 4)] {
+        let dir = TempDir::new("chunkd-contract-padding");
+        let (store, remotes, servers) = cluster(&dir, "piggyback-10-4");
+        let data: Vec<u8> = (0..len).map(|i| ((i * 13 + 5) % 251) as u8).collect();
+        let object = || "obj".to_string();
+        let id = ChunkId {
+            stripe: 0,
+            shard: 0,
+        };
+        let chunk = CHUNK_LEN as u64;
+        let len32 = CHUNK_LEN as u32;
+        let write = head(Request::WriteChunk {
+            object: object(),
+            id,
+            payload: Vec::new(),
+        });
+        let zeros = head(Request::WriteZeros {
+            object: object(),
+            id,
+            len: len32,
+        });
+        let read = head(Request::ReadChunk {
+            object: object(),
+            id,
+            len: len32,
+        });
+        let verify = head(Request::Verify {
+            object: object(),
+            id,
+            chunk_len: len32,
+        });
+        // Every response: the frame header and the status byte, then the
+        // op's payload — a verify's verdict is its byte count and status.
+        let ok = FRAME_OVERHEAD;
+        let verdict = ok + encode_verify(&ChunkStatus::Healthy, 0).len() as u64;
+        let padding = |shard: usize| (filled..K).contains(&shard);
+
+        // PUT: payload chunks carry chunk_len bytes each, padding only a
+        // length.
+        let before = snapshot(&remotes);
+        store.put("obj", &data[..]).unwrap();
+        let expect: Vec<(u64, u64)> = (0..14)
+            .map(|shard| {
+                if padding(shard) {
+                    (zeros, ok)
+                } else {
+                    (write + chunk, ok)
+                }
+            })
+            .collect();
+        assert_eq!(moved(&remotes, &before), expect, "put of {len} bytes");
+
+        // GET: the filled chunks are read, the padding only checked; parity
+        // disks stay silent.
+        let before = snapshot(&remotes);
+        assert_eq!(store.get("obj").unwrap(), data);
+        let expect: Vec<(u64, u64)> = (0..14)
+            .map(|shard| match shard {
+                s if padding(s) => (verify, verdict),
+                s if s < K => (read, ok + chunk),
+                _ => (0, 0),
+            })
+            .collect();
+        assert_eq!(moved(&remotes, &before), expect, "get of {len} bytes");
+
+        // Repair of a lost padding chunk: the target is checked and written
+        // as a length; no helper is read.
+        let path = chunk_path(&servers[PADDING_TARGET], 0, PADDING_TARGET);
+        let original = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        let before = snapshot(&remotes);
+        let repair = store.repair_stripe("obj", 0, &[PADDING_TARGET]).unwrap();
+        assert_eq!(repair.rebuilt, vec![PADDING_TARGET]);
+        assert_eq!(repair.fetched_bytes, 0);
+        let mut expect = vec![(0, 0); 14];
+        // A missing chunk's verdict carries no more bytes than a healthy one's.
+        expect[PADDING_TARGET] = (verify + zeros, verdict + ok);
+        assert_eq!(moved(&remotes, &before), expect, "repair of {len} bytes");
+        assert_eq!(fs::read(&path).unwrap(), original, "rebuilt byte for byte");
+        assert!(store.scrub().unwrap().is_clean());
+    }
+}
+
+#[test]
+fn write_zeros_lays_down_the_chunk_a_write_of_zeros_does() {
+    let dir = TempDir::new("chunkd-contract-zeros");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let disk = RemoteDisk::new(server.local_addr().to_string());
+    let id = ChunkId {
+        stripe: 3,
+        shard: 5,
+    };
+    let path = chunk_path(&server, id.stripe, id.shard);
+
+    let start = disk.counters();
+    disk.begin_write_zeros("obj", id, CHUNK_LEN).wait().unwrap();
+    let sent = disk.counters().bytes_sent - start.bytes_sent;
+    let from_zeros = fs::read(&path).unwrap();
+    fs::remove_file(&path).unwrap();
+    disk.write_chunk("obj", id, &vec![0u8; CHUNK_LEN]).unwrap();
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        from_zeros,
+        "same file, byte for byte"
+    );
+    // Only the request crossed the socket, no payload.
+    assert_eq!(
+        sent,
+        head(Request::WriteZeros {
+            object: "obj".into(),
+            id,
+            len: CHUNK_LEN as u32,
+        })
+    );
+
+    // A length no frame could carry is refused before anything is sized
+    // by it, and writes nothing.
+    let huge = ChunkId { stripe: 4, ..id };
+    let refusal = disk
+        .begin_write_zeros("obj", huge, pbrs_wire::MAX_FRAME)
+        .wait()
+        .unwrap_err();
+    assert!(matches!(refusal, StoreError::Io { .. }), "{refusal}");
+    assert!(!chunk_path(&server, huge.stripe, huge.shard).exists());
+    assert!(disk.is_available());
+}
+
+#[test]
+fn a_write_fault_fires_on_write_zeros() {
+    let dir = TempDir::new("chunkd-contract-zeros-fault");
+    let plan = Arc::new(FaultPlan::parse("disk=0 op=write error count=1", 7).unwrap());
+    let server = ChunkServer::bind_with(
+        dir.path().join("srv"),
+        "127.0.0.1:0",
+        ServerConfig {
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let disk = RemoteDisk::new(server.local_addr().to_string());
+    let id = ChunkId {
+        stripe: 0,
+        shard: 1,
+    };
+    let err = disk
+        .begin_write_zeros("obj", id, CHUNK_LEN)
+        .wait()
+        .unwrap_err();
+    assert!(err.to_string().contains("injected"), "{err}");
+    assert_eq!(plan.fired(), 1);
+    assert!(!chunk_path(&server, 0, 1).exists());
+    // The rule is spent: the next zero write lands.
+    disk.begin_write_zeros("obj", id, CHUNK_LEN).wait().unwrap();
+    assert!(disk
+        .verify_chunk("obj", id, CHUNK_LEN)
+        .unwrap()
+        .0
+        .is_healthy());
+}
+
+#[test]
+fn begin_verify_agrees_with_verify_chunk() {
+    let dir = TempDir::new("chunkd-contract-verify");
+    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
+    let remote = RemoteDisk::new(server.local_addr().to_string());
+    // The provided default, over the same files.
+    let local = LocalDisk::new(server.root());
+    let payload: Vec<u8> = (0..CHUNK_LEN).map(|i| (i % 241) as u8).collect();
+    let id = |stripe| ChunkId { stripe, shard: 2 };
+    // Stripe 0 healthy, 1 missing, 2 payload-corrupt, 3 header-corrupt,
+    // 4 truncated.
+    for stripe in [0, 2, 3, 4] {
+        remote.write_chunk("obj", id(stripe), &payload).unwrap();
+    }
+    let damage = |stripe: u64, edit: &dyn Fn(&mut Vec<u8>)| {
+        let path = chunk_path(&server, stripe, 2);
+        let mut bytes = fs::read(&path).unwrap();
+        edit(&mut bytes);
+        fs::write(&path, bytes).unwrap();
+    };
+    damage(2, &|b| b[chunk::HEADER_LEN + 9] ^= 0x20);
+    damage(3, &|b| b[10] ^= 0x01);
+    damage(4, &|b| b.truncate(chunk::HEADER_LEN + CHUNK_LEN / 2));
+
+    for disk in [&remote as &dyn ChunkBackend, &local] {
+        let mut healthy = 0;
+        for stripe in 0..5 {
+            let (status, _) = disk.verify_chunk("obj", id(stripe), CHUNK_LEN).unwrap();
+            let begun = disk
+                .begin_verify("obj", id(stripe), CHUNK_LEN)
+                .wait()
+                .unwrap();
+            healthy += usize::from(status.is_healthy());
+            assert_eq!(
+                begun,
+                status.into_read(),
+                "{} stripe {stripe}",
+                disk.describe()
+            );
+        }
+        assert_eq!(healthy, 1, "{}", disk.describe());
+    }
+    // A disk that cannot be reached is lost: its chunk is missing.
+    let addr = server.local_addr().to_string();
+    server.shutdown();
+    let gone = RemoteDisk::with_timeout(addr, std::time::Duration::from_millis(200));
+    assert_eq!(
+        gone.begin_verify("obj", id(0), CHUNK_LEN).wait().unwrap(),
+        Err(ChunkStatus::Missing)
+    );
 }

@@ -182,6 +182,10 @@ fn server_times_each_remote_op() {
     };
     disk.ensure_object("obj").unwrap();
     disk.write_chunk("obj", id, &payload).unwrap();
+    let padding = pbrs_store::ChunkId { stripe: 1, ..id };
+    disk.begin_write_zeros("obj", padding, CHUNK_LEN)
+        .wait()
+        .unwrap();
     let mut out = vec![0u8; CHUNK_LEN];
     disk.read_chunk_into("obj", id, &mut out).unwrap().unwrap();
     assert_eq!(out, payload);
@@ -200,6 +204,7 @@ fn server_times_each_remote_op() {
         "op_ping_duration_seconds",
         "op_ensure_object_duration_seconds",
         "op_write_chunk_duration_seconds",
+        "op_write_zeros_duration_seconds",
         "op_read_chunk_duration_seconds",
         "op_read_range_duration_seconds",
         "op_verify_duration_seconds",

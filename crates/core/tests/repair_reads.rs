@@ -258,6 +258,41 @@ fn piggyback_reads_are_half_shards_for_data_targets() {
     }
 }
 
+/// Every range a single-loss plan names is one half of the chunk or the
+/// whole chunk — for every registry spec, every target, and every helper
+/// ranking the store asks for (no preference, and each other shard exiled
+/// behind the rest, as a hedge does). A chunk file checksums its payload
+/// in exactly those two halves, so the half CRCs cover every repair byte
+/// and `read_chunk_range` never needs its unaligned side-buffer path.
+#[test]
+fn every_repair_read_is_a_whole_half_or_the_whole_chunk() {
+    for spec in registry::known_specs() {
+        let code = registry::build(&spec).unwrap();
+        let n = code.params().total_shards();
+        for shard_len in [256, 64 * 1024] {
+            let half = shard_len / 2;
+            let covered = [(0, shard_len), (0, half), (half, shard_len - half)];
+            for target in 0..n {
+                let mut available = vec![true; n];
+                available[target] = false;
+                for exiled in (0..n).filter(|&s| s != target).map(Some).chain([None]) {
+                    let rank = |shard: usize| u64::from(Some(shard) == exiled);
+                    let reads = code
+                        .repair_reads_ranked(target, &available, shard_len, &rank)
+                        .unwrap();
+                    for read in &reads {
+                        assert!(
+                            covered.contains(&(read.offset, read.len)),
+                            "{spec} target {target} exiled {exiled:?} len {shard_len}: \
+                             {read:?} is not a half or the whole chunk"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Plans for a target with a *second* shard also lost — the ones the
 /// cluster simulator prices for multi-failure stripes — name a helper set
 /// that really rebuilds the target. For every registry code, every target

@@ -226,6 +226,48 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
         Box::new(ReadyWrite(self.write_chunk(object, id, payload)))
     }
 
+    /// Starts writing one chunk of `len` zero bytes: the same chunk file,
+    /// with the same atomicity and outcome, as [`ChunkBackend::begin_write`]
+    /// of `len` zeros. It is how the store writes the zero padding of a
+    /// short stripe. A networked backend sends only the length, and the far
+    /// side writes the zeros itself.
+    ///
+    /// The default performs the blocking [`ChunkBackend::write_chunk`] of a
+    /// zeroed buffer here and now, for the same backends and the same
+    /// reasons as [`ChunkBackend::begin_read`]'s default.
+    fn begin_write_zeros<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        len: usize,
+    ) -> Box<dyn PendingWrite + 'a> {
+        Box::new(ReadyWrite(self.write_chunk(object, id, &vec![0u8; len])))
+    }
+
+    /// Starts checking one chunk whose payload is `chunk_len` bytes, and
+    /// returns without waiting for the verdict: a read that moves no bytes.
+    /// At [`PendingRead::wait`] a healthy chunk is `Ok(Ok(()))` and a
+    /// missing or damaged one its [`ChunkStatus`], as a read of it would
+    /// report. It is how the store reads the zero padding of a short
+    /// stripe, whose bytes it knows but whose chunk it must still check.
+    /// The check is [`ChunkBackend::verify_chunk`]'s: header and both half
+    /// checksums.
+    ///
+    /// The default performs the blocking [`ChunkBackend::verify_chunk`] here
+    /// and now, for the same backends and the same reasons as
+    /// [`ChunkBackend::begin_read`]'s default.
+    fn begin_verify<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+    ) -> Box<dyn PendingRead + 'a> {
+        Box::new(ReadyRead(
+            self.verify_chunk(object, id, chunk_len)
+                .map(|(status, _)| status.into_read()),
+        ))
+    }
+
     /// Fully verifies one chunk without returning its bytes; reports the
     /// status and how many payload bytes were read doing so. For a remote
     /// disk the verification runs server-side: only the verdict crosses

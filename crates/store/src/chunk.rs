@@ -76,6 +76,15 @@ impl ChunkStatus {
     pub fn is_healthy(&self) -> bool {
         matches!(self, ChunkStatus::Healthy)
     }
+
+    /// The verdict as a read's inner result: `Ok` for a healthy chunk, the
+    /// status itself for a missing or damaged one.
+    pub fn into_read(self) -> std::result::Result<(), ChunkStatus> {
+        match self {
+            ChunkStatus::Healthy => Ok(()),
+            damaged => Err(damaged),
+        }
+    }
 }
 
 /// The result shape shared by the fallible readers: the outer error is a

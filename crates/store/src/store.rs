@@ -29,7 +29,9 @@
 //! `put` streams an object into stripes of `k × chunk_len` bytes, encodes
 //! each stripe with the zero-copy [`ErasureCode::encode_into`] into a single
 //! contiguous [`ShardBuffer`], and writes all `k + r` chunks as checksummed
-//! files (see [`crate::chunk`]). One thread drives an object, one stripe at
+//! files (see [`crate::chunk`]); the zero padding of a short last stripe
+//! is written as zero chunks ([`ChunkBackend::begin_write_zeros`]), so no
+//! payload is sent for it. One thread drives an object, one stripe at
 //! a time; the concurrency is inside the stripe, across its disks: all
 //! `k + r` writes are begun ([`ChunkBackend::begin_write`]) before any is
 //! waited for, so a stripe on networked disks costs its slowest write, not
@@ -42,7 +44,9 @@
 //!
 //! `get` reads the `k` data chunks of each stripe — begun together, then
 //! collected together ([`ChunkBackend::begin_read`]) — and verifies their
-//! checksums. When a chunk is missing or corrupt the stripe is served
+//! checksums; a short stripe's padding chunks are only checked
+//! ([`ChunkBackend::begin_verify`]). When a chunk is missing or corrupt
+//! the stripe is served
 //! *degraded*: with a single loss the store executes the code's cheapest
 //! repair — reading exactly the helper byte ranges named by
 //! [`ErasureCode::repair_reads`], which for Piggybacked-RS means
@@ -61,12 +65,15 @@
 //! [`crate::daemon::RepairDaemon`] drives it from a scrub/enqueue loop
 //! across a worker pool.
 //!
-//! Degraded reads and repairs alike treat the zero padding of an object's
-//! short last stripe as resident zeros: it is never fetched, a lost
-//! padding chunk is rebuilt with no helper read, and a full
-//! reconstruction counts it as a survivor. Helper-byte counters still
-//! price the whole plan; [`StripeRepair::fetched_bytes`] counts what was
-//! read.
+//! Every path treats the zero padding of an object's short last stripe
+//! (the data chunks past its payload) as resident zeros, and no path
+//! moves its bytes. A read zero-fills a padding slot and only checks the
+//! chunk ([`ChunkBackend::begin_verify`]), so damaged padding still
+//! degrades its stripe. A rebuild never fetches padding, a lost padding
+//! chunk is rebuilt with no helper read, and a full reconstruction counts
+//! it as a survivor. `put` and repair write a padding chunk as a length
+//! ([`ChunkBackend::begin_write_zeros`]). Helper-byte counters still price
+//! the whole plan; [`StripeRepair::fetched_bytes`] counts what was read.
 
 use std::collections::HashSet;
 use std::fs;
@@ -421,7 +428,8 @@ pub(crate) struct StripeRef<'a> {
     /// The data shards that start at or past the stripe's payload: the
     /// zero padding `Ingest` wrote into an object's short last stripe
     /// (empty for every other stripe). The store knows these bytes, so no
-    /// rebuild fetches them. A partly filled chunk is not padding.
+    /// read or rebuild fetches them and no write sends them. A partly
+    /// filled chunk is not padding.
     padding: Range<usize>,
 }
 
@@ -767,14 +775,20 @@ impl BlockStore {
         stripe: u64,
         row: &'a [usize],
     ) -> StripeRef<'a> {
-        let k = self.code.params().data_shards();
-        let payload = self.stripe_payload_len(info, stripe);
         StripeRef {
             object,
             stripe,
             row,
-            padding: payload.div_ceil(self.chunk_len).min(k)..k,
+            padding: self.padding(self.stripe_payload_len(info, stripe)),
         }
+    }
+
+    /// The data shards of a stripe carrying `payload` bytes that hold no
+    /// byte of it: the zero padding of a short stripe (empty for a full
+    /// one). A partly filled chunk is not padding.
+    pub(crate) fn padding(&self, payload: usize) -> Range<usize> {
+        let k = self.code.params().data_shards();
+        payload.div_ceil(self.chunk_len).min(k)..k
     }
 
     /// The store's root directory.
@@ -1078,17 +1092,20 @@ impl BlockStore {
     }
 
     /// Encodes the (already filled) data shards of `buf` and writes all
-    /// `n` chunk files of `stripe`.
+    /// `n` chunk files of `stripe`. The data shards in `padding` are zero
+    /// padding ([`BlockStore::padding`]): they are written as zero chunks
+    /// ([`ChunkBackend::begin_write_zeros`]), so no payload is sent for them.
     pub(crate) fn encode_and_write_stripe(
         &self,
         name: &str,
         stripe: u64,
         buf: &mut ShardBuffer,
+        padding: Range<usize>,
         times: &mut StageTimes,
     ) -> Result<()> {
         let span = self.trace_span("write_stripe");
         let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.encode_and_write_stripe_inner(name, stripe, buf, times);
+        let result = self.encode_and_write_stripe_inner(name, stripe, buf, padding, times);
         drop(scope);
         if let Some((mut s, tracer)) = span {
             s.tag("object", name);
@@ -1106,6 +1123,7 @@ impl BlockStore {
         name: &str,
         stripe: u64,
         buf: &mut ShardBuffer,
+        padding: Range<usize>,
         times: &mut StageTimes,
     ) -> Result<()> {
         let (k, n) = {
@@ -1129,7 +1147,12 @@ impl BlockStore {
             .iter()
             .enumerate()
             .map(|(shard, &disk)| {
-                self.disks[disk].begin_write(name, ChunkId { stripe, shard }, buf.shard(shard))
+                let id = ChunkId { stripe, shard };
+                if padding.contains(&shard) {
+                    self.disks[disk].begin_write_zeros(name, id, self.chunk_len)
+                } else {
+                    self.disks[disk].begin_write(name, id, buf.shard(shard))
+                }
             })
             .collect();
         // Every write is collected before the first error is returned: none
@@ -1222,21 +1245,24 @@ impl BlockStore {
         // caller's destination — the healthy case touches no scratch and
         // pays no extra copy. The chunks sit on k different disks, so all k
         // reads are begun before any is waited for: the stripe costs the
-        // slowest round trip, not their sum.
+        // slowest round trip, not their sum. A padding chunk's bytes are
+        // known: its slot is zeroed and its chunk only checked, so a lost
+        // or damaged padding chunk still degrades the stripe.
         let pending: Vec<_> = dest
             .chunks_mut(self.chunk_len)
             .enumerate()
             .map(|(shard, slot)| {
-                self.disks[at.row[shard]].begin_read(
-                    at.object,
-                    ChunkId {
-                        stripe: at.stripe,
-                        shard,
-                    },
-                    self.chunk_len,
-                    0,
-                    slot,
-                )
+                let disk = &self.disks[at.row[shard]];
+                let id = ChunkId {
+                    stripe: at.stripe,
+                    shard,
+                };
+                if at.padding.contains(&shard) {
+                    slot.fill(0);
+                    disk.begin_verify(at.object, id, self.chunk_len)
+                } else {
+                    disk.begin_read(at.object, id, self.chunk_len, 0, slot)
+                }
             })
             .collect();
         // Every read is collected before a hard error is returned: no read
@@ -1836,15 +1862,7 @@ impl BlockStore {
         if targets.len() == 1
             && self.try_planned_rebuild(&at, targets[0], scratch, &mut traffic, &mut times)?
         {
-            let target = targets[0];
-            self.disks[row[target]].write_chunk(
-                object,
-                ChunkId {
-                    stripe,
-                    shard: target,
-                },
-                &scratch.rebuilt,
-            )?;
+            self.write_back(&at, targets[0], &scratch.rebuilt)?;
         } else {
             // Multi-loss (or helpers unavailable): decode from survivors,
             // then write every damaged chunk back (including any damage
@@ -1852,11 +1870,7 @@ impl BlockStore {
             self.reconstruct_from_survivors(&at, &mut targets, scratch, &mut traffic, &mut times)?;
             targets.sort_unstable();
             for &shard in &targets {
-                self.disks[row[shard]].write_chunk(
-                    object,
-                    ChunkId { stripe, shard },
-                    scratch.buf.shard(shard),
-                )?;
+                self.write_back(&at, shard, scratch.buf.shard(shard))?;
             }
         }
         let written = (targets.len() * self.chunk_len) as u64;
@@ -1871,6 +1885,21 @@ impl BlockStore {
         report.bytes_written = written;
         self.latency.repair_job.record_duration(job_start.elapsed());
         Ok(report)
+    }
+
+    /// Writes rebuilt shard `shard` of stripe `at` back to its disk; a
+    /// padding shard is written as a zero chunk, with no payload sent.
+    fn write_back(&self, at: &StripeRef<'_>, shard: usize, payload: &[u8]) -> Result<()> {
+        let disk = &self.disks[at.row[shard]];
+        let id = ChunkId {
+            stripe: at.stripe,
+            shard,
+        };
+        if at.padding.contains(&shard) {
+            disk.begin_write_zeros(at.object, id, self.chunk_len).wait()
+        } else {
+            disk.write_chunk(at.object, id, payload)
+        }
     }
 
     fn note_repair_traffic(&self, traffic: HelperTraffic) {

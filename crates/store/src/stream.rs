@@ -5,7 +5,9 @@
 //! disks, fill a stripe buffer, zero-pad the tail, encode and write each
 //! stripe, commit the manifest entry or clean up — and read by one — look
 //! the object up, resolve its placement rows, decode stripe after stripe
-//! through one reusable scratch. [`BlockStore::put`] and
+//! through one reusable scratch. The data chunks a short last stripe pads
+//! with zeros are written as zero chunks and, on the way back, only
+//! checked: their bytes are never sent or read, in either sequence. [`BlockStore::put`] and
 //! [`BlockStore::get`] are those sequences driven to completion in one
 //! call; a network front door cannot hold O(object) per request, so the
 //! same code is also exposed a stripe at a time:
@@ -111,7 +113,8 @@ impl Ingest {
     }
 
     /// Encodes and writes the buffered stripe (zero-padding a partial
-    /// tail), poisoning the ingest on failure.
+    /// tail, whose padding chunks are written as zero chunks), poisoning
+    /// the ingest on failure.
     fn flush_stripe(&mut self, store: &BlockStore) -> Result<()> {
         let chunk_len = store.chunk_len();
         let k = store.stripe_data_len() / chunk_len;
@@ -128,6 +131,7 @@ impl Ingest {
             &self.name,
             self.stripes,
             &mut self.buf,
+            store.padding(self.filled),
             &mut self.stage_times,
         );
         match result {
@@ -406,8 +410,8 @@ impl ObjectReader {
 
     /// Decodes stripe `stripe` into the front of `out`, transparently
     /// degrading when chunks are missing or corrupt. Returns the payload
-    /// length (`stripe_payload_len`; bytes past it in `out` are padding)
-    /// and whether the stripe was served degraded.
+    /// length (`stripe_payload_len`; bytes past it in `out` are padding,
+    /// always zeros) and whether the stripe was served degraded.
     ///
     /// `out` must hold at least [`ObjectReader::stripe_len`] bytes.
     ///

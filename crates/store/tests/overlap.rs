@@ -3,15 +3,18 @@
 //! the reads the serial loops used to issue — k data chunks for a healthy
 //! stripe, the `repair_reads` ranges for a planned rebuild, the first k
 //! survivors (plus a top-up per failure) for a full reconstruction. A
-//! short stripe's rebuilds leave out its zero padding: no range on it is
-//! begun, and a lost padding chunk is rebuilt with no read at all. The
-//! write side has one batch: the n chunks of a stripe, for `put` and for
-//! `ObjectWriter` alike, all collected even when one of them fails.
+//! short stripe's zero padding is never read: a GET begins a check of each
+//! padding chunk (`begin_verify`) in the batch of k, its rebuilds begin no
+//! range on it, and a lost padding chunk is rebuilt with no read at all.
+//! The write side has one batch: the n chunks of a stripe, for `put` and
+//! for `ObjectWriter` alike, all collected even when one of them fails; a
+//! short stripe's padding chunks are begun in it as zero writes.
 //!
-//! The double below records every `begin_read` / `begin_write` and every
-//! `wait` in one shared log. A blocking call is recorded as a begin
-//! immediately followed by its wait, so a site that fell back to
-//! one-at-a-time I/O would show up as an alternating log.
+//! The double below records every `begin_read` / `begin_verify` /
+//! `begin_write` / `begin_write_zeros` and every `wait` in one shared log.
+//! A blocking call is recorded as a begin immediately followed by its
+//! wait, so a site that fell back to one-at-a-time I/O would show up as an
+//! alternating log.
 
 use std::fs;
 use std::sync::{Arc, Mutex};
@@ -29,14 +32,17 @@ const CHUNK_LEN: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Begin(ShardRead),
+    BeginVerify(usize),
     Wait(usize),
     BeginWrite(usize),
+    BeginWriteZeros(usize),
     WaitWrite(usize),
 }
 
 type Log = Arc<Mutex<Vec<Event>>>;
 
-/// A disk that logs when each read and write is begun and waited for.
+/// A disk that logs when each read, check and write is begun and waited
+/// for.
 #[derive(Debug)]
 struct Recording {
     inner: Arc<dyn ChunkBackend>,
@@ -98,6 +104,22 @@ impl ChunkBackend for Recording {
             log: &self.log,
         })
     }
+    fn begin_write_zeros<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        len: usize,
+    ) -> Box<dyn PendingWrite + 'a> {
+        self.log
+            .lock()
+            .unwrap()
+            .push(Event::BeginWriteZeros(id.shard));
+        Box::new(RecordedWrite {
+            inner: self.inner.begin_write_zeros(object, id, len),
+            shard: id.shard,
+            log: &self.log,
+        })
+    }
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
         let chunk_len = out.len();
         self.begin_read(object, id, chunk_len, 0, out).wait()
@@ -127,6 +149,19 @@ impl ChunkBackend for Recording {
         }));
         Box::new(RecordedRead {
             inner: self.inner.begin_read(object, id, chunk_len, offset, out),
+            shard: id.shard,
+            log: &self.log,
+        })
+    }
+    fn begin_verify<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+    ) -> Box<dyn PendingRead + 'a> {
+        self.log.lock().unwrap().push(Event::BeginVerify(id.shard));
+        Box::new(RecordedRead {
+            inner: self.inner.begin_verify(object, id, chunk_len),
             shard: id.shard,
             log: &self.log,
         })
@@ -234,7 +269,13 @@ fn chunk_file(dir: &TempDir, stripe: u64, shard: usize) -> std::path::PathBuf {
 /// Drains the log, keeping its read events or its write events.
 fn drain(log: &Log, writes: bool) -> Vec<Event> {
     let mut events = std::mem::take(&mut *log.lock().unwrap());
-    events.retain(|e| writes == matches!(e, Event::BeginWrite(_) | Event::WaitWrite(_)));
+    events.retain(|e| {
+        writes
+            == matches!(
+                e,
+                Event::BeginWrite(_) | Event::BeginWriteZeros(_) | Event::WaitWrite(_)
+            )
+    });
     events
 }
 
@@ -404,6 +445,58 @@ fn a_padding_target_is_rebuilt_without_a_read() {
     assert_eq!(store.get("obj").unwrap(), data);
 }
 
+/// The log of a short stripe's GET: the filled data chunks' reads and the
+/// padding chunks' checks, all begun in shard order, then all waited for.
+fn short_get_batch() -> Vec<Event> {
+    FILLED
+        .map(|s| Event::Begin(ShardRead::whole(s, CHUNK_LEN)))
+        .chain((FILLED.end..6).map(Event::BeginVerify))
+        .chain((0..6).map(Event::Wait))
+        .collect()
+}
+
+#[test]
+fn a_healthy_short_stripe_checks_its_padding_in_the_batch_of_k() {
+    let dir = TempDir::new("overlap-short-healthy");
+    let (store, log, data) = short_store(&dir);
+    take(&log);
+    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(take(&log), short_get_batch());
+    assert_eq!(store.metrics().degraded_stripe_reads, 0);
+}
+
+#[test]
+fn a_short_stripe_begins_its_padding_as_zero_writes_in_the_batch_of_n() {
+    let dir = TempDir::new("overlap-short-put");
+    let (store, log) = store_over(&dir, &|_, local, log| recording(local, log));
+    let data = &two_stripes()[..5 * CHUNK_LEN / 2];
+    store.put("put", data).unwrap();
+    let store = Arc::new(store);
+    let mut writer = store.writer("streamed").unwrap();
+    writer.write(data).unwrap();
+    writer.finish().unwrap();
+    let begins = (0..N).map(|shard| {
+        if (FILLED.end..6).contains(&shard) {
+            Event::BeginWriteZeros(shard)
+        } else {
+            Event::BeginWrite(shard)
+        }
+    });
+    let batch: Vec<Event> = begins.chain((0..N).map(Event::WaitWrite)).collect();
+    assert_eq!(take_writes(&log), batch.repeat(2));
+    for name in ["put", "streamed"] {
+        assert_eq!(store.get(name).unwrap(), data);
+        for shard in FILLED.end..6 {
+            let path = dir
+                .path()
+                .join(format!("disk-{shard:02}/{name}/00000000-{shard:02}.chunk"));
+            let id = ChunkId { stripe: 0, shard };
+            let payload = pbrs_store::chunk::read_chunk(&path, id, CHUNK_LEN);
+            assert_eq!(payload.unwrap().unwrap(), vec![0u8; CHUNK_LEN]);
+        }
+    }
+}
+
 #[test]
 fn a_degraded_get_of_lost_padding_issues_only_the_k_data_reads() {
     let dir = TempDir::new("overlap-short-get");
@@ -412,7 +505,9 @@ fn a_degraded_get_of_lost_padding_issues_only_the_k_data_reads() {
 
     take(&log);
     assert_eq!(store.get("obj").unwrap(), data);
-    assert_eq!(take(&log), batch(&whole(0..6)));
+    // The k − p filled chunks are read and the p padding chunks checked;
+    // the lost one is rebuilt as zeros, with nothing more begun.
+    assert_eq!(take(&log), short_get_batch());
     let metrics = store.metrics();
     assert_eq!(metrics.degraded_stripe_reads, 1);
     assert_eq!(metrics.degraded_fetched_bytes, 0);

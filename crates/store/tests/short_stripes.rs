@@ -3,8 +3,13 @@
 //! store wrote itself. Rebuilds treat that padding as resident zeros —
 //! never fetched, always a survivor — so a short stripe repairs with
 //! fewer helper reads, and survives more lost chunks, than a full one.
+//!
+//! Reads never fetch padding either: a GET zeroes each padding slot of
+//! its buffer and only checks the padding chunk, so a lost or damaged
+//! padding chunk degrades its stripe exactly as a read of it would.
 
 use std::fs;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -92,6 +97,103 @@ fn losing_more_than_n_minus_k_real_chunks_is_still_refused() {
             unrecoverable(store.repair_stripe("obj", SHORT, &LOST).map(drop)),
             "{spec}: repair"
         );
+    }
+}
+
+/// How a padding chunk is damaged on disk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Damage {
+    Missing,
+    Truncated,
+    HeaderCorrupt,
+    PayloadCorrupt,
+}
+
+fn damage(store: &BlockStore, stripe: u64, shard: usize, how: Damage) {
+    let path = store.chunk_path("obj", stripe, shard);
+    let mut bytes = fs::read(&path).unwrap();
+    match how {
+        Damage::Missing => return fs::remove_file(&path).unwrap(),
+        Damage::Truncated => bytes.truncate(bytes.len() / 2),
+        Damage::HeaderCorrupt => bytes[10] ^= 0x01,
+        Damage::PayloadCorrupt => bytes[pbrs_store::chunk::HEADER_LEN + 77] ^= 0x40,
+    }
+    fs::write(&path, bytes).unwrap();
+}
+
+#[test]
+fn a_damaged_padding_chunk_still_degrades_its_stripe() {
+    for spec in ["rs-10-4", "piggyback-10-4"] {
+        for how in [
+            Damage::Missing,
+            Damage::Truncated,
+            Damage::HeaderCorrupt,
+            Damage::PayloadCorrupt,
+        ] {
+            let (_dir, store, data) = with_short_stripe(spec);
+            damage(&store, SHORT, 6, how);
+            let before = store.metrics();
+            assert_eq!(store.get("obj").unwrap(), data, "{spec} {how:?}");
+            let after = store.metrics();
+            assert_eq!(
+                after.degraded_stripe_reads - before.degraded_stripe_reads,
+                1,
+                "{spec} {how:?}: only the short stripe is degraded"
+            );
+            assert_eq!(
+                after.corrupt_chunks_detected - before.corrupt_chunks_detected,
+                u64::from(how != Damage::Missing),
+                "{spec} {how:?}"
+            );
+            // A padding target is rebuilt with no helper read.
+            assert_eq!(after.degraded_fetched_bytes, 0, "{spec} {how:?}");
+            store.repair_stripe("obj", SHORT, &[6]).unwrap();
+            assert!(store.scrub().unwrap().is_clean(), "{spec} {how:?}");
+        }
+    }
+}
+
+#[test]
+fn a_recycled_buffer_reads_back_zeroed_padding() {
+    for spec in ["rs-10-4", "piggyback-10-4"] {
+        let (_dir, store, data) = with_short_stripe(spec);
+        let store = Arc::new(store);
+        let stripe_len = store.stripe_data_len();
+        let tail = &data[stripe_len..];
+        // Shard 2 holds data, shard 3 is half filled; both are real.
+        for lost in [None, Some(2), Some(3)] {
+            if let Some(shard) = lost {
+                fs::remove_file(store.chunk_path("obj", SHORT, shard)).unwrap();
+            }
+            let mut reader = store.reader("obj").unwrap();
+            let mut out = vec![0xA5u8; stripe_len];
+            // A full stripe first, so the reader's scratch holds real bytes.
+            assert_eq!(
+                reader.read_stripe(0, &mut out).unwrap(),
+                (stripe_len, false)
+            );
+            out.fill(0xA5);
+            let (len, degraded) = reader.read_stripe(SHORT, &mut out).unwrap();
+            assert_eq!((len, degraded), (tail.len(), lost.is_some()), "{spec}");
+            assert_eq!(&out[..len], tail, "{spec} lost {lost:?}");
+            assert!(
+                out[len..].iter().all(|&b| b == 0),
+                "{spec} lost {lost:?}: padding slots read back as zeros"
+            );
+        }
+        let originals = {
+            let (_dir, fresh, _) = with_short_stripe(spec);
+            [2, 3].map(|shard| fs::read(fresh.chunk_path("obj", SHORT, shard)).unwrap())
+        };
+        let repair = store.repair_stripe("obj", SHORT, &[2, 3]).unwrap();
+        assert_eq!(repair.rebuilt, vec![2, 3]);
+        for (shard, original) in [2, 3].into_iter().zip(originals) {
+            assert_eq!(
+                fs::read(store.chunk_path("obj", SHORT, shard)).unwrap(),
+                original,
+                "{spec}: shard {shard} rebuilt byte for byte"
+            );
+        }
     }
 }
 
