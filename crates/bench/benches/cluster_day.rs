@@ -4,11 +4,11 @@
 //! documents that a production-scale month simulates in seconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pbrs_cluster::config::CodeChoice;
 use pbrs_cluster::{SimConfig, Simulator};
+use pbrs_erasure::CodeSpec;
 use std::hint::black_box;
 
-fn one_day_config(machines_per_rack: usize, code: CodeChoice) -> SimConfig {
+fn one_day_config(machines_per_rack: usize, code: CodeSpec) -> SimConfig {
     let mut config = SimConfig::small_test();
     config.machines_per_rack = machines_per_rack;
     config.unavailability.machines = config.machines();
@@ -23,8 +23,8 @@ fn bench_simulated_day(c: &mut Criterion) {
     group.sample_size(10);
     for machines_per_rack in [10usize, 50] {
         for (label, code) in [
-            ("rs", CodeChoice::production_rs()),
-            ("piggybacked", CodeChoice::proposed_piggybacked()),
+            ("rs", CodeSpec::FACEBOOK_RS),
+            ("piggybacked", CodeSpec::FACEBOOK_PIGGYBACK),
         ] {
             let config = one_day_config(machines_per_rack, code);
             let machines = config.machines();

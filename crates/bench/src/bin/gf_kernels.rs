@@ -32,10 +32,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pbrs_bench::{f1, section};
+use pbrs_cluster::report::to_markdown_table;
 use pbrs_erasure::ReedSolomon;
 use pbrs_gf::backend::{self, Backend};
 use pbrs_gf::{crc32, slice_ops};
-use pbrs_trace::report::to_markdown_table;
 
 /// Shard sizes to sweep: small enough to sit in L2, and the 1 MiB shard
 /// the acceptance threshold is measured on.

@@ -25,19 +25,19 @@ use std::fs;
 use std::process::ExitCode;
 
 use pbrs_bench::section;
+use pbrs_cluster::calibration::{bytes_to_tb, PaperConstants, MB};
 use pbrs_cluster::network::TransferModel;
 use pbrs_cluster::reliability::model_for_code;
+use pbrs_cluster::report::to_markdown_table;
 use pbrs_cluster::sim::paired_rs_vs_piggybacked;
+use pbrs_cluster::stats::Summary;
+use pbrs_cluster::stripe_failures::{
+    binomial_degradation_estimate, implied_concurrent_unavailability,
+};
+use pbrs_cluster::unavailability::UnavailabilityModel;
 use pbrs_cluster::{ClusterReport, SimConfig, Simulator};
 use pbrs_core::{registry, toy_example, CodeComparison, SavingsReport};
 use pbrs_erasure::{total_read_bytes, CodeSpec, ErasureCode, ReedSolomon, ShardBuffer};
-use pbrs_trace::calibration::{bytes_to_tb, PaperConstants, MB};
-use pbrs_trace::report::to_markdown_table;
-use pbrs_trace::stats::Summary;
-use pbrs_trace::stripe_failures::{
-    binomial_degradation_estimate, implied_concurrent_unavailability,
-};
-use pbrs_trace::unavailability::UnavailabilityModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use Tolerance::{Exact, Points, Relative};

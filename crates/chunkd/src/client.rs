@@ -590,16 +590,6 @@ impl RemoteDisk {
         self
     }
 
-    /// The attached label, if any.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
-    /// The server address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Socket byte counters since creation (frame headers included).
     pub fn counters(&self) -> BackendCounters {
         BackendCounters {

@@ -324,12 +324,6 @@ impl ChunkServer {
         out
     }
 
-    /// The server's bounded event journal (bad requests, injected
-    /// connection drops).
-    pub fn journal(&self) -> &EventJournal {
-        &self.shared.journal
-    }
-
     /// Stops accepting, finishes in-flight requests, and joins the workers.
     pub fn shutdown(mut self) {
         self.stop_and_join();

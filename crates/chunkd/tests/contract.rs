@@ -29,6 +29,7 @@
 
 use std::fs;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pbrs_chunkd::protocol::encode_verify;
 use pbrs_chunkd::{ChunkServer, RemoteDisk, Request, ServerConfig};
@@ -73,7 +74,7 @@ struct Rig {
 
 fn rig(label: &str) -> Rig {
     let dir = TempDir::new(label);
-    let (store, remotes, servers) = cluster(&dir, "piggyback-6-3");
+    let (store, remotes, servers) = cluster(&dir, "piggyback-6-3", None);
     let data: Vec<u8> = (0..store.stripe_data_len() * STRIPES as usize)
         .map(|i| ((i * 31 + 7) % 253) as u8)
         .collect();
@@ -87,8 +88,13 @@ fn rig(label: &str) -> Rig {
 }
 
 /// A `spec` store over one loopback chunk server per shard (shard `i` on
-/// server `i`, one rack per disk), with its clients and servers.
-fn cluster(dir: &TempDir, spec: &str) -> (BlockStore, Vec<Arc<RemoteDisk>>, Vec<ChunkServer>) {
+/// server `i`, one rack per disk), with its clients and servers. With an
+/// `op_deadline` every disk is mounted behind a `GuardedDisk`.
+fn cluster(
+    dir: &TempDir,
+    spec: &str,
+    op_deadline: Option<Duration>,
+) -> (BlockStore, Vec<Arc<RemoteDisk>>, Vec<ChunkServer>) {
     let spec: CodeSpec = spec.parse().unwrap();
     let n = registry::build(&spec).unwrap().params().total_shards();
     let servers: Vec<ChunkServer> = (0..n)
@@ -102,8 +108,12 @@ fn cluster(dir: &TempDir, spec: &str) -> (BlockStore, Vec<Arc<RemoteDisk>>, Vec<
         .iter()
         .map(|r| Arc::clone(r) as Arc<dyn ChunkBackend>)
         .collect();
+    let mut config = StoreConfig::new(dir.path().join("root"), spec).chunk_len(CHUNK_LEN);
+    if let Some(deadline) = op_deadline {
+        config = config.op_deadline(deadline);
+    }
     let store = BlockStore::open_with_backends(
-        StoreConfig::new(dir.path().join("root"), spec).chunk_len(CHUNK_LEN),
+        config,
         disks,
         RackMap::per_disk(n),
         PlacementPolicy::Identity,
@@ -356,10 +366,16 @@ fn padding_moves_only_framing_for_put_get_and_repair() {
     const K: usize = 10;
     const PADDING_TARGET: usize = 9;
     // A one-chunk object and a three-and-a-half-chunk one: 1 and 4 data
-    // chunks hold payload, the other 9 and 6 are zero padding.
-    for (len, filled) in [(CHUNK_LEN, 1), (7 * CHUNK_LEN / 2, 4)] {
+    // chunks hold payload, the other 9 and 6 are zero padding. Each goes to
+    // a bare store and to one whose disks are guarded by a deadline.
+    let cases = [(CHUNK_LEN, 1), (7 * CHUNK_LEN / 2, 4)];
+    for (op_deadline, (len, filled)) in [None, Some(Duration::from_secs(30))]
+        .into_iter()
+        .flat_map(|deadline| cases.map(|case| (deadline, case)))
+    {
         let dir = TempDir::new("chunkd-contract-padding");
-        let (store, remotes, servers) = cluster(&dir, "piggyback-10-4");
+        let (store, remotes, servers) = cluster(&dir, "piggyback-10-4", op_deadline);
+        let label = format!("{len} bytes, op_deadline {op_deadline:?}");
         let data: Vec<u8> = (0..len).map(|i| ((i * 13 + 5) % 251) as u8).collect();
         let object = || "obj".to_string();
         let id = ChunkId {
@@ -407,7 +423,7 @@ fn padding_moves_only_framing_for_put_get_and_repair() {
                 }
             })
             .collect();
-        assert_eq!(moved(&remotes, &before), expect, "put of {len} bytes");
+        assert_eq!(moved(&remotes, &before), expect, "put of {label}");
 
         // GET: the filled chunks are read, the padding only checked; parity
         // disks stay silent.
@@ -420,7 +436,7 @@ fn padding_moves_only_framing_for_put_get_and_repair() {
                 _ => (0, 0),
             })
             .collect();
-        assert_eq!(moved(&remotes, &before), expect, "get of {len} bytes");
+        assert_eq!(moved(&remotes, &before), expect, "get of {label}");
 
         // Repair of a lost padding chunk: the target is checked and written
         // as a length; no helper is read.
@@ -434,7 +450,7 @@ fn padding_moves_only_framing_for_put_get_and_repair() {
         let mut expect = vec![(0, 0); 14];
         // A missing chunk's verdict carries no more bytes than a healthy one's.
         expect[PADDING_TARGET] = (verify + zeros, verdict + ok);
-        assert_eq!(moved(&remotes, &before), expect, "repair of {len} bytes");
+        assert_eq!(moved(&remotes, &before), expect, "repair of {label}");
         assert_eq!(fs::read(&path).unwrap(), original, "rebuilt byte for byte");
         assert!(store.scrub().unwrap().is_clean());
     }

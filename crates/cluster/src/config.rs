@@ -1,114 +1,10 @@
-//! Simulation configuration and the erasure-code choice.
-
-use core::str::FromStr;
+//! Simulation configuration.
 
 use pbrs_core::registry;
 use pbrs_erasure::{CodeError, CodeSpec};
-use pbrs_trace::calibration::{PaperConstants, MB};
-use pbrs_trace::unavailability::UnavailabilityModel;
 
-/// Which storage scheme the simulated cluster uses for its cold data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeChoice {
-    /// A `(k, r)` Reed–Solomon code (the production scheme: `(10, 4)`).
-    ReedSolomon {
-        /// Data blocks per stripe.
-        k: usize,
-        /// Parity blocks per stripe.
-        r: usize,
-    },
-    /// The paper's proposed `(k, r)` Piggybacked-RS code.
-    PiggybackedRs {
-        /// Data blocks per stripe.
-        k: usize,
-        /// Parity blocks per stripe.
-        r: usize,
-    },
-    /// An LRC baseline with `k` data blocks, `l` local and `g` global
-    /// parities.
-    Lrc {
-        /// Data blocks per stripe.
-        k: usize,
-        /// Local parity blocks (one per group).
-        l: usize,
-        /// Global parity blocks.
-        g: usize,
-    },
-    /// N-way replication.
-    Replication {
-        /// Total copies stored.
-        copies: usize,
-    },
-}
-
-impl CodeChoice {
-    /// The [`CodeSpec`] naming this choice in the unified registry.
-    pub fn spec(&self) -> CodeSpec {
-        match *self {
-            CodeChoice::ReedSolomon { k, r } => CodeSpec::ReedSolomon { k, r },
-            CodeChoice::PiggybackedRs { k, r } => CodeSpec::PiggybackedRs { k, r },
-            CodeChoice::Lrc { k, l, g } => CodeSpec::Lrc {
-                k,
-                local_groups: l,
-                global_parities: g,
-            },
-            CodeChoice::Replication { copies } => CodeSpec::Replication { copies },
-        }
-    }
-
-    /// Builds the erasure code this choice describes, through the unified
-    /// registry (`pbrs_core::registry`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-validation errors from the code constructors.
-    pub fn build(&self) -> Result<registry::DynCode, CodeError> {
-        registry::build(&self.spec())
-    }
-
-    /// The production configuration: RS(10, 4).
-    pub fn production_rs() -> Self {
-        CodeSpec::FACEBOOK_RS.into()
-    }
-
-    /// The paper's proposal: Piggybacked-RS(10, 4).
-    pub fn proposed_piggybacked() -> Self {
-        CodeSpec::FACEBOOK_PIGGYBACK.into()
-    }
-}
-
-impl From<CodeSpec> for CodeChoice {
-    fn from(spec: CodeSpec) -> Self {
-        match spec {
-            CodeSpec::ReedSolomon { k, r } => CodeChoice::ReedSolomon { k, r },
-            CodeSpec::PiggybackedRs { k, r } => CodeChoice::PiggybackedRs { k, r },
-            CodeSpec::Lrc {
-                k,
-                local_groups,
-                global_parities,
-            } => CodeChoice::Lrc {
-                k,
-                l: local_groups,
-                g: global_parities,
-            },
-            CodeSpec::Replication { copies } => CodeChoice::Replication { copies },
-        }
-    }
-}
-
-impl From<CodeChoice> for CodeSpec {
-    fn from(choice: CodeChoice) -> Self {
-        choice.spec()
-    }
-}
-
-impl FromStr for CodeChoice {
-    type Err = CodeError;
-
-    fn from_str(s: &str) -> Result<Self, CodeError> {
-        Ok(CodeSpec::from_str(s)?.into())
-    }
-}
+use crate::calibration::{PaperConstants, MB};
+use crate::unavailability::UnavailabilityModel;
 
 /// Full configuration of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,8 +27,9 @@ pub struct SimConfig {
     pub tail_block_fraction: f64,
     /// Mean size of a tail block, as a fraction of the full block size.
     pub tail_block_mean_fraction: f64,
-    /// The storage scheme under test.
-    pub code: CodeChoice,
+    /// The storage scheme under test, built through the unified registry
+    /// (`pbrs_core::registry`).
+    pub code: CodeSpec,
     /// The machine-unavailability process.
     pub unavailability: UnavailabilityModel,
     /// Minutes a machine must be unavailable before recovery starts.
@@ -179,7 +76,7 @@ impl SimConfig {
             block_size_bytes: constants.block_size_bytes,
             tail_block_fraction: 0.35,
             tail_block_mean_fraction: 0.45,
-            code: CodeChoice::production_rs(),
+            code: CodeSpec::FACEBOOK_RS,
             unavailability: UnavailabilityModel::facebook(machines),
             detection_timeout_minutes: constants.detection_timeout_minutes,
             recovery_slots: 100,
@@ -204,7 +101,7 @@ impl SimConfig {
             block_size_bytes: 64 * MB,
             tail_block_fraction: 0.3,
             tail_block_mean_fraction: 0.5,
-            code: CodeChoice::production_rs(),
+            code: CodeSpec::FACEBOOK_RS,
             unavailability: UnavailabilityModel {
                 machines,
                 base_events_per_day: 10.0,
@@ -229,13 +126,6 @@ impl SimConfig {
     /// Total machines in the cluster.
     pub fn machines(&self) -> usize {
         self.racks * self.machines_per_rack
-    }
-
-    /// Average recovered-block size implied by the tail-block model.
-    pub fn mean_block_size_bytes(&self) -> f64 {
-        let full = self.block_size_bytes as f64;
-        (1.0 - self.tail_block_fraction) * full
-            + self.tail_block_fraction * self.tail_block_mean_fraction * full
     }
 
     /// Validates the configuration.
@@ -265,7 +155,7 @@ impl SimConfig {
                 reason: "recovery bandwidth must be positive".into(),
             });
         }
-        let code = self.code.build()?;
+        let code = registry::build(&self.code)?;
         let width = code.params().total_shards();
         // The shared placement model owns this constraint: rack-disjoint
         // stripes need at least one rack per shard. Its typed error is
@@ -299,11 +189,14 @@ mod tests {
         assert_eq!(c.block_size_bytes, 256 * 1024 * 1024);
         assert_eq!(c.days, 24);
         assert_eq!(c.detection_timeout_minutes, 15.0);
-        assert_eq!(c.code, CodeChoice::production_rs());
+        assert_eq!(c.code, CodeSpec::FACEBOOK_RS);
         // The tail-block model implies an average recovered block around
         // 200 MB, consistent with the gap between 95,500x10x256MB and the
         // measured ~180 TB/day.
-        let mean_mb = c.mean_block_size_bytes() / MB as f64;
+        let full = c.block_size_bytes as f64;
+        let mean = (1.0 - c.tail_block_fraction) * full
+            + c.tail_block_fraction * c.tail_block_mean_fraction * full;
+        let mean_mb = mean / MB as f64;
         assert!(mean_mb > 180.0 && mean_mb < 220.0, "{mean_mb}");
         assert_eq!(SimConfig::default(), c);
     }
@@ -311,53 +204,6 @@ mod tests {
     #[test]
     fn small_test_profile_is_valid() {
         SimConfig::small_test().validate().unwrap();
-    }
-
-    #[test]
-    fn code_choice_builders() {
-        assert_eq!(
-            CodeChoice::production_rs().build().unwrap().name(),
-            "RS(10, 4)"
-        );
-        assert_eq!(
-            CodeChoice::proposed_piggybacked().build().unwrap().name(),
-            "Piggybacked-RS(10, 4)"
-        );
-        assert_eq!(
-            CodeChoice::Lrc { k: 10, l: 2, g: 4 }
-                .build()
-                .unwrap()
-                .name(),
-            "LRC(10, 2, 4)"
-        );
-        assert_eq!(
-            CodeChoice::Replication { copies: 3 }
-                .build()
-                .unwrap()
-                .name(),
-            "3-replication"
-        );
-        assert!(CodeChoice::ReedSolomon { k: 0, r: 1 }.build().is_err());
-    }
-
-    #[test]
-    fn code_choice_round_trips_through_spec_strings() {
-        let choices = [
-            CodeChoice::production_rs(),
-            CodeChoice::proposed_piggybacked(),
-            CodeChoice::Lrc { k: 10, l: 2, g: 4 },
-            CodeChoice::Replication { copies: 3 },
-        ];
-        for choice in choices {
-            let text = choice.spec().to_string();
-            let parsed: CodeChoice = text.parse().unwrap();
-            assert_eq!(parsed, choice, "{text}");
-        }
-        assert_eq!(
-            "piggyback-10-4".parse::<CodeChoice>().unwrap(),
-            CodeChoice::proposed_piggybacked()
-        );
-        assert!("rs-10".parse::<CodeChoice>().is_err());
     }
 
     #[test]
@@ -379,7 +225,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::small_test();
-        c.code = CodeChoice::ReedSolomon { k: 300, r: 10 };
+        c.code = CodeSpec::ReedSolomon { k: 300, r: 10 };
         assert!(c.validate().is_err());
 
         // Stripe wider than the rack count cannot be placed rack-disjointly.

@@ -100,21 +100,6 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// The current simulation time (time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` at absolute time `time`.
     ///
     /// # Panics
@@ -158,8 +143,8 @@ mod tests {
         q.schedule(7.5, Event::StripeCensus);
         let times: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(times, vec![5.0, 7.5, 10.0]);
-        assert_eq!(q.now(), 10.0);
-        assert!(q.is_empty());
+        assert_eq!(q.now, 10.0);
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -191,12 +176,12 @@ mod tests {
     #[test]
     fn len_tracks_pending_events() {
         let mut q = EventQueue::new();
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.heap.len(), 0);
         q.schedule(1.0, Event::StripeCensus);
         q.schedule(2.0, Event::StripeCensus);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.heap.len(), 2);
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //! blocks each machine holds.
 //!
 //! The unavailability *process* itself (how often machines go down, for how
-//! long) lives in `pbrs_trace::unavailability`; this module tracks the
+//! long) lives in [`crate::unavailability`]; this module tracks the
 //! resulting state inside the simulator, including the incarnation counters
 //! that guard against stale detection/return events when a machine fails
 //! again while a previous outage is still being processed.
 
 use rand::Rng;
 
-use pbrs_trace::distributions;
-
+use crate::distributions;
 use crate::topology::MachineId;
 
 /// State of one machine.
@@ -49,25 +48,6 @@ impl MachineFleet {
         MachineFleet { states }
     }
 
-    /// Number of machines.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` if the fleet has no machines.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// State of one machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine id is out of range.
-    pub fn state(&self, machine: MachineId) -> MachineState {
-        self.states[machine.0]
-    }
-
     /// Marks a machine as down at time `now` (minutes) and returns the new
     /// incarnation number. Returns `None` if the machine was already down
     /// (overlapping events are ignored, as in the real cluster's monitoring).
@@ -100,19 +80,9 @@ impl MachineFleet {
         state.down && state.incarnation == incarnation
     }
 
-    /// `true` if the machine is currently down.
-    pub fn is_down(&self, machine: MachineId) -> bool {
-        self.states[machine.0].down
-    }
-
     /// Number of machines currently down.
     pub fn down_count(&self) -> usize {
         self.states.iter().filter(|s| s.down).count()
-    }
-
-    /// Boolean down-mask indexed by machine id (used by the stripe census).
-    pub fn down_mask(&self) -> Vec<bool> {
-        self.states.iter().map(|s| s.down).collect()
     }
 
     /// Down-mask that only counts machines whose current outage started less
@@ -152,14 +122,13 @@ mod tests {
     #[test]
     fn construction_distributes_blocks() {
         let f = fleet(100);
-        assert_eq!(f.len(), 100);
-        assert!(!f.is_empty());
+        assert_eq!(f.states.len(), 100);
         let total = f.total_rs_blocks();
         assert!(total > 90_000 && total < 110_000, "{total}");
         // Every machine starts up with zero incarnations.
-        assert!((0..100).all(|i| !f.is_down(MachineId(i))));
+        assert!((0..100).all(|i| !f.states[i].down));
         assert_eq!(f.down_count(), 0);
-        assert_eq!(f.state(MachineId(3)).incarnation, 0);
+        assert_eq!(f.states[3].incarnation, 0);
     }
 
     #[test]
@@ -168,28 +137,28 @@ mod tests {
         let m = MachineId(2);
         let inc1 = f.mark_down(m, 100.0).unwrap();
         assert_eq!(inc1, 1);
-        assert!(f.is_down(m));
+        assert!(f.states[m.0].down);
         assert!(f.is_down_with(m, 1));
         assert!(!f.is_down_with(m, 0));
         assert_eq!(f.down_count(), 1);
-        assert!(f.down_mask()[2]);
+        assert!(f.down_mask_recent(100.0, f64::INFINITY)[2]);
 
         // Overlapping down event is ignored.
         assert_eq!(f.mark_down(m, 120.0), None);
-        assert_eq!(f.state(m).down_since, 100.0);
+        assert_eq!(f.states[m.0].down_since, 100.0);
 
         // Wrong incarnation does not bring the machine up.
         assert!(!f.mark_up(m, 0));
-        assert!(f.is_down(m));
+        assert!(f.states[m.0].down);
         assert!(f.mark_up(m, 1));
-        assert!(!f.is_down(m));
+        assert!(!f.states[m.0].down);
         // Second up with the same incarnation is a no-op.
         assert!(!f.mark_up(m, 1));
 
         // A new outage gets a new incarnation.
         let inc2 = f.mark_down(m, 500.0).unwrap();
         assert_eq!(inc2, 2);
-        assert_eq!(f.state(m).down_since, 500.0);
+        assert_eq!(f.states[m.0].down_since, 500.0);
     }
 
     #[test]
@@ -200,7 +169,11 @@ mod tests {
         // At t=1000 with a 6-hour (360-minute) healing horizon, machine 0's
         // blocks have been rebuilt elsewhere but machine 1 is still degraded.
         assert_eq!(f.down_mask_recent(1000.0, 360.0), vec![false, true, false]);
-        assert_eq!(f.down_mask(), vec![true, true, false]);
+        // With no healing horizon every down machine counts.
+        assert_eq!(
+            f.down_mask_recent(1000.0, f64::INFINITY),
+            vec![true, true, false]
+        );
     }
 
     #[test]

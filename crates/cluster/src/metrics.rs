@@ -1,8 +1,8 @@
 //! Per-day metrics and the simulation report.
 
-use pbrs_trace::calibration::bytes_to_tb;
-use pbrs_trace::stats::Summary;
-use pbrs_trace::stripe_failures::StripeDegradation;
+use crate::calibration::bytes_to_tb;
+use crate::stats::Summary;
+use crate::stripe_failures::StripeDegradation;
 
 /// Everything the simulator measures for one day — the union of the series
 /// plotted in Fig. 3a and Fig. 3b plus bookkeeping used by the analysis.

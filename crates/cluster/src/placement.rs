@@ -21,26 +21,15 @@ use crate::topology::{MachineId, Topology};
 /// The rack-disjoint placement policy for a simulated topology.
 #[derive(Debug, Clone)]
 pub struct PlacementPolicy {
-    topology: Topology,
     racks: RackMap,
 }
 
 impl PlacementPolicy {
     /// Creates the policy for a topology.
-    pub fn new(topology: Topology) -> Self {
-        let racks = RackMap::uniform(topology.racks(), topology.machines_per_rack());
-        PlacementPolicy { topology, racks }
-    }
-
-    /// The topology this policy places onto.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The shared rack map (machine `i` is "disk" `i` of the placement
-    /// model).
-    pub fn rack_map(&self) -> &RackMap {
-        &self.racks
+    pub fn new(topology: &Topology) -> Self {
+        PlacementPolicy {
+            racks: RackMap::uniform(topology.racks(), topology.machines_per_rack()),
+        }
     }
 
     /// Places the `width` blocks of one stripe on `width` machines in
@@ -76,7 +65,7 @@ mod tests {
 
     #[test]
     fn placements_are_rack_disjoint_and_in_range() {
-        let policy = PlacementPolicy::new(Topology::new(20, 10));
+        let policy = PlacementPolicy::new(&Topology::new(20, 10));
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
             let placement = policy.place_stripe(&mut rng, 14).unwrap();
@@ -93,12 +82,13 @@ mod tests {
 
     #[test]
     fn placement_uses_many_racks_over_time() {
-        let policy = PlacementPolicy::new(Topology::new(30, 5));
+        let topology = Topology::new(30, 5);
+        let policy = PlacementPolicy::new(&topology);
         let mut rng = StdRng::seed_from_u64(2);
         let mut seen = [false; 30];
         for _ in 0..100 {
             for m in policy.place_stripe(&mut rng, 14).unwrap() {
-                seen[policy.topology().rack_of(m).0] = true;
+                seen[topology.rack_of(m).0] = true;
             }
         }
         assert!(
@@ -109,14 +99,14 @@ mod tests {
 
     #[test]
     fn non_disjoint_placement_detected() {
-        let policy = PlacementPolicy::new(Topology::new(4, 4));
+        let policy = PlacementPolicy::new(&Topology::new(4, 4));
         assert!(!policy.is_rack_disjoint(&[MachineId(0), MachineId(1)]));
         assert!(policy.is_rack_disjoint(&[MachineId(0), MachineId(5)]));
     }
 
     #[test]
     fn too_wide_stripe_is_a_typed_error_not_a_panic() {
-        let policy = PlacementPolicy::new(Topology::new(4, 4));
+        let policy = PlacementPolicy::new(&Topology::new(4, 4));
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(
             policy.place_stripe(&mut rng, 5),

@@ -15,10 +15,9 @@ use std::collections::VecDeque;
 
 use rand::Rng;
 
-use pbrs_core::registry;
-use pbrs_erasure::{CodeError, CodeSpec, ErasureCode};
-use pbrs_trace::distributions;
+use pbrs_erasure::ErasureCode;
 
+use crate::distributions;
 use crate::network::TransferModel;
 use crate::topology::MachineId;
 
@@ -66,17 +65,6 @@ impl RepairCostTable {
             blocks_downloaded,
             helpers,
         }
-    }
-
-    /// Builds the table for the code a [`CodeSpec`] names, through the
-    /// unified registry — the uniform entry point the simulator and the
-    /// experiment binaries share.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors for invalid specs.
-    pub fn for_spec(spec: &CodeSpec) -> Result<Self, CodeError> {
-        Ok(Self::for_code(registry::build(spec)?.as_ref()))
     }
 
     /// Average helper blocks downloaded per repaired block, over all stripe
@@ -132,12 +120,6 @@ impl BlockSizeModel {
             self.block_size_bytes
         }
     }
-
-    /// Expected recovered-block size.
-    pub fn mean_bytes(&self) -> f64 {
-        let full = self.block_size_bytes as f64;
-        (1.0 - self.tail_fraction) * full + self.tail_fraction * self.tail_mean_fraction * full
-    }
 }
 
 /// The recovery scheduler: a FIFO of flagged machines' blocks served by a
@@ -153,8 +135,6 @@ pub struct RecoveryManager {
     active_tasks: usize,
     /// Blocks whose recovery was cancelled because the machine returned.
     cancelled_blocks: u64,
-    /// Blocks ever enqueued.
-    enqueued_blocks: u64,
 }
 
 impl RecoveryManager {
@@ -175,7 +155,6 @@ impl RecoveryManager {
             pending: VecDeque::new(),
             active_tasks: 0,
             cancelled_blocks: 0,
-            enqueued_blocks: 0,
         }
     }
 
@@ -189,7 +168,6 @@ impl RecoveryManager {
         if blocks == 0 {
             return;
         }
-        self.enqueued_blocks += blocks;
         self.pending.push_back(PendingRecovery {
             machine,
             incarnation,
@@ -275,31 +253,16 @@ impl RecoveryManager {
         }
     }
 
-    /// Number of currently running tasks.
-    pub fn active_tasks(&self) -> usize {
-        self.active_tasks
-    }
-
-    /// Blocks currently queued (not yet dispatched).
-    pub fn queued_blocks(&self) -> u64 {
-        self.pending.iter().map(|p| p.blocks_remaining).sum()
-    }
-
     /// Blocks whose recovery was cancelled because their machine returned.
     pub fn cancelled_blocks(&self) -> u64 {
         self.cancelled_blocks
-    }
-
-    /// Blocks ever enqueued.
-    pub fn enqueued_blocks(&self) -> u64 {
-        self.enqueued_blocks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_core::PiggybackedRs;
+    use pbrs_core::{registry, PiggybackedRs};
     use pbrs_erasure::ReedSolomon;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -316,6 +279,11 @@ mod tests {
             slots,
             per_task,
         )
+    }
+
+    /// Blocks queued and not yet dispatched.
+    fn queued_blocks(m: &RecoveryManager) -> u64 {
+        m.pending.iter().map(|p| p.blocks_remaining).sum()
     }
 
     #[test]
@@ -336,11 +304,12 @@ mod tests {
     #[test]
     fn cost_table_from_spec_matches_direct_construction() {
         let direct = RepairCostTable::for_code(&PiggybackedRs::new(10, 4).unwrap());
-        let via_spec = RepairCostTable::for_spec(&"piggyback-10-4".parse().unwrap()).unwrap();
+        // The simulator's path: spec → registry → table.
+        let built = registry::build(&"piggyback-10-4".parse().unwrap()).unwrap();
+        let via_spec = RepairCostTable::for_code(built.as_ref());
         assert_eq!(via_spec.code_name, direct.code_name);
         assert_eq!(via_spec.blocks_downloaded, direct.blocks_downloaded);
         assert_eq!(via_spec.helpers, direct.helpers);
-        assert!(RepairCostTable::for_spec(&CodeSpec::ReedSolomon { k: 0, r: 1 }).is_err());
     }
 
     #[test]
@@ -350,7 +319,6 @@ mod tests {
             tail_fraction: 0.5,
             tail_mean_fraction: 0.5,
         };
-        assert_eq!(model.mean_bytes(), 75.0);
         let mut rng = StdRng::seed_from_u64(4);
         let samples: Vec<u64> = (0..20_000).map(|_| model.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&s| s <= 100));
@@ -367,14 +335,14 @@ mod tests {
         let tasks = m.dispatch(&mut rng, |_, _| true);
         assert_eq!(tasks.len(), 3, "only 3 slots");
         assert!(tasks.iter().all(|t| t.blocks == 10));
-        assert_eq!(m.active_tasks(), 3);
-        assert_eq!(m.queued_blocks(), 70);
+        assert_eq!(m.active_tasks, 3);
+        assert_eq!(queued_blocks(&m), 70);
 
         // Finishing a task frees a slot for the next batch.
         m.task_finished();
         let more = m.dispatch(&mut rng, |_, _| true);
         assert_eq!(more.len(), 1);
-        assert_eq!(m.queued_blocks(), 60);
+        assert_eq!(queued_blocks(&m), 60);
     }
 
     #[test]
@@ -386,7 +354,7 @@ mod tests {
         let tasks = m.dispatch(&mut rng, |_, _| false);
         assert!(tasks.is_empty());
         assert_eq!(m.cancelled_blocks(), 20);
-        assert_eq!(m.queued_blocks(), 0);
+        assert_eq!(queued_blocks(&m), 0);
     }
 
     #[test]
@@ -397,11 +365,10 @@ mod tests {
         m.enqueue(MachineId(2), 1, 10);
         m.cancel_machine(MachineId(1), 1);
         assert_eq!(m.cancelled_blocks(), 10);
-        assert_eq!(m.queued_blocks(), 10);
+        assert_eq!(queued_blocks(&m), 10);
         // Cancelling a different incarnation does nothing.
         m.cancel_machine(MachineId(2), 9);
-        assert_eq!(m.queued_blocks(), 10);
-        assert_eq!(m.enqueued_blocks(), 20);
+        assert_eq!(queued_blocks(&m), 10);
     }
 
     #[test]
@@ -428,7 +395,6 @@ mod tests {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let mut m = manager(&rs, 1, 5);
         m.enqueue(MachineId(0), 1, 0);
-        assert_eq!(m.queued_blocks(), 0);
-        assert_eq!(m.enqueued_blocks(), 0);
+        assert!(m.pending.is_empty());
     }
 }

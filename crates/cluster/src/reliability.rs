@@ -80,12 +80,6 @@ impl MttdlModel {
         total
     }
 
-    /// MTTDL of a system storing `stripes` independent stripes, in hours
-    /// (first loss anywhere, assuming independence).
-    pub fn system_mttdl_hours(&self, stripes: u64) -> f64 {
-        self.stripe_mttdl_hours() / stripes.max(1) as f64
-    }
-
     /// Convenience: MTTDL in years.
     pub fn stripe_mttdl_years(&self) -> f64 {
         self.stripe_mttdl_hours() / (24.0 * 365.25)
@@ -141,9 +135,6 @@ mod tests {
         // Repair takes ~64s against a ~4-year MTBF; losing 5 blocks within
         // overlapping repair windows is essentially impossible.
         assert!(years > 1e12, "{years}");
-        // System MTTDL scales down with the number of stripes but stays huge.
-        let system = m.system_mttdl_hours(4_000_000) / (24.0 * 365.25);
-        assert!(system > 1e5, "{system}");
     }
 
     #[test]

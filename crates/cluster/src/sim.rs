@@ -9,6 +9,8 @@
 //! cross-rack traffic. Periodic censuses of a sampled stripe population
 //! produce the §2.2 degradation statistics.
 
+use pbrs_core::registry;
+use pbrs_erasure::CodeSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,11 +57,6 @@ impl Simulator {
         Ok(Simulator { config })
     }
 
-    /// The configuration this simulator will run.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Runs the simulation to completion and returns the report.
     pub fn run(self) -> ClusterReport {
         let config = self.config;
@@ -73,9 +70,9 @@ impl Simulator {
             topology.machines(),
             config.mean_rs_blocks_per_machine,
         );
-        let policy = PlacementPolicy::new(topology);
+        let policy = PlacementPolicy::new(&topology);
         // pbrs-lint: allow(panic-hygiene) -- config.code was validated by try_new before reaching here
-        let code = config.code.build().expect("configuration was validated");
+        let code = registry::build(&config.code).expect("configuration was validated");
         let cost_table = RepairCostTable::for_code(code.as_ref());
         let stripe_width = cost_table.stripe_width;
         let mut stripes =
@@ -244,9 +241,9 @@ impl Simulator {
 /// piggybacked_report)`. This is the paired experiment behind the paper's
 /// "> 50 TB/day of cross-rack traffic saved" estimate (E6).
 pub fn paired_rs_vs_piggybacked(mut config: SimConfig) -> (ClusterReport, ClusterReport) {
-    config.code = crate::config::CodeChoice::production_rs();
+    config.code = CodeSpec::FACEBOOK_RS;
     let rs = Simulator::new(config.clone()).run();
-    config.code = crate::config::CodeChoice::proposed_piggybacked();
+    config.code = CodeSpec::FACEBOOK_PIGGYBACK;
     let pb = Simulator::new(config).run();
     (rs, pb)
 }
@@ -254,7 +251,6 @@ pub fn paired_rs_vs_piggybacked(mut config: SimConfig) -> (ClusterReport, Cluste
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CodeChoice;
 
     #[test]
     fn small_run_produces_sane_metrics() {
@@ -318,7 +314,7 @@ mod tests {
     #[test]
     fn replication_recovers_with_one_block_per_block() {
         let mut config = SimConfig::small_test();
-        config.code = CodeChoice::Replication { copies: 3 };
+        config.code = CodeSpec::Replication { copies: 3 };
         let report = Simulator::new(config).run();
         assert!((report.average_blocks_per_repair - 1.0).abs() < 1e-12);
         if report.total_blocks_reconstructed() > 0 {

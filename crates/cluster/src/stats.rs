@@ -53,23 +53,8 @@ impl Summary {
     }
 }
 
-/// Percentile (0–100) of an unsorted series, by linear interpolation.
-///
-/// Returns 0.0 for an empty series.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]` or the data contains NaN.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    // pbrs-lint: allow(panic-hygiene) -- percentile inputs are finite measurements; NaN is structurally impossible
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in percentile input"));
-    percentile_sorted(&sorted, p)
-}
-
+/// Percentile (0–100) of a sorted, non-empty series, by linear
+/// interpolation between order statistics.
 fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if sorted.len() == 1 {
@@ -80,11 +65,6 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Median of a series (0.0 if empty).
-pub fn median(values: &[f64]) -> f64 {
-    percentile(values, 50.0)
 }
 
 #[cfg(test)]
@@ -119,25 +99,25 @@ mod tests {
 
     #[test]
     fn median_even_length_interpolates() {
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert_eq!(median(&[10.0, 20.0]), 15.0);
-        assert_eq!(median(&[]), 0.0);
+        assert_eq!(Summary::of(&[1.0, 2.0, 3.0, 4.0]).median, 2.5);
+        assert_eq!(Summary::of(&[10.0, 20.0]).median, 15.0);
+        assert_eq!(Summary::of(&[]).median, 0.0);
     }
 
     #[test]
     fn percentiles() {
         let v: Vec<f64> = (0..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.0), 0.0);
-        assert_eq!(percentile(&v, 100.0), 100.0);
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 90.0), 90.0);
-        assert_eq!(percentile(&v, 25.0), 25.0);
+        assert_eq!(percentile_sorted(&v, 0.0), 0.0);
+        assert_eq!(percentile_sorted(&v, 100.0), 100.0);
+        assert_eq!(percentile_sorted(&v, 25.0), 25.0);
+        let s = Summary::of(&v);
+        assert_eq!((s.p10, s.median, s.p90), (10.0, 50.0, 90.0));
     }
 
     #[test]
     #[should_panic(expected = "percentile must be in")]
     fn percentile_out_of_range_panics() {
-        percentile(&[1.0], 101.0);
+        percentile_sorted(&[1.0], 101.0);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 
 use rand::Rng;
 
-use pbrs_trace::stripe_failures::StripeDegradation;
-
 use crate::placement::PlacementPolicy;
+use crate::stripe_failures::StripeDegradation;
 use crate::topology::MachineId;
 
 /// A sampled stripe: which machine stores each of its blocks.
@@ -61,11 +60,6 @@ impl StripeSample {
         }
     }
 
-    /// Number of sampled stripes.
-    pub fn len(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// `true` if no stripes are sampled (the census is then skipped).
     pub fn is_empty(&self) -> bool {
         self.stripes.is_empty()
@@ -91,11 +85,6 @@ impl StripeSample {
     pub fn censuses(&self) -> u64 {
         self.censuses
     }
-
-    /// The sampled stripes (used by tests).
-    pub fn stripes(&self) -> &[SampledStripe] {
-        &self.stripes
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +95,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn sample(count: usize) -> StripeSample {
-        let policy = PlacementPolicy::new(Topology::new(20, 10));
+        let policy = PlacementPolicy::new(&Topology::new(20, 10));
         let mut rng = StdRng::seed_from_u64(11);
         StripeSample::generate(&mut rng, &policy, count, 14)
     }
@@ -114,10 +103,9 @@ mod tests {
     #[test]
     fn generation_places_requested_stripes() {
         let s = sample(100);
-        assert_eq!(s.len(), 100);
-        assert!(!s.is_empty());
+        assert_eq!(s.stripes.len(), 100);
         assert_eq!(s.censuses(), 0);
-        assert!(s.stripes().iter().all(|st| st.machines.len() == 14));
+        assert!(s.stripes.iter().all(|st| st.machines.len() == 14));
     }
 
     #[test]
@@ -131,12 +119,12 @@ mod tests {
 
         // Take down one machine: every sampled stripe using it has exactly
         // one missing block.
-        let victim = s.stripes()[0].machines[3];
+        let victim = s.stripes[0].machines[3];
         let mut down = vec![false; 200];
         down[victim.0] = true;
         s.census(&down);
         let using_victim = s
-            .stripes()
+            .stripes
             .iter()
             .filter(|st| st.machines.contains(&victim))
             .count() as u64;
@@ -149,8 +137,8 @@ mod tests {
     fn census_detects_multi_block_degradation() {
         let mut s = sample(20);
         // Take down two machines of the same stripe.
-        let m0 = s.stripes()[0].machines[0];
-        let m1 = s.stripes()[0].machines[1];
+        let m0 = s.stripes[0].machines[0];
+        let m1 = s.stripes[0].machines[1];
         let mut down = vec![false; 200];
         down[m0.0] = true;
         down[m1.0] = true;

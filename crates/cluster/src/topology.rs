@@ -61,28 +61,6 @@ impl Topology {
         assert!(machine.0 < self.machines(), "machine id out of range");
         RackId(machine.0 / self.machines_per_rack)
     }
-
-    /// The machines of one rack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rack id is out of range.
-    pub fn machines_in_rack(&self, rack: RackId) -> impl Iterator<Item = MachineId> {
-        assert!(rack.0 < self.racks, "rack id out of range");
-        let start = rack.0 * self.machines_per_rack;
-        (start..start + self.machines_per_rack).map(MachineId)
-    }
-
-    /// `true` when two machines are in different racks, i.e. traffic between
-    /// them crosses the TOR switches.
-    pub fn crosses_racks(&self, a: MachineId, b: MachineId) -> bool {
-        self.rack_of(a) != self.rack_of(b)
-    }
-
-    /// Iterator over all machine ids.
-    pub fn all_machines(&self) -> impl Iterator<Item = MachineId> {
-        (0..self.machines()).map(MachineId)
-    }
 }
 
 #[cfg(test)]
@@ -104,16 +82,18 @@ mod tests {
     #[test]
     fn machines_in_rack_enumeration() {
         let t = Topology::new(3, 4);
-        let rack1: Vec<usize> = t.machines_in_rack(RackId(1)).map(|m| m.0).collect();
+        let rack1: Vec<usize> = (0..t.machines())
+            .filter(|&m| t.rack_of(MachineId(m)) == RackId(1))
+            .collect();
         assert_eq!(rack1, vec![4, 5, 6, 7]);
-        assert_eq!(t.all_machines().count(), 12);
+        assert_eq!(t.machines(), 12);
     }
 
     #[test]
     fn cross_rack_detection() {
         let t = Topology::new(2, 3);
-        assert!(!t.crosses_racks(MachineId(0), MachineId(2)));
-        assert!(t.crosses_racks(MachineId(0), MachineId(3)));
+        assert_eq!(t.rack_of(MachineId(0)), t.rack_of(MachineId(2)));
+        assert_ne!(t.rack_of(MachineId(0)), t.rack_of(MachineId(3)));
     }
 
     #[test]

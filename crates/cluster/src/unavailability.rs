@@ -25,11 +25,6 @@ pub struct UnavailabilityEvent {
 }
 
 impl UnavailabilityEvent {
-    /// `true` if the machine never returns.
-    pub fn is_permanent(&self) -> bool {
-        self.duration_minutes.is_infinite()
-    }
-
     /// `true` if the outage lasts longer than the cluster's detection
     /// timeout and therefore triggers recovery (the events Fig. 3a counts).
     pub fn exceeds(&self, timeout_minutes: f64) -> bool {
@@ -172,14 +167,12 @@ mod tests {
             start_minute: 100.0,
             duration_minutes: 30.0,
         };
-        assert!(!e.is_permanent());
         assert!(e.exceeds(15.0));
         assert!(!e.exceeds(60.0));
         let p = UnavailabilityEvent {
             duration_minutes: f64::INFINITY,
             ..e
         };
-        assert!(p.is_permanent());
         assert!(p.exceeds(1e9));
     }
 
@@ -238,7 +231,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = UnavailabilityModel::facebook(3000);
         let events = model.generate(&mut rng, 120);
-        let permanent = events.iter().filter(|e| e.is_permanent()).count();
+        let permanent = events
+            .iter()
+            .filter(|e| e.duration_minutes.is_infinite())
+            .count();
         let total = events.len();
         assert!(permanent > 0);
         assert!((permanent as f64) < total as f64 * 0.03);

@@ -2,9 +2,10 @@
 //! accounting invariants and the RS-vs-Piggybacked comparison under random
 //! small configurations.
 
-use pbrs_cluster::config::{CodeChoice, SimConfig};
+use pbrs_cluster::config::SimConfig;
 use pbrs_cluster::sim::paired_rs_vs_piggybacked;
 use pbrs_cluster::Simulator;
+use pbrs_erasure::CodeSpec;
 use proptest::prelude::*;
 
 /// A small random-but-valid configuration.
@@ -99,9 +100,13 @@ proptest! {
     ) {
         let mut config = small_config(seed, 20, 8.0, 2);
         config.code = if use_lrc {
-            CodeChoice::Lrc { k: 10, l: 2, g: 4 }
+            CodeSpec::Lrc {
+                k: 10,
+                local_groups: 2,
+                global_parities: 4,
+            }
         } else {
-            CodeChoice::Replication { copies: 3 }
+            CodeSpec::Replication { copies: 3 }
         };
         let report = Simulator::new(config.clone()).run();
         let expected_max_per_block = if use_lrc { 10.0 } else { 1.0 };

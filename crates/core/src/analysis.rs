@@ -7,7 +7,7 @@
 //! data shards, and averaged over all shards — for any `(k, r)` and any
 //! piggyback design, directly from the repair plans the code actually uses.
 
-use pbrs_erasure::{CodeError, ErasureCode, ReedSolomon};
+use pbrs_erasure::{CodeError, ErasureCode};
 
 use crate::code::PiggybackedRs;
 
@@ -113,31 +113,6 @@ impl SavingsReport {
         let data: Vec<&NodeRepairCost> = self.per_shard.iter().filter(|c| c.is_data).collect();
         data.iter().map(|c| c.shards_downloaded).sum::<f64>() / data.len() as f64
     }
-
-    /// Renders a small human-readable table (one row per shard) for reports.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("shard  kind    helpers  downloaded(shards)  saving_vs_rs\n");
-        for c in &self.per_shard {
-            out.push_str(&format!(
-                "{:>5}  {:<6}  {:>7}  {:>18.2}  {:>11.1}%\n",
-                c.shard,
-                if c.is_data { "data" } else { "parity" },
-                c.helpers,
-                c.shards_downloaded,
-                c.saving_vs_rs * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "average saving over data shards : {:.1}%\n",
-            self.average_data_saving * 100.0
-        ));
-        out.push_str(&format!(
-            "average saving over all shards  : {:.1}%\n",
-            self.average_all_saving * 100.0
-        ));
-        out
-    }
 }
 
 /// A side-by-side comparison of storage and repair characteristics of one
@@ -183,29 +158,10 @@ impl CodeComparison {
     }
 }
 
-/// Convenience: the average single-failure repair saving (over data shards)
-/// of the balanced `(k, r)` Piggybacked-RS design, as a fraction in `[0, 1)`.
-///
-/// # Errors
-///
-/// Returns [`CodeError::InvalidParams`] for unsupported parameters.
-pub fn data_shard_saving(k: usize, r: usize) -> Result<f64, CodeError> {
-    Ok(SavingsReport::for_params(k, r)?.average_data_saving)
-}
-
-/// The RS baseline comparison row for `(k, r)`.
-///
-/// # Errors
-///
-/// Returns [`CodeError::InvalidParams`] for unsupported parameters.
-pub fn rs_baseline(k: usize, r: usize) -> Result<CodeComparison, CodeError> {
-    Ok(CodeComparison::of(&ReedSolomon::new(k, r)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_erasure::{Lrc, LrcParams, Replication};
+    use pbrs_erasure::{Lrc, LrcParams, ReedSolomon, Replication};
 
     #[test]
     fn facebook_savings_match_paper_claims() {
@@ -259,10 +215,12 @@ mod tests {
     #[test]
     fn savings_grow_with_more_parities() {
         // More parities -> smaller groups -> bigger savings.
-        let s2 = data_shard_saving(10, 2).unwrap();
-        let s3 = data_shard_saving(10, 3).unwrap();
-        let s4 = data_shard_saving(10, 4).unwrap();
-        let s5 = data_shard_saving(10, 5).unwrap();
+        let saving = |r| {
+            SavingsReport::for_params(10, r)
+                .unwrap()
+                .average_data_saving
+        };
+        let (s2, s3, s4, s5) = (saving(2), saving(3), saving(4), saving(5));
         assert!(s2 < s3 && s3 < s4 && s4 < s5);
         // r = 2 puts every data shard in one group of size k, so the single
         // piggybacked parity buys nothing; larger r stays below the 50%
@@ -282,17 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn table_rendering_contains_summary_lines() {
-        let report = SavingsReport::for_params(10, 4).unwrap();
-        let table = report.to_table();
-        assert!(table.contains("average saving over data shards"));
-        assert!(table.contains("average saving over all shards"));
-        assert_eq!(table.lines().count(), 1 + 14 + 2);
-    }
-
-    #[test]
     fn comparison_rows_reflect_the_papers_tradeoffs() {
-        let rs = rs_baseline(10, 4).unwrap();
+        let rs = CodeComparison::of(&ReedSolomon::new(10, 4).unwrap());
         let pb = CodeComparison::of(&PiggybackedRs::facebook());
         let lrc = CodeComparison::of(&Lrc::new(LrcParams::XORBAS).unwrap());
         let rep = CodeComparison::of(&Replication::triple());
@@ -319,7 +268,6 @@ mod tests {
     #[test]
     fn invalid_params_propagate() {
         assert!(SavingsReport::for_params(0, 4).is_err());
-        assert!(data_shard_saving(300, 300).is_err());
-        assert!(rs_baseline(0, 1).is_err());
+        assert!(SavingsReport::for_params(300, 300).is_err());
     }
 }

@@ -157,16 +157,6 @@ impl PiggybackDesign {
                 .collect()
         })
     }
-
-    /// Number of data shards covered by some piggyback group.
-    pub fn covered_shards(&self) -> usize {
-        self.group_of.iter().filter(|g| g.is_some()).count()
-    }
-
-    /// `true` if every data shard is piggybacked.
-    pub fn covers_all_data(&self) -> bool {
-        self.covered_shards() == self.params.data_shards()
-    }
 }
 
 #[cfg(test)]
@@ -177,6 +167,11 @@ mod tests {
         CodeParams::new(k, r).unwrap()
     }
 
+    /// Number of data shards covered by some piggyback group.
+    fn covered_shards(d: &PiggybackDesign) -> usize {
+        d.group_of.iter().filter(|g| g.is_some()).count()
+    }
+
     #[test]
     fn balanced_design_facebook() {
         let d = PiggybackDesign::balanced(params(10, 4));
@@ -184,8 +179,7 @@ mod tests {
         assert_eq!(d.groups()[0], vec![0, 1, 2, 3]);
         assert_eq!(d.groups()[1], vec![4, 5, 6]);
         assert_eq!(d.groups()[2], vec![7, 8, 9]);
-        assert!(d.covers_all_data());
-        assert_eq!(d.covered_shards(), 10);
+        assert_eq!(covered_shards(&d), 10);
         assert_eq!(d.group_of(0), Some(0));
         assert_eq!(d.group_of(9), Some(2));
         assert_eq!(d.carrier_parity(0), Some(11));
@@ -207,8 +201,7 @@ mod tests {
     fn single_parity_has_no_groups() {
         let d = PiggybackDesign::balanced(params(6, 1));
         assert!(d.groups().is_empty());
-        assert!(!d.covers_all_data());
-        assert_eq!(d.covered_shards(), 0);
+        assert_eq!(covered_shards(&d), 0);
         assert_eq!(d.group_of(3), None);
         assert_eq!(d.carrier_parity(3), None);
         assert_eq!(d.group_peers(3), None);
@@ -226,8 +219,7 @@ mod tests {
     fn custom_design_toy_example() {
         // The paper's Fig. 4: only a1 (shard 0) is piggybacked.
         let d = PiggybackDesign::from_groups(params(2, 2), vec![vec![0]]).unwrap();
-        assert_eq!(d.covered_shards(), 1);
-        assert!(!d.covers_all_data());
+        assert_eq!(covered_shards(&d), 1);
         assert_eq!(d.carrier_parity(0), Some(3));
         assert_eq!(d.carrier_parity(1), None);
         assert_eq!(d.group_peers(0), Some(vec![]));
@@ -243,7 +235,7 @@ mod tests {
         assert!(PiggybackDesign::from_groups(params(4, 3), vec![vec![0, 1], vec![1, 2]]).is_err());
         // Empty groups are allowed.
         let d = PiggybackDesign::from_groups(params(4, 3), vec![vec![], vec![0, 1, 2, 3]]).unwrap();
-        assert_eq!(d.covered_shards(), 4);
+        assert_eq!(covered_shards(&d), 4);
         assert_eq!(d.carrier_parity(0), Some(6));
     }
 }

@@ -6,7 +6,7 @@
 //! than in `pbrs-erasure` because the Piggybacked-RS implementation sits
 //! above that crate.
 //!
-//! Everything that selects a code — the cluster simulator's `CodeChoice`,
+//! Everything that selects a code — the cluster simulator's `SimConfig::code`,
 //! the benchmark binaries, the examples — goes through [`build`], so adding
 //! a code to the workspace means implementing the trait and adding one
 //! registry arm, not touching every entry point.

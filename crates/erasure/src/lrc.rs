@@ -165,32 +165,9 @@ impl Lrc {
         self.lrc_params
     }
 
-    /// The data shard indices of local group `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group >= local_groups`.
-    pub fn group_members(&self, group: usize) -> &[usize] {
-        &self.groups[group]
-    }
-
-    /// The local group that data shard `shard` belongs to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= k`.
-    pub fn group_of(&self, shard: usize) -> usize {
-        self.group_of[shard]
-    }
-
     /// Index of the local parity shard of `group`.
     pub fn local_parity_index(&self, group: usize) -> usize {
         self.lrc_params.k + group
-    }
-
-    /// Index of global parity `j` within the stripe.
-    pub fn global_parity_index(&self, j: usize) -> usize {
-        self.lrc_params.k + self.lrc_params.local_groups + j
     }
 }
 
@@ -327,11 +304,9 @@ mod tests {
         assert!((lrc.storage_overhead() - 1.6).abs() < 1e-12);
         assert_eq!(lrc.fault_tolerance(), 4);
         assert!(!lrc.is_mds());
-        assert_eq!(lrc.group_members(0), &[0, 1, 2, 3, 4]);
-        assert_eq!(lrc.group_members(1), &[5, 6, 7, 8, 9]);
+        assert_eq!(lrc.groups, [vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8, 9]]);
         assert_eq!(lrc.local_parity_index(1), 11);
-        assert_eq!(lrc.global_parity_index(0), 12);
-        assert_eq!(lrc.group_of(7), 1);
+        assert_eq!(lrc.group_of[7], 1);
     }
 
     #[test]
@@ -364,9 +339,7 @@ mod tests {
             global_parities: 2,
         })
         .unwrap();
-        assert_eq!(lrc.group_members(0), &[0, 1, 2]);
-        assert_eq!(lrc.group_members(1), &[3, 4]);
-        assert_eq!(lrc.group_members(2), &[5, 6]);
+        assert_eq!(lrc.groups, [vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
     }
 
     #[test]

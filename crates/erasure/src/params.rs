@@ -77,11 +77,6 @@ impl CodeParams {
         self.total_shards() as f64 / self.k as f64
     }
 
-    /// Code rate `k / n`.
-    pub fn rate(&self) -> f64 {
-        self.k as f64 / self.total_shards() as f64
-    }
-
     /// `true` if `index` refers to a data shard (indices `0..k`).
     pub const fn is_data_shard(&self, index: usize) -> bool {
         index < self.k
@@ -90,16 +85,6 @@ impl CodeParams {
     /// `true` if `index` refers to a parity shard (indices `k..k+r`).
     pub const fn is_parity_shard(&self, index: usize) -> bool {
         index >= self.k && index < self.k + self.r
-    }
-
-    /// Iterator over the data shard indices `0..k`.
-    pub fn data_indices(&self) -> impl Iterator<Item = usize> {
-        0..self.k
-    }
-
-    /// Iterator over the parity shard indices `k..k+r`.
-    pub fn parity_indices(&self) -> impl Iterator<Item = usize> {
-        self.k..self.k + self.r
     }
 }
 
@@ -281,7 +266,6 @@ mod tests {
         assert_eq!(p.parity_shards(), 4);
         assert_eq!(p.total_shards(), 14);
         assert!((p.storage_overhead() - 1.4).abs() < 1e-12);
-        assert!((p.rate() - 10.0 / 14.0).abs() < 1e-12);
         assert_eq!(p, CodeParams::FACEBOOK);
         assert_eq!(p.to_string(), "(10, 4)");
     }
@@ -313,8 +297,6 @@ mod tests {
         assert!(p.is_parity_shard(3));
         assert!(p.is_parity_shard(4));
         assert!(!p.is_parity_shard(5));
-        assert_eq!(p.data_indices().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(p.parity_indices().collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

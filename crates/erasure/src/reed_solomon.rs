@@ -83,16 +83,6 @@ impl ReedSolomon {
         Self::from_params(CodeParams::FACEBOOK)
     }
 
-    /// The `r × k` parity block of the generator matrix (rows `k..k+r`).
-    pub fn parity_matrix(&self) -> Matrix {
-        let k = self.params.data_shards();
-        let n = self.params.total_shards();
-        self.generator
-            .submatrix(k, 0, n, k)
-            // pbrs-lint: allow(panic-hygiene) -- k < n, so the parity block rows are in range
-            .expect("parity block exists")
-    }
-
     /// The coefficients used to produce parity shard `j` (0-based within the
     /// parity shards) as a linear combination of the `k` data shards.
     ///
@@ -196,8 +186,8 @@ mod tests {
                 assert_eq!(g.get(r, c), u8::from(r == c));
             }
         }
-        assert_eq!(rs.parity_matrix().rows(), 3);
-        assert_eq!(rs.parity_matrix().cols(), 6);
+        // Rows 6..9 are the parity block.
+        assert_eq!((g.rows(), g.cols()), (9, 6));
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use crate::lrc::LrcParams;
 use crate::{CodeError, CodeParams};
 
 /// A parsed code specification: which scheme, with which parameters.
@@ -111,22 +110,6 @@ impl CodeSpec {
                 }
                 CodeParams::new(1, copies - 1)
             }
-        }
-    }
-
-    /// The LRC parameter triple, when this spec names an LRC.
-    pub fn lrc_params(&self) -> Option<LrcParams> {
-        match *self {
-            CodeSpec::Lrc {
-                k,
-                local_groups,
-                global_parities,
-            } => Some(LrcParams {
-                k,
-                local_groups,
-                global_parities,
-            }),
-            _ => None,
         }
     }
 }
@@ -317,15 +300,6 @@ mod tests {
         assert_eq!(CodeSpec::FACEBOOK_PIGGYBACK.total_shards(), 14);
         let lrc: CodeSpec = "lrc-10-2-4".parse().unwrap();
         assert_eq!(lrc.total_shards(), 16);
-        assert_eq!(
-            lrc.lrc_params(),
-            Some(LrcParams {
-                k: 10,
-                local_groups: 2,
-                global_parities: 4
-            })
-        );
-        assert_eq!(CodeSpec::FACEBOOK_RS.lrc_params(), None);
         let rep: CodeSpec = "rep-3".parse().unwrap();
         assert_eq!(rep.total_shards(), 3);
         assert_eq!(rep.params().unwrap(), CodeParams::new(1, 2).unwrap());

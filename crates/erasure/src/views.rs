@@ -6,7 +6,7 @@
 //! *view* over a single contiguous byte buffer:
 //!
 //! * [`ShardSet`] — a shared view: `shards` equal slices of `shard_len`
-//!   bytes, laid out `stride` bytes apart;
+//!   bytes, packed back to back;
 //! * [`ShardSetMut`] — the mutable counterpart, with a safe
 //!   [`ShardSetMut::split_one_mut`] that yields one shard `&mut [u8]` plus
 //!   read access to every other shard (the shape every in-place decode
@@ -14,15 +14,11 @@
 //! * [`ShardBuffer`] — an owned contiguous stripe buffer that hands out the
 //!   two views above, for callers that do not already manage their own
 //!   memory.
-//!
-//! `stride` and `shard_len` are separate so a view can *narrow* to a byte
-//! range of every shard without copying — the Piggybacked-RS code decodes
-//! its two substripes by narrowing the stripe view to each half.
 
 use crate::repair::ShardRead;
 use crate::CodeError;
 
-/// Checks the `(shards, stride, shard_len, buffer length)` geometry shared
+/// Checks the `(shards, shard_len, buffer length)` geometry shared
 /// by both view types.
 fn validate_geometry(buf_len: usize, shards: usize, shard_len: usize) -> Result<(), CodeError> {
     if shards == 0 || shard_len == 0 {
@@ -61,11 +57,6 @@ fn validate_geometry(buf_len: usize, shards: usize, shard_len: usize) -> Result<
 pub struct ShardSet<'a> {
     buf: &'a [u8],
     shards: usize,
-    /// Distance in bytes between consecutive shard starts.
-    stride: usize,
-    /// Byte offset of the viewed range within each stride.
-    offset: usize,
-    /// Viewed bytes per shard (`<= stride - offset`).
     shard_len: usize,
 }
 
@@ -82,8 +73,6 @@ impl<'a> ShardSet<'a> {
         Ok(ShardSet {
             buf,
             shards,
-            stride: shard_len,
-            offset: 0,
             shard_len,
         })
     }
@@ -93,7 +82,7 @@ impl<'a> ShardSet<'a> {
         self.shards
     }
 
-    /// Viewed bytes per shard.
+    /// Bytes per shard.
     pub fn shard_len(&self) -> usize {
         self.shard_len
     }
@@ -105,35 +94,13 @@ impl<'a> ShardSet<'a> {
     /// Panics if `index >= shard_count()`.
     pub fn shard(&self, index: usize) -> &'a [u8] {
         assert!(index < self.shards, "shard index out of range");
-        let start = index * self.stride + self.offset;
+        let start = index * self.shard_len;
         &self.buf[start..start + self.shard_len]
     }
 
     /// Iterates over the shard slices in order.
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
         (0..self.shards).map(move |i| self.shard(i))
-    }
-
-    /// A view of the byte range `offset..offset + len` of every shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not fit within a shard.
-    pub fn narrow(&self, offset: usize, len: usize) -> ShardSet<'a> {
-        assert!(
-            len > 0
-                && offset
-                    .checked_add(len)
-                    .is_some_and(|end| end <= self.shard_len),
-            "narrowed range must fit within the shard"
-        );
-        ShardSet {
-            buf: self.buf,
-            shards: self.shards,
-            stride: self.stride,
-            offset: self.offset + offset,
-            shard_len: len,
-        }
     }
 }
 
@@ -145,8 +112,6 @@ pub struct SplitShards<'a> {
     after: &'a [u8],
     pivot: usize,
     shards: usize,
-    stride: usize,
-    offset: usize,
     shard_len: usize,
 }
 
@@ -163,11 +128,11 @@ impl SplitShards<'_> {
             "the pivot shard is mutably borrowed elsewhere"
         );
         if index < self.pivot {
-            let start = index * self.stride + self.offset;
+            let start = index * self.shard_len;
             &self.before[start..start + self.shard_len]
         } else {
-            // `after` starts right past the pivot's viewed range.
-            let start = (index - self.pivot) * self.stride - self.shard_len;
+            // `after` starts right past the pivot shard.
+            let start = (index - self.pivot - 1) * self.shard_len;
             &self.after[start..start + self.shard_len]
         }
     }
@@ -192,8 +157,6 @@ impl SplitShards<'_> {
 pub struct ShardSetMut<'a> {
     buf: &'a mut [u8],
     shards: usize,
-    stride: usize,
-    offset: usize,
     shard_len: usize,
 }
 
@@ -210,8 +173,6 @@ impl<'a> ShardSetMut<'a> {
         Ok(ShardSetMut {
             buf,
             shards,
-            stride: shard_len,
-            offset: 0,
             shard_len,
         })
     }
@@ -221,7 +182,7 @@ impl<'a> ShardSetMut<'a> {
         self.shards
     }
 
-    /// Viewed bytes per shard.
+    /// Bytes per shard.
     pub fn shard_len(&self) -> usize {
         self.shard_len
     }
@@ -233,7 +194,7 @@ impl<'a> ShardSetMut<'a> {
     /// Panics if `index >= shard_count()`.
     pub fn shard(&self, index: usize) -> &[u8] {
         assert!(index < self.shards, "shard index out of range");
-        let start = index * self.stride + self.offset;
+        let start = index * self.shard_len;
         &self.buf[start..start + self.shard_len]
     }
 
@@ -244,19 +205,8 @@ impl<'a> ShardSetMut<'a> {
     /// Panics if `index >= shard_count()`.
     pub fn shard_mut(&mut self, index: usize) -> &mut [u8] {
         assert!(index < self.shards, "shard index out of range");
-        let start = index * self.stride + self.offset;
+        let start = index * self.shard_len;
         &mut self.buf[start..start + self.shard_len]
-    }
-
-    /// A shared [`ShardSet`] view of the same shards.
-    pub fn as_shard_set(&self) -> ShardSet<'_> {
-        ShardSet {
-            buf: self.buf,
-            shards: self.shards,
-            stride: self.stride,
-            offset: self.offset,
-            shard_len: self.shard_len,
-        }
     }
 
     /// Splits the view into shard `index` mutably and read access to every
@@ -268,7 +218,7 @@ impl<'a> ShardSetMut<'a> {
     /// Panics if `index >= shard_count()`.
     pub fn split_one_mut(&mut self, index: usize) -> (&mut [u8], SplitShards<'_>) {
         assert!(index < self.shards, "shard index out of range");
-        let start = index * self.stride + self.offset;
+        let start = index * self.shard_len;
         let (before, rest) = self.buf.split_at_mut(start);
         let (target, after) = rest.split_at_mut(self.shard_len);
         (
@@ -278,8 +228,6 @@ impl<'a> ShardSetMut<'a> {
                 after,
                 pivot: index,
                 shards: self.shards,
-                stride: self.stride,
-                offset: self.offset,
                 shard_len: self.shard_len,
             },
         )
@@ -308,46 +256,14 @@ impl<'a> ShardSetMut<'a> {
         );
         let mut taken = Vec::new();
         let mut rest = Vec::new();
-        // Walk the buffer carving each shard's viewed range; `consumed`
-        // tracks how much of the original buffer precedes `remaining`.
-        let mut remaining: &mut [u8] = self.buf;
-        let mut consumed = 0usize;
-        for (i, &wanted) in take.iter().enumerate() {
-            let start = i * self.stride + self.offset;
-            let (_, from_start) = std::mem::take(&mut remaining).split_at_mut(start - consumed);
-            let (shard, after) = from_start.split_at_mut(self.shard_len);
+        for (shard, &wanted) in self.buf.chunks_exact_mut(self.shard_len).zip(take) {
             if wanted {
                 taken.push(shard);
             } else {
                 rest.push(shard as &[u8]);
             }
-            remaining = after;
-            consumed = start + self.shard_len;
         }
         (taken, rest)
-    }
-
-    /// A mutable view of the byte range `offset..offset + len` of every
-    /// shard (used to address one substripe of a multi-substripe code).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not fit within a shard.
-    pub fn narrow_mut(&mut self, offset: usize, len: usize) -> ShardSetMut<'_> {
-        assert!(
-            len > 0
-                && offset
-                    .checked_add(len)
-                    .is_some_and(|end| end <= self.shard_len),
-            "narrowed range must fit within the shard"
-        );
-        ShardSetMut {
-            buf: self.buf,
-            shards: self.shards,
-            stride: self.stride,
-            offset: self.offset + offset,
-            shard_len: len,
-        }
     }
 }
 
@@ -464,25 +380,6 @@ impl ShardBuffer {
     pub fn as_set_mut(&mut self) -> ShardSetMut<'_> {
         // pbrs-lint: allow(panic-hygiene) -- geometry was validated when the buffer was constructed
         ShardSetMut::new(&mut self.buf, self.shards, self.shard_len).expect("geometry is validated")
-    }
-
-    /// A shared view of shards `range.start..range.end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or out of bounds.
-    pub fn subset(&self, range: core::ops::Range<usize>) -> ShardSet<'_> {
-        assert!(
-            range.start < range.end && range.end <= self.shards,
-            "shard range out of bounds"
-        );
-        ShardSet::new(
-            &self.buf[range.start * self.shard_len..range.end * self.shard_len],
-            range.end - range.start,
-            self.shard_len,
-        )
-        // pbrs-lint: allow(panic-hygiene) -- geometry was validated when the buffer was constructed
-        .expect("geometry is validated")
     }
 
     /// A mutable view of shards `range.start..range.end`.
@@ -614,26 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn narrow_views_one_substripe() {
-        let buf: Vec<u8> = (0..12u8).collect();
-        let set = ShardSet::new(&buf, 3, 4).unwrap();
-        let right = set.narrow(2, 2);
-        assert_eq!(right.shard(0), &[2, 3]);
-        assert_eq!(right.shard(2), &[10, 11]);
-        // Narrowing a narrowed view composes.
-        let tail = right.narrow(1, 1);
-        assert_eq!(tail.shard(1), &[7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "narrowed range must fit")]
-    fn narrow_rejects_out_of_range() {
-        let buf = vec![0u8; 8];
-        let set = ShardSet::new(&buf, 2, 4).unwrap();
-        let _ = set.narrow(3, 2);
-    }
-
-    #[test]
     fn split_one_mut_reads_both_sides() {
         let mut buf: Vec<u8> = (0..20u8).collect();
         let mut set = ShardSetMut::new(&mut buf, 5, 4).unwrap();
@@ -657,21 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn split_one_mut_on_narrowed_view() {
-        // Shards of 6 bytes; narrow to the last 3 bytes of each, then split.
-        let mut buf: Vec<u8> = (0..18u8).collect();
-        let mut set = ShardSetMut::new(&mut buf, 3, 6).unwrap();
-        let mut right = set.narrow_mut(3, 3);
-        let (mid, rest) = right.split_one_mut(1);
-        assert_eq!(mid, &[9, 10, 11]);
-        assert_eq!(rest.shard(0), &[3, 4, 5]);
-        assert_eq!(rest.shard(2), &[15, 16, 17]);
-        mid.copy_from_slice(&[7, 7, 7]);
-        assert_eq!(&buf[9..12], &[7, 7, 7]);
-        assert_eq!(&buf[6..9], &[6, 7, 8], "the left half is untouched");
-    }
-
-    #[test]
     fn split_parts_mut_separates_targets_from_sources() {
         let mut buf: Vec<u8> = (0..20u8).collect();
         let mut set = ShardSetMut::new(&mut buf, 5, 4).unwrap();
@@ -687,21 +549,6 @@ mod tests {
         drop(taken);
         assert_eq!(&buf[4..8], &[0xAA; 4]);
         assert_eq!(&buf[12..16], &[8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn split_parts_mut_on_narrowed_view() {
-        // 3 shards of 6 bytes, narrowed to the middle 2 bytes of each.
-        let mut buf: Vec<u8> = (0..18u8).collect();
-        let mut set = ShardSetMut::new(&mut buf, 3, 6).unwrap();
-        let mut mid = set.narrow_mut(2, 2);
-        let (taken, rest) = mid.split_parts_mut(&[true, false, true]);
-        assert_eq!(&*taken[0], &[2, 3]);
-        assert_eq!(&*taken[1], &[14, 15]);
-        assert_eq!(rest, vec![&[8u8, 9][..]]);
-        drop(taken);
-        // Bytes outside the narrowed window are untouched and readable.
-        assert_eq!(&buf[..2], &[0, 1]);
     }
 
     #[test]
@@ -724,7 +571,6 @@ mod tests {
         packed.shard_mut(1).fill(9);
         assert_eq!(packed.shard(1), &[9; 4]);
         assert_eq!(packed.as_set().shard(2), &[3; 4]);
-        assert_eq!(packed.subset(1..3).shard(0), &[9; 4]);
         packed.subset_mut(0..1).shard_mut(0).fill(5);
         assert_eq!(packed.shard(0), &[5; 4]);
         // Shards sit back to back: the buffer is their concatenation.

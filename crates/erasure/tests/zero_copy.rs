@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 
 use pbrs_erasure::{
     CodeError, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, Replication, ShardBuffer,
-    ShardSet, ShardSetMut,
+    ShardSet,
 };
 
 fn random_data(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -214,43 +214,6 @@ proptest! {
             let parsed: CodeSpec = text.parse().unwrap();
             prop_assert_eq!(parsed, spec, "{}", text);
         }
-    }
-}
-
-/// The in-place decode must work on narrowed (strided) views too: pack two
-/// independent RS stripes into interleaved halves of one buffer and rebuild
-/// each through a narrowed view.
-#[test]
-fn reconstruct_in_place_on_narrowed_views() {
-    let rs = ReedSolomon::new(4, 2).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let left = random_data(&mut rng, 4, 8);
-    let right = random_data(&mut rng, 4, 8);
-    let full_left = encode_over(&rs, &left, 0);
-    let full_right = encode_over(&rs, &right, 0);
-
-    // One buffer of 6 shards x 16 bytes: first half from stripe L, second
-    // half from stripe R.
-    let mut buf = vec![0u8; 6 * 16];
-    for i in 0..6 {
-        buf[i * 16..i * 16 + 8].copy_from_slice(full_left.shard(i));
-        buf[i * 16 + 8..(i + 1) * 16].copy_from_slice(full_right.shard(i));
-    }
-    let mut present = vec![true; 6];
-    present[1] = false;
-    present[4] = false;
-    buf[16..32].fill(0); // erase shard 1 in both halves
-    buf[64..80].fill(0); // erase shard 4 in both halves
-
-    let mut view = ShardSetMut::new(&mut buf, 6, 16).unwrap();
-    let mut left_view = view.narrow_mut(0, 8);
-    rs.reconstruct_in_place(&mut left_view, &present).unwrap();
-    let mut right_view = view.narrow_mut(8, 8);
-    rs.reconstruct_in_place(&mut right_view, &present).unwrap();
-
-    for i in 0..6 {
-        assert_eq!(&buf[i * 16..i * 16 + 8], full_left.shard(i), "L{i}");
-        assert_eq!(&buf[i * 16 + 8..(i + 1) * 16], full_right.shard(i), "R{i}");
     }
 }
 

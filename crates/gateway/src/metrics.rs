@@ -245,13 +245,9 @@ impl GatewayLatencySnapshot {
         )
     }
 
-    /// Appends the gateway's latency families to a Prometheus exposition.
-    pub fn write_prometheus(&self, out: &mut String) {
-        self.write_prometheus_with_exemplars(out, &OpExemplars::default());
-    }
-
-    /// As [`GatewayLatencySnapshot::write_prometheus`], attaching each op
-    /// class's exemplar (when present) to the bucket its value falls in.
+    /// Appends the gateway's latency families to a Prometheus exposition,
+    /// attaching each op class's exemplar (when present) to the bucket its
+    /// value falls in.
     pub fn write_prometheus_with_exemplars(&self, out: &mut String, exemplars: &OpExemplars) {
         let dur = "pbrs_gateway_op_duration_seconds";
         prom::type_line(out, dur, "histogram");
@@ -311,33 +307,21 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The `METRICS` RPC payload: the v1 flat counters plus
-    /// `schema_version`, per-op latency summaries (`"ops"`), per-stage GET
-    /// breakdowns (`"stages"`), and the store's latency section
-    /// (`"store"`, pre-rendered by the caller).
-    pub fn to_json_v2(&self, latency: &GatewayLatencySnapshot, store_json: &str) -> String {
-        let flat = self.to_json();
-        let flat_inner = &flat[1..flat.len() - 1]; // strip the braces
-        format!(
-            "{{\"schema_version\":2,{},\"ops\":{},\"stages\":{},\"store\":{}}}",
-            flat_inner,
-            latency.ops_json(),
-            latency.stages_json(),
-            store_json,
-        )
-    }
-
-    /// The flat v1 counters object (kept for compatibility; the `METRICS`
-    /// RPC now sends [`MetricsSnapshot::to_json_v2`]).
-    pub fn to_json(&self) -> String {
+    /// The `METRICS` RPC payload (`schema_version: 2`): every counter,
+    /// per-op latency summaries (`"ops"`), per-stage GET breakdowns
+    /// (`"stages"`), and the store's latency section (`"store"`,
+    /// pre-rendered by the caller).
+    pub fn to_json(&self, latency: &GatewayLatencySnapshot, store_json: &str) -> String {
         format!(
             concat!(
-                "{{\"connections_accepted\":{},\"connections_refused\":{},",
+                "{{\"schema_version\":2,",
+                "\"connections_accepted\":{},\"connections_refused\":{},",
                 "\"open_connections\":{},\"requests_admitted\":{},",
                 "\"requests_shed\":{},\"bytes_in\":{},\"bytes_out\":{},",
                 "\"stripes_served\":{},\"degraded_stripes_served\":{},",
                 "\"objects_put\":{},\"objects_deleted\":{},",
-                "\"request_errors\":{},\"requests_expired\":{}}}"
+                "\"request_errors\":{},\"requests_expired\":{},",
+                "\"ops\":{},\"stages\":{},\"store\":{}}}"
             ),
             self.connections_accepted,
             self.connections_refused,
@@ -352,6 +336,9 @@ impl MetricsSnapshot {
             self.objects_deleted,
             self.request_errors,
             self.requests_expired,
+            latency.ops_json(),
+            latency.stages_json(),
+            store_json,
         )
     }
 }
@@ -371,8 +358,76 @@ mod tests {
         assert_eq!(snap.requests_admitted, 3);
         assert_eq!(snap.requests_shed, 1);
         assert_eq!(snap.open_connections, 1);
-        let json = snap.to_json();
+        let json = snap.to_json(&m.latency(), "{}");
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"requests_shed\":1"));
+    }
+
+    #[test]
+    fn metrics_json_matches_its_golden_bytes() {
+        use pbrs_obs::Stage;
+
+        let m = GatewayMetrics::default();
+        let counters = [
+            &m.connections_accepted,
+            &m.connections_refused,
+            &m.open_connections,
+            &m.requests_admitted,
+            &m.requests_shed,
+            &m.bytes_in,
+            &m.bytes_out,
+            &m.stripes_served,
+            &m.degraded_stripes_served,
+            &m.objects_put,
+            &m.objects_deleted,
+            &m.request_errors,
+            &m.requests_expired,
+        ];
+        for (i, counter) in counters.into_iter().enumerate() {
+            GatewayMetrics::add(counter, i as u64 + 1);
+        }
+        m.put_latency.record(120);
+        m.get_healthy_latency.record(900);
+        m.get_healthy_latency.record(1_500);
+        m.get_degraded_latency.record(40_000);
+        m.healthy_get_stages.record(Stage::Queue, 30);
+        m.degraded_get_stages.record(Stage::Erasure, 700);
+        let json = m.snapshot().to_json(&m.latency(), "{\"stripe_reads\":7}");
+        let golden = concat!(
+            "{\"schema_version\":2,\"connections_accepted\":1,\"connections_refused\":2,",
+            "\"open_connections\":3,\"requests_admitted\":4,\"requests_shed\":5,",
+            "\"bytes_in\":6,\"bytes_out\":7,\"stripes_served\":8,",
+            "\"degraded_stripes_served\":9,\"objects_put\":10,\"objects_deleted\":11,",
+            "\"request_errors\":12,\"requests_expired\":13,",
+            "\"ops\":{",
+            "\"put\":{\"count\":1,\"p50_us\":120,\"p95_us\":120,\"p99_us\":120,",
+            "\"p999_us\":120,\"mean_us\":120.0,\"max_us\":120},",
+            "\"get_healthy\":{\"count\":2,\"p50_us\":927,\"p95_us\":1500,\"p99_us\":1500,",
+            "\"p999_us\":1500,\"mean_us\":1200.0,\"max_us\":1500},",
+            "\"get_degraded\":{\"count\":1,\"p50_us\":40000,\"p95_us\":40000,",
+            "\"p99_us\":40000,\"p999_us\":40000,\"mean_us\":40000.0,\"max_us\":40000},",
+            "\"delete\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0}},",
+            "\"stages\":{\"healthy_get\":{",
+            "\"queue\":{\"count\":1,\"p50_us\":30,\"p95_us\":30,\"p99_us\":30,",
+            "\"p999_us\":30,\"mean_us\":30.0,\"max_us\":30},",
+            "\"erasure\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0},",
+            "\"chunk_io\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0},",
+            "\"flush\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0}},",
+            "\"degraded_get\":{",
+            "\"queue\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0},",
+            "\"erasure\":{\"count\":1,\"p50_us\":700,\"p95_us\":700,\"p99_us\":700,",
+            "\"p999_us\":700,\"mean_us\":700.0,\"max_us\":700},",
+            "\"chunk_io\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0},",
+            "\"flush\":{\"count\":0,\"p50_us\":0,\"p95_us\":0,\"p99_us\":0,",
+            "\"p999_us\":0,\"mean_us\":0.0,\"max_us\":0}}},",
+            "\"store\":{\"stripe_reads\":7}}",
+        );
+        assert_eq!(json, golden);
     }
 }

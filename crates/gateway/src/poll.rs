@@ -63,11 +63,6 @@ impl PollFd {
     pub fn readable_or_dead(&self) -> bool {
         self.has(POLLIN | POLLERR | POLLHUP | POLLNVAL)
     }
-
-    /// Whether the fd is writable or errored.
-    pub fn writable_or_dead(&self) -> bool {
-        self.has(POLLOUT | POLLERR | POLLHUP | POLLNVAL)
-    }
 }
 
 // SAFETY: the declaration matches the libc prototype: `PollFd` is

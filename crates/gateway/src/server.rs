@@ -869,7 +869,7 @@ impl Reactor {
                 let json = self
                     .metrics
                     .snapshot()
-                    .to_json_v2(&self.metrics.latency(), &self.store.latency().to_json());
+                    .to_json(&self.metrics.latency(), &self.store.latency().to_json());
                 self.push_response(conn_id, req_id, &Response::Metrics { json });
             }
             Request::Prometheus => {

@@ -16,7 +16,7 @@
 //! * [`backend`] — runtime selection of the bulk-kernel implementation
 //!   (scalar lookup / portable SWAR / x86-64 `pshufb` SIMD).
 //! * [`matrix`] — dense matrices over GF(2^8): multiplication,
-//!   Gauss–Jordan inversion, rank, Vandermonde and Cauchy constructors.
+//!   Gauss–Jordan inversion, rank, and the Vandermonde constructor.
 //! * [`poly`] — polynomials over GF(2^8) (evaluation, Lagrange
 //!   interpolation) used to cross-check the Reed–Solomon construction.
 //! * [`crc32`] — the CRC-32 every chunk file is checksummed with:

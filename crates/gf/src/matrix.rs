@@ -114,27 +114,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix from nested slices, one per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have differing lengths or the input is empty.
-    pub fn from_nested(rows: &[&[u8]]) -> Self {
-        assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "matrix must have at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zero(n, n);
@@ -160,28 +139,6 @@ impl Matrix {
             for c in 0..cols {
                 m.set(r, c, acc.value());
                 acc *= x;
-            }
-        }
-        m
-    }
-
-    /// A `rows`×`cols` Cauchy matrix with entries `1 / (x_i + y_j)` where the
-    /// `x_i` and `y_j` are distinct field elements. Every square submatrix of
-    /// a Cauchy matrix is invertible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows + cols > 256`.
-    pub fn cauchy(rows: usize, cols: usize) -> Self {
-        assert!(rows + cols <= 256, "need rows + cols distinct elements");
-        let mut m = Matrix::zero(rows, cols);
-        for r in 0..rows {
-            // x_i = cols + r, y_j = j: disjoint index ranges give distinct sums.
-            for c in 0..cols {
-                let denom = Gf256::new((cols + r) as u8) + Gf256::new(c as u8);
-                // pbrs-lint: allow(panic-hygiene) -- Cauchy points are drawn from disjoint sets, so the sum is non-zero
-                let v = denom.inverse().expect("x_i + y_j is never zero");
-                m.set(r, c, v.value());
             }
         }
         m
@@ -238,16 +195,6 @@ impl Matrix {
     pub fn row(&self, row: usize) -> &[u8] {
         assert!(row < self.rows, "row index out of bounds");
         &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Iterator over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[u8]> {
-        self.data.chunks_exact(self.cols)
-    }
-
-    /// The underlying row-major data.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data
     }
 
     /// Matrix product `self * rhs`.
@@ -394,17 +341,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// The transpose of the matrix.
-    pub fn transposed(&self) -> Matrix {
-        let mut out = Matrix::zero(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
     }
 
     /// Swaps two rows in place.
@@ -573,21 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_square_submatrices_invertible() {
-        let m = Matrix::cauchy(4, 6);
-        for a in 0..4 {
-            for b in a + 1..4 {
-                let sub = m
-                    .submatrix_rows(&[a, b])
-                    .unwrap()
-                    .submatrix(0, 0, 2, 2)
-                    .unwrap();
-                assert!(sub.is_invertible());
-            }
-        }
-    }
-
-    #[test]
     fn inverse_round_trip() {
         let m = Matrix::vandermonde(6, 6);
         let inv = m.inverted().unwrap();
@@ -643,7 +564,7 @@ mod tests {
     #[test]
     fn augment_and_stack_and_submatrix() {
         let a = Matrix::identity(2);
-        let b = Matrix::from_nested(&[&[5, 6], &[7, 8]]);
+        let b = Matrix::from_rows(2, 2, vec![5, 6, 7, 8]);
         let aug = a.augment(&b).unwrap();
         assert_eq!(aug.cols(), 4);
         assert_eq!(aug.get(0, 2), 5);
@@ -653,13 +574,6 @@ mod tests {
         assert_eq!(st.get(2, 0), 5);
         let sub = st.submatrix(2, 0, 4, 2).unwrap();
         assert_eq!(sub, b);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::cauchy(3, 5);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed().rows(), 5);
     }
 
     #[test]
@@ -675,14 +589,14 @@ mod tests {
     fn rank_of_rectangular() {
         let v = Matrix::vandermonde(6, 3);
         assert_eq!(v.rank(), 3);
-        assert_eq!(v.transposed().rank(), 3);
+        assert_eq!(Matrix::vandermonde(3, 6).rank(), 3);
         let z = Matrix::zero(4, 4);
         assert_eq!(z.rank(), 0);
     }
 
     #[test]
     fn swap_rows_works() {
-        let mut m = Matrix::from_nested(&[&[1, 2], &[3, 4], &[5, 6]]);
+        let mut m = Matrix::from_rows(3, 2, vec![1, 2, 3, 4, 5, 6]);
         m.swap_rows(0, 2);
         assert_eq!(m.row(0), &[5, 6]);
         assert_eq!(m.row(2), &[1, 2]);

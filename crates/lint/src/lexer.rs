@@ -77,13 +77,6 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    /// Iterator over comments that touch 1-based line `line`.
-    pub fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments
-            .iter()
-            .filter(move |c| c.line <= line && line <= c.end_line)
-    }
-
     /// True if any comment with non-empty text touches any line in
     /// `lo..=hi`.
     pub fn has_comment_in(&self, lo: u32, hi: u32) -> bool {

@@ -45,23 +45,14 @@ use std::path::Path;
 use config::{Config, Severity};
 use diag::{Diagnostic, Report};
 use rules::{FileCtx, ALL_RULES};
-use walk::{classify, is_crate_root, FileKind};
+use walk::FileKind;
 
-/// Lints one in-memory source file as if it lived at `rel` — the engine
-/// behind both the workspace walk and the fixture self-tests.
+/// Lints one in-memory source file as if it lived at `rel`, with the file
+/// kind and crate-root flag pinned by the caller (the walker has the real
+/// answers; fixtures may fake them) — the engine behind both the workspace
+/// walk and the fixture self-tests.
 ///
 /// `only` restricts to a subset of rule names; `None` runs all.
-pub fn check_source(
-    rel: &str,
-    src: &str,
-    cfg: &Config,
-    only: Option<&[String]>,
-) -> Vec<Diagnostic> {
-    check_source_as(rel, classify(rel), is_crate_root(rel), src, cfg, only)
-}
-
-/// [`check_source`] with the file kind and crate-root flag pinned by the
-/// caller (the walker has the real answers; fixtures may fake them).
 pub fn check_source_as(
     rel: &str,
     kind: FileKind,
@@ -148,9 +139,20 @@ pub fn find_root(start: &Path) -> Option<std::path::PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::{classify, is_crate_root};
 
     fn cfg(text: &str) -> Config {
         Config::parse(text).expect("test config parses")
+    }
+
+    /// Lints `src` as if it lived at `rel`, classified by that path.
+    fn check_source(
+        rel: &str,
+        src: &str,
+        cfg: &Config,
+        only: Option<&[String]>,
+    ) -> Vec<Diagnostic> {
+        check_source_as(rel, classify(rel), is_crate_root(rel), src, cfg, only)
     }
 
     #[test]

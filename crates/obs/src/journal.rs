@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::SystemTime;
 
 use crate::trace::{self, TraceId};
 
@@ -65,16 +65,6 @@ pub struct Event {
     /// event was recorded, making repair/health events joinable to
     /// retained traces.
     pub trace: Option<TraceId>,
-}
-
-impl Event {
-    /// Seconds since the Unix epoch (0 if the clock is before it).
-    pub fn unix_secs(&self) -> u64 {
-        self.at
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0)
-    }
 }
 
 /// A bounded ring of [`Event`]s. Pushes never block longer than the
@@ -169,23 +159,9 @@ impl EventJournal {
         self.len() == 0
     }
 
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events evicted so far to respect the bound.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Count of retained events by kind.
-    pub fn count_by_kind(&self, kind: EventKind) -> usize {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner.iter().filter(|e| e.kind == kind).count()
     }
 }
 
@@ -248,7 +224,7 @@ mod tests {
     fn events_are_stamped_while_the_ring_is_locked() {
         use std::sync::atomic::AtomicU64;
         use std::sync::{mpsc, Arc, OnceLock, TryLockError};
-        use std::time::Duration;
+        use std::time::{Duration, UNIX_EPOCH};
 
         // A ticking clock: every read is later than the one before. On its
         // first read — thread A's, mid-push — it hands off to thread B and

@@ -20,14 +20,6 @@ use crate::prom;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        // Relaxed: an isolated monotonic counter; readers only ever
-        // sample it, nothing is published through it.
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -222,7 +214,7 @@ mod tests {
         let r = Registry::new();
         let a = r.counter("requests");
         let b = r.counter("requests");
-        a.inc();
+        a.add(1);
         b.add(2);
         assert_eq!(r.counter("requests").get(), 3);
     }
@@ -238,7 +230,7 @@ mod tests {
     #[test]
     fn snapshot_sorted_by_name() {
         let r = Registry::new();
-        r.counter("zeta").inc();
+        r.counter("zeta").add(1);
         r.gauge("alpha").set(-3);
         r.histogram("mid").record(10);
         let names: Vec<_> = r.snapshot().into_iter().map(|(n, _)| n).collect();

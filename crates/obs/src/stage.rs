@@ -104,11 +104,6 @@ impl StageTimes {
         }
     }
 
-    /// Sum across all stages.
-    pub fn total(&self) -> u64 {
-        self.us.iter().sum()
-    }
-
     /// Difference `self - earlier`, saturating per stage. Used to turn a
     /// cumulative trace into a per-stripe delta.
     pub fn since(&self, earlier: &StageTimes) -> StageTimes {
@@ -156,11 +151,6 @@ impl StageSet {
         // Relaxed: a sampling gate — a stale read merely records (or
         // skips) one extra sample, it guards no other memory.
         self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Record `micros` for one stage (respects the enable flag).
@@ -217,11 +207,6 @@ pub struct StageTimer<'a> {
     set: &'a StageSet,
     stage: Stage,
     start: Option<Instant>,
-}
-
-impl StageTimer<'_> {
-    /// Stop early and record; equivalent to dropping the guard.
-    pub fn stop(self) {}
 }
 
 impl Drop for StageTimer<'_> {
@@ -291,7 +276,6 @@ mod tests {
         assert_eq!(a.get(Stage::Queue), 5);
         assert_eq!(a.get(Stage::ChunkIo), 150);
         assert_eq!(a.get(Stage::Flush), 7);
-        assert_eq!(a.total(), 162);
     }
 
     #[test]

@@ -359,11 +359,6 @@ impl SpanBuilder {
         self.tags.push((key.into(), value.into()));
     }
 
-    /// Microseconds elapsed since the span started.
-    pub fn elapsed_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
     fn into_record(self, process: &str) -> SpanRecord {
         let dur_us = self.started.elapsed().as_micros() as u64;
         SpanRecord {
@@ -469,27 +464,9 @@ impl Tracer {
         }
     }
 
-    /// A tracer that mints contexts but records nothing — the "compiled
-    /// in but disabled" configuration.
-    pub fn disabled(process: impl Into<String>) -> Tracer {
-        Tracer::new(
-            process,
-            TracerConfig {
-                enabled: false,
-                ring_capacity: 1,
-                ..TracerConfig::default()
-            },
-        )
-    }
-
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
         self.config.enabled
-    }
-
-    /// The process label stamped on recorded spans.
-    pub fn process(&self) -> &str {
-        &self.process
     }
 
     /// Roots the flight recorder has retained since creation.
@@ -958,7 +935,15 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing_but_mints_contexts() {
-        let t = Tracer::disabled("test");
+        // Compiled in but disabled.
+        let t = Tracer::new(
+            "test",
+            TracerConfig {
+                enabled: false,
+                ring_capacity: 1,
+                ..TracerConfig::default()
+            },
+        );
         let root = t.root_span("get", None);
         let ctx = root.ctx();
         assert_ne!(ctx.trace.as_u64(), 0);

@@ -427,16 +427,6 @@ impl PlacementMap {
         self.policy
     }
 
-    /// Shards per stripe.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The deterministic seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The disks holding the stripe identified by `key`, shard `i` on the
     /// `i`-th returned disk. Deterministic: the same map and key always
     /// return the same placement.

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use crate::backend::{BackendCounters, ChunkBackend};
+use crate::backend::{BackendCounters, ChunkBackend, PendingWrite, ReadyWrite};
 use crate::chunk::{ChunkId, ChunkRead, ChunkStatus};
 use crate::error::{Result, StoreError};
 use crate::health::{Admission, DiskHealth, HealthTracker, Outcome, Transition};
@@ -206,11 +206,6 @@ impl GuardedDisk {
         }
     }
 
-    /// The configured deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
     /// Like [`ChunkBackend::read_chunk_range`] but bounded at `deadline`
     /// instead of the disk's configured one — the hedged-read primitive:
     /// the store gives the first-choice helper set a shorter budget and
@@ -257,17 +252,8 @@ impl ChunkBackend for GuardedDisk {
 
     fn ensure_object(&self, object: &str) -> Result<()> {
         let name = object.to_string();
-        match self.run_with_deadline(self.deadline, move |disk| disk.ensure_object(&name)) {
-            Ok(result) => {
-                self.record(if result.is_ok() {
-                    Outcome::Ok
-                } else {
-                    Outcome::Error
-                });
-                result
-            }
-            Err(()) => Err(self.timeout_error(object)),
-        }
+        let result = self.run_with_deadline(self.deadline, move |disk| disk.ensure_object(&name));
+        self.settle_write(object, result)
     }
 
     fn remove_object(&self, object: &str) -> Result<()> {
@@ -281,19 +267,25 @@ impl ChunkBackend for GuardedDisk {
     fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
         let name = object.to_string();
         let payload = payload.to_vec();
-        match self.run_with_deadline(self.deadline, move |disk| {
+        let result = self.run_with_deadline(self.deadline, move |disk| {
             disk.write_chunk(&name, id, &payload)
-        }) {
-            Ok(result) => {
-                self.record(if result.is_ok() {
-                    Outcome::Ok
-                } else {
-                    Outcome::Error
-                });
-                result
-            }
-            Err(()) => Err(self.timeout_error(object)),
-        }
+        });
+        self.settle_write(object, result)
+    }
+
+    /// The inner backend's own zero write, so a networked disk still sends
+    /// only the length. It finishes under the deadline before returning.
+    fn begin_write_zeros<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        len: usize,
+    ) -> Box<dyn PendingWrite + 'a> {
+        let name = object.to_string();
+        let result = self.run_with_deadline(self.deadline, move |disk| {
+            disk.begin_write_zeros(&name, id, len).wait()
+        });
+        Box::new(ReadyWrite(self.settle_write(object, result)))
     }
 
     fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
@@ -373,6 +365,26 @@ impl ChunkBackend for GuardedDisk {
 }
 
 impl GuardedDisk {
+    /// Records a write-shaped op's outcome on the disk's health and turns
+    /// an abandoned op into a `TimedOut` error.
+    fn settle_write(
+        &self,
+        object: &str,
+        result: std::result::Result<Result<()>, ()>,
+    ) -> Result<()> {
+        match result {
+            Ok(result) => {
+                self.record(if result.is_ok() {
+                    Outcome::Ok
+                } else {
+                    Outcome::Error
+                });
+                result
+            }
+            Err(()) => Err(self.timeout_error(object)),
+        }
+    }
+
     fn timeout_error(&self, object: &str) -> StoreError {
         StoreError::io(
             format!("guard://disk-{:02}/{object}", self.disk),

@@ -363,7 +363,6 @@ pub struct HealthTracker {
     /// Where advisory state persists (`HEALTH.advisory` in the store
     /// root); `None` disables persistence.
     advisory_path: Option<PathBuf>,
-    transitions: AtomicU64,
 }
 
 /// File name of the persisted advisory health state in the store root.
@@ -380,7 +379,6 @@ impl HealthTracker {
                 .map(|d| DiskHealth::new(d, policy.clone()))
                 .collect(),
             advisory_path,
-            transitions: AtomicU64::new(0),
         };
         if let Some(path) = &tracker.advisory_path {
             if let Ok(text) = fs::read_to_string(path) {
@@ -417,16 +415,8 @@ impl HealthTracker {
     /// advisory state and returns the transition for journaling.
     pub fn record(&self, disk: usize, outcome: Outcome) -> Option<Transition> {
         let transition = self.disks[disk].record(outcome)?;
-        // Relaxed: stats tally; the authoritative state just transitioned
-        // under the per-disk mutex inside record().
-        self.transitions.fetch_add(1, Ordering::Relaxed);
         self.persist();
         Some(transition)
-    }
-
-    /// Total state transitions so far.
-    pub fn transition_count(&self) -> u64 {
-        self.transitions.load(Ordering::Relaxed)
     }
 
     /// Total breaker-shed ops across the pool.
@@ -531,7 +521,6 @@ mod tests {
         assert!(tracker.record(0, Outcome::Ok).is_none());
         let t = tracker.record(0, Outcome::Ok).unwrap();
         assert_eq!((t.from, t.to), (DiskState::Suspect, DiskState::Healthy));
-        assert_eq!(tracker.transition_count(), 2);
     }
 
     #[test]

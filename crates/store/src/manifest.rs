@@ -26,11 +26,6 @@
 //! from the object table, and its chunks are garbage to be swept by the
 //! next scrub.
 //!
-//! Version 1 manifests (fixed shard-`i`-on-disk-`i` layout, no pool or
-//! placement lines) still load: they imply `pool = total shards`, the
-//! identity policy and no placements, and are upgraded to v2 on the next
-//! save.
-//!
 //! Object names are restricted to `[A-Za-z0-9._-]` (and may not be `.` or
 //! `..`), so a name is always a safe directory component and the name can be
 //! the final, whitespace-containing-free token of its line. The manifest is
@@ -49,11 +44,8 @@ use crate::error::{Result, StoreError};
 /// File name of the manifest within the store root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// The first line of every v2 manifest.
+/// The first line of every manifest.
 const VERSION_LINE_V2: &str = "pbrs-store v2";
-
-/// The first line of legacy v1 manifests (fixed layout, no placement).
-const VERSION_LINE_V1: &str = "pbrs-store v1";
 
 /// Durable description of one stored object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +133,7 @@ impl Manifest {
         }
     }
 
-    /// Serialises the manifest to its (v2) text form.
+    /// Serialises the manifest to its text form.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(VERSION_LINE_V2);
@@ -166,7 +158,7 @@ impl Manifest {
         out
     }
 
-    /// Parses a manifest from its text form (v1 or v2).
+    /// Parses a manifest from its text form.
     ///
     /// # Errors
     ///
@@ -181,16 +173,12 @@ impl Manifest {
         let Some((_, version)) = lines.next() else {
             return Err(corrupt(0, "empty manifest".into()));
         };
-        let legacy = match version {
-            VERSION_LINE_V2 => false,
-            VERSION_LINE_V1 => true,
-            other => {
-                return Err(corrupt(
-                    1,
-                    format!("unknown version line {other:?} (expected {VERSION_LINE_V2:?})"),
-                ))
-            }
-        };
+        if version != VERSION_LINE_V2 {
+            return Err(corrupt(
+                1,
+                format!("unknown version line {version:?} (expected {VERSION_LINE_V2:?})"),
+            ));
+        }
         let mut spec: Option<CodeSpec> = None;
         let mut chunk_len: Option<usize> = None;
         let mut pool: Option<usize> = None;
@@ -309,15 +297,8 @@ impl Manifest {
         }
         let spec = spec.ok_or_else(|| corrupt(0, "missing \"code\" line".into()))?;
         let chunk_len = chunk_len.ok_or_else(|| corrupt(0, "missing \"chunk\" line".into()))?;
-        let (pool, policy) = if legacy {
-            // v1: fixed layout, one disk per shard.
-            (spec.total_shards(), PlacementPolicy::Identity)
-        } else {
-            (
-                pool.ok_or_else(|| corrupt(0, "missing \"pool\" line".into()))?,
-                policy.ok_or_else(|| corrupt(0, "missing \"policy\" line".into()))?,
-            )
-        };
+        let pool = pool.ok_or_else(|| corrupt(0, "missing \"pool\" line".into()))?;
+        let policy = policy.ok_or_else(|| corrupt(0, "missing \"policy\" line".into()))?;
         let manifest = Manifest {
             spec,
             chunk_len,
@@ -514,60 +495,60 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_manifests_imply_the_fixed_layout() {
+    fn v1_manifests_are_refused_on_line_1() {
         let text = "pbrs-store v1\ncode rs-10-4\nchunk 64\nobject 10 1 a\n";
-        let m = Manifest::parse(Path::new("MANIFEST"), text).unwrap();
-        assert_eq!(m.pool, 14, "pool defaults to the code width");
-        assert_eq!(m.policy, PlacementPolicy::Identity);
-        assert_eq!(m.seed, 0);
-        assert!(m.placements.is_empty());
-        assert!(m.tombstones.is_empty());
-        assert_eq!(m.objects.len(), 1);
-        // Saving upgrades the file to v2.
-        assert!(m.to_text().starts_with("pbrs-store v2\n"));
+        match Manifest::parse(Path::new("MANIFEST"), text) {
+            Err(StoreError::CorruptManifest { line, reason, .. }) => {
+                assert_eq!(line, 1);
+                assert!(reason.contains("pbrs-store v1"), "{reason}");
+            }
+            other => panic!("a v1 manifest must be refused, got {other:?}"),
+        }
     }
 
     #[test]
     fn parse_rejects_damage() {
         let path = Path::new("MANIFEST");
         let v2 = "pbrs-store v2\ncode rs-4-2\nchunk 64\npool 12\npolicy rack-disjoint\npseed 7\n";
+        let fixed = "pbrs-store v2\ncode rs-10-4\nchunk 64\npool 14\npolicy identity\n";
+        // Both headers load on their own, so each case fails on its damage.
+        for header in [v2, fixed] {
+            Manifest::parse(path, header).unwrap();
+        }
         let cases = [
             ("".to_string(), "empty"),
             ("pbrs-store v9\n".to_string(), "version"),
-            ("pbrs-store v1\nchunk 64\n".to_string(), "missing \"code\""),
             (
-                "pbrs-store v1\ncode rs-10-4\n".to_string(),
+                "pbrs-store v2\nchunk 64\npool 14\npolicy identity\n".to_string(),
+                "missing \"code\"",
+            ),
+            (
+                "pbrs-store v2\ncode rs-10-4\npool 14\npolicy identity\n".to_string(),
                 "missing \"chunk\"",
             ),
             (
-                "pbrs-store v1\ncode nonsense-1\nchunk 64\n".to_string(),
+                "pbrs-store v2\ncode nonsense-1\nchunk 64\npool 14\npolicy identity\n".to_string(),
                 "code spec",
             ),
             (
-                "pbrs-store v1\ncode rs-10-4\nchunk x\n".to_string(),
+                "pbrs-store v2\ncode rs-10-4\nchunk x\npool 14\npolicy identity\n".to_string(),
                 "chunk length",
             ),
             (
                 "pbrs-store v2\ncode rs-10-4\nchunk 64\npolicy identity\n".to_string(),
-                "v2 missing \"pool\"",
+                "missing \"pool\"",
             ),
             (
                 "pbrs-store v2\ncode rs-10-4\nchunk 64\npool 14\n".to_string(),
-                "v2 missing \"policy\"",
+                "missing \"policy\"",
             ),
             (format!("{v2}policy sideways\n"), "unknown policy"),
+            (format!("{fixed}object 10 a\n"), "object line"),
             (
-                "pbrs-store v1\ncode rs-10-4\nchunk 64\nobject 10 a\n".to_string(),
-                "object line",
-            ),
-            (
-                "pbrs-store v1\ncode rs-10-4\nchunk 64\nobject 10 1 a\nobject 10 1 a\n".to_string(),
+                format!("{fixed}object 10 1 a\nobject 10 1 a\n"),
                 "duplicate",
             ),
-            (
-                "pbrs-store v1\ncode rs-10-4\nchunk 64\nwhatever 1\n".to_string(),
-                "unknown key",
-            ),
+            (format!("{fixed}whatever 1\n"), "unknown key"),
             (
                 format!("{v2}object 10 1 a\nplace a 1 0,1,2,3,4,5\n"),
                 "place row out of order",

@@ -163,29 +163,6 @@ pub struct MetricsSnapshot {
     pub disk_sheds: u64,
 }
 
-impl MetricsSnapshot {
-    /// All helper bytes moved across "disks" for reconstruction, degraded
-    /// reads and repairs combined — the store-level analogue of the paper's
-    /// cross-rack recovery traffic.
-    pub fn total_helper_bytes(&self) -> u64 {
-        self.degraded_helper_bytes + self.repair_helper_bytes
-    }
-
-    /// All helper bytes that crossed racks (degraded reads + repairs) — the
-    /// counter the paper's Fig. 3 traffic argument is about. Stores without
-    /// an explicit rack map treat every disk as its own rack, so this equals
-    /// [`MetricsSnapshot::total_helper_bytes`] there.
-    pub fn total_cross_rack_bytes(&self) -> u64 {
-        self.degraded_cross_rack_bytes + self.repair_cross_rack_bytes
-    }
-
-    /// All helper bytes served from within the damaged chunk's own rack —
-    /// nonzero only under a grouping (rack-aware) placement policy.
-    pub fn total_intra_rack_bytes(&self) -> u64 {
-        self.degraded_intra_rack_bytes + self.repair_intra_rack_bytes
-    }
-}
-
 /// Lock-free latency histograms for the store's hot paths (all values in
 /// microseconds). Lives beside [`StoreMetrics`] rather than inside it so
 /// [`MetricsSnapshot`] stays a plain `Eq` counter struct.
@@ -319,7 +296,8 @@ mod tests {
         let snap = metrics.snapshot("RS(10, 4)");
         assert_eq!(snap.code, "RS(10, 4)");
         assert_eq!(snap.bytes_ingested, 100);
-        assert_eq!(snap.total_helper_bytes(), 12);
+        assert_eq!(snap.repair_helper_bytes, 7);
+        assert_eq!(snap.degraded_helper_bytes, 5);
         // Counters keep accumulating after a snapshot.
         StoreMetrics::add(&metrics.bytes_ingested, 1);
         assert_eq!(metrics.snapshot("x").bytes_ingested, 101);

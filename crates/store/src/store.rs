@@ -171,13 +171,6 @@ impl StoreConfig {
         self
     }
 
-    /// Overrides the stale-tmp sweep age.
-    #[must_use]
-    pub fn stale_tmp_min_age(mut self, min_age: Duration) -> Self {
-        self.stale_tmp_min_age = min_age;
-        self
-    }
-
     /// Enables deadline enforcement + health tracking on every disk.
     #[must_use]
     pub fn op_deadline(mut self, deadline: Duration) -> Self {
@@ -650,11 +643,6 @@ impl BlockStore {
         })
     }
 
-    /// The spec of the code protecting this store.
-    pub fn spec(&self) -> CodeSpec {
-        self.spec
-    }
-
     /// The live codec.
     pub fn code(&self) -> &(dyn ErasureCode + Send + Sync) {
         self.code.as_ref()
@@ -698,9 +686,9 @@ impl BlockStore {
 
     /// The manifest-first row lookup shared by every chunk-touching path:
     /// persisted placement rows are the authority; objects without rows
-    /// (identity stores, legacy manifests) use the fixed layout; and a
-    /// placed object's missing row (only possible for out-of-range stripes)
-    /// falls back to the deterministic derivation.
+    /// (identity stores) use the fixed layout; and a placed object's
+    /// missing row (only possible for out-of-range stripes) falls back to
+    /// the deterministic derivation.
     fn resolve_row(
         manifest: &Manifest,
         map: &PlacementMap,

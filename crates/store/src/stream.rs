@@ -206,17 +206,6 @@ impl ObjectWriter {
         &self.ingest.name
     }
 
-    /// Payload bytes accepted so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.ingest.total
-    }
-
-    /// Cumulative per-stage time (erasure encode vs chunk I/O) spent by
-    /// this writer's stripe flushes so far.
-    pub fn stage_times(&self) -> StageTimes {
-        self.ingest.stage_times
-    }
-
     /// Appends `data` to the object. Every time the internal stripe
     /// buffer fills, that stripe is encoded and all of its chunks are
     /// written before the call returns — memory held is always one
@@ -391,21 +380,11 @@ impl ObjectReader {
         self.store.stripe_payload_len(&self.serve.info, stripe)
     }
 
-    /// Stripes served degraded so far by this reader.
-    pub fn degraded_stripes(&self) -> u64 {
-        self.serve.degraded_stripes
-    }
-
     /// Per-stage time (chunk I/O vs erasure arithmetic) of the most
     /// recent [`ObjectReader::read_stripe`] call — the per-stripe delta a
     /// serving tier ships with each response frame.
     pub fn last_stage_times(&self) -> StageTimes {
         self.serve.last_stage_times
-    }
-
-    /// Cumulative per-stage time across every stripe this reader served.
-    pub fn stage_times(&self) -> StageTimes {
-        self.serve.stage_times
     }
 
     /// Decodes stripe `stripe` into the front of `out`, transparently
@@ -669,7 +648,7 @@ mod tests {
             served.extend_from_slice(&out[..len]);
         }
         assert_eq!(served, data);
-        assert_eq!(reader.degraded_stripes(), 4);
+        assert_eq!(reader.serve.degraded_stripes, 4);
     }
 
     #[test]
@@ -681,7 +660,7 @@ mod tests {
         let mut writer = store.writer("obj").unwrap();
         writer.write(&data).unwrap();
         // Stripes have been flushed, so encode + chunk writes were timed.
-        let wt = writer.stage_times();
+        let wt = writer.ingest.stage_times;
         assert!(wt.get(Stage::ChunkIo) > 0, "writer chunk io untimed");
         writer.finish().unwrap();
 
@@ -701,7 +680,7 @@ mod tests {
             let (_, degraded) = reader.read_stripe(stripe, &mut out).unwrap();
             assert!(degraded);
         }
-        let total = reader.stage_times();
+        let total = reader.serve.stage_times;
         assert!(total.get(Stage::ChunkIo) > 0);
         let latency = store.latency();
         assert_eq!(latency.degraded_stripe_read.count(), 3);

@@ -7,9 +7,9 @@
 #![forbid(unsafe_code)]
 
 use pbrs::cluster::reliability::model_for_code;
+use pbrs::cluster::report::to_markdown_table;
 use pbrs::code::CodeComparison;
 use pbrs::prelude::*;
-use pbrs::trace::report::to_markdown_table;
 
 fn main() -> Result<(), CodeError> {
     // Every scheme the paper discusses, selected uniformly by spec string

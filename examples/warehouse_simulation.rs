@@ -8,8 +8,8 @@
 #![forbid(unsafe_code)]
 
 use pbrs::cluster::config::SimConfig;
+use pbrs::cluster::report::{human_bytes, to_markdown_table};
 use pbrs::cluster::sim::paired_rs_vs_piggybacked;
-use pbrs::trace::report::{human_bytes, to_markdown_table};
 
 fn main() {
     // A 600-machine cluster for a 7-day window: small enough to run in a few

@@ -10,9 +10,9 @@
 //!   the Reed–Solomon / replication / LRC baselines ([`pbrs_erasure`]);
 //! * [`code`] — the Piggybacked-RS code and the unified
 //!   [`code::registry`] that builds any code from a spec ([`pbrs_core`]);
-//! * [`cluster`] — the warehouse-cluster simulator ([`pbrs_cluster`]);
-//! * [`trace`] — calibrated synthetic traces, statistics and report
-//!   formatting ([`pbrs_trace`]);
+//! * [`cluster`] — the warehouse-cluster study: calibrated synthetic
+//!   traces, the discrete-event simulator, and report formatting
+//!   ([`pbrs_cluster`]);
 //! * [`obs`] — the observability core: lock-free latency histograms,
 //!   per-stage request timers, a named metric registry, and the bounded
 //!   structured event journal ([`pbrs_obs`]);
@@ -224,7 +224,6 @@ pub use pbrs_gf as gf;
 pub use pbrs_obs as obs;
 pub use pbrs_placement as placement;
 pub use pbrs_store as store;
-pub use pbrs_trace as trace;
 
 /// Convenient single-import prelude with the most frequently used items.
 pub mod prelude {

@@ -2,7 +2,7 @@
 //! through the public facade API, from the byte-level codecs up to the
 //! cluster simulator.
 
-use pbrs::cluster::config::{CodeChoice, SimConfig};
+use pbrs::cluster::config::SimConfig;
 use pbrs::cluster::sim::paired_rs_vs_piggybacked;
 use pbrs::cluster::Simulator;
 use pbrs::code::{toy_example, SavingsReport};
@@ -200,7 +200,7 @@ fn simulator_accounting_invariants() {
     let mut config = SimConfig::small_test();
     config.days = 6;
     config.sampled_stripes = 1500;
-    config.code = CodeChoice::proposed_piggybacked();
+    config.code = CodeSpec::FACEBOOK_PIGGYBACK;
     let report = Simulator::new(config.clone()).run();
     for day in &report.days {
         let min_per_block = 6.5 * (config.block_size_bytes as f64) * 0.001;
