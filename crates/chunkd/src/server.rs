@@ -302,10 +302,7 @@ impl ChunkServer {
             .registry
             .snapshot()
             .into_iter()
-            .filter_map(|(name, snap)| match snap {
-                pbrs_obs::registry::MetricSnapshot::Histogram(h) => Some((name, h.summary())),
-                _ => None,
-            })
+            .map(|(name, h)| (name, h.summary()))
             .collect()
     }
 

@@ -11,10 +11,9 @@
 //!   `p50/p95/p99/p999`;
 //! * [`stage`] — the [`stage::Stage`] vocabulary (`Queue`, `Erasure`,
 //!   `ChunkIo`, `Flush`), per-request [`stage::StageTimes`]
-//!   accumulators, and shared [`stage::StageSet`] histogram bundles
-//!   with a near-zero-cost disable flag;
-//! * [`registry`] — a named registry over counters / gauges /
-//!   histograms for layers whose metrics grow organically;
+//!   accumulators, and shared [`stage::StageSet`] histogram bundles;
+//! * [`registry`] — a named registry of histograms for layers whose
+//!   metrics grow organically;
 //! * [`journal`] — a bounded structured [`journal::EventJournal`]
 //!   (repairs, scrubs, errors, panics, with timestamps) replacing
 //!   single-slot `last_error` strings;
@@ -42,7 +41,7 @@ pub mod trace;
 
 pub use hist::{HistogramSnapshot, LatencyHistogram, Summary};
 pub use journal::{Event, EventJournal, EventKind};
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::Registry;
 pub use stage::{Stage, StageSet, StageSnapshot, StageTimes};
 pub use trace::{
     RetainedTrace, RootFlags, ScopedCtx, SpanBuilder, SpanId, SpanRecord, TraceCtx, TraceId,

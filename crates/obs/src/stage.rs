@@ -9,12 +9,9 @@
 //! per-stage histograms those accumulators drain into.
 //!
 //! Overhead discipline: recording into a [`StageSet`] is a few relaxed
-//! atomic adds per stage, and the set carries an `enabled` flag — when
-//! disabled, [`StageSet::timer`] returns a no-op guard **without reading
-//! the clock**, so a disabled set costs one relaxed load per probe point.
+//! atomic adds per stage.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram, Summary};
 
@@ -115,74 +112,28 @@ impl StageTimes {
     }
 }
 
-/// A shared bundle of one latency histogram per [`Stage`], with an
-/// enable flag making every probe point a near-no-op when off.
+/// A shared bundle of one latency histogram per [`Stage`].
+#[derive(Default)]
 pub struct StageSet {
     hists: [LatencyHistogram; Stage::COUNT],
-    enabled: AtomicBool,
-}
-
-impl Default for StageSet {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StageSet {
-    /// A new, enabled stage set.
+    /// A new, empty stage set.
     pub fn new() -> Self {
-        Self {
-            hists: std::array::from_fn(|_| LatencyHistogram::new()),
-            enabled: AtomicBool::new(true),
-        }
+        Self::default()
     }
 
-    /// A new stage set that starts disabled.
-    pub fn new_disabled() -> Self {
-        let s = Self::new();
-        // Relaxed: `s` is not shared yet; published later via Arc.
-        s.enabled.store(false, Ordering::Relaxed);
-        s
-    }
-
-    /// Is recording enabled?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        // Relaxed: a sampling gate — a stale read merely records (or
-        // skips) one extra sample, it guards no other memory.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Record `micros` for one stage (respects the enable flag).
+    /// Record `micros` for one stage.
     #[inline]
     pub fn record(&self, stage: Stage, micros: u64) {
-        if self.enabled() {
-            self.hists[stage.index()].record(micros);
-        }
+        self.hists[stage.index()].record(micros);
     }
 
     /// Record a whole request's [`StageTimes`], one sample per stage.
     pub fn record_times(&self, times: &StageTimes) {
-        if !self.enabled() {
-            return;
-        }
         for stage in Stage::ALL {
             self.hists[stage.index()].record(times.get(stage));
-        }
-    }
-
-    /// Start timing a stage; the returned guard records on drop. When the
-    /// set is disabled the guard is inert and the clock is never read.
-    #[inline]
-    pub fn timer(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer {
-            set: self,
-            stage,
-            start: if self.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
         }
     }
 
@@ -196,25 +147,7 @@ impl StageSet {
 
 impl std::fmt::Debug for StageSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageSet")
-            .field("enabled", &self.enabled())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Drop guard from [`StageSet::timer`].
-pub struct StageTimer<'a> {
-    set: &'a StageSet,
-    stage: Stage,
-    start: Option<Instant>,
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.set
-                .record(self.stage, start.elapsed().as_micros() as u64);
-        }
+        f.debug_struct("StageSet").finish_non_exhaustive()
     }
 }
 
@@ -289,31 +222,6 @@ mod tests {
         assert_eq!(d.get(Stage::Erasure), 15);
         assert_eq!(d.get(Stage::ChunkIo), 3);
         assert_eq!(early.since(&late).get(Stage::Erasure), 0);
-    }
-
-    #[test]
-    fn disabled_set_records_nothing() {
-        let set = StageSet::new_disabled();
-        set.record(Stage::Queue, 100);
-        {
-            let _t = set.timer(Stage::Flush);
-        }
-        let snap = set.snapshot();
-        for stage in Stage::ALL {
-            assert!(snap.stage(stage).is_empty(), "{stage} not empty");
-        }
-    }
-
-    #[test]
-    fn timer_records_on_drop() {
-        let set = StageSet::new();
-        {
-            let _t = set.timer(Stage::Erasure);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let snap = set.snapshot();
-        assert_eq!(snap.stage(Stage::Erasure).count(), 1);
-        assert!(snap.stage(Stage::Erasure).max() >= 1_000);
     }
 
     #[test]

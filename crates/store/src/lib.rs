@@ -15,10 +15,11 @@
 //!   ([`manifest`]).
 //! * **Read path** — [`BlockStore::get`] serves objects chunk by chunk and,
 //!   when a chunk is missing or fails its checksum, transparently falls
-//!   back to a *degraded read*: the code's cheapest single-failure repair,
-//!   reading exactly the helper byte ranges named by
-//!   [`pbrs_erasure::ErasureCode::repair_reads`] (half-chunks for
-//!   Piggybacked-RS) and counting them.
+//!   back to a *degraded read*: each lost chunk's repair plan, reading
+//!   exactly the helper byte ranges named by
+//!   [`pbrs_erasure::ErasureCode::repair_reads_ranked`] (half-chunks for a
+//!   Piggybacked-RS single loss) and counting them; a helper that fails is
+//!   planned around.
 //! * **Repair path** — a [`RepairDaemon`] starts from the failure: a disk
 //!   that has become unavailable is rebuilt from the manifest's placement
 //!   rows ([`BlockStore::chunks_on_disks`], no chunk read), while passes

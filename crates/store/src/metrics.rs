@@ -59,8 +59,8 @@ pub struct StoreMetrics {
     pub chunks_scrubbed: AtomicU64,
     /// Payload bytes read (and checksummed) by scrub passes.
     pub scrub_bytes_read: AtomicU64,
-    /// Planned rebuilds that abandoned a slow helper set and hedged to the
-    /// next-ranked one (only under [`crate::StoreConfig::hedge_delay`]).
+    /// Single-loss rebuilds that abandoned a slow helper and re-planned
+    /// around it (only under [`crate::StoreConfig::hedge_delay`]).
     pub hedged_reads: AtomicU64,
     /// Hedged rebuilds whose switched-to helper set completed the rebuild.
     pub hedge_wins: AtomicU64,
@@ -153,7 +153,7 @@ pub struct MetricsSnapshot {
     pub chunks_scrubbed: u64,
     /// Payload bytes read by scrub passes.
     pub scrub_bytes_read: u64,
-    /// Planned rebuilds that hedged to the next-ranked helper set.
+    /// Single-loss rebuilds that abandoned a slow helper and re-planned.
     pub hedged_reads: u64,
     /// Hedged rebuilds completed by the switched-to helper set.
     pub hedge_wins: u64,

@@ -47,31 +47,35 @@
 //! checksums; a short stripe's padding chunks are only checked
 //! ([`ChunkBackend::begin_verify`]). When a chunk is missing or corrupt
 //! the stripe is served
-//! *degraded*: with a single loss the store executes the code's cheapest
-//! repair — reading exactly the helper byte ranges named by
-//! [`ErasureCode::repair_reads`], which for Piggybacked-RS means
-//! half-chunks — and with multiple losses it falls back to a full
-//! [`ErasureCode::reconstruct_in_place`] over every surviving chunk. The
-//! helper bytes crossing disks are counted in [`StoreMetrics`], which is how
-//! the paper's ~30 % repair-traffic saving becomes measurable on real file
-//! I/O. `get` is [`crate::ObjectReader`] driven over every stripe: stripes
-//! decode one after another straight into the output buffer with one
-//! reusable stripe-sized scratch — no per-stripe allocation on the hot path.
+//! *degraded*: one rebuild loop plans each lost data chunk with
+//! [`ErasureCode::repair_reads_ranked`] over the shards still available,
+//! reads exactly the helper byte ranges the plans name (for a
+//! Piggybacked-RS single loss, half-chunks) that the read has not already
+//! delivered, and solves each target with
+//! [`ErasureCode::repair_from_reads`]. A helper that fails is planned
+//! around: it is never asked again, and the next plan costs only the
+//! ranges it adds. The helper bytes crossing disks are counted in
+//! [`StoreMetrics`], which is how the paper's ~30 % repair-traffic saving
+//! becomes measurable on real file I/O. `get` is [`crate::ObjectReader`]
+//! driven over every stripe: stripes decode one after another straight
+//! into the output buffer with one reusable stripe-sized scratch — no
+//! per-stripe allocation on the hot path.
 //!
 //! # Repair path
 //!
 //! [`BlockStore::repair_stripe`] rebuilds damaged chunks in place (atomic
-//! rename, like every chunk write) along the same cheapest path; the
-//! [`crate::daemon::RepairDaemon`] drives it from a scrub/enqueue loop
-//! across a worker pool.
+//! rename, like every chunk write) with the same loop, from an empty
+//! scratch; a helper found damaged on the way is rebuilt and written back
+//! too. The [`crate::daemon::RepairDaemon`] drives it from a scrub/enqueue
+//! loop across a worker pool.
 //!
 //! Every path treats the zero padding of an object's short last stripe
 //! (the data chunks past its payload) as resident zeros, and no path
 //! moves its bytes. A read zero-fills a padding slot and only checks the
 //! chunk ([`ChunkBackend::begin_verify`]), so damaged padding still
 //! degrades its stripe. A rebuild never fetches padding, a lost padding
-//! chunk is rebuilt with no helper read, and a full reconstruction counts
-//! it as a survivor. `put` and repair write a padding chunk as a length
+//! chunk is rebuilt with no helper read, and every plan counts padding as
+//! a survivor. `put` and repair write a padding chunk as a length
 //! ([`ChunkBackend::begin_write_zeros`]). Helper-byte counters still price
 //! the whole plan; [`StripeRepair::fetched_bytes`] counts what was read.
 
@@ -131,10 +135,11 @@ pub struct StoreConfig {
     /// circuit breaker. `None` (the default) mounts backends bare with no
     /// behavior change.
     pub op_deadline: Option<Duration>,
-    /// When set (requires [`StoreConfig::op_deadline`]), single-failure
-    /// planned rebuilds give their first-choice helper set only this long
-    /// per helper read before abandoning it and hedging to the
-    /// next-ranked survivor set. Seed it from the healthy-read p99 (see
+    /// When set (requires [`StoreConfig::op_deadline`]), a rebuild of one
+    /// lost chunk gives its first plan's helpers only this long per read,
+    /// one at a time. The first slow helper is abandoned and ranked behind
+    /// every other survivor, and the rebuild re-plans around it under the
+    /// full deadline. Seed it from the healthy-read p99 (see
     /// [`BlockStore::latency`]).
     pub hedge_delay: Option<Duration>,
     /// Thresholds of the disk health state machine (used only under
@@ -178,7 +183,7 @@ impl StoreConfig {
         self
     }
 
-    /// Enables hedged planned rebuilds (effective only with
+    /// Enables hedged single-loss rebuilds (effective only with
     /// [`StoreConfig::op_deadline`]).
     #[must_use]
     pub fn hedge_delay(mut self, delay: Duration) -> Self {
@@ -289,10 +294,10 @@ pub struct StripeRepair {
     pub rebuilt: Vec<usize>,
     /// Shards that turned out to be healthy after all (skipped).
     pub already_healthy: Vec<usize>,
-    /// The plan's price: the helper bytes the rebuild consumes, as
-    /// [`ErasureCode::repair_reads`] declares them for a single loss (the
-    /// paper's repair download), or the survivors a full reconstruction
-    /// read. Zero padding the store never fetches is still priced; see
+    /// The plans' price: the union of the helper byte ranges the final
+    /// plans ([`ErasureCode::repair_reads_ranked`]) name, one per rebuilt
+    /// shard — for a single loss, the paper's repair download. Zero
+    /// padding the store never fetches is still priced; see
     /// [`StripeRepair::fetched_bytes`] for what was read.
     pub helper_bytes: u64,
     /// The part of `helper_bytes` sourced from the rebuilt chunk's own
@@ -303,9 +308,9 @@ pub struct StripeRepair {
     /// resource).
     pub cross_rack_bytes: u64,
     /// Helper payload bytes actually requested from backends: the price
-    /// less the zero padding of a short last stripe, plus any read of an
-    /// attempt that failed and fell back. On networked disks this is what
-    /// the helper sockets carry, framing aside.
+    /// less the zero padding of a short last stripe, plus the ranges of
+    /// plans that a failed helper made the rebuild give up. On networked
+    /// disks this is what the helper sockets carry, framing aside.
     pub fetched_bytes: u64,
     /// Rebuilt payload bytes written.
     pub bytes_written: u64,
@@ -361,20 +366,21 @@ struct FailPoints {
 }
 
 /// Per-caller reusable buffers for stripe reads and repairs: one full
-/// `n × chunk_len` stripe, its validity mask, and one rebuilt-chunk slot.
+/// `n × chunk_len` stripe, its residency mask, and one solve output.
 ///
 /// Each reader and each [`crate::RepairDaemon`] worker reuses one scratch
 /// (instead of fresh `Vec`s per stripe), which keeps the degraded-read and
 /// repair hot paths allocation-free in steady state. A scratch still holds
 /// its previous stripe, so every read or repair starts by clearing
-/// `present`: a stale flag would make a planned rebuild skip a helper read
-/// and use the previous stripe's bytes.
+/// `present`: a stale flag would make a rebuild skip a helper read and use
+/// the previous stripe's bytes.
 pub(crate) struct StripeScratch {
     /// Chunk payloads land here, shard `i` in slot `i`.
     buf: ShardBuffer,
-    /// Which slots of `buf` currently hold verified payloads.
+    /// Which slots of `buf` hold a whole verified payload (or the zeros of
+    /// padding): a rebuild ranks these first and never reads them again.
     present: Vec<bool>,
-    /// Output chunk of a single-failure planned rebuild.
+    /// Output of one solve, before it is copied into its target's slot.
     rebuilt: Vec<u8>,
 }
 
@@ -410,6 +416,24 @@ impl HelperTraffic {
             self.cross_rack += bytes;
         }
     }
+}
+
+/// The union of `reads`, one read per shard in shard order: a shard read
+/// over two different ranges is read whole.
+fn union_of<'a>(
+    reads: impl IntoIterator<Item = &'a ShardRead>,
+    chunk_len: usize,
+) -> Vec<ShardRead> {
+    let mut union: Vec<ShardRead> = reads.into_iter().copied().collect();
+    union.sort_unstable_by_key(|read| (read.shard, read.offset, read.len));
+    union.dedup();
+    union.dedup_by(|later, kept| {
+        later.shard == kept.shard && {
+            *kept = ShardRead::whole(kept.shard, chunk_len);
+            true
+        }
+    });
+    union
 }
 
 /// One stripe as the read and rebuild paths address it.
@@ -1089,11 +1113,10 @@ impl BlockStore {
         stripe: u64,
         buf: &mut ShardBuffer,
         padding: Range<usize>,
-        times: &mut StageTimes,
     ) -> Result<()> {
         let span = self.trace_span("write_stripe");
         let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.encode_and_write_stripe_inner(name, stripe, buf, padding, times);
+        let result = self.encode_and_write_stripe_inner(name, stripe, buf, padding);
         drop(scope);
         if let Some((mut s, tracer)) = span {
             s.tag("object", name);
@@ -1112,22 +1135,18 @@ impl BlockStore {
         stripe: u64,
         buf: &mut ShardBuffer,
         padding: Range<usize>,
-        times: &mut StageTimes,
     ) -> Result<()> {
         let (k, n) = {
             let params = self.code.params();
             (params.data_shards(), params.total_shards())
         };
         {
-            let erasure_start = Instant::now();
             let (data, mut parity) = buf.split_mut(k);
             self.code.encode_into(&data, &mut parity)?;
-            times.add_duration(Stage::Erasure, erasure_start.elapsed());
         }
         // Pure function of (seed, name, stripe): the commit re-derives and
         // persists the same row.
         let row = self.map.disks_for_object_stripe(name, stripe);
-        let io_start = Instant::now();
         // The n chunks go to n different disks, so all n writes are begun
         // before any is waited for: the stripe costs the slowest write, not
         // their sum.
@@ -1154,7 +1173,6 @@ impl BlockStore {
         if let Some(e) = first_error {
             return Err(e);
         }
-        times.add_duration(Stage::ChunkIo, io_start.elapsed());
         StoreMetrics::add(&self.metrics.chunks_written, n as u64);
         StoreMetrics::add(
             &self.metrics.chunk_bytes_written,
@@ -1262,7 +1280,7 @@ impl BlockStore {
         if let Some(e) = outcome.hard {
             return Err(e);
         }
-        let bad = outcome.failed;
+        let mut bad = outcome.failed;
         times.add_duration(Stage::ChunkIo, stripe_start.elapsed());
         if bad.is_empty() {
             self.latency
@@ -1286,21 +1304,11 @@ impl BlockStore {
             }
         }
         let mut traffic = HelperTraffic::default();
-        if bad.len() == 1 && self.try_planned_rebuild(at, bad[0], scratch, &mut traffic, times)? {
-            // Only the lost chunk changed: the rest of `dest` is as read.
-            dest[bad[0] * self.chunk_len..(bad[0] + 1) * self.chunk_len]
-                .copy_from_slice(&scratch.rebuilt);
-        } else {
-            // Multiple losses (or helpers unavailable): full
-            // reconstruction. The extra survivor reads are the degraded
-            // cost; the healthy data payloads were already read above and
-            // are not read twice.
-            let mut damaged = bad;
-            self.reconstruct_from_survivors(at, &mut damaged, scratch, &mut traffic, times)?;
-            for shard in 0..k {
-                dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
-                    .copy_from_slice(scratch.buf.shard(shard));
-            }
+        self.rebuild(at, &mut bad, false, scratch, &mut traffic, times)?;
+        // Only the lost chunks changed: the rest of `dest` is as read.
+        for shard in bad {
+            dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
+                .copy_from_slice(scratch.buf.shard(shard));
         }
         self.note_degraded_traffic(traffic);
         self.latency
@@ -1379,120 +1387,117 @@ impl BlockStore {
         false
     }
 
-    /// Executes the code's cheapest single-failure repair for shard
-    /// `target`, materialising exactly the helper byte ranges the rebuild
-    /// consumes. Helper choice is *locality-first*: survivors sharing the
-    /// target disk's rack are ranked ahead of cross-rack ones, and codes
-    /// with helper freedom (see [`ErasureCode::repair_reads_ranked`]) read
-    /// as many same-rack helpers as their mathematics allows. Ranges whose
-    /// chunk is already resident in the scratch (CRC-verified, flagged in
-    /// `present`) are used as they sit, ranges of zero padding are zeroed
-    /// in place, and the rest are partial-read from disk into the scratch
-    /// stripe. A padding target is rebuilt as zeros with no read at all. A
-    /// helper that turns out to be missing or corrupt makes the whole
-    /// attempt return `false` so the caller falls back to full
-    /// reconstruction.
+    /// Rebuilds every shard in `targets` into its slot of `scratch.buf`:
+    /// the one rebuild loop of degraded reads and repairs. Each round
+    /// plans, reads, and then solves or re-plans.
     ///
-    /// On success the rebuilt chunk is left in `scratch.rebuilt` and the
-    /// *full* plan's price is added to `traffic` — the bytes a rebuilding
-    /// node fetches across disks in the paper's model, split intra/cross
-    /// rack relative to the target's disk — regardless of how many ranges
-    /// happened to be resident or padding here. Every range requested from
-    /// a backend is added to `traffic.fetched`, failed attempts included.
-    /// Bytes of the scratch stripe outside the plan's ranges may be stale
-    /// from earlier stripes; [`ErasureCode::repair_from_reads`] reads only
-    /// the ranges it is given, so the rebuild never sees them.
-    fn try_planned_rebuild(
+    /// * **Plan.** Each open target gets
+    ///   [`ErasureCode::repair_reads_ranked`] over the shards still
+    ///   available: every shard but the targets and the helpers found bad.
+    ///   The zero padding stays available, lost or not: its bytes are
+    ///   known. Resident shards rank first — whole chunks already verified
+    ///   in the scratch (flagged in `present`) and padding — then shards in
+    ///   the first target's rack, then the rest, ties by index; a helper
+    ///   the hedge gave up on ranks behind all of them.
+    /// * **Read.** The plans' ranges on shards that are not resident are
+    ///   begun together — they sit on different disks — and then waited
+    ///   for. A whole chunk that arrives is resident from then on, so no
+    ///   later round reads it again. A padding target's plan is not read.
+    /// * **Re-plan.** A helper that fails is marked bad and never asked
+    ///   again for this stripe; with `adopt_failed` (a repair) it joins
+    ///   `targets`, to be rebuilt and written back too.
+    /// * **Solve.** A target whose plan was read in full is rebuilt by
+    ///   [`ErasureCode::repair_from_reads`] and stays out of every later
+    ///   plan. A padding target is its zeroed slot.
+    ///
+    /// Hedging: with a hedge delay configured, a single-target rebuild's
+    /// first round reads its helpers one at a time, each under the short
+    /// hedge budget, and is abandoned at the first slow one. That shard is
+    /// *exiled* — ranked behind every other survivor, not marked bad — so
+    /// a later round reads it, under the full deadline, only when no plan
+    /// avoids it.
+    ///
+    /// The price added to `traffic` is the union of the final plans'
+    /// ranges, split intra/cross rack relative to the first target's disk,
+    /// whether or not a range was resident or padding here;
+    /// `traffic.fetched` counts every range begun. Bytes of the scratch
+    /// outside the ranges read may be stale from earlier stripes:
+    /// [`ErasureCode::repair_from_reads`] reads only the ranges it is given.
+    fn rebuild(
         &self,
         at: &StripeRef<'_>,
-        target: usize,
+        targets: &mut Vec<usize>,
+        adopt_failed: bool,
         scratch: &mut StripeScratch,
         traffic: &mut HelperTraffic,
         times: &mut StageTimes,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         let n = self.code.params().total_shards();
-        let mut available = vec![true; n];
-        available[target] = false;
-        let available = available;
         let racks = self.map.racks();
         let row = at.row;
-        let target_disk = row[target];
-        let price = |traffic: &mut HelperTraffic, reads: &[ShardRead]| {
-            for read in reads {
-                traffic.add(
-                    read.len as u64,
-                    racks.same_rack(row[read.shard], target_disk),
-                );
-            }
-        };
-        // Hedging: with a hedge delay configured, the first-choice helper
-        // set gets only that long per helper read; when one exceeds it (or
-        // fails), the slow shard is *exiled* — ranked behind every other
-        // survivor — and the next-ranked helper set is tried with the full
-        // deadline, abandon-and-switch rather than wait. The availability
-        // mask stays single-failure (the plan API's contract); codes with
-        // no helper freedom (fixed plans) return the same set again, which
-        // is detected below and falls through to full reconstruction.
-        const EXILE_RANK: u64 = 1 << 32;
-        let max_attempts = if self.hedge_delay.is_some() { 2 } else { 1 };
+        let home = row[targets[0]];
+        // Whole slots: a reader's scratch still holds its previous stripe.
+        for shard in at.padding.clone() {
+            scratch.buf.shard_mut(shard).fill(0);
+            scratch.present[shard] = true;
+        }
+        let mut bad = vec![false; n];
         let mut exiled: Vec<usize> = Vec::new();
-        for attempt in 0..max_attempts {
-            // Locality-first helper preference: same-rack survivors rank 0;
-            // shards the hedge gave up on rank behind everything.
-            let exiled_now = exiled.clone();
-            let rank = move |shard: usize| {
-                u64::from(!racks.same_rack(row[shard], target_disk))
-                    + if exiled_now.contains(&shard) {
-                        EXILE_RANK
-                    } else {
-                        0
-                    }
+        let mut hedge = self
+            .hedge_delay
+            .filter(|_| targets.len() == 1 && !at.padding.contains(&targets[0]));
+        let mut open = targets.clone();
+        let mut solved: Vec<ShardRead> = Vec::new();
+        while !open.is_empty() {
+            let mut available: Vec<bool> = (0..n)
+                .map(|s| !bad[s] && (at.padding.contains(&s) || !targets.contains(&s)))
+                .collect();
+            let rank = |shard: usize| -> u64 {
+                if exiled.contains(&shard) {
+                    3
+                } else if scratch.present[shard] {
+                    0
+                } else {
+                    1 + u64::from(!racks.same_rack(row[shard], home))
+                }
             };
-            let reads = self
-                .code
-                .repair_reads_ranked(target, &available, self.chunk_len, &rank)?;
-            if attempt > 0 && reads.iter().any(|r| exiled.contains(&r.shard)) {
-                // No alternate helper set exists for this code: the full
-                // reconstruction path routes around the slow shard instead.
-                return Ok(false);
+            let mut plans = Vec::with_capacity(open.len());
+            for &target in &open {
+                // Only a padding target is available (to the other plans).
+                let kept = std::mem::replace(&mut available[target], false);
+                let plan = self
+                    .code
+                    .repair_reads_ranked(target, &available, self.chunk_len, &rank);
+                available[target] = kept;
+                plans.push(match plan {
+                    Ok(plan) => plan,
+                    // A padding target is its zeroed slot: a plan only
+                    // prices it, so having none is no loss.
+                    Err(_) if at.padding.contains(&target) => Vec::new(),
+                    Err(e) => {
+                        let survivors = available.iter().filter(|&&a| a).count();
+                        return Err(self.unrecoverable(at.object, at.stripe, survivors, e));
+                    }
+                });
             }
-            if at.padding.contains(&target) {
-                // The lost chunk was zero padding: priced like any rebuild,
-                // but its bytes are known, so no helper is read.
-                scratch.rebuilt.fill(0);
-                price(traffic, &reads);
-                return Ok(true);
-            }
+            let to_read = open
+                .iter()
+                .zip(&plans)
+                .filter(|&(target, _)| !at.padding.contains(target))
+                .flat_map(|(_, plan)| plan);
+            let mut reads = union_of(to_read, self.chunk_len);
+            reads.retain(|read| !scratch.present[read.shard]);
+
             let io_start = Instant::now();
-            // A hedged first attempt reads its helpers one at a time, each
-            // under the short hedge budget, and gives up at the first slow
-            // one (abandon-and-switch). Every other attempt begins all its
-            // helper reads — they go to different disks — and then waits
-            // for all of them.
-            let hedge = self.hedge_delay.filter(|_| attempt == 0);
-            let fail_tag = if attempt + 1 < max_attempts {
-                // A hedge that will retry abandons this read; otherwise
-                // the helper loss just fails the plan.
+            let hedge_now = hedge.take();
+            let fail_tag = if hedge_now.is_some() {
                 "abandoned"
             } else {
                 "helper_failed"
             };
-            let windows = match scratch.buf.windows_mut(&reads) {
-                Ok(windows) => windows,
-                // A plan this store cannot lay out is not worth failing the
-                // stripe over: full reconstruction needs no plan.
-                Err(_) => return Ok(false),
-            };
             let mut outcome = ReadOutcome::default();
             let mut pending = Vec::with_capacity(reads.len());
-            for (read, dest) in reads.iter().zip(windows) {
-                if scratch.present[read.shard] {
-                    continue; // verified payload already in place
-                }
-                if at.padding.contains(&read.shard) {
-                    dest.fill(0); // zero padding, known without a read
-                    continue;
-                }
+            for (read, window) in reads.iter().zip(scratch.buf.windows_mut(&reads)?) {
                 traffic.fetched += read.len as u64;
                 let id = ChunkId {
                     stripe: at.stripe,
@@ -1500,194 +1505,103 @@ impl BlockStore {
                 };
                 let disk = row[read.shard];
                 let io_span = self.chunk_io_span(disk, read.shard, read.len);
-                match (hedge, &self.guards[disk]) {
+                match (hedge_now, &self.guards[disk]) {
                     (Some(delay), Some(guard)) => {
                         let result = guard.read_chunk_range_deadline(
                             at.object,
                             id,
                             self.chunk_len,
                             read.offset,
-                            dest,
+                            window,
                             delay,
                         );
                         if !self.settle_read(read.shard, io_span, result, fail_tag, &mut outcome) {
                             break;
                         }
+                        scratch.present[read.shard] |= read.len == self.chunk_len;
                     }
                     _ => pending.push((
-                        read.shard,
+                        read,
                         io_span,
                         self.disks[disk].begin_read(
                             at.object,
                             id,
                             self.chunk_len,
                             read.offset,
-                            dest,
+                            window,
                         ),
                     )),
                 }
             }
-            for (shard, io_span, read) in pending {
-                self.settle_read(shard, io_span, read.wait(), fail_tag, &mut outcome);
+            for (read, io_span, pending) in pending {
+                if self.settle_read(read.shard, io_span, pending.wait(), fail_tag, &mut outcome) {
+                    scratch.present[read.shard] |= read.len == self.chunk_len;
+                }
             }
             if let Some(e) = outcome.hard {
                 return Err(e);
             }
-            let failed_shard = outcome.failed.first().copied();
             times.add_duration(Stage::ChunkIo, io_start.elapsed());
-            match failed_shard {
-                None => {
+            if let (Some(_), Some(&slow)) = (hedge_now, outcome.failed.first()) {
+                exiled.push(slow);
+                StoreMetrics::add(&self.metrics.hedged_reads, 1);
+                continue;
+            }
+
+            let mut adopted = Vec::new();
+            for &shard in &outcome.failed {
+                bad[shard] = true;
+                if adopt_failed && !targets.contains(&shard) {
+                    targets.push(shard);
+                    adopted.push(shard);
+                }
+            }
+            let mut next = Vec::new();
+            for (&target, plan) in open.iter().zip(plans) {
+                let padding = at.padding.contains(&target);
+                if !padding && plan.iter().any(|read| bad[read.shard]) {
+                    next.push(target);
+                    continue;
+                }
+                if !padding {
+                    // The hedge won when the round after it read a plan
+                    // around the exiled shards with no helper failing.
+                    let hedge_won = !exiled.is_empty()
+                        && !bad.contains(&true)
+                        && plan.iter().all(|read| !exiled.contains(&read.shard));
                     let mut rebuild_span = self.trace_span("rebuild");
                     if let Some((s, _)) = rebuild_span.as_mut() {
                         s.tag("target_shard", target.to_string());
-                        if attempt > 0 {
-                            // The alternate helper set finished first: the
-                            // hedge won against the exiled slow shard.
+                        if hedge_won {
                             s.tag("hedged", "winner");
                         }
                     }
                     let erasure_start = Instant::now();
                     self.code.repair_from_reads(
                         target,
-                        &reads,
+                        &plan,
                         &scratch.buf.as_set(),
                         &mut scratch.rebuilt,
                     )?;
+                    scratch
+                        .buf
+                        .shard_mut(target)
+                        .copy_from_slice(&scratch.rebuilt);
                     times.add_duration(Stage::Erasure, erasure_start.elapsed());
-                    if attempt > 0 {
+                    if hedge_won {
                         StoreMetrics::add(&self.metrics.hedge_wins, 1);
                     }
                     if let Some((s, tracer)) = rebuild_span {
                         s.finish(tracer);
                     }
-                    price(traffic, &reads);
-                    return Ok(true);
                 }
-                Some(shard) if attempt + 1 < max_attempts => {
-                    exiled.push(shard);
-                    StoreMetrics::add(&self.metrics.hedged_reads, 1);
-                }
-                Some(_) => return Ok(false),
+                solved.extend(plan);
             }
+            next.extend(adopted);
+            open = next;
         }
-        Ok(false)
-    }
-
-    /// Reads surviving chunks into the scratch stripe and rebuilds every
-    /// missing slot in place — the shared engine of multi-loss degraded
-    /// reads and multi-loss repairs.
-    ///
-    /// Shards flagged in `scratch.present` were already read and verified
-    /// by the caller (the data chunks of a degraded read; none for
-    /// repairs): they are neither re-read nor re-counted. The stripe's
-    /// zero padding joins them: its slots are zeroed and flagged present,
-    /// lost or not, so padding is never read and always counts as a
-    /// survivor. `damaged` lists shards known lost or corrupt; any further
-    /// damage discovered while reading survivors is appended for the
-    /// caller to rebuild. MDS codes stop reading once `k` survivors are
-    /// present — any `k` shards decode the stripe, so that is all a
-    /// rebuilding node would fetch, and survivors sharing the first
-    /// damaged disk's rack are read first so that budget prefers
-    /// intra-rack bytes — while non-MDS codes (LRC) read every survivor,
-    /// since `k` arbitrary shards may not span the data.
-    ///
-    /// On success the whole stripe (data and parity) is valid in
-    /// `scratch.buf`; the survivors read here are added to `traffic`,
-    /// split intra/cross rack relative to the first damaged shard's disk,
-    /// and every read begun to `traffic.fetched`.
-    fn reconstruct_from_survivors(
-        &self,
-        at: &StripeRef<'_>,
-        damaged: &mut Vec<usize>,
-        scratch: &mut StripeScratch,
-        traffic: &mut HelperTraffic,
-        times: &mut StageTimes,
-    ) -> Result<()> {
-        let params = self.code.params();
-        let (k, n) = (params.data_shards(), params.total_shards());
-        let (object, stripe, row) = (at.object, at.stripe, at.row);
-        let racks = self.map.racks();
-        let home_disk = damaged.first().map(|&s| row[s]);
-        let same_rack_as_home =
-            |shard: usize| home_disk.is_some_and(|home| racks.same_rack(row[shard], home));
-        // Whole slots: a reader's scratch still holds its previous stripe.
-        for shard in at.padding.clone() {
-            scratch.buf.shard_mut(shard).fill(0);
-            scratch.present[shard] = true;
-        }
-        // Locality-first survivor order: same-rack shards before cross-rack
-        // ones, index order within each class (MDS codes stop at k, so the
-        // order decides which racks the helper bytes come from).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&shard| (!same_rack_as_home(shard), shard));
-        let mut survivors = scratch.present.iter().filter(|&&p| p).count();
-        let io_start = Instant::now();
-        let mut candidates = order
-            .into_iter()
-            .filter(|&shard| !scratch.present[shard] && !damaged.contains(&shard))
-            .collect::<Vec<_>>()
-            .into_iter();
-        // Each round begins exactly the reads still needed — for an MDS code
-        // the k − survivors next-ranked shards, for any other code every
-        // candidate — and waits for all of them; a round runs again only to
-        // top up for reads that failed.
-        loop {
-            let want = if self.code.is_mds() {
-                k.saturating_sub(survivors)
-            } else {
-                usize::MAX
-            };
-            let round: Vec<ShardRead> = candidates
-                .by_ref()
-                .take(want)
-                .map(|shard| ShardRead::whole(shard, self.chunk_len))
-                .collect();
-            if round.is_empty() {
-                break;
-            }
-            let pending: Vec<_> = round
-                .iter()
-                .zip(scratch.buf.windows_mut(&round)?)
-                .map(|(read, slot)| {
-                    let shard = read.shard;
-                    let io_span = self.chunk_io_span(row[shard], shard, self.chunk_len);
-                    let id = ChunkId { stripe, shard };
-                    let read =
-                        self.disks[row[shard]].begin_read(object, id, self.chunk_len, 0, slot);
-                    (shard, io_span, read)
-                })
-                .collect();
-            traffic.fetched += (round.len() * self.chunk_len) as u64;
-            let mut outcome = ReadOutcome::default();
-            for (shard, io_span, read) in pending {
-                if self.settle_read(shard, io_span, read.wait(), "helper_failed", &mut outcome) {
-                    scratch.present[shard] = true;
-                    survivors += 1;
-                    traffic.add(self.chunk_len as u64, same_rack_as_home(shard));
-                }
-            }
-            if let Some(e) = outcome.hard {
-                return Err(e);
-            }
-            // Damage the caller had not seen yet.
-            damaged.extend(outcome.failed);
-        }
-        times.add_duration(Stage::ChunkIo, io_start.elapsed());
-        if survivors < k {
-            return Err(StoreError::StripeUnrecoverable {
-                object: object.to_string(),
-                stripe,
-                survivors,
-                needed: k,
-            });
-        }
-        {
-            let erasure_start = Instant::now();
-            let mut view = scratch.buf.as_set_mut();
-            self.code
-                .reconstruct_in_place(&mut view, &scratch.present)
-                .map_err(|e| self.unrecoverable(object, stripe, survivors, e))?;
-            times.add_duration(Stage::Erasure, erasure_start.elapsed());
+        for read in union_of(&solved, self.chunk_len) {
+            traffic.add(read.len as u64, racks.same_rack(row[read.shard], home));
         }
         Ok(())
     }
@@ -1729,10 +1643,10 @@ impl BlockStore {
     /// Rebuilds the `damaged` shards of one stripe and writes them back.
     ///
     /// Each claimed shard is re-verified first; shards that are healthy by
-    /// now (e.g. repaired by a concurrent worker) are skipped. A single
-    /// damaged shard is rebuilt along the code's cheapest path with
-    /// byte-exact helper reads; multiple damaged shards use a full
-    /// reconstruction over the survivors.
+    /// now (e.g. repaired by a concurrent worker) are skipped. The rest
+    /// are rebuilt from byte-exact helper reads of each shard's plan; a
+    /// helper found missing or corrupt on the way is planned around, then
+    /// rebuilt and written back as well.
     ///
     /// # Errors
     ///
@@ -1811,8 +1725,8 @@ impl BlockStore {
         }
         let row = self.stripe_disks(object, stripe);
         let mut report = StripeRepair::default();
-        // Dedup the claimed shards so a repeated index cannot disable the
-        // cheap single-failure path or double-count the repair metrics.
+        // Dedup the claimed shards so a repeated index cannot become a
+        // second target or double-count the repair metrics.
         let mut damaged = damaged.to_vec();
         damaged.sort_unstable();
         damaged.dedup();
@@ -1847,19 +1761,11 @@ impl BlockStore {
         scratch.present.fill(false);
         let mut times = StageTimes::new();
         let mut traffic = HelperTraffic::default();
-        if targets.len() == 1
-            && self.try_planned_rebuild(&at, targets[0], scratch, &mut traffic, &mut times)?
-        {
-            self.write_back(&at, targets[0], &scratch.rebuilt)?;
-        } else {
-            // Multi-loss (or helpers unavailable): decode from survivors,
-            // then write every damaged chunk back (including any damage
-            // discovered while reading).
-            self.reconstruct_from_survivors(&at, &mut targets, scratch, &mut traffic, &mut times)?;
-            targets.sort_unstable();
-            for &shard in &targets {
-                self.write_back(&at, shard, scratch.buf.shard(shard))?;
-            }
+        // Damage found while reading helpers is rebuilt and written back too.
+        self.rebuild(&at, &mut targets, true, scratch, &mut traffic, &mut times)?;
+        targets.sort_unstable();
+        for &shard in &targets {
+            self.write_back(&at, shard, scratch.buf.shard(shard))?;
         }
         let written = (targets.len() * self.chunk_len) as u64;
         self.note_repair_traffic(traffic);
@@ -2428,7 +2334,7 @@ mod tests {
         let data = pattern(4 * 512);
         store.put("obj", &data[..]).unwrap();
         fs::remove_file(store.chunk_path("obj", 0, 2)).unwrap();
-        // A duplicated index must not disable the single-failure path or
+        // A duplicated index must not make a second target or
         // double-count the metrics.
         let repair = store.repair_stripe("obj", 0, &[2, 2, 2]).unwrap();
         assert_eq!(repair.rebuilt, vec![2]);
@@ -2445,8 +2351,8 @@ mod tests {
         store.put("obj", &data[..]).unwrap();
         // Lose chunk 0 and bit-rot the b-half of one of its repair helpers:
         // the planned rebuild reads exactly that half, must detect the bad
-        // checksum, and must fall back to full reconstruction instead of
-        // writing a poisoned chunk under a fresh valid CRC.
+        // checksum, and must re-plan around the helper instead of writing
+        // a poisoned chunk under a fresh valid CRC.
         fs::remove_file(store.chunk_path("obj", 0, 0)).unwrap();
         let helper = store.chunk_path("obj", 0, 3);
         let mut bytes = fs::read(&helper).unwrap();

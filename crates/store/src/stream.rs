@@ -54,8 +54,6 @@ struct Ingest {
     stripes: u64,
     /// Total payload bytes accepted.
     total: u64,
-    /// Cumulative erasure/chunk-io time across flushed stripes.
-    stage_times: StageTimes,
     state: IngestState,
 }
 
@@ -78,7 +76,6 @@ impl Ingest {
             filled: 0,
             stripes: 0,
             total: 0,
-            stage_times: StageTimes::new(),
             state: IngestState::Open,
         };
         match store.prepare_object_dirs(name) {
@@ -132,7 +129,6 @@ impl Ingest {
             self.stripes,
             &mut self.buf,
             store.padding(self.filled),
-            &mut self.stage_times,
         );
         match result {
             Ok(()) => {
@@ -265,8 +261,6 @@ struct Serve {
     degraded_stripes: u64,
     /// Per-stage time of the most recent `read_stripe` call.
     last_stage_times: StageTimes,
-    /// Cumulative per-stage time across all `read_stripe` calls.
-    stage_times: StageTimes,
 }
 
 impl Serve {
@@ -281,7 +275,6 @@ impl Serve {
             scratch: store.new_scratch(),
             degraded_stripes: 0,
             last_stage_times: StageTimes::new(),
-            stage_times: StageTimes::new(),
         })
     }
 
@@ -316,7 +309,6 @@ impl Serve {
         let degraded =
             store.read_stripe_into(&at, &mut out[..stripe_len], &mut self.scratch, &mut times)?;
         self.last_stage_times = times;
-        self.stage_times.merge(&times);
         if degraded {
             self.degraded_stripes += 1;
         }
@@ -659,9 +651,6 @@ mod tests {
         let data = pattern(4 * 512 * 3);
         let mut writer = store.writer("obj").unwrap();
         writer.write(&data).unwrap();
-        // Stripes have been flushed, so encode + chunk writes were timed.
-        let wt = writer.ingest.stage_times;
-        assert!(wt.get(Stage::ChunkIo) > 0, "writer chunk io untimed");
         writer.finish().unwrap();
 
         let mut out = vec![0u8; store.stripe_data_len()];
@@ -672,7 +661,7 @@ mod tests {
         assert_eq!(healthy.get(Stage::Erasure), 0, "healthy read ran erasure");
         assert_eq!(store.latency().healthy_stripe_read.count(), 1);
 
-        // Lose a disk: degraded reads time the reconstruct and feed the
+        // Lose a disk: degraded reads time the rebuild and feed the
         // degraded histograms.
         std::fs::remove_dir_all(store.disk_path(0)).unwrap();
         let mut reader = store.reader("obj").unwrap();
@@ -680,8 +669,6 @@ mod tests {
             let (_, degraded) = reader.read_stripe(stripe, &mut out).unwrap();
             assert!(degraded);
         }
-        let total = reader.serve.stage_times;
-        assert!(total.get(Stage::ChunkIo) > 0);
         let latency = store.latency();
         assert_eq!(latency.degraded_stripe_read.count(), 3);
         assert_eq!(latency.degraded_reconstruct.count(), 3);

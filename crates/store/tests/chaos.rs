@@ -153,6 +153,28 @@ fn hedged_rebuild_switches_to_the_next_ranked_helper_set() {
 }
 
 #[test]
+fn a_hedge_with_no_plan_around_the_slow_helper_is_no_win() {
+    let dir = TempDir::new("chaos-hedge-fixed");
+    // Piggybacked-RS plans its reads whatever the rank, so the re-plan
+    // after the hedge names the stalled parity 4 again and reads it under
+    // the full deadline. Only the plan made once it failed, k whole chunks
+    // around it, completes the rebuild.
+    let plan = Arc::new(FaultPlan::parse("disk=4 op=read stall", 7).unwrap());
+    let store = hardened(&dir, "piggyback-4-2", 6, &plan);
+    let data = pattern(4 * CHUNK_LEN);
+    store.put("obj", &data[..]).unwrap();
+    std::fs::remove_dir_all(dir.path().join("pool-01")).unwrap();
+
+    assert_eq!(store.get("obj").unwrap(), data);
+    let metrics = store.metrics();
+    assert_eq!(metrics.hedged_reads, 1, "{metrics:?}");
+    assert_eq!(metrics.hedge_wins, 0, "{metrics:?}");
+    assert_eq!(metrics.degraded_stripe_reads, 1);
+
+    plan.release();
+}
+
+#[test]
 fn repeated_runs_under_the_same_seed_are_deterministic() {
     // Same plan text + seed ⇒ identical injected outcomes, hence identical
     // hedge/health counters — the property the chaos CI job leans on.

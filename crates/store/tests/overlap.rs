@@ -1,11 +1,14 @@
 //! Overlapped chunk I/O, seen from the backend: the store *begins* every
-//! read of a batch before it *waits* for any, and the batches are exactly
-//! the reads the serial loops used to issue — k data chunks for a healthy
-//! stripe, the `repair_reads` ranges for a planned rebuild, the first k
-//! survivors (plus a top-up per failure) for a full reconstruction. A
-//! short stripe's zero padding is never read: a GET begins a check of each
-//! padding chunk (`begin_verify`) in the batch of k, its rebuilds begin no
-//! range on it, and a lost padding chunk is rebuilt with no read at all.
+//! read of a batch before it *waits* for any. A healthy stripe is one
+//! batch of its k data chunks. A rebuild is one batch per round: the
+//! ranges its plans (`repair_reads_ranked`, one plan per lost chunk) name
+//! that are not already resident. A failed helper makes one more round
+//! that plans around it, so each range is begun once, the failed helper
+//! is never asked again, and an MDS code tops up with one survivor per
+//! failure. A short stripe's zero padding is never read: a GET begins a
+//! check of each padding chunk (`begin_verify`) in the batch of k, its
+//! rebuilds begin no range on it, and a lost padding chunk is rebuilt with
+//! no read at all.
 //! The write side has one batch: the n chunks of a stripe, for `put` and
 //! for `ObjectWriter` alike, all collected even when one of them fails; a
 //! short stripe's padding chunks are begun in it as zero writes.
@@ -20,7 +23,8 @@ use std::fs;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use pbrs_erasure::{total_read_bytes as total, ShardRead};
+use pbrs_core::registry;
+use pbrs_erasure::{total_read_bytes as total, CodeSpec, ShardRead};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, FaultPlan, FaultyBackend, LocalDisk,
@@ -194,18 +198,24 @@ fn recording(inner: impl ChunkBackend + 'static, log: &Log) -> Arc<dyn ChunkBack
 /// An empty `piggyback-6-3` store (shard `i` on disk `i`, one rack per
 /// disk) over whatever `mount` builds on each local directory.
 fn store_over(dir: &TempDir, mount: Mount) -> (BlockStore, Log) {
+    store_of(dir, "piggyback-6-3", mount)
+}
+
+/// [`store_over`] for any code.
+fn store_of(dir: &TempDir, spec: &str, mount: Mount) -> (BlockStore, Log) {
+    let spec: CodeSpec = spec.parse().unwrap();
+    let n = registry::build(&spec).unwrap().params().total_shards();
     let log = Log::default();
-    let disks = (0..N)
+    let disks = (0..n)
         .map(|i| {
             let local = LocalDisk::new(dir.path().join(format!("disk-{i:02}")));
             mount(i, local, &log)
         })
         .collect();
     let store = BlockStore::open_with_backends(
-        StoreConfig::new(dir.path().join("root"), "piggyback-6-3".parse().unwrap())
-            .chunk_len(CHUNK_LEN),
+        StoreConfig::new(dir.path().join("root"), spec).chunk_len(CHUNK_LEN),
         disks,
-        RackMap::per_disk(N),
+        RackMap::per_disk(n),
         PlacementPolicy::Identity,
     )
     .unwrap();
@@ -391,6 +401,130 @@ fn survivor_reads_stop_at_k_and_top_up_only_for_failures() {
     assert_eq!(repair.helper_bytes, 6 * CHUNK_LEN as u64);
     assert_eq!(store.get("obj").unwrap(), data);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+/// The reads `events` begins, checked to be begun once each, with no
+/// chunk begun again once a whole read of it was begun.
+fn begun_once(events: &[Event]) -> Vec<ShardRead> {
+    let begun: Vec<ShardRead> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Begin(read) => Some(*read),
+            _ => None,
+        })
+        .collect();
+    let mut whole = Vec::new();
+    for (i, read) in begun.iter().enumerate() {
+        assert!(
+            !begun[..i].contains(read),
+            "{read:?} begun twice: {begun:?}"
+        );
+        assert!(
+            !whole.contains(&read.shard),
+            "shard {} begun again after a whole read: {begun:?}",
+            read.shard
+        );
+        if read.len == CHUNK_LEN {
+            whole.push(read.shard);
+        }
+    }
+    begun
+}
+
+#[test]
+fn a_failed_planned_helper_is_planned_around_and_begun_once() {
+    let dir = TempDir::new("overlap-failed-helper");
+    let (store, log, data) = recorded_store(&dir);
+    const TARGET: usize = 1;
+    const HELPER: usize = 6;
+    assert!(plan(&store, TARGET).iter().any(|r| r.shard == HELPER));
+    fs::remove_file(chunk_file(&dir, 0, TARGET)).unwrap();
+    fs::remove_file(chunk_file(&dir, 0, HELPER)).unwrap();
+    let helper_begins = |begun: &[ShardRead]| begun.iter().filter(|r| r.shard == HELPER).count();
+
+    // Degraded GET: the plan's two parity half-chunks are begun, shard 6
+    // fails, and the re-plan adds one whole chunk, shard 7. Stripe 1 is
+    // healthy.
+    take(&log);
+    assert_eq!(store.get("obj").unwrap(), data);
+    let events = take(&log);
+    let (stripe_0, stripe_1) = events.split_at(events.len() - 12);
+    assert_eq!(stripe_1, batch(&whole(0..6)));
+    let begun = begun_once(stripe_0);
+    assert_eq!(helper_begins(&begun), 1, "{begun:?}");
+    let metrics = store.metrics();
+    assert_eq!(metrics.degraded_fetched_bytes, 512);
+    // The final plan is k whole chunks: 0, 2, 3, 4, 5 and 7.
+    assert_eq!(metrics.degraded_helper_bytes, 6 * CHUNK_LEN as u64);
+
+    // Repair from an empty scratch: the plan, then the re-plan's whole
+    // chunks that are not resident yet. The failed helper is rebuilt too.
+    let repair = store.repair_stripe("obj", 0, &[TARGET]).unwrap();
+    assert_eq!(repair.rebuilt, vec![TARGET, HELPER]);
+    let begun = begun_once(&take(&log));
+    assert_eq!(helper_begins(&begun), 1, "{begun:?}");
+    assert_eq!(repair.fetched_bytes, 2176);
+    assert_eq!(total(&begun), 2176);
+    assert_eq!(repair.helper_bytes, 6 * CHUNK_LEN as u64);
+    assert!(store.scrub().unwrap().is_clean());
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
+fn an_lrc_multi_loss_reads_each_target_s_local_group() {
+    let dir = TempDir::new("overlap-lrc");
+    let (store, log) = store_of(&dir, "lrc-10-2-4", &|_, local, log| recording(local, log));
+    let data: Vec<u8> = (0..10 * CHUNK_LEN).map(|i| (i * 7 % 251) as u8).collect();
+    store.put("obj", &data[..]).unwrap();
+    // Data shards 0 and 5 sit in local groups {0–4} and {5–9}, whose XOR
+    // parities are shards 10 and 11.
+    for shard in [0, 5] {
+        fs::remove_file(chunk_file(&dir, 0, shard)).unwrap();
+    }
+
+    // The GET holds the eight surviving data chunks: each group's
+    // rebuild adds only its local parity.
+    take(&log);
+    assert_eq!(store.get("obj").unwrap(), data);
+    let events = take(&log);
+    assert_eq!(events[20..], batch(&whole([10, 11])));
+    let metrics = store.metrics();
+    assert_eq!(metrics.degraded_fetched_bytes, 2 * CHUNK_LEN as u64);
+    assert_eq!(metrics.degraded_helper_bytes, 10 * CHUNK_LEN as u64);
+
+    // The repair reads both local groups, 10 chunks, not all 14 survivors.
+    let repair = store.repair_stripe("obj", 0, &[0, 5]).unwrap();
+    assert_eq!(repair.rebuilt, vec![0, 5]);
+    let groups = whole([1, 2, 3, 4, 6, 7, 8, 9, 10, 11]);
+    assert_eq!(take(&log), batch(&groups));
+    assert_eq!(repair.fetched_bytes, 10 * CHUNK_LEN as u64);
+    assert_eq!(repair.helper_bytes, 10 * CHUNK_LEN as u64);
+    assert!(store.scrub().unwrap().is_clean());
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
+fn an_rs_repair_with_a_failed_helper_fetches_the_plan_plus_one_chunk() {
+    let dir = TempDir::new("overlap-rs-failed-helper");
+    let (store, log) = store_of(&dir, "rs-4-2", &|_, local, log| recording(local, log));
+    let data: Vec<u8> = (0..4 * CHUNK_LEN).map(|i| (i * 13 % 251) as u8).collect();
+    store.put("obj", &data[..]).unwrap();
+    fs::remove_file(chunk_file(&dir, 0, 1)).unwrap();
+    fs::remove_file(chunk_file(&dir, 0, 4)).unwrap();
+
+    // The plan is the first k survivors; parity 4 fails, and the next
+    // survivor replaces it.
+    take(&log);
+    let repair = store.repair_stripe("obj", 0, &[1]).unwrap();
+    assert_eq!(repair.rebuilt, vec![1, 4]);
+    assert_eq!(
+        take(&log),
+        [batch(&whole([0, 2, 3, 4])), batch(&whole([5]))].concat()
+    );
+    assert_eq!(repair.fetched_bytes, 5 * CHUNK_LEN as u64);
+    assert_eq!(repair.helper_bytes, 4 * CHUNK_LEN as u64);
+    assert!(store.scrub().unwrap().is_clean());
+    assert_eq!(store.get("obj").unwrap(), data);
 }
 
 #[test]

@@ -100,6 +100,21 @@ fn losing_more_than_n_minus_k_real_chunks_is_still_refused() {
     }
 }
 
+#[test]
+fn losing_n_minus_k_real_chunks_and_a_padding_chunk_is_recoverable() {
+    for spec in ["rs-10-4", "piggyback-10-4"] {
+        let (_dir, store, data) = with_short_stripe(spec);
+        // Four real chunks, as many as r, and one padding chunk: the
+        // padding chunk is zeros, so it needs no helper of its own.
+        const LOST: [usize; 5] = [0, 1, 2, 5, 10];
+        lose(&store, SHORT, &LOST);
+        assert_eq!(store.get("obj").unwrap(), data, "{spec}: degraded read");
+        let repair = store.repair_stripe("obj", SHORT, &LOST).unwrap();
+        assert_eq!(repair.rebuilt, LOST, "{spec}");
+        assert!(store.scrub().unwrap().is_clean(), "{spec}");
+    }
+}
+
 /// How a padding chunk is damaged on disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Damage {
