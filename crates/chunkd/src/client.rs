@@ -34,17 +34,18 @@
 //!
 //! Every request is a *call* in two halves: sending (register the pending
 //! slot, write the frame) and finishing (wait for the response — reading
-//! the socket in turn — and retry once). The blocking operations run the
-//! halves back to back; [`ChunkBackend::begin_read`] and
-//! [`ChunkBackend::begin_write`] return between them, so one store thread
-//! can have a chunk outstanding on each of a stripe's disks and pay for
-//! the slowest round trip rather than their sum. A begun read carries its
-//! output buffer, which is where its payload lands when it is waited for.
-//! A begun write borrows its payload the same way: the frame goes out as
-//! one vectored write of header, encoded fields and the caller's bytes —
-//! nothing copied — and the retry sends it again from the same slice.
-//! The blocking forms are literally `begin_read(..).wait()` and
-//! `begin_write(..).wait()` — there is one read path and one write path.
+//! the socket in turn — and retry once). [`ChunkBackend::begin_read`] and
+//! [`ChunkBackend::begin_write`], the client's one chunk read and one chunk
+//! write, return between them, so one store thread can have a chunk
+//! outstanding on each of a stripe's disks and pay for the slowest round
+//! trip rather than their sum. A begun read carries its output buffer,
+//! which is where its payload lands when it is waited for. A begun write
+//! borrows its payload the same way: the frame goes out as one vectored
+//! write of header, encoded fields and the caller's bytes — nothing copied
+//! — and the retry sends it again from the same slice. The blocking
+//! `read_chunk_into`, `read_chunk_range` and `write_chunk` are the trait's
+//! own, a begun op waited for at once; the meta requests (`ensure_object`,
+//! `sweep_tmp`, pings) run both halves back to back.
 //!
 //! # Padding moves no payload
 //!
@@ -72,12 +73,12 @@
 //! # Failure semantics
 //!
 //! An *unreachable* server is a *lost disk*, not a store-wide error: the
-//! read-side operations (`read_chunk_into`, `read_chunk_range`,
+//! read-side operations (`begin_read` and the blocking reads on it,
 //! `verify_chunk`, `begin_verify`) report [`ChunkStatus::Missing`] when
 //! the transport fails after the retry, so degraded reads and repairs
 //! route around the dead machine exactly as they route around a deleted
 //! directory — which is the failure model the paper measures. Write-side
-//! operations (`ensure_object`, `write_chunk`, `begin_write_zeros`) stay
+//! operations (`ensure_object`, `begin_write`, `begin_write_zeros`) stay
 //! hard errors: there is no safe way to pretend a write landed.
 //! [`ChunkBackend::is_available`] reports the disk itself (it is how
 //! scrub's `lost_disks` learns of the death), and `sweep_tmp` returns
@@ -1033,10 +1034,6 @@ impl ChunkBackend for RemoteDisk {
         self.expect_ok(object, response).map(drop)
     }
 
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
-        self.begin_write(object, id, payload).wait()
-    }
-
     /// Puts the `WriteChunk` frame on the wire and returns; the response is
     /// collected (and a transport failure retried once, then reported as a
     /// hard error) at `wait`.
@@ -1082,22 +1079,6 @@ impl ChunkBackend for RemoteDisk {
             call: self.call(request, &[]),
             object: object.to_string(),
         })
-    }
-
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        let chunk_len = out.len();
-        self.begin_read(object, id, chunk_len, 0, out).wait()
-    }
-
-    fn read_chunk_range(
-        &self,
-        object: &str,
-        id: ChunkId,
-        chunk_len: usize,
-        offset: usize,
-        out: &mut [u8],
-    ) -> ChunkRead<()> {
-        self.begin_read(object, id, chunk_len, offset, out).wait()
     }
 
     /// Registers the pending slot, writes the request frame and returns;

@@ -260,8 +260,8 @@ fn piggyback_reads_are_half_shards_for_data_targets() {
 
 /// Every range a single-loss plan names is one half of the chunk or the
 /// whole chunk — for every registry spec, every target, and every helper
-/// ranking the store asks for (no preference, and each other shard exiled
-/// behind the rest, as a hedge does). A chunk file checksums its payload
+/// ranking (no preference, and each other shard ranked behind the rest).
+/// A chunk file checksums its payload
 /// in exactly those two halves, so the half CRCs cover every repair byte
 /// and `read_chunk_range` never needs its unaligned side-buffer path.
 #[test]

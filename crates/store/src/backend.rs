@@ -10,7 +10,7 @@
 //! * a remote disk served by the `pbrs-chunkd` TCP chunk server, whose
 //!   client implements this trait over a length-prefixed wire protocol.
 //!
-//! The trait is deliberately *range-aware*: [`ChunkBackend::read_chunk_range`]
+//! The trait is deliberately *range-aware*: [`ChunkBackend::begin_read`]
 //! serves exactly the helper byte ranges
 //! [`pbrs_erasure::ErasureCode::repair_reads`] names (half-chunks for
 //! Piggybacked-RS), so a networked backend ships only the bytes a repair
@@ -66,8 +66,7 @@ impl BackendCounters {
 /// whose outcome has not been collected yet. The destination buffer stays
 /// mutably borrowed until [`PendingRead::wait`] returns.
 pub trait PendingRead {
-    /// Blocks until the read has finished and yields its outcome, in the
-    /// same shape the blocking reads return.
+    /// Blocks until the read has finished and yields its outcome.
     ///
     /// # Errors
     ///
@@ -117,6 +116,16 @@ impl PendingWrite for ReadyWrite {
 /// daemon's pool. Methods that read chunks use the store's
 /// [`ChunkRead`] shape: the outer error is a hard I/O failure, the inner
 /// one a missing/corrupt chunk the caller will repair around.
+///
+/// Every chunk op is *begun*, then *waited* for. A backend implements one
+/// chunk read ([`ChunkBackend::begin_read`]) and one chunk write
+/// ([`ChunkBackend::begin_write`]), plus `describe`, `is_available`,
+/// `ensure_object`, `remove_object`, `verify_chunk` and `sweep_tmp`. The
+/// blocking [`ChunkBackend::read_chunk_into`],
+/// [`ChunkBackend::read_chunk_range`] and [`ChunkBackend::write_chunk`]
+/// are provided as a begun op waited for at once; the zero write, the
+/// begun check, the counters and the span drain have defaults that a
+/// backend overrides when it can do better.
 pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// Human-readable location of the disk (a path, or a `chunkd://` addr).
     fn describe(&self) -> String;
@@ -127,7 +136,7 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
 
     /// Creates (durably) the object's directory. Idempotent. A chunk write
     /// creates the directory it needs on its own
-    /// ([`ChunkBackend::write_chunk`]), so neither `put` nor repair calls
+    /// ([`ChunkBackend::begin_write`]), so neither `put` nor repair calls
     /// this; it remains as an explicit pre-create.
     ///
     /// # Errors
@@ -143,26 +152,71 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// Returns [`StoreError::Io`] on transport failure.
     fn remove_object(&self, object: &str) -> Result<()>;
 
-    /// Writes one chunk atomically (tmp + fsync + rename + dir fsync),
-    /// creating the object's directory — durably, as
-    /// [`ChunkBackend::ensure_object`] does — if it does not exist yet.
+    /// Starts reading `out.len()` payload bytes at `offset` of a chunk whose
+    /// payload is `chunk_len` bytes, and returns without waiting for them.
+    /// The range is checksum-verified at half-chunk granularity (see
+    /// [`crate::chunk::read_chunk_range`]): a whole chunk, or exactly the
+    /// helper ranges [`pbrs_erasure::ErasureCode::repair_reads`] names. The
+    /// outcome arrives at [`PendingRead::wait`]. A stripe's chunks live on
+    /// different disks, so a caller that begins all its reads before
+    /// waiting for any pays for the slowest round trip instead of their
+    /// sum.
+    ///
+    /// Required: it is a backend's one chunk read. A backend with nothing
+    /// to overlap reads here and now and returns a [`ReadyRead`]; a
+    /// networked one puts the request on the wire and returns.
+    fn begin_read<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+        offset: usize,
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a>;
+
+    /// Starts writing one chunk atomically (tmp + fsync + rename + dir
+    /// fsync), creating the object's directory — durably, as
+    /// [`ChunkBackend::ensure_object`] does — if it does not exist yet, and
+    /// returns without waiting for it to land. The payload stays borrowed
+    /// until the handle is waited for or dropped, so a networked backend
+    /// can send it straight from the caller's buffer — and must not be
+    /// changed meanwhile. A stripe's `n` chunks go to `n` different disks,
+    /// so a caller that begins them all before waiting for any pays for
+    /// the slowest write instead of their sum.
+    ///
+    /// Required: it is a backend's one chunk write, finished here and now
+    /// ([`ReadyWrite`]) by a backend with nothing to overlap.
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &'a [u8],
+    ) -> Box<dyn PendingWrite + 'a>;
+
+    /// Writes one chunk and waits for it: [`ChunkBackend::begin_write`]
+    /// waited for at once.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem/transport failure.
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()>;
+    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
+        self.begin_write(object, id, payload).wait()
+    }
 
     /// Reads and fully verifies one chunk into `out` (whose length is the
-    /// expected payload length).
+    /// expected payload length): [`ChunkBackend::begin_read`] of the whole
+    /// payload, waited for at once.
     ///
     /// # Errors
     ///
     /// Hard I/O failures only; missing/corrupt chunks are the inner result.
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()>;
+    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
+        let chunk_len = out.len();
+        self.begin_read(object, id, chunk_len, 0, out).wait()
+    }
 
-    /// Reads `out.len()` payload bytes at `offset`, checksum-verified at
-    /// half-chunk granularity — the partial-read primitive behind
-    /// [`pbrs_erasure::ErasureCode::repair_reads`] execution.
+    /// Reads `out.len()` payload bytes at `offset`:
+    /// [`ChunkBackend::begin_read`] waited for at once.
     ///
     /// # Errors
     ///
@@ -174,56 +228,8 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
         chunk_len: usize,
         offset: usize,
         out: &mut [u8],
-    ) -> ChunkRead<()>;
-
-    /// Starts reading `out.len()` payload bytes at `offset` of a chunk whose
-    /// payload is `chunk_len` bytes, and returns without waiting for them:
-    /// the split form of [`ChunkBackend::read_chunk_into`] (when the range is
-    /// the whole payload) and [`ChunkBackend::read_chunk_range`] (otherwise),
-    /// with the same verification and the same outcome at
-    /// [`PendingRead::wait`]. A stripe's chunks live on different disks, so
-    /// a caller that begins all its reads before waiting for any pays for
-    /// the slowest round trip instead of their sum.
-    ///
-    /// The default performs the blocking read here and now and returns a
-    /// finished handle — right for a backend with no round trip to overlap,
-    /// and for wrappers whose blocking reads carry semantics (deadlines,
-    /// injected faults) that must keep applying. A networked backend
-    /// overrides it to put the request on the wire and return.
-    fn begin_read<'a>(
-        &'a self,
-        object: &str,
-        id: ChunkId,
-        chunk_len: usize,
-        offset: usize,
-        out: &'a mut [u8],
-    ) -> Box<dyn PendingRead + 'a> {
-        Box::new(ReadyRead(if offset == 0 && out.len() == chunk_len {
-            self.read_chunk_into(object, id, out)
-        } else {
-            self.read_chunk_range(object, id, chunk_len, offset, out)
-        }))
-    }
-
-    /// Starts writing one chunk and returns without waiting for it to land:
-    /// the split form of [`ChunkBackend::write_chunk`], with the same
-    /// atomicity and the same outcome at [`PendingWrite::wait`]. The payload
-    /// stays borrowed until the handle is waited for or dropped, so a
-    /// networked backend can send it straight from the caller's buffer —
-    /// and must not be changed meanwhile. A stripe's `n` chunks go to `n`
-    /// different disks, so a caller that begins them all before waiting for
-    /// any pays for the slowest write instead of their sum.
-    ///
-    /// The default performs the blocking write here and now and returns a
-    /// finished handle, for the same backends and the same reasons as
-    /// [`ChunkBackend::begin_read`]'s default.
-    fn begin_write<'a>(
-        &'a self,
-        object: &str,
-        id: ChunkId,
-        payload: &'a [u8],
-    ) -> Box<dyn PendingWrite + 'a> {
-        Box::new(ReadyWrite(self.write_chunk(object, id, payload)))
+    ) -> ChunkRead<()> {
+        self.begin_read(object, id, chunk_len, offset, out).wait()
     }
 
     /// Starts writing one chunk of `len` zero bytes: the same chunk file,
@@ -232,9 +238,9 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// short stripe. A networked backend sends only the length, and the far
     /// side writes the zeros itself.
     ///
-    /// The default performs the blocking [`ChunkBackend::write_chunk`] of a
-    /// zeroed buffer here and now, for the same backends and the same
-    /// reasons as [`ChunkBackend::begin_read`]'s default.
+    /// The default performs the [`ChunkBackend::write_chunk`] of a zeroed
+    /// buffer here and now, which is right for a backend with nothing to
+    /// overlap and for wrappers that gate [`ChunkBackend::begin_write`].
     fn begin_write_zeros<'a>(
         &'a self,
         object: &str,
@@ -253,9 +259,9 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// The check is [`ChunkBackend::verify_chunk`]'s: header and both half
     /// checksums.
     ///
-    /// The default performs the blocking [`ChunkBackend::verify_chunk`] here
-    /// and now, for the same backends and the same reasons as
-    /// [`ChunkBackend::begin_read`]'s default.
+    /// The default performs the [`ChunkBackend::verify_chunk`] here and now,
+    /// which is right for a backend with nothing to overlap and for
+    /// wrappers that gate [`ChunkBackend::verify_chunk`].
     fn begin_verify<'a>(
         &'a self,
         object: &str,
@@ -366,32 +372,36 @@ impl ChunkBackend for LocalDisk {
         }
     }
 
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
-        let path = self.chunk_path(object, id);
-        match chunk::write_chunk(&path, id, payload) {
-            // The first write of an object to this disk: create the
-            // directory (durably) and write again.
-            Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
-                self.ensure_object(object)?;
-                chunk::write_chunk(&path, id, payload)
-            }
-            written => written,
-        }
-    }
-
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        chunk::read_chunk_into(&self.chunk_path(object, id), id, out)
-    }
-
-    fn read_chunk_range(
-        &self,
+    fn begin_read<'a>(
+        &'a self,
         object: &str,
         id: ChunkId,
         chunk_len: usize,
         offset: usize,
-        out: &mut [u8],
-    ) -> ChunkRead<()> {
-        chunk::read_chunk_range(&self.chunk_path(object, id), id, chunk_len, offset, out)
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
+        let path = self.chunk_path(object, id);
+        Box::new(ReadyRead(chunk::read_chunk_range(
+            &path, id, chunk_len, offset, out,
+        )))
+    }
+
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &'a [u8],
+    ) -> Box<dyn PendingWrite + 'a> {
+        let path = self.chunk_path(object, id);
+        Box::new(ReadyWrite(match chunk::write_chunk(&path, id, payload) {
+            // The first write of an object to this disk: create the
+            // directory (durably) and write again.
+            Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
+                self.ensure_object(object)
+                    .and_then(|()| chunk::write_chunk(&path, id, payload))
+            }
+            written => written,
+        }))
     }
 
     fn verify_chunk(

@@ -281,51 +281,17 @@ fn open_and_check_header(
     }
 }
 
-/// Reads and fully verifies a chunk into a caller-provided buffer whose
-/// length is the expected payload length.
-///
-/// This is the allocation-free primitive behind the store's stripe reads:
-/// a worker reuses one stripe-sized scratch buffer across every stripe it
-/// serves instead of allocating a payload `Vec` per chunk. On a
-/// missing/corrupt inner result the buffer contents are unspecified.
-///
-/// # Errors
-///
-/// Returns [`StoreError::Io`] only for failures other than "file missing".
-pub fn read_chunk_into(path: &Path, expect: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-    let expect_len = out.len();
-    let (mut file, crcs) = match open_and_check_header(path, expect, expect_len)? {
-        Ok(ok) => ok,
-        Err(status) => return Ok(Err(status)),
-    };
-    if let Err(status) = read_exact_or_corrupt(
-        &mut file,
-        path,
-        out,
-        "file shorter than its declared payload",
-    )? {
-        return Ok(Err(status));
-    }
-    let half = expect_len / 2;
-    if crc32(&out[..half]) != crcs.lo || crc32(&out[half..]) != crcs.hi {
-        return Ok(Err(ChunkStatus::Corrupt {
-            reason: "payload checksum mismatch".into(),
-        }));
-    }
-    Ok(Ok(()))
-}
-
 /// Reads and fully verifies a chunk, returning its payload — or a
 /// [`ChunkStatus`] explaining why the chunk cannot serve reads.
 ///
-/// Allocating wrapper over [`read_chunk_into`].
+/// Allocating wrapper over [`read_chunk_range`] of the whole payload.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Io`] only for failures other than "file missing".
 pub fn read_chunk(path: &Path, expect: ChunkId, expect_len: usize) -> ChunkRead<Vec<u8>> {
     let mut payload = vec![0u8; expect_len];
-    match read_chunk_into(path, expect, &mut payload)? {
+    match read_chunk_range(path, expect, expect_len, 0, &mut payload)? {
         Ok(()) => Ok(Ok(payload)),
         Err(status) => Ok(Err(status)),
     }
@@ -333,9 +299,13 @@ pub fn read_chunk(path: &Path, expect: ChunkId, expect_len: usize) -> ChunkRead<
 
 /// Reads `out.len()` payload bytes starting at `offset`, checksum-verified.
 ///
-/// This is the partial-read primitive behind degraded reads and repairs:
-/// the byte ranges come from [`pbrs_erasure::ErasureCode::repair_reads`],
-/// so only the helper bytes the rebuild consumes are read (and counted).
+/// This is the one chunk read: a whole chunk (`offset` 0, `out` the whole
+/// payload) for a healthy read, and the partial read behind degraded reads
+/// and repairs, whose byte ranges come from
+/// [`pbrs_erasure::ErasureCode::repair_reads`], so only the helper bytes
+/// the rebuild consumes are read (and counted). On a missing/corrupt inner
+/// result the contents of `out` are unspecified.
+///
 /// Verification works at half-chunk granularity — the requested range is
 /// covered by whole payload halves, each read in full and checked against
 /// its stored CRC, so a payload-corrupt helper is detected here and can

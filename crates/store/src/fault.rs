@@ -56,16 +56,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::backend::{BackendCounters, ChunkBackend};
+use crate::backend::{
+    BackendCounters, ChunkBackend, PendingRead, PendingWrite, ReadyRead, ReadyWrite,
+};
 use crate::chunk::{ChunkId, ChunkRead, ChunkStatus};
 use crate::error::{Result, StoreError};
 
 /// Which backend operation a fault rule applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// `read_chunk_into` / `read_chunk_range`.
+    /// `begin_read`, whole chunk or range, and so the blocking reads
+    /// built on it. A gated read fires when it is begun: a `delay` or a
+    /// `stall` holds the caller there, unless a [`crate::guard::GuardedDisk`]
+    /// begins it on its own executor.
     Read,
-    /// `write_chunk`.
+    /// `begin_write`, and so `write_chunk` and the default zero write.
     Write,
     /// `verify_chunk`.
     Verify,
@@ -441,33 +446,30 @@ impl ChunkBackend for FaultyBackend {
         self.inner.remove_object(object)
     }
 
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &'a [u8],
+    ) -> Box<dyn PendingWrite + 'a> {
         if let Some(what) = self.plan.gate(self.disk, FaultOp::Write) {
-            return Err(self.hard(object, what));
+            return Box::new(ReadyWrite(Err(self.hard(object, what))));
         }
-        self.inner.write_chunk(object, id, payload)
+        self.inner.begin_write(object, id, payload)
     }
 
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        if let Some(what) = self.plan.gate(self.disk, FaultOp::Read) {
-            return self.read_outcome(object, what);
-        }
-        self.inner.read_chunk_into(object, id, out)
-    }
-
-    fn read_chunk_range(
-        &self,
+    fn begin_read<'a>(
+        &'a self,
         object: &str,
         id: ChunkId,
         chunk_len: usize,
         offset: usize,
-        out: &mut [u8],
-    ) -> ChunkRead<()> {
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
         if let Some(what) = self.plan.gate(self.disk, FaultOp::Read) {
-            return self.read_outcome(object, what);
+            return Box::new(ReadyRead(self.read_outcome(object, what)));
         }
-        self.inner
-            .read_chunk_range(object, id, chunk_len, offset, out)
+        self.inner.begin_read(object, id, chunk_len, offset, out)
     }
 
     fn verify_chunk(

@@ -1,20 +1,28 @@
 //! Deadline enforcement over any [`ChunkBackend`].
 //!
-//! The store's I/O is synchronous: a backend that *stalls* (rather than
-//! errors) pins the calling worker for as long as the stall lasts — a
-//! remote disk's request timeout bounds that for chunkd mounts, but a
-//! local disk on a sick device, or any backend wrapped by a `stall`
-//! fault, can hold a thread forever. A [`GuardedDisk`] wraps a backend
-//! with a small executor: ops run on the executor's threads, the calling
-//! worker waits at most the configured deadline, and a late op is
-//! *abandoned* — the caller gets [`ChunkStatus::Missing`] (reads) or a
-//! `TimedOut` error (writes) within the deadline, and the store routes
-//! around the disk exactly as it routes around a dead one.
+//! A backend that *stalls* (rather than errors) holds whoever waits on it
+//! for as long as the stall lasts — a remote disk's request timeout bounds
+//! that for chunkd mounts, but a local disk on a sick device, or any
+//! backend wrapped by a `stall` fault, can hold a thread forever. A
+//! [`GuardedDisk`] wraps a backend with a small executor, and every chunk
+//! op is begun there: [`ChunkBackend::begin_read`],
+//! [`ChunkBackend::begin_write`], [`ChunkBackend::begin_write_zeros`] and
+//! [`ChunkBackend::begin_verify`] submit the op and return a handle whose
+//! deadline is fixed when the op is begun. A stripe that begins its ops on
+//! its guarded disks before waiting for any therefore waits for the
+//! slowest, not for their sum. An op still running at its deadline is
+//! *abandoned*: its wait returns [`ChunkStatus::Missing`] (reads) or a
+//! `TimedOut` error (writes), and the store routes around the disk exactly
+//! as it routes around a dead one. A hedged rebuild begins its first
+//! round's reads the same way under a shorter budget
+//! (`GuardedDisk::begin_read_within`). The meta ops and `verify_chunk` run
+//! on the executor too, and are waited for at once.
 //!
-//! Every outcome feeds the disk's [`DiskHealth`]: timeouts and errors
-//! demote it toward Suspect/Failed, and once the breaker trips,
-//! [`GuardedDisk`] sheds ordinary ops without touching the backend at
-//! all (fast `Missing`), letting one probe through per interval.
+//! Every outcome feeds the disk's [`crate::health::DiskHealth`]: timeouts
+//! and errors demote it toward Suspect/Failed, and once the breaker trips,
+//! [`GuardedDisk`] sheds reads and checks when they are begun, without
+//! touching the backend at all (fast `Missing`), letting one probe through
+//! per interval.
 //!
 //! An abandoned op's thread is stuck until the backend unsticks; the
 //! executor spawns a replacement (up to [`MAX_WORKERS`]) so later ops
@@ -24,12 +32,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::backend::{BackendCounters, ChunkBackend, PendingWrite, ReadyWrite};
+use crate::backend::{BackendCounters, ChunkBackend, PendingRead, PendingWrite, ReadyRead};
 use crate::chunk::{ChunkId, ChunkRead, ChunkStatus};
 use crate::error::{Result, StoreError};
-use crate::health::{Admission, DiskHealth, HealthTracker, Outcome, Transition};
+use crate::health::{Admission, HealthTracker, Outcome, Transition};
 
 /// Ceiling on executor threads per guarded disk. Each abandoned (stuck)
 /// op burns one slot until the backend unsticks; beyond the ceiling the
@@ -94,6 +102,50 @@ impl Executor {
     }
 }
 
+/// An op begun on the executor: its result arrives on `rx` unless `until`
+/// passes first.
+struct Begun<T> {
+    rx: mpsc::Receiver<T>,
+    until: Instant,
+}
+
+/// A guarded read or check in flight. The inner op fills a buffer of its
+/// own on the executor, which lands in `out` only if the op finishes in
+/// time: an abandoned op never writes into the caller's memory.
+struct GuardedRead<'a> {
+    guard: &'a GuardedDisk,
+    begun: Begun<Result<(ChunkStatus, Vec<u8>)>>,
+    out: &'a mut [u8],
+}
+
+impl PendingRead for GuardedRead<'_> {
+    fn wait(self: Box<Self>) -> ChunkRead<()> {
+        let (status, buf) = self.guard.settle(self.guard.finish(self.begun));
+        if status.is_healthy() {
+            self.out.copy_from_slice(&buf);
+        }
+        Ok(status.into_read())
+    }
+}
+
+/// A guarded write in flight; an abandoned one is a `TimedOut` error.
+struct GuardedWrite<'a> {
+    guard: &'a GuardedDisk,
+    begun: Begun<Result<()>>,
+    object: String,
+}
+
+impl PendingWrite for GuardedWrite<'_> {
+    fn wait(self: Box<Self>) -> Result<()> {
+        let Ok(result) = self.guard.finish(self.begun) else {
+            return Err(self.guard.timeout_error(&self.object));
+        };
+        let outcome = result.as_ref().map_or(Outcome::Error, |()| Outcome::Ok);
+        self.guard.record(outcome);
+        result
+    }
+}
+
 /// A deadline-enforcing, health-tracking wrapper around one pool disk.
 pub struct GuardedDisk {
     inner: Arc<dyn ChunkBackend>,
@@ -135,8 +187,9 @@ impl GuardedDisk {
         }
     }
 
-    fn me(&self) -> &DiskHealth {
-        self.health.disk(self.disk)
+    /// Whether the breaker turns the next read or check away.
+    fn shed(&self) -> bool {
+        matches!(self.health.disk(self.disk).admit(), Admission::Shed)
     }
 
     fn record(&self, outcome: Outcome) {
@@ -147,92 +200,127 @@ impl GuardedDisk {
         }
     }
 
-    /// Runs `op` on the executor with a deadline; `Err(())` = timed out
-    /// or no worker available (both recorded as timeouts).
-    fn run_with_deadline<T: Send + 'static>(
+    /// Submits `op` to the executor, to be collected within `budget`.
+    fn begin<T: Send + 'static>(
         &self,
-        deadline: Duration,
+        budget: Duration,
         op: impl FnOnce(&dyn ChunkBackend) -> T + Send + 'static,
-    ) -> std::result::Result<T, ()> {
+    ) -> Begun<T> {
+        let until = Instant::now() + budget;
         let (tx, rx) = mpsc::sync_channel(1);
         let inner = Arc::clone(&self.inner);
-        let submitted = self.executor.submit(Box::new(move || {
+        // A job no worker takes is dropped with its sender, so its wait
+        // finds the channel closed: a timeout.
+        let _ = self.executor.submit(Box::new(move || {
             // The receiver may be long gone (abandoned op): ignore.
             let _ = tx.send(op(inner.as_ref()));
         }));
-        if !submitted {
-            self.record(Outcome::Timeout);
-            return Err(());
-        }
-        match rx.recv_timeout(deadline) {
-            Ok(v) => Ok(v),
-            Err(_) => {
-                self.record(Outcome::Timeout);
-                Err(())
-            }
-        }
+        Begun { rx, until }
     }
 
-    /// Shared read-shaped flow: breaker check, deadline run, outcome
-    /// recording. `shed`/`timeout` name the result for a shed op and an
-    /// abandoned op respectively.
-    fn guarded_read<T: Send + 'static>(
-        &self,
-        deadline: Duration,
-        op: impl FnOnce(&dyn ChunkBackend) -> ChunkRead<T> + Send + 'static,
-    ) -> ChunkRead<T> {
-        match self.me().admit() {
-            Admission::Shed => return Ok(Err(ChunkStatus::Missing)),
-            Admission::Allow | Admission::Probe => {}
+    /// Waits for a begun op until its deadline; `Err(())` = timed out or
+    /// no worker available (both recorded as timeouts).
+    fn finish<T>(&self, begun: Begun<T>) -> std::result::Result<T, ()> {
+        let left = begun.until.saturating_duration_since(Instant::now());
+        let result = begun.rx.recv_timeout(left).map_err(drop);
+        if result.is_err() {
+            self.record(Outcome::Timeout);
         }
-        match self.run_with_deadline(deadline, op) {
-            Ok(Ok(inner)) => {
-                match &inner {
-                    Ok(_) | Err(ChunkStatus::Missing) => self.record(Outcome::Ok),
-                    Err(ChunkStatus::Corrupt { .. }) | Err(ChunkStatus::Healthy) => {
-                        self.record(Outcome::Error)
-                    }
-                }
-                Ok(inner)
+        result
+    }
+
+    /// Runs `op` on the executor under the disk's deadline and waits.
+    fn run_with_deadline<T: Send + 'static>(
+        &self,
+        op: impl FnOnce(&dyn ChunkBackend) -> T + Send + 'static,
+    ) -> std::result::Result<T, ()> {
+        self.finish(self.begin(self.deadline, op))
+    }
+
+    /// Files a read-shaped op's verdict on the disk's health: a corrupt
+    /// chunk or a hard error counts against the disk. Degrade, don't fail:
+    /// a hard error, like a late op, reads as a missing chunk, which the
+    /// store routes around — the error lives on in the health record.
+    fn settle<T: Default>(
+        &self,
+        result: std::result::Result<Result<(ChunkStatus, T)>, ()>,
+    ) -> (ChunkStatus, T) {
+        match result {
+            Ok(Ok(verdict)) => {
+                let corrupt = matches!(verdict.0, ChunkStatus::Corrupt { .. });
+                self.record(if corrupt { Outcome::Error } else { Outcome::Ok });
+                verdict
             }
-            // Degrade, don't fail: on a hardened store a sick disk's hard
-            // read error is routed around exactly like a missing chunk —
-            // the error itself lives on in the disk's health record.
             Ok(Err(_)) => {
                 self.record(Outcome::Error);
-                Ok(Err(ChunkStatus::Missing))
+                (ChunkStatus::Missing, T::default())
             }
-            Err(()) => Ok(Err(ChunkStatus::Missing)),
+            Err(()) => (ChunkStatus::Missing, T::default()),
         }
     }
 
-    /// Like [`ChunkBackend::read_chunk_range`] but bounded at `deadline`
-    /// instead of the disk's configured one — the hedged-read primitive:
-    /// the store gives the first-choice helper set a shorter budget and
-    /// switches survivor sets when it expires.
-    pub fn read_chunk_range_deadline(
-        &self,
+    /// Begins a read-shaped op (a read into `out`, or a check with an
+    /// empty `out`), unless the breaker sheds it.
+    fn begin_guarded_read<'a>(
+        &'a self,
+        budget: Duration,
+        out: &'a mut [u8],
+        op: impl FnOnce(&dyn ChunkBackend, &mut [u8]) -> ChunkRead<()> + Send + 'static,
+    ) -> Box<dyn PendingRead + 'a> {
+        if self.shed() {
+            return Box::new(ReadyRead(Ok(Err(ChunkStatus::Missing))));
+        }
+        let len = out.len();
+        let begun = self.begin(budget, move |disk| {
+            let mut buf = vec![0u8; len];
+            let status = op(disk, &mut buf)?.err().unwrap_or(ChunkStatus::Healthy);
+            Ok((status, buf))
+        });
+        Box::new(GuardedRead {
+            guard: self,
+            begun,
+            out,
+        })
+    }
+
+    /// Begins a write-shaped op on `object` under the disk's deadline.
+    fn begin_guarded_write<'a>(
+        &'a self,
+        object: &str,
+        op: impl FnOnce(&dyn ChunkBackend, &str) -> Result<()> + Send + 'static,
+    ) -> Box<dyn PendingWrite + 'a> {
+        let name = object.to_string();
+        Box::new(GuardedWrite {
+            guard: self,
+            begun: self.begin(self.deadline, move |disk| op(disk, &name)),
+            object: object.to_string(),
+        })
+    }
+
+    fn timeout_error(&self, object: &str) -> StoreError {
+        let (inner, deadline) = (self.inner.describe(), self.deadline);
+        let what = format!("op on {inner} exceeded the {deadline:?} deadline");
+        let error = std::io::Error::new(std::io::ErrorKind::TimedOut, what);
+        StoreError::io(format!("guard://disk-{:02}/{object}", self.disk), error)
+    }
+
+    /// [`ChunkBackend::begin_read`] under `budget` instead of the disk's
+    /// deadline (whichever is shorter) — the hedged-read primitive: the
+    /// store gives the first-choice helpers a shorter budget and plans
+    /// around the ones that miss it.
+    pub(crate) fn begin_read_within<'a>(
+        &'a self,
+        budget: Duration,
         object: &str,
         id: ChunkId,
         chunk_len: usize,
         offset: usize,
-        out: &mut [u8],
-        deadline: Duration,
-    ) -> ChunkRead<()> {
-        let object = object.to_string();
-        let len = out.len();
-        let result = self.guarded_read(deadline.min(self.deadline), move |disk| {
-            let mut buf = vec![0u8; len];
-            disk.read_chunk_range(&object, id, chunk_len, offset, &mut buf)
-                .map(|inner| inner.map(|()| buf))
-        });
-        match result? {
-            Ok(buf) => {
-                out.copy_from_slice(&buf);
-                Ok(Ok(()))
-            }
-            Err(status) => Ok(Err(status)),
-        }
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
+        let name = object.to_string();
+        self.begin_guarded_read(budget.min(self.deadline), out, move |disk, buf| {
+            disk.read_chunk_range(&name, id, chunk_len, offset, buf)
+        })
     }
 }
 
@@ -242,78 +330,68 @@ impl ChunkBackend for GuardedDisk {
     }
 
     fn is_available(&self) -> bool {
-        match self.me().admit() {
-            Admission::Shed => false,
-            Admission::Allow | Admission::Probe => self
-                .run_with_deadline(self.deadline, |disk| disk.is_available())
-                .unwrap_or(false),
-        }
+        !self.shed() && self.run_with_deadline(|disk| disk.is_available()) == Ok(true)
     }
 
     fn ensure_object(&self, object: &str) -> Result<()> {
-        let name = object.to_string();
-        let result = self.run_with_deadline(self.deadline, move |disk| disk.ensure_object(&name));
-        self.settle_write(object, result)
+        self.begin_guarded_write(object, |disk, name| disk.ensure_object(name))
+            .wait()
     }
 
     fn remove_object(&self, object: &str) -> Result<()> {
         let name = object.to_string();
-        match self.run_with_deadline(self.deadline, move |disk| disk.remove_object(&name)) {
-            Ok(result) => result,
-            Err(()) => Err(self.timeout_error(object)),
-        }
+        self.run_with_deadline(move |disk| disk.remove_object(&name))
+            .unwrap_or_else(|()| Err(self.timeout_error(object)))
     }
 
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<()> {
-        let name = object.to_string();
+    fn begin_read<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        chunk_len: usize,
+        offset: usize,
+        out: &'a mut [u8],
+    ) -> Box<dyn PendingRead + 'a> {
+        self.begin_read_within(self.deadline, object, id, chunk_len, offset, out)
+    }
+
+    fn begin_write<'a>(
+        &'a self,
+        object: &str,
+        id: ChunkId,
+        payload: &'a [u8],
+    ) -> Box<dyn PendingWrite + 'a> {
         let payload = payload.to_vec();
-        let result = self.run_with_deadline(self.deadline, move |disk| {
-            disk.write_chunk(&name, id, &payload)
-        });
-        self.settle_write(object, result)
+        self.begin_guarded_write(object, move |disk, name| {
+            disk.write_chunk(name, id, &payload)
+        })
     }
 
     /// The inner backend's own zero write, so a networked disk still sends
-    /// only the length. It finishes under the deadline before returning.
+    /// only the length.
     fn begin_write_zeros<'a>(
         &'a self,
         object: &str,
         id: ChunkId,
         len: usize,
     ) -> Box<dyn PendingWrite + 'a> {
-        let name = object.to_string();
-        let result = self.run_with_deadline(self.deadline, move |disk| {
-            disk.begin_write_zeros(&name, id, len).wait()
-        });
-        Box::new(ReadyWrite(self.settle_write(object, result)))
+        self.begin_guarded_write(object, move |disk, name| {
+            disk.begin_write_zeros(name, id, len).wait()
+        })
     }
 
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        let name = object.to_string();
-        let len = out.len();
-        let result = self.guarded_read(self.deadline, move |disk| {
-            let mut buf = vec![0u8; len];
-            disk.read_chunk_into(&name, id, &mut buf)
-                .map(|inner| inner.map(|()| buf))
-        });
-        match result? {
-            Ok(buf) => {
-                out.copy_from_slice(&buf);
-                Ok(Ok(()))
-            }
-            Err(status) => Ok(Err(status)),
-        }
-    }
-
-    fn read_chunk_range(
-        &self,
+    /// The inner backend's own check, so a networked disk still ships only
+    /// the verdict.
+    fn begin_verify<'a>(
+        &'a self,
         object: &str,
         id: ChunkId,
         chunk_len: usize,
-        offset: usize,
-        out: &mut [u8],
-    ) -> ChunkRead<()> {
-        self.read_chunk_range_deadline(object, id, chunk_len, offset, out, self.deadline)
+    ) -> Box<dyn PendingRead + 'a> {
+        let name = object.to_string();
+        self.begin_guarded_read(self.deadline, &mut [], move |disk, _| {
+            disk.begin_verify(&name, id, chunk_len).wait()
+        })
     }
 
     fn verify_chunk(
@@ -322,36 +400,21 @@ impl ChunkBackend for GuardedDisk {
         id: ChunkId,
         chunk_len: usize,
     ) -> Result<(ChunkStatus, u64)> {
-        match self.me().admit() {
-            Admission::Shed => return Ok((ChunkStatus::Missing, 0)),
-            Admission::Allow | Admission::Probe => {}
+        if self.shed() {
+            return Ok((ChunkStatus::Missing, 0));
         }
         let name = object.to_string();
-        match self.run_with_deadline(self.deadline, move |disk| {
-            disk.verify_chunk(&name, id, chunk_len)
-        }) {
-            Ok(Ok(verdict)) => {
-                match &verdict {
-                    (ChunkStatus::Corrupt { .. }, _) => self.record(Outcome::Error),
-                    _ => self.record(Outcome::Ok),
-                }
-                Ok(verdict)
-            }
-            // Degrade like a read: a hard verify error reports the chunk
-            // missing and charges the disk's health.
-            Ok(Err(_)) => {
-                self.record(Outcome::Error);
-                Ok((ChunkStatus::Missing, 0))
-            }
-            Err(()) => Ok((ChunkStatus::Missing, 0)),
-        }
+        Ok(
+            self.settle(
+                self.run_with_deadline(move |disk| disk.verify_chunk(&name, id, chunk_len)),
+            ),
+        )
     }
 
     fn sweep_tmp(&self, min_age: Duration) -> Result<Vec<String>> {
-        match self.run_with_deadline(self.deadline, move |disk| disk.sweep_tmp(min_age)) {
-            Ok(result) => result,
-            Err(()) => Ok(Vec::new()), // nothing sweepable within deadline
-        }
+        // Nothing is sweepable past the deadline.
+        self.run_with_deadline(move |disk| disk.sweep_tmp(min_age))
+            .unwrap_or(Ok(Vec::new()))
     }
 
     fn counters(&self) -> BackendCounters {
@@ -361,42 +424,6 @@ impl ChunkBackend for GuardedDisk {
     fn drain_spans(&self) -> Vec<pbrs_obs::trace::SpanRecord> {
         // Span shipping is cheap metadata; no deadline gate needed.
         self.inner.drain_spans()
-    }
-}
-
-impl GuardedDisk {
-    /// Records a write-shaped op's outcome on the disk's health and turns
-    /// an abandoned op into a `TimedOut` error.
-    fn settle_write(
-        &self,
-        object: &str,
-        result: std::result::Result<Result<()>, ()>,
-    ) -> Result<()> {
-        match result {
-            Ok(result) => {
-                self.record(if result.is_ok() {
-                    Outcome::Ok
-                } else {
-                    Outcome::Error
-                });
-                result
-            }
-            Err(()) => Err(self.timeout_error(object)),
-        }
-    }
-
-    fn timeout_error(&self, object: &str) -> StoreError {
-        StoreError::io(
-            format!("guard://disk-{:02}/{object}", self.disk),
-            std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                format!(
-                    "op on {} exceeded the {:?} deadline",
-                    self.inner.describe(),
-                    self.deadline
-                ),
-            ),
-        )
     }
 }
 

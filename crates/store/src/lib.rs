@@ -68,10 +68,7 @@
 //! durable manifest tombstone (reads fail immediately), and the next
 //! [`BlockStore::scrub`] sweeps the dead chunks from every disk and clears
 //! the tombstone ([`ScrubReport::tombstones_swept`]). A deleted name is
-//! immediately reusable. For large stores, [`BlockStore::scrub_partial`]
-//! verifies N stripes per pass behind a persisted cursor
-//! (`SCRUB.cursor`), so full-checksum sweeps can be spread over time and
-//! survive restarts.
+//! immediately reusable.
 //!
 //! # Durability
 //!
@@ -164,7 +161,6 @@ pub use pbrs_obs::{Event, EventKind};
 // can mount rack-aware pools without a separate import.
 pub use pbrs_placement::{PlacementError, PlacementMap, PlacementPolicy, RackMap};
 pub use store::{
-    BlockStore, Damage, PartialScrubReport, PlacedChunk, ScrubReport, StoreConfig, StripeRepair,
-    DEFAULT_CHUNK_LEN,
+    BlockStore, Damage, PlacedChunk, ScrubReport, StoreConfig, StripeRepair, DEFAULT_CHUNK_LEN,
 };
 pub use stream::{ObjectReader, ObjectWriter};

@@ -136,9 +136,9 @@ pub struct StoreConfig {
     /// behavior change.
     pub op_deadline: Option<Duration>,
     /// When set (requires [`StoreConfig::op_deadline`]), a rebuild of one
-    /// lost chunk gives its first plan's helpers only this long per read,
-    /// one at a time. The first slow helper is abandoned and ranked behind
-    /// every other survivor, and the rebuild re-plans around it under the
+    /// lost chunk begins its first plan's helper reads together under this
+    /// budget instead of the full deadline. Every helper that misses it or
+    /// fails is abandoned, and the rebuild re-plans around them under the
     /// full deadline. Seed it from the healthy-read p99 (see
     /// [`BlockStore::latency`]).
     pub hedge_delay: Option<Duration>,
@@ -259,34 +259,6 @@ impl ScrubReport {
     }
 }
 
-/// File name of the incremental-scrub cursor within the store root.
-pub const SCRUB_CURSOR_FILE: &str = "SCRUB.cursor";
-
-/// Result of one incremental scrub pass ([`BlockStore::scrub_partial`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PartialScrubReport {
-    /// Damaged chunks found in the scanned window, in manifest order.
-    pub damages: Vec<Damage>,
-    /// Stripes examined by this pass.
-    pub stripes_scanned: u64,
-    /// Chunks examined.
-    pub chunks_examined: u64,
-    /// Payload bytes read and checksummed.
-    pub bytes_read: u64,
-    /// Whether this pass reached the end of the object table and reset the
-    /// cursor to the start (a full sweep of the store has completed since
-    /// the last wrap).
-    pub wrapped: bool,
-}
-
-/// The persisted position of the incremental scrub: the next stripe to
-/// verify, as `(object, stripe)` in object-name order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct ScrubCursor {
-    object: Option<String>,
-    stripe: u64,
-}
-
 /// Outcome of repairing the damaged chunks of one stripe.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StripeRepair {
@@ -332,8 +304,8 @@ pub struct BlockStore {
     disks: Vec<Arc<dyn ChunkBackend>>,
     /// Under [`StoreConfig::op_deadline`], `guards[i]` is the same
     /// [`GuardedDisk`] that `disks[i]` erases to `dyn ChunkBackend` —
-    /// kept concretely so the hedged read path can pass per-attempt
-    /// deadlines. All `None` when hardening is off.
+    /// kept concretely so a hedged round can begin its reads under the
+    /// hedge budget. All `None` when hardening is off.
     guards: Vec<Option<Arc<GuardedDisk>>>,
     /// Per-disk health state machine (only under `op_deadline`).
     health: Option<Arc<HealthTracker>>,
@@ -1397,8 +1369,9 @@ impl BlockStore {
     ///   The zero padding stays available, lost or not: its bytes are
     ///   known. Resident shards rank first — whole chunks already verified
     ///   in the scratch (flagged in `present`) and padding — then shards in
-    ///   the first target's rack, then the rest, ties by index; a helper
-    ///   the hedge gave up on ranks behind all of them.
+    ///   the first target's rack, then the rest, ties by index. A helper
+    ///   the hedge gave up on is left out of the plan, unless no plan
+    ///   avoids it.
     /// * **Read.** The plans' ranges on shards that are not resident are
     ///   begun together — they sit on different disks — and then waited
     ///   for. A whole chunk that arrives is resident from then on, so no
@@ -1411,11 +1384,11 @@ impl BlockStore {
     ///   plan. A padding target is its zeroed slot.
     ///
     /// Hedging: with a hedge delay configured, a single-target rebuild's
-    /// first round reads its helpers one at a time, each under the short
-    /// hedge budget, and is abandoned at the first slow one. That shard is
-    /// *exiled* — ranked behind every other survivor, not marked bad — so
-    /// a later round reads it, under the full deadline, only when no plan
-    /// avoids it.
+    /// first round begins its reads under the short hedge budget
+    /// (`GuardedDisk::begin_read_within`) instead of the full deadline.
+    /// Every helper that misses the budget or fails is *exiled*, not
+    /// marked bad: the next round plans around it, and reads it under the
+    /// full deadline only when no plan avoids it.
     ///
     /// The price added to `traffic` is the union of the final plans'
     /// ranges, split intra/cross rack relative to the first target's disk,
@@ -1453,9 +1426,7 @@ impl BlockStore {
                 .map(|s| !bad[s] && (at.padding.contains(&s) || !targets.contains(&s)))
                 .collect();
             let rank = |shard: usize| -> u64 {
-                if exiled.contains(&shard) {
-                    3
-                } else if scratch.present[shard] {
+                if scratch.present[shard] {
                     0
                 } else {
                     1 + u64::from(!racks.same_rack(row[shard], home))
@@ -1465,9 +1436,16 @@ impl BlockStore {
             for &target in &open {
                 // Only a padding target is available (to the other plans).
                 let kept = std::mem::replace(&mut available[target], false);
+                let around: Vec<bool> = (0..n)
+                    .map(|s| available[s] && !exiled.contains(&s))
+                    .collect();
                 let plan = self
                     .code
-                    .repair_reads_ranked(target, &available, self.chunk_len, &rank);
+                    .repair_reads_ranked(target, &around, self.chunk_len, &rank)
+                    .or_else(|_| {
+                        self.code
+                            .repair_reads_ranked(target, &available, self.chunk_len, &rank)
+                    });
                 available[target] = kept;
                 plans.push(match plan {
                     Ok(plan) => plan,
@@ -1495,7 +1473,6 @@ impl BlockStore {
             } else {
                 "helper_failed"
             };
-            let mut outcome = ReadOutcome::default();
             let mut pending = Vec::with_capacity(reads.len());
             for (read, window) in reads.iter().zip(scratch.buf.windows_mut(&reads)?) {
                 traffic.fetched += read.len as u64;
@@ -1505,34 +1482,16 @@ impl BlockStore {
                 };
                 let disk = row[read.shard];
                 let io_span = self.chunk_io_span(disk, read.shard, read.len);
-                match (hedge_now, &self.guards[disk]) {
-                    (Some(delay), Some(guard)) => {
-                        let result = guard.read_chunk_range_deadline(
-                            at.object,
-                            id,
-                            self.chunk_len,
-                            read.offset,
-                            window,
-                            delay,
-                        );
-                        if !self.settle_read(read.shard, io_span, result, fail_tag, &mut outcome) {
-                            break;
-                        }
-                        scratch.present[read.shard] |= read.len == self.chunk_len;
+                let (offset, chunk_len) = (read.offset, self.chunk_len);
+                let begun = match (hedge_now, &self.guards[disk]) {
+                    (Some(budget), Some(guard)) => {
+                        guard.begin_read_within(budget, at.object, id, chunk_len, offset, window)
                     }
-                    _ => pending.push((
-                        read,
-                        io_span,
-                        self.disks[disk].begin_read(
-                            at.object,
-                            id,
-                            self.chunk_len,
-                            read.offset,
-                            window,
-                        ),
-                    )),
-                }
+                    _ => self.disks[disk].begin_read(at.object, id, chunk_len, offset, window),
+                };
+                pending.push((read, io_span, begun));
             }
+            let mut outcome = ReadOutcome::default();
             for (read, io_span, pending) in pending {
                 if self.settle_read(read.shard, io_span, pending.wait(), fail_tag, &mut outcome) {
                     scratch.present[read.shard] |= read.len == self.chunk_len;
@@ -1542,8 +1501,8 @@ impl BlockStore {
                 return Err(e);
             }
             times.add_duration(Stage::ChunkIo, io_start.elapsed());
-            if let (Some(_), Some(&slow)) = (hedge_now, outcome.failed.first()) {
-                exiled.push(slow);
+            if hedge_now.is_some() && !outcome.failed.is_empty() {
+                exiled.extend(outcome.failed);
                 StoreMetrics::add(&self.metrics.hedged_reads, 1);
                 continue;
             }
@@ -1942,105 +1901,6 @@ impl BlockStore {
         Ok(swept)
     }
 
-    /// Incremental scrub: verifies up to `max_stripes` stripes starting at
-    /// the persisted cursor (`root/SCRUB.cursor`), then advances and
-    /// persists the cursor — so a full-store sweep can be spread over many
-    /// small passes and survives restarts. Objects are visited in name
-    /// order; a pass that reaches the end of the table resets the cursor
-    /// and reports `wrapped = true`. Deleting or adding objects between
-    /// passes is safe: a vanished cursor object resumes at the next name.
-    ///
-    /// Unlike the full [`BlockStore::scrub`], a partial pass does not sweep
-    /// tombstones or stale tmp files — those belong to the (cheap,
-    /// per-store) full pass; this one spreads the expensive checksum reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns hard I/O failures only; missing/corrupt chunks are reported,
-    /// not errors.
-    pub fn scrub_partial(&self, max_stripes: usize) -> Result<PartialScrubReport> {
-        let mut report = PartialScrubReport::default();
-        if max_stripes == 0 {
-            return Ok(report);
-        }
-        let cursor = self.load_scrub_cursor()?;
-        let objects = self.objects();
-        // Resume at the cursor: the first object at or after the cursor
-        // name (it may have been deleted since), at the cursor stripe only
-        // when the object still matches exactly.
-        let start = match &cursor.object {
-            None => 0,
-            Some(at) => objects
-                .iter()
-                .position(|(name, _)| name.as_str() >= at.as_str())
-                .unwrap_or(objects.len()),
-        };
-        let mut next: Option<ScrubCursor> = None;
-        'scan: for (idx, (name, info)) in objects.iter().enumerate().skip(start) {
-            let first_stripe = match &cursor.object {
-                Some(at) if idx == start && at == name => cursor.stripe.min(info.stripes),
-                _ => 0,
-            };
-            for stripe in first_stripe..info.stripes {
-                if report.stripes_scanned == max_stripes as u64 {
-                    next = Some(ScrubCursor {
-                        object: Some(name.clone()),
-                        stripe,
-                    });
-                    break 'scan;
-                }
-                let row = self.stripe_disks(name, stripe);
-                let (examined, bytes) =
-                    self.verify_stripe(name, stripe, &row, &mut report.damages)?;
-                report.stripes_scanned += 1;
-                report.chunks_examined += examined;
-                report.bytes_read += bytes;
-            }
-        }
-        report.wrapped = next.is_none();
-        self.save_scrub_cursor(&next.unwrap_or_default())?;
-        StoreMetrics::add(&self.metrics.chunks_scrubbed, report.chunks_examined);
-        StoreMetrics::add(&self.metrics.scrub_bytes_read, report.bytes_read);
-        Ok(report)
-    }
-
-    /// Loads the persisted incremental-scrub cursor (missing or unreadable
-    /// file = start of the table; the cursor is a progress hint, not data).
-    fn load_scrub_cursor(&self) -> Result<ScrubCursor> {
-        let path = self.root.join(SCRUB_CURSOR_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ScrubCursor::default()),
-            Err(e) => return Err(StoreError::io(&path, e)),
-        };
-        let mut cursor = ScrubCursor::default();
-        for line in text.lines() {
-            match line.split_once(' ') {
-                Some(("object", name)) if validate_object_name(name).is_ok() => {
-                    cursor.object = Some(name.to_string());
-                }
-                Some(("stripe", n)) => cursor.stripe = n.parse().unwrap_or(0),
-                _ => {}
-            }
-        }
-        Ok(cursor)
-    }
-
-    /// Persists the cursor atomically (tmp + rename; no fsync — losing a
-    /// cursor to a crash only costs re-verifying a few stripes).
-    fn save_scrub_cursor(&self, cursor: &ScrubCursor) -> Result<()> {
-        let path = self.root.join(SCRUB_CURSOR_FILE);
-        let mut text = String::new();
-        if let Some(object) = &cursor.object {
-            text.push_str(&format!("object {object}\n"));
-        }
-        text.push_str(&format!("stripe {}\n", cursor.stripe));
-        let tmp = path.with_extension("cursor.tmp");
-        fs::write(&tmp, text).map_err(|e| StoreError::io(&tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Object lifecycle
     // ------------------------------------------------------------------
@@ -2081,20 +1941,6 @@ impl BlockStore {
             }
             manifest.tombstones.remove(name);
             return Err(e);
-        }
-        drop(manifest);
-        // If the incremental scrub was parked mid-way through this object,
-        // rewind its stripe to 0: a re-put under the same name must have
-        // its early stripes verified by the current sweep, not silently
-        // skipped. Best-effort — the cursor is a progress hint, and a
-        // failed rewind only costs re-verification.
-        if let Ok(cursor) = self.load_scrub_cursor() {
-            if cursor.object.as_deref() == Some(name) && cursor.stripe > 0 {
-                let _ = self.save_scrub_cursor(&ScrubCursor {
-                    object: Some(name.to_string()),
-                    stripe: 0,
-                });
-            }
         }
         Ok(info)
     }

@@ -153,25 +153,63 @@ fn hedged_rebuild_switches_to_the_next_ranked_helper_set() {
 }
 
 #[test]
-fn a_hedge_with_no_plan_around_the_slow_helper_is_no_win() {
-    let dir = TempDir::new("chaos-hedge-fixed");
-    // Piggybacked-RS plans its reads whatever the rank, so the re-plan
-    // after the hedge names the stalled parity 4 again and reads it under
-    // the full deadline. Only the plan made once it failed, k whole chunks
-    // around it, completes the rebuild.
-    let plan = Arc::new(FaultPlan::parse("disk=4 op=read stall", 7).unwrap());
-    let store = hardened(&dir, "piggyback-4-2", 6, &plan);
+fn a_hedge_plans_around_the_slow_helper_for_every_code() {
+    // Piggybacked-RS and LRC plan their reads whatever the rank, so the
+    // round after the hedge plans over the shards left once the stalled
+    // helper is exiled: it is never read again, and the hedge wins.
+    // Each case: code, k, pool disks, wiped shard, stalled helper.
+    for (spec, k, disks, wiped, stalled) in
+        [("piggyback-4-2", 4, 6, 1, 4), ("lrc-10-2-4", 10, 16, 0, 10)]
+    {
+        let dir = TempDir::new("chaos-hedge-any-code");
+        let rule = format!("disk={stalled} op=read stall");
+        let plan = Arc::new(FaultPlan::parse(&rule, 7).unwrap());
+        let store = hardened(&dir, spec, disks, &plan);
+        let data = pattern(k * CHUNK_LEN);
+        store.put("obj", &data[..]).unwrap();
+        std::fs::remove_dir_all(dir.path().join(format!("pool-{wiped:02}"))).unwrap();
+
+        assert_eq!(store.get("obj").unwrap(), data, "{spec}");
+        let metrics = store.metrics();
+        assert_eq!(metrics.hedged_reads, 1, "{spec}: {metrics:?}");
+        assert_eq!(metrics.hedge_wins, 1, "{spec}: {metrics:?}");
+        assert_eq!(metrics.disk_timeouts, 1, "{spec}: {metrics:?}");
+        assert_eq!(metrics.degraded_stripe_reads, 1, "{spec}");
+
+        plan.release();
+    }
+}
+
+#[test]
+fn guarded_chunk_ops_of_a_stripe_overlap() {
+    let dir = TempDir::new("chaos-overlap");
+    // Every chunk read and write takes 100 ms. A guarded store begins a
+    // stripe's ops on their disks' executors before it waits for any, so
+    // a one-stripe PUT or GET costs about one delay, not one per chunk.
+    let plan = Arc::new(FaultPlan::parse("op=read delay=100ms; op=write delay=100ms", 1).unwrap());
+    let store = BlockStore::open_with_backends(
+        StoreConfig::new(dir.path().join("root"), "rs-4-2".parse().unwrap())
+            .chunk_len(CHUNK_LEN)
+            .op_deadline(Duration::from_secs(5)),
+        faulty_pool(&dir, 6, &plan),
+        RackMap::per_disk(6),
+        PlacementPolicy::Identity,
+    )
+    .unwrap();
     let data = pattern(4 * CHUNK_LEN);
+
+    let start = Instant::now();
     store.put("obj", &data[..]).unwrap();
-    std::fs::remove_dir_all(dir.path().join("pool-01")).unwrap();
-
+    let put = start.elapsed();
+    let start = Instant::now();
     assert_eq!(store.get("obj").unwrap(), data);
-    let metrics = store.metrics();
-    assert_eq!(metrics.hedged_reads, 1, "{metrics:?}");
-    assert_eq!(metrics.hedge_wins, 0, "{metrics:?}");
-    assert_eq!(metrics.degraded_stripe_reads, 1);
-
-    plan.release();
+    let get = start.elapsed();
+    let bound = Duration::from_millis(300);
+    assert!(
+        put < bound && get < bound,
+        "a stripe paid for its chunk ops in series: put {put:?}, get {get:?}"
+    );
+    assert_eq!(store.metrics().disk_timeouts, 0);
 }
 
 #[test]

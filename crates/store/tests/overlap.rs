@@ -15,9 +15,9 @@
 //!
 //! The double below records every `begin_read` / `begin_verify` /
 //! `begin_write` / `begin_write_zeros` and every `wait` in one shared log.
-//! A blocking call is recorded as a begin immediately followed by its
-//! wait, so a site that fell back to one-at-a-time I/O would show up as an
-//! alternating log.
+//! A blocking call is the trait's begun op waited for at once, so it is
+//! recorded as a begin immediately followed by its wait, and a site that
+//! fell back to one-at-a-time I/O would show up as an alternating log.
 
 use std::fs;
 use std::sync::{Arc, Mutex};
@@ -92,9 +92,6 @@ impl ChunkBackend for Recording {
     fn remove_object(&self, object: &str) -> Result<(), StoreError> {
         self.inner.remove_object(object)
     }
-    fn write_chunk(&self, object: &str, id: ChunkId, payload: &[u8]) -> Result<(), StoreError> {
-        self.begin_write(object, id, payload).wait()
-    }
     fn begin_write<'a>(
         &'a self,
         object: &str,
@@ -123,20 +120,6 @@ impl ChunkBackend for Recording {
             shard: id.shard,
             log: &self.log,
         })
-    }
-    fn read_chunk_into(&self, object: &str, id: ChunkId, out: &mut [u8]) -> ChunkRead<()> {
-        let chunk_len = out.len();
-        self.begin_read(object, id, chunk_len, 0, out).wait()
-    }
-    fn read_chunk_range(
-        &self,
-        object: &str,
-        id: ChunkId,
-        chunk_len: usize,
-        offset: usize,
-        out: &mut [u8],
-    ) -> ChunkRead<()> {
-        self.begin_read(object, id, chunk_len, offset, out).wait()
     }
     fn begin_read<'a>(
         &'a self,
@@ -668,10 +651,11 @@ fn a_stripe_begins_all_n_writes_before_the_first_wait_for_put_and_writer() {
 }
 
 #[test]
-fn the_default_begin_write_is_the_blocking_write_performed_eagerly() {
-    // A wrapper that does not override `begin_write` sits above the
-    // recorder, so every write reaches it as a blocking `write_chunk`.
-    let dir = TempDir::new("overlap-eager");
+fn a_fault_wrapper_forwards_the_begun_writes() {
+    // A wrapper above the recorder gates each write when it is begun and
+    // hands back the inner backend's begun write, so a stripe's n writes
+    // still overlap beneath it.
+    let dir = TempDir::new("overlap-forwarded");
     let plan = Arc::new(FaultPlan::parse("disk=0 op=verify error", 1).unwrap());
     let (store, log) = store_over(&dir, &|i, local, log| {
         Arc::new(FaultyBackend::new(
@@ -681,10 +665,7 @@ fn the_default_begin_write_is_the_blocking_write_performed_eagerly() {
         ))
     });
     store.put("obj", &two_stripes()[..]).unwrap();
-    let pairs: Vec<Event> = (0..N)
-        .flat_map(|shard| [Event::BeginWrite(shard), Event::WaitWrite(shard)])
-        .collect();
-    assert_eq!(take_writes(&log), pairs.repeat(2));
+    assert_eq!(take_writes(&log), write_batches(2));
 }
 
 #[test]

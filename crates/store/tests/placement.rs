@@ -420,83 +420,3 @@ fn deleted_names_can_be_reused_before_the_sweep() {
     assert!(scrub.is_clean());
     assert_eq!(store.get("obj").unwrap(), fresh);
 }
-
-#[test]
-fn scrub_partial_resumes_across_passes_and_reopens() {
-    let dir = TempDir::new("placement-partial-scrub");
-    let total_stripes = {
-        let store = disjoint_store(&dir);
-        // Three objects, 2 + 3 + 1 stripes.
-        store.put("a", &pattern(4 * CHUNK_LEN * 2)[..]).unwrap();
-        store.put("b", &pattern(4 * CHUNK_LEN * 3)[..]).unwrap();
-        store.put("c", &pattern(100)[..]).unwrap();
-        // Corrupt one chunk of object b so some pass must find it.
-        let row = store.stripe_disks("b", 1);
-        let victim = pool_path(&dir, row[2]).join("b").join("00000001-02.chunk");
-        let mut bytes = fs::read(&victim).unwrap();
-        let at = bytes.len() - 3;
-        bytes[at] ^= 0x10;
-        fs::write(&victim, &bytes).unwrap();
-
-        // First pass covers 2 stripes (object a) and persists its cursor.
-        let pass = store.scrub_partial(2).unwrap();
-        assert_eq!(pass.stripes_scanned, 2);
-        assert!(!pass.wrapped);
-        assert!(pass.damages.is_empty());
-        6u64
-    };
-
-    // Reopen: the cursor survives, the next passes continue at object b,
-    // find the corruption, and eventually wrap.
-    let store = disjoint_store(&dir);
-    let mut scanned = 2u64;
-    let mut damaged = Vec::new();
-    let mut wrapped = false;
-    for _ in 0..10 {
-        let pass = store.scrub_partial(2).unwrap();
-        scanned += pass.stripes_scanned;
-        damaged.extend(pass.damages);
-        if pass.wrapped {
-            wrapped = true;
-            break;
-        }
-    }
-    assert!(wrapped, "partial scrubs must complete a full sweep");
-    assert_eq!(scanned, total_stripes, "every stripe scanned exactly once");
-    assert_eq!(damaged.len(), 1);
-    assert_eq!(damaged[0].object, "b");
-    assert_eq!(damaged[0].stripe, 1);
-    assert_eq!(damaged[0].shard, 2);
-
-    // After the wrap the cursor is reset: the next pass starts over.
-    let pass = store.scrub_partial(100).unwrap();
-    assert_eq!(pass.stripes_scanned, total_stripes);
-    assert!(pass.wrapped);
-}
-
-#[test]
-fn deleting_the_cursor_object_rewinds_the_partial_scrub() {
-    let dir = TempDir::new("placement-cursor-delete");
-    let store = disjoint_store(&dir);
-    store.put("a", &pattern(4 * CHUNK_LEN * 2)[..]).unwrap(); // 2 stripes
-    store.put("b", &pattern(4 * CHUNK_LEN * 3)[..]).unwrap(); // 3 stripes
-    store.put("c", &pattern(100)[..]).unwrap(); // 1 stripe
-
-    // Park the cursor mid-object-b: a(2) + b stripe 0 scanned.
-    let pass = store.scrub_partial(3).unwrap();
-    assert_eq!(pass.stripes_scanned, 3);
-    assert!(!pass.wrapped);
-
-    // Delete and re-put "b": its early stripes must not be skipped by the
-    // resumed sweep (the old cursor pointed past them).
-    store.delete("b").unwrap();
-    // 3 full stripes + a 9-byte partial fourth.
-    store.put("b", &pattern(4 * CHUNK_LEN * 3 + 9)[..]).unwrap();
-    let pass = store.scrub_partial(100).unwrap();
-    assert_eq!(
-        pass.stripes_scanned, 5,
-        "all 4 stripes of the re-put object plus object c"
-    );
-    assert!(pass.wrapped);
-    assert!(pass.damages.is_empty());
-}
