@@ -48,17 +48,26 @@ fn bench_single_block_repair(c: &mut Criterion) {
     group.finish();
 }
 
+/// Choosing the reads alone: the per-stripe planning cost the store pays
+/// before it begins a repair's fetches.
 fn bench_repair_planning(c: &mut Criterion) {
-    let mut group = c.benchmark_group("repair_plan_only");
+    let mut group = c.benchmark_group("repair_reads_only");
+    let shard_len = 256 * 1024;
     let pb = PiggybackedRs::new(10, 4).unwrap();
     let mut available = vec![true; 14];
     available[5] = false;
-    group.bench_function("piggybacked_rs_plan", |b| {
-        b.iter(|| pb.repair_plan(5, black_box(&available)).unwrap())
+    group.bench_function("piggybacked_rs_reads", |b| {
+        b.iter(|| {
+            pb.repair_reads(5, black_box(&available), shard_len)
+                .unwrap()
+        })
     });
     let rs = ReedSolomon::new(10, 4).unwrap();
-    group.bench_function("rs_plan", |b| {
-        b.iter(|| rs.repair_plan(5, black_box(&available)).unwrap())
+    group.bench_function("rs_reads", |b| {
+        b.iter(|| {
+            rs.repair_reads(5, black_box(&available), shard_len)
+                .unwrap()
+        })
     });
     group.finish();
 }

@@ -26,8 +26,8 @@
 //!   sampled stripe census used for the §2.2 degradation statistics;
 //! * [`recovery`] — the HDFS-RAID-style recovery pipeline: 15-minute
 //!   detection, a bounded pool of recovery slots, cancellation when machines
-//!   return, and per-block repair plans taken from the configured erasure
-//!   code;
+//!   return, and per-block repair costs read off the configured erasure
+//!   code's single-loss repair reads;
 //! * [`network`] — the bandwidth-bound recovery-time model of §3.2;
 //! * [`event`] — the discrete-event engine;
 //! * [`metrics`] — per-day metrics and report types;

@@ -4,9 +4,9 @@
 //! detection timeout, the blocks it stores are queued for reconstruction.
 //! A bounded pool of recovery slots works through the queue; each task
 //! rebuilds a batch of blocks by downloading helper data according to the
-//! configured code's repair plan, at a bandwidth-bound rate. If the machine
-//! returns before its queue drains, the remaining work is cancelled (the
-//! blocks were never lost, only unavailable). This matches the behaviour the
+//! configured code's single-loss repair reads, at a bandwidth-bound rate.
+//! If the machine returns before its queue drains, the remaining work is
+//! cancelled (the blocks were never lost, only unavailable). This matches the behaviour the
 //! paper measures: the recovery traffic is driven by how many blocks get
 //! reconstructed while machines are away, not by the raw number of blocks on
 //! failed machines.
@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 
 use rand::Rng;
 
+use pbrs_core::NodeRepairCost;
 use pbrs_erasure::ErasureCode;
 
 use crate::distributions;
@@ -22,55 +23,35 @@ use crate::network::TransferModel;
 use crate::topology::MachineId;
 
 /// Per-stripe-position repair cost, precomputed from the configured code's
-/// single-failure repair plans so the hot path never re-plans.
+/// single-loss repair reads so the hot path never re-plans.
 #[derive(Debug, Clone)]
 pub struct RepairCostTable {
     /// Human-readable code name.
     pub code_name: String,
-    /// Shards per stripe (`k + r` for MDS codes).
-    pub stripe_width: usize,
-    /// For every stripe position, the fraction of a whole block that must be
-    /// read from each helper, summed over helpers (i.e. blocks-worth of
-    /// helper data per repaired block).
-    pub blocks_downloaded: Vec<f64>,
-    /// For every stripe position, the number of helpers contacted.
-    pub helpers: Vec<usize>,
+    /// For every stripe position, the helpers contacted and the blocks-worth
+    /// of helper data downloaded per repaired block.
+    pub per_shard: Vec<NodeRepairCost>,
 }
 
 impl RepairCostTable {
-    /// Builds the table by asking `code` for a single-failure repair plan of
-    /// every stripe position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the code cannot produce a single-failure plan (impossible
-    /// for valid codes).
+    /// Builds the table from [`NodeRepairCost::of_every_shard`].
     pub fn for_code(code: &dyn ErasureCode) -> Self {
-        let n = code.params().total_shards();
-        let mut blocks_downloaded = Vec::with_capacity(n);
-        let mut helpers = Vec::with_capacity(n);
-        for target in 0..n {
-            let mut available = vec![true; n];
-            available[target] = false;
-            let plan = code
-                .repair_plan(target, &available)
-                // pbrs-lint: allow(panic-hygiene) -- every Code guarantees a plan for a single failure
-                .expect("single-failure repair plan must exist");
-            blocks_downloaded.push(plan.total_fraction());
-            helpers.push(plan.helper_count());
-        }
         RepairCostTable {
             code_name: code.name(),
-            stripe_width: n,
-            blocks_downloaded,
-            helpers,
+            per_shard: NodeRepairCost::of_every_shard(code),
         }
+    }
+
+    /// Shards per stripe (`k + r` for MDS codes).
+    pub fn stripe_width(&self) -> usize {
+        self.per_shard.len()
     }
 
     /// Average helper blocks downloaded per repaired block, over all stripe
     /// positions.
     pub fn average_blocks_downloaded(&self) -> f64 {
-        self.blocks_downloaded.iter().sum::<f64>() / self.stripe_width as f64
+        let blocks: f64 = self.per_shard.iter().map(|c| c.shards_downloaded).sum();
+        blocks / self.stripe_width() as f64
     }
 }
 
@@ -238,12 +219,11 @@ impl RecoveryManager {
             // The failed block occupies a uniformly random stripe position
             // (every block of a stripe is equally likely to be the one on the
             // failed machine).
-            let position = rng.random_range(0..self.cost_table.stripe_width);
-            let helper_bytes = (self.cost_table.blocks_downloaded[position] * size as f64) as u64;
+            let position = rng.random_range(0..self.cost_table.stripe_width());
+            let cost = &self.cost_table.per_shard[position];
+            let helper_bytes = (cost.shards_downloaded * size as f64) as u64;
             bytes += helper_bytes;
-            seconds += self
-                .transfer
-                .recovery_seconds(helper_bytes, self.cost_table.helpers[position]);
+            seconds += self.transfer.recovery_seconds(helper_bytes, cost.helpers);
         }
         RecoveryTask {
             machine,
@@ -292,12 +272,15 @@ mod tests {
         let pb = PiggybackedRs::new(10, 4).unwrap();
         let rs_table = RepairCostTable::for_code(&rs);
         let pb_table = RepairCostTable::for_code(&pb);
-        assert_eq!(rs_table.stripe_width, 14);
-        assert!(rs_table.blocks_downloaded.iter().all(|&b| b == 10.0));
+        assert_eq!(rs_table.stripe_width(), 14);
+        assert!(rs_table
+            .per_shard
+            .iter()
+            .all(|c| c.shards_downloaded == 10.0));
         assert!((rs_table.average_blocks_downloaded() - 10.0).abs() < 1e-12);
         assert!((pb_table.average_blocks_downloaded() - 7.642857).abs() < 1e-3);
-        assert_eq!(pb_table.helpers[0], 11);
-        assert_eq!(pb_table.helpers[13], 10);
+        assert_eq!(pb_table.per_shard[0].helpers, 11);
+        assert_eq!(pb_table.per_shard[13].helpers, 10);
         assert_eq!(pb_table.code_name, "Piggybacked-RS(10, 4)");
     }
 
@@ -308,8 +291,7 @@ mod tests {
         let built = registry::build(&"piggyback-10-4".parse().unwrap()).unwrap();
         let via_spec = RepairCostTable::for_code(built.as_ref());
         assert_eq!(via_spec.code_name, direct.code_name);
-        assert_eq!(via_spec.blocks_downloaded, direct.blocks_downloaded);
-        assert_eq!(via_spec.helpers, direct.helpers);
+        assert_eq!(via_spec.per_shard, direct.per_shard);
     }
 
     #[test]

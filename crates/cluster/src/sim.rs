@@ -4,10 +4,10 @@
 //! arrive from the calibrated unavailability process, outages longer than
 //! the detection timeout enqueue the machine's RS-coded blocks for
 //! reconstruction, a bounded pool of recovery slots works through the queue
-//! at a bandwidth-bound rate using the configured code's repair plans, and
-//! every completed reconstruction adds its helper bytes to that day's
-//! cross-rack traffic. Periodic censuses of a sampled stripe population
-//! produce the §2.2 degradation statistics.
+//! at a bandwidth-bound rate using the configured code's single-loss repair
+//! costs, and every completed reconstruction adds its helper bytes to that
+//! day's cross-rack traffic. Periodic censuses of a sampled stripe
+//! population produce the §2.2 degradation statistics.
 
 use pbrs_core::registry;
 use pbrs_erasure::CodeSpec;
@@ -74,7 +74,7 @@ impl Simulator {
         // pbrs-lint: allow(panic-hygiene) -- config.code was validated by try_new before reaching here
         let code = registry::build(&config.code).expect("configuration was validated");
         let cost_table = RepairCostTable::for_code(code.as_ref());
-        let stripe_width = cost_table.stripe_width;
+        let stripe_width = cost_table.stripe_width();
         let mut stripes =
             StripeSample::generate(&mut rng, &policy, config.sampled_stripes, stripe_width);
         let mut recovery = RecoveryManager::new(

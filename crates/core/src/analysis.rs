@@ -5,9 +5,10 @@
 //! recovery of single block failures" while remaining storage optimal. The
 //! functions here compute those numbers exactly — per shard, averaged over
 //! data shards, and averaged over all shards — for any `(k, r)` and any
-//! piggyback design, directly from the repair plans the code actually uses.
+//! piggyback design, directly from the repair reads the code actually uses
+//! ([`ErasureCode::single_loss_reads`]).
 
-use pbrs_erasure::{CodeError, ErasureCode};
+use pbrs_erasure::{total_read_bytes, CodeError, ErasureCode};
 
 use crate::code::PiggybackedRs;
 
@@ -33,6 +34,32 @@ pub struct NodeRepairCost {
     pub saving_vs_rs: f64,
 }
 
+impl NodeRepairCost {
+    /// The single-loss repair cost of every shard of `code`, in shard
+    /// order, read off [`ErasureCode::single_loss_reads`]: a read of `len`
+    /// bytes there is `len / granularity()` of a shard.
+    pub fn of_every_shard<C: ErasureCode + ?Sized>(code: &C) -> Vec<NodeRepairCost> {
+        let params = code.params();
+        let (k, g) = (params.data_shards() as f64, code.granularity() as f64);
+        let table = code.single_loss_reads();
+        table
+            .iter()
+            .enumerate()
+            .map(|(shard, reads)| {
+                let shards_downloaded = total_read_bytes(reads) as f64 / g;
+                NodeRepairCost {
+                    shard,
+                    is_data: params.is_data_shard(shard),
+                    helpers: reads.len(),
+                    shards_downloaded,
+                    fraction_of_stripe: shards_downloaded / k,
+                    saving_vs_rs: 1.0 - shards_downloaded / k,
+                }
+            })
+            .collect()
+    }
+}
+
 /// Single-failure repair costs of a Piggybacked-RS code, shard by shard,
 /// with the averages the paper quotes.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,32 +82,11 @@ pub struct SavingsReport {
 }
 
 impl SavingsReport {
-    /// Computes the report for a Piggybacked-RS code by interrogating its
-    /// single-failure repair plans.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-construction failures (which cannot happen for valid
-    /// codes with a single failure, but the signature stays honest).
-    pub fn for_code(code: &PiggybackedRs) -> Result<Self, CodeError> {
+    /// Computes the report for a Piggybacked-RS code from its single-loss
+    /// repair costs ([`NodeRepairCost::of_every_shard`]).
+    pub fn for_code(code: &PiggybackedRs) -> Self {
         let params = code.params();
-        let k = params.data_shards();
-        let n = params.total_shards();
-        let mut per_shard = Vec::with_capacity(n);
-        for target in 0..n {
-            let mut available = vec![true; n];
-            available[target] = false;
-            let plan = code.repair_plan(target, &available)?;
-            let shards_downloaded = plan.total_fraction();
-            per_shard.push(NodeRepairCost {
-                shard: target,
-                is_data: params.is_data_shard(target),
-                helpers: plan.helper_count(),
-                shards_downloaded,
-                fraction_of_stripe: shards_downloaded / k as f64,
-                saving_vs_rs: 1.0 - shards_downloaded / k as f64,
-            });
-        }
+        let per_shard = NodeRepairCost::of_every_shard(code);
         let data_costs: Vec<&NodeRepairCost> = per_shard.iter().filter(|c| c.is_data).collect();
         let average_data_saving =
             data_costs.iter().map(|c| c.saving_vs_rs).sum::<f64>() / data_costs.len() as f64;
@@ -88,14 +94,14 @@ impl SavingsReport {
             per_shard.iter().map(|c| c.saving_vs_rs).sum::<f64>() / per_shard.len() as f64;
         let average_shards_downloaded =
             per_shard.iter().map(|c| c.shards_downloaded).sum::<f64>() / per_shard.len() as f64;
-        Ok(SavingsReport {
-            k,
+        SavingsReport {
+            k: params.data_shards(),
             r: params.parity_shards(),
             per_shard,
             average_data_saving,
             average_all_saving,
             average_shards_downloaded,
-        })
+        }
     }
 
     /// Computes the report for the default balanced design of a `(k, r)`
@@ -105,7 +111,7 @@ impl SavingsReport {
     ///
     /// Returns [`CodeError::InvalidParams`] for unsupported parameters.
     pub fn for_params(k: usize, r: usize) -> Result<Self, CodeError> {
-        SavingsReport::for_code(&PiggybackedRs::new(k, r)?)
+        Ok(SavingsReport::for_code(&PiggybackedRs::new(k, r)?))
     }
 
     /// Average shard-equivalents downloaded for a single *data* shard repair.
@@ -204,7 +210,7 @@ mod tests {
     fn toy_example_savings() {
         // The paper's Fig. 4 example: only shard 0 is piggybacked, so only it
         // saves (3 bytes instead of 4 = 25%).
-        let report = SavingsReport::for_code(&crate::toy::toy_example()).unwrap();
+        let report = SavingsReport::for_code(&crate::toy::toy_example());
         assert_eq!(report.per_shard[0].shards_downloaded, 1.5);
         assert!((report.per_shard[0].saving_vs_rs - 0.25).abs() < 1e-12);
         assert_eq!(report.per_shard[1].shards_downloaded, 2.0);

@@ -399,26 +399,20 @@ mod tests {
     fn efficient_repair_plan_costs_for_facebook_code() {
         let code = PiggybackedRs::facebook();
         // Group sizes are 4, 3, 3 -> repair fractions (10+4)/2 = 7 and
-        // (10+3)/2 = 6.5 shard-equivalents.
-        for target in 0..10 {
-            let mut available = vec![true; 14];
-            available[target] = false;
-            let plan = code.repair_plan(target, &available).unwrap();
+        // (10+3)/2 = 6.5 shard-equivalents: 14 and 13 bytes at the table's
+        // shard length of 2.
+        let table = code.single_loss_reads();
+        for (target, reads) in table.iter().enumerate().take(10) {
             let group_len = code.design().groups()[code.design().group_of(target).unwrap()].len();
             let expect = (10.0 + group_len as f64) / 2.0;
-            assert!(
-                (plan.total_fraction() - expect).abs() < 1e-12,
-                "target {target}"
-            );
+            let shards = total_read_bytes(reads) as f64 / 2.0;
+            assert!((shards - expect).abs() < 1e-12, "target {target}");
             // Helpers: k-1 data + clean parity + carrier parity.
-            assert_eq!(plan.helper_count(), 11);
+            assert_eq!(reads.len(), 11);
         }
-        // Parity shards fall back to the RS plan: 10 whole shards.
-        for target in 10..14 {
-            let mut available = vec![true; 14];
-            available[target] = false;
-            let plan = code.repair_plan(target, &available).unwrap();
-            assert!((plan.total_fraction() - 10.0).abs() < 1e-12);
+        // Parity shards fall back to the RS reads: 10 whole shards.
+        for reads in &table[10..] {
+            assert_eq!(total_read_bytes(reads), 10 * 2);
         }
     }
 
@@ -445,17 +439,16 @@ mod tests {
                 .unwrap();
             assert_eq!(out, all.shard(target), "target {target}");
             assert_eq!(repair_target(&code, &all, target), all.shard(target));
-            let helper_count = code.repair_plan(target, &available).unwrap().helper_count();
             if target < 10 {
                 let group_len =
                     code.design().groups()[code.design().group_of(target).unwrap()].len();
                 let expect_bytes =
                     ((10 - group_len) as u64 * 32) + (group_len as u64 - 1) * 64 + 32 + 32;
                 assert_eq!(total_read_bytes(&reads), expect_bytes);
-                assert_eq!(helper_count, 11);
+                assert_eq!(reads.len(), 11);
             } else {
                 assert_eq!(total_read_bytes(&reads), 10 * 64);
-                assert_eq!(helper_count, 10);
+                assert_eq!(reads.len(), 10);
             }
         }
     }
@@ -496,13 +489,13 @@ mod tests {
         let mut available = vec![true; 14];
         available[0] = false;
         available[11] = false;
-        let plan = code.repair_plan(0, &available).unwrap();
+        let reads = code.repair_reads_ranked(0, &available, 32, &|_| 0).unwrap();
         // Fallback cost: k whole shards.
-        assert_eq!(plan.bytes_read(32), 10 * 32);
+        assert_eq!(total_read_bytes(&reads), 10 * 32);
         // Decoding from exactly those k shards rebuilds the target.
         let mut present = vec![false; 14];
-        for shard in plan.helper_indices() {
-            present[shard] = true;
+        for read in &reads {
+            present[read.shard] = true;
         }
         let mut stripe = all.clone();
         for i in (0..14).filter(|&i| !present[i]) {
@@ -519,7 +512,7 @@ mod tests {
         let data = sample_data(4, 8);
         let all = full_stripe(&code, &data);
         assert!(matches!(
-            code.repair_plan(0, &[true; 6]),
+            code.repair_reads_ranked(0, &[true; 6], 8, &|_| 0),
             Err(CodeError::TargetNotMissing { index: 0 })
         ));
         let mut out = vec![0u8; 8];
@@ -530,11 +523,11 @@ mod tests {
         let mut available = vec![true; 6];
         available[0] = false;
         assert!(matches!(
-            code.repair_plan(99, &available),
+            code.repair_reads_ranked(99, &available, 8, &|_| 0),
             Err(CodeError::InvalidShardIndex { .. })
         ));
         assert!(matches!(
-            code.repair_plan(0, &[true; 3]),
+            code.repair_reads_ranked(0, &[true; 3], 8, &|_| 0),
             Err(CodeError::ShardCountMismatch { .. })
         ));
     }
@@ -571,8 +564,8 @@ mod tests {
         assert_eq!(repair_target(&code, &all, 2), all.shard(2));
         let mut available = vec![true; 7];
         available[2] = false;
-        let plan = code.repair_plan(2, &available).unwrap();
-        assert_eq!(plan.bytes_read(10), 6 * 10);
+        let reads = code.repair_reads(2, &available, 10).unwrap();
+        assert_eq!(total_read_bytes(&reads), 6 * 10);
         assert!((code.average_repair_fraction() - 1.0).abs() < 1e-12);
     }
 }

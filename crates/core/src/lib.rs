@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use pbrs_core::PiggybackedRs;
-//! use pbrs_erasure::ErasureCode;
+//! use pbrs_erasure::{total_read_bytes, ErasureCode};
 //!
 //! # fn main() -> Result<(), pbrs_erasure::CodeError> {
 //! // The code proposed in the paper as a drop-in replacement for the
@@ -50,8 +50,8 @@
 //! // Repairing data shard 0 downloads 7 shard-equivalents instead of 10.
 //! let mut available = vec![true; 14];
 //! available[0] = false;
-//! let plan = code.repair_plan(0, &available)?;
-//! assert_eq!(plan.total_fraction(), 7.0);
+//! let reads = code.repair_reads(0, &available, 64)?;
+//! assert_eq!(total_read_bytes(&reads), 7 * 64);
 //! # Ok(())
 //! # }
 //! ```

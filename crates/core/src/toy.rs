@@ -37,7 +37,7 @@ pub fn try_toy_example() -> Result<PiggybackedRs, CodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_erasure::{ErasureCode, Fraction, ShardBuffer};
+    use pbrs_erasure::{total_read_bytes, ErasureCode, ShardBuffer};
 
     /// Encodes the two data shards of a toy stripe into all four shards.
     fn encode(code: &PiggybackedRs, data: [[u8; 2]; 2]) -> ShardBuffer {
@@ -94,13 +94,13 @@ mod tests {
         assert_eq!(parity[0], [f(&p1, &a), f(&p1, &b)]);
         assert_eq!(parity[1], [f(&p2, &a), f(&p2, &b) ^ a[0]]);
 
-        // Recover node 1 (shard 0): the repair plan downloads 3 bytes —
+        // Recover node 1 (shard 0): the repair reads download 3 bytes —
         // b2 from node 2, the clean parity's b-half, and the piggybacked
         // parity's b-half.
-        let plan = code.repair_plan(0, &[false, true, true, true]).unwrap();
-        assert_eq!(plan.helper_count(), 3);
-        assert!(plan.fetches.iter().all(|f| f.fraction == Fraction::HALF));
-        assert_eq!(plan.bytes_read(2), 3, "3 bytes instead of 4");
+        let reads = code.repair_reads(0, &[false, true, true, true], 2).unwrap();
+        assert_eq!(reads.len(), 3);
+        assert!(reads.iter().all(|r| r.len == 1), "half of each helper");
+        assert_eq!(total_read_bytes(&reads), 3, "3 bytes instead of 4");
 
         assert_eq!(repair(&code, &all, 0), (data[0].to_vec(), 3));
 

@@ -124,11 +124,9 @@ proptest! {
         let (rebuilt, bytes_read) = repair_from_reads_only(&code, &all, target);
         prop_assert_eq!(&rebuilt[..], all.shard(target));
         prop_assert!(bytes_read <= (k * len * 2) as u64);
-        // And the plan's accounting matches the bytes actually read.
-        let mut available = vec![true; k + r];
-        available[target] = false;
-        let plan = code.repair_plan(target, &available).unwrap();
-        prop_assert_eq!(bytes_read, plan.bytes_read(len * 2));
+        // And the single-loss table's price matches the bytes actually read.
+        let price = total_read_bytes(&code.single_loss_reads()[target]);
+        prop_assert_eq!(bytes_read, price * len as u64);
     }
 
     /// The efficient repair path and a full-stripe decode agree on the
@@ -236,17 +234,11 @@ proptest! {
         erase_and_reconstruct(&code, &mut stripe, &indices).unwrap();
         prop_assert_eq!(stripe, original);
 
-        // Cost structure.
-        for target in 0..k {
-            let mut available = vec![true; k + r];
-            available[target] = false;
-            let plan = code.repair_plan(target, &available).unwrap();
-            if target < covered {
-                let expect = (k as f64 + covered as f64) / 2.0;
-                prop_assert!((plan.total_fraction() - expect).abs() < 1e-12);
-            } else {
-                prop_assert!((plan.total_fraction() - k as f64).abs() < 1e-12);
-            }
+        // Cost structure, in half-shards (the table's shard length is 2).
+        let table = code.single_loss_reads();
+        for (target, reads) in table.iter().enumerate().take(k) {
+            let expect = if target < covered { k + covered } else { 2 * k };
+            prop_assert_eq!(total_read_bytes(reads), expect as u64);
         }
     }
 }

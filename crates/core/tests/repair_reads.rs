@@ -1,8 +1,8 @@
 //! The `repair_reads` contract: for every code in the registry, with only
 //! the target shard missing, `repair_into` depends on *no byte outside the
 //! declared ranges* — a caller that materialises only those ranges still
-//! gets the exact shard back, and the ranges' byte total matches the
-//! repair plan's fraction pricing.
+//! gets the exact shard back, and the ranges' byte total is the code's
+//! single-loss price (`single_loss_reads`) scaled to the shard length.
 //!
 //! The `pbrs-store` crate's degraded reads and repair daemon read exactly
 //! these ranges from chunk files *into a scratch stripe reused across
@@ -40,18 +40,18 @@ fn repair_into_reads_only_the_declared_ranges() {
         let n = code.params().total_shards();
         let shard_len = 64 * code.granularity();
         let stripe = encoded_stripe(code.as_ref(), shard_len, &mut rng);
+        let table = code.single_loss_reads();
 
         for target in 0..n {
             let mut available = vec![true; n];
             available[target] = false;
             let reads = code.repair_reads(target, &available, shard_len).unwrap();
 
-            // The ranges must price exactly like the plan.
-            let plan = code.repair_plan(target, &available).unwrap();
+            // The ranges must price exactly like the single-loss table.
             assert_eq!(
                 total_read_bytes(&reads),
-                plan.bytes_read(shard_len),
-                "{spec} target {target}: ranges disagree with the plan's bytes"
+                total_read_bytes(&table[target]) * 64,
+                "{spec} target {target}: ranges disagree with the table's price"
             );
             for read in &reads {
                 assert_ne!(read.shard, target, "{spec}: a plan never reads the target");
@@ -297,7 +297,8 @@ fn every_repair_read_is_a_whole_half_or_the_whole_chunk() {
 /// cluster simulator prices for multi-failure stripes — name a helper set
 /// that really rebuilds the target. For every registry code, every target
 /// and every second loss the code accepts, `repair_reads_ranked` over the
-/// degraded mask avoids both lost shards, prices like `repair_plan`, and
+/// degraded mask avoids both lost shards, prices in proportion to the
+/// shard length (16 times its price at `shard_len = granularity()`), and
 /// `repair_from_reads` rebuilds the target byte-exactly from only those
 /// ranges, every other byte holding garbage.
 #[test]
@@ -323,11 +324,11 @@ fn degraded_plans_execute_from_their_fetches_alone() {
                     reads.iter().all(|r| available[r.shard]),
                     "{spec}: reads for {target} name a lost shard"
                 );
-                let plan = code.repair_plan(target, &available).unwrap();
+                let unit = code.repair_reads_ranked(target, &available, code.granularity(), &|_| 0);
                 assert_eq!(
                     total_read_bytes(&reads),
-                    plan.bytes_read(shard_len),
-                    "{spec}: reads for {target} disagree with the plan"
+                    total_read_bytes(&unit.unwrap()) * 16,
+                    "{spec}: reads for {target} do not scale with the shard length"
                 );
                 let scratch = sparse_copy(&stripe, &reads, &mut rng);
                 let mut out = vec![0u8; shard_len];

@@ -55,8 +55,7 @@
 //! * [`ErasureCode::repair_from_reads`] expands the reads to generator rows,
 //!   solves for the target's symbols in one elimination, and combines only
 //!   the bytes it was told to read, so a repair cannot read outside its
-//!   declared ranges. [`ErasureCode::repair_plan`] prices the same reads as
-//!   shard fractions. `repair_reads_ranked` accepts degraded masks;
+//!   declared ranges. `repair_reads_ranked` accepts degraded masks;
 //!   `repair_reads` still refuses them.
 //!
 //! # Choosing a code by name
@@ -70,11 +69,13 @@
 //! # Recovery cost model
 //!
 //! The paper's measurements are about *how many bytes cross the racks* when a
-//! block is recovered, so every code exposes not only byte-level
-//! encode / decode / repair but also a [`RepairPlan`]: the exact set of helper
-//! shards and the fraction of each shard that must be read and transferred to
-//! rebuild a target shard. The warehouse-cluster simulator in `pbrs-cluster`
-//! turns those plans into cross-rack traffic without moving real bytes.
+//! block is recovered, and a repair has one price: the bytes of its
+//! [`ShardRead`]s. The store fetches those ranges from real disks;
+//! [`ErasureCode::single_loss_reads`] takes the same reads at
+//! `shard_len = granularity()` for every shard, and that one table is what
+//! [`ErasureCode::average_repair_fraction`], the savings reports in
+//! `pbrs-core` and the warehouse-cluster simulator in `pbrs-cluster` read,
+//! scaling it to a block size instead of moving real bytes.
 //!
 //! # Example
 //!
@@ -123,9 +124,7 @@ pub use error::CodeError;
 pub use lrc::{Lrc, LrcParams};
 pub use params::CodeParams;
 pub use reed_solomon::ReedSolomon;
-pub use repair::{
-    lowest_ranked_reads, total_read_bytes, FetchRequest, Fraction, RepairPlan, ShardRead,
-};
+pub use repair::{lowest_ranked_reads, total_read_bytes, ShardRead};
 pub use replication::Replication;
 pub use spec::CodeSpec;
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
@@ -347,26 +346,29 @@ pub trait ErasureCode {
         self.repair_from_reads(target, &reads, helpers, out)
     }
 
-    /// Prices the rebuild of shard `target` under the availability mask
-    /// `available` (length `k + r`): the helpers
-    /// [`ErasureCode::repair_reads_ranked`] picks with no preference, each
-    /// with the fraction of a shard it reads. For Reed–Solomon that is `k`
-    /// whole shards, the cost the paper measures in production.
+    /// Every shard's single-loss repair reads: entry `t` is
+    /// [`ErasureCode::repair_reads`] of target `t` with every other shard
+    /// present, at `shard_len = granularity()`, so a read of `len` bytes is
+    /// `len / granularity()` of a shard. This is the one table every
+    /// single-loss repair price is read from; for a block of `b` bytes the
+    /// repair downloads `total_read_bytes(&table[t]) · b / granularity()`
+    /// bytes. For Reed–Solomon that is `k` whole shards, the cost the paper
+    /// measures in production.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Same failure modes as [`ErasureCode::repair_reads_ranked`].
-    fn repair_plan(&self, target: usize, available: &[bool]) -> Result<RepairPlan, CodeError> {
-        let g = self.granularity();
-        let reads = self.repair_reads_ranked(target, available, g, &|_| 0)?;
-        let fetches = reads
-            .iter()
-            .map(|read| FetchRequest {
-                shard: read.shard,
-                fraction: Fraction::new(read.len as u32, g as u32),
+    /// Panics if the code cannot repair a single loss, which no valid code
+    /// of this workspace does.
+    fn single_loss_reads(&self) -> Vec<Vec<ShardRead>> {
+        let n = self.params().total_shards();
+        (0..n)
+            .map(|target| {
+                let available: Vec<bool> = (0..n).map(|i| i != target).collect();
+                self.repair_reads(target, &available, self.granularity())
+                    // pbrs-lint: allow(panic-hygiene) -- every valid code repairs a single loss
+                    .expect("every code repairs a single loss")
             })
-            .collect();
-        Ok(RepairPlan { target, fetches })
+            .collect()
     }
 
     /// Storage overhead of the code: total shards divided by data shards
@@ -387,24 +389,20 @@ pub trait ErasureCode {
 
     /// Average fraction of the stripe's logical data that must be read and
     /// transferred to repair a single shard, averaged over all `k + r`
-    /// shards with equal weight.
+    /// shards with equal weight: [`ErasureCode::single_loss_reads`] in units
+    /// of the stripe's `k` data shards.
     ///
     /// For a `(k, r)` RS code this is exactly 1.0 (the whole logical stripe);
     /// the Piggybacked-RS code pushes it down by roughly 30 % for (10, 4).
     fn average_repair_fraction(&self) -> f64 {
         let params = self.params();
-        let n = params.total_shards();
-        let mut total = 0.0;
-        for target in 0..n {
-            let mut available = vec![true; n];
-            available[target] = false;
-            let plan = self
-                .repair_plan(target, &available)
-                // pbrs-lint: allow(panic-hygiene) -- every Code guarantees a plan for a single failure
-                .expect("single-failure repair plan must exist");
-            total += plan.total_fraction();
-        }
+        let g = self.granularity() as f64;
+        let shards: f64 = self
+            .single_loss_reads()
+            .iter()
+            .map(|reads| total_read_bytes(reads) as f64 / g)
+            .sum();
         // Normalise by k so the figure is "stripe logical size" units.
-        total / (n as f64 * params.data_shards() as f64)
+        shards / (params.total_shards() as f64 * params.data_shards() as f64)
     }
 }

@@ -72,8 +72,8 @@ impl LrcParams {
 /// // A single data failure is repaired inside its local group of 5:
 /// let mut available = vec![true; 16];
 /// available[2] = false;
-/// let plan = lrc.repair_plan(2, &available)?;
-/// assert_eq!(plan.helper_count(), 5);
+/// let reads = lrc.repair_reads(2, &available, 64)?;
+/// assert_eq!(reads.len(), 5);
 /// # Ok(())
 /// # }
 /// ```
@@ -373,8 +373,8 @@ mod tests {
             // data shards and local parities repair within the group of 5 + 1
             let mut available = vec![true; 16];
             available[target] = false;
-            let plan = lrc.repair_plan(target, &available).unwrap();
-            assert_eq!(plan.helper_count(), 5, "target {target}");
+            let reads = lrc.repair_reads(target, &available, 48).unwrap();
+            assert_eq!(reads.len(), 5, "target {target}");
             // Execute the repair and check the bytes.
             let mut stripe = all.clone();
             stripe.shard_mut(target).fill(0xEE);
@@ -389,8 +389,8 @@ mod tests {
         let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
         let mut available = vec![true; 16];
         available[13] = false;
-        let plan = lrc.repair_plan(13, &available).unwrap();
-        assert_eq!(plan.helper_count(), 10);
+        let reads = lrc.repair_reads(13, &available, 48).unwrap();
+        assert_eq!(reads.len(), 10);
     }
 
     #[test]
@@ -399,12 +399,8 @@ mod tests {
         let mut available = vec![true; 16];
         available[0] = false;
         available[1] = false; // same group -> local plan impossible for 0
-        let plan = lrc.repair_plan(0, &available).unwrap();
-        assert_eq!(
-            plan.helper_count(),
-            10,
-            "global fallback downloads k shards"
-        );
+        let reads = lrc.repair_reads_ranked(0, &available, 48, &|_| 0).unwrap();
+        assert_eq!(reads.len(), 10, "global fallback downloads k shards");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::{CodeError, CodeParams, ErasureCode};
 /// # Example
 ///
 /// ```
-/// use pbrs_erasure::{ErasureCode, ReedSolomon};
+/// use pbrs_erasure::{total_read_bytes, ErasureCode, ReedSolomon};
 ///
 /// # fn main() -> Result<(), pbrs_erasure::CodeError> {
 /// // The warehouse cluster's production parameters.
@@ -37,9 +37,9 @@ use crate::{CodeError, CodeParams, ErasureCode};
 /// // stripe: k shards out of k data shards worth of information.
 /// let mut available = vec![true; 14];
 /// available[0] = false;
-/// let plan = rs.repair_plan(0, &available)?;
-/// assert_eq!(plan.helper_count(), 10);
-/// assert_eq!(plan.total_fraction(), 10.0);
+/// let reads = rs.repair_reads(0, &available, 64)?;
+/// assert_eq!(reads.len(), 10);
+/// assert_eq!(total_read_bytes(&reads), 10 * 64);
 /// # Ok(())
 /// # }
 /// ```
@@ -139,8 +139,7 @@ impl ErasureCode for ReedSolomon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::Fraction;
-    use crate::{ShardBuffer, ShardSet, ShardSetMut};
+    use crate::{total_read_bytes, ShardBuffer, ShardSet, ShardSetMut};
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -293,13 +292,12 @@ mod tests {
         let rs = ReedSolomon::facebook();
         let mut available = vec![true; 14];
         available[3] = false;
-        let plan = rs.repair_plan(3, &available).unwrap();
-        assert_eq!(plan.target, 3);
-        assert_eq!(plan.helper_count(), 10);
-        assert!(plan.fetches.iter().all(|f| f.fraction == Fraction::ONE));
         // 256 MB blocks: repairing one block moves 2.5 GB, as in the paper.
         let block = 256 * 1024 * 1024;
-        assert_eq!(plan.bytes_read(block), 10 * block as u64);
+        let reads = rs.repair_reads(3, &available, block).unwrap();
+        assert_eq!(reads.len(), 10);
+        assert!(reads.iter().all(|r| r.offset == 0 && r.len == block));
+        assert_eq!(total_read_bytes(&reads), 10 * block as u64);
     }
 
     #[test]
@@ -314,9 +312,9 @@ mod tests {
 
         let mut available = vec![true; 14];
         available[7] = false;
-        let plan = rs.repair_plan(7, &available).unwrap();
-        assert_eq!(plan.helper_count(), 10);
-        assert_eq!(plan.bytes_read(96), 10 * 96);
+        let reads = rs.repair_reads(7, &available, 96).unwrap();
+        assert_eq!(reads.len(), 10);
+        assert_eq!(total_read_bytes(&reads), 10 * 96);
     }
 
     #[test]
@@ -324,7 +322,7 @@ mod tests {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let available = vec![true; 6];
         assert!(matches!(
-            rs.repair_plan(0, &available),
+            rs.repair_reads(0, &available, 8),
             Err(CodeError::TargetNotMissing { index: 0 })
         ));
     }

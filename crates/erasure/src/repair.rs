@@ -1,17 +1,17 @@
-//! Repair plans and cost accounting.
+//! Repair reads and the solver that executes them.
 //!
 //! The paper's core argument is about *bytes*: recovering one RS-coded block
 //! reads and ships `k` whole blocks across racks, and the Piggybacked-RS code
-//! reduces that amount by about 30 %. The types in this module describe, for
-//! any code, exactly which helper shards must be contacted and which fraction
-//! of each shard must be read, so the cluster simulator can convert a plan
-//! into cross-rack traffic without touching data bytes.
+//! reduces that amount by about 30 %. A repair is priced in one currency,
+//! the [`ShardRead`] byte ranges a code's read choice names: the store
+//! fetches exactly those ranges from disks, and the cluster simulator and
+//! the savings reports price a block as the same reads taken at
+//! `shard_len = granularity()` ([`ErasureCode::single_loss_reads`]), scaled
+//! to the block size.
 //!
 //! Every code here is linear, so every repair is too: one solver here is
 //! the body of every [`ErasureCode::repair_from_reads`], rebuilding a shard
 //! from the helper bytes a code's read choice names, whatever the code.
-
-use core::fmt;
 
 use pbrs_gf::slice_ops;
 
@@ -19,128 +19,13 @@ use crate::params::validate_repair_views;
 use crate::views::ShardSet;
 use crate::{decode, CodeError, ErasureCode};
 
-/// An exact rational fraction of a shard, used to express partial-shard reads
-/// (the Piggybacked-RS code reads half-shards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fraction {
-    num: u32,
-    den: u32,
-}
-
-impl Fraction {
-    /// The whole shard.
-    pub const ONE: Fraction = Fraction { num: 1, den: 1 };
-    /// Half of the shard (one of the two byte-level substripes).
-    pub const HALF: Fraction = Fraction { num: 1, den: 2 };
-
-    /// Creates a fraction `num / den`, reduced to lowest terms (so `2/2` is
-    /// [`Fraction::ONE`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `den == 0` or `num > den` (a fetch can never exceed one
-    /// shard).
-    pub fn new(num: u32, den: u32) -> Self {
-        assert!(den != 0, "fraction denominator must be non-zero");
-        assert!(num <= den, "cannot fetch more than a whole shard");
-        let (mut a, mut b) = (num, den);
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        Fraction {
-            num: num / a,
-            den: den / a,
-        }
-    }
-
-    /// Numerator.
-    pub const fn numerator(&self) -> u32 {
-        self.num
-    }
-
-    /// Denominator.
-    pub const fn denominator(&self) -> u32 {
-        self.den
-    }
-
-    /// The fraction as a float.
-    pub fn as_f64(&self) -> f64 {
-        f64::from(self.num) / f64::from(self.den)
-    }
-
-    /// Number of bytes this fraction represents for a shard of `shard_len`
-    /// bytes (rounded up, since partial symbols still have to be read).
-    pub fn bytes_of(&self, shard_len: usize) -> u64 {
-        let len = shard_len as u64;
-        (len * u64::from(self.num)).div_ceil(u64::from(self.den))
-    }
-}
-
-impl fmt::Display for Fraction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.num == self.den {
-            write!(f, "1")
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
-    }
-}
-
-/// One helper read in a repair plan: read `fraction` of shard `shard` and
-/// transfer it to the node performing the rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FetchRequest {
-    /// Index of the helper shard within the stripe.
-    pub shard: usize,
-    /// Fraction of the helper shard that must be read and transferred.
-    pub fraction: Fraction,
-}
-
-/// A complete plan for rebuilding one shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairPlan {
-    /// The shard being rebuilt.
-    pub target: usize,
-    /// The helper reads required.
-    pub fetches: Vec<FetchRequest>,
-}
-
-impl RepairPlan {
-    /// Number of distinct helper shards contacted.
-    pub fn helper_count(&self) -> usize {
-        self.fetches.len()
-    }
-
-    /// Sum of the fetched fractions, in units of "whole shards".
-    ///
-    /// A `(k, r)` RS single-shard repair yields exactly `k`; a (10, 4)
-    /// Piggybacked-RS data-shard repair yields 6.5 or 7.0.
-    pub fn total_fraction(&self) -> f64 {
-        self.fetches.iter().map(|f| f.fraction.as_f64()).sum()
-    }
-
-    /// Total bytes read from disk (equal to bytes transferred in this model)
-    /// for shards of `shard_len` bytes.
-    pub fn bytes_read(&self, shard_len: usize) -> u64 {
-        self.fetches
-            .iter()
-            .map(|f| f.fraction.bytes_of(shard_len))
-            .sum()
-    }
-
-    /// Indices of the helper shards, in plan order.
-    pub fn helper_indices(&self) -> Vec<usize> {
-        self.fetches.iter().map(|f| f.shard).collect()
-    }
-}
-
 /// One contiguous byte range of a helper shard that a repair actually reads.
 ///
-/// A [`RepairPlan`] prices a repair in *fractions* of shards; a `ShardRead`
-/// pins the fraction down to concrete bytes, so callers that execute repairs
-/// against real storage (the `pbrs-store` crate) can read exactly the ranges
-/// the rebuild consumes instead of whole shards. Produced by
-/// [`crate::ErasureCode::repair_reads`].
+/// Callers that execute repairs against real storage (the `pbrs-store`
+/// crate) read exactly the ranges the rebuild consumes instead of whole
+/// shards, and every repair cost is the sum of these lengths
+/// ([`total_read_bytes`]). Produced by
+/// [`crate::ErasureCode::repair_reads_ranked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardRead {
     /// Index of the helper shard within the stripe.
@@ -293,64 +178,6 @@ pub(crate) fn repair_from_reads<C: ErasureCode + ?Sized>(
 mod tests {
     use super::*;
     use crate::{ReedSolomon, ShardBuffer};
-
-    #[test]
-    fn fraction_basics() {
-        assert_eq!(Fraction::ONE.as_f64(), 1.0);
-        assert_eq!(Fraction::HALF.as_f64(), 0.5);
-        assert_eq!(Fraction::new(3, 4).as_f64(), 0.75);
-        assert_eq!(Fraction::ONE.to_string(), "1");
-        assert_eq!(Fraction::HALF.to_string(), "1/2");
-        assert_eq!(Fraction::new(2, 2).to_string(), "1");
-        assert_eq!(Fraction::new(2, 2), Fraction::ONE);
-        assert_eq!(Fraction::new(3, 6), Fraction::HALF);
-    }
-
-    #[test]
-    fn fraction_bytes_rounding() {
-        assert_eq!(Fraction::HALF.bytes_of(10), 5);
-        assert_eq!(Fraction::HALF.bytes_of(11), 6, "partial symbols round up");
-        assert_eq!(Fraction::ONE.bytes_of(256 * 1024 * 1024), 256 * 1024 * 1024);
-        assert_eq!(Fraction::new(1, 3).bytes_of(10), 4);
-        assert_eq!(Fraction::new(0, 5).bytes_of(100), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "denominator")]
-    fn zero_denominator_panics() {
-        let _ = Fraction::new(1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole shard")]
-    fn improper_fraction_panics() {
-        let _ = Fraction::new(3, 2);
-    }
-
-    #[test]
-    fn plan_accounting() {
-        let plan = RepairPlan {
-            target: 0,
-            fetches: vec![
-                FetchRequest {
-                    shard: 1,
-                    fraction: Fraction::ONE,
-                },
-                FetchRequest {
-                    shard: 2,
-                    fraction: Fraction::HALF,
-                },
-                FetchRequest {
-                    shard: 13,
-                    fraction: Fraction::HALF,
-                },
-            ],
-        };
-        assert_eq!(plan.helper_count(), 3);
-        assert!((plan.total_fraction() - 2.0).abs() < 1e-12);
-        assert_eq!(plan.bytes_read(100), 100 + 50 + 50);
-        assert_eq!(plan.helper_indices(), vec![1, 2, 13]);
-    }
 
     /// An encoded `(k, r)` RS stripe of `len`-byte shards.
     fn rs_stripe(k: usize, r: usize, len: usize) -> (ReedSolomon, ShardBuffer) {

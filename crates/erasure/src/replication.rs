@@ -18,7 +18,7 @@ use crate::{CodeError, CodeParams, ErasureCode};
 /// # Example
 ///
 /// ```
-/// use pbrs_erasure::{ErasureCode, Replication};
+/// use pbrs_erasure::{total_read_bytes, ErasureCode, Replication};
 ///
 /// # fn main() -> Result<(), pbrs_erasure::CodeError> {
 /// let rep = Replication::new(3)?;
@@ -26,9 +26,9 @@ use crate::{CodeError, CodeParams, ErasureCode};
 ///
 /// // Recovery copies exactly one replica — this is why replication is cheap
 /// // on the network and expensive on disk capacity.
-/// let plan = rep.repair_plan(0, &[false, true, true])?;
-/// assert_eq!(plan.helper_count(), 1);
-/// assert_eq!(plan.total_fraction(), 1.0);
+/// let reads = rep.repair_reads(0, &[false, true, true], 64)?;
+/// assert_eq!(reads.len(), 1);
+/// assert_eq!(total_read_bytes(&reads), 64);
 /// # Ok(())
 /// # }
 /// ```
@@ -149,10 +149,8 @@ mod tests {
     #[test]
     fn repair_downloads_one_copy() {
         let rep = Replication::triple();
-        let plan = rep.repair_plan(1, &[true, false, true]).unwrap();
-        assert_eq!(plan.helper_count(), 1);
-        assert_eq!(plan.helper_indices(), vec![0]);
-        assert_eq!(plan.bytes_read(256), 256);
+        let reads = rep.repair_reads(1, &[true, false, true], 256).unwrap();
+        assert_eq!(reads, vec![ShardRead::whole(0, 256)]);
 
         let mut stripe = ShardBuffer::zeroed(3, 64);
         stripe.shard_mut(0).fill(5);
@@ -173,19 +171,19 @@ mod tests {
     fn repair_plan_error_paths() {
         let rep = Replication::triple();
         assert!(matches!(
-            rep.repair_plan(0, &[false, true]),
+            rep.repair_reads_ranked(0, &[false, true], 8, &|_| 0),
             Err(CodeError::ShardCountMismatch { .. })
         ));
         assert!(matches!(
-            rep.repair_plan(5, &[false, true, true]),
+            rep.repair_reads_ranked(5, &[false, true, true], 8, &|_| 0),
             Err(CodeError::InvalidShardIndex { .. })
         ));
         assert!(matches!(
-            rep.repair_plan(0, &[true, true, true]),
+            rep.repair_reads_ranked(0, &[true, true, true], 8, &|_| 0),
             Err(CodeError::TargetNotMissing { .. })
         ));
         assert!(matches!(
-            rep.repair_plan(0, &[false, false, false]),
+            rep.repair_reads_ranked(0, &[false, false, false], 8, &|_| 0),
             Err(CodeError::NotEnoughShards { .. })
         ));
     }

@@ -130,9 +130,9 @@ proptest! {
         prop_assert_eq!(&out[..], all.shard(target));
         let mut available = vec![true; k + r];
         available[target] = false;
-        let plan = rs.repair_plan(target, &available).unwrap();
-        prop_assert_eq!(plan.helper_count(), k);
-        prop_assert_eq!(plan.bytes_read(len), (k * len) as u64);
+        let reads = rs.repair_reads(target, &available, len).unwrap();
+        prop_assert_eq!(reads.len(), k);
+        prop_assert_eq!(total_read_bytes(&reads), (k * len) as u64);
     }
 
     /// Re-encoding the data accepts valid stripes and exposes any single-bit
@@ -196,12 +196,9 @@ proptest! {
         prop_assume!(l <= k && k / l + 1 < k);
         let mut rng = StdRng::seed_from_u64(seed);
         let lrc = Lrc::new(LrcParams { k, local_groups: l, global_parities: 2 }).unwrap();
-        let n = lrc.params().total_shards();
         let target = rng.random_range(0..k);
-        let mut available = vec![true; n];
-        available[target] = false;
-        let plan = lrc.repair_plan(target, &available).unwrap();
-        prop_assert!(plan.total_fraction() < k as f64);
+        let price = total_read_bytes(&lrc.single_loss_reads()[target]);
+        prop_assert!(price < k as u64);
         // And the repair actually yields the right bytes.
         let data = random_data(&mut rng, k, 24);
         let all = encode_stripe(&lrc, &data);
@@ -228,8 +225,9 @@ proptest! {
         prop_assert_eq!(stripe, original);
     }
 
-    /// The repair-plan byte accounting equals the bytes a repair reads when
-    /// it is executed from only its declared ranges.
+    /// The single-loss table's price, scaled to the shard length, equals the
+    /// bytes a repair reads when it is executed from only its declared
+    /// ranges.
     #[test]
     fn plan_bytes_match_execution(
         len in 2usize..64,
@@ -243,12 +241,10 @@ proptest! {
             let data = random_data(&mut rng, 10, len);
             let stripe = encode_stripe(code, &data);
             let target = rng.random_range(0..n);
-            let mut available = vec![true; n];
-            available[target] = false;
-            let plan = code.repair_plan(target, &available).unwrap();
+            let price = total_read_bytes(&code.single_loss_reads()[target]);
             let (rebuilt, bytes_read) = repair_from_reads_only(code, &stripe, target);
             prop_assert_eq!(&rebuilt[..], stripe.shard(target));
-            prop_assert_eq!(bytes_read, plan.bytes_read(len));
+            prop_assert_eq!(bytes_read, price * len as u64);
         }
     }
 }

@@ -162,7 +162,7 @@ proptest! {
 
     /// An over-erased stripe is refused with `NotEnoughShards` by both the
     /// decode API (`reconstruct_in_place`) and the planning API
-    /// (`repair_plan`), never silently mis-decoded.
+    /// (`repair_reads_ranked`), never silently mis-decoded.
     #[test]
     fn excess_erasures_fail_in_both_apis(
         k in 2usize..8,
@@ -186,7 +186,7 @@ proptest! {
         for &i in &indices {
             available[i] = false;
         }
-        let planned = rs.repair_plan(indices[0], &available);
+        let planned = rs.repair_reads_ranked(indices[0], &available, 16, &|_| 0);
         prop_assert!(
             matches!(planned, Err(CodeError::NotEnoughShards { .. })),
             "{:?}",

@@ -17,8 +17,6 @@
 //!   (scalar lookup / portable SWAR / x86-64 `pshufb` SIMD).
 //! * [`matrix`] — dense matrices over GF(2^8): multiplication,
 //!   Gauss–Jordan inversion, rank, and the Vandermonde constructor.
-//! * [`poly`] — polynomials over GF(2^8) (evaluation, Lagrange
-//!   interpolation) used to cross-check the Reed–Solomon construction.
 //! * [`crc32`] — the CRC-32 every chunk file is checksummed with:
 //!   polynomial arithmetic over GF(2), by slicing-by-8 tables or an x86-64
 //!   carry-less-multiply fold.
@@ -72,7 +70,6 @@ pub mod backend;
 pub mod crc32;
 pub mod gf256;
 pub mod matrix;
-pub mod poly;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 pub mod slice_ops;
@@ -82,4 +79,3 @@ pub mod tables;
 pub use backend::Backend;
 pub use gf256::Gf256;
 pub use matrix::Matrix;
-pub use poly::Polynomial;

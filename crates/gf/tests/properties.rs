@@ -1,6 +1,6 @@
 //! Property-based tests for GF(2^8) arithmetic, slice kernels and matrices.
 
-use pbrs_gf::{slice_ops, Gf256, Matrix, Polynomial};
+use pbrs_gf::{slice_ops, Gf256, Matrix};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -138,20 +138,6 @@ proptest! {
         prop_assume!(m.is_invertible());
         let inv = m.inverted().unwrap();
         prop_assert_eq!(m.multiply(&inv).unwrap(), Matrix::identity(n));
-    }
-
-    #[test]
-    fn polynomial_interpolation_round_trip(coeffs in vec(any::<u8>(), 1..12)) {
-        let p = Polynomial::new(coeffs.into_iter().map(Gf256::new).collect());
-        let n = p.coefficients().len().max(1);
-        let points: Vec<(Gf256, Gf256)> = (0..n)
-            .map(|i| {
-                let x = Gf256::alpha(i);
-                (x, p.evaluate(x))
-            })
-            .collect();
-        let q = Polynomial::interpolate(&points);
-        prop_assert_eq!(p, q);
     }
 
     #[test]

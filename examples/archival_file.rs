@@ -6,7 +6,6 @@
 
 #![forbid(unsafe_code)]
 
-use pbrs::erasure::total_read_bytes;
 use pbrs::prelude::*;
 
 fn main() -> Result<(), CodeError> {
@@ -59,15 +58,15 @@ fn main() -> Result<(), CodeError> {
 
     // Background repair, parity first: with block 2 also lost, the parity
     // repair has no cheap path and decodes from 10 whole blocks.
-    let parity_plan = code.repair_plan(11, &available)?;
+    let parity_reads = code.repair_reads_ranked(11, &available, block_len, &|_| 0)?;
     let mut scratch = stripe.clone();
     code.reconstruct_in_place(&mut scratch.as_set_mut(), &available)?;
     stripe.shard_mut(11).copy_from_slice(scratch.shard(11));
     available[11] = true;
     println!(
         "healed parity block 11 from {} helpers ({} bytes)",
-        parity_plan.helper_count(),
-        parity_plan.bytes_read(block_len)
+        parity_reads.len(),
+        total_read_bytes(&parity_reads)
     );
 
     // Now block 2 is the only loss, so its repair takes the piggyback path:

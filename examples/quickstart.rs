@@ -43,7 +43,7 @@ fn main() -> Result<(), CodeError> {
 
     // A machine holding block 6 becomes unavailable. Rebuild it under both
     // codes straight into a caller-provided buffer, and compare the bytes
-    // each repair plan moves across the network.
+    // each code's repair reads move across the network.
     let target = 6;
     let mut rs_rebuilt = vec![0u8; block_len];
     let mut pb_rebuilt = vec![0u8; block_len];
@@ -54,20 +54,19 @@ fn main() -> Result<(), CodeError> {
 
     let mut available = vec![true; n];
     available[target] = false;
-    let rs_plan = rs.repair_plan(target, &available)?;
-    let pb_plan = piggybacked.repair_plan(target, &available)?;
+    let rs_reads = rs.repair_reads(target, &available, block_len)?;
+    let pb_reads = piggybacked.repair_reads(target, &available, block_len)?;
+    let (rs_bytes, pb_bytes) = (total_read_bytes(&rs_reads), total_read_bytes(&pb_reads));
     println!("Repairing block 6 of a (10, 4) stripe of 1 KiB blocks:");
     println!(
-        "  Reed-Solomon   : {} helpers, {} bytes read and transferred",
-        rs_plan.helper_count(),
-        rs_plan.bytes_read(block_len)
+        "  Reed-Solomon   : {} helpers, {rs_bytes} bytes read and transferred",
+        rs_reads.len()
     );
     println!(
-        "  Piggybacked-RS : {} helpers, {} bytes read and transferred",
-        pb_plan.helper_count(),
-        pb_plan.bytes_read(block_len)
+        "  Piggybacked-RS : {} helpers, {pb_bytes} bytes read and transferred",
+        pb_reads.len()
     );
-    let saving = 1.0 - pb_plan.bytes_read(block_len) as f64 / rs_plan.bytes_read(block_len) as f64;
+    let saving = 1.0 - pb_bytes as f64 / rs_bytes as f64;
     println!(
         "  saving         : {:.1}% less recovery traffic",
         saving * 100.0

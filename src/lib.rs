@@ -57,12 +57,12 @@
 //! code.repair_into(7, &stripe.as_set(), &mut rebuilt)?;
 //! assert_eq!(rebuilt, vec![7u8; 64]);
 //!
-//! // The repair plan prices that rebuild for the simulator: 6.5 or 7.0
-//! // shard-equivalents instead of RS's 10.
+//! // Its repair reads price that rebuild: 6.5 or 7.0 blocks' worth of
+//! // helper bytes instead of RS's 10.
 //! let mut available = vec![true; n];
 //! available[7] = false;
-//! let plan = code.repair_plan(7, &available)?;
-//! assert!(plan.total_fraction() < 10.0);
+//! let reads = code.repair_reads(7, &available, 64)?;
+//! assert!(total_read_bytes(&reads) < 10 * 64);
 //! # Ok(())
 //! # }
 //! ```
@@ -231,8 +231,8 @@ pub mod prelude {
     pub use pbrs_core::registry::{build as build_spec, build_str as build_code, DynCode};
     pub use pbrs_core::{PiggybackDesign, PiggybackedRs, SavingsReport};
     pub use pbrs_erasure::{
-        CodeError, CodeParams, CodeSpec, ErasureCode, Lrc, LrcParams, ReedSolomon, RepairPlan,
-        Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut,
+        total_read_bytes, CodeError, CodeParams, CodeSpec, ErasureCode, Lrc, LrcParams,
+        ReedSolomon, Replication, ShardBuffer, ShardRead, ShardSet, ShardSetMut,
     };
     pub use pbrs_gateway::{Gateway, GatewayClient, GatewayConfig, GatewayError};
     pub use pbrs_gf::Gf256;

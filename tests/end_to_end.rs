@@ -2,12 +2,15 @@
 //! through the public facade API, from the byte-level codecs up to the
 //! cluster simulator.
 
+use std::fs;
+
 use pbrs::cluster::config::SimConfig;
+use pbrs::cluster::recovery::RepairCostTable;
 use pbrs::cluster::sim::paired_rs_vs_piggybacked;
 use pbrs::cluster::Simulator;
-use pbrs::code::{toy_example, SavingsReport};
-use pbrs::erasure::total_read_bytes;
+use pbrs::code::{registry, toy_example, SavingsReport};
 use pbrs::prelude::*;
+use pbrs::store::testing::TempDir;
 
 /// Encodes `data` into a full stripe buffer, data shards first.
 fn encode_stripe(code: &dyn ErasureCode, data: &[Vec<u8>]) -> ShardBuffer {
@@ -173,11 +176,11 @@ fn lrc_tradeoff_versus_piggybacked() {
     assert!(!lrc.is_mds());
     let mut available = vec![true; 16];
     available[0] = false;
-    let lrc_plan = lrc.repair_plan(0, &available).unwrap();
+    let lrc_reads = lrc.repair_reads(0, &available, 64).unwrap();
     let mut pb_available = vec![true; 14];
     pb_available[0] = false;
-    let pb_plan = pb.repair_plan(0, &pb_available).unwrap();
-    assert!(lrc_plan.total_fraction() < pb_plan.total_fraction());
+    let pb_reads = pb.repair_reads(0, &pb_available, 64).unwrap();
+    assert!(total_read_bytes(&lrc_reads) < total_read_bytes(&pb_reads));
 }
 
 /// Replication as a code: 3x storage, single-block repair.
@@ -217,5 +220,47 @@ fn simulator_accounting_invariants() {
     }
     if report.degradation.total() > 100 {
         assert!(report.degradation.one_missing_pct() > 80.0);
+    }
+}
+
+/// The store and the simulator price a single loss alike. For every
+/// registry code, one full stripe goes onto a local store (one disk per
+/// shard, identity placement); each chunk in turn is lost and repaired.
+/// The repair's `helper_bytes` is the simulator's cost for that stripe
+/// position, computed the way the simulator prices a block of `CHUNK_LEN`
+/// bytes, and the code's single-loss table scaled from
+/// `shard_len = granularity()` to the chunk length.
+#[test]
+fn the_store_and_the_simulator_price_a_single_loss_alike() {
+    const CHUNK_LEN: usize = 256;
+    for spec in registry::known_specs() {
+        let dir = TempDir::new("price-alike");
+        let config = StoreConfig::new(dir.path().join("store"), spec).chunk_len(CHUNK_LEN);
+        let store = BlockStore::open(config).unwrap();
+        let code = registry::build(&spec).unwrap();
+        let table = code.single_loss_reads();
+        let costs = RepairCostTable::for_code(code.as_ref());
+        let data: Vec<u8> = (0..code.params().data_shards() * CHUNK_LEN)
+            .map(|i| (i * 7 + 3) as u8)
+            .collect();
+        assert_eq!(store.put("obj", &data[..]).unwrap().stripes, 1);
+        for (shard, cost) in costs.per_shard.iter().enumerate() {
+            fs::remove_file(store.chunk_path("obj", 0, shard)).unwrap();
+            let repair = store.repair_stripe("obj", 0, &[shard]).unwrap();
+            assert_eq!(repair.rebuilt, vec![shard], "{spec} shard {shard}");
+            let priced = total_read_bytes(&table[shard]) * CHUNK_LEN as u64;
+            assert_eq!(
+                repair.helper_bytes,
+                priced / code.granularity() as u64,
+                "{spec} shard {shard}: store vs single-loss table"
+            );
+            assert_eq!(
+                repair.helper_bytes,
+                (cost.shards_downloaded * CHUNK_LEN as f64) as u64,
+                "{spec} shard {shard}: store vs simulator"
+            );
+            assert!(store.scrub().unwrap().is_clean(), "{spec} shard {shard}");
+        }
+        assert_eq!(store.get("obj").unwrap(), data, "{spec}");
     }
 }
