@@ -32,10 +32,14 @@
 //! re-verifies each claimed chunk — so an unavailability that was a false
 //! alarm (a flaky ping, a disk the breaker sheds) costs one verify per
 //! chunk, not a rebuild — and rebuilds what is really gone along each
-//! code's cheapest repair path. The daemon's counters (and the store's
-//! [`crate::metrics::MetricsSnapshot`]) report the helper bytes that
-//! crossed disks — the store-level reproduction of the paper's
-//! repair-traffic measurements.
+//! code's cheapest repair path. The store counts every repair's bytes
+//! once, in its byte ledger; [`RepairDaemon::stats`] reports how much the
+//! store's repair totals (chunks repaired, helper bytes by rack, bytes
+//! fetched and written) changed since [`RepairDaemon::start`] — the
+//! store-level reproduction of the paper's repair-traffic measurements.
+//! That change covers every repair the store ran meanwhile, so a
+//! [`BlockStore::repair_stripe`] another caller runs on the same store
+//! is counted too.
 //!
 //! Everything is plain `std`: queue + `Condvar` hand-off, atomic counters,
 //! graceful shutdown on [`RepairDaemon::shutdown`].
@@ -78,6 +82,7 @@ use std::time::Duration;
 use pbrs_obs::{Event, EventJournal, EventKind};
 
 use crate::error::{Result, StoreError};
+use crate::metrics::Traffic;
 use crate::store::{panic_message, BlockStore};
 
 /// How many structured events the daemon's journal retains; older events
@@ -124,12 +129,17 @@ pub struct ScanReport {
     pub enqueued_stripes: usize,
 }
 
-/// Counters accumulated over the daemon's lifetime.
+/// What the daemon's lifetime came to. `scans`, `stripes_repaired` and
+/// `failures` count the daemon's own work. `chunks_repaired` and the byte
+/// fields are the change in the store's repair totals
+/// ([`crate::MetricsSnapshot::chunks_repaired`] and the `repair_*` byte
+/// fields) since [`RepairDaemon::start`]: a [`BlockStore::repair_stripe`]
+/// that another caller runs on the store meanwhile is counted as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DaemonStats {
     /// Scan passes completed.
     pub scans: u64,
-    /// Stripe repair tasks executed.
+    /// Stripe repair tasks the daemon's workers completed.
     pub stripes_repaired: u64,
     /// Chunks rebuilt and written back.
     pub chunks_repaired: u64,
@@ -170,14 +180,11 @@ struct Shared {
     /// Signalled when the queue drains and every worker goes idle.
     idle: Condvar,
     shutdown: AtomicBool,
+    /// The store's repair totals when the daemon started
+    /// ([`BlockStore::repair_totals`]).
+    baseline: (Traffic, u64),
     scans: AtomicU64,
     stripes_repaired: AtomicU64,
-    chunks_repaired: AtomicU64,
-    helper_bytes: AtomicU64,
-    intra_rack_bytes: AtomicU64,
-    cross_rack_bytes: AtomicU64,
-    fetched_bytes: AtomicU64,
-    bytes_written: AtomicU64,
     failures: AtomicU64,
     /// Bounded ring of structured events (repairs, scans, failures,
     /// panics).
@@ -187,6 +194,7 @@ struct Shared {
 impl Shared {
     fn new(store: Arc<BlockStore>, journal: EventJournal) -> Self {
         Shared {
+            baseline: store.repair_totals(),
             store,
             queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
@@ -194,12 +202,6 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             scans: AtomicU64::new(0),
             stripes_repaired: AtomicU64::new(0),
-            chunks_repaired: AtomicU64::new(0),
-            helper_bytes: AtomicU64::new(0),
-            intra_rack_bytes: AtomicU64::new(0),
-            cross_rack_bytes: AtomicU64::new(0),
-            fetched_bytes: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             journal,
         }
@@ -270,24 +272,24 @@ impl RepairDaemon {
         }
     }
 
-    /// A copy of the daemon's lifetime counters.
+    /// The daemon's counters, and the change in the store's repair
+    /// totals since [`RepairDaemon::start`] (see [`DaemonStats`]).
     pub fn stats(&self) -> DaemonStats {
         let s = &self.shared;
+        let (now, chunks) = s.store.repair_totals();
+        let (base, base_chunks) = s.baseline;
         DaemonStats {
             // Relaxed, all fields: lifetime tallies sampled for reporting;
             // cross-counter skew from in-flight repairs is acceptable.
             scans: s.scans.load(Ordering::Relaxed),
             stripes_repaired: s.stripes_repaired.load(Ordering::Relaxed),
+            chunks_repaired: chunks - base_chunks,
+            helper_bytes: now.helper() - base.helper(),
+            intra_rack_bytes: now.same_rack - base.same_rack,
+            cross_rack_bytes: now.cross_rack - base.cross_rack,
+            fetched_bytes: now.read - base.read,
+            bytes_written: now.written - base.written,
             // Relaxed: see above.
-            chunks_repaired: s.chunks_repaired.load(Ordering::Relaxed),
-            helper_bytes: s.helper_bytes.load(Ordering::Relaxed),
-            // Relaxed: see above.
-            intra_rack_bytes: s.intra_rack_bytes.load(Ordering::Relaxed),
-            cross_rack_bytes: s.cross_rack_bytes.load(Ordering::Relaxed),
-            // Relaxed: see above.
-            fetched_bytes: s.fetched_bytes.load(Ordering::Relaxed),
-            // Relaxed: see above.
-            bytes_written: s.bytes_written.load(Ordering::Relaxed),
             failures: s.failures.load(Ordering::Relaxed),
         }
     }
@@ -537,33 +539,8 @@ fn worker_loop(shared: &Shared) {
         });
         match result {
             Ok(repair) => {
-                // Relaxed, this whole block: independent stats tallies,
-                // sampled only by stats(); they publish no other memory.
+                // Relaxed: stats tally, sampled only by stats().
                 shared.stripes_repaired.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .chunks_repaired
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.rebuilt.len() as u64, Ordering::Relaxed);
-                shared
-                    .helper_bytes
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.helper_bytes, Ordering::Relaxed);
-                shared
-                    .intra_rack_bytes
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.intra_rack_bytes, Ordering::Relaxed);
-                shared
-                    .cross_rack_bytes
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.cross_rack_bytes, Ordering::Relaxed);
-                shared
-                    .fetched_bytes
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.fetched_bytes, Ordering::Relaxed);
-                shared
-                    .bytes_written
-                    // Relaxed: see block comment above.
-                    .fetch_add(repair.bytes_written, Ordering::Relaxed);
                 shared.journal.push(
                     EventKind::Repair,
                     format!(

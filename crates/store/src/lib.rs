@@ -24,9 +24,10 @@
 //!   that has become unavailable is rebuilt from the manifest's placement
 //!   rows ([`BlockStore::chunks_on_disks`], no chunk read), while passes
 //!   with no new loss scrub the store for corrupt and missing chunks; a
-//!   worker pool rebuilds what either found along each code's repair plan
-//!   and exports traffic counters per code ([`MetricsSnapshot`],
-//!   [`DaemonStats`]).
+//!   worker pool rebuilds what either found along each code's repair plan.
+//!   The store counts the traffic once, labelled with its code
+//!   ([`MetricsSnapshot`]); [`DaemonStats`] is its change over the
+//!   daemon's life.
 //! * **Pluggable disks** — every chunk touch goes through a [`ChunkBackend`]
 //!   ([`backend`]): the default is the local directory-per-disk layout
 //!   ([`LocalDisk`]), and the `pbrs-chunkd` crate serves the same surface

@@ -1,12 +1,14 @@
 //! Traffic and health counters.
 //!
 //! The whole point of running a real store under the paper's codes is to
-//! *measure bytes*, so every I/O path feeds a shared set of atomic counters:
-//! ingest, normal reads, degraded reads (and the helper bytes they cost),
-//! repairs (ditto) and scrub traffic. [`StoreMetrics::snapshot`] produces a
-//! plain-struct copy labelled with the store's code, so two stores running
-//! the same workload under different codes can be compared side by side —
-//! the paper's RS-vs-Piggybacked experiment on real file I/O.
+//! *measure bytes*. The bytes that PUTs, degraded reads, repairs and scrubs
+//! move are counted once, in the store's byte ledger: one row per purpose,
+//! each holding the plans' helper bytes split by rack and the bytes read
+//! and written. Beside it sit plain counts (objects, stripes, chunks,
+//! hedges). [`crate::BlockStore::metrics`] produces a [`MetricsSnapshot`]
+//! labelled with the store's code, so two stores running the same
+//! workload under different codes can be compared side by side — the
+//! paper's RS-vs-Piggybacked experiment on real file I/O.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,62 +16,113 @@ use pbrs_obs::hist::HistogramSnapshot;
 use pbrs_obs::prom;
 use pbrs_obs::LatencyHistogram;
 
-/// Shared atomic counters, updated by every store and daemon thread.
+use crate::health::HealthTracker;
+
+/// Why a chunk op moved bytes: the row of the [`Ledger`] it is counted in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Purpose {
+    /// A PUT's chunk writes: chunk bytes stored, zero padding included.
+    Put,
+    /// The helper reads of rebuilds that serve degraded reads.
+    Degraded,
+    /// A repair's helper reads and its write-back.
+    Repair,
+    /// Checksum verifies: scrub passes, and the re-verify of the chunks a
+    /// repair is asked to rebuild.
+    Scrub,
+}
+
+/// Bytes moved for one purpose. `same_rack + cross_rack` is the plans'
+/// price, the helper bytes ([`crate::StripeRepair::helper_bytes`]), split
+/// by the helper's rack relative to the target's; `read` and `written` are
+/// the bytes of the ops begun on backends.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Traffic {
+    /// Planned helper bytes from the target's own rack.
+    pub(crate) same_rack: u64,
+    /// Planned helper bytes from other racks.
+    pub(crate) cross_rack: u64,
+    /// Bytes of the reads begun.
+    pub(crate) read: u64,
+    /// Chunk bytes of the writes begun, zero chunks included.
+    pub(crate) written: u64,
+}
+
+impl Traffic {
+    /// The plans' price: every planned helper byte.
+    pub(crate) fn helper(&self) -> u64 {
+        self.same_rack + self.cross_rack
+    }
+}
+
+/// The store's byte table: one atomic [`Traffic`] row per [`Purpose`].
+/// Rows only grow.
 #[derive(Debug, Default)]
-pub struct StoreMetrics {
+pub(crate) struct Ledger {
+    /// `rows[purpose]` holds `[same_rack, cross_rack, read, written]`.
+    rows: [[AtomicU64; 4]; 4],
+}
+
+impl Ledger {
+    /// Adds `traffic` to the row of `purpose`.
+    pub(crate) fn record(&self, purpose: Purpose, traffic: Traffic) {
+        let Traffic {
+            same_rack,
+            cross_rack,
+            read,
+            written,
+        } = traffic;
+        let cells = &self.rows[purpose as usize];
+        for (cell, n) in cells.iter().zip([same_rack, cross_rack, read, written]) {
+            // Relaxed: independent tallies that publish no other memory.
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// The row of `purpose` as it stands now.
+    pub(crate) fn row(&self, purpose: Purpose) -> Traffic {
+        let [same_rack, cross_rack, read, written] = self.rows[purpose as usize]
+            .each_ref()
+            // Relaxed: a sample for reporting; skew against a record in
+            // flight is acceptable.
+            .map(|c| c.load(Ordering::Relaxed));
+        Traffic {
+            same_rack,
+            cross_rack,
+            read,
+            written,
+        }
+    }
+}
+
+/// Shared atomic counters, updated by every store thread: the byte
+/// [`Ledger`] and the counts beside it.
+#[derive(Debug, Default)]
+pub(crate) struct StoreMetrics {
+    /// The bytes PUTs, degraded reads, repairs and scrubs moved, by
+    /// purpose.
+    pub(crate) ledger: Ledger,
     /// Logical object bytes accepted by `put`.
-    pub bytes_ingested: AtomicU64,
+    pub(crate) bytes_ingested: AtomicU64,
     /// Chunk files written by `put` (data + parity).
-    pub chunks_written: AtomicU64,
-    /// Chunk payload bytes written by `put` (data + parity).
-    pub chunk_bytes_written: AtomicU64,
+    pub(crate) chunks_written: AtomicU64,
     /// Objects served by `get`.
-    pub objects_read: AtomicU64,
+    pub(crate) objects_read: AtomicU64,
     /// Logical object bytes served by `get`.
-    pub bytes_served: AtomicU64,
+    pub(crate) bytes_served: AtomicU64,
     /// Stripes that needed a degraded read to be served.
-    pub degraded_stripe_reads: AtomicU64,
-    /// The price of the rebuilds that served degraded reads: the helper
-    /// bytes their plans consume (see [`crate::StripeRepair::helper_bytes`]).
-    pub degraded_helper_bytes: AtomicU64,
-    /// Degraded-read helper bytes sourced from the damaged chunk's own rack.
-    pub degraded_intra_rack_bytes: AtomicU64,
-    /// Degraded-read helper bytes that crossed racks.
-    pub degraded_cross_rack_bytes: AtomicU64,
-    /// Helper bytes degraded reads actually requested from backends (see
-    /// [`crate::StripeRepair::fetched_bytes`]).
-    pub degraded_fetched_bytes: AtomicU64,
+    pub(crate) degraded_stripe_reads: AtomicU64,
     /// Chunks found corrupt (bad checksum / header) by any path.
-    pub corrupt_chunks_detected: AtomicU64,
+    pub(crate) corrupt_chunks_detected: AtomicU64,
     /// Chunks rebuilt by repair.
-    pub chunks_repaired: AtomicU64,
-    /// The price of repairs: the helper bytes their plans consume (see
-    /// [`crate::StripeRepair::helper_bytes`]).
-    pub repair_helper_bytes: AtomicU64,
-    /// Repair helper bytes sourced from the rebuilt chunk's own rack.
-    pub repair_intra_rack_bytes: AtomicU64,
-    /// Repair helper bytes that crossed racks — the paper's scarce resource.
-    pub repair_cross_rack_bytes: AtomicU64,
-    /// Helper bytes repairs actually requested from backends (see
-    /// [`crate::StripeRepair::fetched_bytes`]).
-    pub repair_fetched_bytes: AtomicU64,
-    /// Rebuilt chunk payload bytes written back.
-    pub repair_bytes_written: AtomicU64,
+    pub(crate) chunks_repaired: AtomicU64,
     /// Chunks examined by scrub passes.
-    pub chunks_scrubbed: AtomicU64,
-    /// Payload bytes read (and checksummed) by scrub passes.
-    pub scrub_bytes_read: AtomicU64,
+    pub(crate) chunks_scrubbed: AtomicU64,
     /// Single-loss rebuilds that abandoned a slow helper and re-planned
     /// around it (only under [`crate::StoreConfig::hedge_delay`]).
-    pub hedged_reads: AtomicU64,
+    pub(crate) hedged_reads: AtomicU64,
     /// Hedged rebuilds whose switched-to helper set completed the rebuild.
-    pub hedge_wins: AtomicU64,
-    /// Chunk ops abandoned at the per-op deadline (only under
-    /// [`crate::StoreConfig::op_deadline`]; mirrors the health tracker).
-    pub disk_timeouts: AtomicU64,
-    /// Chunk ops shed by a Suspect/Failed disk's circuit breaker without
-    /// touching the disk (mirrors the health tracker).
-    pub disk_sheds: AtomicU64,
+    pub(crate) hedge_wins: AtomicU64,
 }
 
 impl StoreMetrics {
@@ -78,34 +131,40 @@ impl StoreMetrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter, labelled with the code `name`.
-    pub fn snapshot(&self, code: &str) -> MetricsSnapshot {
+    /// A point-in-time copy of every counter, labelled with the code
+    /// `name`. The deadline and breaker counts are the health tracker's
+    /// (0 without one): they are recorded inside the guarded disks.
+    pub(crate) fn snapshot(&self, code: &str, health: Option<&HealthTracker>) -> MetricsSnapshot {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let put = self.ledger.row(Purpose::Put);
+        let degraded = self.ledger.row(Purpose::Degraded);
+        let repair = self.ledger.row(Purpose::Repair);
+        let scrub = self.ledger.row(Purpose::Scrub);
         MetricsSnapshot {
             code: code.to_string(),
             bytes_ingested: get(&self.bytes_ingested),
             chunks_written: get(&self.chunks_written),
-            chunk_bytes_written: get(&self.chunk_bytes_written),
+            chunk_bytes_written: put.written,
             objects_read: get(&self.objects_read),
             bytes_served: get(&self.bytes_served),
             degraded_stripe_reads: get(&self.degraded_stripe_reads),
-            degraded_helper_bytes: get(&self.degraded_helper_bytes),
-            degraded_intra_rack_bytes: get(&self.degraded_intra_rack_bytes),
-            degraded_cross_rack_bytes: get(&self.degraded_cross_rack_bytes),
-            degraded_fetched_bytes: get(&self.degraded_fetched_bytes),
+            degraded_helper_bytes: degraded.helper(),
+            degraded_intra_rack_bytes: degraded.same_rack,
+            degraded_cross_rack_bytes: degraded.cross_rack,
+            degraded_fetched_bytes: degraded.read,
             corrupt_chunks_detected: get(&self.corrupt_chunks_detected),
             chunks_repaired: get(&self.chunks_repaired),
-            repair_helper_bytes: get(&self.repair_helper_bytes),
-            repair_intra_rack_bytes: get(&self.repair_intra_rack_bytes),
-            repair_cross_rack_bytes: get(&self.repair_cross_rack_bytes),
-            repair_fetched_bytes: get(&self.repair_fetched_bytes),
-            repair_bytes_written: get(&self.repair_bytes_written),
+            repair_helper_bytes: repair.helper(),
+            repair_intra_rack_bytes: repair.same_rack,
+            repair_cross_rack_bytes: repair.cross_rack,
+            repair_fetched_bytes: repair.read,
+            repair_bytes_written: repair.written,
             chunks_scrubbed: get(&self.chunks_scrubbed),
-            scrub_bytes_read: get(&self.scrub_bytes_read),
+            scrub_bytes_read: scrub.read,
             hedged_reads: get(&self.hedged_reads),
             hedge_wins: get(&self.hedge_wins),
-            disk_timeouts: get(&self.disk_timeouts),
-            disk_sheds: get(&self.disk_sheds),
+            disk_timeouts: health.map_or(0, HealthTracker::total_timeouts),
+            disk_sheds: health.map_or(0, HealthTracker::total_shed),
         }
     }
 }
@@ -119,7 +178,9 @@ pub struct MetricsSnapshot {
     pub bytes_ingested: u64,
     /// Chunk files written by `put`.
     pub chunks_written: u64,
-    /// Chunk payload bytes written by `put`.
+    /// Chunk bytes stored by `put`, zero padding included: `n ×
+    /// chunk_len` per stripe, though a padding chunk is written with no
+    /// payload.
     pub chunk_bytes_written: u64,
     /// Objects served by `get`.
     pub objects_read: u64,
@@ -164,8 +225,8 @@ pub struct MetricsSnapshot {
 }
 
 /// Lock-free latency histograms for the store's hot paths (all values in
-/// microseconds). Lives beside [`StoreMetrics`] rather than inside it so
-/// [`MetricsSnapshot`] stays a plain `Eq` counter struct.
+/// microseconds). Kept apart from the counters so [`MetricsSnapshot`]
+/// stays a plain `Eq` counter struct.
 #[derive(Debug, Default)]
 pub struct StoreLatency {
     /// Whole-stripe reads served entirely from healthy chunks.
@@ -291,16 +352,44 @@ mod tests {
     fn snapshot_copies_counters() {
         let metrics = StoreMetrics::default();
         StoreMetrics::add(&metrics.bytes_ingested, 100);
-        StoreMetrics::add(&metrics.repair_helper_bytes, 7);
-        StoreMetrics::add(&metrics.degraded_helper_bytes, 5);
-        let snap = metrics.snapshot("RS(10, 4)");
+        // Every cell distinct, so a swapped purpose or column shows.
+        let cells = |same_rack, cross_rack, read, written| Traffic {
+            same_rack,
+            cross_rack,
+            read,
+            written,
+        };
+        metrics.ledger.record(Purpose::Put, cells(11, 13, 17, 19));
+        metrics
+            .ledger
+            .record(Purpose::Degraded, cells(1, 4, 23, 29));
+        metrics.ledger.record(Purpose::Repair, cells(2, 5, 31, 37));
+        metrics.ledger.record(Purpose::Scrub, cells(41, 43, 47, 53));
+        let snap = metrics.snapshot("RS(10, 4)", None);
         assert_eq!(snap.code, "RS(10, 4)");
         assert_eq!(snap.bytes_ingested, 100);
         assert_eq!(snap.repair_helper_bytes, 7);
         assert_eq!(snap.degraded_helper_bytes, 5);
+        assert_eq!(snap.chunk_bytes_written, 19);
+        assert_eq!(snap.degraded_intra_rack_bytes, 1);
+        assert_eq!(snap.degraded_cross_rack_bytes, 4);
+        assert_eq!(snap.degraded_fetched_bytes, 23);
+        assert_eq!(snap.repair_intra_rack_bytes, 2);
+        assert_eq!(snap.repair_cross_rack_bytes, 5);
+        assert_eq!(snap.repair_fetched_bytes, 31);
+        assert_eq!(snap.repair_bytes_written, 37);
+        assert_eq!(snap.scrub_bytes_read, 47);
+        assert_eq!(
+            snap.degraded_helper_bytes,
+            snap.degraded_intra_rack_bytes + snap.degraded_cross_rack_bytes
+        );
+        assert_eq!(
+            snap.repair_helper_bytes,
+            snap.repair_intra_rack_bytes + snap.repair_cross_rack_bytes
+        );
         // Counters keep accumulating after a snapshot.
         StoreMetrics::add(&metrics.bytes_ingested, 1);
-        assert_eq!(metrics.snapshot("x").bytes_ingested, 101);
+        assert_eq!(metrics.snapshot("x", None).bytes_ingested, 101);
     }
 
     #[test]
@@ -324,11 +413,20 @@ mod tests {
     #[test]
     fn counters_render_prometheus_with_code_label() {
         let metrics = StoreMetrics::default();
-        StoreMetrics::add(&metrics.degraded_helper_bytes, 42);
-        StoreMetrics::add(&metrics.repair_fetched_bytes, 7);
+        let degraded = Traffic {
+            same_rack: 40,
+            cross_rack: 2,
+            ..Traffic::default()
+        };
+        metrics.ledger.record(Purpose::Degraded, degraded);
+        let repair = Traffic {
+            read: 7,
+            ..Traffic::default()
+        };
+        metrics.ledger.record(Purpose::Repair, repair);
         let mut out = String::new();
         metrics
-            .snapshot("Piggybacked-RS(10, 4)")
+            .snapshot("Piggybacked-RS(10, 4)", None)
             .write_prometheus(&mut out);
         assert!(out.contains("# TYPE pbrs_store_degraded_helper_bytes_total counter"));
         assert!(out

@@ -54,9 +54,10 @@
 //! delivered, and solves each target with
 //! [`ErasureCode::repair_from_reads`]. A helper that fails is planned
 //! around: it is never asked again, and the next plan costs only the
-//! ranges it adds. The helper bytes crossing disks are counted in
-//! [`StoreMetrics`], which is how the paper's ~30 % repair-traffic saving
-//! becomes measurable on real file I/O. `get` is [`crate::ObjectReader`]
+//! ranges it adds. The helper bytes crossing disks are counted in the
+//! store's byte ledger ([`BlockStore::metrics`]), which is how the
+//! paper's ~30 % repair-traffic saving becomes measurable on real file
+//! I/O. `get` is [`crate::ObjectReader`]
 //! driven over every stripe: stripes decode one after another straight
 //! into the output buffer with one reusable stripe-sized scratch — no
 //! per-stripe allocation on the hot path.
@@ -98,7 +99,9 @@ use crate::error::{Result, StoreError};
 use crate::guard::GuardedDisk;
 use crate::health::{DiskHealthSnapshot, DiskState, HealthPolicy, HealthTracker, Transition};
 use crate::manifest::{manifest_path, validate_object_name, Manifest, ObjectInfo};
-use crate::metrics::{MetricsSnapshot, StoreLatency, StoreLatencySnapshot, StoreMetrics};
+use crate::metrics::{
+    MetricsSnapshot, Purpose, StoreLatency, StoreLatencySnapshot, StoreMetrics, Traffic,
+};
 use pbrs_obs::trace::{self, RootFlags, ScopedCtx, SpanBuilder, SpanRecord, Tracer};
 use pbrs_obs::{Event, EventJournal, EventKind, Stage, StageTimes};
 
@@ -365,29 +368,6 @@ struct ReadOutcome {
     failed: Vec<usize>,
     /// The first hard I/O error, if any.
     hard: Option<StoreError>,
-}
-
-/// Helper-byte accounting of one rebuild: the price, split by rack
-/// locality relative to the disk being rebuilt
-/// (`total == intra_rack + cross_rack`), and the bytes `fetched` from
-/// backends to pay it (see [`StripeRepair::fetched_bytes`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct HelperTraffic {
-    total: u64,
-    intra_rack: u64,
-    cross_rack: u64,
-    fetched: u64,
-}
-
-impl HelperTraffic {
-    fn add(&mut self, bytes: u64, intra: bool) {
-        self.total += bytes;
-        if intra {
-            self.intra_rack += bytes;
-        } else {
-            self.cross_rack += bytes;
-        }
-    }
 }
 
 /// The union of `reads`, one read per shard in shard order: a shard read
@@ -884,15 +864,17 @@ impl BlockStore {
 
     /// A labelled copy of the store's traffic counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot(&self.code.name());
-        // The deadline/breaker counters live in the health tracker (they
-        // are recorded inside GuardedDisk, below the metrics struct);
-        // mirror them into the snapshot so one struct tells the story.
-        if let Some(health) = &self.health {
-            snap.disk_timeouts = health.total_timeouts();
-            snap.disk_sheds = health.total_shed();
-        }
-        snap
+        self.metrics
+            .snapshot(&self.code.name(), self.health.as_deref())
+    }
+
+    /// The byte ledger's repair row and the chunks repaired, as they stand
+    /// now: the store's repair totals, whose change a
+    /// [`crate::RepairDaemon`] reports.
+    pub(crate) fn repair_totals(&self) -> (Traffic, u64) {
+        // Relaxed: a sample for reporting, like the ledger row.
+        let chunks = self.metrics.chunks_repaired.load(Ordering::Relaxed);
+        (self.metrics.ledger.row(Purpose::Repair), chunks)
     }
 
     /// A point-in-time copy of the store's latency histograms: healthy and
@@ -1146,10 +1128,11 @@ impl BlockStore {
             return Err(e);
         }
         StoreMetrics::add(&self.metrics.chunks_written, n as u64);
-        StoreMetrics::add(
-            &self.metrics.chunk_bytes_written,
-            (n * self.chunk_len) as u64,
-        );
+        let written = Traffic {
+            written: (n * self.chunk_len) as u64,
+            ..Traffic::default()
+        };
+        self.metrics.ledger.record(Purpose::Put, written);
         Ok(())
     }
 
@@ -1275,14 +1258,13 @@ impl BlockStore {
                 scratch.present[shard] = true;
             }
         }
-        let mut traffic = HelperTraffic::default();
-        self.rebuild(at, &mut bad, false, scratch, &mut traffic, times)?;
+        let traffic = self.rebuild(at, &mut bad, Purpose::Degraded, scratch, times)?;
         // Only the lost chunks changed: the rest of `dest` is as read.
         for shard in bad {
             dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
                 .copy_from_slice(scratch.buf.shard(shard));
         }
-        self.note_degraded_traffic(traffic);
+        self.metrics.ledger.record(Purpose::Degraded, traffic);
         self.latency
             .degraded_reconstruct
             .record_duration(rebuild_start.elapsed());
@@ -1299,13 +1281,6 @@ impl BlockStore {
             StoreMetrics::add(&self.metrics.objects_read, 1);
         }
         StoreMetrics::add(&self.metrics.bytes_served, bytes_served);
-    }
-
-    fn note_degraded_traffic(&self, traffic: HelperTraffic) {
-        StoreMetrics::add(&self.metrics.degraded_helper_bytes, traffic.total);
-        StoreMetrics::add(&self.metrics.degraded_intra_rack_bytes, traffic.intra_rack);
-        StoreMetrics::add(&self.metrics.degraded_cross_rack_bytes, traffic.cross_rack);
-        StoreMetrics::add(&self.metrics.degraded_fetched_bytes, traffic.fetched);
     }
 
     /// Opens the `chunk_io` span of one helper read, when tracing is on.
@@ -1377,7 +1352,7 @@ impl BlockStore {
     ///   for. A whole chunk that arrives is resident from then on, so no
     ///   later round reads it again. A padding target's plan is not read.
     /// * **Re-plan.** A helper that fails is marked bad and never asked
-    ///   again for this stripe; with `adopt_failed` (a repair) it joins
+    ///   again for this stripe; for a [`Purpose::Repair`] it joins
     ///   `targets`, to be rebuilt and written back too.
     /// * **Solve.** A target whose plan was read in full is rebuilt by
     ///   [`ErasureCode::repair_from_reads`] and stays out of every later
@@ -1390,21 +1365,20 @@ impl BlockStore {
     /// marked bad: the next round plans around it, and reads it under the
     /// full deadline only when no plan avoids it.
     ///
-    /// The price added to `traffic` is the union of the final plans'
-    /// ranges, split intra/cross rack relative to the first target's disk,
-    /// whether or not a range was resident or padding here;
-    /// `traffic.fetched` counts every range begun. Bytes of the scratch
-    /// outside the ranges read may be stale from earlier stripes:
+    /// Returns the rebuild's [`Traffic`]: the price is the union of the
+    /// final plans' ranges, split same/cross rack relative to the first
+    /// target's disk, whether or not a range was resident or padding here;
+    /// `read` counts every range begun. Bytes of the scratch outside the
+    /// ranges read may be stale from earlier stripes:
     /// [`ErasureCode::repair_from_reads`] reads only the ranges it is given.
     fn rebuild(
         &self,
         at: &StripeRef<'_>,
         targets: &mut Vec<usize>,
-        adopt_failed: bool,
+        purpose: Purpose,
         scratch: &mut StripeScratch,
-        traffic: &mut HelperTraffic,
         times: &mut StageTimes,
-    ) -> Result<()> {
+    ) -> Result<Traffic> {
         let n = self.code.params().total_shards();
         let racks = self.map.racks();
         let row = at.row;
@@ -1421,6 +1395,7 @@ impl BlockStore {
             .filter(|_| targets.len() == 1 && !at.padding.contains(&targets[0]));
         let mut open = targets.clone();
         let mut solved: Vec<ShardRead> = Vec::new();
+        let mut traffic = Traffic::default();
         while !open.is_empty() {
             let mut available: Vec<bool> = (0..n)
                 .map(|s| !bad[s] && (at.padding.contains(&s) || !targets.contains(&s)))
@@ -1475,7 +1450,7 @@ impl BlockStore {
             };
             let mut pending = Vec::with_capacity(reads.len());
             for (read, window) in reads.iter().zip(scratch.buf.windows_mut(&reads)?) {
-                traffic.fetched += read.len as u64;
+                traffic.read += read.len as u64;
                 let id = ChunkId {
                     stripe: at.stripe,
                     shard: read.shard,
@@ -1510,7 +1485,7 @@ impl BlockStore {
             let mut adopted = Vec::new();
             for &shard in &outcome.failed {
                 bad[shard] = true;
-                if adopt_failed && !targets.contains(&shard) {
+                if purpose == Purpose::Repair && !targets.contains(&shard) {
                     targets.push(shard);
                     adopted.push(shard);
                 }
@@ -1560,9 +1535,13 @@ impl BlockStore {
             open = next;
         }
         for read in union_of(&solved, self.chunk_len) {
-            traffic.add(read.len as u64, racks.same_rack(row[read.shard], home));
+            if racks.same_rack(row[read.shard], home) {
+                traffic.same_rack += read.len as u64;
+            } else {
+                traffic.cross_rack += read.len as u64;
+            }
         }
-        Ok(())
+        Ok(traffic)
     }
 
     fn unrecoverable(
@@ -1703,7 +1682,11 @@ impl BlockStore {
                 self.chunk_len,
             )?;
             StoreMetrics::add(&self.metrics.chunks_scrubbed, 1);
-            StoreMetrics::add(&self.metrics.scrub_bytes_read, bytes);
+            let verified = Traffic {
+                read: bytes,
+                ..Traffic::default()
+            };
+            self.metrics.ledger.record(Purpose::Scrub, verified);
             if status.is_healthy() {
                 report.already_healthy.push(shard);
             } else {
@@ -1719,23 +1702,21 @@ impl BlockStore {
         // Nothing of this stripe has been read into the scratch yet.
         scratch.present.fill(false);
         let mut times = StageTimes::new();
-        let mut traffic = HelperTraffic::default();
         // Damage found while reading helpers is rebuilt and written back too.
-        self.rebuild(&at, &mut targets, true, scratch, &mut traffic, &mut times)?;
+        let mut traffic = self.rebuild(&at, &mut targets, Purpose::Repair, scratch, &mut times)?;
         targets.sort_unstable();
         for &shard in &targets {
             self.write_back(&at, shard, scratch.buf.shard(shard))?;
         }
-        let written = (targets.len() * self.chunk_len) as u64;
-        self.note_repair_traffic(traffic);
+        traffic.written = (targets.len() * self.chunk_len) as u64;
+        self.metrics.ledger.record(Purpose::Repair, traffic);
         StoreMetrics::add(&self.metrics.chunks_repaired, targets.len() as u64);
-        StoreMetrics::add(&self.metrics.repair_bytes_written, written);
         report.rebuilt = targets;
-        report.helper_bytes = traffic.total;
-        report.intra_rack_bytes = traffic.intra_rack;
+        report.helper_bytes = traffic.helper();
+        report.intra_rack_bytes = traffic.same_rack;
         report.cross_rack_bytes = traffic.cross_rack;
-        report.fetched_bytes = traffic.fetched;
-        report.bytes_written = written;
+        report.fetched_bytes = traffic.read;
+        report.bytes_written = traffic.written;
         self.latency.repair_job.record_duration(job_start.elapsed());
         Ok(report)
     }
@@ -1753,13 +1734,6 @@ impl BlockStore {
         } else {
             disk.write_chunk(at.object, id, payload)
         }
-    }
-
-    fn note_repair_traffic(&self, traffic: HelperTraffic) {
-        StoreMetrics::add(&self.metrics.repair_helper_bytes, traffic.total);
-        StoreMetrics::add(&self.metrics.repair_intra_rack_bytes, traffic.intra_rack);
-        StoreMetrics::add(&self.metrics.repair_cross_rack_bytes, traffic.cross_rack);
-        StoreMetrics::add(&self.metrics.repair_fetched_bytes, traffic.fetched);
     }
 
     // ------------------------------------------------------------------
@@ -1819,7 +1793,11 @@ impl BlockStore {
             report.stale_tmp_removed.push("MANIFEST.tmp".to_string());
         }
         StoreMetrics::add(&self.metrics.chunks_scrubbed, report.chunks_examined);
-        StoreMetrics::add(&self.metrics.scrub_bytes_read, report.bytes_read);
+        let verified = Traffic {
+            read: report.bytes_read,
+            ..Traffic::default()
+        };
+        self.metrics.ledger.record(Purpose::Scrub, verified);
         Ok(report)
     }
 

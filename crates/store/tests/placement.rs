@@ -289,6 +289,93 @@ fn rack_aware_placement_yields_intra_rack_helpers() {
     assert_eq!(store.get("obj").unwrap(), data);
 }
 
+/// A daemon's stats are the change in the store's repair totals over the
+/// daemon's life: a repair run before it started is left out, and one that
+/// another caller runs while it is up is counted. Grouped placement gives
+/// same-rack helpers; the short last stripe is priced beyond what is
+/// fetched.
+#[test]
+fn daemon_stats_are_the_store_repair_change_since_start() {
+    let dir = TempDir::new("placement-daemon-delta");
+    let store = Arc::new(
+        BlockStore::open_with_backends(
+            StoreConfig::new(dir.path().join("root"), "rs-4-2".parse().unwrap())
+                .chunk_len(CHUNK_LEN)
+                .placement_seed(11),
+            pool_disks(&dir, 12),
+            RackMap::uniform(6, 2),
+            PlacementPolicy::RackAware,
+        )
+        .unwrap(),
+    );
+    // 12 stripes; the last holds one chunk of payload and three of padding.
+    let data = pattern(4 * CHUNK_LEN * 11 + 100);
+    store.put("obj", &data[..]).unwrap();
+    let lose_chunk = |stripe: u64, shard: usize| {
+        let disk = store.stripe_disks("obj", stripe)[shard];
+        let chunk = pool_path(&dir, disk)
+            .join("obj")
+            .join(format!("{stripe:08}-{shard:02}.chunk"));
+        fs::remove_file(chunk).unwrap();
+    };
+
+    lose_chunk(0, 1);
+    assert_eq!(
+        store.repair_stripe("obj", 0, &[1]).unwrap().rebuilt,
+        vec![1]
+    );
+    let before = store.metrics();
+
+    let lost = store.stripe_disks("obj", 11)[0];
+    let lost_chunks = store.chunks_on_disks(&[lost]).len() as u64;
+    fs::remove_dir_all(pool_path(&dir, lost)).unwrap();
+    let daemon = RepairDaemon::start(Arc::clone(&store), DaemonConfig::default());
+    daemon.scan_now().unwrap();
+    daemon.wait_idle();
+    lose_chunk(1, 2);
+    assert_eq!(
+        store.repair_stripe("obj", 1, &[2]).unwrap().rebuilt,
+        vec![2]
+    );
+    let stats = daemon.shutdown();
+    let after = store.metrics();
+
+    assert_eq!(stats.failures, 0);
+    assert_eq!(stats.chunks_repaired, lost_chunks + 1);
+    assert_eq!(
+        stats.chunks_repaired,
+        after.chunks_repaired - before.chunks_repaired
+    );
+    assert_eq!(
+        stats.helper_bytes,
+        after.repair_helper_bytes - before.repair_helper_bytes
+    );
+    assert_eq!(
+        stats.intra_rack_bytes,
+        after.repair_intra_rack_bytes - before.repair_intra_rack_bytes
+    );
+    assert_eq!(
+        stats.cross_rack_bytes,
+        after.repair_cross_rack_bytes - before.repair_cross_rack_bytes
+    );
+    assert_eq!(
+        stats.fetched_bytes,
+        after.repair_fetched_bytes - before.repair_fetched_bytes
+    );
+    assert_eq!(
+        stats.bytes_written,
+        after.repair_bytes_written - before.repair_bytes_written
+    );
+    assert_eq!(
+        stats.bytes_written,
+        stats.chunks_repaired * CHUNK_LEN as u64
+    );
+    assert!(stats.intra_rack_bytes > 0, "{stats:?}");
+    assert!(stats.fetched_bytes < stats.helper_bytes, "{stats:?}");
+    assert!(store.scrub().unwrap().is_clean());
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
 #[test]
 fn geometry_mismatches_are_rejected_on_reopen() {
     let dir = TempDir::new("placement-mismatch");
