@@ -83,7 +83,7 @@ use pbrs_obs::{Event, EventJournal, EventKind};
 
 use crate::error::{Result, StoreError};
 use crate::metrics::Traffic;
-use crate::store::{panic_message, BlockStore};
+use crate::store::BlockStore;
 
 /// How many structured events the daemon's journal retains; older events
 /// are evicted (and counted) once the ring is full.
@@ -152,7 +152,7 @@ pub struct DaemonStats {
     /// Helper bytes that crossed racks — the paper's headline metric.
     pub cross_rack_bytes: u64,
     /// Helper bytes the repairs actually requested from backends (see
-    /// [`crate::StripeRepair::fetched_bytes`]).
+    /// [`crate::StripeRepair::fetched_bytes`]), failed repairs included.
     pub fetched_bytes: u64,
     /// Rebuilt payload bytes written.
     pub bytes_written: u64,
@@ -591,6 +591,16 @@ fn scanner_loop(shared: &Shared, interval: Duration) {
             slept += step;
         }
     }
+}
+
+/// Best-effort text of a caught panic payload (`panic!` with a string
+/// literal or a formatted message covers practically all of them).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("<non-string panic payload>")
 }
 
 #[cfg(test)]

@@ -6,28 +6,31 @@
 //! real bytes on a real filesystem, so the ~30 % Piggybacked-RS saving is
 //! measured on file I/O rather than predicted:
 //!
-//! * **Write path** — [`BlockStore::put`] streams an object into fixed-size
-//!   stripes, encodes each with the zero-copy codec core
-//!   ([`pbrs_erasure::ErasureCode::encode_into`]) and spreads the `k + r`
-//!   chunks over one directory per "disk" as CRC-32-checksummed chunk files
-//!   ([`chunk`]), all of a stripe's writes in flight together
+//! * **Write path** (`store/write.rs`) — [`BlockStore::put`] streams an
+//!   object into fixed-size stripes, encodes each with the zero-copy codec
+//!   core ([`pbrs_erasure::ErasureCode::encode_into`]) and spreads the
+//!   `k + r` chunks over one directory per "disk" as CRC-32-checksummed
+//!   chunk files ([`chunk`]), all of a stripe's writes in flight together
 //!   ([`ChunkBackend::begin_write`]), tracked by a durable stripe manifest
-//!   ([`manifest`]).
-//! * **Read path** — [`BlockStore::get`] serves objects chunk by chunk and,
-//!   when a chunk is missing or fails its checksum, transparently falls
-//!   back to a *degraded read*: each lost chunk's repair plan, reading
-//!   exactly the helper byte ranges named by
+//!   ([`manifest`]). A repair writes its rebuilt chunks back in the same
+//!   kind of batch.
+//! * **Read path** (`store/read.rs`) — [`BlockStore::get`] serves objects
+//!   chunk by chunk and, when a chunk is missing or fails its checksum,
+//!   transparently falls back to a *degraded read*: each lost chunk's
+//!   repair plan, reading exactly the helper byte ranges named by
 //!   [`pbrs_erasure::ErasureCode::repair_reads_ranked`] (half-chunks for a
 //!   Piggybacked-RS single loss) and counting them; a helper that fails is
 //!   planned around.
-//! * **Repair path** — a [`RepairDaemon`] starts from the failure: a disk
-//!   that has become unavailable is rebuilt from the manifest's placement
-//!   rows ([`BlockStore::chunks_on_disks`], no chunk read), while passes
-//!   with no new loss scrub the store for corrupt and missing chunks; a
-//!   worker pool rebuilds what either found along each code's repair plan.
-//!   The store counts the traffic once, labelled with its code
-//!   ([`MetricsSnapshot`]); [`DaemonStats`] is its change over the
-//!   daemon's life.
+//! * **Repair path** (`store/rebuild.rs`, `store/scrub.rs`) — one rebuild
+//!   loop serves degraded reads and repairs alike. A [`RepairDaemon`]
+//!   starts from the failure: a disk that has become unavailable is
+//!   rebuilt from the manifest's placement rows
+//!   ([`BlockStore::chunks_on_disks`], no chunk read), while passes with no
+//!   new loss scrub the store for corrupt and missing chunks; a worker pool
+//!   rebuilds what either found along each code's repair plan. The store
+//!   counts the traffic once, labelled with its code ([`MetricsSnapshot`]),
+//!   every read as it is begun, so a rebuild that fails is counted too;
+//!   [`DaemonStats`] is its change over the daemon's life.
 //! * **Pluggable disks** — every chunk touch goes through a [`ChunkBackend`]
 //!   ([`backend`]): the default is the local directory-per-disk layout
 //!   ([`LocalDisk`]), and the `pbrs-chunkd` crate serves the same surface

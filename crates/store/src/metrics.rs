@@ -34,8 +34,9 @@ pub(crate) enum Purpose {
 
 /// Bytes moved for one purpose. `same_rack + cross_rack` is the plans'
 /// price, the helper bytes ([`crate::StripeRepair::helper_bytes`]), split
-/// by the helper's rack relative to the target's; `read` and `written` are
-/// the bytes of the ops begun on backends.
+/// by the helper's rack relative to the target's, and recorded when a
+/// rebuild succeeds; `read` is the bytes of the reads begun on backends,
+/// recorded as they are begun, and `written` the chunk bytes stored.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Traffic {
     /// Planned helper bytes from the target's own rack.
@@ -44,7 +45,8 @@ pub(crate) struct Traffic {
     pub(crate) cross_rack: u64,
     /// Bytes of the reads begun.
     pub(crate) read: u64,
-    /// Chunk bytes of the writes begun, zero chunks included.
+    /// Chunk bytes of the writes that landed, zero chunks included: a
+    /// write batch records them once every write of it has succeeded.
     pub(crate) written: u64,
 }
 
@@ -194,7 +196,9 @@ pub struct MetricsSnapshot {
     pub degraded_intra_rack_bytes: u64,
     /// Degraded-read helper bytes that crossed racks.
     pub degraded_cross_rack_bytes: u64,
-    /// Helper bytes degraded reads actually requested from backends.
+    /// Helper bytes degraded reads actually requested from backends,
+    /// counted as each read is begun, so a degraded read that fails is
+    /// counted too.
     pub degraded_fetched_bytes: u64,
     /// Chunks found corrupt by any path.
     pub corrupt_chunks_detected: u64,
@@ -206,7 +210,8 @@ pub struct MetricsSnapshot {
     pub repair_intra_rack_bytes: u64,
     /// Repair helper bytes that crossed racks.
     pub repair_cross_rack_bytes: u64,
-    /// Helper bytes repairs actually requested from backends.
+    /// Helper bytes repairs actually requested from backends, counted as
+    /// each read is begun, so a repair that fails is counted too.
     pub repair_fetched_bytes: u64,
     /// Rebuilt chunk payload bytes written back.
     pub repair_bytes_written: u64,

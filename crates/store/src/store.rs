@@ -24,51 +24,27 @@
 //! [`BlockStore::socket_counters`]. The manifest always lives locally at
 //! the store root.
 //!
-//! # Write path
+//! # Core and paths
 //!
-//! `put` streams an object into stripes of `k × chunk_len` bytes, encodes
-//! each stripe with the zero-copy [`ErasureCode::encode_into`] into a single
-//! contiguous [`ShardBuffer`], and writes all `k + r` chunks as checksummed
-//! files (see [`crate::chunk`]); the zero padding of a short last stripe
-//! is written as zero chunks ([`ChunkBackend::begin_write_zeros`]), so no
-//! payload is sent for it. One thread drives an object, one stripe at
-//! a time; the concurrency is inside the stripe, across its disks: all
-//! `k + r` writes are begun ([`ChunkBackend::begin_write`]) before any is
-//! waited for, so a stripe on networked disks costs its slowest write, not
-//! their sum. The manifest is committed only after every chunk of the object
-//! is durable, so a crashed `put` leaves orphan chunks, never a
-//! readable-but-wrong object. `put` and the streaming
-//! [`crate::ObjectWriter`] are the same sequence ([`crate::stream`]).
+//! This file is the store's core: its configuration and report types,
+//! [`BlockStore`] with `open` and the accessors, the per-caller stripe
+//! scratch, and the steps every path shares — the span shell of a stripe
+//! op, the settling of a chunk read, and the byte ledger
+//! ([`BlockStore::metrics`]). Each path is a child module, its file under
+//! `store/`:
 //!
-//! # Read path and degraded reads
+//! * `write.rs` — `put`'s name reservation, stripe encode and one write
+//!   batch per stripe, the manifest commit, and [`BlockStore::delete`];
+//! * `read.rs` — a stripe served into the caller's buffer, degraded when a
+//!   chunk of it is lost;
+//! * `rebuild.rs` — the one rebuild loop of degraded reads and repairs,
+//!   and [`BlockStore::repair_stripe`];
+//! * `scrub.rs` — what a repair starts from: [`BlockStore::scrub`], the
+//!   one chunk check that a repair also runs on its claims, the tombstone
+//!   and tmp sweeps, and the chunks placed on lost disks
+//!   ([`BlockStore::chunks_on_disks`]).
 //!
-//! `get` reads the `k` data chunks of each stripe — begun together, then
-//! collected together ([`ChunkBackend::begin_read`]) — and verifies their
-//! checksums; a short stripe's padding chunks are only checked
-//! ([`ChunkBackend::begin_verify`]). When a chunk is missing or corrupt
-//! the stripe is served
-//! *degraded*: one rebuild loop plans each lost data chunk with
-//! [`ErasureCode::repair_reads_ranked`] over the shards still available,
-//! reads exactly the helper byte ranges the plans name (for a
-//! Piggybacked-RS single loss, half-chunks) that the read has not already
-//! delivered, and solves each target with
-//! [`ErasureCode::repair_from_reads`]. A helper that fails is planned
-//! around: it is never asked again, and the next plan costs only the
-//! ranges it adds. The helper bytes crossing disks are counted in the
-//! store's byte ledger ([`BlockStore::metrics`]), which is how the
-//! paper's ~30 % repair-traffic saving becomes measurable on real file
-//! I/O. `get` is [`crate::ObjectReader`]
-//! driven over every stripe: stripes decode one after another straight
-//! into the output buffer with one reusable stripe-sized scratch — no
-//! per-stripe allocation on the hot path.
-//!
-//! # Repair path
-//!
-//! [`BlockStore::repair_stripe`] rebuilds damaged chunks in place (atomic
-//! rename, like every chunk write) with the same loop, from an empty
-//! scratch; a helper found damaged on the way is rebuilt and written back
-//! too. The [`crate::daemon::RepairDaemon`] drives it from a scrub/enqueue
-//! loop across a worker pool.
+//! # Zero padding
 //!
 //! Every path treats the zero padding of an object's short last stripe
 //! (the data chunks past its payload) as resident zeros, and no path
@@ -80,30 +56,32 @@
 //! ([`ChunkBackend::begin_write_zeros`]). Helper-byte counters still price
 //! the whole plan; [`StripeRepair::fetched_bytes`] counts what was read.
 
+mod read;
+mod rebuild;
+mod scrub;
+mod write;
+
 use std::collections::HashSet;
 use std::fs;
-use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 use pbrs_core::registry::{self, DynCode};
-use pbrs_erasure::{CodeError, CodeSpec, ErasureCode, ShardBuffer, ShardRead};
+use pbrs_erasure::{CodeSpec, ErasureCode, ShardBuffer};
 use pbrs_placement::{PlacementMap, PlacementPolicy, RackMap};
 
 use crate::backend::{BackendCounters, ChunkBackend, LocalDisk};
-use crate::chunk::{self, ChunkId, ChunkRead, ChunkStatus};
+use crate::chunk::{self, ChunkRead, ChunkStatus};
 use crate::error::{Result, StoreError};
 use crate::guard::GuardedDisk;
 use crate::health::{DiskHealthSnapshot, DiskState, HealthPolicy, HealthTracker, Transition};
-use crate::manifest::{manifest_path, validate_object_name, Manifest, ObjectInfo};
-use crate::metrics::{
-    MetricsSnapshot, Purpose, StoreLatency, StoreLatencySnapshot, StoreMetrics, Traffic,
-};
+use crate::manifest::{Manifest, ObjectInfo};
+use crate::metrics::{MetricsSnapshot, StoreLatency, StoreLatencySnapshot, StoreMetrics};
 use pbrs_obs::trace::{self, RootFlags, ScopedCtx, SpanBuilder, SpanRecord, Tracer};
-use pbrs_obs::{Event, EventJournal, EventKind, Stage, StageTimes};
+use pbrs_obs::{Event, EventJournal, EventKind};
 
 /// Default chunk payload length: 64 KiB.
 pub const DEFAULT_CHUNK_LEN: usize = 64 * 1024;
@@ -325,19 +303,14 @@ pub struct BlockStore {
     in_flight: Mutex<HashSet<String>>,
     metrics: StoreMetrics,
     latency: StoreLatency,
-    fail: FailPoints,
+    /// Test-only failure injection (see
+    /// [`BlockStore::inject_repair_panic`]).
+    repair_panic: AtomicBool,
     /// Causal-tracing sink, installed once by the embedding process (the
     /// gateway) via [`BlockStore::set_tracer`]. Store spans are recorded
     /// only while a [`pbrs_obs::TraceCtx`] is in scope on the calling
     /// thread, so an untraced store pays one atomic load per op.
     tracer: OnceLock<Arc<Tracer>>,
-}
-
-/// Test-only failure injection flags (see
-/// [`BlockStore::inject_repair_panic`]).
-#[derive(Debug, Default)]
-struct FailPoints {
-    repair_panic: AtomicBool,
 }
 
 /// Per-caller reusable buffers for stripe reads and repairs: one full
@@ -370,25 +343,7 @@ struct ReadOutcome {
     hard: Option<StoreError>,
 }
 
-/// The union of `reads`, one read per shard in shard order: a shard read
-/// over two different ranges is read whole.
-fn union_of<'a>(
-    reads: impl IntoIterator<Item = &'a ShardRead>,
-    chunk_len: usize,
-) -> Vec<ShardRead> {
-    let mut union: Vec<ShardRead> = reads.into_iter().copied().collect();
-    union.sort_unstable_by_key(|read| (read.shard, read.offset, read.len));
-    union.dedup();
-    union.dedup_by(|later, kept| {
-        later.shard == kept.shard && {
-            *kept = ShardRead::whole(kept.shard, chunk_len);
-            true
-        }
-    });
-    union
-}
-
-/// One stripe as the read and rebuild paths address it.
+/// One stripe as the read, write and rebuild paths address it.
 pub(crate) struct StripeRef<'a> {
     object: &'a str,
     stripe: u64,
@@ -400,6 +355,18 @@ pub(crate) struct StripeRef<'a> {
     /// read or rebuild fetches them and no write sends them. A partly
     /// filled chunk is not padding.
     padding: Range<usize>,
+}
+
+/// The span a stripe op runs in ([`BlockStore::in_span`]).
+#[derive(Clone, Copy)]
+enum StripeSpan {
+    /// A child of the trace context in scope on the thread; no span
+    /// without one.
+    Child(&'static str),
+    /// A root span: repair jobs run with no caller trace (the daemon mints
+    /// none), so each job is its own trace. A context in scope (a traced
+    /// admin op) is adopted as its parent instead.
+    Root(&'static str),
 }
 
 impl std::fmt::Debug for BlockStore {
@@ -508,41 +475,11 @@ impl BlockStore {
         fs::create_dir_all(&config.root).map_err(|e| StoreError::io(&config.root, e))?;
         let manifest = match Manifest::load(&config.root)? {
             Some(existing) => {
-                if existing.spec != config.spec {
-                    return Err(StoreError::ConfigMismatch {
-                        field: "code",
-                        on_disk: existing.spec.to_string(),
-                        configured: config.spec.to_string(),
-                    });
-                }
-                if existing.chunk_len != config.chunk_len {
-                    return Err(StoreError::ConfigMismatch {
-                        field: "chunk_len",
-                        on_disk: existing.chunk_len.to_string(),
-                        configured: config.chunk_len.to_string(),
-                    });
-                }
-                if existing.pool != disks.len() {
-                    return Err(StoreError::ConfigMismatch {
-                        field: "pool",
-                        on_disk: existing.pool.to_string(),
-                        configured: disks.len().to_string(),
-                    });
-                }
-                if existing.policy != policy {
-                    return Err(StoreError::ConfigMismatch {
-                        field: "policy",
-                        on_disk: existing.policy.to_string(),
-                        configured: policy.to_string(),
-                    });
-                }
-                if existing.seed != config.placement_seed {
-                    return Err(StoreError::ConfigMismatch {
-                        field: "placement_seed",
-                        on_disk: existing.seed.to_string(),
-                        configured: config.placement_seed.to_string(),
-                    });
-                }
+                pinned("code", existing.spec, config.spec)?;
+                pinned("chunk_len", existing.chunk_len, config.chunk_len)?;
+                pinned("pool", existing.pool, disks.len())?;
+                pinned("policy", existing.policy, policy)?;
+                pinned("placement_seed", existing.seed, config.placement_seed)?;
                 existing
             }
             None => {
@@ -562,39 +499,31 @@ impl BlockStore {
         // tracker; transitions land in a dedicated journal.
         let mut disks = disks;
         let mut guards: Vec<Option<Arc<GuardedDisk>>> = vec![None; disks.len()];
-        let mut health = None;
-        let mut health_journal = None;
+        let (mut health, mut health_journal) = (None, None);
         if let Some(deadline) = config.op_deadline {
             let journal = Arc::new(EventJournal::new(crate::daemon::EVENT_JOURNAL_CAPACITY));
-            let tracker = Arc::new(HealthTracker::new(
-                disks.len(),
-                config.health_policy.clone(),
-                Some(config.root.join(crate::health::ADVISORY_FILE)),
-            ));
+            let advisory = config.root.join(crate::health::ADVISORY_FILE);
+            let policy = config.health_policy.clone();
+            let tracker = Arc::new(HealthTracker::new(disks.len(), policy, Some(advisory)));
             let hook: Arc<dyn Fn(Transition) + Send + Sync> = {
                 let journal = Arc::clone(&journal);
                 Arc::new(move |t: Transition| {
-                    journal.push(
-                        EventKind::DiskHealth,
-                        format!("disk {} {} -> {}", t.disk, t.from, t.to),
-                    );
+                    let text = format!("disk {} {} -> {}", t.disk, t.from, t.to);
+                    journal.push(EventKind::DiskHealth, text);
                 })
             };
-            disks = disks
-                .into_iter()
-                .enumerate()
-                .map(|(i, inner)| {
-                    let guard = Arc::new(GuardedDisk::new(
-                        inner,
-                        i,
-                        deadline,
-                        Arc::clone(&tracker),
-                        Some(Arc::clone(&hook)),
-                    ));
-                    guards[i] = Some(Arc::clone(&guard));
-                    guard as Arc<dyn ChunkBackend>
-                })
-                .collect();
+            for (i, (disk, slot)) in disks.iter_mut().zip(&mut guards).enumerate() {
+                let (tracker, hook) = (Arc::clone(&tracker), Some(Arc::clone(&hook)));
+                let guard = Arc::new(GuardedDisk::new(
+                    Arc::clone(disk),
+                    i,
+                    deadline,
+                    tracker,
+                    hook,
+                ));
+                *disk = Arc::clone(&guard) as Arc<dyn ChunkBackend>;
+                *slot = Some(guard);
+            }
             health = Some(tracker);
             health_journal = Some(journal);
         }
@@ -614,7 +543,7 @@ impl BlockStore {
             in_flight: Mutex::new(HashSet::new()),
             metrics: StoreMetrics::default(),
             latency: StoreLatency::default(),
-            fail: FailPoints::default(),
+            repair_panic: AtomicBool::new(false),
             tracer: OnceLock::new(),
         })
     }
@@ -655,9 +584,7 @@ impl BlockStore {
     /// disk index of shard `i`. Resolved from the manifest's persisted
     /// placement (identity `[0, 1, …]` for identity-placed stores).
     pub fn stripe_disks(&self, object: &str, stripe: u64) -> Vec<usize> {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let manifest = self.manifest.read().expect("lock");
-        Self::resolve_row(&manifest, &self.map, object, stripe)
+        Self::resolve_row(&self.read_manifest(), &self.map, object, stripe)
     }
 
     /// The manifest-first row lookup shared by every chunk-touching path:
@@ -679,43 +606,6 @@ impl BlockStore {
             return row.clone();
         }
         map.disks_for_object_stripe(object, stripe)
-    }
-
-    /// Every stripe row of one object (placement per stripe), resolved once
-    /// so multi-stripe reads do not take the manifest lock per stripe.
-    pub(crate) fn object_rows(&self, object: &str, stripes: u64) -> Vec<Vec<usize>> {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let manifest = self.manifest.read().expect("lock");
-        (0..stripes)
-            .map(|s| Self::resolve_row(&manifest, &self.map, object, s))
-            .collect()
-    }
-
-    /// Every chunk the manifest places on one of `disks`, in manifest
-    /// (object, stripe, shard) order — what a store loses when those disks
-    /// do. Resolved from manifest and placement rows alone: no chunk is
-    /// opened, no backend is asked, so the answer costs microseconds where
-    /// a [`BlockStore::scrub`] re-reads every disk to reach the same list.
-    pub fn chunks_on_disks(&self, disks: &[usize]) -> Vec<PlacedChunk> {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let manifest = self.manifest.read().expect("lock");
-        let mut placed = Vec::new();
-        for (object, info) in &manifest.objects {
-            for stripe in 0..info.stripes {
-                let row = Self::resolve_row(&manifest, &self.map, object, stripe);
-                for (shard, disk) in row.into_iter().enumerate() {
-                    if disks.contains(&disk) {
-                        placed.push(PlacedChunk {
-                            object: object.clone(),
-                            stripe,
-                            shard,
-                            disk,
-                        });
-                    }
-                }
-            }
-        }
-        placed
     }
 
     /// Logical data bytes per stripe (`k × chunk_len`).
@@ -785,11 +675,7 @@ impl BlockStore {
     /// degraded reads and repairs of networked chunks show up here; an
     /// all-local store reports zeros.
     pub fn socket_counters(&self) -> BackendCounters {
-        self.disks
-            .iter()
-            .fold(BackendCounters::default(), |acc, disk| {
-                acc.combined(disk.counters())
-            })
+        self.counters_of(0..self.disks.len())
     }
 
     /// Per-rack sums of the backends' transport counters, in rack order —
@@ -800,33 +686,21 @@ impl BlockStore {
         let racks = self.map.racks();
         (0..racks.racks())
             .map(|rack| {
-                let sum = racks
-                    .rack_disks(rack)
-                    .iter()
-                    .fold(BackendCounters::default(), |acc, &disk| {
-                        acc.combined(self.disks[disk].counters())
-                    });
-                (racks.rack_name(rack).to_string(), sum)
+                let disks = racks.rack_disks(rack).iter().copied();
+                (racks.rack_name(rack).to_string(), self.counters_of(disks))
             })
             .collect()
     }
 
-    /// Test-only failure injection: while enabled,
-    /// [`BlockStore::repair_stripe`] panics on entry. Exists so
-    /// crash-safety tests can prove the repair daemon survives a panicking
-    /// worker (and `wait_idle` terminates); never enable it outside tests.
-    pub fn inject_repair_panic(&self, enabled: bool) {
-        self.fail.repair_panic.store(enabled, Ordering::SeqCst);
+    /// The sum of the transport counters of `disks`.
+    fn counters_of(&self, disks: impl IntoIterator<Item = usize>) -> BackendCounters {
+        let counters = disks.into_iter().map(|disk| self.disks[disk].counters());
+        counters.fold(BackendCounters::default(), BackendCounters::combined)
     }
 
     /// Metadata of one object, if present.
     pub fn object(&self, name: &str) -> Option<ObjectInfo> {
-        self.manifest
-            .read()
-            .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            .objects
-            .get(name)
-            .copied()
+        self.read_manifest().objects.get(name).copied()
     }
 
     /// Metadata of object `name`, with the typed miss distinction
@@ -836,26 +710,37 @@ impl BlockStore {
     /// results to clients — the gateway — map the two to different
     /// statuses; neither is an I/O failure.
     pub fn lookup(&self, name: &str) -> Result<ObjectInfo> {
+        let manifest = self.read_manifest();
+        let info = manifest.objects.get(name).copied();
+        info.ok_or_else(|| Self::missing(&manifest, name))
+    }
+
+    /// Why `manifest` has no entry for `name`: [`StoreError::ObjectDeleted`]
+    /// under a tombstone, [`StoreError::ObjectNotFound`] otherwise.
+    fn missing(manifest: &Manifest, name: &str) -> StoreError {
+        let name = name.to_string();
+        if manifest.tombstones.contains(&name) {
+            StoreError::ObjectDeleted { name }
+        } else {
+            StoreError::ObjectNotFound { name }
+        }
+    }
+
+    /// The manifest, locked for reading.
+    fn read_manifest(&self) -> RwLockReadGuard<'_, Manifest> {
         // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let manifest = self.manifest.read().expect("lock");
-        if let Some(info) = manifest.objects.get(name) {
-            return Ok(*info);
-        }
-        if manifest.tombstones.contains(name) {
-            return Err(StoreError::ObjectDeleted {
-                name: name.to_string(),
-            });
-        }
-        Err(StoreError::ObjectNotFound {
-            name: name.to_string(),
-        })
+        self.manifest.read().expect("lock")
+    }
+
+    /// The manifest, locked for writing.
+    fn write_manifest(&self) -> RwLockWriteGuard<'_, Manifest> {
+        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+        self.manifest.write().expect("lock")
     }
 
     /// Names and metadata of every object, in name order.
     pub fn objects(&self) -> Vec<(String, ObjectInfo)> {
-        self.manifest
-            .read()
-            .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+        self.read_manifest()
             .objects
             .iter()
             .map(|(name, info)| (name.clone(), *info))
@@ -866,15 +751,6 @@ impl BlockStore {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics
             .snapshot(&self.code.name(), self.health.as_deref())
-    }
-
-    /// The byte ledger's repair row and the chunks repaired, as they stand
-    /// now: the store's repair totals, whose change a
-    /// [`crate::RepairDaemon`] reports.
-    pub(crate) fn repair_totals(&self) -> (Traffic, u64) {
-        // Relaxed: a sample for reporting, like the ledger row.
-        let chunks = self.metrics.chunks_repaired.load(Ordering::Relaxed);
-        (self.metrics.ledger.row(Purpose::Repair), chunks)
     }
 
     /// A point-in-time copy of the store's latency histograms: healthy and
@@ -939,17 +815,47 @@ impl BlockStore {
         Some((tracer.span(name, ctx), tracer))
     }
 
-    /// Tags a span with the identity of a pool disk: index, rack name,
-    /// and the backend's own description (a path or a `chunkd://` addr) —
-    /// the labels a trace reader needs to see *which* disk a chunk read
-    /// actually touched.
-    fn tag_disk(&self, span: &mut SpanBuilder, disk: usize) {
-        span.tag("disk", disk.to_string());
-        let racks = self.map.racks();
-        if let Some(rack) = racks.rack_of(disk) {
-            span.tag("rack", racks.rack_name(rack).to_string());
+    /// The one span shell of a stripe op. With tracing on, `op` runs with
+    /// the span as its thread's trace scope, so the `chunk_io` and
+    /// `rebuild` spans it opens parent on it. Then the span is tagged with
+    /// the stripe, with `degraded` when `degraded` says so of the result
+    /// or with the `fault` that failed it, and finished.
+    fn in_span<T>(
+        &self,
+        kind: StripeSpan,
+        object: &str,
+        stripe: u64,
+        op: impl FnOnce() -> Result<T>,
+        degraded: impl FnOnce(&T) -> bool,
+    ) -> Result<T> {
+        let span = match kind {
+            StripeSpan::Child(name) => self.trace_span(name),
+            StripeSpan::Root(name) => self
+                .tracer()
+                .map(|t| (t.root_span(name, trace::current_ctx()), t)),
+        };
+        let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
+        let result = op();
+        drop(scope);
+        if let Some((mut s, tracer)) = span {
+            s.tag("object", object);
+            s.tag("stripe", stripe.to_string());
+            match &result {
+                Ok(value) if degraded(value) => s.tag("degraded", "true"),
+                Ok(_) => {}
+                Err(e) => s.tag("fault", e.to_string()),
+            }
+            if let StripeSpan::Root(_) = kind {
+                let flags = RootFlags {
+                    error: result.is_err(),
+                    ..RootFlags::default()
+                };
+                s.finish_root(tracer, flags);
+            } else {
+                s.finish(tracer);
+            }
         }
-        span.tag("backend", self.disks[disk].describe());
+        result
     }
 
     /// Drains spans recorded on the far side of every mounted backend
@@ -960,192 +866,7 @@ impl BlockStore {
     }
 
     // ------------------------------------------------------------------
-    // Write path
-    // ------------------------------------------------------------------
-
-    /// Reserves `name` against concurrent writers and existing objects:
-    /// the shared admission step of [`BlockStore::put`] and the streaming
-    /// [`crate::ObjectWriter`]. A successful reservation must be paired
-    /// with [`BlockStore::release_name`].
-    pub(crate) fn reserve_name(&self, name: &str) -> Result<()> {
-        validate_object_name(name)?;
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let mut in_flight = self.in_flight.lock().expect("lock");
-        if self
-            .manifest
-            .read()
-            .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            .objects
-            .contains_key(name)
-            || !in_flight.insert(name.to_string())
-        {
-            return Err(StoreError::ObjectExists {
-                name: name.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Releases a [`BlockStore::reserve_name`] reservation.
-    pub(crate) fn release_name(&self, name: &str) {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        self.in_flight.lock().expect("lock").remove(name);
-    }
-
-    /// Pre-ingest disk preparation for a reserved name: sweeps the dead
-    /// chunks of a tombstoned predecessor (the old and new files share
-    /// names, so the old ones must go *before* new ones land). Nothing is
-    /// created: each disk's object directory is made by the first chunk
-    /// write that lands there ([`ChunkBackend::write_chunk`]), so a fresh
-    /// name costs no round trip before its first stripe.
-    pub(crate) fn prepare_object_dirs(&self, name: &str) -> Result<()> {
-        let tombstoned = self
-            .manifest
-            .read()
-            .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            .tombstones
-            .contains(name);
-        if tombstoned {
-            for disk in &self.disks {
-                disk.remove_object(name)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The durable commit of a fully ingested object (every chunk of every
-    /// stripe written): pins the metadata and placement rows in the
-    /// manifest, clears any tombstone, and rolls all of it back if the
-    /// manifest save fails — an object whose entry never became durable
-    /// must not be readable. Shared by [`BlockStore::put`] and the
-    /// streaming [`crate::ObjectWriter`].
-    pub(crate) fn commit_object(&self, name: &str, total: u64, stripes: u64) -> Result<ObjectInfo> {
-        let info = ObjectInfo {
-            len: total,
-            stripes,
-        };
-        // Re-derive the rows the stripe writes used (placement is a pure
-        // function of name + stripe) and pin them in the manifest.
-        let rows: Option<Vec<Vec<usize>>> =
-            (self.map.policy() != PlacementPolicy::Identity).then(|| {
-                (0..stripes)
-                    .map(|s| self.map.disks_for_object_stripe(name, s))
-                    .collect()
-            });
-        {
-            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            let mut manifest = self.manifest.write().expect("lock");
-            manifest.objects.insert(name.to_string(), info);
-            if let Some(rows) = rows {
-                manifest.placements.insert(name.to_string(), rows);
-            }
-            let had_tombstone = manifest.tombstones.remove(name);
-            if let Err(e) = manifest.save(&self.root) {
-                // Keep the in-memory map honest (matching the durable file):
-                // an object whose manifest entry never became durable must
-                // not be readable (its chunks are about to be cleaned up by
-                // the caller).
-                manifest.objects.remove(name);
-                manifest.placements.remove(name);
-                if had_tombstone {
-                    manifest.tombstones.insert(name.to_string());
-                }
-                return Err(e);
-            }
-        }
-        StoreMetrics::add(&self.metrics.bytes_ingested, total);
-        Ok(info)
-    }
-
-    /// Encodes the (already filled) data shards of `buf` and writes all
-    /// `n` chunk files of `stripe`. The data shards in `padding` are zero
-    /// padding ([`BlockStore::padding`]): they are written as zero chunks
-    /// ([`ChunkBackend::begin_write_zeros`]), so no payload is sent for them.
-    pub(crate) fn encode_and_write_stripe(
-        &self,
-        name: &str,
-        stripe: u64,
-        buf: &mut ShardBuffer,
-        padding: Range<usize>,
-    ) -> Result<()> {
-        let span = self.trace_span("write_stripe");
-        let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.encode_and_write_stripe_inner(name, stripe, buf, padding);
-        drop(scope);
-        if let Some((mut s, tracer)) = span {
-            s.tag("object", name);
-            s.tag("stripe", stripe.to_string());
-            if let Err(e) = &result {
-                s.tag("fault", e.to_string());
-            }
-            s.finish(tracer);
-        }
-        result
-    }
-
-    fn encode_and_write_stripe_inner(
-        &self,
-        name: &str,
-        stripe: u64,
-        buf: &mut ShardBuffer,
-        padding: Range<usize>,
-    ) -> Result<()> {
-        let (k, n) = {
-            let params = self.code.params();
-            (params.data_shards(), params.total_shards())
-        };
-        {
-            let (data, mut parity) = buf.split_mut(k);
-            self.code.encode_into(&data, &mut parity)?;
-        }
-        // Pure function of (seed, name, stripe): the commit re-derives and
-        // persists the same row.
-        let row = self.map.disks_for_object_stripe(name, stripe);
-        // The n chunks go to n different disks, so all n writes are begun
-        // before any is waited for: the stripe costs the slowest write, not
-        // their sum.
-        let pending: Vec<_> = row
-            .iter()
-            .enumerate()
-            .map(|(shard, &disk)| {
-                let id = ChunkId { stripe, shard };
-                if padding.contains(&shard) {
-                    self.disks[disk].begin_write_zeros(name, id, self.chunk_len)
-                } else {
-                    self.disks[disk].begin_write(name, id, buf.shard(shard))
-                }
-            })
-            .collect();
-        // Every write is collected before the first error is returned: none
-        // is still in flight when the caller removes the object's chunks.
-        let mut first_error = None;
-        for write in pending {
-            if let Err(e) = write.wait() {
-                first_error.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        StoreMetrics::add(&self.metrics.chunks_written, n as u64);
-        let written = Traffic {
-            written: (n * self.chunk_len) as u64,
-            ..Traffic::default()
-        };
-        self.metrics.ledger.record(Purpose::Put, written);
-        Ok(())
-    }
-
-    /// Best-effort removal of every chunk of `name` on every disk (cleanup
-    /// after a failed `put`).
-    pub(crate) fn remove_object_chunks(&self, name: &str) {
-        for disk in &self.disks {
-            let _ = disk.remove_object(name);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Read path
+    // Steps every path shares
     // ------------------------------------------------------------------
 
     /// A fresh scratch sized for this store's stripes.
@@ -1156,149 +877,6 @@ impl BlockStore {
             present: vec![false; n],
             rebuilt: vec![0u8; self.chunk_len],
         }
-    }
-
-    /// Serves the `k × chunk_len` data bytes of stripe `at` into `dest`,
-    /// reusing the caller's scratch buffers throughout. Returns whether
-    /// the stripe was served degraded (one or more chunks rebuilt from
-    /// survivors instead of read directly) — callers like the gateway
-    /// surface that share per response.
-    ///
-    /// Stage attribution: chunk reads (healthy and helper) accumulate into
-    /// `times` as [`Stage::ChunkIo`], rebuild arithmetic as
-    /// [`Stage::Erasure`], and the whole-stripe duration feeds the store's
-    /// healthy/degraded latency histograms.
-    pub(crate) fn read_stripe_into(
-        &self,
-        at: &StripeRef<'_>,
-        dest: &mut [u8],
-        scratch: &mut StripeScratch,
-        times: &mut StageTimes,
-    ) -> Result<bool> {
-        let span = self.trace_span("read_stripe");
-        let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.read_stripe_into_inner(at, dest, scratch, times);
-        drop(scope);
-        if let Some((mut s, tracer)) = span {
-            s.tag("object", at.object);
-            s.tag("stripe", at.stripe.to_string());
-            match &result {
-                Ok(true) => s.tag("degraded", "true"),
-                Ok(false) => {}
-                Err(e) => s.tag("fault", e.to_string()),
-            }
-            s.finish(tracer);
-        }
-        result
-    }
-
-    fn read_stripe_into_inner(
-        &self,
-        at: &StripeRef<'_>,
-        dest: &mut [u8],
-        scratch: &mut StripeScratch,
-        times: &mut StageTimes,
-    ) -> Result<bool> {
-        let stripe_start = Instant::now();
-        let k = self.code.params().data_shards();
-        debug_assert_eq!(dest.len(), self.stripe_data_len());
-        // Fast path: read and verify the k data chunks straight into the
-        // caller's destination — the healthy case touches no scratch and
-        // pays no extra copy. The chunks sit on k different disks, so all k
-        // reads are begun before any is waited for: the stripe costs the
-        // slowest round trip, not their sum. A padding chunk's bytes are
-        // known: its slot is zeroed and its chunk only checked, so a lost
-        // or damaged padding chunk still degrades the stripe.
-        let pending: Vec<_> = dest
-            .chunks_mut(self.chunk_len)
-            .enumerate()
-            .map(|(shard, slot)| {
-                let disk = &self.disks[at.row[shard]];
-                let id = ChunkId {
-                    stripe: at.stripe,
-                    shard,
-                };
-                if at.padding.contains(&shard) {
-                    slot.fill(0);
-                    disk.begin_verify(at.object, id, self.chunk_len)
-                } else {
-                    disk.begin_read(at.object, id, self.chunk_len, 0, slot)
-                }
-            })
-            .collect();
-        // Every read is collected before a hard error is returned: no read
-        // is left in flight into `dest`.
-        let mut outcome = ReadOutcome::default();
-        for (shard, read) in pending.into_iter().enumerate() {
-            self.settle_read(shard, None, read.wait(), "", &mut outcome);
-        }
-        if let Some(e) = outcome.hard {
-            return Err(e);
-        }
-        let mut bad = outcome.failed;
-        times.add_duration(Stage::ChunkIo, stripe_start.elapsed());
-        if bad.is_empty() {
-            self.latency
-                .healthy_stripe_read
-                .record_duration(stripe_start.elapsed());
-            return Ok(false);
-        }
-
-        // Degraded read: install the verified data chunks into the scratch
-        // stripe (the rebuild reads its helpers from there).
-        StoreMetrics::add(&self.metrics.degraded_stripe_reads, 1);
-        let rebuild_start = Instant::now();
-        scratch.present.fill(false);
-        for shard in 0..k {
-            if !bad.contains(&shard) {
-                scratch
-                    .buf
-                    .shard_mut(shard)
-                    .copy_from_slice(&dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]);
-                scratch.present[shard] = true;
-            }
-        }
-        let traffic = self.rebuild(at, &mut bad, Purpose::Degraded, scratch, times)?;
-        // Only the lost chunks changed: the rest of `dest` is as read.
-        for shard in bad {
-            dest[shard * self.chunk_len..(shard + 1) * self.chunk_len]
-                .copy_from_slice(scratch.buf.shard(shard));
-        }
-        self.metrics.ledger.record(Purpose::Degraded, traffic);
-        self.latency
-            .degraded_reconstruct
-            .record_duration(rebuild_start.elapsed());
-        self.latency
-            .degraded_stripe_read
-            .record_duration(stripe_start.elapsed());
-        Ok(true)
-    }
-
-    /// Read-metrics bump for streaming readers ([`crate::ObjectReader`]),
-    /// which serve an object without going through [`BlockStore::get`].
-    pub(crate) fn note_streamed_read(&self, bytes_served: u64, whole_object: bool) {
-        if whole_object {
-            StoreMetrics::add(&self.metrics.objects_read, 1);
-        }
-        StoreMetrics::add(&self.metrics.bytes_served, bytes_served);
-    }
-
-    /// Opens the `chunk_io` span of one helper read, when tracing is on.
-    /// It stays open from the read's begin to its wait, so overlapping
-    /// reads show as overlapping spans.
-    fn chunk_io_span(
-        &self,
-        disk: usize,
-        shard: usize,
-        bytes: usize,
-    ) -> Option<(SpanBuilder, &Arc<Tracer>)> {
-        let mut io_span = self.trace_span("chunk_io");
-        if let Some((s, _)) = io_span.as_mut() {
-            self.tag_disk(s, disk);
-            s.tag("shard", shard.to_string());
-            s.tag("bytes", bytes.to_string());
-        }
-        io_span
     }
 
     /// Closes one chunk read of a batch: finishes its span, if it has one
@@ -1334,624 +912,29 @@ impl BlockStore {
         false
     }
 
-    /// Rebuilds every shard in `targets` into its slot of `scratch.buf`:
-    /// the one rebuild loop of degraded reads and repairs. Each round
-    /// plans, reads, and then solves or re-plans.
-    ///
-    /// * **Plan.** Each open target gets
-    ///   [`ErasureCode::repair_reads_ranked`] over the shards still
-    ///   available: every shard but the targets and the helpers found bad.
-    ///   The zero padding stays available, lost or not: its bytes are
-    ///   known. Resident shards rank first — whole chunks already verified
-    ///   in the scratch (flagged in `present`) and padding — then shards in
-    ///   the first target's rack, then the rest, ties by index. A helper
-    ///   the hedge gave up on is left out of the plan, unless no plan
-    ///   avoids it.
-    /// * **Read.** The plans' ranges on shards that are not resident are
-    ///   begun together — they sit on different disks — and then waited
-    ///   for. A whole chunk that arrives is resident from then on, so no
-    ///   later round reads it again. A padding target's plan is not read.
-    /// * **Re-plan.** A helper that fails is marked bad and never asked
-    ///   again for this stripe; for a [`Purpose::Repair`] it joins
-    ///   `targets`, to be rebuilt and written back too.
-    /// * **Solve.** A target whose plan was read in full is rebuilt by
-    ///   [`ErasureCode::repair_from_reads`] and stays out of every later
-    ///   plan. A padding target is its zeroed slot.
-    ///
-    /// Hedging: with a hedge delay configured, a single-target rebuild's
-    /// first round begins its reads under the short hedge budget
-    /// (`GuardedDisk::begin_read_within`) instead of the full deadline.
-    /// Every helper that misses the budget or fails is *exiled*, not
-    /// marked bad: the next round plans around it, and reads it under the
-    /// full deadline only when no plan avoids it.
-    ///
-    /// Returns the rebuild's [`Traffic`]: the price is the union of the
-    /// final plans' ranges, split same/cross rack relative to the first
-    /// target's disk, whether or not a range was resident or padding here;
-    /// `read` counts every range begun. Bytes of the scratch outside the
-    /// ranges read may be stale from earlier stripes:
-    /// [`ErasureCode::repair_from_reads`] reads only the ranges it is given.
-    fn rebuild(
-        &self,
-        at: &StripeRef<'_>,
-        targets: &mut Vec<usize>,
-        purpose: Purpose,
-        scratch: &mut StripeScratch,
-        times: &mut StageTimes,
-    ) -> Result<Traffic> {
-        let n = self.code.params().total_shards();
-        let racks = self.map.racks();
-        let row = at.row;
-        let home = row[targets[0]];
-        // Whole slots: a reader's scratch still holds its previous stripe.
-        for shard in at.padding.clone() {
-            scratch.buf.shard_mut(shard).fill(0);
-            scratch.present[shard] = true;
-        }
-        let mut bad = vec![false; n];
-        let mut exiled: Vec<usize> = Vec::new();
-        let mut hedge = self
-            .hedge_delay
-            .filter(|_| targets.len() == 1 && !at.padding.contains(&targets[0]));
-        let mut open = targets.clone();
-        let mut solved: Vec<ShardRead> = Vec::new();
-        let mut traffic = Traffic::default();
-        while !open.is_empty() {
-            let mut available: Vec<bool> = (0..n)
-                .map(|s| !bad[s] && (at.padding.contains(&s) || !targets.contains(&s)))
-                .collect();
-            let rank = |shard: usize| -> u64 {
-                if scratch.present[shard] {
-                    0
-                } else {
-                    1 + u64::from(!racks.same_rack(row[shard], home))
-                }
-            };
-            let mut plans = Vec::with_capacity(open.len());
-            for &target in &open {
-                // Only a padding target is available (to the other plans).
-                let kept = std::mem::replace(&mut available[target], false);
-                let around: Vec<bool> = (0..n)
-                    .map(|s| available[s] && !exiled.contains(&s))
-                    .collect();
-                let plan = self
-                    .code
-                    .repair_reads_ranked(target, &around, self.chunk_len, &rank)
-                    .or_else(|_| {
-                        self.code
-                            .repair_reads_ranked(target, &available, self.chunk_len, &rank)
-                    });
-                available[target] = kept;
-                plans.push(match plan {
-                    Ok(plan) => plan,
-                    // A padding target is its zeroed slot: a plan only
-                    // prices it, so having none is no loss.
-                    Err(_) if at.padding.contains(&target) => Vec::new(),
-                    Err(e) => {
-                        let survivors = available.iter().filter(|&&a| a).count();
-                        return Err(self.unrecoverable(at.object, at.stripe, survivors, e));
-                    }
-                });
-            }
-            let to_read = open
-                .iter()
-                .zip(&plans)
-                .filter(|&(target, _)| !at.padding.contains(target))
-                .flat_map(|(_, plan)| plan);
-            let mut reads = union_of(to_read, self.chunk_len);
-            reads.retain(|read| !scratch.present[read.shard]);
-
-            let io_start = Instant::now();
-            let hedge_now = hedge.take();
-            let fail_tag = if hedge_now.is_some() {
-                "abandoned"
-            } else {
-                "helper_failed"
-            };
-            let mut pending = Vec::with_capacity(reads.len());
-            for (read, window) in reads.iter().zip(scratch.buf.windows_mut(&reads)?) {
-                traffic.read += read.len as u64;
-                let id = ChunkId {
-                    stripe: at.stripe,
-                    shard: read.shard,
-                };
-                let disk = row[read.shard];
-                let io_span = self.chunk_io_span(disk, read.shard, read.len);
-                let (offset, chunk_len) = (read.offset, self.chunk_len);
-                let begun = match (hedge_now, &self.guards[disk]) {
-                    (Some(budget), Some(guard)) => {
-                        guard.begin_read_within(budget, at.object, id, chunk_len, offset, window)
-                    }
-                    _ => self.disks[disk].begin_read(at.object, id, chunk_len, offset, window),
-                };
-                pending.push((read, io_span, begun));
-            }
-            let mut outcome = ReadOutcome::default();
-            for (read, io_span, pending) in pending {
-                if self.settle_read(read.shard, io_span, pending.wait(), fail_tag, &mut outcome) {
-                    scratch.present[read.shard] |= read.len == self.chunk_len;
-                }
-            }
-            if let Some(e) = outcome.hard {
-                return Err(e);
-            }
-            times.add_duration(Stage::ChunkIo, io_start.elapsed());
-            if hedge_now.is_some() && !outcome.failed.is_empty() {
-                exiled.extend(outcome.failed);
-                StoreMetrics::add(&self.metrics.hedged_reads, 1);
-                continue;
-            }
-
-            let mut adopted = Vec::new();
-            for &shard in &outcome.failed {
-                bad[shard] = true;
-                if purpose == Purpose::Repair && !targets.contains(&shard) {
-                    targets.push(shard);
-                    adopted.push(shard);
-                }
-            }
-            let mut next = Vec::new();
-            for (&target, plan) in open.iter().zip(plans) {
-                let padding = at.padding.contains(&target);
-                if !padding && plan.iter().any(|read| bad[read.shard]) {
-                    next.push(target);
-                    continue;
-                }
-                if !padding {
-                    // The hedge won when the round after it read a plan
-                    // around the exiled shards with no helper failing.
-                    let hedge_won = !exiled.is_empty()
-                        && !bad.contains(&true)
-                        && plan.iter().all(|read| !exiled.contains(&read.shard));
-                    let mut rebuild_span = self.trace_span("rebuild");
-                    if let Some((s, _)) = rebuild_span.as_mut() {
-                        s.tag("target_shard", target.to_string());
-                        if hedge_won {
-                            s.tag("hedged", "winner");
-                        }
-                    }
-                    let erasure_start = Instant::now();
-                    self.code.repair_from_reads(
-                        target,
-                        &plan,
-                        &scratch.buf.as_set(),
-                        &mut scratch.rebuilt,
-                    )?;
-                    scratch
-                        .buf
-                        .shard_mut(target)
-                        .copy_from_slice(&scratch.rebuilt);
-                    times.add_duration(Stage::Erasure, erasure_start.elapsed());
-                    if hedge_won {
-                        StoreMetrics::add(&self.metrics.hedge_wins, 1);
-                    }
-                    if let Some((s, tracer)) = rebuild_span {
-                        s.finish(tracer);
-                    }
-                }
-                solved.extend(plan);
-            }
-            next.extend(adopted);
-            open = next;
-        }
-        for read in union_of(&solved, self.chunk_len) {
-            if racks.same_rack(row[read.shard], home) {
-                traffic.same_rack += read.len as u64;
-            } else {
-                traffic.cross_rack += read.len as u64;
-            }
-        }
-        Ok(traffic)
-    }
-
-    fn unrecoverable(
-        &self,
-        object: &str,
-        stripe: u64,
-        survivors: usize,
-        e: CodeError,
-    ) -> StoreError {
-        match e {
-            CodeError::NotEnoughShards { needed, .. } => StoreError::StripeUnrecoverable {
-                object: object.to_string(),
-                stripe,
-                survivors,
-                needed,
-            },
-            CodeError::ReconstructionFailed { .. } => StoreError::StripeUnrecoverable {
-                object: object.to_string(),
-                stripe,
-                survivors,
-                needed: self.code.params().data_shards(),
-            },
-            other => StoreError::Code(other),
-        }
-    }
-
+    /// Counts a chunk found corrupt, by any path.
     fn note_damage(&self, status: &ChunkStatus) {
         if matches!(status, ChunkStatus::Corrupt { .. }) {
             StoreMetrics::add(&self.metrics.corrupt_chunks_detected, 1);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Repair path
-    // ------------------------------------------------------------------
-
-    /// Rebuilds the `damaged` shards of one stripe and writes them back.
-    ///
-    /// Each claimed shard is re-verified first; shards that are healthy by
-    /// now (e.g. repaired by a concurrent worker) are skipped. The rest
-    /// are rebuilt from byte-exact helper reads of each shard's plan; a
-    /// helper found missing or corrupt on the way is planned around, then
-    /// rebuilt and written back as well.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::ObjectNotFound`],
-    /// [`StoreError::StripeUnrecoverable`], or I/O / codec failures.
-    pub fn repair_stripe(
-        &self,
-        object: &str,
-        stripe: u64,
-        damaged: &[usize],
-    ) -> Result<StripeRepair> {
-        self.repair_stripe_with(object, stripe, damaged, &mut self.new_scratch())
-    }
-
-    /// [`BlockStore::repair_stripe`] on a caller's scratch, which a repair
-    /// worker reuses across its jobs.
-    pub(crate) fn repair_stripe_with(
-        &self,
-        object: &str,
-        stripe: u64,
-        damaged: &[usize],
-        scratch: &mut StripeScratch,
-    ) -> Result<StripeRepair> {
-        // Repair jobs run with no caller trace (the daemon mints none), so
-        // each job is its own root trace; a caller-scoped context (e.g. a
-        // traced admin op) is adopted instead of replaced.
-        let span = self
-            .tracer()
-            .map(|t| (t.root_span("repair", trace::current_ctx()), t));
-        let scope = span.as_ref().map(|(s, _)| ScopedCtx::enter(Some(s.ctx())));
-        let result = self.repair_stripe_inner(object, stripe, damaged, scratch);
-        drop(scope);
-        if let Some((mut s, tracer)) = span {
-            s.tag("object", object);
-            s.tag("stripe", stripe.to_string());
-            if let Err(e) = &result {
-                s.tag("fault", e.to_string());
-            }
-            s.finish_root(
-                tracer,
-                RootFlags {
-                    error: result.is_err(),
-                    ..RootFlags::default()
-                },
-            );
-        }
-        result
-    }
-
-    fn repair_stripe_inner(
-        &self,
-        object: &str,
-        stripe: u64,
-        damaged: &[usize],
-        scratch: &mut StripeScratch,
-    ) -> Result<StripeRepair> {
-        // SeqCst: crash-test failpoint, flipped rarely and read cold.
-        if self.fail.repair_panic.load(Ordering::SeqCst) {
-            // pbrs-lint: allow(panic-hygiene) -- injected failure hook; panicking here is the tested behaviour
-            panic!("injected repair panic (object {object:?} stripe {stripe})");
-        }
-        let job_start = Instant::now();
-        let info = self
-            .object(object)
-            .ok_or_else(|| StoreError::ObjectNotFound {
-                name: object.to_string(),
-            })?;
-        let n = self.code.params().total_shards();
-        if stripe >= info.stripes {
-            return Err(StoreError::InvalidConfig {
-                reason: format!(
-                    "stripe {stripe} out of range for object {object:?} ({} stripes)",
-                    info.stripes
-                ),
-            });
-        }
-        let row = self.stripe_disks(object, stripe);
-        let mut report = StripeRepair::default();
-        // Dedup the claimed shards so a repeated index cannot become a
-        // second target or double-count the repair metrics.
-        let mut damaged = damaged.to_vec();
-        damaged.sort_unstable();
-        damaged.dedup();
-        let mut targets: Vec<usize> = Vec::new();
-        for &shard in &damaged {
-            if shard >= n {
-                return Err(StoreError::Code(CodeError::InvalidShardIndex {
-                    index: shard,
-                    total: n,
-                }));
-            }
-            let (status, bytes) = self.disks[row[shard]].verify_chunk(
-                object,
-                ChunkId { stripe, shard },
-                self.chunk_len,
-            )?;
-            StoreMetrics::add(&self.metrics.chunks_scrubbed, 1);
-            let verified = Traffic {
-                read: bytes,
-                ..Traffic::default()
-            };
-            self.metrics.ledger.record(Purpose::Scrub, verified);
-            if status.is_healthy() {
-                report.already_healthy.push(shard);
-            } else {
-                self.note_damage(&status);
-                targets.push(shard);
-            }
-        }
-        if targets.is_empty() {
-            return Ok(report);
-        }
-
-        let at = self.stripe_ref(object, &info, stripe, &row);
-        // Nothing of this stripe has been read into the scratch yet.
-        scratch.present.fill(false);
-        let mut times = StageTimes::new();
-        // Damage found while reading helpers is rebuilt and written back too.
-        let mut traffic = self.rebuild(&at, &mut targets, Purpose::Repair, scratch, &mut times)?;
-        targets.sort_unstable();
-        for &shard in &targets {
-            self.write_back(&at, shard, scratch.buf.shard(shard))?;
-        }
-        traffic.written = (targets.len() * self.chunk_len) as u64;
-        self.metrics.ledger.record(Purpose::Repair, traffic);
-        StoreMetrics::add(&self.metrics.chunks_repaired, targets.len() as u64);
-        report.rebuilt = targets;
-        report.helper_bytes = traffic.helper();
-        report.intra_rack_bytes = traffic.same_rack;
-        report.cross_rack_bytes = traffic.cross_rack;
-        report.fetched_bytes = traffic.read;
-        report.bytes_written = traffic.written;
-        self.latency.repair_job.record_duration(job_start.elapsed());
-        Ok(report)
-    }
-
-    /// Writes rebuilt shard `shard` of stripe `at` back to its disk; a
-    /// padding shard is written as a zero chunk, with no payload sent.
-    fn write_back(&self, at: &StripeRef<'_>, shard: usize, payload: &[u8]) -> Result<()> {
-        let disk = &self.disks[at.row[shard]];
-        let id = ChunkId {
-            stripe: at.stripe,
-            shard,
-        };
-        if at.padding.contains(&shard) {
-            disk.begin_write_zeros(at.object, id, self.chunk_len).wait()
-        } else {
-            disk.write_chunk(at.object, id, payload)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Scrub
-    // ------------------------------------------------------------------
-
-    /// Verifies every chunk of every object (full checksum read) and
-    /// reports all damage, plus disks whose backend reports the disk
-    /// missing or unreachable. Also sweeps crash leftovers: stale `*.tmp`
-    /// files (older than [`STALE_TMP_MIN_AGE`]) on every disk and a stale
-    /// `MANIFEST.tmp` at the root are deleted and reported, so debris from
-    /// a crashed writer can neither accumulate nor be mistaken for damage.
-    ///
-    /// # Errors
-    ///
-    /// Returns hard I/O failures only; missing/corrupt chunks are reported,
-    /// not errors.
-    pub fn scrub(&self) -> Result<ScrubReport> {
-        self.scrub_given(self.unavailable_disks())
-    }
-
-    /// The disks whose backend reports them missing or unreachable right
-    /// now: one [`ChunkBackend::is_available`] per disk, no chunk I/O.
-    pub(crate) fn unavailable_disks(&self) -> Vec<usize> {
-        (0..self.disks.len())
-            .filter(|&disk| !self.disks[disk].is_available())
-            .collect()
-    }
-
-    /// [`BlockStore::scrub`] for a caller that has just asked every backend
-    /// whether it is there (the repair daemon does, to pick its pass). Asking
-    /// again would not be free: each ask is a round trip, and on a hardened
-    /// or fault-injected pool it spends a breaker probe or a fault-plan op.
-    pub(crate) fn scrub_given(&self, lost_disks: Vec<usize>) -> Result<ScrubReport> {
-        let mut report = ScrubReport {
-            lost_disks,
-            ..ScrubReport::default()
-        };
-        report.tombstones_swept = self.sweep_tombstones()?;
-        for (name, info) in self.objects() {
-            for stripe in 0..info.stripes {
-                let row = self.stripe_disks(&name, stripe);
-                let (examined, bytes) =
-                    self.verify_stripe(&name, stripe, &row, &mut report.damages)?;
-                report.chunks_examined += examined;
-                report.bytes_read += bytes;
-            }
-        }
-        for (disk, backend) in self.disks.iter().enumerate() {
-            for rel in backend.sweep_tmp(self.stale_tmp_min_age)? {
-                report
-                    .stale_tmp_removed
-                    .push(format!("disk-{disk:02}/{rel}"));
-            }
-        }
-        if self.sweep_stale_manifest_tmp()? {
-            report.stale_tmp_removed.push("MANIFEST.tmp".to_string());
-        }
-        StoreMetrics::add(&self.metrics.chunks_scrubbed, report.chunks_examined);
-        let verified = Traffic {
-            read: report.bytes_read,
-            ..Traffic::default()
-        };
-        self.metrics.ledger.record(Purpose::Scrub, verified);
-        Ok(report)
-    }
-
-    /// Verifies every chunk of one stripe (placement-resolved), appending
-    /// damage to `damages`; returns `(chunks examined, bytes read)`.
-    fn verify_stripe(
-        &self,
-        object: &str,
-        stripe: u64,
-        row: &[usize],
-        damages: &mut Vec<Damage>,
-    ) -> Result<(u64, u64)> {
-        let mut examined = 0u64;
-        let mut bytes_read = 0u64;
-        for (shard, &disk) in row.iter().enumerate() {
-            let (status, bytes) =
-                self.disks[disk].verify_chunk(object, ChunkId { stripe, shard }, self.chunk_len)?;
-            examined += 1;
-            bytes_read += bytes;
-            if !status.is_healthy() {
-                self.note_damage(&status);
-                damages.push(Damage {
-                    object: object.to_string(),
-                    stripe,
-                    shard,
-                    disk: row[shard],
-                    status,
-                });
-            }
-        }
-        Ok((examined, bytes_read))
-    }
-
-    /// Sweeps the dead chunks of every tombstoned object from every pool
-    /// disk; tombstones whose sweep completes on *all* disks are cleared
-    /// from the manifest (an unreachable disk keeps the tombstone alive for
-    /// a later pass). Returns the names fully swept.
-    fn sweep_tombstones(&self) -> Result<Vec<String>> {
-        let tombstones: Vec<String> = self
-            .manifest
-            .read()
-            .expect("lock") // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            .tombstones
-            .iter()
-            .cloned()
-            .collect();
-        if tombstones.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut swept = Vec::new();
-        for name in tombstones {
-            // Attempt every disk even after a failure: one unreachable disk
-            // must not leave the others' dead chunks lingering for passes.
-            let mut clean = true;
-            for disk in &self.disks {
-                if disk.remove_object(&name).is_err() {
-                    clean = false;
-                }
-            }
-            if clean {
-                swept.push(name);
-            }
-        }
-        if !swept.is_empty() {
-            // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-            let mut manifest = self.manifest.write().expect("lock");
-            for name in &swept {
-                manifest.tombstones.remove(name);
-            }
-            if let Err(e) = manifest.save(&self.root) {
-                // Keep memory matching the durable file: the sweep itself
-                // is idempotent, so the next scrub simply retries.
-                for name in &swept {
-                    manifest.tombstones.insert(name.clone());
-                }
-                return Err(e);
-            }
-        }
-        Ok(swept)
-    }
-
-    // ------------------------------------------------------------------
-    // Object lifecycle
-    // ------------------------------------------------------------------
-
-    /// Deletes object `name`: its manifest entry (and placement rows) are
-    /// replaced by a durable tombstone, so reads fail immediately, and the
-    /// chunks become garbage that the next [`BlockStore::scrub`] sweeps
-    /// from every disk. Reusing the name with [`BlockStore::put`] is legal
-    /// right away (the put sweeps the dead chunks first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::ObjectNotFound`],
-    /// [`StoreError::ObjectDeleted`] for a name already tombstoned, or
-    /// manifest I/O failures.
-    pub fn delete(&self, name: &str) -> Result<ObjectInfo> {
-        // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-        let mut manifest = self.manifest.write().expect("lock");
-        let Some(info) = manifest.objects.remove(name) else {
-            return Err(if manifest.tombstones.contains(name) {
-                StoreError::ObjectDeleted {
-                    name: name.to_string(),
-                }
-            } else {
-                StoreError::ObjectNotFound {
-                    name: name.to_string(),
-                }
-            });
-        };
-        let rows = manifest.placements.remove(name);
-        manifest.tombstones.insert(name.to_string());
-        if let Err(e) = manifest.save(&self.root) {
-            // Roll back to match the durable file: the object is still
-            // committed on disk, so it must stay readable in memory too.
-            manifest.objects.insert(name.to_string(), info);
-            if let Some(rows) = rows {
-                manifest.placements.insert(name.to_string(), rows);
-            }
-            manifest.tombstones.remove(name);
-            return Err(e);
-        }
-        Ok(info)
-    }
-
-    /// Deletes `root/MANIFEST.tmp` if it is a stale crash leftover (a live
-    /// `Manifest::save` is between tmp-write and rename for well under
-    /// [`STALE_TMP_MIN_AGE`]). Returns whether a file was removed.
-    fn sweep_stale_manifest_tmp(&self) -> Result<bool> {
-        let tmp = manifest_path(&self.root).with_extension("tmp");
-        let stale = fs::metadata(&tmp)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-            .is_some_and(|age| age >= self.stale_tmp_min_age);
-        if !stale {
-            return Ok(false);
-        }
-        match fs::remove_file(&tmp) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(StoreError::io(&tmp, e)),
-        }
-    }
 }
 
-/// Best-effort text of a caught panic payload (`panic!` with a string
-/// literal or a formatted message covers practically all of them).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
+/// Checks one field of the geometry a manifest pins against the value
+/// the store is opened with.
+fn pinned<T: PartialEq + std::fmt::Display>(
+    field: &'static str,
+    on_disk: T,
+    configured: T,
+) -> Result<()> {
+    if on_disk == configured {
+        return Ok(());
+    }
+    Err(StoreError::ConfigMismatch {
+        field,
+        on_disk: on_disk.to_string(),
+        configured: configured.to_string(),
+    })
 }
 
 #[cfg(test)]

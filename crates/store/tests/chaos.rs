@@ -213,6 +213,41 @@ fn guarded_chunk_ops_of_a_stripe_overlap() {
 }
 
 #[test]
+fn a_repair_writes_its_rebuilt_chunks_back_together() {
+    let dir = TempDir::new("chaos-write-back");
+    // Every chunk write takes 100 ms. A repair of four lost chunks begins
+    // their four write-backs on the disks' executors before it waits for
+    // any, so it costs about one delay, not four.
+    let plan = Arc::new(FaultPlan::parse("op=write delay=100ms", 1).unwrap());
+    let store = BlockStore::open_with_backends(
+        StoreConfig::new(dir.path().join("root"), "rs-10-4".parse().unwrap())
+            .chunk_len(CHUNK_LEN)
+            .op_deadline(Duration::from_secs(5)),
+        faulty_pool(&dir, 14, &plan),
+        RackMap::per_disk(14),
+        PlacementPolicy::Identity,
+    )
+    .unwrap();
+    let data = pattern(10 * CHUNK_LEN);
+    store.put("obj", &data[..]).unwrap();
+    let lost = [0, 3, 6, 9];
+    for shard in lost {
+        std::fs::remove_file(pool_chunk(&dir, shard, "obj", 0, shard)).unwrap();
+    }
+
+    let start = Instant::now();
+    let repair = store.repair_stripe("obj", 0, &lost).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(repair.rebuilt, lost);
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "the write-back paid for its writes in series: {elapsed:?}"
+    );
+    assert_eq!(store.metrics().disk_timeouts, 0);
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
 fn repeated_runs_under_the_same_seed_are_deterministic() {
     // Same plan text + seed ⇒ identical injected outcomes, hence identical
     // hedge/health counters — the property the chaos CI job leans on.
