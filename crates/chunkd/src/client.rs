@@ -42,10 +42,12 @@
 //! which is where its payload lands when it is waited for. A begun write
 //! borrows its payload the same way: the frame goes out as one vectored
 //! write of header, encoded fields and the caller's bytes — nothing copied
-//! — and the retry sends it again from the same slice. The blocking
-//! `read_chunk_into`, `read_chunk_range` and `write_chunk` are the trait's
-//! own, a begun op waited for at once; the meta requests (`ensure_object`,
-//! `sweep_tmp`, pings) run both halves back to back.
+//! — and the retry sends it again from the same slice. The envelope and
+//! the encoded fields are built once per call, so both attempts put the
+//! same body on the wire. The blocking `read_chunk_into`,
+//! `read_chunk_range` and `write_chunk` are the trait's own, a begun op
+//! waited for at once; the meta requests (`ensure_object`, `sweep_tmp`,
+//! pings) run both halves back to back.
 //!
 //! # Padding moves no payload
 //!
@@ -100,13 +102,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pbrs_obs::trace::{self, SpanRecord, TraceCtx};
+use pbrs_obs::trace::{self, SpanRecord};
 use pbrs_store::{
     BackendCounters, ChunkBackend, ChunkId, ChunkRead, ChunkStatus, PendingRead, PendingWrite,
     ReadyRead, ReadyWrite, StoreError,
 };
 
-use pbrs_wire::{parse_header, write_frame_parts, Envelope, FRAME_OVERHEAD};
+use pbrs_wire::{encode_envelope, parse_header, write_frame_parts, FRAME_OVERHEAD};
 
 use crate::protocol::{
     decode_ping, decode_spans, decode_sweep, decode_verify, Request, Response, STATUS_OK,
@@ -279,8 +281,6 @@ struct InFlight {
     /// When the caller stops waiting, fixed when the frame was sent — so
     /// several requests begun together time out together, not in series.
     deadline: Instant,
-    /// The patience `deadline` was computed from, for the error message.
-    wait: Duration,
 }
 
 impl Drop for InFlight {
@@ -295,8 +295,7 @@ enum Attempt {
     Sent(InFlight),
     /// The transport failed; a fresh connection may still work.
     Failed(io::Error),
-    /// No retry can help: the op budget is spent, or the dial is backed
-    /// off.
+    /// No retry can help: the dial is backed off.
     GaveUp(io::Error),
 }
 
@@ -306,14 +305,12 @@ enum Attempt {
 /// store overlaps the chunk reads of one stripe.
 struct Call<'a> {
     disk: &'a RemoteDisk,
-    /// Kept for the retry, which re-encodes under the remaining budget. A
-    /// write's payload is not in it but in `tail`.
-    request: Request,
-    /// The bytes that end the frame after the encoded request: a
-    /// `WriteChunk`'s payload, borrowed from the caller (empty otherwise).
+    /// The envelope and the encoded request, as both attempts send them.
+    /// A write's payload is not in it but in `tail`.
+    head: Vec<u8>,
+    /// The bytes that end the frame after `head`: a `WriteChunk`'s
+    /// payload, borrowed from the caller (empty otherwise).
     tail: &'a [u8],
-    trace: Option<TraceCtx>,
-    start: Instant,
     first: Attempt,
 }
 
@@ -324,10 +321,8 @@ impl Call<'_> {
     fn finish(self, out: &mut [u8]) -> io::Result<Reply> {
         let Call {
             disk,
-            request,
+            head,
             tail,
-            trace,
-            start,
             first,
         } = self;
         // The first attempt's error is superseded by the retry's outcome.
@@ -340,7 +335,7 @@ impl Call<'_> {
             Attempt::Failed(_) => {}
             Attempt::GaveUp(e) => return Err(e),
         }
-        match disk.send(&request, tail, trace, start) {
+        match disk.send(&head, tail) {
             Attempt::Sent(sent) => disk.receive(&sent, out),
             Attempt::Failed(e) | Attempt::GaveUp(e) => Err(e),
         }
@@ -430,10 +425,6 @@ impl PendingRead for RemoteVerify<'_> {
 pub struct RemoteDisk {
     addr: String,
     timeout: Duration,
-    /// Optional per-op deadline budget: when set, every request's envelope
-    /// carries the *remaining* budget, and an exhausted budget fails
-    /// locally without touching the network.
-    op_budget: Option<Duration>,
     /// Optional operator label — typically the rack this disk belongs to —
     /// surfaced in [`ChunkBackend::describe`] so per-socket byte counters
     /// can be attributed to racks when many disks are mounted.
@@ -441,7 +432,7 @@ pub struct RemoteDisk {
     /// When true, requests issued under a scoped trace context
     /// ([`trace::current_ctx`]) carry it in their envelope so the server's
     /// spans join the caller's tree. Off by default: an untraced request
-    /// without a budget has no envelope at all.
+    /// has no envelope at all.
     tracing: bool,
     conn: Mutex<Option<Arc<Mux>>>,
     next_id: AtomicU64,
@@ -531,7 +522,6 @@ impl RemoteDisk {
         RemoteDisk {
             addr,
             timeout,
-            op_budget: None,
             label: None,
             tracing: false,
             conn: Mutex::new(None),
@@ -546,18 +536,6 @@ impl RemoteDisk {
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
         }
-    }
-
-    /// Ships every request under a deadline budget: the wire frame carries
-    /// the budget *remaining* when the frame is sent (so a retry after a
-    /// slow first attempt ships a smaller number), the response wait is
-    /// clamped to it, and once it is exhausted the request fails locally —
-    /// no dial, no frame. The server refuses requests whose budget is
-    /// already spent instead of doing unwanted work.
-    #[must_use]
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.op_budget = Some(budget);
-        self
     }
 
     /// Enables trace propagation: requests issued while a trace context
@@ -693,77 +671,38 @@ impl RemoteDisk {
             .map(Reply::into_response)
     }
 
-    /// The first half of [`RemoteDisk::request`]: puts the request on the
-    /// wire and returns without waiting for the response, which
-    /// [`Call::finish`] collects. Nothing fails here — a first attempt
-    /// that could not be sent is carried in the call and dealt with (by
-    /// the one retry) when it is finished. `tail` is sent after the
-    /// encoded request: the payload of a `WriteChunk` whose own `payload`
-    /// is empty.
+    /// The first half of [`RemoteDisk::request`]: encodes the envelope
+    /// and the request once, puts them on the wire and returns without
+    /// waiting for the response, which [`Call::finish`] collects. Nothing
+    /// fails here — a first attempt that could not be sent is carried in
+    /// the call and dealt with (by the one retry) when it is finished.
+    /// `tail` is sent after the encoded request: the payload of a
+    /// `WriteChunk` whose own `payload` is empty.
     fn call<'a>(&'a self, request: Request, tail: &'a [u8]) -> Call<'a> {
-        let start = Instant::now();
         // The active trace, if this client propagates traces at all.
         let trace = if self.tracing {
             trace::current_ctx()
         } else {
             None
         };
-        let first = self.send(&request, tail, trace, start);
+        let mut head = Vec::new();
+        encode_envelope(trace, &mut head);
+        request.encode_into(&mut head);
+        let first = self.send(&head, tail);
         Call {
             disk: self,
-            request,
+            head,
             tail,
-            trace,
-            start,
             first,
         }
     }
 
-    /// One attempt at getting `request` onto the wire: encode the
-    /// envelope (the trace, and the budget remaining since `start`), find
-    /// or dial the connection, register the pending slot and write the
-    /// frame — envelope, encoded request, then `tail`, in one vectored
-    /// write. A `WriteChunk` payload is the request's last field, so these
-    /// are the bytes of the request with `tail` as its payload.
-    fn send(
-        &self,
-        request: &Request,
-        tail: &[u8],
-        trace: Option<TraceCtx>,
-        start: Instant,
-    ) -> Attempt {
-        let mut envelope = Envelope {
-            trace,
-            deadline_ms: None,
-        };
-        let mut wait = self.timeout;
-        // Under an op budget each attempt ships the budget *remaining
-        // now*, so the server sees the client's true patience and a spent
-        // budget never reaches the wire.
-        if let Some(budget) = self.op_budget {
-            let remaining = budget.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                return Attempt::GaveUp(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "op budget {budget:?} exhausted before reaching {}",
-                        self.addr
-                    ),
-                ));
-            }
-            // max(1): on the wire, zero means "already expired".
-            envelope.deadline_ms = Some(
-                u32::try_from(remaining.as_millis())
-                    .unwrap_or(u32::MAX)
-                    .max(1),
-            );
-            wait = wait.min(remaining);
-        }
-        // Empty, and so no allocation, for an untraced request without a
-        // budget.
-        let mut head = Vec::new();
-        envelope.encode_into(&mut head);
-        let body = request.encode();
+    /// One attempt at getting a request onto the wire: find or dial the
+    /// connection, register the pending slot and write the frame — `head`
+    /// (envelope and encoded request), then `tail`, in one vectored write.
+    /// A `WriteChunk` payload is the request's last field, so these are
+    /// the bytes of the request with `tail` as its payload.
+    fn send(&self, head: &[u8], tail: &[u8]) -> Attempt {
         let mux = match self.mux() {
             Ok(mux) => mux,
             // Inside the backoff window a retry would be refused the same
@@ -784,7 +723,7 @@ impl RemoteDisk {
         let sent = if registered {
             // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
             let mut writer = mux.writer.lock().expect("lock");
-            write_frame_parts(&mut *writer, id, &[&head, &body, tail])
+            write_frame_parts(&mut *writer, id, &[head, tail])
         } else {
             Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
@@ -796,8 +735,7 @@ impl RemoteDisk {
         let slot = InFlight {
             mux,
             id,
-            deadline: Instant::now() + wait,
-            wait,
+            deadline: Instant::now() + self.timeout,
         };
         match sent {
             Ok(bytes) => {
@@ -812,9 +750,8 @@ impl RemoteDisk {
         }
     }
 
-    /// Waits (until the attempt's deadline: the request timeout, clamped
-    /// to any remaining op budget, counted from when the frame was sent)
-    /// for the response frame carrying the attempt's id, reading the
+    /// Waits (until the attempt's deadline: the request timeout, counted
+    /// from when the frame was sent) for the response frame carrying the attempt's id, reading the
     /// socket whenever the turn is free. Any failure — a timeout, a
     /// transport error, an undecodable frame — abandons the connection,
     /// failing every other waiter on it too.
@@ -826,10 +763,10 @@ impl RemoteDisk {
         result
     }
 
-    fn timed_out(&self, sent: &InFlight) -> io::Error {
+    fn timed_out(&self) -> io::Error {
         io::Error::new(
             io::ErrorKind::TimedOut,
-            format!("no response from {} within {:?}", self.addr, sent.wait),
+            format!("no response from {} within {:?}", self.addr, self.timeout),
         )
     }
 
@@ -847,7 +784,7 @@ impl RemoteDisk {
             }
             let left = sent.deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(self.timed_out(sent));
+                return Err(self.timed_out());
             }
             if inbox.reading {
                 inbox = mux
@@ -867,7 +804,7 @@ impl RemoteDisk {
                 Err(e) => {
                     // SO_RCVTIMEO expiring reads as `WouldBlock` on Unix.
                     let e = match e.kind() {
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => self.timed_out(sent),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => self.timed_out(),
                         _ => e,
                     };
                     // Before the turn is let go: the stream may be cut
@@ -1156,7 +1093,8 @@ impl ChunkBackend for RemoteDisk {
 mod tests {
     use super::*;
     use crate::protocol;
-    use pbrs_wire::{read_frame, write_frame};
+    use pbrs_obs::trace::TraceCtx;
+    use pbrs_wire::{read_frame, split_envelope, write_frame};
     use std::io::Write;
     use std::net::TcpListener;
 
@@ -1170,8 +1108,7 @@ mod tests {
             for _ in 0..3 {
                 let (mut stream, _) = listener.accept().unwrap();
                 let (id, body) = read_frame(&mut stream).unwrap();
-                let request = Request::decode(&body).unwrap();
-                assert_eq!(request, Request::Ping);
+                assert_eq!(body, Request::Ping.encode());
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };
@@ -1298,41 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn op_budget_wraps_requests_and_fails_fast_when_exhausted() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let (id, body) = read_frame(&mut stream).unwrap();
-            // The frame's envelope must carry a sane remaining budget
-            // (positive, no larger than what the client was given).
-            let (envelope, bare) = Envelope::split(&body).unwrap();
-            assert_eq!(Request::decode(bare).unwrap(), Request::Ping);
-            assert_eq!(envelope.trace, None);
-            let budget = envelope.deadline_ms.expect("a deadline in the envelope");
-            assert!((1..=2000).contains(&budget), "budget {budget}ms");
-            let response = Response::Ok {
-                payload: protocol::encode_ping(true),
-            };
-            write_frame(&mut stream, id, &response.encode()).unwrap();
-        });
-        let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5))
-            .deadline(Duration::from_secs(2));
-        assert!(disk.is_available());
-        server.join().unwrap();
-
-        // An exhausted budget fails before the network is touched at all.
-        let dead = RemoteDisk::new("203.0.113.1:9").deadline(Duration::ZERO);
-        let err = dead.ensure_object("obj").unwrap_err();
-        assert!(err.to_string().contains("budget"), "{err}");
-        assert_eq!(
-            dead.reconnect_stats().attempts,
-            0,
-            "no dial on a spent budget"
-        );
-    }
-
-    #[test]
     fn untraced_requests_are_byte_identical_to_legacy_even_in_a_trace_scope() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1364,11 +1266,10 @@ mod tests {
             for _ in 0..2 {
                 let (id, body) = read_frame(&mut stream).unwrap();
                 // Inside the trace scope the envelope carries the trace;
-                // outside it, only the budget.
-                let (envelope, bare) = Envelope::split(&body).unwrap();
-                assert_eq!(Request::decode(bare).unwrap(), Request::Ping);
-                assert!(envelope.deadline_ms.is_some());
-                traces.push(envelope.trace);
+                // outside it, there is none.
+                let (trace, bare) = split_envelope(&body).unwrap();
+                assert_eq!(bare, Request::Ping.encode());
+                traces.push(trace);
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };
@@ -1376,9 +1277,7 @@ mod tests {
             }
             traces
         });
-        let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5))
-            .deadline(Duration::from_secs(2))
-            .traced();
+        let disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5)).traced();
         {
             let _scope = trace::ScopedCtx::enter(Some(ctx));
             assert!(disk.is_available());
@@ -1421,20 +1320,11 @@ mod tests {
             payload: payload.clone(),
         };
         let ctx = TraceCtx::from_raw(0x77, 0x88).unwrap();
-        // (propagates traces, op budget): every envelope combination.
-        for (traced, budget) in [
-            (false, None),
-            (true, None),
-            (false, Some(Duration::from_secs(2))),
-            (true, Some(Duration::from_secs(2))),
-        ] {
+        for traced in [false, true] {
             let (addr, server) = capture_one_frame();
             let mut disk = RemoteDisk::with_timeout(addr.to_string(), Duration::from_secs(5));
             if traced {
                 disk = disk.traced();
-            }
-            if let Some(budget) = budget {
-                disk = disk.deadline(budget);
             }
             {
                 let _scope = trace::ScopedCtx::enter(Some(ctx));
@@ -1442,19 +1332,12 @@ mod tests {
             }
             let wire = server.join().unwrap();
             let (req_id, _) = parse_header(wire[..FRAME_OVERHEAD].try_into().unwrap()).unwrap();
-            let (sent, _) = Envelope::split(&wire[FRAME_OVERHEAD..]).unwrap();
-            // The budget is whatever remained when the frame was sent.
-            assert_eq!(sent.deadline_ms.is_some(), budget.is_some());
-            let expected = Envelope {
-                trace: traced.then_some(ctx),
-                ..sent
-            };
             let mut body = Vec::new();
-            expected.encode_into(&mut body);
+            encode_envelope(traced.then_some(ctx), &mut body);
             body.extend_from_slice(&write.encode());
             let mut whole = Vec::new();
             write_frame(&mut whole, req_id, &body).unwrap();
-            assert_eq!(wire, whole, "traced {traced}, budget {budget:?}");
+            assert_eq!(wire, whole, "traced {traced}");
         }
     }
 
@@ -1471,8 +1354,7 @@ mod tests {
         std::thread::spawn(move || {
             while let Ok((mut stream, _)) = listener.accept() {
                 while let Ok((id, body)) = read_frame(&mut stream) {
-                    let request = Request::decode(&body).unwrap();
-                    assert_eq!(request, Request::Ping);
+                    assert_eq!(body, Request::Ping.encode());
                     let response = Response::Ok {
                         payload: protocol::encode_ping(true),
                     };
@@ -1589,8 +1471,7 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let mut served = 0u32;
             while let Ok((id, body)) = read_frame(&mut stream) {
-                let request = Request::decode(&body).unwrap();
-                assert_eq!(request, Request::Ping);
+                assert_eq!(body, Request::Ping.encode());
                 let response = Response::Ok {
                     payload: protocol::encode_ping(true),
                 };

@@ -2,8 +2,8 @@
 //!
 //! Framing is [`pbrs_wire`]'s: every message — request or response — is
 //! one frame of a length prefix, a request id and a body, and a request
-//! body may open with a [`pbrs_wire::Envelope`] carrying the caller's
-//! trace context and remaining budget. This module holds what is chunkd's
+//! body may open with an envelope carrying the caller's trace context
+//! ([`pbrs_wire::split_envelope`]). This module holds what is chunkd's
 //! own: the opcode table and the messages.
 //!
 //! A request body opens with a one-byte opcode followed by its fields; a
@@ -208,15 +208,22 @@ impl Request {
     /// frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the request's encoding to `out`: how the client puts it
+    /// behind an envelope in one buffer.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(OP_PING),
             Request::EnsureObject { object } => {
                 out.push(OP_ENSURE_OBJECT);
-                put_str(&mut out, object);
+                put_str(out, object);
             }
             Request::RemoveObject { object } => {
                 out.push(OP_REMOVE_OBJECT);
-                put_str(&mut out, object);
+                put_str(out, object);
             }
             Request::WriteChunk {
                 object,
@@ -224,20 +231,20 @@ impl Request {
                 payload,
             } => {
                 out.push(OP_WRITE_CHUNK);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(payload);
             }
             Request::WriteZeros { object, id, len } => {
                 out.push(OP_WRITE_ZEROS);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&len.to_le_bytes());
             }
             Request::ReadChunk { object, id, len } => {
                 out.push(OP_READ_CHUNK);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&len.to_le_bytes());
             }
             Request::ReadRange {
@@ -248,8 +255,8 @@ impl Request {
                 len,
             } => {
                 out.push(OP_READ_RANGE);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&chunk_len.to_le_bytes());
                 out.extend_from_slice(&offset.to_le_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
@@ -260,8 +267,8 @@ impl Request {
                 chunk_len,
             } => {
                 out.push(OP_VERIFY);
-                put_str(&mut out, object);
-                put_id(&mut out, *id);
+                put_str(out, object);
+                put_id(out, *id);
                 out.extend_from_slice(&chunk_len.to_le_bytes());
             }
             Request::SweepTmp { min_age } => {
@@ -273,21 +280,6 @@ impl Request {
             }
             Request::FetchSpans => out.push(OP_FETCH_SPANS),
         }
-        out
-    }
-
-    /// Parses a request from a frame body: [`Request::decode_lending`]
-    /// with a `WriteChunk`'s payload copied into the request.
-    ///
-    /// # Errors
-    ///
-    /// As [`Request::decode_lending`].
-    pub fn decode(body: &[u8]) -> io::Result<Request> {
-        let (mut request, tail) = Request::decode_lending(body)?;
-        if let Request::WriteChunk { payload, .. } = &mut request {
-            *payload = tail.to_vec();
-        }
-        Ok(request)
     }
 
     /// Parses a request from a frame body, lending rather than copying a
@@ -295,7 +287,7 @@ impl Request {
     /// `payload`, and the payload is returned as the tail of `body` — how
     /// the server hands a chunk from its frame buffer to the disk. The
     /// tail is empty for every other request. `body` is the bare request,
-    /// what [`pbrs_wire::Envelope::split`] leaves.
+    /// what [`pbrs_wire::split_envelope`] leaves.
     ///
     /// # Errors
     ///
@@ -549,7 +541,9 @@ pub fn decode_spans(payload: &[u8]) -> io::Result<Vec<SpanRecord>> {
 mod tests {
     use super::*;
     use pbrs_obs::trace::TraceCtx;
-    use pbrs_wire::{write_frame, write_frame_parts, Envelope, OP_ENV_DEADLINE, OP_ENV_TRACE};
+    use pbrs_wire::{
+        encode_envelope, split_envelope, write_frame, write_frame_parts, OP_ENV_TRACE,
+    };
 
     const ID: ChunkId = ChunkId {
         stripe: 42,
@@ -603,7 +597,7 @@ mod tests {
             Request::FetchSpans,
         ];
         for req in cases {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req, "{req:?}");
+            assert_eq!(decoded(&req.encode()), Some(req.clone()), "{req:?}");
         }
     }
 
@@ -648,37 +642,31 @@ mod tests {
         ]
     }
 
-    /// Each of [`every_op`] as a frame body: bare, and behind an envelope
-    /// carrying both a trace and a deadline.
+    /// Each of [`every_op`] as a frame body: bare, and behind a trace
+    /// envelope.
     fn every_request() -> Vec<(Request, Vec<u8>)> {
-        let envelope = Envelope {
-            trace: TraceCtx::from_raw(0x1234, 0x5678),
-            deadline_ms: Some(250),
-        };
+        let trace = TraceCtx::from_raw(0x1234, 0x5678);
         every_op()
             .into_iter()
             .flat_map(|op| {
                 let mut wrapped = Vec::new();
-                envelope.encode_into(&mut wrapped);
+                encode_envelope(trace, &mut wrapped);
                 wrapped.extend_from_slice(&op.encode());
                 [(op.clone(), op.encode()), (op, wrapped)]
             })
             .collect()
     }
 
-    /// Splits the envelope off `body` as the server does, then checks
-    /// `decode` and `decode_lending` against each other on the rest: both
-    /// accept it or both refuse it, and what they accept is the same
-    /// request — the lent tail is the write's payload, and the envelope,
-    /// the payload-less request and the tail re-encode to `body` byte for
-    /// byte. Returns what `decode` made of it.
-    fn decoders_agree(body: &[u8]) -> Option<Request> {
-        let (envelope, bare) = Envelope::split(body).ok()?;
-        let (decoded, lent) = (Request::decode(bare), Request::decode_lending(bare));
-        assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
-        let (decoded, (mut head, tail)) = (decoded.ok()?, lent.unwrap());
+    /// Splits the envelope off `body` as the server does, then decodes
+    /// the rest with `decode_lending`: only a write lends a tail, and the
+    /// envelope, the payload-less request and the tail re-encode to `body`
+    /// byte for byte. Returns the request with the lent tail as its
+    /// payload.
+    fn decoded(body: &[u8]) -> Option<Request> {
+        let (trace, bare) = split_envelope(body).ok()?;
+        let (mut head, tail) = Request::decode_lending(bare).ok()?;
         let mut wire = Vec::new();
-        envelope.encode_into(&mut wire);
+        encode_envelope(trace, &mut wire);
         wire.extend_from_slice(&head.encode());
         wire.extend_from_slice(tail);
         assert_eq!(
@@ -692,14 +680,13 @@ mod tests {
             }
             _ => assert!(tail.is_empty(), "only a write lends a tail: {head:?}"),
         }
-        assert_eq!(head, decoded);
-        Some(decoded)
+        Some(head)
     }
 
     #[test]
     fn both_decoders_agree_on_every_opcode_bare_and_wrapped() {
         for (request, body) in every_request() {
-            assert_eq!(decoders_agree(&body), Some(request));
+            assert_eq!(decoded(&body), Some(request));
         }
     }
 
@@ -723,7 +710,7 @@ mod tests {
         let mut accepted = 0usize;
         for (_, body) in every_request() {
             for mutated in mutants(&body) {
-                accepted += usize::from(decoders_agree(&mutated).is_some());
+                accepted += usize::from(decoded(&mutated).is_some());
             }
         }
         // Payload and name bytes are free, so many mutants still parse.
@@ -847,21 +834,23 @@ mod tests {
 
     #[test]
     fn malformed_bodies_are_rejected() {
-        assert!(Request::decode(&[]).is_err(), "empty body");
-        assert!(Request::decode(&[99]).is_err(), "unknown opcode");
+        let refused = |body: &[u8]| Request::decode_lending(body).is_err();
+        assert!(refused(&[]), "empty body");
+        assert!(refused(&[99]), "unknown opcode");
         assert!(Response::decode(&[99]).is_err(), "unknown status");
         // Truncated string length.
-        assert!(Request::decode(&[OP_ENSURE_OBJECT, 5, 0, 0, 0, b'a']).is_err());
+        assert!(refused(&[OP_ENSURE_OBJECT, 5, 0, 0, 0, b'a']));
         // Trailing garbage.
         let mut body = Request::Ping.encode();
         body.push(0);
-        assert!(Request::decode(&body).is_err());
-        // An envelope tag is no opcode: a repeated or misplaced one is
-        // refused by the request decoder, not read as a second envelope.
-        for tag in [OP_ENV_TRACE, OP_ENV_DEADLINE] {
+        assert!(refused(&body));
+        // An envelope tag is no opcode: a repeated trace tag is refused by
+        // the request decoder, not read as a second envelope, and 0xE1
+        // (the retired deadline tag) is an unknown opcode.
+        for tag in [OP_ENV_TRACE, 0xE1] {
             let mut body = vec![tag, 1, 0, 0, 0];
             body.extend_from_slice(&Request::Ping.encode());
-            assert!(Request::decode(&body).is_err(), "tag {tag:#04x}");
+            assert!(refused(&body), "tag {tag:#04x}");
         }
     }
 

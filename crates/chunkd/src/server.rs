@@ -25,7 +25,7 @@ use pbrs_store::{
 };
 
 use pbrs_wire::{
-    parse_header, write_frame, write_frame_parts, Envelope, FRAME_OVERHEAD, MAX_FRAME,
+    parse_header, split_envelope, write_frame, write_frame_parts, FRAME_OVERHEAD, MAX_FRAME,
 };
 
 use crate::protocol::{
@@ -419,24 +419,9 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             .bytes_in
             // Relaxed: traffic tally, sampled only by counters().
             .fetch_add((FRAME_OVERHEAD + len) as u64, Ordering::Relaxed);
-        let decoded = Envelope::split(&frame[..len])
-            .and_then(|(envelope, body)| Ok((envelope, Request::decode_lending(body)?)));
+        let decoded = split_envelope(&frame[..len])
+            .and_then(|(ctx, body)| Ok((ctx, Request::decode_lending(body)?)));
         let answer = match decoded {
-            // The client's budget was gone before the frame arrived:
-            // refuse rather than burn disk on an answer nobody waits for.
-            // (The client ships its *remaining* budget at send time, so a
-            // zero here means "already expired"; a positive budget cannot
-            // be enforced mid-op and the work simply runs.)
-            Ok((
-                Envelope {
-                    deadline_ms: Some(0),
-                    ..
-                },
-                _,
-            )) => Response::Err {
-                message: "deadline exceeded before execution".into(),
-            }
-            .into(),
             // Ship-back drain: everything recorded since the last fetch,
             // in one frame, whatever the envelope says.
             Ok((_, (Request::FetchSpans, _))) => {
@@ -445,8 +430,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 shared.ops.fetch_spans.record_duration(start.elapsed());
                 Response::Ok { payload }.into()
             }
-            Ok((envelope, (request, tail))) => {
-                let ctx = envelope.trace;
+            Ok((ctx, (request, tail))) => {
                 let hist = shared.ops.for_request(&request);
                 // Journal pushes during the op get tagged with the
                 // caller's trace.

@@ -22,19 +22,22 @@
 //!
 //! Last, a write whose connection is cut before its frame is forwarded:
 //! the one retry sends the frame again from the caller's own payload —
-//! the client keeps no copy — over a fresh dial, and the chunk lands.
+//! the client keeps no copy — over a fresh dial, and the chunk lands. Its
+//! body is byte for byte the first attempt's, envelope included, and so
+//! is a cut-off read's.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pbrs_chunkd::{ChunkServer, RemoteDisk};
+use pbrs_chunkd::{ChunkServer, RemoteDisk, Request};
+use pbrs_obs::trace::{ScopedCtx, TraceCtx};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkId, ChunkStatus, LocalDisk, PlacementPolicy, RackMap,
     StoreConfig,
 };
-use pbrs_wire::{read_frame, write_frame};
+use pbrs_wire::{encode_envelope, read_frame, write_frame};
 
 const CHUNK_LEN: usize = 512;
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -49,6 +52,9 @@ struct RelayState {
     cut_next: bool,
     /// Request frames handed to the server so far.
     requests: usize,
+    /// The body of every request frame read off a client, cut ones
+    /// included.
+    bodies: Vec<Vec<u8>>,
     sockets: Vec<TcpStream>,
 }
 
@@ -79,7 +85,12 @@ impl Relay {
                 let requests = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     while let Ok((id, body)) = read_frame(&mut from_client) {
-                        if std::mem::take(&mut requests.0.lock().unwrap().cut_next) {
+                        let cut = {
+                            let mut guard = requests.0.lock().unwrap();
+                            guard.bodies.push(body.clone());
+                            std::mem::take(&mut guard.cut_next)
+                        };
+                        if cut {
                             let _ = from_client.shutdown(Shutdown::Both);
                             let _ = to_server.shutdown(Shutdown::Both);
                             return;
@@ -116,6 +127,11 @@ impl Relay {
 
     fn requests(&self) -> usize {
         self.state.0.lock().unwrap().requests
+    }
+
+    /// The request bodies read off clients since the last call.
+    fn take_bodies(&self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut self.state.0.lock().unwrap().bodies)
     }
 
     /// Blocks until `count` request frames have reached the server.
@@ -291,17 +307,21 @@ fn a_write_cut_off_in_flight_is_resent_from_the_borrowed_payload() {
     let dir = TempDir::new("chunkd-inflight-cut");
     let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
     let relay = Relay::in_front_of(server.local_addr());
-    let disk = RemoteDisk::with_timeout(relay.addr.to_string(), TIMEOUT);
+    let disk = RemoteDisk::with_timeout(relay.addr.to_string(), TIMEOUT).traced();
     let id = ChunkId {
         stripe: 0,
         shard: 0,
     };
     let payload = pattern(CHUNK_LEN);
+    let ctx = TraceCtx::from_raw(0x61, 0x62).unwrap();
 
     // The first frame never reaches the server: only the retry, sent again
     // from `payload`, can land the chunk.
     relay.set(|s| s.cut_next = true);
-    disk.begin_write("obj", id, &payload).wait().unwrap();
+    {
+        let _scope = ScopedCtx::enter(Some(ctx));
+        disk.begin_write("obj", id, &payload).wait().unwrap();
+    }
     assert_eq!(disk.reconnect_stats().attempts, 2, "one redial");
     assert_eq!(relay.requests(), 1, "only the retry was forwarded");
     let local = LocalDisk::new(server.root());
@@ -309,6 +329,31 @@ fn a_write_cut_off_in_flight_is_resent_from_the_borrowed_payload() {
         local.verify_chunk("obj", id, CHUNK_LEN).unwrap(),
         (ChunkStatus::Healthy, CHUNK_LEN as u64)
     );
+    // Both attempts sent the same body: the envelope and the fields,
+    // encoded once, then the caller's payload.
+    let mut write = Vec::new();
+    encode_envelope(Some(ctx), &mut write);
+    let fields = Request::WriteChunk {
+        object: "obj".into(),
+        id,
+        payload: payload.clone(),
+    };
+    write.extend_from_slice(&fields.encode());
+    assert_eq!(relay.take_bodies(), [write.clone(), write]);
+
+    // An untraced read cut off the same way is resent byte for byte too.
+    let plain = RemoteDisk::with_timeout(relay.addr.to_string(), TIMEOUT);
+    relay.set(|s| s.cut_next = true);
+    let mut out = vec![0u8; CHUNK_LEN];
+    plain.read_chunk_into("obj", id, &mut out).unwrap().unwrap();
+    assert_eq!(out, payload);
+    let read = Request::ReadChunk {
+        object: "obj".into(),
+        id,
+        len: CHUNK_LEN as u32,
+    }
+    .encode();
+    assert_eq!(relay.take_bodies(), [read.clone(), read]);
 }
 
 /// A disk served through a relay, with chunks 0 and 1 of stripe 0 written

@@ -8,13 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use pbrs_chunkd::{ChunkServer, RemoteDisk, Request, Response, ServerConfig};
-use pbrs_obs::trace::{ScopedCtx, TraceCtx};
 use pbrs_store::testing::TempDir;
 use pbrs_store::{
     BlockStore, ChunkBackend, ChunkStatus, DaemonConfig, FaultPlan, LocalDisk, PlacementPolicy,
     RackMap, RepairDaemon, StoreConfig,
 };
-use pbrs_wire::{read_frame, write_frame, Envelope};
+use pbrs_wire::{read_frame, write_frame};
 
 const CHUNK_LEN: usize = 512;
 
@@ -223,8 +222,10 @@ fn server_times_each_remote_op() {
 
 /// The server-side fault hook over real sockets: an injected connection
 /// drop kills the connection (the client's transparent retry rides it
-/// out), a stalled op is bounded by the client's deadline budget, and an
-/// already-expired budget is refused with a typed error instead of work.
+/// out), and a stalled op is bounded by the client's request timeout. A
+/// frame whose body opens with 0xE1 — the retired deadline tag — is
+/// an unknown opcode: refused with a typed error, and the connection
+/// goes on serving.
 #[test]
 fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     let dir = TempDir::new("chunkd-chaos");
@@ -242,8 +243,7 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     )
     .unwrap();
     let disk =
-        RemoteDisk::with_timeout(server.local_addr().to_string(), Duration::from_millis(400))
-            .deadline(Duration::from_millis(400));
+        RemoteDisk::with_timeout(server.local_addr().to_string(), Duration::from_millis(400));
     let id = pbrs_store::ChunkId {
         stripe: 0,
         shard: 0,
@@ -264,8 +264,29 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
         disk.reconnect_stats()
     );
 
-    // The stalled verify is bounded by the budget and degrades to a lost
-    // chunk — never a hang, never a hard error.
+    // A 0xE1 frame gets the typed refusal, and the same connection then
+    // answers a ping. (Before the stall below, which parks both workers.)
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let hostile = [&[0xE1][..], &0u32.to_le_bytes(), &Request::Ping.encode()].concat();
+    write_frame(&mut stream, 1, &hostile).unwrap();
+    let (req_id, body) = read_frame(&mut stream).unwrap();
+    assert_eq!(req_id, 1);
+    match Response::decode(&body).unwrap() {
+        Response::Err { message } => assert!(message.contains("bad request"), "{message}"),
+        other => panic!("expected a bad-request refusal, got {other:?}"),
+    }
+    write_frame(&mut stream, 2, &Request::Ping.encode()).unwrap();
+    let (req_id, body) = read_frame(&mut stream).unwrap();
+    assert_eq!(req_id, 2);
+    assert!(matches!(
+        Response::decode(&body).unwrap(),
+        Response::Ok { .. }
+    ));
+    drop(stream);
+
+    // The stalled verify degrades to a lost chunk — never a hang, never a
+    // hard error: the first attempt and its one retry each give up after
+    // the 400 ms request timeout.
     let start = std::time::Instant::now();
     let (status, _) = disk.verify_chunk("obj", id, CHUNK_LEN).unwrap();
     assert_eq!(status, ChunkStatus::Missing);
@@ -275,47 +296,6 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
         start.elapsed()
     );
 
-    // A wire frame whose budget is already spent gets the typed refusal.
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    let mut expired = Vec::new();
-    let spent = Envelope {
-        trace: None,
-        deadline_ms: Some(0),
-    };
-    spent.encode_into(&mut expired);
-    expired.extend_from_slice(&Request::Ping.encode());
-    write_frame(&mut stream, 1, &expired).unwrap();
-    let (req_id, body) = read_frame(&mut stream).unwrap();
-    assert_eq!(req_id, 1);
-    match Response::decode(&body).unwrap() {
-        Response::Err { message } => assert!(message.contains("deadline"), "{message}"),
-        other => panic!("expected a deadline refusal, got {other:?}"),
-    }
-
-    plan.release(); // unstall the parked server worker before teardown
-    server.shutdown();
-}
-
-/// A disk with both a budget and tracing gets its server's spans back: the
-/// span fetch carries a deadline in its envelope like every request of
-/// that disk, and the server answers it whatever the envelope holds.
-#[test]
-fn budgeted_traced_disk_drains_its_spans() {
-    let dir = TempDir::new("chunkd-budget-spans");
-    let server = ChunkServer::bind(dir.path().join("srv"), "127.0.0.1:0").unwrap();
-    let disk = RemoteDisk::new(server.local_addr().to_string())
-        .deadline(Duration::from_secs(2))
-        .traced();
-    let ctx = TraceCtx::from_raw(0x51, 0x52).unwrap();
-    {
-        let _scope = ScopedCtx::enter(Some(ctx));
-        disk.ensure_object("obj").unwrap();
-    }
-    let spans = disk.drain_spans();
-    assert!(!spans.is_empty(), "no spans came back");
-    assert!(
-        spans.iter().all(|span| span.trace == ctx.trace),
-        "{spans:?}"
-    );
+    plan.release(); // unstall the parked server workers before teardown
     server.shutdown();
 }

@@ -25,7 +25,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pbrs_obs::trace::TraceCtx;
-use pbrs_wire::{read_frame, read_frame_into, write_frame, write_frame_parts, Envelope, MAX_FRAME};
+use pbrs_wire::{
+    encode_envelope, read_frame, read_frame_into, write_frame, write_frame_parts, MAX_FRAME,
+};
 
 use crate::protocol::{put_data_head, Request, Response};
 
@@ -199,7 +201,7 @@ impl GatewayClient {
     /// [`GatewayError::NotFound`] / [`GatewayError::Deleted`] for the
     /// typed misses, [`GatewayError::Busy`], remote and transport errors.
     pub fn get(&mut self, name: &str) -> Result<GetObject> {
-        self.get_whole(name, Envelope::default())
+        self.get_whole(name, None)
     }
 
     /// Fetches `name`, handing each stripe's payload to `sink` as it
@@ -210,7 +212,7 @@ impl GatewayClient {
     ///
     /// As [`GatewayClient::get`].
     pub fn get_streamed(&mut self, name: &str, sink: impl FnMut(&[u8])) -> Result<u64> {
-        self.get_under(name, Envelope::default(), sink)
+        self.get_under(name, None, sink)
     }
 
     /// Tombstones `name`; returns how many payload bytes it held.
@@ -294,35 +296,31 @@ impl GatewayClient {
     ///
     /// As [`GatewayClient::get`].
     pub fn get_traced(&mut self, name: &str, ctx: TraceCtx) -> Result<GetObject> {
-        let envelope = Envelope {
-            trace: Some(ctx),
-            deadline_ms: None,
-        };
-        self.get_whole(name, envelope)
+        self.get_whole(name, Some(ctx))
     }
 
     /// [`GatewayClient::get_under`], collecting the stripes.
-    fn get_whole(&mut self, name: &str, envelope: Envelope) -> Result<GetObject> {
+    fn get_whole(&mut self, name: &str, trace: Option<TraceCtx>) -> Result<GetObject> {
         let mut data = Vec::new();
         let degraded_stripes =
-            self.get_under(name, envelope, |stripe| data.extend_from_slice(stripe))?;
+            self.get_under(name, trace, |stripe| data.extend_from_slice(stripe))?;
         Ok(GetObject {
             data,
             degraded_stripes,
         })
     }
 
-    /// Sends a `GET` behind `envelope` (nothing at all for an empty one)
-    /// and streams the response to `sink`.
+    /// Sends a `GET` under `trace` (no envelope at all without one) and
+    /// streams the response to `sink`.
     fn get_under(
         &mut self,
         name: &str,
-        envelope: Envelope,
+        trace: Option<TraceCtx>,
         sink: impl FnMut(&[u8]),
     ) -> Result<u64> {
         let id = self.fresh_id();
         let mut head = Vec::new();
-        envelope.encode_into(&mut head);
+        encode_envelope(trace, &mut head);
         let get = Request::Get { name: name.into() }.encode();
         write_frame_parts(&mut self.stream, id, &[&head, &get])?;
         recv_get_stream(&self.stream, id, sink)

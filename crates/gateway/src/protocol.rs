@@ -4,11 +4,10 @@
 //! # Framing
 //!
 //! Framing is [`pbrs_wire`]'s: a frame is a length prefix, a request id
-//! and a body, and a request body may open with a
-//! [`pbrs_wire::Envelope`]. The gateway reads the envelope's trace context
-//! (its root span adopts the caller's trace) and refuses a deadline, which
-//! it has no client budget to apply to. This module holds what is the
-//! gateway's own: the opcode table and the messages.
+//! and a body, and a request body may open with an envelope carrying the
+//! caller's trace context ([`pbrs_wire::split_envelope`]); the gateway's
+//! root span adopts that trace. This module holds what is the gateway's
+//! own: the opcode table and the messages.
 //!
 //! `req_id` is chosen by the client, must be unique among its in-flight
 //! requests, and tags **every** frame of a request and of its response(s).
@@ -147,26 +146,12 @@ impl Request {
         }
     }
 
-    /// Parses one request body: [`Request::decode_lending`] with a
-    /// `PUT_DATA` payload copied into the request.
-    ///
-    /// # Errors
-    ///
-    /// As [`Request::decode_lending`].
-    pub fn decode(body: &[u8]) -> io::Result<Request> {
-        let (mut request, payload) = Request::decode_lending(body)?;
-        if let Request::PutData { data } = &mut request {
-            *data = payload.to_vec();
-        }
-        Ok(request)
-    }
-
     /// Parses one request body, lending rather than copying a `PUT_DATA`
     /// payload: the request comes back with empty `data`, and the payload
     /// is returned as the tail of `body` — how the reactor hands an ingest
     /// piece from its frame to the store. The tail is empty for every
     /// other request. `body` is the bare request, what
-    /// [`pbrs_wire::Envelope::split`] leaves.
+    /// [`pbrs_wire::split_envelope`] leaves.
     ///
     /// # Errors
     ///
@@ -493,7 +478,7 @@ pub(crate) fn put_data_head(req_id: u64, payload_len: usize) -> [u8; PAYLOAD_HEA
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbrs_wire::{read_frame_into, write_frame, MAX_FRAME, OP_ENV_DEADLINE, OP_ENV_TRACE};
+    use pbrs_wire::{read_frame_into, write_frame, MAX_FRAME, OP_ENV_TRACE};
 
     #[test]
     fn requests_round_trip() {
@@ -513,7 +498,12 @@ mod tests {
             Request::Traces,
         ];
         for case in cases {
-            assert_eq!(Request::decode(&case.encode()).unwrap(), case, "{case:?}");
+            let body = case.encode();
+            let (mut got, payload) = Request::decode_lending(&body).unwrap();
+            if let Request::PutData { data } = &mut got {
+                *data = payload.to_vec();
+            }
+            assert_eq!(got, case, "{case:?}");
         }
     }
 
@@ -616,17 +606,18 @@ mod tests {
 
     #[test]
     fn garbage_bodies_are_decode_errors_not_panics() {
-        assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[0xFF, 1, 2]).is_err());
+        assert!(Request::decode_lending(&[]).is_err());
+        assert!(Request::decode_lending(&[0xFF, 1, 2]).is_err());
         assert!(Response::decode(&[]).is_err());
         assert!(Response::decode(&[0x55]).is_err());
         // Truncated u64 fields.
         assert!(Response::decode(&[ST_CREATED, 1, 2, 3]).is_err());
         assert!(Response::decode(&[ST_OBJ_END, 1]).is_err());
-        // An envelope tag is no opcode: a repeated or misplaced one is
-        // refused by the request decoder, not read as a second envelope.
-        for tag in [OP_ENV_TRACE, OP_ENV_DEADLINE] {
-            assert!(Request::decode(&[tag, 1, 0, 0, 0, OP_METRICS]).is_err());
+        // An envelope tag is no opcode: a repeated trace tag is refused
+        // by the request decoder, not read as a second envelope, and 0xE1
+        // (the retired deadline tag) is an unknown opcode.
+        for tag in [OP_ENV_TRACE, 0xE1] {
+            assert!(Request::decode_lending(&[tag, 1, 0, 0, 0, OP_METRICS]).is_err());
         }
     }
 

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use pbrs_obs::trace::{self, RootFlags, ScopedCtx, SpanBuilder, TraceCtx, Tracer, TracerConfig};
 use pbrs_obs::{prom, EventJournal, EventKind, Stage, StageTimes};
 use pbrs_store::{BlockStore, ObjectReader, ObjectWriter, StoreError};
-use pbrs_wire::{frame_header, invalid, Envelope, FRAME_OVERHEAD};
+use pbrs_wire::{frame_header, split_envelope, FRAME_OVERHEAD};
 
 use crate::metrics::{GatewayMetrics, OpClass};
 use crate::poll::{poll_fds, PollFd, POLLERR, POLLIN, POLLNVAL, POLLOUT};
@@ -835,12 +835,9 @@ impl Reactor {
     fn handle_frame(&mut self, conn_id: u64, req_id: u64, body: Vec<u8>) {
         // The request proceeds exactly as if sent bare; its root adopts
         // the envelope's trace. A `PUT_DATA` payload is the frame's tail.
-        let decoded = Envelope::split(&body).and_then(|(envelope, bare)| {
-            if envelope.deadline_ms.is_some() {
-                return Err(invalid("the gateway takes no deadline envelope"));
-            }
+        let decoded = split_envelope(&body).and_then(|(ctx, bare)| {
             let (request, payload) = Request::decode_lending(bare)?;
-            Ok((envelope.trace, request, body.len() - payload.len()))
+            Ok((ctx, request, body.len() - payload.len()))
         });
         let (supplied, request, payload) = match decoded {
             Ok(decoded) => decoded,

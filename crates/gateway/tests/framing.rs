@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 
 use pbrs_gateway::protocol::{FrameDecoder, Request, Response};
 use pbrs_obs::trace::TraceCtx;
-use pbrs_wire::{write_frame, Envelope, FRAME_OVERHEAD, MAX_FRAME};
+use pbrs_wire::{encode_envelope, split_envelope, write_frame, FRAME_OVERHEAD, MAX_FRAME};
 
 fn random_name(rng: &mut StdRng) -> String {
     let len = rng.random_range(1..64usize);
@@ -92,11 +92,7 @@ fn random_response(rng: &mut StdRng) -> Response {
 /// The frame body of `request` behind an envelope carrying `ctx`.
 fn traced(ctx: TraceCtx, request: &Request) -> Vec<u8> {
     let mut body = Vec::new();
-    let envelope = Envelope {
-        trace: Some(ctx),
-        deadline_ms: None,
-    };
-    envelope.encode_into(&mut body);
+    encode_envelope(Some(ctx), &mut body);
     body.extend_from_slice(&request.encode());
     body
 }
@@ -189,16 +185,13 @@ fn is_tail_of(tail: &[u8], body: &[u8]) -> bool {
     tail.as_ptr_range().end == body.as_ptr_range().end
 }
 
-/// Splits the envelope off `body` as the reactor does, then checks
-/// `Request::decode` against lend-then-fill on the rest: both accept it or
-/// both refuse it, the lent payload is the body's tail, filling it in
-/// gives `decode`'s request, and the envelope and that request re-encode
-/// to `body`.
-fn requests_agree(body: &[u8]) -> Option<Request> {
-    let (envelope, bare) = Envelope::split(body).ok()?;
-    let (decoded, lent) = (Request::decode(bare), Request::decode_lending(bare));
-    assert_eq!(decoded.is_ok(), lent.is_ok(), "{body:?}");
-    let (decoded, (mut filled, payload)) = (decoded.ok()?, lent.unwrap());
+/// Splits the envelope off `body` as the reactor does, then decodes the
+/// rest with `decode_lending`: the lent payload is the body's tail, and
+/// the envelope and the request with that payload filled in re-encode to
+/// `body`. Returns the filled-in request.
+fn request_reencodes(body: &[u8]) -> Option<Request> {
+    let (trace, bare) = split_envelope(body).ok()?;
+    let (mut filled, payload) = Request::decode_lending(bare).ok()?;
     assert!(is_tail_of(payload, body), "the payload is the body's tail");
     match &mut filled {
         Request::PutData { data } => {
@@ -207,15 +200,15 @@ fn requests_agree(body: &[u8]) -> Option<Request> {
         }
         op => assert!(payload.is_empty(), "only PUT_DATA lends: {op:?}"),
     }
-    assert_eq!(filled, decoded);
     let mut wire = Vec::new();
-    envelope.encode_into(&mut wire);
-    wire.extend_from_slice(&decoded.encode());
+    encode_envelope(trace, &mut wire);
+    wire.extend_from_slice(&filled.encode());
     assert_eq!(wire, body, "an accepted body re-encodes exactly");
-    Some(decoded)
+    Some(filled)
 }
 
-/// [`requests_agree`] for responses. An `Err` message is decoded lossily,
+/// [`request_reencodes`] for responses, checking `Response::decode`
+/// against lend-then-fill too: both accept a body or both refuse it. An `Err` message is decoded lossily,
 /// so only the other statuses must re-encode exactly.
 fn responses_agree(body: &[u8]) -> Option<Response> {
     let (decoded, lent) = (Response::decode(body), Response::decode_lending(body));
@@ -244,15 +237,15 @@ fn responses_agree(body: &[u8]) -> Option<Response> {
 fn request_decoders_are_total_and_agree_under_mutation() {
     let mut accepted = 0usize;
     for (request, body) in every_request() {
-        assert_eq!(requests_agree(&body), Some(request));
+        assert_eq!(request_reencodes(&body), Some(request));
         for mutated in mutants(&body) {
-            accepted += usize::from(requests_agree(&mutated).is_some());
+            accepted += usize::from(request_reencodes(&mutated).is_some());
         }
         let mut wire = Vec::new();
         write_frame(&mut wire, 9, &body).unwrap();
         for mutated in mutants(&wire) {
             through_frame_decoder(&mutated, |body| {
-                requests_agree(body);
+                request_reencodes(body);
             });
         }
     }
@@ -289,7 +282,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
             let req = random_plain_request(&mut rng);
-            prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+            prop_assert_eq!(request_reencodes(&req.encode()), Some(req));
         }
     }
 
@@ -384,7 +377,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..16 {
             let body = random_bytes(&mut rng, 128);
-            let _ = Request::decode(&body);
+            let _ = Request::decode_lending(&body);
             let _ = Response::decode(&body);
         }
     }
@@ -415,9 +408,9 @@ proptest! {
         for _ in 0..8 {
             let (ctx, req) = (random_ctx(&mut rng), random_plain_request(&mut rng));
             let body = traced(ctx, &req);
-            let (envelope, bare) = Envelope::split(&body).unwrap();
-            prop_assert_eq!(envelope.trace, Some(ctx));
-            prop_assert_eq!(Request::decode(bare).unwrap(), req);
+            let (trace, bare) = split_envelope(&body).unwrap();
+            prop_assert_eq!(trace, Some(ctx));
+            prop_assert_eq!(request_reencodes(bare), Some(req));
         }
     }
 
@@ -429,9 +422,8 @@ proptest! {
         for _ in 0..8 {
             let req = random_plain_request(&mut rng);
             let bytes = req.encode();
-            let (envelope, bare) = Envelope::split(&bytes).unwrap();
-            prop_assert_eq!((envelope, bare), (Envelope::default(), &bytes[..]));
-            prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
+            prop_assert_eq!(split_envelope(&bytes).unwrap(), (None, &bytes[..]));
+            prop_assert_eq!(request_reencodes(&bytes), Some(req));
         }
     }
 }

@@ -16,7 +16,7 @@ use pbrs_gateway::protocol::{Request, Response};
 use pbrs_gateway::server::{Gateway, GatewayConfig};
 use pbrs_store::store::{BlockStore, StoreConfig};
 use pbrs_store::testing::TempDir;
-use pbrs_wire::{read_frame, write_frame, Envelope, MAX_FRAME};
+use pbrs_wire::{encode_envelope, read_frame, write_frame, MAX_FRAME};
 
 fn local_store(dir: &TempDir, spec: &str, chunk_len: usize) -> Arc<BlockStore> {
     let spec = spec.parse().unwrap();
@@ -516,13 +516,10 @@ fn traced_put_data_stores_the_inner_payload() {
     let dir = TempDir::new("gw-traced-put");
     let store = local_store(&dir, "rs-4-2", 512);
     let gw = gateway(&store, GatewayConfig::default());
-    let envelope = Envelope {
-        trace: pbrs_obs::trace::TraceCtx::from_raw(0xabc, 0xdef),
-        deadline_ms: None,
-    };
+    let trace = pbrs_obs::trace::TraceCtx::from_raw(0xabc, 0xdef);
     let traced = |request: Request| {
         let mut body = Vec::new();
-        envelope.encode_into(&mut body);
+        encode_envelope(trace, &mut body);
         body.extend_from_slice(&request.encode());
         body
     };
@@ -552,8 +549,9 @@ fn traced_put_data_stores_the_inner_payload() {
     assert_eq!(client(&gw).get("obj").unwrap().data, data);
 }
 
-/// The gateway applies no client budget: a deadline envelope is refused
-/// with a typed error, and the connection stays usable.
+/// A body that opens with 0xE1 — the retired deadline tag — is an
+/// unknown opcode: refused with a typed error, and the connection stays
+/// usable.
 #[test]
 fn deadline_envelopes_are_refused() {
     let dir = TempDir::new("gw-deadline-env");
@@ -561,17 +559,16 @@ fn deadline_envelopes_are_refused() {
     let gw = gateway(&store, GatewayConfig::default());
     let mut raw = TcpStream::connect(gw.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut body = Vec::new();
-    let budget = Envelope {
-        trace: None,
-        deadline_ms: Some(100),
-    };
-    budget.encode_into(&mut body);
-    body.extend_from_slice(&Request::Metrics.encode());
+    let body = [
+        &[0xE1][..],
+        &100u32.to_le_bytes(),
+        &Request::Metrics.encode(),
+    ]
+    .concat();
     write_frame(&mut raw, 3, &body).unwrap();
     let (id, reply) = read_frame(&mut raw).unwrap();
     match (id, Response::decode(&reply).unwrap()) {
-        (3, Response::Err { message }) => assert!(message.contains("deadline"), "{message}"),
+        (3, Response::Err { message }) => assert!(message.contains("bad request"), "{message}"),
         other => panic!("unexpected {other:?}"),
     }
     write_frame(&mut raw, 4, &Request::Metrics.encode()).unwrap();

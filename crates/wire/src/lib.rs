@@ -1,7 +1,7 @@
 //! `pbrs-wire` — what the two network protocols share: chunkd's chunk
 //! RPCs (`pbrs-chunkd`) and the gateway's object RPCs (`pbrs-gateway`).
 //! Each protocol keeps its opcode table and its message types; the frame,
-//! the checked body reader and the trace/deadline envelope are here, once.
+//! the checked body reader and the trace envelope are here, once.
 //!
 //! # Frames
 //!
@@ -30,21 +30,19 @@
 //!
 //! # The envelope
 //!
-//! A request body may open with an [`Envelope`]: the caller's trace
-//! context, its remaining deadline budget, both, or neither.
+//! A request body may open with an envelope: one optional tag carrying
+//! the caller's trace context.
 //!
 //! ```text
-//! [0xE0 trace id: u64, span id: u64]   optional, first
-//! [0xE1 budget ms: u32]                optional, second
+//! [0xE0 trace id: u64, span id: u64]   optional
 //! opcode, fields …                     the bare request
 //! ```
 //!
-//! [`Envelope::split`] reads at most one trace tag and then at most one
-//! deadline tag, and what is left is the bare request. It does not loop or
-//! recurse: a tag left over after that is refused, so nesting cannot be
-//! expressed at all. Neither tag byte is an opcode or a status of either
-//! protocol, and a frame without an envelope is byte for byte the bare
-//! request.
+//! [`split_envelope`] reads at most one trace tag, and what is left is the
+//! bare request. It does not loop or recurse: a second trace tag is
+//! refused, so nesting cannot be expressed at all. The tag byte is no
+//! opcode or status of either protocol, and a frame without an envelope
+//! is byte for byte the bare request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,10 +62,6 @@ pub const FRAME_OVERHEAD: usize = 12;
 
 /// Envelope tag: the caller's trace context follows (16 bytes of ids).
 pub const OP_ENV_TRACE: u8 = 0xE0;
-
-/// Envelope tag: the caller's remaining budget in milliseconds follows
-/// (4 bytes).
-pub const OP_ENV_DEADLINE: u8 = 0xE1;
 
 /// An `InvalidData` error: how every malformed frame or body is reported.
 pub fn invalid(message: impl Into<String>) -> io::Error {
@@ -292,61 +286,38 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The optional fields a request body may open with; see the
+/// Appends the envelope of a request sent under `trace` to `out`: the
+/// trace tag and its ids, or nothing at all for an untraced request, so
+/// the bare request follows unchanged. See the
 /// [crate docs](crate#the-envelope) for the layout.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Envelope {
-    /// The caller's trace id and the span the server's work parents on.
-    pub trace: Option<TraceCtx>,
-    /// The caller's remaining patience in milliseconds; zero means it
-    /// was spent before the frame was sent.
-    pub deadline_ms: Option<u32>,
+pub fn encode_envelope(trace: Option<TraceCtx>, out: &mut Vec<u8>) {
+    if let Some(ctx) = trace {
+        out.push(OP_ENV_TRACE);
+        out.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
+        out.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
+    }
 }
 
-impl Envelope {
-    /// Appends the envelope's bytes to `out`: nothing at all for an empty
-    /// envelope, so the bare request follows unchanged.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        if let Some(ctx) = self.trace {
-            out.push(OP_ENV_TRACE);
-            out.extend_from_slice(&ctx.trace.as_u64().to_le_bytes());
-            out.extend_from_slice(&ctx.span.as_u64().to_le_bytes());
+/// Splits a request body into the trace it was sent under and the bare
+/// request: at most one trace tag, no more.
+///
+/// # Errors
+///
+/// `InvalidData` for a truncated envelope, no request after it, zero
+/// trace or span ids (the wire's "absent"), or a second trace tag.
+pub fn split_envelope(body: &[u8]) -> io::Result<(Option<TraceCtx>, &[u8])> {
+    let mut c = Cursor::new(body);
+    let trace = match c.peek()? {
+        OP_ENV_TRACE => {
+            c.u8()?;
+            let ctx = TraceCtx::from_raw(c.u64()?, c.u64()?)
+                .ok_or_else(|| invalid("zero trace or span id in the envelope"))?;
+            Some(ctx)
         }
-        if let Some(ms) = self.deadline_ms {
-            out.push(OP_ENV_DEADLINE);
-            out.extend_from_slice(&ms.to_le_bytes());
-        }
-    }
-
-    /// Splits a request body into its envelope and the bare request: at
-    /// most one trace tag, then at most one deadline tag, no more.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a truncated envelope, no request after it, zero
-    /// trace or span ids (the wire's "absent"), or a tag left over — a
-    /// second one of a kind, or a trace after a deadline.
-    pub fn split(body: &[u8]) -> io::Result<(Envelope, &[u8])> {
-        let mut c = Cursor::new(body);
-        let trace = match c.peek()? {
-            OP_ENV_TRACE => {
-                c.u8()?;
-                let ctx = TraceCtx::from_raw(c.u64()?, c.u64()?)
-                    .ok_or_else(|| invalid("zero trace or span id in the envelope"))?;
-                Some(ctx)
-            }
-            _ => None,
-        };
-        let deadline_ms = match c.peek()? {
-            OP_ENV_DEADLINE => {
-                c.u8()?;
-                Some(c.u32()?)
-            }
-            _ => None,
-        };
-        match c.peek()? {
-            OP_ENV_TRACE | OP_ENV_DEADLINE => Err(invalid("repeated or misplaced envelope tag")),
-            _ => Ok((Envelope { trace, deadline_ms }, c.rest())),
-        }
+        _ => None,
+    };
+    match c.peek()? {
+        OP_ENV_TRACE => Err(invalid("repeated envelope tag")),
+        _ => Ok((trace, c.rest())),
     }
 }
