@@ -34,7 +34,9 @@
 //!
 //! Every request is a *call* in two halves: sending (register the pending
 //! slot, write the frame) and finishing (wait for the response — reading
-//! the socket in turn — and retry once). [`ChunkBackend::begin_read`] and
+//! the socket in turn — and resend once if the connection died; a call
+//! that runs out of time is not resent, since the server may still be
+//! working on it). [`ChunkBackend::begin_read`] and
 //! [`ChunkBackend::begin_write`], the client's one chunk read and one chunk
 //! write, return between them, so one store thread can have a chunk
 //! outstanding on each of a stripe's disks and pay for the slowest round
@@ -315,9 +317,13 @@ struct Call<'a> {
 }
 
 impl Call<'_> {
-    /// Collects the response, reconnecting and retrying once if the first
-    /// attempt died in transport. A read's payload lands in `out`; every
-    /// other call passes an empty one.
+    /// Collects the response, reconnecting and resending once if the first
+    /// attempt could not be sent or its connection died under it (closed,
+    /// reset, or given up by another waiter). A call whose own deadline
+    /// passed returns its error at once: the server may still hold the
+    /// request, and a resend would park a second server worker behind it.
+    /// A read's payload lands in `out`; every other call passes an empty
+    /// one.
     fn finish(self, out: &mut [u8]) -> io::Result<Reply> {
         let Call {
             disk,
@@ -325,13 +331,13 @@ impl Call<'_> {
             tail,
             first,
         } = self;
-        // The first attempt's error is superseded by the retry's outcome.
+        // A transport failure is superseded by the resend's outcome.
         match first {
-            Attempt::Sent(sent) => {
-                if let Ok(reply) = disk.receive(&sent, out) {
-                    return Ok(reply);
-                }
-            }
+            Attempt::Sent(sent) => match disk.receive(&sent, out) {
+                Ok(reply) => return Ok(reply),
+                Err(e) if Instant::now() >= sent.deadline => return Err(e),
+                Err(_) => {}
+            },
             Attempt::Failed(_) => {}
             Attempt::GaveUp(e) => return Err(e),
         }
@@ -374,8 +380,9 @@ impl PendingRead for RemoteRead<'_> {
     }
 }
 
-/// A chunk write begun on a [`RemoteDisk`]: the request frame, payload
-/// included, is on the wire, and the payload stays borrowed for the retry.
+/// A chunk write (or an object's removal) begun on a [`RemoteDisk`]: the
+/// request frame, payload included, is on the wire, and the payload stays
+/// borrowed for the retry.
 struct RemoteWrite<'a> {
     call: Call<'a>,
     object: String,
@@ -963,12 +970,19 @@ impl ChunkBackend for RemoteDisk {
     }
 
     fn remove_object(&self, object: &str) -> Result<(), StoreError> {
-        let response = self
-            .request(Request::RemoveObject {
-                object: object.to_string(),
-            })
-            .map_err(|e| self.io_error(object, e))?;
-        self.expect_ok(object, response).map(drop)
+        self.begin_remove(object).wait()
+    }
+
+    /// Puts the `RemoveObject` frame on the wire and returns; the outcome
+    /// is collected at `wait`, as a write's is.
+    fn begin_remove<'a>(&'a self, object: &str) -> Box<dyn PendingWrite + 'a> {
+        let request = Request::RemoveObject {
+            object: object.to_string(),
+        };
+        Box::new(RemoteWrite {
+            call: self.call(request, &[]),
+            object: object.to_string(),
+        })
     }
 
     /// Puts the `WriteChunk` frame on the wire and returns; the response is

@@ -423,7 +423,8 @@ fn a_read_dropped_unwaited_is_discarded_by_the_next_reader() {
 
 #[test]
 fn a_withheld_response_fails_the_reading_waiter_and_the_one_parked_behind_it() {
-    // Short patience: each waiter spends it twice, first try and retry.
+    // Short patience: each waiter spends it once, and a call that ran out
+    // of time is not resent.
     let patience = Duration::from_millis(500);
     let dir = TempDir::new("chunkd-inflight-withheld");
     let (_server, relay, disk) = relayed_disk(&dir, patience);

@@ -265,7 +265,7 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     );
 
     // A 0xE1 frame gets the typed refusal, and the same connection then
-    // answers a ping. (Before the stall below, which parks both workers.)
+    // answers a ping. (Before the stall below, which parks a worker.)
     let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
     let hostile = [&[0xE1][..], &0u32.to_le_bytes(), &Request::Ping.encode()].concat();
     write_frame(&mut stream, 1, &hostile).unwrap();
@@ -285,8 +285,8 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     drop(stream);
 
     // The stalled verify degrades to a lost chunk — never a hang, never a
-    // hard error: the first attempt and its one retry each give up after
-    // the 400 ms request timeout.
+    // hard error: the call gives up after the 400 ms request timeout, and a
+    // call that ran out of time is not resent.
     let start = std::time::Instant::now();
     let (status, _) = disk.verify_chunk("obj", id, CHUNK_LEN).unwrap();
     assert_eq!(status, ChunkStatus::Missing);
@@ -297,5 +297,52 @@ fn fault_hook_drops_connections_and_deadlines_bound_stalls() {
     );
 
     plan.release(); // unstall the parked server workers before teardown
+    server.shutdown();
+}
+
+/// A call that times out on a stalled server is not resent: the stalled
+/// verify parks one of the server's two workers, and the other is still
+/// free to answer a new connection. A resend on a fresh connection would
+/// park the second worker too.
+#[test]
+fn fault_hook_stall_parks_one_server_worker_per_timed_out_call() {
+    let dir = TempDir::new("chunkd-stall-once");
+    let plan = Arc::new(FaultPlan::parse("disk=0 op=verify stall", 3).unwrap());
+    let server = ChunkServer::bind_with(
+        dir.path().join("srv"),
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 2,
+            fault_plan: Some(Arc::clone(&plan)),
+            fault_disk: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let disk =
+        RemoteDisk::with_timeout(server.local_addr().to_string(), Duration::from_millis(400));
+    let id = pbrs_store::ChunkId {
+        stripe: 0,
+        shard: 0,
+    };
+    let (status, _) = disk.verify_chunk("obj", id, CHUNK_LEN).unwrap();
+    assert_eq!(status, ChunkStatus::Missing);
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    write_frame(&mut stream, 7, &Request::Ping.encode()).unwrap();
+    let answer = read_frame(&mut stream);
+    // Unstall the parked server workers before anything can fail: a
+    // server's teardown waits for its workers.
+    plan.release();
+    let (req_id, body) = answer.expect("a free worker answers within 1 s");
+    assert_eq!(req_id, 7);
+    assert!(matches!(
+        Response::decode(&body).unwrap(),
+        Response::Ok { .. }
+    ));
+    drop(stream);
     server.shutdown();
 }

@@ -278,9 +278,11 @@ mod tests {
             .iter()
             .all(|c| c.shards_downloaded == 10.0));
         assert!((rs_table.average_blocks_downloaded() - 10.0).abs() < 1e-12);
-        assert!((pb_table.average_blocks_downloaded() - 7.642857).abs() < 1e-3);
+        // (6 · 6.5 + 4 · 7 + 4 · 9.5) / 14 = 7.5: a parity reads 19
+        // half-chunks (every data b-half and 9 more) from 12 helpers.
+        assert!((pb_table.average_blocks_downloaded() - 7.5).abs() < 1e-12);
         assert_eq!(pb_table.per_shard[0].helpers, 11);
-        assert_eq!(pb_table.per_shard[13].helpers, 10);
+        assert_eq!(pb_table.per_shard[13].helpers, 12);
         assert_eq!(pb_table.code_name, "Piggybacked-RS(10, 4)");
     }
 

@@ -248,13 +248,21 @@ fn piggyback_reads_are_half_shards_for_data_targets() {
         // Fewer bytes than the RS baseline of k whole shards.
         assert!(total_read_bytes(&reads) < 10 * shard_len as u64);
     }
-    // Parity targets fall back to whole-shard reads of the k data shards.
+    // Parity targets read every data b-half plus the 9 other half-chunks
+    // the search found: 19 halves, one fewer than k whole shards, each
+    // read a whole half or a whole chunk.
     for target in 10..14 {
         let mut available = vec![true; 14];
         available[target] = false;
         let reads = code.repair_reads(target, &available, shard_len).unwrap();
-        assert_eq!(total_read_bytes(&reads), 10 * shard_len as u64);
-        assert!(reads.iter().all(|r| r.offset == 0 && r.len == shard_len));
+        assert_eq!(total_read_bytes(&reads), 19 * shard_len as u64 / 2);
+        assert!(reads
+            .iter()
+            .filter(|r| r.shard < 10)
+            .all(|r| r.offset + r.len == shard_len));
+        assert!(reads
+            .iter()
+            .all(|r| r.len == shard_len || r.len == shard_len / 2));
     }
 }
 

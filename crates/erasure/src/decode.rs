@@ -26,37 +26,22 @@ use crate::CodeError;
 pub fn select_independent_rows(generator: &Matrix, candidates: &[usize]) -> Option<Vec<usize>> {
     let k = generator.cols();
     let mut selected: Vec<usize> = Vec::with_capacity(k);
-    // Maintain a row-echelon basis of the selected rows.
-    let mut basis: Vec<Vec<u8>> = Vec::with_capacity(k);
+    // The selected rows in echelon form, with their pivots.
+    let mut basis: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
     for &idx in candidates {
         if selected.len() == k {
             break;
         }
         let mut row = generator.row(idx).to_vec();
-        // Reduce against the existing basis.
-        for b in &basis {
-            let lead = b
-                .iter()
-                .position(|&x| x != 0)
-                // pbrs-lint: allow(panic-hygiene) -- basis rows are non-zero by construction of the generator
-                .expect("basis rows are non-zero");
-            if row[lead] != 0 {
-                let factor = pbrs_gf::tables::div(row[lead], b[lead]);
-                for (r, bv) in row.iter_mut().zip(b.iter()) {
-                    *r ^= pbrs_gf::tables::mul(factor, *bv);
-                }
-            }
+        for (pivot, b) in &basis {
+            eliminate(&mut row, b, *pivot);
         }
-        if row.iter().any(|&x| x != 0) {
-            basis.push(row);
+        if let Some(pivot) = normalise(&mut row) {
+            basis.push((pivot, row));
             selected.push(idx);
         }
     }
-    if selected.len() == k {
-        Some(selected)
-    } else {
-        None
-    }
+    (selected.len() == k).then_some(selected)
 }
 
 /// Reconstructs every missing shard of a linear code *in place*, inside a
@@ -230,6 +215,187 @@ pub fn solve_combination(rows: &[&[u8]], targets: &[&[u8]]) -> Option<Vec<Vec<u8
     )
 }
 
+/// `v -= v[pivot] · row`, for a `row` that is 1 at `pivot`: clears `v` at
+/// the pivot.
+fn eliminate(v: &mut [u8], row: &[u8], pivot: usize) {
+    let f = v[pivot];
+    if f != 0 {
+        for (x, &r) in v.iter_mut().zip(row) {
+            *x ^= pbrs_gf::tables::mul(f, r);
+        }
+    }
+}
+
+/// Scales `v` to 1 at its first non-zero entry and returns that entry's
+/// index, the pivot; `None` for the zero vector.
+fn normalise(v: &mut [u8]) -> Option<usize> {
+    let pivot = v.iter().position(|&x| x != 0)?;
+    // pbrs-lint: allow(panic-hygiene) -- the pivot was chosen non-zero
+    let inv = pbrs_gf::tables::inverse(v[pivot]).expect("pivot non-zero");
+    for x in v.iter_mut() {
+        *x = pbrs_gf::tables::mul(*x, inv);
+    }
+    Some(pivot)
+}
+
+/// Brings the `dim`-byte rows of `rows` to echelon form in place, the
+/// independent ones first, and returns how many there are: their rank.
+fn echelon(rows: &mut [u8], dim: usize) -> usize {
+    let mut kept = 0;
+    for j in 0..rows.len() / dim {
+        let (done, rest) = rows.split_at_mut(j * dim);
+        let row = &mut rest[..dim];
+        for prev in done[..kept * dim].chunks_exact(dim) {
+            if let Some(pivot) = prev.iter().position(|&x| x != 0) {
+                eliminate(row, prev, pivot);
+            }
+        }
+        if normalise(row).is_some() {
+            rows.copy_within(j * dim..(j + 1) * dim, kept * dim);
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Every minimum-size subset of `candidates` whose rows, together with all
+/// of the `seed` rows, span every row of `targets`: when all candidates cost
+/// the same, the cheapest ways to add to the seed so that a repair can solve
+/// for the targets. Each subset lists candidate indices in ascending order,
+/// and the subsets come in lexicographic order. The answer is empty when
+/// even every candidate together falls short, and `[[]]` when the seed
+/// alone suffices. It is empty too when the search runs out of its budget
+/// of about a million subsets: what it found so far may not be minimal.
+///
+/// The seed is factored out first: every candidate and target is reduced
+/// against the seed's span, so the search runs in the quotient space (a
+/// Piggybacked-RS parity, seeded with every data b-half, sees each other
+/// half-chunk through its `k`-long a-part). A depth-first search then grows
+/// independent subsets only — a minimum subset never holds a dependent row
+/// — and cuts a branch once its size plus the rank the targets still lack
+/// exceeds the best size found.
+pub fn minimal_spanning_sets(
+    seed: &[&[u8]],
+    candidates: &[&[u8]],
+    targets: &[&[u8]],
+) -> Vec<Vec<usize>> {
+    // The seed in reduced echelon form: each row is zero at every other
+    // row's pivot, so a reduced vector is zero at all of them.
+    let mut seed_basis: Vec<(usize, Vec<u8>)> = Vec::new();
+    for row in seed {
+        let mut v = row.to_vec();
+        for (pivot, prev) in &seed_basis {
+            eliminate(&mut v, prev, *pivot);
+        }
+        if let Some(pivot) = normalise(&mut v) {
+            for (_, prev) in &mut seed_basis {
+                eliminate(prev, &v, pivot);
+            }
+            seed_basis.push((pivot, v));
+        }
+    }
+    let project = |row: &&[u8]| -> Vec<u8> {
+        let mut v = row.to_vec();
+        for (pivot, prev) in &seed_basis {
+            eliminate(&mut v, prev, *pivot);
+        }
+        v.iter()
+            .enumerate()
+            .filter(|(c, _)| !seed_basis.iter().any(|(p, _)| p == c))
+            .map(|(_, &x)| x)
+            .collect()
+    };
+    let candidates: Vec<Vec<u8>> = candidates.iter().map(project).collect();
+    let dim = targets
+        .first()
+        .map_or(0, |row| row.len() - seed_basis.len());
+    let mut residual: Vec<u8> = targets.iter().flat_map(project).collect();
+    let rank = echelon(&mut residual, dim.max(1));
+    residual.truncate(rank * dim);
+    let mut search = SpanSearch {
+        candidates: &candidates,
+        dim,
+        budget: SEARCH_BUDGET,
+        best: candidates.len() + 1,
+        found: Vec::new(),
+        chosen: Vec::new(),
+        basis: Vec::new(),
+    };
+    search.extend(0, &residual);
+    if search.budget == 0 {
+        return Vec::new();
+    }
+    search.found
+}
+
+/// How many subsets [`minimal_spanning_sets`] visits before it gives up.
+/// A Piggybacked-RS `(10, 4)` parity takes at most about 50,000 and a
+/// `(12, 4)` one about 220,000 (a quarter of a second in release); a much
+/// larger code would take longer than its repairs are worth, so it keeps
+/// its `k`-shard reads instead.
+const SEARCH_BUDGET: usize = 1 << 20;
+
+/// The state of [`minimal_spanning_sets`]' depth-first search, in the
+/// quotient space of `dim` coordinates.
+struct SpanSearch<'a> {
+    candidates: &'a [Vec<u8>],
+    dim: usize,
+    /// Subsets still to visit before the search gives up.
+    budget: usize,
+    /// The size of the smallest spanning subset found so far (one more than
+    /// the number of candidates while there is none).
+    best: usize,
+    found: Vec<Vec<usize>>,
+    /// The subset being grown, and its rows in echelon form with their
+    /// pivots (each row zero at the pivots before it).
+    chosen: Vec<usize>,
+    basis: Vec<(usize, Vec<u8>)>,
+}
+
+impl SpanSearch<'_> {
+    /// Explores every independent extension of `chosen` by candidates from
+    /// `from` on. `residual` is what the targets still lack: their span
+    /// reduced against `basis`, in echelon form, one row per missing rank.
+    fn extend(&mut self, from: usize, residual: &[u8]) {
+        self.budget = self.budget.saturating_sub(1);
+        if self.budget == 0 {
+            return;
+        }
+        let lacking = residual.len() / self.dim.max(1);
+        if lacking == 0 {
+            if self.chosen.len() < self.best {
+                self.best = self.chosen.len();
+                self.found.clear();
+            }
+            self.found.push(self.chosen.clone());
+            return;
+        }
+        if self.chosen.len() + lacking > self.best {
+            return;
+        }
+        let mut next = vec![0u8; residual.len()];
+        for i in from..self.candidates.len() {
+            let mut v = self.candidates[i].clone();
+            for (pivot, row) in &self.basis {
+                eliminate(&mut v, row, *pivot);
+            }
+            let Some(pivot) = normalise(&mut v) else {
+                continue;
+            };
+            next.copy_from_slice(residual);
+            for row in next.chunks_exact_mut(self.dim) {
+                eliminate(row, &v, pivot);
+            }
+            let lacking = echelon(&mut next, self.dim);
+            self.chosen.push(i);
+            self.basis.push((pivot, v));
+            self.extend(i + 1, &next[..lacking * self.dim]);
+            self.basis.pop();
+            self.chosen.pop();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +524,41 @@ mod tests {
             Err(CodeError::ReconstructionFailed { .. })
         ));
         assert_eq!(stripe, before);
+    }
+
+    #[test]
+    fn minimal_spanning_sets_finds_every_smallest_subset() {
+        let g = systematic_generator(4, 2);
+        let rows = |idx: &[usize]| -> Vec<&[u8]> { idx.iter().map(|&i| g.row(i)).collect() };
+        // MDS: any 4 of the other five rows span parity row 4, and no 3 do.
+        let sets = minimal_spanning_sets(&[], &rows(&[0, 1, 2, 3, 5]), &rows(&[4]));
+        let expect: Vec<Vec<usize>> = (0..5)
+            .rev()
+            .map(|skip| (0..5).filter(|&i| i != skip).collect())
+            .collect();
+        assert_eq!(sets, expect);
+        // A seed row counts without being chosen: any 3 of the rest.
+        let sets = minimal_spanning_sets(&rows(&[0]), &rows(&[1, 2, 3, 5]), &rows(&[4]));
+        assert_eq!(sets.len(), 4);
+        assert!(sets.iter().all(|set| set.len() == 3));
+        // Data row 2 is one of the candidates: the one-row set.
+        let sets = minimal_spanning_sets(&rows(&[0]), &rows(&[1, 2, 4]), &rows(&[2]));
+        assert_eq!(sets, vec![vec![1]]);
+        // The seed alone suffices: the empty set. Out of reach: none.
+        assert_eq!(
+            minimal_spanning_sets(&rows(&[0, 1]), &rows(&[2]), &rows(&[0, 1])),
+            vec![Vec::<usize>::new()]
+        );
+        assert!(minimal_spanning_sets(&rows(&[0]), &rows(&[1, 2]), &rows(&[3])).is_empty());
+    }
+
+    #[test]
+    fn minimal_spanning_sets_gives_up_past_its_budget() {
+        // Any 20 of the other 39 rows of a (20, 20) MDS code span a parity
+        // row, and proving that no 19 do takes far more than the budget.
+        let g = systematic_generator(20, 20);
+        let others: Vec<&[u8]> = (0..40).filter(|&i| i != 20).map(|i| g.row(i)).collect();
+        assert!(minimal_spanning_sets(&[], &others, &[g.row(20)]).is_empty());
     }
 
     #[test]

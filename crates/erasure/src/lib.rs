@@ -44,8 +44,12 @@
 //! Every code here is linear, so a code is its symbol-level
 //! [`ErasureCode::generator`] (Piggybacked-RS has two symbols per shard, one
 //! per substripe) plus its choice of reads,
-//! [`ErasureCode::repair_reads_ranked`]. Everything else is derived once, in
-//! the trait, from those two:
+//! [`ErasureCode::repair_reads_ranked`]. Where that choice is not fixed by
+//! the code's structure, it is searched in the generator:
+//! [`decode::minimal_spanning_sets`] finds every minimum set of helper
+//! symbols that spans a target, which is how a Piggybacked-RS parity
+//! reads 19 half-chunks and an LRC global parity 9 shards, not `k` whole
+//! shards. Everything else is derived once, in the trait, from those two:
 //!
 //! * [`ErasureCode::encode_into`] multiplies the generator's parity rows by
 //!   the data symbols in one multi-output pass;
@@ -124,7 +128,9 @@ pub use error::CodeError;
 pub use lrc::{Lrc, LrcParams};
 pub use params::CodeParams;
 pub use reed_solomon::ReedSolomon;
-pub use repair::{lowest_ranked_reads, total_read_bytes, ShardRead};
+pub use repair::{
+    cheapest_plan, lowest_ranked_reads, minimal_symbol_plans, total_read_bytes, ShardRead,
+};
 pub use replication::Replication;
 pub use spec::CodeSpec;
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
@@ -239,10 +245,16 @@ pub trait ErasureCode {
     /// This is how placement-aware callers (the store's locality-first
     /// repair scheduler) steer repairs toward cheap helpers: rank same-rack
     /// survivors 0 and cross-rack survivors 1 and an MDS code will read as
-    /// many same-rack helpers as its mathematics allows. Codes whose reads
-    /// are structurally fixed (Piggybacked-RS reads specific half-shards,
-    /// LRC reads its local group) ignore the rank; preference never changes
-    /// *how many* bytes a code reads, only *where* it reads them.
+    /// many same-rack helpers as its mathematics allows. A code with
+    /// several equally cheap read sets (a Piggybacked-RS parity or an LRC
+    /// global parity, whose sets a search over the generator finds; see
+    /// [`minimal_symbol_plans`]) takes the one with the fewest bytes on
+    /// shards of non-zero rank, then the least `Σ rank × bytes`
+    /// ([`cheapest_plan`]); its `k`-whole-shard fallback reads the `k`
+    /// lowest-ranked shards. Reads fixed by the code's structure (a
+    /// Piggybacked-RS data shard's half-shards, an LRC local group) ignore
+    /// the rank: preference never changes *how many* bytes a code reads,
+    /// only *where* it reads them.
     ///
     /// Degraded masks (more shards missing than `target`) are accepted:
     /// the reads then avoid every missing shard. Execute the reads with

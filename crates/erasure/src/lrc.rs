@@ -17,17 +17,22 @@
 //!
 //! A single failed data shard is rebuilt from its local group only
 //! (`k/l` downloads instead of `k`), which is how LRC trades storage for
-//! recovery bandwidth. That locality lives entirely in the code's read
+//! recovery bandwidth. A global parity is rebuilt from the cheapest set of
+//! other shards whose rows span its row, found once by a search over the
+//! generator: 9 shards instead of `k = 10` for the Xorbas `(10, 2, 4)`
+//! code. That locality lives entirely in the code's read
 //! choice ([`ErasureCode::repair_reads_ranked`]): local parities are just
 //! more generator rows, so encode and full reconstruction are the shared
 //! generator-derived ones, which decode every loss pattern whose surviving
 //! rows span the data, in one pass with no local phase.
 
+use std::sync::OnceLock;
+
 use pbrs_gf::Matrix;
 
 use crate::decode;
 use crate::params::validate_repair_request;
-use crate::repair::ShardRead;
+use crate::repair::{self, ShardRead};
 use crate::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
 /// Parameters of a local reconstruction code.
@@ -87,6 +92,10 @@ pub struct Lrc {
     groups: Vec<Vec<usize>>,
     /// Full `n × k` generator matrix (identity, local XOR rows, global rows).
     generator: Matrix,
+    /// Per shard, the minimum read sets cheaper than `k` shards that the
+    /// search found for a global parity (empty for every other shard), built
+    /// on first use.
+    plans: OnceLock<Vec<Vec<Vec<usize>>>>,
 }
 
 impl Lrc {
@@ -157,6 +166,7 @@ impl Lrc {
             group_of,
             groups,
             generator,
+            plans: OnceLock::new(),
         })
     }
 
@@ -168,6 +178,24 @@ impl Lrc {
     /// Index of the local parity shard of `group`.
     pub fn local_parity_index(&self, group: usize) -> usize {
         self.lrc_params.k + group
+    }
+
+    /// The global parities' read sets: for each, every minimum set of other
+    /// shards whose rows span its row, kept when smaller than `k` shards.
+    fn global_plans(&self) -> &[Vec<Vec<usize>>] {
+        self.plans.get_or_init(|| {
+            let n = self.params.total_shards();
+            let first_global = self.lrc_params.k + self.lrc_params.local_groups;
+            (0..n)
+                .map(|target| {
+                    if target < first_global {
+                        return Vec::new();
+                    }
+                    let others: Vec<usize> = (0..n).filter(|&i| i != target).collect();
+                    repair::minimal_symbol_plans(&self.generator, 1, target, &[], &others)
+                })
+                .collect()
+        })
     }
 }
 
@@ -192,9 +220,15 @@ impl ErasureCode for Lrc {
         target: usize,
         available: &[bool],
         shard_len: usize,
-        _rank: &dyn Fn(usize) -> u64,
+        rank: &dyn Fn(usize) -> u64,
     ) -> Result<Vec<ShardRead>, CodeError> {
         validate_repair_request(self, target, available, shard_len)?;
+        // A global parity: the cheapest searched set that is available.
+        if let Some(reads) =
+            repair::cheapest_plan(&self.global_plans()[target], 1, available, shard_len, rank)
+        {
+            return Ok(reads);
+        }
         let n = self.params.total_shards();
         let k = self.lrc_params.k;
         let l = self.lrc_params.local_groups;
@@ -221,20 +255,22 @@ impl ErasureCode for Lrc {
         let helpers = match local {
             Some(helpers) => helpers,
             None => {
-                // Fallback: global decode from any k independent surviving
-                // rows.
-                let candidates: Vec<usize> = (0..n).filter(|&i| available[i]).collect();
+                // Fallback: global decode from k independent surviving
+                // rows, lowest rank first, ties by index.
+                let mut candidates: Vec<usize> = (0..n).filter(|&i| available[i]).collect();
+                candidates.sort_by_key(|&i| (rank(i), i));
                 if candidates.len() < k {
                     return Err(CodeError::NotEnoughShards {
                         needed: k,
                         available: candidates.len(),
                     });
                 }
-                decode::select_independent_rows(&self.generator, &candidates).ok_or(
-                    CodeError::ReconstructionFailed {
+                let mut helpers = decode::select_independent_rows(&self.generator, &candidates)
+                    .ok_or(CodeError::ReconstructionFailed {
                         context: "surviving shards do not span the data",
-                    },
-                )?
+                    })?;
+                helpers.sort_unstable();
+                helpers
             }
         };
         Ok(helpers
@@ -385,12 +421,52 @@ mod tests {
     }
 
     #[test]
-    fn global_parity_repair_reads_k_shards() {
+    fn global_parity_repair_reads_nine_searched_shards() {
+        // The search finds, for every global parity, 9 other shards whose
+        // rows span its row: one fewer than the k = 10 a global decode reads.
         let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
+        let all = full_stripe(&lrc, &sample_data(10, 48));
+        for target in 12..16 {
+            let mut available = vec![true; 16];
+            available[target] = false;
+            let reads = lrc.repair_reads(target, &available, 48).unwrap();
+            assert_eq!(reads.len(), 9, "target {target}");
+            // Rebuilt from only those shards, every other slot garbage.
+            let mut helpers = ShardBuffer::zeroed(16, 48);
+            for i in 0..16 {
+                helpers.shard_mut(i).fill(0xEE);
+            }
+            for read in &reads {
+                helpers
+                    .shard_mut(read.shard)
+                    .copy_from_slice(all.shard(read.shard));
+            }
+            let mut out = vec![0u8; 48];
+            lrc.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
+                .unwrap();
+            assert_eq!(out, all.shard(target), "target {target}");
+        }
+    }
+
+    #[test]
+    fn global_fallback_reads_the_lowest_ranked_shards() {
+        // Shards 0 and 1 of one group are lost, so shard 0 takes the global
+        // decode. Ranking shards 2–4 last keeps them out of it: the ten
+        // lowest-ranked independent shards are 5–10 and 12–15 (local
+        // parity 11 is the sum of 5–9), not the ten lowest-indexed.
+        let lrc = Lrc::new(LrcParams::XORBAS).unwrap();
+        let all = full_stripe(&lrc, &sample_data(10, 48));
         let mut available = vec![true; 16];
-        available[13] = false;
-        let reads = lrc.repair_reads(13, &available, 48).unwrap();
-        assert_eq!(reads.len(), 10);
+        available[0] = false;
+        available[1] = false;
+        let rank = |shard: usize| u64::from(shard < 5);
+        let reads = lrc.repair_reads_ranked(0, &available, 48, &rank).unwrap();
+        let shards: Vec<usize> = reads.iter().map(|read| read.shard).collect();
+        assert_eq!(shards, [5, 6, 7, 8, 9, 10, 12, 13, 14, 15]);
+        let mut out = vec![0u8; 48];
+        lrc.repair_from_reads(0, &reads, &all.as_set(), &mut out)
+            .unwrap();
+        assert_eq!(out, all.shard(0));
     }
 
     #[test]

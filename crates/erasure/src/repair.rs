@@ -13,7 +13,10 @@
 //! the body of every [`ErasureCode::repair_from_reads`], rebuilding a shard
 //! from the helper bytes a code's read choice names, whatever the code.
 
-use pbrs_gf::slice_ops;
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex};
+
+use pbrs_gf::{slice_ops, Matrix};
 
 use crate::params::validate_repair_views;
 use crate::views::ShardSet;
@@ -93,6 +96,106 @@ pub fn lowest_ranked_reads(
         .into_iter()
         .map(|shard| ShardRead::whole(shard, shard_len))
         .collect())
+}
+
+/// The minimum read sets of one repair target, found once by search
+/// ([`decode::minimal_spanning_sets`]) over `generator`, the symbol-level
+/// generator of a code with `g` symbols per shard: every plan holds all
+/// the `seed` rows plus a minimum set of `candidates` rows that, with them,
+/// spans the target's `g` rows. Row `i·g + s` is symbol `s` of shard `i`,
+/// so a plan's rows are its reads ([`cheapest_plan`] turns them into byte
+/// ranges). A plan is kept only when it reads fewer symbols than `k` whole
+/// shards; otherwise the answer is empty and the code's `k`-whole-shard read
+/// stays the cheapest.
+///
+/// Answers are kept for the life of the process, by their inputs: every
+/// store opens a code of its own, and a piggyback-10-4 parity's search
+/// takes milliseconds, so only the first code of a kind pays for it.
+pub fn minimal_symbol_plans(
+    generator: &Matrix,
+    g: usize,
+    target: usize,
+    seed: &[usize],
+    candidates: &[usize],
+) -> Vec<Vec<usize>> {
+    let key = (
+        generator.clone(),
+        g,
+        target,
+        seed.to_vec(),
+        candidates.to_vec(),
+    );
+    // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+    let mut searched = SEARCHED.lock().expect("lock");
+    let plans = searched.entry(key).or_insert_with(|| {
+        let rows =
+            |rows: &[usize]| -> Vec<&[u8]> { rows.iter().map(|&r| generator.row(r)).collect() };
+        let targets: Vec<usize> = (target * g..(target + 1) * g).collect();
+        decode::minimal_spanning_sets(&rows(seed), &rows(candidates), &rows(&targets))
+            .into_iter()
+            .filter(|chosen| seed.len() + chosen.len() < generator.cols())
+            .map(|chosen| {
+                let mut plan: Vec<usize> = seed.to_vec();
+                plan.extend(chosen.iter().map(|&c| candidates[c]));
+                plan.sort_unstable();
+                plan
+            })
+            .collect()
+    });
+    plans.clone()
+}
+
+/// The inputs of one [`minimal_symbol_plans`] search: generator, symbols
+/// per shard, target, seed rows and candidate rows.
+type SearchKey = (Matrix, usize, usize, Vec<usize>, Vec<usize>);
+
+/// Every [`minimal_symbol_plans`] answer of this process, by its inputs.
+static SEARCHED: LazyLock<Mutex<HashMap<SearchKey, Vec<Vec<usize>>>>> =
+    LazyLock::new(Mutex::default);
+
+/// The cheapest of `plans` (symbol-row sets of [`minimal_symbol_plans`],
+/// `g` symbols per shard) whose shards are all `available`, as reads of
+/// `shard_len`-byte shards: a shard read in all its symbols is read whole.
+/// Cheapest means the fewest bytes on shards of non-zero `rank` (not
+/// already at hand), then the least `Σ rank × bytes`, then the first plan
+/// in the table's order, which is shard order. `None` when no plan is
+/// available.
+pub fn cheapest_plan(
+    plans: &[Vec<usize>],
+    g: usize,
+    available: &[bool],
+    shard_len: usize,
+    rank: &dyn Fn(usize) -> u64,
+) -> Option<Vec<ShardRead>> {
+    let sym = shard_len / g;
+    plans
+        .iter()
+        .filter(|plan| plan.iter().all(|&row| available[row / g]))
+        .min_by_key(|plan| {
+            plan.iter().fold((0u64, 0u64), |(fetched, weighted), &row| {
+                let rank = rank(row / g);
+                let bytes = sym as u64;
+                (
+                    fetched + u64::from(rank > 0) * bytes,
+                    weighted + rank * bytes,
+                )
+            })
+        })
+        .map(|plan| {
+            let mut reads: Vec<ShardRead> = Vec::with_capacity(plan.len());
+            for &row in plan {
+                let (shard, offset) = (row / g, (row % g) * sym);
+                match reads.last_mut() {
+                    Some(last) if last.shard == shard && last.end() == offset => last.len += sym,
+                    _ => reads.push(ShardRead {
+                        shard,
+                        offset,
+                        len: sym,
+                    }),
+                }
+            }
+            reads
+        })
 }
 
 /// Rebuilds shard `target` of `code` into `out` from exactly the helper

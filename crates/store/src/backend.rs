@@ -124,8 +124,8 @@ impl PendingWrite for ReadyWrite {
 /// blocking [`ChunkBackend::read_chunk_into`],
 /// [`ChunkBackend::read_chunk_range`] and [`ChunkBackend::write_chunk`]
 /// are provided as a begun op waited for at once; the zero write, the
-/// begun check, the counters and the span drain have defaults that a
-/// backend overrides when it can do better.
+/// begun check, the begun removal, the counters and the span drain have
+/// defaults that a backend overrides when it can do better.
 pub trait ChunkBackend: Send + Sync + fmt::Debug {
     /// Human-readable location of the disk (a path, or a `chunkd://` addr).
     fn describe(&self) -> String;
@@ -151,6 +151,19 @@ pub trait ChunkBackend: Send + Sync + fmt::Debug {
     ///
     /// Returns [`StoreError::Io`] on transport failure.
     fn remove_object(&self, object: &str) -> Result<()>;
+
+    /// Starts removing every chunk of `object` on this disk, and returns
+    /// without waiting: [`ChunkBackend::remove_object`] begun, its outcome
+    /// collected at [`PendingWrite::wait`]. An object lives on every disk of
+    /// the pool, so a caller that begins all its removals before waiting for
+    /// any pays for the slowest round trip instead of their sum.
+    ///
+    /// The default performs the [`ChunkBackend::remove_object`] here and
+    /// now, which is right for a backend with nothing to overlap and for
+    /// wrappers that gate [`ChunkBackend::remove_object`].
+    fn begin_remove<'a>(&'a self, object: &str) -> Box<dyn PendingWrite + 'a> {
+        Box::new(ReadyWrite(self.remove_object(object)))
+    }
 
     /// Starts reading `out.len()` payload bytes at `offset` of a chunk whose
     /// payload is `chunk_len` bytes, and returns without waiting for them.

@@ -58,11 +58,23 @@ impl BlockStore {
     /// round trip before its first stripe.
     pub(crate) fn prepare_object_dirs(&self, name: &str) -> Result<()> {
         if self.read_manifest().tombstones.contains(name) {
-            for disk in &self.disks {
-                disk.remove_object(name)?;
-            }
+            self.remove_batch(name)?;
         }
         Ok(())
+    }
+
+    /// Removes every chunk of `name` from every disk in one batch: every
+    /// removal is begun ([`crate::ChunkBackend::begin_remove`]) before any
+    /// is waited for, and every one is collected before the first error is
+    /// returned.
+    fn remove_batch(&self, name: &str) -> Result<()> {
+        let pending: Vec<_> = self
+            .disks
+            .iter()
+            .map(|disk| disk.begin_remove(name))
+            .collect();
+        let waited: Vec<Result<()>> = pending.into_iter().map(|remove| remove.wait()).collect();
+        waited.into_iter().collect()
     }
 
     /// The durable commit of a fully ingested object (every chunk of every
@@ -190,9 +202,7 @@ impl BlockStore {
     /// Best-effort removal of every chunk of `name` on every disk (cleanup
     /// after a failed `put`).
     pub(crate) fn remove_object_chunks(&self, name: &str) {
-        for disk in &self.disks {
-            let _ = disk.remove_object(name);
-        }
+        let _ = self.remove_batch(name);
     }
 
     /// Deletes object `name`: its manifest entry (and placement rows) are

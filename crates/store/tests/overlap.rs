@@ -13,8 +13,12 @@
 //! for `ObjectWriter` alike, all collected even when one of them fails; a
 //! short stripe's padding chunks are begun in it as zero writes.
 //!
+//! A PUT onto a tombstoned name sweeps the old chunks as one batch too:
+//! every disk's removal is begun before any is waited for.
+//!
 //! The double below records every `begin_read` / `begin_verify` /
-//! `begin_write` / `begin_write_zeros` and every `wait` in one shared log.
+//! `begin_write` / `begin_write_zeros` / `begin_remove` and every `wait` in
+//! one shared log.
 //! A blocking call is the trait's begun op waited for at once, so it is
 //! recorded as a begin immediately followed by its wait, and a site that
 //! fell back to one-at-a-time I/O would show up as an alternating log.
@@ -41,6 +45,8 @@ enum Event {
     BeginWrite(usize),
     BeginWriteZeros(usize),
     WaitWrite(usize),
+    BeginRemove,
+    WaitRemove,
 }
 
 type Log = Arc<Mutex<Vec<Event>>>;
@@ -68,13 +74,14 @@ impl PendingRead for RecordedRead<'_> {
 
 struct RecordedWrite<'a> {
     inner: Box<dyn PendingWrite + 'a>,
-    shard: usize,
+    /// What its wait logs.
+    waited: Event,
     log: &'a Log,
 }
 
 impl PendingWrite for RecordedWrite<'_> {
     fn wait(self: Box<Self>) -> Result<(), StoreError> {
-        self.log.lock().unwrap().push(Event::WaitWrite(self.shard));
+        self.log.lock().unwrap().push(self.waited);
         self.inner.wait()
     }
 }
@@ -92,6 +99,14 @@ impl ChunkBackend for Recording {
     fn remove_object(&self, object: &str) -> Result<(), StoreError> {
         self.inner.remove_object(object)
     }
+    fn begin_remove<'a>(&'a self, object: &str) -> Box<dyn PendingWrite + 'a> {
+        self.log.lock().unwrap().push(Event::BeginRemove);
+        Box::new(RecordedWrite {
+            inner: self.inner.begin_remove(object),
+            waited: Event::WaitRemove,
+            log: &self.log,
+        })
+    }
     fn begin_write<'a>(
         &'a self,
         object: &str,
@@ -101,7 +116,7 @@ impl ChunkBackend for Recording {
         self.log.lock().unwrap().push(Event::BeginWrite(id.shard));
         Box::new(RecordedWrite {
             inner: self.inner.begin_write(object, id, payload),
-            shard: id.shard,
+            waited: Event::WaitWrite(id.shard),
             log: &self.log,
         })
     }
@@ -117,7 +132,7 @@ impl ChunkBackend for Recording {
             .push(Event::BeginWriteZeros(id.shard));
         Box::new(RecordedWrite {
             inner: self.inner.begin_write_zeros(object, id, len),
-            shard: id.shard,
+            waited: Event::WaitWrite(id.shard),
             log: &self.log,
         })
     }
@@ -259,25 +274,35 @@ fn chunk_file(dir: &TempDir, stripe: u64, shard: usize) -> std::path::PathBuf {
         .join(format!("{stripe:08}-{shard:02}.chunk"))
 }
 
-/// Drains the log, keeping its read events or its write events.
-fn drain(log: &Log, writes: bool) -> Vec<Event> {
+fn is_write(e: &Event) -> bool {
+    matches!(
+        e,
+        Event::BeginWrite(_) | Event::BeginWriteZeros(_) | Event::WaitWrite(_)
+    )
+}
+
+fn is_remove(e: &Event) -> bool {
+    matches!(e, Event::BeginRemove | Event::WaitRemove)
+}
+
+/// Drains the log, keeping the events `keep` picks.
+fn drain(log: &Log, keep: impl Fn(&Event) -> bool) -> Vec<Event> {
     let mut events = std::mem::take(&mut *log.lock().unwrap());
-    events.retain(|e| {
-        writes
-            == matches!(
-                e,
-                Event::BeginWrite(_) | Event::BeginWriteZeros(_) | Event::WaitWrite(_)
-            )
-    });
+    events.retain(keep);
     events
 }
 
+/// The read and check events.
 fn take(log: &Log) -> Vec<Event> {
-    drain(log, false)
+    drain(log, |e| !is_write(e) && !is_remove(e))
 }
 
 fn take_writes(log: &Log) -> Vec<Event> {
-    drain(log, true)
+    drain(log, is_write)
+}
+
+fn take_removes(log: &Log) -> Vec<Event> {
+    drain(log, is_remove)
 }
 
 /// The write log of `stripes` stripes: per stripe, all n writes begun in
@@ -648,6 +673,23 @@ fn a_stripe_begins_all_n_writes_before_the_first_wait_for_put_and_writer() {
     assert_eq!(take_writes(&log), write_batches(2));
     assert_eq!(store.get("put").unwrap(), data);
     assert_eq!(store.get("streamed").unwrap(), data);
+}
+
+#[test]
+fn a_put_onto_a_tombstoned_name_begins_every_removal_before_the_first_wait() {
+    let dir = TempDir::new("overlap-removes");
+    let (store, log) = store_over(&dir, &|_, local, log| recording(local, log));
+    let data = two_stripes();
+    store.put("obj", &data[..]).unwrap();
+    store.delete("obj").unwrap();
+    assert!(take_removes(&log).is_empty(), "a delete only tombstones");
+    store.put("obj", &data[..]).unwrap();
+    let sweep: Vec<Event> = [Event::BeginRemove; N]
+        .into_iter()
+        .chain([Event::WaitRemove; N])
+        .collect();
+    assert_eq!(take_removes(&log), sweep);
+    assert_eq!(store.get("obj").unwrap(), data);
 }
 
 #[test]

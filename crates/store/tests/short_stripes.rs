@@ -9,6 +9,7 @@
 //! padding chunk degrades its stripe exactly as a read of it would.
 
 use std::fs;
+use std::ops::Range;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -223,6 +224,19 @@ fn plan(store: &BlockStore, target: usize) -> Vec<ShardRead> {
         .unwrap()
 }
 
+/// The single-loss plan for `target` with the `padding` shards ranked
+/// first, as the store ranks shards it already holds.
+fn ranked_plan(store: &BlockStore, target: usize, padding: &Range<usize>) -> Vec<ShardRead> {
+    let n = store.shards_per_stripe();
+    let mut available = vec![true; n];
+    available[target] = false;
+    let rank = |shard: usize| u64::from(!padding.contains(&shard));
+    store
+        .code()
+        .repair_reads_ranked(target, &available, CHUNK_LEN, &rank)
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -255,10 +269,14 @@ proptest! {
 
                 let plan = plan(&store, shard);
                 prop_assert_eq!(repair.helper_bytes, total_read_bytes(&plan));
+                // Padding is at hand: of the code's minimum plans, the store
+                // reads one with the fewest bytes on real shards.
+                let resident_first = ranked_plan(&store, shard, &padding);
+                prop_assert_eq!(total_read_bytes(&resident_first), total_read_bytes(&plan));
                 let fetched: u64 = if padding.contains(&shard) {
                     0
                 } else {
-                    plan.iter()
+                    resident_first.iter()
                         .filter(|r| !padding.contains(&r.shard))
                         .map(|r| r.len as u64)
                         .sum()
