@@ -1,18 +1,13 @@
-//! The Piggybacked-RS code: its symbol-level generator and its
-//! download-efficient choice of repair reads — the paper's half-chunk plan
-//! for a data shard, and for a parity the cheapest half-chunk sets a search
-//! over the generator finds. Encoding, MDS reconstruction and the repair
-//! arithmetic are the generator-derived ones every [`ErasureCode`] shares.
-
-use std::sync::OnceLock;
+//! The Piggybacked-RS code: its symbol-level generator, two symbols per
+//! shard. Everything else — encoding, MDS reconstruction, the choice of
+//! repair reads and the repair arithmetic — is derived from the generator,
+//! as for every [`ErasureCode`]: the paper's half-chunk read for a data
+//! shard and the cheapest half-chunk sets for a parity are what a search
+//! over the generator finds.
 
 use pbrs_gf::Matrix;
 
-use pbrs_erasure::params::validate_repair_request;
-use pbrs_erasure::{
-    cheapest_plan, lowest_ranked_reads, minimal_symbol_plans, CodeError, CodeParams, ErasureCode,
-    ReedSolomon, ShardRead,
-};
+use pbrs_erasure::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
 use crate::design::PiggybackDesign;
 
@@ -33,10 +28,11 @@ use crate::design::PiggybackDesign;
 /// * **parameter flexibility** — any `(k, r)` with `k + r ≤ 256` works.
 ///
 /// and reduces the data read and downloaded for single data-shard repair
-/// from `k` shard-equivalents to `(k + |group|) / 2`. A parity is rebuilt
-/// from every data b-half plus a minimum set of other half-chunks that
-/// spans it, found once by a search over the generator: 19 halves instead
-/// of 20 for `(10, 4)`.
+/// from `k` shard-equivalents to at most `(k + |group|) / 2` when the group
+/// has fewer than `k` members. A parity is rebuilt from every data b-half plus
+/// a minimum set of other half-chunks that spans it: 19 halves instead of
+/// 20 for `(10, 4)`. Both reads are found by the search over the generator
+/// behind [`ErasureCode::repair_reads_ranked`].
 ///
 /// # Example
 ///
@@ -74,10 +70,6 @@ pub struct PiggybackedRs {
     /// `2n × 2k` symbol-level generator: data shard `i` owns `a_i` (row
     /// `2i`) and `b_i` (row `2i + 1`).
     generator: Matrix,
-    /// Per shard, the minimum half-chunk read sets cheaper than `k` whole
-    /// shards that the search found for a parity (empty for data shards),
-    /// built on first use.
-    plans: OnceLock<Vec<Vec<Vec<usize>>>>,
 }
 
 impl PiggybackedRs {
@@ -121,7 +113,6 @@ impl PiggybackedRs {
             design,
             rs,
             generator,
-            plans: OnceLock::new(),
         })
     }
 
@@ -140,49 +131,6 @@ impl PiggybackedRs {
     /// The underlying Reed–Solomon code applied to each substripe.
     pub fn inner_rs(&self) -> &ReedSolomon {
         &self.rs
-    }
-
-    /// Returns `true` if the download-efficient repair path applies to
-    /// `target` under the given availability mask: the target must be a
-    /// piggybacked data shard, and all other data shards, the clean parity
-    /// and the carrier parity must be available.
-    pub fn efficient_repair_available(&self, target: usize, available: &[bool]) -> bool {
-        if available.len() != self.params.total_shards() {
-            return false;
-        }
-        if target >= self.params.data_shards() || available[target] {
-            return false;
-        }
-        let Some(carrier) = self.design.carrier_parity(target) else {
-            return false;
-        };
-        let clean_parity = self.params.data_shards();
-        let data_ok = (0..self.params.data_shards()).all(|i| i == target || available[i]);
-        data_ok && available[clean_parity] && available[carrier]
-    }
-
-    /// The parities' read sets, in half-chunks (row `2i` is shard `i`'s
-    /// a-half, `2i + 1` its b-half): for each parity, every data b-half plus
-    /// a minimum set of other half-chunks that spans both of its halves,
-    /// kept when fewer than `2k` halves. With the b-substripe known, each
-    /// candidate counts only through its a-part, so the search runs over at
-    /// most `2n − k − 2` vectors of length `k`.
-    fn parity_plans(&self) -> &[Vec<Vec<usize>>] {
-        self.plans.get_or_init(|| {
-            let (k, n) = (self.params.data_shards(), self.params.total_shards());
-            let b_halves: Vec<usize> = (0..k).map(|i| 2 * i + 1).collect();
-            (0..n)
-                .map(|target| {
-                    if target < k {
-                        return Vec::new();
-                    }
-                    let others: Vec<usize> = (0..2 * n)
-                        .filter(|&row| row / 2 != target && !b_halves.contains(&row))
-                        .collect();
-                    minimal_symbol_plans(&self.generator, 2, target, &b_halves, &others)
-                })
-                .collect()
-        })
     }
 }
 
@@ -205,56 +153,6 @@ impl ErasureCode for PiggybackedRs {
 
     fn generator(&self) -> &Matrix {
         &self.generator
-    }
-
-    fn repair_reads_ranked(
-        &self,
-        target: usize,
-        available: &[bool],
-        shard_len: usize,
-        rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        validate_repair_request(self, target, available, shard_len)?;
-        let k = self.params.data_shards();
-        // A parity: the cheapest searched set that is available.
-        if let Some(reads) =
-            cheapest_plan(&self.parity_plans()[target], 2, available, shard_len, rank)
-        {
-            return Ok(reads);
-        }
-        if !self.efficient_repair_available(target, available) {
-            // Uncovered data targets, damaged stripes and parities with no
-            // searched set available read the k lowest-ranked whole shards,
-            // like plain RS.
-            return lowest_ranked_reads(target, available, k, shard_len, rank);
-        }
-        // The download-efficient path reads the b-half (second half) of the
-        // non-peer data shards, the clean parity and the carrier parity, and
-        // both halves of the target's group peers: the carrier stores
-        // f_c(b) + Σ_{group} a_i, so a_target = carrier.b ⊕ f_c(b) ⊕ Σ_{peers} a_p.
-        let (carrier, peers) = self
-            .design
-            .carrier_parity(target)
-            .zip(self.design.group_peers(target))
-            // pbrs-lint: allow(panic-hygiene) -- efficient_repair_available implies a carrier and its group
-            .expect("checked");
-        let half = shard_len / 2;
-        let b_half = |shard| ShardRead {
-            shard,
-            offset: half,
-            len: half,
-        };
-        Ok((0..k)
-            .filter(|&i| i != target)
-            .map(|i| {
-                if peers.contains(&i) {
-                    ShardRead::whole(i, shard_len)
-                } else {
-                    b_half(i)
-                }
-            })
-            .chain([b_half(k), b_half(carrier)])
-            .collect())
     }
 
     fn is_mds(&self) -> bool {
@@ -498,32 +396,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn efficient_repair_detection() {
-        let code = PiggybackedRs::facebook();
-        let mut available = vec![true; 14];
-        available[0] = false;
-        assert!(code.efficient_repair_available(0, &available));
-        // Clean parity missing -> no efficient repair.
-        available[10] = false;
-        assert!(!code.efficient_repair_available(0, &available));
-        available[10] = true;
-        // Carrier parity missing -> no efficient repair.
-        available[11] = false;
-        assert!(!code.efficient_repair_available(0, &available));
-        available[11] = true;
-        // Another data shard missing -> no efficient repair.
-        available[5] = false;
-        assert!(!code.efficient_repair_available(0, &available));
-        available[5] = true;
-        // Parity shards never take the efficient path.
-        available[12] = false;
-        assert!(!code.efficient_repair_available(12, &available));
-        // Available targets are never "repairable".
-        assert!(!code.efficient_repair_available(1, &available));
-        // Wrong mask length.
-        assert!(!code.efficient_repair_available(0, &[false; 3]));
-    }
+    // When a data shard's half-chunk plan is out of reach (the clean
+    // parity, the carrier or another data shard lost), the repair reads
+    // whole shards instead: repair_reads.rs's
+    // `degraded_plans_execute_from_their_fetches_alone` executes every such
+    // mask of every registry code.
 
     #[test]
     fn degraded_repair_falls_back_to_full_decode() {
@@ -574,26 +451,21 @@ mod tests {
 
     #[test]
     fn parity_repair_picks_the_lowest_ranked_minimal_plan() {
-        // Parity 10 has several 19-half plans. Ranking a shard of the first
-        // one behind the rest moves the repair to a plan without it, at the
-        // same price.
+        // Parity 10 has several 19-half plans. Ranking a shard of the
+        // unranked plan behind the rest moves the repair to a plan without
+        // it whenever one exists, and always at the same price.
         let code = PiggybackedRs::facebook();
-        let plans = &code.parity_plans()[10];
-        let avoid = plans[0]
-            .iter()
-            .map(|row| row / 2)
-            .find(|&shard| {
-                plans
-                    .iter()
-                    .any(|plan| plan.iter().all(|row| row / 2 != shard))
-            })
-            .unwrap();
         let mut available = vec![true; 14];
         available[10] = false;
-        let rank = |shard: usize| u64::from(shard == avoid);
-        let reads = code.repair_reads_ranked(10, &available, 64, &rank).unwrap();
-        assert!(reads.iter().all(|read| read.shard != avoid), "{reads:?}");
-        assert_eq!(total_read_bytes(&reads), 19 * 32);
+        let unranked = code.repair_reads(10, &available, 64).unwrap();
+        let mut moved = 0;
+        for avoid in unranked.iter().map(|read| read.shard) {
+            let rank = |shard: usize| u64::from(shard == avoid);
+            let reads = code.repair_reads_ranked(10, &available, 64, &rank).unwrap();
+            assert_eq!(total_read_bytes(&reads), 19 * 32, "avoiding {avoid}");
+            moved += usize::from(reads.iter().all(|read| read.shard != avoid));
+        }
+        assert!(moved > 0, "no helper of {unranked:?} could be avoided");
     }
 
     #[test]

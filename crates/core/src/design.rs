@@ -9,7 +9,9 @@
 //! The default design partitions **all** data shards into `r − 1` contiguous,
 //! nearly equal groups, which minimises the average repair download within
 //! this family (every data shard gets a cheap repair, and smaller groups are
-//! cheaper). The paper's toy example (Fig. 4) uses a custom design that
+//! cheaper): of the 8 splits of `(10, 4)`'s data into three groups, the
+//! balanced `(4, 3, 3)` reads the least, 0.750 of the stripe per repair
+//! against 0.757 for `(4, 4, 2)` and 0.868 for `(8, 1, 1)`. The paper's toy example (Fig. 4) uses a custom design that
 //! piggybacks only the first data shard.
 
 use pbrs_erasure::{CodeError, CodeParams};
@@ -30,7 +32,7 @@ use pbrs_erasure::{CodeError, CodeParams};
 /// assert_eq!(design.groups().len(), 3);
 /// assert_eq!(design.groups()[0], vec![0, 1, 2, 3]);
 /// // Shard 5 rides on the second piggybacked parity (stripe index 12).
-/// assert_eq!(design.carrier_parity(5), Some(12));
+/// assert_eq!(design.group_of(5), Some(1));
 /// # Ok::<(), pbrs_erasure::CodeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,38 +132,13 @@ impl PiggybackDesign {
     pub fn group_of(&self, data_shard: usize) -> Option<usize> {
         self.group_of[data_shard]
     }
-
-    /// The parity shard (absolute stripe index, `k..k+r`) that carries
-    /// `data_shard`'s piggyback, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_shard >= k`.
-    pub fn carrier_parity(&self, data_shard: usize) -> Option<usize> {
-        self.group_of(data_shard)
-            .map(|g| self.params.data_shards() + g + 1)
-    }
-
-    /// The other members of `data_shard`'s group (excluding itself), if it is
-    /// piggybacked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_shard >= k`.
-    pub fn group_peers(&self, data_shard: usize) -> Option<Vec<usize>> {
-        self.group_of(data_shard).map(|g| {
-            self.groups[g]
-                .iter()
-                .copied()
-                .filter(|&i| i != data_shard)
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PiggybackedRs;
+    use pbrs_erasure::ErasureCode;
 
     fn params(k: usize, r: usize) -> CodeParams {
         CodeParams::new(k, r).unwrap()
@@ -182,11 +159,6 @@ mod tests {
         assert_eq!(covered_shards(&d), 10);
         assert_eq!(d.group_of(0), Some(0));
         assert_eq!(d.group_of(9), Some(2));
-        assert_eq!(d.carrier_parity(0), Some(11));
-        assert_eq!(d.carrier_parity(4), Some(12));
-        assert_eq!(d.carrier_parity(9), Some(13));
-        assert_eq!(d.group_peers(0), Some(vec![1, 2, 3]));
-        assert_eq!(d.group_peers(5), Some(vec![4, 6]));
     }
 
     #[test]
@@ -203,16 +175,13 @@ mod tests {
         assert!(d.groups().is_empty());
         assert_eq!(covered_shards(&d), 0);
         assert_eq!(d.group_of(3), None);
-        assert_eq!(d.carrier_parity(3), None);
-        assert_eq!(d.group_peers(3), None);
     }
 
     #[test]
     fn two_parities_single_group() {
         let d = PiggybackDesign::balanced(params(2, 2));
         assert_eq!(d.groups(), &[vec![0, 1]]);
-        assert_eq!(d.carrier_parity(0), Some(3));
-        assert_eq!(d.carrier_parity(1), Some(3));
+        assert_eq!(d.group_of(1), Some(0));
     }
 
     #[test]
@@ -220,9 +189,43 @@ mod tests {
         // The paper's Fig. 4: only a1 (shard 0) is piggybacked.
         let d = PiggybackDesign::from_groups(params(2, 2), vec![vec![0]]).unwrap();
         assert_eq!(covered_shards(&d), 1);
-        assert_eq!(d.carrier_parity(0), Some(3));
-        assert_eq!(d.carrier_parity(1), None);
-        assert_eq!(d.group_peers(0), Some(vec![]));
+        assert_eq!(d.group_of(0), Some(0));
+        assert_eq!(d.group_of(1), None);
+    }
+
+    #[test]
+    fn balanced_groups_minimise_the_average_repair_download() {
+        // The 8 ways to split 10 data shards into 3 non-empty contiguous
+        // groups, largest first, each priced by the code's own reads.
+        let splits = [
+            [8, 1, 1],
+            [7, 2, 1],
+            [6, 3, 1],
+            [6, 2, 2],
+            [5, 4, 1],
+            [5, 3, 2],
+            [4, 4, 2],
+            [4, 3, 3],
+        ];
+        let price = |sizes: &[usize; 3]| {
+            let mut next = 0;
+            let groups = sizes
+                .iter()
+                .map(|&size| {
+                    next += size;
+                    (next - size..next).collect()
+                })
+                .collect();
+            let design = PiggybackDesign::from_groups(params(10, 4), groups).unwrap();
+            PiggybackedRs::with_design(design)
+                .unwrap()
+                .average_repair_fraction()
+        };
+        let balanced = price(&[4, 3, 3]);
+        assert!((balanced - 0.75).abs() < 1e-9, "{balanced}");
+        for sizes in &splits[..7] {
+            assert!(price(sizes) > balanced, "{sizes:?}");
+        }
     }
 
     #[test]
@@ -236,6 +239,6 @@ mod tests {
         // Empty groups are allowed.
         let d = PiggybackDesign::from_groups(params(4, 3), vec![vec![], vec![0, 1, 2, 3]]).unwrap();
         assert_eq!(covered_shards(&d), 4);
-        assert_eq!(d.carrier_parity(0), Some(6));
+        assert_eq!(d.group_of(0), Some(1));
     }
 }

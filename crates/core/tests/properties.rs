@@ -5,6 +5,7 @@ use pbrs_core::{PiggybackDesign, PiggybackedRs, SavingsReport};
 use pbrs_erasure::{
     total_read_bytes, CodeError, CodeParams, ErasureCode, ReedSolomon, ShardBuffer,
 };
+use pbrs_gf::tables;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -64,6 +65,85 @@ fn repair_from_reads_only(
     code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
         .unwrap();
     (out, total_read_bytes(&reads))
+}
+
+/// The rank of `rows`, by plain Gaussian elimination.
+fn rank(rows: &[Vec<u8>]) -> usize {
+    let mut m = rows.to_vec();
+    let cols = m.first().map_or(0, Vec::len);
+    let mut rank = 0;
+    for col in 0..cols {
+        let Some(p) = (rank..m.len()).find(|&r| m[r][col] != 0) else {
+            continue;
+        };
+        m.swap(rank, p);
+        let inv = tables::inverse(m[rank][col]).unwrap();
+        let pivot = m[rank].clone();
+        for (r, row) in m.iter_mut().enumerate() {
+            if r != rank && row[col] != 0 {
+                let f = tables::mul(row[col], inv);
+                for (x, &p) in row.iter_mut().zip(&pivot) {
+                    *x ^= tables::mul(f, p);
+                }
+            }
+        }
+        rank += 1;
+    }
+    rank
+}
+
+/// Whether `size` of `rows` from `from` on, with `chosen`, span `goal`.
+fn some_span(
+    rows: &[Vec<u8>],
+    goal: &[u8],
+    size: usize,
+    from: usize,
+    chosen: &mut Vec<Vec<u8>>,
+) -> bool {
+    if size == 0 {
+        let mut with = chosen.clone();
+        with.push(goal.to_vec());
+        return rank(chosen) == rank(&with);
+    }
+    (from..rows.len()).any(|i| {
+        chosen.push(rows[i].clone());
+        let spans = some_span(rows, goal, size - 1, i + 1, chosen);
+        chosen.pop();
+        spans
+    })
+}
+
+/// The price, in half-chunks, of the paper's read for data shard `target`
+/// (`k + |group|`, or `2k`, `k` whole shards, when no group smaller than
+/// `k` holds it), and the fewest half-chunks that rebuild it, by brute
+/// force from the paper's structure with no planner code. The other data
+/// b-halves and the clean parity's b-half (`k` halves) give every
+/// b-symbol; `a_target` then needs the fewest a-space rows that span it:
+/// other data a-halves (unit rows), parity a-halves (RS parity rows) and
+/// piggybacked parities' b-halves less their b-part (their group's
+/// indicator row). Sets smaller than the paper's are tried, so the fewest
+/// is never more than the paper's.
+fn paper_and_fewest_halves(code: &PiggybackedRs, target: usize) -> (usize, usize) {
+    let (k, r) = (code.params().data_shards(), code.params().parity_shards());
+    let unit = |i: usize| -> Vec<u8> { (0..k).map(|c| u8::from(c == i)).collect() };
+    let rs = code.inner_rs().generator();
+    let groups = code.design().groups();
+    let mut rows: Vec<Vec<u8>> = (0..k).filter(|&i| i != target).map(unit).collect();
+    rows.extend((k..k + r).map(|j| rs.row(j).to_vec()));
+    rows.extend(
+        groups
+            .iter()
+            .filter(|group| !group.is_empty())
+            .map(|group| (0..k).map(|c| u8::from(group.contains(&c))).collect()),
+    );
+    let paper = groups
+        .iter()
+        .find(|group| group.contains(&target))
+        .map_or(k, Vec::len);
+    let fewest = (1..paper)
+        .find(|&size| some_span(&rows, &unit(target), size, 0, &mut Vec::new()))
+        .unwrap_or(paper);
+    (k + paper, k + fewest)
 }
 
 proptest! {
@@ -129,8 +209,13 @@ proptest! {
         prop_assert_eq!(bytes_read, price * len as u64);
     }
 
-    /// The efficient repair path and a full-stripe decode agree on the
-    /// rebuilt shard for every piggybacked data shard.
+    /// Every data shard's repair reads exactly the fewest half-chunks its
+    /// generator allows, and rebuilds the same bytes as a full-stripe
+    /// decode. That is at most the paper's `(k + |group|) / 2` shards (`k`
+    /// when the group holds all `k`), and less where a combination of
+    /// parity rows cancels more data columns than one group's XOR does
+    /// (RS(10, 2)'s parity row holds 62 at data columns 4 and 8, so 8 of
+    /// piggyback-10-2's data shards read 19 half-chunks).
     #[test]
     fn efficient_repair_agrees_with_full_decode(
         k in 2usize..12,
@@ -142,15 +227,15 @@ proptest! {
         let code = PiggybackedRs::new(k, r).unwrap();
         let data = random_data(&mut rng, k, len * 2);
         let stripe = encode_stripe(&code, &data);
-        let target = rng.random_range(0..k);
-        let mut available = vec![true; k + r];
-        available[target] = false;
-        prop_assume!(code.efficient_repair_available(target, &available));
-        let (efficient, _) = repair_from_reads_only(&code, &stripe, target);
+        for target in 0..k {
+            let (_, fewest) = paper_and_fewest_halves(&code, target);
+            let (efficient, bytes_read) = repair_from_reads_only(&code, &stripe, target);
+            prop_assert_eq!(bytes_read, (fewest * len) as u64, "target {}", target);
 
-        let mut full = stripe.clone();
-        erase_and_reconstruct(&code, &mut full, &[target]).unwrap();
-        prop_assert_eq!(full.shard(target), &efficient[..]);
+            let mut full = stripe.clone();
+            erase_and_reconstruct(&code, &mut full, &[target]).unwrap();
+            prop_assert_eq!(full.shard(target), &efficient[..]);
+        }
     }
 
     /// Parity shard 0 of the piggybacked code always equals the plain RS
@@ -234,11 +319,16 @@ proptest! {
         erase_and_reconstruct(&code, &mut stripe, &indices).unwrap();
         prop_assert_eq!(stripe, original);
 
-        // Cost structure, in half-shards (the table's shard length is 2).
+        // Cost structure, in half-shards (the table's shard length is 2):
+        // exactly the fewest the generator allows, at most the paper's
+        // price (a (7, 4) code with shards 0–3 in its group rebuilds the
+        // uncovered shard 4 from 13 halves, not 14).
         let table = code.single_loss_reads();
         for (target, reads) in table.iter().enumerate().take(k) {
+            let (paper, fewest) = paper_and_fewest_halves(&code, target);
             let expect = if target < covered { k + covered } else { 2 * k };
-            prop_assert_eq!(total_read_bytes(reads), expect as u64);
+            prop_assert_eq!(paper, expect);
+            prop_assert_eq!(total_read_bytes(reads), fewest as u64, "target {}", target);
         }
     }
 }

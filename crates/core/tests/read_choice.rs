@@ -9,7 +9,7 @@
 //! code with the planner's search.
 
 use pbrs_core::registry;
-use pbrs_erasure::{total_read_bytes, ErasureCode, ShardBuffer};
+use pbrs_erasure::{total_read_bytes, ErasureCode, ShardBuffer, ShardRead};
 use pbrs_gf::tables;
 
 /// The rank of `rows`, by plain Gaussian elimination.
@@ -125,5 +125,176 @@ fn piggyback_10_4_parities_rebuild_from_19_half_chunks() {
         code.repair_from_reads(target, &reads, &helpers.as_set(), &mut out)
             .unwrap();
         assert_eq!(out, stripe.shard(target), "parity {target}");
+    }
+}
+
+/// Every `k`-subset of `n` indices, in lexicographic order.
+fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+    let mut out = Vec::new();
+    let mut chosen: Vec<usize> = (0..k).collect();
+    loop {
+        out.push(chosen.clone());
+        let Some(i) = (0..k).rev().find(|&i| chosen[i] < n - k + i) else {
+            return out;
+        };
+        chosen[i] += 1;
+        for j in i + 1..k {
+            chosen[j] = chosen[j - 1] + 1;
+        }
+    }
+}
+
+#[test]
+fn is_mds_holds_exactly_when_every_k_shards_have_full_symbol_rank() {
+    for spec in [
+        "rs-10-4",
+        "rep-3",
+        "lrc-10-2-4",
+        "piggyback-4-2",
+        "piggyback-6-3",
+        "piggyback-10-4",
+    ] {
+        let code = registry::build_str(spec).unwrap();
+        let (n, k, g) = (
+            code.params().total_shards(),
+            code.params().data_shards(),
+            code.granularity(),
+        );
+        let generator = code.generator();
+        let every_subset_full = subsets(n, k).iter().all(|shards| {
+            let rows: Vec<&[u8]> = shards
+                .iter()
+                .flat_map(|&s| s * g..(s + 1) * g)
+                .map(|row| generator.row(row))
+                .collect();
+            rank(&rows) == k * g
+        });
+        assert_eq!(code.is_mds(), every_subset_full, "{spec}");
+    }
+}
+
+/// The planner's prices, pinned: for every registry code and
+/// `piggyback-6-3`, every target and every mask of at most `n − k` losses
+/// that includes it, the ranked reads at one byte per symbol, summed three
+/// ways: bytes with no helper preference, `Σ rank × bytes` under the
+/// preference `i ↦ (7·i) mod 3`, and the masks the code cannot plan.
+/// A change to how any code chooses its reads moves one of them.
+#[test]
+fn planner_prices_are_pinned() {
+    let specs: Vec<String> = registry::known_specs()
+        .iter()
+        .map(ToString::to_string)
+        .chain(["piggyback-6-3".to_string()])
+        .collect();
+    let mut got: Vec<(String, u64, u64, usize)> = Vec::new();
+    for spec in specs {
+        let code = registry::build_str(&spec).unwrap();
+        let (n, k, g) = (
+            code.params().total_shards(),
+            code.params().data_shards(),
+            code.granularity(),
+        );
+        let spread = |i: usize| (7 * i as u64) % 3;
+        let (mut bytes, mut weighted, mut unplanned) = (0, 0, 0);
+        for lost in 1..=n - k {
+            for mask in subsets(n, lost) {
+                let available: Vec<bool> = (0..n).map(|i| !mask.contains(&i)).collect();
+                for &target in &mask {
+                    match code.repair_reads_ranked(target, &available, g, &|_| 0) {
+                        Ok(reads) => bytes += total_read_bytes(&reads),
+                        Err(_) => unplanned += 1,
+                    }
+                    if let Ok(reads) = code.repair_reads_ranked(target, &available, g, &spread) {
+                        weighted += reads
+                            .iter()
+                            .map(|r| spread(r.shard) * r.len as u64)
+                            .sum::<u64>();
+                    }
+                }
+            }
+        }
+        got.push((spec, bytes, weighted, unplanned));
+    }
+    let expect = [
+        ("rs-10-4", 52_920, 47_535, 0),
+        ("piggyback-10-4", 105_566, 95_027, 0),
+        ("lrc-10-2-4", 724_305, 646_659, 2_622),
+        ("rep-3", 9, 7, 0),
+        ("piggyback-6-3", 3_959, 3_818, 0),
+    ];
+    let expect: Vec<(String, u64, u64, usize)> = expect
+        .iter()
+        .map(|&(spec, bytes, weighted, unplanned)| (spec.to_string(), bytes, weighted, unplanned))
+        .collect();
+    assert_eq!(got, expect);
+}
+
+/// Piggybacked-RS with `r = 2` has one group holding all `k` data shards,
+/// so a data shard's piggyback read (its `k − 1` peers whole, the two
+/// parities' b-halves) costs exactly `k` whole shards and is no plan: the
+/// repair reads the `k` lowest-ranked whole shards, as for any MDS code.
+#[test]
+fn piggyback_4_2_data_targets_read_the_k_lowest_ranked_whole_shards() {
+    let code = registry::build_str("piggyback-4-2").unwrap();
+    for target in 0..4 {
+        let mut available = vec![true; 6];
+        available[target] = false;
+        for rank in [
+            |_: usize| 0,
+            |i: usize| (7 * i as u64) % 3,
+            |i: usize| 6 - i as u64,
+        ] {
+            let mut expect: Vec<usize> = (0..6).filter(|&i| i != target).collect();
+            expect.sort_by_key(|&i| (rank(i), i));
+            expect.truncate(4);
+            expect.sort_unstable();
+            let reads = code
+                .repair_reads_ranked(target, &available, 16, &rank)
+                .unwrap();
+            assert_eq!(
+                reads,
+                expect
+                    .iter()
+                    .map(|&shard| ShardRead::whole(shard, 16))
+                    .collect::<Vec<_>>(),
+                "target {target}"
+            );
+        }
+    }
+}
+
+/// Data shards find their reads however large their groups: every data
+/// shard of these Piggybacked-RS codes reads the paper's `k + |group|`
+/// half-chunks, and every data shard and local parity of an LRC with
+/// groups of 15 reads its group. A depth-first search over their 24 to 48
+/// candidates runs past its budget; the circuit search finds each in at
+/// most 1.4 million words.
+#[test]
+fn large_group_codes_keep_their_group_reads() {
+    let price = |spec: &str, target: usize| {
+        let code = registry::build_str(spec).unwrap();
+        let n = code.params().total_shards();
+        let mut available = vec![true; n];
+        available[target] = false;
+        let reads = code
+            .repair_reads(target, &available, code.granularity())
+            .unwrap();
+        total_read_bytes(&reads)
+    };
+    for (spec, k, group) in [
+        ("piggyback-20-3", 20, 10),
+        ("piggyback-20-5", 20, 5),
+        ("piggyback-40-5", 40, 10),
+    ] {
+        for target in 0..k {
+            assert_eq!(
+                price(spec, target),
+                (k + group) as u64,
+                "{spec} shard {target}"
+            );
+        }
+    }
+    for target in 0..32 {
+        assert_eq!(price("lrc-30-2-4", target), 15, "lrc-30-2-4 shard {target}");
     }
 }

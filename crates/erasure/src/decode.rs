@@ -24,12 +24,18 @@ use crate::CodeError;
 /// Returns `None` when the candidate rows do not span the full data space
 /// (possible for non-MDS codes such as LRC under unlucky failure patterns).
 pub fn select_independent_rows(generator: &Matrix, candidates: &[usize]) -> Option<Vec<usize>> {
-    let k = generator.cols();
-    let mut selected: Vec<usize> = Vec::with_capacity(k);
-    // The selected rows in echelon form, with their pivots.
-    let mut basis: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
+    let rows = independent_rows(generator, candidates);
+    (rows.len() == generator.cols()).then_some(rows)
+}
+
+/// The `candidates`, in order, whose rows in `generator` are independent of
+/// the rows taken before them, until those span the data.
+pub(crate) fn independent_rows(generator: &Matrix, candidates: &[usize]) -> Vec<usize> {
+    // The taken rows in echelon form, with their pivots.
+    let mut basis: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut taken: Vec<usize> = Vec::new();
     for &idx in candidates {
-        if selected.len() == k {
+        if basis.len() == generator.cols() {
             break;
         }
         let mut row = generator.row(idx).to_vec();
@@ -38,10 +44,10 @@ pub fn select_independent_rows(generator: &Matrix, candidates: &[usize]) -> Opti
         }
         if let Some(pivot) = normalise(&mut row) {
             basis.push((pivot, row));
-            selected.push(idx);
+            taken.push(idx);
         }
     }
-    (selected.len() == k).then_some(selected)
+    taken
 }
 
 /// Reconstructs every missing shard of a linear code *in place*, inside a
@@ -273,7 +279,13 @@ fn echelon(rows: &mut [u8], dim: usize) -> usize {
 /// half-chunk through its `k`-long a-part). A depth-first search then grows
 /// independent subsets only — a minimum subset never holds a dependent row
 /// — and cuts a branch once its size plus the rank the targets still lack
-/// exceeds the best size found.
+/// exceeds the best size found. When the targets lack one dimension (a
+/// Piggybacked-RS data shard or clean parity, an LRC shard), the minimum
+/// sets are the smallest circuits through the target (`circuits_through`),
+/// which come first: they answer when they are quick to find (every data
+/// shard of the codes tested, up to a `(40, 5)` Piggybacked-RS and a
+/// `(30, 2, 4)` LRC), and otherwise the smallest set they found bounds the
+/// depth-first search (an LRC global parity).
 pub fn minimal_spanning_sets(
     seed: &[&[u8]],
     candidates: &[&[u8]],
@@ -312,11 +324,20 @@ pub fn minimal_spanning_sets(
     let mut residual: Vec<u8> = targets.iter().flat_map(project).collect();
     let rank = echelon(&mut residual, dim.max(1));
     residual.truncate(rank * dim);
+    // One dimension short: the lightest dependencies answer, or bound the
+    // search when they take too long to find.
+    let mut best = candidates.len() + 1;
+    if rank == 1 {
+        match circuits_through(&candidates, &residual, &mut CIRCUIT_BUDGET.clone()) {
+            Ok(found) => return found,
+            Err(bound) => best = bound,
+        }
+    }
     let mut search = SpanSearch {
         candidates: &candidates,
         dim,
         budget: SEARCH_BUDGET,
-        best: candidates.len() + 1,
+        best,
         found: Vec::new(),
         chosen: Vec::new(),
         basis: Vec::new(),
@@ -328,11 +349,177 @@ pub fn minimal_spanning_sets(
     search.found
 }
 
+/// Every minimum set of `candidates` whose span holds the one row
+/// `target`, which lies in their span; or, when finding them all would
+/// take more than the `budget` left, the size of the smallest such set
+/// found so far (one more than the number of candidates if none).
+///
+/// A set spans the target exactly when some dependency `x` among the
+/// target and the candidates (`x₀·target + Σ xᵢ·candidateᵢ = 0`) has `x₀ ≠
+/// 0` and its support inside the set, so the minimum sets are the supports,
+/// less the target, of the lightest such dependencies. The dependencies
+/// form a linear code, whose lightest words are found as in the
+/// Brouwer–Zimmermann algorithm: the code is written in systematic form on
+/// information sets, each taking as many positions as it can that no set
+/// before it holds, and for `p = 1, 2, …` every word non-zero at exactly
+/// `p` positions of some set is made from `p` rows of that set's form. A
+/// word not yet made is non-zero at `p + 1` or more positions of every
+/// set, and so at that many, less the set's positions held before, of the
+/// positions first held by each set; once those bounds add up to more than
+/// the lightest weight found, every lightest word has been made. A
+/// `(40, 5)` Piggybacked-RS data shard's 10 of 48 candidates take 45,954
+/// words. Sets come in lexicographic order, like
+/// [`minimal_spanning_sets`]' own.
+fn circuits_through(
+    candidates: &[Vec<u8>],
+    target: &[u8],
+    budget: &mut usize,
+) -> Result<Vec<Vec<usize>>, usize> {
+    let (dim, m) = (target.len(), candidates.len());
+    // Each vector beside its own unit row: a vector that reduces to zero
+    // leaves beside it the dependency that cancelled it.
+    let mut basis: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut dependencies: Vec<Vec<u8>> = Vec::new();
+    for (j, vector) in std::iter::once(target)
+        .chain(candidates.iter().map(Vec::as_slice))
+        .enumerate()
+    {
+        let mut row = vector.to_vec();
+        row.resize(dim + 1 + m, 0);
+        row[dim + j] = 1;
+        for (pivot, b) in &basis {
+            eliminate(&mut row, b, *pivot);
+        }
+        if row[..dim].iter().all(|&x| x == 0) {
+            dependencies.push(row.split_off(dim));
+        } else if let Some(pivot) = normalise(&mut row) {
+            basis.push((pivot, row));
+        }
+    }
+    let rank = dependencies.len();
+    // The systematic forms, each with how many of its positions are new.
+    let mut forms: Vec<(Vec<Vec<u8>>, usize)> = Vec::new();
+    let mut held = vec![false; m + 1];
+    loop {
+        let (mut rows, was) = (dependencies.clone(), held.clone());
+        let (mut pivots, mut new) = (0, 0);
+        for c in (0..=m)
+            .filter(|&c| !was[c])
+            .chain((0..=m).filter(|&c| was[c]))
+        {
+            let Some(p) = (pivots..rank).find(|&i| rows[i][c] != 0) else {
+                continue;
+            };
+            rows.swap(pivots, p);
+            // pbrs-lint: allow(panic-hygiene) -- the pivot was chosen non-zero
+            let inv = pbrs_gf::tables::inverse(rows[pivots][c]).expect("pivot non-zero");
+            rows[pivots]
+                .iter_mut()
+                .for_each(|x| *x = pbrs_gf::tables::mul(*x, inv));
+            let pivot_row = rows[pivots].clone();
+            for row in &mut rows {
+                eliminate(row, &pivot_row, c);
+            }
+            rows[pivots] = pivot_row;
+            new += usize::from(!was[c]);
+            held[c] = true;
+            pivots += 1;
+        }
+        if new == 0 {
+            break;
+        }
+        forms.push((rows, new));
+    }
+    let mut found: Vec<Vec<usize>> = Vec::new();
+    let mut lightest = m + 2;
+    // What every word not yet made weighs at least, per form.
+    let mut unmade: Vec<usize> = vec![0; forms.len()];
+    let words = |p: usize| binomial(rank, p).saturating_mul(255usize.saturating_pow(p as u32 - 1));
+    'levels: for p in 1..=rank {
+        for (j, (rows, new)) in forms.iter().enumerate() {
+            // Past the two cheap levels, give up at once if, were no
+            // lighter word found, the words still to make until the bounds
+            // pass the lightest would not fit.
+            let (mut bounds, mut cost) = (unmade.clone(), 0usize);
+            let ahead = (p..=rank).flat_map(|q| (0..forms.len()).map(move |i| (q, i)));
+            for (q, i) in ahead.skip(j).take_while(|_| p > 2) {
+                if bounds.iter().sum::<usize>() > lightest {
+                    break;
+                }
+                cost = cost.saturating_add(words(q));
+                bounds[i] = (q + 1).saturating_sub(rank - forms[i].1);
+            }
+            if cost.max(words(p)) > *budget {
+                return Err(lightest - 1);
+            }
+            *budget -= words(p);
+            combinations(rows, p, 0, &vec![0; m + 1], &mut |x| {
+                if x[0] == 0 {
+                    return;
+                }
+                let weight = x.iter().filter(|&&v| v != 0).count();
+                if weight < lightest {
+                    lightest = weight;
+                    found.clear();
+                }
+                if weight == lightest {
+                    found.push((0..m).filter(|&i| x[i + 1] != 0).collect());
+                }
+            });
+            unmade[j] = (p + 1).saturating_sub(rank - new);
+            if unmade.iter().sum::<usize>() > lightest {
+                break 'levels;
+            }
+        }
+    }
+    found.sort_unstable();
+    found.dedup();
+    Ok(found)
+}
+
+/// Calls `visit` with `word` plus every combination of `p` of `rows` from
+/// `from` on, with non-zero coefficients, the first of them 1 (from the
+/// first call, with `from` 0 and `word` zero): every word of their span non-zero in exactly those rows' pivot
+/// positions, up to scale.
+fn combinations(
+    rows: &[Vec<u8>],
+    p: usize,
+    from: usize,
+    word: &[u8],
+    visit: &mut dyn FnMut(&[u8]),
+) {
+    if p == 0 {
+        return visit(word);
+    }
+    let scales = if from == 0 { 1..=1 } else { 1..=255 };
+    let mut next = word.to_vec();
+    for i in from..=rows.len() - p {
+        for s in scales.clone() {
+            for ((n, &w), &r) in next.iter_mut().zip(word).zip(&rows[i]) {
+                *n = w ^ pbrs_gf::tables::mul(s, r);
+            }
+            combinations(rows, p - 1, i + 1, &next, visit);
+        }
+    }
+}
+
+/// `C(n, k)` for `k ≤ n`, saturating.
+fn binomial(n: usize, k: usize) -> usize {
+    (0..k.min(n.saturating_sub(k))).fold(1usize, |c, i| c.saturating_mul(n - i) / (i + 1))
+}
+
+/// How many words [`circuits_through`] makes before it hands over to the
+/// depth-first search: a word costs a few dozen byte operations, a subset
+/// of the search a few hundred. A `(30, 2, 4)` LRC data shard takes
+/// 1,327,317 (its 15 of 35 candidates); an LRC global parity would take
+/// more than this, and is left to the depth-first search.
+const CIRCUIT_BUDGET: usize = 1 << 22;
+
 /// How many subsets [`minimal_spanning_sets`] visits before it gives up.
-/// A Piggybacked-RS `(10, 4)` parity takes at most about 50,000 and a
-/// `(12, 4)` one about 220,000 (a quarter of a second in release); a much
-/// larger code would take longer than its repairs are worth, so it keeps
-/// its `k`-shard reads instead.
+/// A Piggybacked-RS `(10, 4)` parity takes at most about 17,000 and a
+/// `(12, 4)` one about 67,000; a much larger code (a `(14, 10)` parity)
+/// would take longer than its repairs are worth, so it keeps its `k`-shard
+/// reads instead.
 const SEARCH_BUDGET: usize = 1 << 20;
 
 /// The state of [`minimal_spanning_sets`]' depth-first search, in the
@@ -342,8 +529,9 @@ struct SpanSearch<'a> {
     dim: usize,
     /// Subsets still to visit before the search gives up.
     budget: usize,
-    /// The size of the smallest spanning subset found so far (one more than
-    /// the number of candidates while there is none).
+    /// The size of the smallest spanning subset found so far, or the
+    /// largest one looked for (one more than the number of candidates
+    /// while there is no bound).
     best: usize,
     found: Vec<Vec<usize>>,
     /// The subset being grown, and its rows in echelon form with their
@@ -374,7 +562,8 @@ impl SpanSearch<'_> {
             return;
         }
         let mut next = vec![0u8; residual.len()];
-        for i in from..self.candidates.len() {
+        // Each pick lowers the lack by at most one: leave enough to pick.
+        for i in from..=self.candidates.len().saturating_sub(lacking) {
             let mut v = self.candidates[i].clone();
             for (pivot, row) in &self.basis {
                 eliminate(&mut v, row, *pivot);
@@ -550,6 +739,57 @@ mod tests {
             vec![Vec::<usize>::new()]
         );
         assert!(minimal_spanning_sets(&rows(&[0]), &rows(&[1, 2]), &rows(&[3])).is_empty());
+    }
+
+    #[test]
+    fn circuits_through_a_row_are_its_minimum_spanning_sets() {
+        // An LRC-like generator: 6 data rows, two XOR rows over halves of
+        // the data, two RS parity rows. Every minimum set of the other
+        // rows that spans each row, by brute force over all subsets.
+        let rs = systematic_generator(6, 2);
+        let mut g = Matrix::zero(10, 6);
+        for i in 0..6 {
+            g.set(i, i, 1);
+            g.set(6 + i / 3, i, 1);
+            for j in 0..2 {
+                g.set(8 + j, i, rs.get(6 + j, i));
+            }
+        }
+        for target in 0..10 {
+            let others: Vec<Vec<u8>> = (0..10)
+                .filter(|&i| i != target)
+                .map(|i| g.row(i).to_vec())
+                .collect();
+            let mut expect: Vec<Vec<usize>> = Vec::new();
+            for mask in 0u32..1 << others.len() {
+                let set: Vec<usize> = (0..others.len()).filter(|&i| mask >> i & 1 == 1).collect();
+                let mut rows: Vec<usize> =
+                    set.iter().map(|&i| i + usize::from(i >= target)).collect();
+                let rank = independent_rows(&g, &rows).len();
+                rows.push(target);
+                if independent_rows(&g, &rows).len() > rank || rank < set.len() {
+                    continue;
+                }
+                match expect.first().map(Vec::len) {
+                    Some(len) if len < set.len() => continue,
+                    Some(len) if len > set.len() => expect.clear(),
+                    _ => {}
+                }
+                expect.push(set);
+            }
+            expect.sort_unstable();
+            assert_eq!(
+                circuits_through(&others, g.row(target), &mut SEARCH_BUDGET.clone()),
+                Ok(expect.clone()),
+                "row {target}"
+            );
+            let others: Vec<&[u8]> = others.iter().map(Vec::as_slice).collect();
+            assert_eq!(
+                minimal_spanning_sets(&[], &others, &[g.row(target)]),
+                expect,
+                "row {target}"
+            );
+        }
     }
 
     #[test]

@@ -43,14 +43,16 @@
 //!
 //! Every code here is linear, so a code is its symbol-level
 //! [`ErasureCode::generator`] (Piggybacked-RS has two symbols per shard, one
-//! per substripe) plus its choice of reads,
-//! [`ErasureCode::repair_reads_ranked`]. Where that choice is not fixed by
-//! the code's structure, it is searched in the generator:
-//! [`decode::minimal_spanning_sets`] finds every minimum set of helper
-//! symbols that spans a target, which is how a Piggybacked-RS parity
-//! reads 19 half-chunks and an LRC global parity 9 shards, not `k` whole
-//! shards. Everything else is derived once, in the trait, from those two:
+//! per substripe), and everything else is derived once, in the trait, from
+//! it:
 //!
+//! * [`ErasureCode::repair_reads_ranked`] takes the cheapest available plan
+//!   of a per-target table that [`decode::minimal_spanning_sets`] searches
+//!   in the generator, once per process: every minimum set of helper
+//!   symbols that spans the target. That is how a Piggybacked-RS data shard
+//!   reads its half-chunks, a parity 19 half-chunks and an LRC global
+//!   parity 9 shards, not `k` whole shards; with no plan available, it
+//!   reads whole shards;
 //! * [`ErasureCode::encode_into`] multiplies the generator's parity rows by
 //!   the data symbols in one multi-output pass;
 //! * [`ErasureCode::reconstruct_in_place`] inverts one `k·g × k·g` block of
@@ -128,9 +130,7 @@ pub use error::CodeError;
 pub use lrc::{Lrc, LrcParams};
 pub use params::CodeParams;
 pub use reed_solomon::ReedSolomon;
-pub use repair::{
-    cheapest_plan, lowest_ranked_reads, minimal_symbol_plans, total_read_bytes, ShardRead,
-};
+pub use repair::{total_read_bytes, ShardRead};
 pub use replication::Replication;
 pub use spec::CodeSpec;
 pub use views::{ShardBuffer, ShardSet, ShardSetMut, SplitShards};
@@ -144,10 +144,10 @@ use pbrs_gf::{slice_ops, Matrix};
 /// of the survivors. All shards of a stripe have the same length, which must
 /// be a multiple of [`ErasureCode::granularity`].
 ///
-/// A code is its symbol-level [`ErasureCode::generator`] plus its read
-/// choice ([`ErasureCode::repair_reads_ranked`]): beside those it names its
-/// parameters, its name and whether it is MDS, and encode, reconstruction
-/// and every repair method are provided, derived once from the generator.
+/// A code is its symbol-level [`ErasureCode::generator`]: beside it a code
+/// names its parameters, its name and whether it is MDS, and encode,
+/// reconstruction, the choice of repair reads and every repair method are
+/// provided, derived from the generator.
 pub trait ErasureCode {
     /// The `(k, r)` parameters of the code.
     fn params(&self) -> CodeParams;
@@ -236,25 +236,33 @@ pub trait ErasureCode {
     /// [`ErasureCode::repair_from_reads`]).
     fn generator(&self) -> &Matrix;
 
-    /// The helper byte ranges this code reads to rebuild shard `target`
-    /// under the availability mask `available` (length `k + r`), for shards
-    /// of `shard_len` bytes: the code's one piece of repair logic.
+    /// The helper byte ranges that rebuild shard `target` under the
+    /// availability mask `available` (length `k + r`), for shards of
+    /// `shard_len` bytes: every code's read choice, derived from its
+    /// generator.
     ///
-    /// When the code has freedom in choosing its helpers, shards with a
-    /// *lower* `rank(shard)` are preferred (ties broken by shard index).
+    /// Each target has a table of plans, searched once per process for
+    /// each generator, on the target's first repair: every minimum set of
+    /// other shards' symbols whose rows span the target's rows, kept when
+    /// it reads fewer symbols than `k` whole shards (a Piggybacked-RS data
+    /// shard's half-chunks, an LRC local group, the 19 half-chunks of a
+    /// Piggybacked-RS `(10, 4)` parity). Data shards and LRC local parities
+    /// find theirs in codes as large as a Piggybacked-RS `(40, 5)` and an
+    /// LRC `(30, 2, 4)`; a target whose search runs past its budget (a
+    /// Piggybacked-RS `(20, 5)` parity, an LRC `(30, 2, 4)` global parity)
+    /// has no plan. The reads are the cheapest plan whose shards are all
+    /// available: the fewest bytes on shards of non-zero `rank(shard)`,
+    /// then the least `Σ rank × bytes`, then shard order. With no plan available they are
+    /// whole shards, the lowest-ranked first (ties broken by shard index),
+    /// each kept when it adds to the rank of those before it, until they
+    /// span the data: the `k` lowest-ranked shards of an MDS code.
+    ///
     /// This is how placement-aware callers (the store's locality-first
     /// repair scheduler) steer repairs toward cheap helpers: rank same-rack
-    /// survivors 0 and cross-rack survivors 1 and an MDS code will read as
-    /// many same-rack helpers as its mathematics allows. A code with
-    /// several equally cheap read sets (a Piggybacked-RS parity or an LRC
-    /// global parity, whose sets a search over the generator finds; see
-    /// [`minimal_symbol_plans`]) takes the one with the fewest bytes on
-    /// shards of non-zero rank, then the least `Σ rank × bytes`
-    /// ([`cheapest_plan`]); its `k`-whole-shard fallback reads the `k`
-    /// lowest-ranked shards. Reads fixed by the code's structure (a
-    /// Piggybacked-RS data shard's half-shards, an LRC local group) ignore
-    /// the rank: preference never changes *how many* bytes a code reads,
-    /// only *where* it reads them.
+    /// survivors 0 and cross-rack survivors 1 and a code reads as many
+    /// same-rack helpers as its generator allows. The rank only chooses
+    /// among reads of the same price: preference never changes *how many*
+    /// bytes a code reads, only *where* it reads them.
     ///
     /// Degraded masks (more shards missing than `target`) are accepted:
     /// the reads then avoid every missing shard. Execute the reads with
@@ -271,7 +279,20 @@ pub trait ErasureCode {
         available: &[bool],
         shard_len: usize,
         rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError>;
+    ) -> Result<Vec<ShardRead>, CodeError> {
+        params::validate_repair_request(self, target, available, shard_len)?;
+        let (generator, g) = (self.generator(), self.granularity());
+        // Any k other shards of a scalar MDS code determine a lost one and
+        // no fewer do: its whole-shard reads are the cheapest, and a search
+        // would only prove that (past its budget, for larger codes).
+        if !(g == 1 && self.is_mds()) {
+            let plans = repair::plans(generator, g, target);
+            if let Some(reads) = repair::cheapest_plan(&plans, g, available, shard_len, rank) {
+                return Ok(reads);
+            }
+        }
+        repair::whole_shard_reads(generator, g, target, available, shard_len, rank)
+    }
 
     /// [`ErasureCode::repair_reads_ranked`] with no helper preference, for a
     /// single failure: `available` must mark every shard except `target` as

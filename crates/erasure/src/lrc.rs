@@ -15,24 +15,20 @@
 //! Shard layout: `[data 0..k | local parities k..k+l | global parities
 //! k+l..k+l+g]`.
 //!
-//! A single failed data shard is rebuilt from its local group only
-//! (`k/l` downloads instead of `k`), which is how LRC trades storage for
-//! recovery bandwidth. A global parity is rebuilt from the cheapest set of
-//! other shards whose rows span its row, found once by a search over the
-//! generator: 9 shards instead of `k = 10` for the Xorbas `(10, 2, 4)`
-//! code. That locality lives entirely in the code's read
-//! choice ([`ErasureCode::repair_reads_ranked`]): local parities are just
-//! more generator rows, so encode and full reconstruction are the shared
-//! generator-derived ones, which decode every loss pattern whose surviving
-//! rows span the data, in one pass with no local phase.
-
-use std::sync::OnceLock;
+//! An LRC is nothing but this generator: local parities are just more
+//! rows, so encode, full reconstruction and the choice of repair reads are
+//! the generator-derived ones every [`ErasureCode`] shares. The search
+//! behind [`ErasureCode::repair_reads_ranked`] finds that a single failed
+//! data shard or local parity is spanned by the other members of its local
+//! group (`k/l` downloads instead of `k`), which is how LRC trades storage
+//! for recovery bandwidth, and that a global parity is spanned by 9 other
+//! shards instead of `k = 10` for the Xorbas `(10, 2, 4)` code. A repair
+//! whose group is damaged reads whole shards that span the data, and a
+//! full reconstruction decodes every loss pattern whose surviving rows
+//! span the data, in one pass with no local phase.
 
 use pbrs_gf::Matrix;
 
-use crate::decode;
-use crate::params::validate_repair_request;
-use crate::repair::{self, ShardRead};
 use crate::{CodeError, CodeParams, ErasureCode, ReedSolomon};
 
 /// Parameters of a local reconstruction code.
@@ -86,16 +82,8 @@ impl LrcParams {
 pub struct Lrc {
     lrc_params: LrcParams,
     params: CodeParams,
-    /// Group index for every data shard.
-    group_of: Vec<usize>,
-    /// Data shard indices per group.
-    groups: Vec<Vec<usize>>,
     /// Full `n × k` generator matrix (identity, local XOR rows, global rows).
     generator: Matrix,
-    /// Per shard, the minimum read sets cheaper than `k` shards that the
-    /// search found for a global parity (empty for every other shard), built
-    /// on first use.
-    plans: OnceLock<Vec<Vec<Vec<usize>>>>,
 }
 
 impl Lrc {
@@ -125,34 +113,20 @@ impl Lrc {
         let params = CodeParams::new(k, l + g)?;
         let global = ReedSolomon::new(k, g)?;
 
-        // Contiguous, nearly equal groups; the first (k mod l) groups get one
-        // extra member.
-        let mut groups = Vec::with_capacity(l);
-        let base = k / l;
-        let extra = k % l;
-        let mut next = 0;
-        for gi in 0..l {
-            let size = base + usize::from(gi < extra);
-            groups.push((next..next + size).collect::<Vec<_>>());
-            next += size;
-        }
-        let mut group_of = vec![0usize; k];
-        for (gi, members) in groups.iter().enumerate() {
-            for &m in members {
-                group_of[m] = gi;
-            }
-        }
-
-        // Build the full generator matrix.
+        // Identity rows, then one XOR row per local group: contiguous,
+        // nearly equal groups, the first (k mod l) one member larger.
         let n = lrc_params.total_shards();
         let mut generator = Matrix::zero(n, k);
         for i in 0..k {
             generator.set(i, i, 1);
         }
-        for (gi, members) in groups.iter().enumerate() {
-            for &m in members {
+        let mut next = 0;
+        for gi in 0..l {
+            let size = k / l + usize::from(gi < k % l);
+            for m in next..next + size {
                 generator.set(k + gi, m, 1);
             }
+            next += size;
         }
         for j in 0..g {
             for (c, &coeff) in global.parity_row(j).iter().enumerate() {
@@ -163,10 +137,7 @@ impl Lrc {
         Ok(Lrc {
             lrc_params,
             params,
-            group_of,
-            groups,
             generator,
-            plans: OnceLock::new(),
         })
     }
 
@@ -178,24 +149,6 @@ impl Lrc {
     /// Index of the local parity shard of `group`.
     pub fn local_parity_index(&self, group: usize) -> usize {
         self.lrc_params.k + group
-    }
-
-    /// The global parities' read sets: for each, every minimum set of other
-    /// shards whose rows span its row, kept when smaller than `k` shards.
-    fn global_plans(&self) -> &[Vec<Vec<usize>>] {
-        self.plans.get_or_init(|| {
-            let n = self.params.total_shards();
-            let first_global = self.lrc_params.k + self.lrc_params.local_groups;
-            (0..n)
-                .map(|target| {
-                    if target < first_global {
-                        return Vec::new();
-                    }
-                    let others: Vec<usize> = (0..n).filter(|&i| i != target).collect();
-                    repair::minimal_symbol_plans(&self.generator, 1, target, &[], &others)
-                })
-                .collect()
-        })
     }
 }
 
@@ -215,70 +168,6 @@ impl ErasureCode for Lrc {
         &self.generator
     }
 
-    fn repair_reads_ranked(
-        &self,
-        target: usize,
-        available: &[bool],
-        shard_len: usize,
-        rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        validate_repair_request(self, target, available, shard_len)?;
-        // A global parity: the cheapest searched set that is available.
-        if let Some(reads) =
-            repair::cheapest_plan(&self.global_plans()[target], 1, available, shard_len, rank)
-        {
-            return Ok(reads);
-        }
-        let n = self.params.total_shards();
-        let k = self.lrc_params.k;
-        let l = self.lrc_params.local_groups;
-
-        // Preferred: local repair for data shards and local parities.
-        let local_group = if target < k {
-            Some(self.group_of[target])
-        } else if target < k + l {
-            Some(target - k)
-        } else {
-            None
-        };
-        let local: Option<Vec<usize>> = local_group
-            .map(|group| {
-                // Members ascend and the local parity follows the data.
-                self.groups[group]
-                    .iter()
-                    .copied()
-                    .chain([self.local_parity_index(group)])
-                    .filter(|&i| i != target)
-                    .collect()
-            })
-            .filter(|helpers: &Vec<usize>| helpers.iter().all(|&i| available[i]));
-        let helpers = match local {
-            Some(helpers) => helpers,
-            None => {
-                // Fallback: global decode from k independent surviving
-                // rows, lowest rank first, ties by index.
-                let mut candidates: Vec<usize> = (0..n).filter(|&i| available[i]).collect();
-                candidates.sort_by_key(|&i| (rank(i), i));
-                if candidates.len() < k {
-                    return Err(CodeError::NotEnoughShards {
-                        needed: k,
-                        available: candidates.len(),
-                    });
-                }
-                let mut helpers = decode::select_independent_rows(&self.generator, &candidates)
-                    .ok_or(CodeError::ReconstructionFailed {
-                        context: "surviving shards do not span the data",
-                    })?;
-                helpers.sort_unstable();
-                helpers
-            }
-        };
-        Ok(helpers
-            .into_iter()
-            .map(|shard| ShardRead::whole(shard, shard_len))
-            .collect())
-    }
-
     fn is_mds(&self) -> bool {
         false
     }
@@ -296,6 +185,19 @@ impl ErasureCode for Lrc {
 mod tests {
     use super::*;
     use crate::ShardBuffer;
+
+    /// Each local group's data shards, read off its local parity's row.
+    fn groups(lrc: &Lrc) -> Vec<Vec<usize>> {
+        let LrcParams {
+            k, local_groups, ..
+        } = lrc.lrc_params();
+        (0..local_groups)
+            .map(|gi| {
+                let row = lrc.generator().row(lrc.local_parity_index(gi));
+                (0..k).filter(|&c| row[c] != 0).collect()
+            })
+            .collect()
+    }
 
     fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -340,9 +242,8 @@ mod tests {
         assert!((lrc.storage_overhead() - 1.6).abs() < 1e-12);
         assert_eq!(lrc.fault_tolerance(), 4);
         assert!(!lrc.is_mds());
-        assert_eq!(lrc.groups, [vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8, 9]]);
         assert_eq!(lrc.local_parity_index(1), 11);
-        assert_eq!(lrc.group_of[7], 1);
+        assert_eq!(groups(&lrc), [vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8, 9]]);
     }
 
     #[test]
@@ -375,7 +276,7 @@ mod tests {
             global_parities: 2,
         })
         .unwrap();
-        assert_eq!(lrc.groups, [vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
+        assert_eq!(groups(&lrc), [vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
     }
 
     #[test]

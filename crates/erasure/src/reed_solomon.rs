@@ -16,8 +16,6 @@
 
 use pbrs_gf::Matrix;
 
-use crate::params::validate_repair_request;
-use crate::repair::{lowest_ranked_reads, ShardRead};
 use crate::{CodeError, CodeParams, ErasureCode};
 
 /// A systematic, MDS Reed–Solomon erasure code.
@@ -110,25 +108,6 @@ impl ErasureCode for ReedSolomon {
 
     fn generator(&self) -> &Matrix {
         &self.generator
-    }
-
-    fn repair_reads_ranked(
-        &self,
-        target: usize,
-        available: &[bool],
-        shard_len: usize,
-        rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        validate_repair_request(self, target, available, shard_len)?;
-        // MDS: any k survivors decode the stripe, so honour the caller's
-        // preference fully — take the k lowest-ranked helpers.
-        lowest_ranked_reads(
-            target,
-            available,
-            self.params.data_shards(),
-            shard_len,
-            rank,
-        )
     }
 
     fn is_mds(&self) -> bool {

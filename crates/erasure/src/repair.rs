@@ -1,4 +1,5 @@
-//! Repair reads and the solver that executes them.
+//! Repair reads: the planner that chooses them and the solver that
+//! executes them.
 //!
 //! The paper's core argument is about *bytes*: recovering one RS-coded block
 //! reads and ships `k` whole blocks across racks, and the Piggybacked-RS code
@@ -9,18 +10,21 @@
 //! `shard_len = granularity()` ([`ErasureCode::single_loss_reads`]), scaled
 //! to the block size.
 //!
-//! Every code here is linear, so every repair is too: one solver here is
-//! the body of every [`ErasureCode::repair_from_reads`], rebuilding a shard
-//! from the helper bytes a code's read choice names, whatever the code.
+//! Every code here is linear, so every repair is too: one planner here,
+//! a table of minimum read sets searched once in each generator, chooses
+//! the reads of every [`ErasureCode::repair_reads_ranked`], and one solver
+//! is the body of every [`ErasureCode::repair_from_reads`], rebuilding a
+//! shard from the helper bytes those reads name, whatever the code.
 
 use std::collections::HashMap;
-use std::sync::{LazyLock, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use pbrs_gf::{slice_ops, Matrix};
 
+use crate::decode;
 use crate::params::validate_repair_views;
 use crate::views::ShardSet;
-use crate::{decode, CodeError, ErasureCode};
+use crate::{CodeError, ErasureCode};
 
 /// One contiguous byte range of a helper shard that a repair actually reads.
 ///
@@ -65,102 +69,131 @@ pub fn total_read_bytes(reads: &[ShardRead]) -> u64 {
     reads.iter().map(|r| r.len as u64).sum()
 }
 
-/// Whole-shard reads of the `count` available shards other than `target`
-/// with the lowest `rank` (ties broken by shard index), in shard order: the
-/// read choice of a code that any `count` survivors decode.
+/// Whole-shard reads of available shards other than `target`, taken in
+/// `(rank, index)` order: each shard that adds rank to the symbol rows
+/// taken before it is kept, until they span the data. For an MDS code
+/// those are the `k` lowest-ranked shards. In shard order.
 ///
 /// # Errors
 ///
-/// Returns [`CodeError::NotEnoughShards`] when fewer than `count` shards
-/// other than `target` are available.
-pub fn lowest_ranked_reads(
+/// [`CodeError::NotEnoughShards`] when fewer than `k` shards are available,
+/// and [`CodeError::ReconstructionFailed`] when the available shards of a
+/// non-MDS code do not span the data.
+pub(crate) fn whole_shard_reads(
+    generator: &Matrix,
+    g: usize,
     target: usize,
     available: &[bool],
-    count: usize,
     shard_len: usize,
     rank: &dyn Fn(usize) -> u64,
 ) -> Result<Vec<ShardRead>, CodeError> {
+    let k = generator.cols() / g;
     let mut helpers: Vec<usize> = (0..available.len())
         .filter(|&i| available[i] && i != target)
         .collect();
-    if helpers.len() < count {
+    if helpers.len() < k {
         return Err(CodeError::NotEnoughShards {
-            needed: count,
+            needed: k,
             available: helpers.len(),
         });
     }
     helpers.sort_by_key(|&i| (rank(i), i));
-    helpers.truncate(count);
-    helpers.sort_unstable();
-    Ok(helpers
+    let rows: Vec<usize> = helpers.iter().flat_map(|&i| i * g..(i + 1) * g).collect();
+    let mut shards: Vec<usize> = decode::select_independent_rows(generator, &rows)
+        .ok_or(CodeError::ReconstructionFailed {
+            context: "surviving shards do not span the data",
+        })?
+        .into_iter()
+        .map(|row| row / g)
+        .collect();
+    shards.sort_unstable();
+    shards.dedup();
+    Ok(shards
         .into_iter()
         .map(|shard| ShardRead::whole(shard, shard_len))
         .collect())
 }
 
-/// The minimum read sets of one repair target, found once by search
-/// ([`decode::minimal_spanning_sets`]) over `generator`, the symbol-level
-/// generator of a code with `g` symbols per shard: every plan holds all
-/// the `seed` rows plus a minimum set of `candidates` rows that, with them,
-/// spans the target's `g` rows. Row `i·g + s` is symbol `s` of shard `i`,
-/// so a plan's rows are its reads ([`cheapest_plan`] turns them into byte
-/// ranges). A plan is kept only when it reads fewer symbols than `k` whole
-/// shards; otherwise the answer is empty and the code's `k`-whole-shard read
-/// stays the cheapest.
-///
-/// Answers are kept for the life of the process, by their inputs: every
-/// store opens a code of its own, and a piggyback-10-4 parity's search
-/// takes milliseconds, so only the first code of a kind pays for it.
-pub fn minimal_symbol_plans(
-    generator: &Matrix,
-    g: usize,
-    target: usize,
-    seed: &[usize],
-    candidates: &[usize],
-) -> Vec<Vec<usize>> {
-    let key = (
-        generator.clone(),
-        g,
-        target,
-        seed.to_vec(),
-        candidates.to_vec(),
-    );
+/// The plans of shard `target` ([`target_plans`]) of the code whose
+/// symbol-level generator is `generator`, `g` symbols per shard: sets of
+/// symbol rows, each sorted. Each target's plans are searched once per
+/// process, on its first repair, outside the lock: every store opens a
+/// code of its own, and a piggyback-10-4 table takes tens of milliseconds
+/// (a large code's parity, up to a second), so only the first repair of a
+/// kind pays for it and no other repair waits on it.
+pub(crate) fn plans(generator: &Matrix, g: usize, target: usize) -> Arc<Plans> {
     // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
-    let mut searched = SEARCHED.lock().expect("lock");
-    let plans = searched.entry(key).or_insert_with(|| {
-        let rows =
-            |rows: &[usize]| -> Vec<&[u8]> { rows.iter().map(|&r| generator.row(r)).collect() };
-        let targets: Vec<usize> = (target * g..(target + 1) * g).collect();
-        decode::minimal_spanning_sets(&rows(seed), &rows(candidates), &rows(&targets))
-            .into_iter()
-            .filter(|chosen| seed.len() + chosen.len() < generator.cols())
-            .map(|chosen| {
-                let mut plan: Vec<usize> = seed.to_vec();
-                plan.extend(chosen.iter().map(|&c| candidates[c]));
-                plan.sort_unstable();
-                plan
-            })
-            .collect()
-    });
-    plans.clone()
+    let tables = PLANS.lock().expect("lock");
+    let known = tables
+        .get(&g)
+        .and_then(|by_generator| by_generator.get(generator))
+        .and_then(|row| row[target].clone());
+    drop(tables);
+    if let Some(plans) = known {
+        return plans;
+    }
+    let plans = Arc::new(target_plans(generator, g, target));
+    // pbrs-lint: allow(panic-hygiene) -- lock poisoning is fatal by design
+    let mut tables = PLANS.lock().expect("lock");
+    let row = tables
+        .entry(g)
+        .or_default()
+        .entry(generator.clone())
+        .or_insert_with(|| vec![None; generator.rows() / g]);
+    Arc::clone(row[target].get_or_insert(plans))
 }
 
-/// The inputs of one [`minimal_symbol_plans`] search: generator, symbols
-/// per shard, target, seed rows and candidate rows.
-type SearchKey = (Matrix, usize, usize, Vec<usize>, Vec<usize>);
+/// One target's plans: sets of symbol rows, each sorted.
+pub(crate) type Plans = Vec<Vec<usize>>;
 
-/// Every [`minimal_symbol_plans`] answer of this process, by its inputs.
-static SEARCHED: LazyLock<Mutex<HashMap<SearchKey, Vec<Vec<usize>>>>> =
-    LazyLock::new(Mutex::default);
+/// Every target's [`plans`] searched in this process.
+static PLANS: LazyLock<Mutex<PlanTables>> = LazyLock::new(Mutex::default);
 
-/// The cheapest of `plans` (symbol-row sets of [`minimal_symbol_plans`],
+/// [`plans`]' memo: by symbols per shard, then generator, then target.
+type PlanTables = HashMap<usize, HashMap<Matrix, Vec<Option<Arc<Plans>>>>>;
+
+/// The minimum read sets of shard `target` cheaper than `k` whole shards,
+/// found by search ([`decode::minimal_spanning_sets`]) over `generator`,
+/// the symbol-level generator of a code with `g` symbols per shard. Row
+/// `i·g + s` is symbol `s` of shard `i`, so a plan's rows are its reads
+/// ([`cheapest_plan`] turns them into byte ranges).
+///
+/// Every plan holds a seed: a basis, taken greedily in row order, of the
+/// other shards' rows that are zero on every symbol-0 column, plus a
+/// minimum set of the other rows that, with the seed, spans the target's
+/// `g` rows. For `g = 1` the seed is empty. For Piggybacked-RS it is the
+/// data b-halves, plus the clean parity's b-half for a data target: the
+/// b-substripe a repair reads anyway, so the search runs over a-parts.
+fn target_plans(generator: &Matrix, g: usize, target: usize) -> Vec<Vec<usize>> {
+    let others = (0..generator.rows()).filter(|row| row / g != target);
+    let quiet: Vec<usize> = others
+        .clone()
+        .filter(|&row| generator.row(row).iter().step_by(g).all(|&x| x == 0))
+        .collect();
+    let seed = decode::independent_rows(generator, &quiet);
+    let candidates: Vec<usize> = others.filter(|row| !seed.contains(row)).collect();
+    let rows = |rows: &[usize]| -> Vec<&[u8]> { rows.iter().map(|&r| generator.row(r)).collect() };
+    let targets: Vec<usize> = (target * g..(target + 1) * g).collect();
+    decode::minimal_spanning_sets(&rows(&seed), &rows(&candidates), &rows(&targets))
+        .into_iter()
+        .filter(|chosen| seed.len() + chosen.len() < generator.cols())
+        .map(|chosen| {
+            let mut plan = seed.clone();
+            plan.extend(chosen.iter().map(|&c| candidates[c]));
+            plan.sort_unstable();
+            plan
+        })
+        .collect()
+}
+
+/// The cheapest of `plans` (symbol-row sets of [`target_plans`],
 /// `g` symbols per shard) whose shards are all `available`, as reads of
 /// `shard_len`-byte shards: a shard read in all its symbols is read whole.
 /// Cheapest means the fewest bytes on shards of non-zero `rank` (not
 /// already at hand), then the least `Σ rank × bytes`, then the first plan
 /// in the table's order, which is shard order. `None` when no plan is
 /// available.
-pub fn cheapest_plan(
+pub(crate) fn cheapest_plan(
     plans: &[Vec<usize>],
     g: usize,
     available: &[bool],

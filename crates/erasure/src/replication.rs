@@ -9,8 +9,6 @@
 
 use pbrs_gf::Matrix;
 
-use crate::params::validate_repair_request;
-use crate::repair::{lowest_ranked_reads, ShardRead};
 use crate::{CodeError, CodeParams, ErasureCode};
 
 /// N-way replication (`k = 1`, `r = replicas − 1`).
@@ -83,18 +81,6 @@ impl ErasureCode for Replication {
         &self.generator
     }
 
-    fn repair_reads_ranked(
-        &self,
-        target: usize,
-        available: &[bool],
-        shard_len: usize,
-        rank: &dyn Fn(usize) -> u64,
-    ) -> Result<Vec<ShardRead>, CodeError> {
-        validate_repair_request(self, target, available, shard_len)?;
-        // Every replica is interchangeable: copy the cheapest-ranked one.
-        lowest_ranked_reads(target, available, 1, shard_len, rank)
-    }
-
     fn is_mds(&self) -> bool {
         // A (1, r) repetition code is trivially MDS.
         true
@@ -104,7 +90,7 @@ impl ErasureCode for Replication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardBuffer;
+    use crate::{ShardBuffer, ShardRead};
 
     #[test]
     fn parameters_and_overhead() {

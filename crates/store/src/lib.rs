@@ -19,7 +19,7 @@
 //!   transparently falls back to a *degraded read*: each lost chunk's
 //!   repair plan, reading exactly the helper byte ranges named by
 //!   [`pbrs_erasure::ErasureCode::repair_reads_ranked`] (half-chunks for a
-//!   Piggybacked-RS single loss) and counting them; a helper that fails is
+//!   `piggyback-10-4` single loss) and counting them; a helper that fails is
 //!   planned around.
 //! * **Repair path** (`store/rebuild.rs`, `store/scrub.rs`) — one rebuild
 //!   loop serves degraded reads and repairs alike. A [`RepairDaemon`]

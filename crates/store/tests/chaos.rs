@@ -154,9 +154,10 @@ fn hedged_rebuild_switches_to_the_next_ranked_helper_set() {
 
 #[test]
 fn a_hedge_plans_around_the_slow_helper_for_every_code() {
-    // Piggybacked-RS and LRC plan their reads whatever the rank, so the
-    // round after the hedge plans over the shards left once the stalled
-    // helper is exiled: it is never read again, and the hedge wins.
+    // Every code plans its reads from its generator over the shards still
+    // on offer, so the round after the hedge plans over the shards left
+    // once the stalled helper is exiled: it is never read again, and the
+    // hedge wins.
     // Each case: code, k, pool disks, wiped shard, stalled helper.
     for (spec, k, disks, wiped, stalled) in
         [("piggyback-4-2", 4, 6, 1, 4), ("lrc-10-2-4", 10, 16, 0, 10)]

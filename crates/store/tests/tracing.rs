@@ -44,7 +44,13 @@ fn degraded_get_retains_a_tree_with_disk_labelled_chunk_io_leaves() {
     let (store, tracer) = open_traced(&dir);
     let data: Vec<u8> = (0..4 * CHUNK_LEN).map(|i| (i % 251) as u8).collect();
     store.put("obj", &data[..]).unwrap();
+    // piggyback-6-2 has one group holding all six data shards, so a data
+    // shard's piggyback read costs six whole shards, no less than any six
+    // survivors: a repair reads the six lowest-ranked, the data already at
+    // hand plus whole parities. Two lost data shards take both parities,
+    // two helper reads begun together.
     delete_chunk(&store, "obj", 0, 0);
+    delete_chunk(&store, "obj", 0, 1);
 
     let root = tracer.root_span("get", None);
     let ctx = root.ctx();

@@ -7,8 +7,10 @@
 #
 # N defaults to 50; the packages default to the four whose tests start
 # threads and sockets (pbrs-store pbrs-obs pbrs-chunkd pbrs-gateway).
-# Prints one line per test that ever failed (failures / runs) and exits
-# non-zero if there is any. A test that only passes on a quiet box is a
+# Prints one line per test that ever failed (failures / runs, then the
+# logs of those runs) and exits non-zero if there is any. The full output
+# of every failing run is kept as target/flake/<binary>.<run>.log, so the
+# assertion behind a rare failure can be read after the fact. A test that only passes on a quiet box is a
 # bug in the test or in the product: fix the ordering it depends on, do
 # not lengthen its timeout.
 #
@@ -57,13 +59,16 @@ for _ in $(seq $(($(nproc) + 1))); do
     spinners+=($!)
 done
 
+logdir=target/flake
+rm -rf "$logdir"
+mkdir -p "$logdir"
 failures=$(mktemp)
 echo "flake.sh: ${#binaries[@]} test binaries x $runs runs beside ${#spinners[@]} spinners"
 for entry in "${binaries[@]}"; do
     dir=${entry%%|*}
     exe=${entry#*|}
     name=$(basename "$exe" | sed -E 's/-[0-9a-f]{16}$//')
-    for _ in $(seq "$runs"); do
+    for run in $(seq "$runs"); do
         status=0
         out=$(cd "$dir" && timeout --kill-after=10 "$hang_limit" "$exe" 2>&1) || status=$?
         [ "$status" -ne 0 ] || continue
@@ -74,16 +79,21 @@ for entry in "${binaries[@]}"; do
         fi
         # No FAILED line: the binary died (abort, signal) mid-run.
         [ -n "$failed" ] || failed="(binary exited abnormally)"
+        log="$logdir/$name.$run.log"
+        printf '%s\n' "$out" >"$log"
         while IFS= read -r test; do
-            echo "$name::$test" >>"$failures"
+            printf '%s\t%s\n' "$name::$test" "$log" >>"$failures"
         done <<<"$failed"
     done
     echo "  ran $name"
 done
 
 if [ -s "$failures" ]; then
-    echo "flake.sh: failures out of $runs runs each:"
-    sort "$failures" | uniq -c | sort -rn | sed -E "s|^ *([0-9]+) (.+)$|  \1 / $runs  \2|"
+    echo "flake.sh: failures out of $runs runs each, with the failing runs' logs:"
+    cut -f1 "$failures" | sort | uniq -c | sort -rn | while read -r count test; do
+        logs=$(awk -F'\t' -v test="$test" '$1 == test { print $2 }' "$failures" | tr '\n' ' ')
+        echo "  $count / $runs  $test  ${logs% }"
+    done
     rm -f "$failures"
     exit 1
 fi
